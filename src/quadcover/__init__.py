@@ -2,23 +2,23 @@
 canonical double cover of the affine quadrangle, with exhaustive clique
 census machinery and binary-subgeometry recognition."""
 
-from .gf2n import FieldCtx, FieldElement, conic_solution_set, solve_artin_schreier, trace
-from .projgeom import PointTable, ProjectivePoint, Subspace
+from .gf2n import FieldCtx, conic_solution_set, solve_artin_schreier, trace
+from .projgeom import PointTable, Subspace
 from .quadric import QuadricModel, build_model
 from .ovoid import Ovoid, OvoidGeometry, Rosette, build_geometry
 from .covering import AffineQuadrangle, CoveringMap, build_affine, canonical_covering
-from .cliquecensus import CensusReport, TangencyGraph, build_tangency_graph, census
+from .cliquecensus import CensusReport, build_tangency_graph, census
 from .figures import CentricFigure, CubeParams, lift_clique_to_figure
 from .subf2 import F2Span, SubgeometryReport, closure_report, f2_closure
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldCtx", "FieldElement", "conic_solution_set", "solve_artin_schreier",
-    "trace", "PointTable", "ProjectivePoint", "Subspace", "QuadricModel",
+    "FieldCtx", "conic_solution_set", "solve_artin_schreier",
+    "trace", "PointTable", "Subspace", "QuadricModel",
     "build_model", "Ovoid", "OvoidGeometry", "Rosette", "build_geometry",
     "AffineQuadrangle", "CoveringMap", "build_affine", "canonical_covering",
-    "CensusReport", "TangencyGraph", "build_tangency_graph", "census",
+    "CensusReport", "build_tangency_graph", "census",
     "CentricFigure", "CubeParams", "lift_clique_to_figure", "F2Span",
     "SubgeometryReport", "closure_report", "f2_closure", "__version__",
 ]

@@ -17,6 +17,10 @@ echo, per-check expected/actual/source rows, and timings kept in a separate
 object so that identical configurations produce byte-identical payloads.
 Exit status: 0 all checks pass, 1 a check failed, 2 bad configuration.
 
+Every command runs on one `Run`: its stages (model, ovoid geometry, covering)
+are built on first use and timed once each, so a command only adds its check
+rows and payload.
+
 Heavy imports happen after argument parsing so that ``--threads`` can cap
 BLAS pools through the environment before numpy loads.
 """
@@ -28,8 +32,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 SCHEMA_VERSION = 1
 
@@ -39,7 +45,10 @@ _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 @dataclass
 class RunConfig:
-    """Validated run parameters; the JSON config echo serializes this."""
+    """Validated run parameters; the JSON config echo serializes this.
+
+    The field defaults are the only defaults of the matching command-line
+    flags: the parser leaves out every flag that was not given."""
 
     command: str
     n: int = 1
@@ -48,29 +57,41 @@ class RunConfig:
     mode: str = "full"
     samples: Optional[int] = None
     seed: int = 0
-    max_size: int = 6
     n_max: int = 9
     clique: Optional[Tuple[int, ...]] = None
     extend_dodecade: bool = False
     what: Optional[str] = None
 
+    @property
+    def label(self) -> str:
+        return self.command if self.what is None else f"{self.command} {self.what}"
+
     def validate(self) -> None:
         if not 1 <= self.n <= 16:
             raise ValueError("field degree must be between 1 and 16")
         if self.command in ("build", "verify", "census", "lift", "figures",
-                           "subgeometry") and self.n > 3:
+                            "subgeometry") and self.n > 3:
             raise ValueError("model enumeration commands support degrees 1..3")
-        if self.command == "census" and self.mode == "full" and self.n > 3:
-            raise ValueError("full census supported only for degrees 1..3")
         if self.mode not in ("full", "sampled"):
             raise ValueError("mode must be full or sampled")
         if self.modulus is not None and set(self.modulus) - {"0", "1"}:
             raise ValueError("modulus must be a binary literal")
         if not 1 <= self.n_max <= 9:
             raise ValueError("n-max must be between 1 and 9")
+        q = 2 ** self.n
+        if self.lam is not None and not 0 <= self.lam < q:
+            raise ValueError(f"lambda must be a field element in 0..{q - 1}")
+        if self.samples is not None and self.samples < 1:
+            raise ValueError("samples must be at least 1")
         if self.command in ("lift", "subgeometry"):
             if not self.clique or len(self.clique) not in (3, 4):
                 raise ValueError("a clique of 3 or 4 vertex ids is required")
+            n_ovoids = q * q * (q * q - 1) // 2
+            if (len(set(self.clique)) != len(self.clique)
+                    or not all(0 <= v < n_ovoids for v in self.clique)):
+                raise ValueError(f"clique ids must be distinct and in 0..{n_ovoids - 1}")
+            if self.extend_dodecade and len(self.clique) != 4:
+                raise ValueError("dodecade extension needs a 4-clique")
 
 
 def _check(name: str, expected, actual, source: str) -> dict:
@@ -82,19 +103,53 @@ def _bool_check(name: str, actual: bool, source: str) -> dict:
     return _check(name, True, bool(actual), source)
 
 
-# -- model plumbing ------------------------------------------------------------
+# -- the staged pipeline -------------------------------------------------------
 
 
-def _build(cfg: RunConfig, timings: dict):
-    from .gf2n import FieldCtx
-    from .quadric import build_model
+class Run:
+    """The stages of one run.  ``model``, ``gx`` (ovoid geometry) and ``cov``
+    (covering) are built on first use and each timed once under its report
+    key; commands time their own checks with ``timed``."""
 
-    t0 = time.perf_counter()
-    modulus = int(cfg.modulus, 2) if cfg.modulus else None
-    ctx = FieldCtx(cfg.n, modulus=modulus)
-    model = build_model(ctx, lam=cfg.lam)
-    timings["build_model"] = time.perf_counter() - t0
-    return ctx, model
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.timings: dict = {}
+
+    @contextmanager
+    def timed(self, key: str):
+        """Time the block under ``key``.  Resolve the stages a block uses
+        before entering it, so that no stage is timed twice."""
+        t0 = time.perf_counter()
+        yield
+        self.timings[key] = time.perf_counter() - t0
+
+    def built(self, stage: str) -> bool:
+        return stage in self.__dict__      # where cached_property keeps a stage
+
+    @cached_property
+    def model(self):
+        from .gf2n import FieldCtx
+        from .quadric import build_model
+
+        modulus = int(self.cfg.modulus, 2) if self.cfg.modulus else None
+        with self.timed("build_model"):
+            return build_model(FieldCtx(self.cfg.n, modulus=modulus), lam=self.cfg.lam)
+
+    @cached_property
+    def gx(self):
+        from .ovoid import build_geometry
+
+        model = self.model
+        with self.timed("geometry"):
+            return build_geometry(model)
+
+    @cached_property
+    def cov(self):
+        from .covering import canonical_covering
+
+        model, gx = self.model, self.gx
+        with self.timed("covering"):
+            return canonical_covering(model, gx)
 
 
 def _model_summary(model) -> dict:
@@ -110,9 +165,18 @@ def _model_summary(model) -> dict:
     }
 
 
-def _model_checks(model) -> List[dict]:
+def _figure_summary(fig) -> dict:
+    return {"kind": fig.kind, "pairs": [list(p) for p in fig.pairs],
+            "center": list(fig.center)}
+
+
+# -- commands ------------------------------------------------------------------
+
+
+def cmd_build(run: Run, args) -> dict:
+    model = run.model
     q = model.ctx.q
-    return [
+    payload = {"checks": [
         _check("point_count", (q + 1) * (q ** 3 + 1), model.n_points, "formula"),
         _check("section_point_count", (q + 1) * (q ** 2 + 1),
                len(model.section_points), "formula"),
@@ -120,274 +184,199 @@ def _model_checks(model) -> List[dict]:
                len(model.affine_points), "formula"),
         _check("line_count", (q ** 3 + 1) * (q ** 2 + 1),
                len(model.lines), "formula"),
-    ]
-
-
-def _geometry(model, timings: dict):
-    from .ovoid import build_geometry
-
-    t0 = time.perf_counter()
-    gx = build_geometry(model)
-    timings["geometry"] = time.perf_counter() - t0
-    return gx
-
-
-# -- commands ------------------------------------------------------------------
-
-
-def cmd_build(cfg: RunConfig, args) -> Tuple[dict, dict]:
-    timings: dict = {}
-    _, model = _build(cfg, timings)
-    checks = _model_checks(model)
-    payload = {"model": _model_summary(model), "checks": checks}
-    if getattr(args, "export_lines", None):
+    ]}
+    if args.export_lines:
         with open(args.export_lines, "w") as fh:
-            fh.write("line_id," + ",".join(f"p{i}" for i in range(model.ctx.q + 1)) + "\n")
+            fh.write("line_id," + ",".join(f"p{i}" for i in range(q + 1)) + "\n")
             for lid, line in enumerate(model.lines):
                 fh.write(f"{lid}," + ",".join(str(p) for p in line) + "\n")
         payload["exports"] = {"lines_csv": args.export_lines}
-    return payload, timings
+    return payload
 
 
-def cmd_verify(cfg: RunConfig, args) -> Tuple[dict, dict]:
-    timings: dict = {}
-    _, model = _build(cfg, timings)
-    payload: dict = {"model": _model_summary(model)}
-    checks: List[dict] = []
+def cmd_verify_srg(run: Run, args) -> dict:
+    from .cliquecensus import build_tangency_graph, formula_srg_params, verify_srg
 
-    if cfg.what == "srg":
-        from .cliquecensus import build_tangency_graph, formula_srg_params, verify_srg
+    gx = run.gx
+    with run.timed("verify"):
+        rep = verify_srg(build_tangency_graph(gx))
+    v, k, lam, mu = formula_srg_params(run.model.ctx.q)
+    if v - k - 1 == 0:
+        mu = None      # complete graph (q = 2): no non-adjacent pair to count
+    return {"srg": rep, "checks": [
+        _check("srg_params", [v, k, lam, mu],
+               [rep["v"], rep["k"], rep["lambda"], rep["mu"]], "formula"),
+        _bool_check("strong_regularity", rep["pass"], "enumeration"),
+        _bool_check("feasibility_identity", rep["feasibility_ok"], "oracle"),
+    ]}
 
-        gx = _geometry(model, timings)
-        t0 = time.perf_counter()
-        g = build_tangency_graph(gx)
-        rep = verify_srg(g)
-        timings["verify"] = time.perf_counter() - t0
-        v, k, lam, mu = formula_srg_params(model.ctx.q)
-        checks += [
-            _check("srg_params", [v, k, lam, mu],
-                   [rep["v"], rep["k"], rep["lambda"], rep["mu"]], "formula"),
-            _bool_check("strong_regularity", rep["pass"], "enumeration"),
-            _bool_check("feasibility_identity", rep["feasibility_ok"], "oracle"),
-        ]
-        payload["srg"] = rep
 
-    elif cfg.what == "covering":
-        from .covering import canonical_covering, fiber_distances, verify_covering
+def cmd_verify_covering(run: Run, args) -> dict:
+    from .covering import fiber_distances, verify_covering
 
-        gx = _geometry(model, timings)
-        t0 = time.perf_counter()
-        cov = canonical_covering(model, gx)
+    cov = run.cov
+    with run.timed("verify"):
         rep = verify_covering(cov)
         dist = fiber_distances(cov)
-        timings["verify"] = time.perf_counter() - t0
-        for key in ("fibers_ok", "line_bijections_ok",
-                    "pencil_bijections_ok", "quotient_iso_ok"):
-            checks.append(_bool_check(key, rep[key], "enumeration"))
-        checks.append(_bool_check("fibers_at_distance_3",
-                                  dist["fibers_at_distance_3"], "enumeration"))
-        checks.append(_bool_check("diameter_is_3", dist["diameter_is_3"],
-                                  "enumeration"))
-        payload["covering"] = rep
-        if "counterexample" in rep:
-            payload["counterexample"] = rep["counterexample"]
+    checks = [_bool_check(key, rep[key], "enumeration")
+              for key in ("fibers_ok", "line_bijections_ok",
+                          "pencil_bijections_ok", "quotient_iso_ok")]
+    checks += [_bool_check(key, dist[key], "enumeration")
+               for key in ("fibers_at_distance_3", "diameter_is_3")]
+    payload = {"covering": rep, "checks": checks}
+    if "counterexample" in rep:
+        payload["counterexample"] = rep["counterexample"]
+    return payload
 
-    elif cfg.what == "semipartial":
-        from .ovoid import export_incidence_csv, verify_common_tangent_counts, verify_semipartial
 
-        gx = _geometry(model, timings)
-        t0 = time.perf_counter()
+def cmd_verify_semipartial(run: Run, args) -> dict:
+    from .ovoid import export_incidence_csv, verify_common_tangent_counts, verify_semipartial
+
+    cfg, gx = run.cfg, run.gx
+    with run.timed("verify"):
         rep = verify_semipartial(gx, sample=cfg.samples, seed=cfg.seed)
-        checks.append(_bool_check("semipartial_axioms", rep["pass"], "enumeration"))
-        if model.ctx.q <= 4:
-            rep2 = verify_common_tangent_counts(gx)
-            checks.append(_bool_check("common_tangent_counts", rep2["pass"],
-                                      "enumeration"))
-            payload["common_tangents"] = rep2
-        timings["verify"] = time.perf_counter() - t0
-        payload["semipartial"] = rep
-        if getattr(args, "export_incidence", None):
-            export_incidence_csv(gx, args.export_incidence)
-            payload["exports"] = {"incidence_csv": args.export_incidence}
-    else:
-        raise ValueError("verify target must be srg, covering or semipartial")
-
-    payload["checks"] = checks
-    return payload, timings
+        tangents = verify_common_tangent_counts(gx) if gx.model.ctx.q <= 4 else None
+    payload = {"semipartial": rep, "checks": [
+        _bool_check("semipartial_axioms", rep["pass"], "enumeration")]}
+    if tangents is not None:
+        payload["checks"].append(_bool_check("common_tangent_counts", tangents["pass"],
+                                             "enumeration"))
+        payload["common_tangents"] = tangents
+    if args.export_incidence:
+        export_incidence_csv(gx, args.export_incidence)
+        payload["exports"] = {"incidence_csv": args.export_incidence}
+    return payload
 
 
-def cmd_census(cfg: RunConfig, args) -> Tuple[dict, dict]:
-    from .cliquecensus import (build_tangency_graph, census, export_edges_csv,
-                               formula_n3, formula_n4, formula_n5, formula_n6)
+def cmd_census(run: Run, args) -> dict:
+    from .cliquecensus import build_tangency_graph, census, export_edges_csv
 
-    timings: dict = {}
-    _, model = _build(cfg, timings)
-    gx = _geometry(model, timings)
-    q = model.ctx.q
-    t0 = time.perf_counter()
-    g = build_tangency_graph(gx)
-    n_samples = cfg.samples
-    if cfg.mode == "sampled" and n_samples is None:
-        n_samples = 20000
-    rep = census(g, gx, mode=cfg.mode, seed=cfg.seed, n_samples=n_samples,
-                 max_size=cfg.max_size)
-    timings["census"] = time.perf_counter() - t0
-
+    cfg, gx = run.cfg, run.gx
+    with run.timed("census"):
+        g = build_tangency_graph(gx)
+        rep = census(g, gx, mode=cfg.mode, seed=cfg.seed,
+                     n_samples=cfg.samples or 20000)
     checks = [_bool_check("census_identities", rep.ok, "enumeration")]
     if cfg.mode == "full":
-        odd = cfg.n % 2 == 1
-        checks += [
-            _check("nonlinear_3_cliques", formula_n3(q), rep.n3, "formula"),
-            _check("nonlinear_4_cliques", formula_n4(q), rep.n4, "formula"),
-            _check("nonlinear_5_cliques", formula_n5(q) if odd else 0,
-                   rep.n5, "formula"),
-            _check("nonlinear_6_cliques", formula_n6(q) if odd else 0,
-                   rep.n6, "formula"),
-        ]
-    payload = {"model": _model_summary(model), "census": rep.to_dict(),
-               "checks": checks}
-    if getattr(args, "export_edges", None):
+        checks += [_check(f"nonlinear_{k}_cliques", rep.formulas[f"n{k}"],
+                          getattr(rep, f"n{k}"), "formula") for k in (3, 4, 5, 6)]
+    payload = {"census": rep.to_dict(), "checks": checks}
+    if args.export_edges:
         export_edges_csv(g, args.export_edges)
         payload["exports"] = {"edges_csv": args.export_edges}
-    return payload, timings
+    return payload
 
 
-def _lift(cfg: RunConfig, timings: dict):
-    from .covering import canonical_covering
-    from .figures import lift_clique_to_figure
+def _lift(run: Run):
+    """The centric figure of the configured clique, extended to its dodecade
+    when asked; raises ValueError for a clique that has none."""
+    from .figures import extend_cube, lift_clique_to_figure
 
-    _, model = _build(cfg, timings)
-    gx = _geometry(model, timings)
-    t0 = time.perf_counter()
-    cov = canonical_covering(model, gx)
-    fig = lift_clique_to_figure(cov, cfg.clique)
-    timings["lift"] = time.perf_counter() - t0
-    return model, gx, cov, fig
+    cfg, model, cov = run.cfg, run.model, run.cov
+    with run.timed("lift"):
+        fig = lift_clique_to_figure(cov, cfg.clique)
+        if cfg.extend_dodecade:
+            fig = extend_cube(model, fig)["dodecade"]
+            if fig is None:
+                raise ValueError("no dodecade exists at even field degree")
+    return fig
 
 
-def cmd_lift(cfg: RunConfig, args) -> Tuple[dict, dict]:
+def cmd_lift(run: Run, args) -> dict:
     from .figures import figure_to_clique, verify_centric_figure
 
-    timings: dict = {}
     try:
-        model, gx, cov, fig = _lift(cfg, timings)
+        fig = _lift(run)
     except ValueError as exc:
-        payload = {"checks": [_check("liftable", True, False, "enumeration")],
-                   "reason": str(exc)}
-        return payload, timings
-    rep = verify_centric_figure(model, fig)
-    back = figure_to_clique(cov, fig)
-    checks = [
+        return {"checks": [_check("liftable", True, False, "enumeration")],
+                "reason": str(exc)}
+    rep = verify_centric_figure(run.model, fig)
+    back = figure_to_clique(run.cov, fig)
+    return {"figure": _figure_summary(fig), "checks": [
         _bool_check("liftable", True, "enumeration"),
         _bool_check("centric_figure", rep["pass"], "enumeration"),
-        _check("projects_back", sorted(cfg.clique), sorted(back), "oracle"),
-    ]
-    payload = {
-        "model": _model_summary(model),
-        "figure": {"kind": fig.kind, "pairs": [list(p) for p in fig.pairs],
-                   "center": list(fig.center)},
-        "checks": checks,
-    }
-    return payload, timings
+        _check("projects_back", sorted(run.cfg.clique), sorted(back), "oracle"),
+    ]}
 
 
-def cmd_figures_verify(cfg: RunConfig, args) -> Tuple[dict, dict]:
+def cmd_figures_verify(run: Run, args) -> dict:
     import numpy as np
 
     from .cliquecensus import build_tangency_graph, census
-    from .covering import canonical_covering
     from .figures import (count_quadrangles_exhaustive, count_quadrangles_formula,
                           enumerate_cube_centers, enumerate_cube_centers_bruteforce,
                           extend_cube, extend_cube_bruteforce,
                           extend_hexagon_to_cubes, extend_hexagon_to_cubes_bruteforce,
                           lift_clique_to_figure)
 
-    timings: dict = {}
-    _, model = _build(cfg, timings)
-    gx = _geometry(model, timings)
+    cfg, model, gx, cov = run.cfg, run.model, run.gx, run.cov
     q = model.ctx.q
-    cov = canonical_covering(model, gx)
-    checks: List[dict] = []
+    checks = []
 
-    t0 = time.perf_counter()
-    par = enumerate_cube_centers(model)
-    bf = enumerate_cube_centers_bruteforce(model)
-    checks.append(_check("cube_center_sets_agree", sorted(par), sorted(bf), "oracle"))
-    checks.append(_check("cube_center_count", (q - 1) ** 2 * (q + 1),
-                         len(par), "formula"))
-    timings["cube_centers"] = time.perf_counter() - t0
+    with run.timed("cube_centers"):
+        par = enumerate_cube_centers(model)
+        bf = enumerate_cube_centers_bruteforce(model)
+        checks.append(_check("cube_center_sets_agree", sorted(par), sorted(bf), "oracle"))
+        checks.append(_check("cube_center_count", (q - 1) ** 2 * (q + 1),
+                             len(par), "formula"))
 
-    t0 = time.perf_counter()
-    g = build_tangency_graph(gx)
-    mode = "full" if cfg.n <= 2 else "sampled"
-    rep = census(g, gx, mode=mode, seed=cfg.seed,
-                 n_samples=4000 if mode == "sampled" else None, collect=True)
-    rng = np.random.default_rng(cfg.seed)
-    n_hex = min(cfg.samples or 20, len(rep.triangles))
-    sel = rng.choice(len(rep.triangles), size=n_hex, replace=False)
-    hex_ok = ext_ok = True
-    for k in sel:
-        hexf = lift_clique_to_figure(cov, tuple(int(x) for x in rep.triangles[k]))
-        cubes = extend_hexagon_to_cubes(model, hexf)
-        brute = extend_hexagon_to_cubes_bruteforce(model, hexf)
-        hex_ok &= {c.key() for c in cubes} == {c.key() for c in brute}
-        ext_ok &= len(cubes) == q + 1
-    checks.append(_bool_check("hexagon_solver_matches_bruteforce", hex_ok, "oracle"))
-    checks.append(_bool_check("hexagon_extension_count_q_plus_1", ext_ok, "formula"))
-    timings["hexagon_extensions"] = time.perf_counter() - t0
+    with run.timed("hexagon_extensions"):
+        g = build_tangency_graph(gx)
+        mode = "full" if cfg.n <= 2 else "sampled"
+        rep = census(g, gx, mode=mode, seed=cfg.seed,
+                     n_samples=4000 if mode == "sampled" else None, collect=True)
+        rng = np.random.default_rng(cfg.seed)
+        n_hex = min(cfg.samples or 20, len(rep.triangles))
+        sel = rng.choice(len(rep.triangles), size=n_hex, replace=False)
+        hex_ok = ext_ok = True
+        for k in sel:
+            hexf = lift_clique_to_figure(cov, tuple(int(x) for x in rep.triangles[k]))
+            cubes = extend_hexagon_to_cubes(model, hexf)
+            brute = extend_hexagon_to_cubes_bruteforce(model, hexf)
+            hex_ok &= {c.key() for c in cubes} == {c.key() for c in brute}
+            ext_ok &= len(cubes) == q + 1
+        checks.append(_bool_check("hexagon_solver_matches_bruteforce", hex_ok, "oracle"))
+        checks.append(_bool_check("hexagon_extension_count_q_plus_1", ext_ok, "formula"))
 
-    t0 = time.perf_counter()
-    n_cube = min(cfg.samples or 10, len(rep.cliques4))
-    sel4 = rng.choice(len(rep.cliques4), size=n_cube, replace=False)
-    want_decades = 2 if cfg.n % 2 == 1 else 0
-    cube_ok = parity_ok = True
-    for k in sel4:
-        cubef = lift_clique_to_figure(cov, tuple(int(x) for x in rep.cliques4[k]))
-        ext = extend_cube(model, cubef)
-        brute = extend_cube_bruteforce(model, cubef)
-        cube_ok &= ({d.key() for d in ext["decades"]}
-                    == {d.key() for d in brute["decades"]})
-        parity_ok &= len(ext["decades"]) == want_decades
-        parity_ok &= (ext["dodecade"] is not None) == (want_decades > 0)
-    checks.append(_bool_check("cube_solver_matches_bruteforce", cube_ok, "oracle"))
-    checks.append(_check("decades_per_cube", want_decades if n_cube else None,
-                         len(ext["decades"]) if n_cube else None, "formula"))
-    checks.append(_bool_check("fifth_pair_parity_law", parity_ok, "formula"))
-    timings["cube_extensions"] = time.perf_counter() - t0
+    with run.timed("cube_extensions"):
+        n_cube = min(cfg.samples or 10, len(rep.cliques4))
+        sel4 = rng.choice(len(rep.cliques4), size=n_cube, replace=False)
+        want_decades = 2 if cfg.n % 2 == 1 else 0
+        cube_ok = parity_ok = True
+        for k in sel4:
+            cubef = lift_clique_to_figure(cov, tuple(int(x) for x in rep.cliques4[k]))
+            ext = extend_cube(model, cubef)
+            brute = extend_cube_bruteforce(model, cubef)
+            cube_ok &= ({d.key() for d in ext["decades"]}
+                        == {d.key() for d in brute["decades"]})
+            parity_ok &= len(ext["decades"]) == want_decades
+            parity_ok &= (ext["dodecade"] is not None) == (want_decades > 0)
+        checks.append(_bool_check("cube_solver_matches_bruteforce", cube_ok, "oracle"))
+        checks.append(_check("decades_per_cube", want_decades if n_cube else None,
+                             len(ext["decades"]) if n_cube else None, "formula"))
+        checks.append(_bool_check("fifth_pair_parity_law", parity_ok, "formula"))
 
-    t0 = time.perf_counter()
-    if q <= 4:
-        checks.append(_check("quadrangle_count", count_quadrangles_formula(q),
-                             count_quadrangles_exhaustive(model), "enumeration"))
-    else:
-        checks.append(_check("quadrangle_count_formula",
-                             count_quadrangles_formula(q),
-                             count_quadrangles_formula(q), "formula"))
-    timings["quadrangles"] = time.perf_counter() - t0
+    with run.timed("quadrangles"):
+        if q <= 4:
+            checks.append(_check("quadrangle_count", count_quadrangles_formula(q),
+                                 count_quadrangles_exhaustive(model), "enumeration"))
+        else:
+            checks.append(_check("quadrangle_count_formula",
+                                 count_quadrangles_formula(q),
+                                 count_quadrangles_formula(q), "formula"))
 
-    payload = {"model": _model_summary(model), "checks": checks,
-               "samples": {"hexagons": int(n_hex), "cubes": int(n_cube)}}
-    return payload, timings
+    return {"checks": checks, "samples": {"hexagons": int(n_hex), "cubes": int(n_cube)}}
 
 
-def cmd_subgeometry(cfg: RunConfig, args) -> Tuple[dict, dict]:
-    from .figures import extend_cube
+def cmd_subgeometry(run: Run, args) -> dict:
+    from .projgeom import normalize_tuple
     from .subf2 import closure_report, span_f2_radical
 
-    timings: dict = {}
-    model, gx, cov, fig = _lift(cfg, timings)
+    fig = _lift(run)
+    model = run.model
+    with run.timed("closure"):
+        span, rep = closure_report(model, fig)
     expect = {"hexagon": "Qplus32", "cube": "Q42", "dodecade": "Qminus52"}
-    if cfg.extend_dodecade:
-        if len(cfg.clique) != 4:
-            raise ValueError("dodecade extension needs a 4-clique")
-        ext = extend_cube(model, fig)
-        if ext["dodecade"] is None:
-            raise ValueError("no dodecade exists at even field degree")
-        fig = ext["dodecade"]
-    t0 = time.perf_counter()
-    span, rep = closure_report(model, fig)
-    timings["closure"] = time.perf_counter() - t0
-
     checks = [
         _bool_check("span_consistent", span.ok, "enumeration"),
         _check("subgeometry_type", expect[fig.kind], rep.type_tag, "oracle"),
@@ -396,15 +385,11 @@ def cmd_subgeometry(cfg: RunConfig, args) -> Tuple[dict, dict]:
     ]
     if fig.kind == "cube":
         rad = span_f2_radical(model, span)
-        from .projgeom import normalize_tuple
-
         n0 = normalize_tuple(model.ctx, model.nucleus)
         checks.append(_bool_check("own_nucleus_differs",
                                   len(rad) == 1 and rad[0] != n0, "enumeration"))
-    payload = {
-        "model": _model_summary(model),
-        "figure": {"kind": fig.kind, "pairs": [list(p) for p in fig.pairs],
-                   "center": list(fig.center)},
+    return {
+        "figure": _figure_summary(fig),
         "subgeometry": {
             "type_tag": rep.type_tag, "point_count": rep.point_count,
             "line_count": rep.line_count, "contains_n0": rep.contains_n0,
@@ -414,29 +399,27 @@ def cmd_subgeometry(cfg: RunConfig, args) -> Tuple[dict, dict]:
         "basis": [list(b) for b in span.basis],
         "checks": checks,
     }
-    return payload, timings
 
 
-def cmd_counts(cfg: RunConfig, args) -> Tuple[dict, dict]:
+def cmd_counts(run: Run, args) -> dict:
     from .subf2 import count_identities
 
-    timings: dict = {}
-    t0 = time.perf_counter()
-    rep = count_identities(range(1, cfg.n_max + 1))
-    timings["counts"] = time.perf_counter() - t0
+    with run.timed("counts"):
+        rep = count_identities(range(1, run.cfg.n_max + 1))
     checks = [_bool_check(f"identities_degree_{n}", info["ok"], "formula")
               for n, info in sorted(rep["per_n"].items())]
-    payload = {"identities": {str(n): info for n, info in rep["per_n"].items()},
-               "checks": checks}
-    return payload, timings
+    return {"identities": {str(n): info for n, info in rep["per_n"].items()},
+            "checks": checks}
 
 
 _COMMANDS = {
     "build": cmd_build,
-    "verify": cmd_verify,
+    "verify srg": cmd_verify_srg,
+    "verify covering": cmd_verify_covering,
+    "verify semipartial": cmd_verify_semipartial,
     "census": cmd_census,
     "lift": cmd_lift,
-    "figures": cmd_figures_verify,
+    "figures verify": cmd_figures_verify,
     "subgeometry": cmd_subgeometry,
     "counts": cmd_counts,
 }
@@ -445,19 +428,22 @@ _COMMANDS = {
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=1, help="field degree (q = 2^n)")
-    p.add_argument("--modulus", type=str, default=None,
-                   help="irreducible modulus as a binary literal, e.g. 1011")
-    p.add_argument("--lambda", dest="lam", type=int, default=None,
-                   help="quadric form parameter override (trace-one element)")
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None,
                    help="cap BLAS thread pools")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    p.add_argument("--samples", type=int, default=None,
-                   help="sample count for sampled checks")
     p.add_argument("--out", type=str, default=None,
                    help="write the JSON report here instead of stdout")
+
+
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, help="field degree (q = 2^n)")
+    p.add_argument("--modulus", type=str,
+                   help="irreducible modulus as a binary literal, e.g. 1011")
+    p.add_argument("--lambda", dest="lam", type=int,
+                   help="quadric form parameter override (trace-one element)")
+    p.add_argument("--seed", type=int, help="PRNG seed")
+    p.add_argument("--samples", type=int, help="sample count for sampled checks")
+    _add_output_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,66 +452,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="elliptic quadric double covers: build and verify")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="build a model and print its summary")
+    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+        # flags left out of the command line stay out of the namespace, so
+        # that RunConfig supplies their defaults
+        return sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
+
+    p = add("build", help="build a model and print its summary")
     _add_model_flags(p)
     p.add_argument("--export-lines", type=str, default=None,
                    help="CSV dump of quadric lines")
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = add("verify", help="run a verification suite")
     p.add_argument("what", choices=("srg", "covering", "semipartial"))
     _add_model_flags(p)
     p.add_argument("--export-incidence", type=str, default=None,
                    help="CSV dump of the pencil incidence (semipartial only)")
 
-    p = sub.add_parser("census", help="clique census")
+    p = add("census", help="clique census")
     _add_model_flags(p)
-    p.add_argument("--mode", choices=("full", "sampled"), default="full")
-    p.add_argument("--max-size", type=int, default=6)
+    p.add_argument("--mode", choices=("full", "sampled"))
     p.add_argument("--export-edges", type=str, default=None,
                    help="CSV dump of tangency edges")
 
-    p = sub.add_parser("lift", help="lift a clique to a centric figure")
+    p = add("lift", help="lift a clique to a centric figure")
     _add_model_flags(p)
     p.add_argument("--clique", type=str, required=True,
                    help="comma-separated tangency-graph vertex ids")
 
-    p = sub.add_parser("figures", help="figure solver cross-checks")
+    p = add("figures", help="figure solver cross-checks")
     p.add_argument("what", choices=("verify",))
     _add_model_flags(p)
 
-    p = sub.add_parser("subgeometry", help="binary closure of a lifted clique")
+    p = add("subgeometry", help="binary closure of a lifted clique")
     _add_model_flags(p)
     p.add_argument("--clique", type=str, required=True,
                    help="comma-separated tangency-graph vertex ids")
     p.add_argument("--extend-dodecade", action="store_true",
                    help="extend a 4-clique cube to its dodecade first")
 
-    p = sub.add_parser("counts", help="exact-integer identity checks")
-    p.add_argument("--n-max", type=int, default=9)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p = add("counts", help="exact-integer identity checks")
+    p.add_argument("--n-max", type=int)
+    _add_output_flags(p)
 
     return ap
 
 
 def _config_from_args(args) -> RunConfig:
-    clique = None
-    if getattr(args, "clique", None):
-        clique = tuple(int(x) for x in args.clique.split(","))
-    cfg = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", 1),
-        modulus=getattr(args, "modulus", None),
-        lam=getattr(args, "lam", None),
-        mode=getattr(args, "mode", "full"),
-        samples=getattr(args, "samples", None),
-        seed=getattr(args, "seed", 0),
-        max_size=getattr(args, "max_size", 6),
-        n_max=getattr(args, "n_max", 9),
-        clique=clique,
-        extend_dodecade=getattr(args, "extend_dodecade", False),
-        what=getattr(args, "what", None),
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if hasattr(args, f.name)}
+    if "clique" in given:
+        given["clique"] = tuple(int(x) for x in given["clique"].split(","))
+    cfg = RunConfig(**given)
     cfg.validate()
     return cfg
 
@@ -541,39 +518,35 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    threads = getattr(args, "threads", None)
-    if threads is not None:
-        if threads < 1:
+    if args.threads is not None:
+        if args.threads < 1:
             print("error: --threads must be positive", file=sys.stderr)
             return 2
         for var in _THREAD_ENV:
-            os.environ[var] = str(threads)
+            os.environ[var] = str(args.threads)
 
     try:
         cfg = _config_from_args(args)
+        run = Run(cfg)
+        payload = _COMMANDS[cfg.label](run, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if run.built("model"):
+        payload["model"] = _model_summary(run.model)
 
-    try:
-        payload, timings = _COMMANDS[cfg.command](cfg, args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    checks = payload.get("checks", [])
-    ok = all(c["pass"] for c in checks)
+    ok = all(c["pass"] for c in payload["checks"])
     report = {
         "schema": SCHEMA_VERSION,
-        "command": cfg.command if cfg.what is None else f"{cfg.command} {cfg.what}",
+        "command": cfg.label,
         "config": asdict(cfg),
         "pass": ok,
     }
     report.update(payload)
-    report["timings"] = {k: round(v, 6) for k, v in timings.items()}
+    report["timings"] = {k: round(v, 6) for k, v in run.timings.items()}
 
     text = json.dumps(report, indent=2, sort_keys=True)
-    out = _resolve_out(getattr(args, "out", None))
+    out = _resolve_out(args.out)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -20,14 +20,15 @@ neighbourhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .ovoid import OvoidGeometry
 
 MASK64 = (1 << 64) - 1
+BATCH = 512                       # edges per vectorised census step
 
 
 # -- closed-form counts --------------------------------------------------------
@@ -62,21 +63,9 @@ def formula_n6(q: int) -> int:
 # -- graph ---------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class TangencyGraph:
-    """Adjacency-matrix view of the tangency relation on ovoids."""
-
-    n_vertices: int
-    adjacency: np.ndarray
-    vertex_ovoid: np.ndarray      # vertex index -> ovoid id (identity layout)
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
-
-def build_tangency_graph(gx: OvoidGeometry) -> TangencyGraph:
-    """Wrap the geometry's tangency matrix, checking symmetry and regularity."""
+def build_tangency_graph(gx: OvoidGeometry) -> np.ndarray:
+    """The geometry's tangency matrix (vertex i is ovoid i), checked to be a
+    simple regular graph of the expected degree."""
     A = gx.adjacency
     if not np.array_equal(A, A.T) or A.diagonal().any():
         raise AssertionError("tangency matrix is not a simple graph")
@@ -84,16 +73,13 @@ def build_tangency_graph(gx: OvoidGeometry) -> TangencyGraph:
     k = (q - 1) * (q * q + 1)
     if not (A.sum(axis=1) == k).all():
         raise AssertionError(f"graph is not {k}-regular")
-    n = gx.n_ovoids
-    return TangencyGraph(n_vertices=n, adjacency=A,
-                         vertex_ovoid=np.arange(n, dtype=np.int32))
+    return A
 
 
-def verify_srg(g: TangencyGraph) -> dict:
+def verify_srg(A: np.ndarray) -> dict:
     """Exhaustive strong-regularity check: common-neighbour counts on every
     adjacent and non-adjacent pair, plus the feasibility identity."""
-    A = g.adjacency
-    n = g.n_vertices
+    n = len(A)
     deg = A.sum(axis=1)
     k = int(deg[0])
     af = A.astype(np.float32)
@@ -212,29 +198,18 @@ class CensusReport:
                 and all(self.identities.values()))
 
     def to_dict(self) -> dict:
-        out = {
-            "q": self.q, "n": self.n, "mode": self.mode, "seed": self.seed,
-            "edges_total": self.edges_total, "edges_checked": self.edges_checked,
-            "linear_triangles": self.linear_triangles,
-            "n3": self.n3, "n4": self.n4, "n5": self.n5, "n6": self.n6,
-            "extension_counts": self.extension_counts,
-            "no_mixed": self.no_mixed,
-            "spectrum": self.spectrum,
-            "spectrum_by_kind": self.spectrum_by_kind,
-            "linear_max_cliques": self.linear_max_cliques,
-            "identities": self.identities,
-            "srg": self.srg,
-            "formulas": self.formulas,
-            "pass": self.ok,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
+        """JSON-ready report: every field but the collected clique arrays,
+        the counterexample only when there is one, and the verdict."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("triangles", "cliques4")}
+        if self.counterexample is None:
+            del out["counterexample"]
+        out["pass"] = self.ok
         return out
 
 
-def rosette_maximality(g: TangencyGraph, gx: OvoidGeometry) -> Tuple[int, int]:
+def rosette_maximality(A: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]:
     """(number of pencils that are maximal cliques, total pencils)."""
-    A = g.adjacency
     n_max = 0
     for r in gx.rosettes:
         common = A[list(r.members)].all(axis=0)
@@ -244,22 +219,22 @@ def rosette_maximality(g: TangencyGraph, gx: OvoidGeometry) -> Tuple[int, int]:
     return n_max, len(gx.rosettes)
 
 
-def census(g: TangencyGraph, gx: OvoidGeometry, mode: str = "full",
+def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
            seed: Optional[int] = None, n_samples: Optional[int] = None,
-           max_size: int = 6, collect: bool = False,
-           batch: int = 512) -> CensusReport:
-    """Edge-driven clique census with classification and extension-law checks.
+           collect: bool = False) -> CensusReport:
+    """Edge-driven clique census with classification and extension-law checks
+    up to 6-cliques, the largest size a non-linear clique reaches.
 
-    In full mode every edge is processed and the totals are exact enumerated
-    counts; in sampled mode a seeded subset of edges is processed and only the
-    per-edge laws are checked.  collect=True additionally gathers the vertex
-    arrays of all non-linear triangles and 4-cliques (full mode).
+    ``A`` is the tangency matrix from `build_tangency_graph`.  In full mode
+    every edge is processed and the totals are exact enumerated counts; in
+    sampled mode a seeded subset of edges is processed and only the per-edge
+    laws are checked.  collect=True additionally gathers the vertex arrays of
+    all non-linear triangles and 4-cliques (full mode).
     """
     model = gx.model
     q = model.ctx.q
     ndeg = model.ctx.n
     n_odd = ndeg % 2 == 1
-    A = g.adjacency
     tp = gx.tangency_point
     iu, ju = np.nonzero(np.triu(A, 1))
     E = len(iu)
@@ -292,8 +267,8 @@ def census(g: TangencyGraph, gx: OvoidGeometry, mode: str = "full",
     tris: List[np.ndarray] = []
     quads: List[np.ndarray] = []
 
-    for lo in range(0, len(edge_sel), batch):
-        sel = edge_sel[lo:lo + batch]
+    for lo in range(0, len(edge_sel), BATCH):
+        sel = edge_sel[lo:lo + BATCH]
         B = len(sel)
         a, b = iu[sel], ju[sel]
         C = A[a] & A[b]
@@ -318,8 +293,6 @@ def census(g: TangencyGraph, gx: OvoidGeometry, mode: str = "full",
         tot_lin3 += B * n_r
         tot_nl3 += B * n_nl
 
-        if max_size < 4:
-            continue
         S = A[Wi[:, :, None], Wi[:, None, :]]
         rows = S.sum(axis=2)
         obs_3to4.update(int(x) for x in np.unique(rows))
@@ -334,8 +307,6 @@ def census(g: TangencyGraph, gx: OvoidGeometry, mode: str = "full",
             rsel, csel = np.nonzero(Wi > b[:, None])
             tris.append(np.stack([a[rsel], b[rsel], Wi[rsel, csel]], axis=1))
 
-        if max_size < 5:
-            continue
         triu_s = np.triu(S, 1)
         bb, ww, zz = np.nonzero(triu_s)
         if len(bb) != B * s_edges:
@@ -364,9 +335,8 @@ def census(g: TangencyGraph, gx: OvoidGeometry, mode: str = "full",
                                    np.broadcast_to(b[:, None], wv.shape)[keep],
                                    wv[keep], zv[keep]], axis=1))
 
-        if max_size < 6 or not n_odd:
-            if not n_odd:
-                obs_4to6.add(0)
+        if not n_odd:
+            obs_4to6.add(0)
             continue
         Ft = F.transpose(0, 2, 1)
         fb, fe, fv = np.nonzero(Ft)
@@ -381,18 +351,16 @@ def census(g: TangencyGraph, gx: OvoidGeometry, mode: str = "full",
                               "edge": [int(a[eb]), int(b[eb])], "got": 0}
         tot_six += int(six.sum())
 
-    full = mode == "full"
+    srg = verify_srg(A)
     lin3 = n3 = n4 = n5 = n6 = None
     identities: Dict[str, bool] = {}
     spectrum = spectrum_by_kind = None
     linear_max = None
-    if full:
+    if mode == "full":
         if tot_nl3 % 3 or tot_lin3 % 3 or tot_pairs4 % 6 or tot_five % 30 or tot_six % 90:
             raise AssertionError("incidence sums are not divisible by symmetry orders")
         lin3, n3, n4 = tot_lin3 // 3, tot_nl3 // 3, tot_pairs4 // 6
-        n5 = tot_five // 30 if max_size >= 5 else None
-        n6 = tot_six // 90 if max_size >= 6 else None
-        srg = verify_srg(g)
+        n5, n6 = tot_five // 30, tot_six // 90
         v, k = srg["v"], srg["k"]
         lam_srg = srg["lambda"] if srg["lambda"] is not None else 0
         rosette_c3 = q * (q - 1) * (q - 2) // 6
@@ -402,15 +370,14 @@ def census(g: TangencyGraph, gx: OvoidGeometry, mode: str = "full",
         identities["n3_formula"] = n3 == formula_n3(q)
         identities["n4_formula"] = n4 == formula_n4(q)
         identities["n4_from_n3"] = 4 * n4 == n3 * (q + 1)
-        if n5 is not None and n6 is not None:
-            if n_odd:
-                identities["n5_formula"] = n5 == formula_n5(q)
-                identities["n6_formula"] = n6 == formula_n6(q)
-                identities["n5_from_n4"] = 5 * n5 == 2 * n4
-                identities["n6_from_n4"] = 15 * n6 == n4
-            identities["five_cliques_iff_odd_degree"] = (n5 > 0) == n_odd
+        if n_odd:
+            identities["n5_formula"] = n5 == formula_n5(q)
+            identities["n6_formula"] = n6 == formula_n6(q)
+            identities["n5_from_n4"] = 5 * n5 == 2 * n4
+            identities["n6_from_n4"] = 15 * n6 == n4
+        identities["five_cliques_iff_odd_degree"] = (n5 > 0) == n_odd
 
-        linear_max, n_ros = rosette_maximality(g, gx)
+        linear_max, n_ros = rosette_maximality(A, gx)
         if linear_max not in (0, n_ros):
             raise AssertionError("pencil maximality is not uniform")
         lin_spec = [q] if linear_max else []
@@ -421,13 +388,11 @@ def census(g: TangencyGraph, gx: OvoidGeometry, mode: str = "full",
         # 6-cliques are maximal, and 7 would need a 4-subclique with three
         # 5-extensions.
         if n_odd:
-            nl_spec = [6] if (n6 or 0) > 0 else []
+            nl_spec = [6] if n6 > 0 else []
         else:
-            nl_spec = [4] if (n4 or 0) > 0 else []
+            nl_spec = [4] if n4 > 0 else []
         spectrum = sorted(set(lin_spec) | set(nl_spec), reverse=True)
         spectrum_by_kind = {"linear": lin_spec, "nonlinear": nl_spec}
-    else:
-        srg = verify_srg(g)
 
     report = CensusReport(
         q=q, n=ndeg, mode=mode, seed=seed,
@@ -492,22 +457,22 @@ def bk_spectrum(adj: np.ndarray) -> Dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-def bk_neighborhood_spectrum(g: TangencyGraph, vertex: int) -> Dict[int, int]:
+def bk_neighborhood_spectrum(A: np.ndarray, vertex: int) -> Dict[int, int]:
     """Size histogram of maximal cliques through one vertex, via its
     neighbourhood subgraph (sizes include the vertex itself)."""
-    nbrs = np.nonzero(g.adjacency[vertex])[0]
-    sub = g.adjacency[np.ix_(nbrs, nbrs)]
+    nbrs = np.nonzero(A[vertex])[0]
+    sub = A[np.ix_(nbrs, nbrs)]
     hist: Dict[int, int] = {}
     for c in maximal_cliques(sub):
         hist[len(c) + 1] = hist.get(len(c) + 1, 0) + 1
     return dict(sorted(hist.items()))
 
 
-def export_edges_csv(g: TangencyGraph, path: str) -> None:
+def export_edges_csv(A: np.ndarray, path: str) -> None:
     """Write the edge list as CSV rows: ovoid id, ovoid id."""
     import csv
 
-    iu, ju = np.nonzero(np.triu(g.adjacency, 1))
+    iu, ju = np.nonzero(np.triu(A, 1))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["ovoid_a", "ovoid_b"])

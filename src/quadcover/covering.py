@@ -273,20 +273,14 @@ def fiber_distances(cov: CoveringMap) -> dict:
 
     A3 = af @ A2
     n = len(A)
-    reach = A | (A2 > 0) | (A3 > 0)
-    np.fill_diagonal(reach, True)
-    diam3 = bool(reach.all()) and not fiber_free_diam2(A, A2)
+    reach2 = A | (A2 > 0)
+    np.fill_diagonal(reach2, True)
+    reach = reach2 | (A3 > 0)
+    diam3 = bool(reach.all()) and not bool(reach2.all())   # not already within 2
     return {"pass": fibers_at_3 and diam3,
             "fibers_at_distance_3": fibers_at_3,
             "diameter_is_3": diam3,
             "n_points": n}
-
-
-def fiber_free_diam2(A: np.ndarray, A2: np.ndarray) -> bool:
-    """True if every pair is already within distance 2 (so diameter < 3)."""
-    reach2 = A | (A2 > 0)
-    np.fill_diagonal(reach2, True)
-    return bool(reach2.all())
 
 
 def quotient_graph_diameter(geom: OvoidGeometry) -> int:

@@ -1,16 +1,14 @@
 """Arithmetic in GF(2^n) with elements stored as polynomial coefficient bit masks.
 
 The context object owns the modulus and the (eagerly built) exp/log tables;
-all scalar operations take and return plain ints below 2^n.  A thin
-FieldElement wrapper provides operator syntax for callers that prefer it.
+all scalar operations take and return plain ints below 2^n.
 Division-free hot paths elsewhere in the package consume ``FieldCtx.mul_table``,
 a dense numpy multiplication table available for n <= 8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 import numpy as np
 
@@ -145,9 +143,6 @@ class FieldCtx:
 
     # -- scalar operations ----------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -196,9 +191,6 @@ class FieldCtx:
             return 1
         return self.least_trace_one()
 
-    def element(self, bits: int) -> "FieldElement":
-        return FieldElement(self, bits % self.q)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FieldCtx)
@@ -213,76 +205,16 @@ class FieldCtx:
         return f"FieldCtx(n={self.n}, modulus={self.modulus:#b})"
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A canonical GF(2^n) element bound to its context."""
-
-    ctx: FieldCtx
-    bits: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < self.ctx.q:
-            raise ValueError(f"bits {self.bits} out of range for GF(2^{self.ctx.n})")
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise ValueError("elements from different fields")
-            return other.bits
-        return int(other)
-
-    def __add__(self, other) -> "FieldElement":
-        return FieldElement(self.ctx, self.bits ^ self._coerce(other))
-
-    __radd__ = __add__
-    __sub__ = __add__
-    __rsub__ = __add__
-
-    def __mul__(self, other) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.mul(self.bits, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.div(self.bits, self._coerce(other)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.pow(self.bits, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv(self.bits))
-
-    @property
-    def trace(self) -> int:
-        return self.ctx._trace[self.bits]
-
-    def __int__(self) -> int:
-        return self.bits
-
-    __index__ = __int__
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __repr__(self) -> str:
-        return f"<{self.bits:#x} in GF(2^{self.ctx.n})>"
-
-
-def _bits(x) -> int:
-    return x.bits if isinstance(x, FieldElement) else int(x)
-
-
-def trace(ctx: FieldCtx, x) -> int:
+def trace(ctx: FieldCtx, x: int) -> int:
     """Absolute trace sum_{i<n} x^(2^i), always 0 or 1."""
-    return ctx._trace[_bits(x)]
+    return ctx._trace[x]
 
 
-def solve_artin_schreier(ctx: FieldCtx, c) -> Set[int]:
+def solve_artin_schreier(ctx: FieldCtx, c: int) -> Set[int]:
     """All t with t^2 + t + c = 0.
 
     Two solutions differing by 1 when trace(c) = 0, none when trace(c) = 1.
     """
-    c = _bits(c)
     if ctx._as_root is None:
         # invert t -> t^2 + t once; each image has the fiber {t, t+1}
         table = [-1] * ctx.q
@@ -297,14 +229,13 @@ def solve_artin_schreier(ctx: FieldCtx, c) -> Set[int]:
     return {t, t ^ 1}
 
 
-def conic_solution_set(ctx: FieldCtx, lam, mu) -> Set[Tuple[int, int]]:
+def conic_solution_set(ctx: FieldCtx, lam: int, mu: int) -> Set[Tuple[int, int]]:
     """All (x, y) with x^2 + x*y + lam*y^2 + mu = 1, for trace-1 lam.
 
     The form x^2 + x*y + lam*y^2 is anisotropic exactly when trace(lam) = 1,
     and then the solution set has q+1 points for mu != 1 and collapses to
     {(0, 0)} for mu = 1.
     """
-    lam, mu = _bits(lam), _bits(mu)
     if trace(ctx, lam) != 1:
         raise ValueError("lam must have trace 1")
     sols: Set[Tuple[int, int]] = set()
@@ -318,9 +249,8 @@ def conic_solution_set(ctx: FieldCtx, lam, mu) -> Set[Tuple[int, int]]:
     return sols
 
 
-def conic_solution_count_bruteforce(ctx: FieldCtx, lam, mu) -> int:
+def conic_solution_count_bruteforce(ctx: FieldCtx, lam: int, mu: int) -> int:
     """Literal double loop over F_q^2; the oracle for conic_solution_set."""
-    lam, mu = _bits(lam), _bits(mu)
     count = 0
     for x in ctx.elements():
         for y in ctx.elements():
@@ -329,9 +259,3 @@ def conic_solution_count_bruteforce(ctx: FieldCtx, lam, mu) -> int:
                 count += 1
     return count
 
-
-def mul_vec(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise GF(2^n) product of integer arrays via the dense table (n <= 8)."""
-    if ctx.mul_table is None:
-        raise ValueError("dense multiplication table only built for n <= 8")
-    return ctx.mul_table[a, b]

@@ -18,22 +18,6 @@ Vec = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class ProjectivePoint:
-    """A normalized projective point (first nonzero coordinate equals 1)."""
-
-    coords: Vec
-
-    def __getitem__(self, i: int) -> int:
-        return self.coords[i]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-
-@dataclass(frozen=True)
 class Subspace:
     """A projective subspace as the reduced row echelon basis of its row space."""
 
@@ -64,11 +48,6 @@ def normalize_tuple(ctx: FieldCtx, raw: Sequence[int]) -> Vec:
             inv = ctx.inv(a)
             return tuple(ctx.mul(inv, b) for b in raw)
     raise ValueError("cannot normalize the zero vector")
-
-
-def normalize(ctx: FieldCtx, raw: Sequence[int]) -> ProjectivePoint:
-    """Canonical representative of the projective point spanned by `raw`."""
-    return ProjectivePoint(normalize_tuple(ctx, raw))
 
 
 def line_points(ctx: FieldCtx, a: Sequence[int], b: Sequence[int]) -> List[Vec]:
@@ -119,7 +98,7 @@ def rref(ctx: FieldCtx, rows: Iterable[Sequence[int]]) -> Tuple[Vec, ...]:
 
 def span(ctx: FieldCtx, points: Iterable[Sequence[int]]) -> Subspace:
     """Projective span of the given points as a canonical subspace."""
-    rows = [tuple(p.coords) if isinstance(p, ProjectivePoint) else tuple(p) for p in points]
+    rows = [tuple(p) for p in points]
     if not rows:
         raise ValueError("span of an empty point list is undefined")
     return Subspace(rref(ctx, rows))
@@ -127,7 +106,7 @@ def span(ctx: FieldCtx, points: Iterable[Sequence[int]]) -> Subspace:
 
 def subspace_contains(ctx: FieldCtx, sub: Subspace, vec: Sequence[int]) -> bool:
     """Membership test by reducing `vec` against the echelon basis."""
-    v = list(vec.coords if isinstance(vec, ProjectivePoint) else vec)
+    v = list(vec)
     for row in sub.basis:
         lead = next(i for i, x in enumerate(row) if x)
         if v[lead]:

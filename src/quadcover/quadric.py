@@ -22,7 +22,6 @@ import numpy as np
 from .gf2n import FieldCtx, trace
 from .projgeom import (
     PointTable,
-    ProjectivePoint,
     Subspace,
     Vec,
     enumerate_points,
@@ -85,9 +84,6 @@ class QuadricModel:
             ^ m(u[4], v[5]) ^ m(u[5], v[4])
         )
 
-    def is_on_quadric(self, v: Sequence[int]) -> bool:
-        return self.f_scalar(v) == 0
-
     def index_of(self, v: Sequence[int]) -> Optional[int]:
         """Dense index of a quadric point given by any representative, else None."""
         return self.q_table.get(normalize_tuple(self.ctx, v))
@@ -98,19 +94,6 @@ class QuadricModel:
     @property
     def n_points(self) -> int:
         return len(self.q_table)
-
-
-def f_eval(model: QuadricModel, p) -> int:
-    """Value of the quadratic form at the given representative (0 iff on Q)."""
-    v = p.coords if isinstance(p, ProjectivePoint) else tuple(p)
-    return model.f_scalar(v)
-
-
-def bilinear(model: QuadricModel, a, b) -> int:
-    """Polarized bilinear form; zero iff the two points are perpendicular."""
-    u = a.coords if isinstance(a, ProjectivePoint) else tuple(a)
-    v = b.coords if isinstance(b, ProjectivePoint) else tuple(b)
-    return model.alpha_scalar(u, v)
 
 
 def _f_vectorized(ctx: FieldCtx, lam: int, coords: np.ndarray) -> np.ndarray:

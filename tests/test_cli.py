@@ -57,6 +57,15 @@ def test_verify_srg(tmp_path):
     assert by_name["feasibility_identity"]["pass"]
 
 
+def test_verify_srg_complete_graph_q2(tmp_path):
+    # at q = 2 the tangency graph is K6: no non-adjacent pair, so mu is vacuous
+    rc, data = _run(tmp_path, ["verify", "srg", "--n", "1"])
+    assert rc == 0
+    by_name = {c["name"]: c for c in data["checks"]}
+    assert by_name["srg_params"]["expected"] == [6, 5, 4, None]
+    assert data["srg"]["mu_vacuous"] is True
+
+
 def test_verify_covering(tmp_path):
     rc, data = _run(tmp_path, ["verify", "covering", "--n", "1"])
     assert rc == 0
@@ -205,6 +214,13 @@ def test_out_dir_environment(tmp_path, monkeypatch):
     ["lift", "--n", "2", "--clique", "1,2"],
     ["lift", "--n", "2", "--clique", "1,2,3,4,5"],
     ["counts", "--n-max", "12"],
+    ["build", "--n", "1", "--lambda", "5"],
+    ["build", "--n", "1", "--lambda", "-1"],
+    ["lift", "--n", "1", "--clique", "0,1,99"],
+    ["lift", "--n", "1", "--clique", "0,1,1"],
+    ["census", "--n", "1", "--mode", "sampled", "--samples", "0"],
+    ["census", "--n", "1", "--mode", "sampled", "--samples", "-3"],
+    ["figures", "verify", "--n", "1", "--samples", "0"],
 ])
 def test_bad_configurations_exit_2(argv, capsys):
     assert main(argv) == 2

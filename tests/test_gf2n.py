@@ -24,10 +24,10 @@ def test_rejects_reducible_modulus():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
 def test_ring_axioms_gf16(a, b, c):
-    mul, add = CTX4.mul, CTX4.add
+    mul = CTX4.mul
     assert mul(a, b) == mul(b, a)
     assert mul(a, mul(b, c)) == mul(mul(a, b), c)
-    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -107,11 +107,3 @@ def test_mu_one_degenerate_count():
         ctx = FieldCtx(n)
         lam = ctx.least_trace_one()
         assert conic_solution_count_bruteforce(ctx, lam, 1) == 1
-
-
-def test_field_element_wrapper():
-    e = CTX3.element(3)
-    assert int(e + e) == 0
-    assert int(e * e.inverse()) == 1
-    assert (e ** (CTX3.q - 1)).bits == 1
-    assert e.trace in (0, 1)

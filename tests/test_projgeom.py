@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from quadcover.gf2n import FieldCtx
 from quadcover.projgeom import (PointTable, Subspace, enumerate_points,
                                 line_points, mat_inv, mat_mul, mat_vec,
-                                normalize, normalize_tuple, null_space, rref,
+                                normalize_tuple, null_space, rref,
                                 span, subspace_intersection, subspace_points,
                                 vec_add, vec_scale)
 

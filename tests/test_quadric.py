@@ -5,7 +5,7 @@ import pytest
 
 from quadcover.gf2n import FieldCtx, trace
 from quadcover.projgeom import normalize_tuple, span, subspace_points
-from quadcover.quadric import (alpha_perp, bilinear, build_model, f_eval,
+from quadcover.quadric import (alpha_perp, build_model,
                                nucleus_tangency_check, perp_section,
                                section_type, solid_section_census,
                                verify_gq_axioms)
@@ -38,8 +38,8 @@ def test_point_and_line_counts(fix, q, request):
 def test_form_vanishes_exactly_on_points(model_q4):
     model = model_q4
     for i in range(0, model.n_points, 37):
-        assert f_eval(model, model.point(i)) == 0
-    assert f_eval(model, model.nucleus) != 0
+        assert model.f_scalar(model.point(i)) == 0
+    assert model.f_scalar(model.nucleus) != 0
 
 
 def test_gram_matches_bilinear(model_q4):
@@ -47,8 +47,8 @@ def test_gram_matches_bilinear(model_q4):
     rng = np.random.default_rng(0)
     for _ in range(200):
         i, j = rng.integers(0, model.n_points, 2)
-        assert model.gram[i, j] == bilinear(model, model.point(int(i)),
-                                            model.point(int(j)))
+        assert model.gram[i, j] == model.alpha_scalar(model.point(int(i)),
+                                                      model.point(int(j)))
     assert (model.gram == model.gram.T).all()
     assert (np.diagonal(model.gram) == 0).all()
 
