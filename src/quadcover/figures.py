@@ -18,12 +18,15 @@ every solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .gf2n import FieldCtx, conic_solution_set
-from .projgeom import Vec, enumerate_points, mat_inv, mat_vec, normalize_tuple, rref
-from .quadric import QuadricModel
+import numpy as np
+
+from .gf2n import FieldCtx, conic_solution_set, solve_artin_schreier
+from .projgeom import (Vec, enumerate_points, mat_inv, mat_vec, normalize_tuple,
+                       rref, span, vec_add, vec_scale)
+from .quadric import QuadricModel, alpha_perp
 from .covering import CoveringMap
 
 KIND_BY_SIZE = {3: "hexagon", 4: "cube", 5: "decade", 6: "dodecade"}
@@ -48,6 +51,9 @@ class CubeParams:
 class CentricFigure:
     """2m quadric points in m opposite pairs concurrent through a center.
 
+    Figures come from ``make_figure``, which checks the axioms once; the
+    functions that take a figure trust its ``kind`` and ``rows``.
+
     Attributes
     ----------
     kind : str
@@ -56,11 +62,15 @@ class CentricFigure:
         Opposite pairs as quadric point indices.
     center : Vec
         Normalized coordinates of the center (not on the quadric).
+    rows : tuple of two sorted tuples of int
+        The bipartition derived by the check.  It is determined by the
+        pairs, so it takes no part in equality or ``key()``.
     """
 
     kind: str
     pairs: Tuple[Tuple[int, int], ...]
     center: Vec
+    rows: Tuple[Tuple[int, ...], Tuple[int, ...]] = field(compare=False)
 
     def key(self) -> Tuple[str, frozenset, Vec]:
         """Canonical identity, independent of pair order and orientation."""
@@ -69,16 +79,40 @@ class CentricFigure:
     def point_indices(self) -> List[int]:
         return sorted(i for p in self.pairs for i in p)
 
+    @property
+    def partner(self) -> Dict[int, int]:
+        """The opposite point of each point."""
+        return {x: y for a, b in self.pairs for x, y in ((a, b), (b, a))}
+
 
 def make_figure(model: QuadricModel, pairs: Sequence[Tuple[int, int]],
                 center: Sequence[int]) -> CentricFigure:
+    """The checked centric figure on these pairs and center.
+
+    Raises ValueError when no figure kind has this many pairs, and otherwise
+    with the reason of ``verify_centric_figure`` when the check fails.
+    """
     m = len(pairs)
     if m not in KIND_BY_SIZE:
         raise ValueError(f"no figure kind with {m} pairs")
-    cen = normalize_tuple(model.ctx, tuple(center))
-    return CentricFigure(kind=KIND_BY_SIZE[m],
-                         pairs=tuple((int(a), int(b)) for a, b in pairs),
-                         center=cen)
+    fig = CentricFigure(kind=KIND_BY_SIZE[m],
+                        pairs=tuple((int(a), int(b)) for a, b in pairs),
+                        center=normalize_tuple(model.ctx, tuple(center)),
+                        rows=((), ()))
+    rep = verify_centric_figure(model, fig)
+    if not rep["pass"]:
+        raise ValueError(rep["reason"])
+    return replace(fig, rows=rep["rows"])
+
+
+def _made(model: QuadricModel, pairs: Sequence[Tuple[int, int]],
+          center: Sequence[int], what: str) -> CentricFigure:
+    """``make_figure`` on a figure this module constructed.  A failed check
+    there is a broken law, not bad input, so it raises AssertionError."""
+    try:
+        return make_figure(model, pairs, center)
+    except ValueError as exc:
+        raise AssertionError(f"{what} failed check: {exc}") from None
 
 
 # -- line helpers --------------------------------------------------------------
@@ -112,7 +146,8 @@ def verify_centric_figure(model: QuadricModel, fig: CentricFigure) -> dict:
 
     The report carries the derived bipartition as ``rows`` (two tuples of
     quadric point indices) when the check passes, and a ``reason`` string
-    when it does not.
+    when it does not.  Collinearity of quadric points is read from
+    ``model.gram``.
     """
     m = len(fig.pairs)
     out: dict = {"pass": False, "kind": fig.kind, "m": m}
@@ -126,26 +161,20 @@ def verify_centric_figure(model: QuadricModel, fig: CentricFigure) -> dict:
     if model.f_scalar(fig.center) == 0:
         out["reason"] = "center lies on the quadric"
         return out
-    vecs = {i: model.point(i) for i in pts}
     for a, b in fig.pairs:
-        if not _collinear_with(model.ctx, vecs[a], vecs[b], fig.center):
+        if not _collinear_with(model.ctx, model.point(a), model.point(b), fig.center):
             out["reason"] = f"pair ({a},{b}) not concurrent with the center"
             return out
 
-    pair_of = {}
-    for k, (a, b) in enumerate(fig.pairs):
-        pair_of[a] = k
-        pair_of[b] = k
-    adj = {(u, v): model.alpha_scalar(vecs[u], vecs[v]) == 0
-           for u in pts for v in pts if u != v}
-
+    g = model.gram
+    partner = fig.partner
     # Two-colour against the reference pair, then check the full relation:
     # collinear <=> different pair and different row.
     row = {fig.pairs[0][0]: 0, fig.pairs[0][1]: 1}
     ra, rb = fig.pairs[0]
     for a, b in fig.pairs[1:]:
         for x in (a, b):
-            hits = adj[(x, ra)], adj[(x, rb)]
+            hits = not g[x, ra], not g[x, rb]
             if hits == (True, False):
                 row[x] = 1
             elif hits == (False, True):
@@ -158,8 +187,8 @@ def verify_centric_figure(model: QuadricModel, fig: CentricFigure) -> dict:
             return out
     for i, u in enumerate(pts):
         for v in pts[i + 1:]:
-            want = pair_of[u] != pair_of[v] and row[u] != row[v]
-            if adj[(u, v)] != want:
+            want = partner[u] != v and row[u] != row[v]
+            if (g[u, v] == 0) != want:
                 out["reason"] = f"adjacency mismatch at ({u},{v})"
                 return out
 
@@ -187,15 +216,13 @@ def lift_clique_to_figure(cov: CoveringMap, clique: Sequence[int]) -> CentricFig
         for b in clique[i + 1:]:
             if not gx.adjacency[a, b]:
                 raise ValueError(f"ovoids {a} and {b} are not tangent")
+    if len(clique) not in KIND_BY_SIZE:
+        raise ValueError(f"no figure kind with {len(clique)} pairs")
     tps = {int(gx.tangency_point[a, b])
            for i, a in enumerate(clique) for b in clique[i + 1:]}
-    if len(clique) >= 3 and len(tps) == 1:
+    if len(tps) == 1:
         raise ValueError("linear clique: all tangencies share one point")
-    fig = make_figure(model, [cov.point_fiber[a] for a in clique], model.nucleus)
-    rep = verify_centric_figure(model, fig)
-    if not rep["pass"]:
-        raise AssertionError(f"lift is not a centric figure: {rep['reason']}")
-    return fig
+    return _made(model, [cov.point_fiber[a] for a in clique], model.nucleus, "lift")
 
 
 def figure_to_clique(cov: CoveringMap, fig: CentricFigure) -> Tuple[int, ...]:
@@ -225,12 +252,9 @@ def cube_center(model: QuadricModel, par: CubeParams) -> Vec:
     return normalize_tuple(ctx, c)
 
 
-def fundamental_cube(model: QuadricModel, par: CubeParams) -> CentricFigure:
-    """The unique cube on the standard quadrangle with the given center.
-
-    Vertices are rational functions of (u, v, r, s); the returned figure is
-    checked structurally before being handed back.
-    """
+def _cube_vertex_pairs(model: QuadricModel, par: CubeParams) -> List[Tuple[int, int]]:
+    """Opposite pairs of the cube on the standard quadrangle with parameters
+    ``par``, as rational functions of (u, v, r, s)."""
     ctx = model.ctx
     u, v, r, s = par.u, par.v, par.r, par.s
     if u == 0 or v == 0:
@@ -256,11 +280,17 @@ def fundamental_cube(model: QuadricModel, par: CubeParams) -> CentricFigure:
         if ix is None or iy is None:
             raise AssertionError("cube vertex fell off the quadric")
         pairs.append((ix, iy))
-    fig = make_figure(model, pairs, cube_center(model, par))
-    rep = verify_centric_figure(model, fig)
-    if not rep["pass"]:
-        raise AssertionError(f"fundamental cube failed check: {rep['reason']}")
-    return fig
+    return pairs
+
+
+def fundamental_cube(model: QuadricModel, par: CubeParams) -> CentricFigure:
+    """The unique cube on the standard quadrangle with the given center.
+
+    Vertices are rational functions of (u, v, r, s); the returned figure is
+    checked structurally before being handed back.
+    """
+    return _made(model, _cube_vertex_pairs(model, par), cube_center(model, par),
+                 "fundamental cube")
 
 
 def enumerate_cube_centers(model: QuadricModel) -> Set[Vec]:
@@ -307,9 +337,10 @@ def enumerate_cube_centers_bruteforce(model: QuadricModel) -> Set[Vec]:
             pairs.append((ix, iy))
         if not ok:
             continue
-        fig = make_figure(model, pairs, p)
-        if verify_centric_figure(model, fig)["pass"]:
-            out.add(fig.center)
+        try:
+            out.add(make_figure(model, pairs, p).center)
+        except ValueError:
+            pass
     return out
 
 
@@ -343,84 +374,77 @@ def build_adapted_frame(model: QuadricModel, a1: int, c1: int, b1: int,
     """Frame sending a1 -> e1, c1 -> e2, b1 -> e3 (and d1 -> e4 if given).
 
     Needs alpha(a1, c1) != 0 and b1 (resp. d1) collinear with both a1 and c1;
-    when d1 is omitted a quadric point with the right incidences is found by
-    scanning.  The remaining two basis vectors come from the perp of the
-    first four, normalized against the quadric polynomial.
+    when d1 is omitted the first quadric point with the right incidences is
+    taken.  The remaining two basis vectors come from the perp of the first
+    four, normalized against the quadric polynomial.  The values of alpha on
+    the four quadric points are read from ``model.gram``.
     """
     ctx = model.ctx
-    v1 = model.point(a1)
-    v2r = model.point(c1)
-    t = model.alpha_scalar(v1, v2r)
-    if t == 0:
+    g = model.gram
+    if g[a1, c1] == 0:
         raise ValueError("frame points a1, c1 must be non-collinear")
-    ti = ctx.inv(t)
-    v2 = tuple(ctx.mul(ti, x) for x in v2r)
-    v3 = model.point(b1)
-    if model.alpha_scalar(v1, v3) or model.alpha_scalar(v2, v3):
+    if g[a1, b1] or g[c1, b1]:
         raise ValueError("frame point b1 must be collinear with a1 and c1")
-
-    if d1 is not None:
-        v4r = model.point(d1)
-    else:
-        v4r = None
-        for i in range(model.n_points):
-            w = model.point(i)
-            if (model.alpha_scalar(v1, w) == 0 and model.alpha_scalar(v2, w) == 0
-                    and model.alpha_scalar(v3, w) != 0):
-                v4r = w
-                break
-        if v4r is None:
+    if d1 is None:
+        found = np.nonzero((g[a1] == 0) & (g[c1] == 0) & (g[b1] != 0))[0]
+        if len(found) == 0:
             raise AssertionError("no fourth frame point found")
-    s = model.alpha_scalar(v3, v4r)
-    if s == 0 or model.alpha_scalar(v1, v4r) or model.alpha_scalar(v2, v4r):
+        d1 = int(found[0])
+    if g[b1, d1] == 0 or g[a1, d1] or g[c1, d1]:
         raise ValueError("fourth frame point has wrong incidences")
-    si = ctx.inv(s)
-    v4 = tuple(ctx.mul(si, x) for x in v4r)
+    v1, v3 = model.point(a1), model.point(b1)
+    v2 = vec_scale(ctx, ctx.inv(int(g[a1, c1])), model.point(c1))
+    v4 = vec_scale(ctx, ctx.inv(int(g[b1, d1])), model.point(d1))
 
     # perp of v1..v4 is a plane on which f is anisotropic
-    brows = [_alpha_row(model, v) for v in (v1, v2, v3, v4)]
-    w1, w2 = null_basis2(model.ctx, brows)
-    v5 = None
-    for a in range(ctx.q):
-        for b in range(ctx.q):
-            if a == 0 and b == 0:
-                continue
-            x = tuple(ctx.mul(a, p) ^ ctx.mul(b, q) for p, q in zip(w1, w2))
-            if model.f_scalar(x) == 1:
-                v5 = x
-                break
-        if v5 is not None:
-            break
+    w = alpha_perp(model, span(ctx, (v1, v2, v3, v4))).basis
+    if len(w) != 2:
+        raise AssertionError(f"perp space has dimension {len(w)}, wanted 2")
+    plane = [vec_add(vec_scale(ctx, a, w[0]), vec_scale(ctx, b, w[1]))
+             for a in range(ctx.q) for b in range(ctx.q) if a or b]
+    v5 = next((x for x in plane if model.f_scalar(x) == 1), None)
     if v5 is None:
         raise AssertionError("no unit vector in the perp plane")
-    v6 = None
-    for a in range(ctx.q):
-        for b in range(ctx.q):
-            if a == 0 and b == 0:
-                continue
-            x = tuple(ctx.mul(a, p) ^ ctx.mul(b, q) for p, q in zip(w1, w2))
-            if model.alpha_scalar(v5, x) == 1 and model.f_scalar(x) == model.lam:
-                v6 = x
-                break
-        if v6 is not None:
-            break
+    v6 = next((x for x in plane if model.alpha_scalar(v5, x) == 1
+               and model.f_scalar(x) == model.lam), None)
     if v6 is None:
         raise AssertionError("frame completion failed")
     return FrameMap(model, (v1, v2, v3, v4, v5, v6))
 
 
-def _alpha_row(model: QuadricModel, v: Sequence[int]) -> Vec:
-    """Functional x -> alpha(v, x) as a coordinate row (swap within pairs)."""
-    return (v[1], v[0], v[3], v[2], v[5], v[4])
+def _frame_and_center(model: QuadricModel, fig: CentricFigure,
+                      lab: Dict[str, int]) -> Tuple[FrameMap, Vec]:
+    """The adapted frame on a figure's labels (d1 only when labelled), and
+    the figure's center carried into it and scaled to f = 1."""
+    ctx = model.ctx
+    fm = build_adapted_frame(model, lab["a1"], lab["c1"], lab["b1"], lab.get("d1"))
+    p = fm.to_frame(fig.center)
+    fp = model.f_scalar(p)  # the form has the standard expression in-frame
+    if fp == 0:
+        raise AssertionError("center moved onto the quadric")
+    sc = ctx.inv(ctx.sqrt(fp))
+    return fm, tuple(ctx.mul(sc, x) for x in p)
 
 
-def null_basis2(ctx: FieldCtx, rows: Sequence[Vec]) -> Tuple[Vec, Vec]:
-    from .projgeom import null_space
-
-    basis = null_space(ctx, rows)
-    if len(basis) != 2:
-        raise AssertionError(f"perp space has dimension {len(basis)}, wanted 2")
-    return basis[0], basis[1]
+def _completions_bruteforce(model: QuadricModel, fig: CentricFigure,
+                            mask: np.ndarray) -> List[CentricFigure]:
+    """Figures that add one opposite pair to ``fig``, scanning the quadric
+    points in ``mask``; the opposite point is the second intersection of the
+    line through the candidate and the center.  No solver calls this."""
+    out: List[CentricFigure] = []
+    seen = set()
+    for i in np.nonzero(mask)[0]:
+        i = int(i)
+        y = second_intersection(model, model.point(i), fig.center)
+        j = model.index_of(y) if y is not None else None
+        if j is None or j == i or frozenset((i, j)) in seen:
+            continue
+        seen.add(frozenset((i, j)))
+        try:
+            out.append(make_figure(model, list(fig.pairs) + [(i, j)], fig.center))
+        except ValueError:
+            pass
+    return out
 
 
 # -- hexagon -> cubes ----------------------------------------------------------
@@ -428,21 +452,15 @@ def null_basis2(ctx: FieldCtx, rows: Sequence[Vec]) -> Tuple[Vec, Vec]:
 
 def hexagon_labels(model: QuadricModel, fig: CentricFigure) -> Dict[str, int]:
     """Walk the 6-cycle of a hexagon into labels a1-b1-c1-a2-b2-c2."""
-    rep = verify_centric_figure(model, fig)
-    if not rep["pass"] or fig.kind != "hexagon":
+    if fig.kind != "hexagon":
         raise ValueError("not a centric hexagon")
-    partner = {}
-    for x, y in fig.pairs:
-        partner[x] = y
-        partner[y] = x
-    vecs = {i: model.point(i) for i in fig.point_indices()}
+    partner = fig.partner
     a1 = fig.pairs[0][0]
-    nbrs = [x for x in vecs if x != a1 and x != partner[a1]
-            and model.alpha_scalar(vecs[a1], vecs[x]) == 0]
+    nbrs = [x for x in fig.point_indices() if x != a1 and x != partner[a1]
+            and model.gram[a1, x] == 0]
     if len(nbrs) != 2:
         raise AssertionError("hexagon vertex degree is not 2")
-    b1 = nbrs[0]
-    c2 = nbrs[1]
+    b1, c2 = nbrs
     return {"a1": a1, "b1": b1, "c1": partner[c2], "a2": partner[a1],
             "b2": partner[b1], "c2": c2}
 
@@ -456,14 +474,7 @@ def extend_hexagon_to_cubes(model: QuadricModel, fig: CentricFigure) -> List[Cen
     rebuilt in the original coordinates and fully re-verified.
     """
     ctx = model.ctx
-    lab = hexagon_labels(model, fig)
-    fm = build_adapted_frame(model, lab["a1"], lab["c1"], lab["b1"])
-    p = fm.to_frame(fig.center)
-    fp = model.f_scalar(p)  # the form has the standard expression in-frame
-    if fp == 0:
-        raise AssertionError("center moved onto the quadric")
-    sc = ctx.inv(ctx.sqrt(fp))
-    p = tuple(ctx.mul(sc, x) for x in p)
+    fm, p = _frame_and_center(model, fig, hexagon_labels(model, fig))
     p1, p2, p3, p4, p5, p6 = p
     if p1 == 0 or p2 == 0 or p4 == 0:
         raise AssertionError("hexagon center misses a frame incidence")
@@ -482,11 +493,8 @@ def extend_hexagon_to_cubes(model: QuadricModel, fig: CentricFigure) -> List[Cen
         i2 = model.index_of(normalize_tuple(ctx, fm.from_frame(dd2)))
         if i1 is None or i2 is None:
             raise AssertionError("solved pair fell off the quadric")
-        cube = make_figure(model, list(fig.pairs) + [(i1, i2)], fig.center)
-        rep = verify_centric_figure(model, cube)
-        if not rep["pass"]:
-            raise AssertionError(f"candidate cube failed check: {rep['reason']}")
-        out.append(cube)
+        out.append(_made(model, list(fig.pairs) + [(i1, i2)], fig.center,
+                         "candidate cube"))
     if len({c.key() for c in out}) != ctx.q + 1:
         raise AssertionError("hexagon extension count is not q+1")
     return out
@@ -500,29 +508,11 @@ def extend_hexagon_to_cubes_bruteforce(model: QuadricModel,
     the opposite point is the second intersection of line(d, center).  Kept
     independent of the frame solver for cross-checking.
     """
-    import numpy as np
-
     lab = hexagon_labels(model, fig)
     g = model.gram
     mask = ((g[lab["a1"]] == 0) & (g[lab["c1"]] == 0) & (g[lab["b2"]] == 0)
             & (g[lab["b1"]] != 0) & (g[lab["a2"]] != 0) & (g[lab["c2"]] != 0))
-    out: List[CentricFigure] = []
-    seen = set()
-    for i in np.nonzero(mask)[0]:
-        x = model.point(int(i))
-        y = second_intersection(model, x, fig.center)
-        if y is None:
-            continue
-        j = model.index_of(y)
-        if j is None or j == int(i):
-            continue
-        cube = make_figure(model, list(fig.pairs) + [(int(i), j)], fig.center)
-        if cube.key() in seen:
-            continue
-        if verify_centric_figure(model, cube)["pass"]:
-            seen.add(cube.key())
-            out.append(cube)
-    return out
+    return _completions_bruteforce(model, fig, mask)
 
 
 # -- cube -> decades and dodecade ----------------------------------------------
@@ -530,27 +520,13 @@ def extend_hexagon_to_cubes_bruteforce(model: QuadricModel,
 
 def cube_labels(model: QuadricModel, fig: CentricFigure) -> Dict[str, int]:
     """Label a cube so that (a1, b1, c1, d1) is a face 4-cycle."""
-    rep = verify_centric_figure(model, fig)
-    if not rep["pass"] or fig.kind != "cube":
+    if fig.kind != "cube":
         raise ValueError("not a centric cube")
-    row0, row1 = rep["rows"]
-    pair_of = {}
-    for k, (a, b) in enumerate(fig.pairs):
-        pair_of[a] = k
-        pair_of[b] = k
-
-    def in_row(pair_idx: int, row: Sequence[int]) -> int:
-        a, b = fig.pairs[pair_idx]
-        return a if a in row else b
-
-    a1 = in_row(0, row0)
-    b1 = in_row(1, row1)
-    c1 = in_row(2, row0)
-    d1 = in_row(3, row1)
-    partner = {}
-    for x, y in fig.pairs:
-        partner[x] = y
-        partner[y] = x
+    row0, row1 = fig.rows
+    # one vertex of each pair, from alternating rows
+    a1, b1, c1, d1 = (a if a in row else b
+                      for (a, b), row in zip(fig.pairs, (row0, row1, row0, row1)))
+    partner = fig.partner
     return {"a1": a1, "b1": b1, "c1": c1, "d1": d1,
             "a2": partner[a1], "b2": partner[b1],
             "c2": partner[c1], "d2": partner[d1]}
@@ -563,23 +539,15 @@ def cube_params(model: QuadricModel, fig: CentricFigure) -> Tuple[CubeParams, Fr
     parameters, which pins down the normalization.
     """
     ctx = model.ctx
-    lab = cube_labels(model, fig)
-    fm = build_adapted_frame(model, lab["a1"], lab["c1"], lab["b1"], lab["d1"])
-    p = fm.to_frame(fig.center)
-    fp = model.f_scalar(p)
-    if fp == 0:
-        raise AssertionError("center moved onto the quadric")
-    sc = ctx.inv(ctx.sqrt(fp))
-    p = tuple(ctx.mul(sc, x) for x in p)
+    fm, p = _frame_and_center(model, fig, cube_labels(model, fig))
     if p[0] == 0 or p[2] == 0:
         raise AssertionError("cube center has a zero frame parameter")
     if p[1] != ctx.inv(p[0]) or p[3] != ctx.inv(p[2]):
         raise AssertionError("cube center is not in parametric form")
     par = CubeParams(u=p[0], v=p[2], r=p[4], s=p[5])
-    ref = fundamental_cube(model, par)
     moved = {normalize_tuple(ctx, fm.to_frame(model.point(i)))
              for i in fig.point_indices()}
-    want = {model.point(i) for i in ref.point_indices()}
+    want = {model.point(i) for pr in _cube_vertex_pairs(model, par) for i in pr}
     if moved != want:
         raise AssertionError("transported cube disagrees with parametric cube")
     return par, fm
@@ -605,8 +573,6 @@ def extend_cube(model: QuadricModel, fig: CentricFigure) -> dict:
     if A == 0:
         sols = [(1, 0), (C, 1)]
     else:
-        from .gf2n import solve_artin_schreier
-
         roots = solve_artin_schreier(ctx, mu(A, C))
         sols = [(mu(ctx.inv(A), t), 1) for t in sorted(roots)]
     if ctx.n % 2 == 0 and sols:
@@ -630,62 +596,34 @@ def extend_cube(model: QuadricModel, fig: CentricFigure) -> dict:
             raise AssertionError("fifth pair fell off the quadric")
         pairs_new.append((i1, i2))
 
-    decades = []
-    for pr in pairs_new:
-        dec = make_figure(model, list(fig.pairs) + [pr], fig.center)
-        rep = verify_centric_figure(model, dec)
-        if not rep["pass"]:
-            raise AssertionError(f"decade failed check: {rep['reason']}")
-        decades.append(dec)
+    decades = [_made(model, list(fig.pairs) + [pr], fig.center, "decade")
+               for pr in pairs_new]
     dodecade = None
     if pairs_new:
-        dodecade = make_figure(model, list(fig.pairs) + pairs_new, fig.center)
-        rep = verify_centric_figure(model, dodecade)
-        if not rep["pass"]:
-            raise AssertionError(f"dodecade failed check: {rep['reason']}")
+        dodecade = _made(model, list(fig.pairs) + pairs_new, fig.center, "dodecade")
     return {"decades": decades, "dodecade": dodecade}
 
 
 def extend_cube_bruteforce(model: QuadricModel, fig: CentricFigure) -> dict:
     """Scan the quadric for fifth pairs over a cube; definitional oracle."""
-    import numpy as np
-
-    rep = verify_centric_figure(model, fig)
-    if not rep["pass"]:
+    if fig.kind != "cube":
         raise ValueError("not a centric cube")
-    row0, row1 = rep["rows"]
+    row0, row1 = fig.rows
     g = model.gram
-    cands = np.ones(model.n_points, dtype=bool)
-    m0 = np.ones_like(cands)
-    m1 = np.ones_like(cands)
+    m0 = np.ones(model.n_points, dtype=bool)
+    m1 = np.ones_like(m0)
     for x in row0:
         m0 &= g[x] == 0
         m1 &= g[x] != 0
     for x in row1:
         m0 &= g[x] != 0
         m1 &= g[x] == 0
-    seen = set()
-    decades = []
-    for i in np.nonzero(m0 | m1)[0]:
-        x = model.point(int(i))
-        y = second_intersection(model, x, fig.center)
-        if y is None:
-            continue
-        j = model.index_of(y)
-        if j is None or j == int(i):
-            continue
-        dec = make_figure(model, list(fig.pairs) + [(int(i), j)], fig.center)
-        if dec.key() in seen:
-            continue
-        if verify_centric_figure(model, dec)["pass"]:
-            seen.add(dec.key())
-            decades.append(dec)
+    decades = _completions_bruteforce(model, fig, m0 | m1)
     dodecade = None
     if decades:
         extra = [pr for d in decades for pr in d.pairs[4:]]
-        dodecade = make_figure(model, list(fig.pairs) + extra, fig.center)
-        if not verify_centric_figure(model, dodecade)["pass"]:
-            raise AssertionError("brute-force fifth pairs do not merge")
+        dodecade = _made(model, list(fig.pairs) + extra, fig.center,
+                         "merge of the brute-force fifth pairs")
     return {"decades": decades, "dodecade": dodecade}
 
 
@@ -708,8 +646,6 @@ def count_quadrangles_exhaustive(model: QuadricModel) -> int:
     of size q^2 + 1 (asserted), so each such pair carries C(q^2+1, 2)
     quadrangles and every quadrangle is counted once per diagonal.
     """
-    import numpy as np
-
     q = model.ctx.q
     if q > 4:
         raise ValueError("exhaustive quadrangle count supported only for q <= 4")

@@ -22,10 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .gf2n import FieldCtx
-from .projgeom import Vec, line_points, normalize_tuple, rref
+from .projgeom import Vec, normalize_tuple
 from .quadric import QuadricModel
-from .figures import CentricFigure, formula_n6_bar, verify_centric_figure
+from .figures import CentricFigure, formula_n6_bar
 from .cliquecensus import formula_n6
 
 # (point count, line count) -> recognized type and order (s, t)
@@ -110,8 +112,6 @@ def scale_figure_representatives(model: QuadricModel, fig: CentricFigure) -> Lis
     The center representative is its normalized coordinate tuple, making the
     output deterministic.  Returns 2m vectors in pair order.
     """
-    if not verify_centric_figure(model, fig)["pass"]:
-        raise ValueError("input is not a centric figure")
     ctx = model.ctx
     c = fig.center
     out: List[Vec] = []
@@ -155,16 +155,13 @@ def opposite_edge_points(model: QuadricModel, fig: CentricFigure,
     ctx = model.ctx
     verts = [i for p in fig.pairs for i in p]
     rep_of = dict(zip(verts, scaled))
-    partner = {}
-    for x, y in fig.pairs:
-        partner[x] = y
-        partner[y] = x
+    partner = fig.partner
     vecs = {i: model.point(i) for i in verts}
     seen: Set[frozenset] = set()
     out: List[Vec] = []
     for i, u in enumerate(verts):
         for w in verts[i + 1:]:
-            if partner[u] == w or model.alpha_scalar(vecs[u], vecs[w]) != 0:
+            if partner[u] == w or model.gram[u, w] != 0:
                 continue
             key = frozenset({frozenset({u, w}), frozenset({partner[u], partner[w]})})
             if key in seen:
@@ -190,10 +187,7 @@ def face_point(model: QuadricModel, fig: CentricFigure,
     """
     if fig.kind != "cube":
         raise ValueError("face points are defined for cubes")
-    rep = verify_centric_figure(model, fig)
-    if not rep["pass"]:
-        raise ValueError("input is not a centric cube")
-    row0 = set(rep["rows"][0])
+    row0 = set(fig.rows[0])
     verts = [i for p in fig.pairs for i in p]
     rep_of = dict(zip(verts, scaled))
     sums = set()
@@ -289,31 +283,24 @@ def recognize_subgeometry(model: QuadricModel, span: F2Span,
     points; the (points, lines, degrees) profile is matched against the
     three binary quadric signatures, and the generalized-quadrangle axiom
     (a point off a line sees exactly one of its points) is checked for the
-    matched order.
+    matched order.  Collinearity and the lines are read from the model's
+    ``gram``, ``lines`` and ``lines_through``.
     """
     ctx = model.ctx
-    pts = list(span.quadric_points)
-    npts = len(pts)
-    vec = {i: pts[i] for i in range(npts)}
-    coll = {(i, j): model.alpha_scalar(vec[i], vec[j]) == 0
-            for i in range(npts) for j in range(npts) if i != j}
+    idx = [model.q_table.index(p) for p in span.quadric_points]
+    npts = len(idx)
+    local = {x: k for k, x in enumerate(idx)}
+    coll = (model.gram[np.ix_(idx, idx)] == 0).tolist()
+    through = [set(model.lines_through[x]) for x in idx]
 
-    lines: List[frozenset] = []
-    seen: Set[frozenset] = set()
-    index_of = {p: i for i, p in enumerate(pts)}
+    # two collinear quadric points lie on exactly one quadric line
+    line_ids: Set[int] = set()
     for i in range(npts):
         for j in range(i + 1, npts):
-            if not coll[(i, j)]:
-                continue
-            members = set()
-            for lp in line_points(ctx, vec[i], vec[j]):
-                k = index_of.get(lp)
-                if k is not None:
-                    members.add(k)
-            key = frozenset(members)
-            if key not in seen:
-                seen.add(key)
-                lines.append(key)
+            if coll[i][j]:
+                line_ids |= through[i] & through[j]
+    lines = [frozenset(local[p] for p in model.lines[li] if p in local)
+             for li in sorted(line_ids)]
 
     degrees = [0] * npts
     for l in lines:
@@ -341,7 +328,7 @@ def recognize_subgeometry(model: QuadricModel, span: F2Span,
         for l in lines:
             if k in l:
                 continue
-            hits = sum(1 for x in l if coll[(k, x)])
+            hits = sum(1 for x in l if coll[k][x])
             if hits != 1:
                 return report
     report.type_tag = tag

@@ -17,7 +17,6 @@ from quadcover.cliquecensus import (
     formula_n4,
     formula_n5,
     formula_n6,
-    formula_srg_params,
     verify_srg,
 )
 from quadcover.covering import verify_covering

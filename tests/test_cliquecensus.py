@@ -6,7 +6,6 @@ import pytest
 from quadcover.cliquecensus import (
     bk_neighborhood_spectrum,
     bk_spectrum,
-    build_tangency_graph,
     census,
     classify_clique,
     export_edges_csv,

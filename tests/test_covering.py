@@ -5,7 +5,6 @@ import pytest
 
 from quadcover.covering import (
     CoveringMap,
-    build_affine,
     canonical_covering,
     fiber_distances,
     lift_path,

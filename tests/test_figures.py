@@ -1,10 +1,11 @@
 """Centric figures: verification, clique lifting, the cube family, extensions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from quadcover.figures import (
-    CentricFigure,
     CubeParams,
     count_quadrangles_exhaustive,
     count_quadrangles_formula,
@@ -155,25 +156,58 @@ def test_verify_rejects_malformed_figures(model_q2, cov_q2, census_q2):
     hexf = _some_hexagon(cov_q2, census_q2)
     assert verify_centric_figure(model, hexf)["pass"]
 
-    on_q = make_figure(model, hexf.pairs, model.point(0))
-    assert verify_centric_figure(model, on_q)["reason"] == "center lies on the quadric"
+    # make_figure runs the check and raises with the verifier's reason
+    with pytest.raises(ValueError, match="center lies on the quadric"):
+        make_figure(model, hexf.pairs, model.point(0))
 
-    wrong_kind = CentricFigure(kind="cube", pairs=hexf.pairs, center=hexf.center)
+    wrong_kind = replace(hexf, kind="cube")
     rep = verify_centric_figure(model, wrong_kind)
     assert not rep["pass"] and "kind" in rep["reason"]
 
     (a1, a2), (b1, b2), (c1, c2) = hexf.pairs
-    dup = make_figure(model, [(a1, a2), (b1, b2), (c1, a1)], hexf.center)
-    assert verify_centric_figure(model, dup)["reason"] == "repeated point"
+    with pytest.raises(ValueError, match="repeated point"):
+        make_figure(model, [(a1, a2), (b1, b2), (c1, a1)], hexf.center)
 
-    swapped = make_figure(model, [(a1, b2), (b1, a2), (c1, c2)], hexf.center)
-    rep = verify_centric_figure(model, swapped)
-    assert not rep["pass"] and "concurrent" in rep["reason"]
+    with pytest.raises(ValueError, match="concurrent"):
+        make_figure(model, [(a1, b2), (b1, a2), (c1, c2)], hexf.center)
 
     # a different valid center cannot carry this hexagon's pairs
     other = next(c for c in enumerate_cube_centers(model) if c != hexf.center)
-    moved = make_figure(model, hexf.pairs, other)
-    assert not verify_centric_figure(model, moved)["pass"]
+    with pytest.raises(ValueError):
+        make_figure(model, hexf.pairs, other)
+
+    with pytest.raises(ValueError, match="no figure kind with 2 pairs"):
+        make_figure(model, hexf.pairs[:2], hexf.center)
+
+
+def test_made_figures_carry_the_verified_rows(model_q2, cov_q2, census_q2):
+    model = model_q2
+    hexf = _some_hexagon(cov_q2, census_q2)
+    cubes = extend_hexagon_to_cubes(model, hexf)
+    ext = extend_cube(model, cubes[0])
+    figs = [hexf, lift_clique_to_figure(cov_q2, [int(v) for v in census_q2.cliques4[0]]),
+            fundamental_cube(model, CubeParams(1, 1, 1, 0)), *cubes,
+            *ext["decades"], ext["dodecade"]]
+    for fig in figs:
+        assert fig.rows == verify_centric_figure(model, fig)["rows"]
+    # rows are derived, so they take no part in equality
+    assert replace(hexf, rows=((), ())) == hexf
+
+
+def test_hexagon_extension_checks_each_cube_once(monkeypatch, model_q4, cov_q4, census_q4):
+    import quadcover.figures as figures
+
+    hexf = _some_hexagon(cov_q4, census_q4)
+    calls = []
+
+    def counting(model, fig):
+        calls.append(fig.kind)
+        return verify_centric_figure(model, fig)
+
+    monkeypatch.setattr(figures, "verify_centric_figure", counting)
+    cubes = extend_hexagon_to_cubes(model_q4, hexf)
+    assert len(cubes) == model_q4.ctx.q + 1
+    assert calls == ["cube"] * (model_q4.ctx.q + 1)
 
 
 def test_hexagon_labels_walk_the_six_cycle(model_q4, cov_q4, census_q4):

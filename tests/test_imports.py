@@ -1,0 +1,27 @@
+"""Every name that a module of the package imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "quadcover"
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    bound, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used |= set(ast.literal_eval(node.value))  # re-exports count as uses
+    return sorted(bound - used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadcover.gf2n import FieldCtx
-from quadcover.projgeom import (PointTable, Subspace, enumerate_points,
+from quadcover.projgeom import (PointTable, enumerate_points,
                                 line_points, mat_inv, mat_mul, mat_vec,
                                 normalize_tuple, null_space, rref,
                                 span, subspace_intersection, subspace_points,

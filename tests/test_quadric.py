@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadcover.gf2n import FieldCtx, trace
-from quadcover.projgeom import normalize_tuple, span, subspace_points
+from quadcover.projgeom import span
 from quadcover.quadric import (alpha_perp, build_model,
                                nucleus_tangency_check, perp_section,
                                section_type, solid_section_census,
@@ -42,13 +42,13 @@ def test_form_vanishes_exactly_on_points(model_q4):
     assert model.f_scalar(model.nucleus) != 0
 
 
-def test_gram_matches_bilinear(model_q4):
-    model = model_q4
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        i, j = rng.integers(0, model.n_points, 2)
-        assert model.gram[i, j] == model.alpha_scalar(model.point(int(i)),
-                                                      model.point(int(j)))
+@pytest.mark.parametrize("name", ["model_q2", "model_q4"])
+def test_gram_matches_bilinear(request, name):
+    # every pair: the figure layer reads gram in place of the scalar form
+    model = request.getfixturevalue(name)
+    pts = [model.point(i) for i in range(model.n_points)]
+    scalar = np.array([[model.alpha_scalar(u, v) for v in pts] for u in pts])
+    assert (model.gram == scalar).all()
     assert (model.gram == model.gram.T).all()
     assert (np.diagonal(model.gram) == 0).all()
 

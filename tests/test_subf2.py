@@ -1,6 +1,5 @@
 """Binary closures of centric figures and their recognized subgeometries."""
 
-import numpy as np
 import pytest
 
 from quadcover.figures import (
@@ -10,7 +9,7 @@ from quadcover.figures import (
     fundamental_cube,
     lift_clique_to_figure,
 )
-from quadcover.projgeom import normalize_tuple, rref
+from quadcover.projgeom import normalize_tuple
 from quadcover.subf2 import (
     closure_report,
     closure_vectors,
