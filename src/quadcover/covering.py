@@ -12,6 +12,7 @@ and the quotient by orbits reproduces the ovoid geometry on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,6 +53,13 @@ class CoveringMap:
     point_fiber: List[Tuple[int, int]]      # ovoid id -> pair of affine point indices
     line_fiber: List[Tuple[int, int]]       # rosette id -> pair of affine line ids
 
+    @cached_property
+    def fiber_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Dense affine indices of the first and of the second fiber points."""
+        aidx = self.affine.model.affine_index
+        return (np.array([aidx[f[0]] for f in self.point_fiber]),
+                np.array([aidx[f[1]] for f in self.point_fiber]))
+
 
 def build_affine(model: QuadricModel) -> AffineQuadrangle:
     """Split the model's lines along the hyperplane and keep the punctured ones."""
@@ -78,26 +86,23 @@ def build_affine(model: QuadricModel) -> AffineQuadrangle:
                             pencils=pencils, adjacency=sub)
 
 
-def canonical_covering(model: QuadricModel, gx: OvoidGeometry,
-                       affine: Optional[AffineQuadrangle] = None) -> CoveringMap:
+def canonical_covering(model: QuadricModel, gx: OvoidGeometry) -> CoveringMap:
     """Map affine points to their perpendicular-section ovoids and punctured
     lines to the pencils at their infinity points; collect the 2-element fibers."""
     if gx.model is not model:
         raise ValueError("geometry was built from a different model")
-    if affine is None:
-        affine = build_affine(model)
+    affine = build_affine(model)
     q = model.ctx.q
 
-    point_image = np.full(model.n_points, -1, dtype=np.int32)
-    for ov in gx.ovoids:
-        x, y = ov.orbit
-        # both orbit points must have the same perpendicular section
-        sect = np.array(model.section_points)
-        if not np.array_equal(model.gram[x, sect] == 0, model.gram[y, sect] == 0):
-            raise AssertionError("elation orbit points have different perp sections")
-        point_image[x] = ov.id
-        point_image[y] = ov.id
     point_fiber = [ov.orbit for ov in gx.ovoids]
+    orbits = np.array(point_fiber)
+    # both orbit points must have the same perpendicular section
+    sect = model.section_points
+    if not np.array_equal(model.gram[np.ix_(orbits[:, 0], sect)] == 0,
+                          model.gram[np.ix_(orbits[:, 1], sect)] == 0):
+        raise AssertionError("elation orbit points have different perp sections")
+    point_image = np.full(model.n_points, -1, dtype=np.int32)
+    point_image[orbits] = np.arange(len(orbits), dtype=np.int32)[:, None]
 
     line_image = np.full(len(affine.lines), -1, dtype=np.int32)
     line_fiber_acc: Dict[int, List[int]] = {}
@@ -231,9 +236,7 @@ def verify_adjacency_oracle(cov: CoveringMap, sample: Optional[int] = None,
     Checks, for ovoid pairs, that |A∩B| = 1 exactly when some point of A's
     fiber is collinear with some point of B's fiber."""
     geom, affine = cov.geom, cov.affine
-    aidx = affine.model.affine_index
-    x1 = np.array([aidx[f[0]] for f in cov.point_fiber])
-    x2 = np.array([aidx[f[1]] for f in cov.point_fiber])
+    x1, x2 = cov.fiber_rows
     A = affine.adjacency
     cross = (A[np.ix_(x1, x1)] | A[np.ix_(x1, x2)]
              | A[np.ix_(x2, x1)] | A[np.ix_(x2, x2)])
@@ -263,15 +266,11 @@ def fiber_distances(cov: CoveringMap) -> dict:
     A = affine.adjacency
     af = A.astype(np.float32)
     A2 = af @ af
-    aidx = affine.model.affine_index
-    x1 = np.array([aidx[f[0]] for f in cov.point_fiber])
-    x2 = np.array([aidx[f[1]] for f in cov.point_fiber])
-    adj = A[x1, x2]
-    common = A2[x1, x2]
-    walk3 = (A[x1].astype(np.float32) * A2[x2]).sum(axis=1)
-    fibers_at_3 = bool((~adj).all() and (common == 0).all() and (walk3 > 0).all())
-
     A3 = af @ A2
+    x1, x2 = cov.fiber_rows
+    fibers_at_3 = bool((~A[x1, x2]).all() and (A2[x1, x2] == 0).all()
+                       and (A3[x1, x2] > 0).all())
+
     n = len(A)
     reach2 = A | (A2 > 0)
     np.fill_diagonal(reach2, True)

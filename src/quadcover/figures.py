@@ -23,10 +23,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .gf2n import FieldCtx, conic_solution_set, solve_artin_schreier
+from .gf2n import conic_solution_set, solve_artin_schreier
 from .projgeom import (Vec, enumerate_points, mat_inv, mat_vec, normalize_tuple,
-                       rref, span, vec_add, vec_scale)
-from .quadric import QuadricModel, alpha_perp
+                       span, vec_add, vec_scale)
+from .quadric import QuadricModel, alpha_perp, second_intersection
 from .covering import CoveringMap
 
 KIND_BY_SIZE = {3: "hexagon", 4: "cube", 5: "decade", 6: "dodecade"}
@@ -115,29 +115,6 @@ def _made(model: QuadricModel, pairs: Sequence[Tuple[int, int]],
         raise AssertionError(f"{what} failed check: {exc}") from None
 
 
-# -- line helpers --------------------------------------------------------------
-
-
-def second_intersection(model: QuadricModel, x: Sequence[int],
-                        c: Sequence[int]) -> Optional[Vec]:
-    """Second quadric point on the line through x (on Q) and c (off Q).
-
-    Returns None when the line is tangent at x.  On the affine parametrisation
-    c + t*x the quadric condition reads f(c) + t*alpha(c, x) = 0.
-    """
-    a = model.alpha_scalar(c, x)
-    if a == 0:
-        return None
-    t = model.ctx.mul(model.f_scalar(c), model.ctx.inv(a))
-    y = tuple(ci ^ model.ctx.mul(t, xi) for ci, xi in zip(c, x))
-    return normalize_tuple(model.ctx, y)
-
-
-def _collinear_with(ctx: FieldCtx, a: Sequence[int], b: Sequence[int],
-                    c: Sequence[int]) -> bool:
-    return len(rref(ctx, [a, b, c])) == 2
-
-
 # -- structure verification ----------------------------------------------------
 
 
@@ -147,7 +124,9 @@ def verify_centric_figure(model: QuadricModel, fig: CentricFigure) -> dict:
     The report carries the derived bipartition as ``rows`` (two tuples of
     quadric point indices) when the check passes, and a ``reason`` string
     when it does not.  Collinearity of quadric points is read from
-    ``model.gram``.
+    ``model.gram``.  The center is off Q, so the line through a pair's first
+    point and the center meets Q in at most one other point: the pair is
+    concurrent with the center exactly when that point is the second one.
     """
     m = len(fig.pairs)
     out: dict = {"pass": False, "kind": fig.kind, "m": m}
@@ -162,7 +141,7 @@ def verify_centric_figure(model: QuadricModel, fig: CentricFigure) -> dict:
         out["reason"] = "center lies on the quadric"
         return out
     for a, b in fig.pairs:
-        if not _collinear_with(model.ctx, model.point(a), model.point(b), fig.center):
+        if second_intersection(model, model.point(a), fig.center) != model.point(b):
             out["reason"] = f"pair ({a},{b}) not concurrent with the center"
             return out
 

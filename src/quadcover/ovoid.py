@@ -15,7 +15,7 @@ out of a second, position-weighted product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .projgeom import (
     subspace_intersection,
     subspace_points,
 )
-from .quadric import QuadricModel
+from .quadric import QuadricModel, perp_section
 
 
 @dataclass(eq=False)
@@ -37,8 +37,6 @@ class Ovoid:
     id: int
     orbit: Tuple[int, int]          # the defining elation orbit, ascending
     points: Tuple[int, ...]         # sorted quadric point indices, all in the section
-    dense_points: np.ndarray        # the same points as dense section indices
-    mask: np.ndarray                # boolean membership over dense section indices
     span: Subspace                  # rank-4 subspace of the hyperplane
 
     def __len__(self) -> int:
@@ -51,7 +49,6 @@ class Rosette:
 
     id: int
     base: int                       # quadric point index of the common point
-    base_dense: int
     members: Tuple[int, ...]        # sorted ovoid ids
     tangent_plane: Subspace         # rank-3 subspace meeting the section only at base
 
@@ -87,52 +84,32 @@ class OvoidGeometry:
         self.tangency_point: np.ndarray
         self.through: List[np.ndarray] = []
         self.rosettes_at: List[List[int]] = []
-        self._orbit_lookup: Dict[int, int] = {}
-        # per-ovoid dual functional of its span inside the hyperplane, and the
-        # functional's value on every section point (zero exactly on the span)
+        # per-ovoid dual functional of its span inside the hyperplane
         self._span_dual: List[Tuple[int, ...]] = []
-        self._span_vals: np.ndarray
 
     @property
     def n_ovoids(self) -> int:
         return len(self.ovoids)
 
-    def ovoid_of_affine_point(self, x: int) -> int:
-        """Ovoid id whose defining elation orbit contains affine point x."""
-        return self._orbit_lookup[x]
-
 
 def enumerate_ovoids(model: QuadricModel) -> List[Ovoid]:
-    """One ovoid per elation orbit of the affine points, as perpendicular sections."""
+    """One ovoid per elation orbit of the affine points, as perpendicular sections.
+
+    A plane meets an elliptic quadric in at most q+1 points, so q+2 points of
+    an ovoid span its solid; ``_build_span_duals`` checks that the span's
+    functional vanishes on exactly the ovoid.
+    """
     q = model.ctx.q
-    n_q0 = len(model.section_points)
-    dense_of = model.section_index
-    sect = np.array(model.section_points)
-    seen = set()
     ovoids: List[Ovoid] = []
     for x in model.affine_points:
         y = int(model.elation_perm[x])
-        rep = min(x, y)
-        if rep in seen:
+        if y < x:       # the orbit was met at its smaller point
             continue
-        seen.add(rep)
-        row = model.gram[rep, sect] == 0
-        pts = sect[row]
-        if len(pts) != q * q + 1:
-            raise AssertionError("perpendicular section has the wrong size")
-        mask = np.zeros(n_q0, dtype=bool)
-        mask[[dense_of[int(p)] for p in pts]] = True
-        sp = span(model.ctx, [model.point(int(p)) for p in pts])
+        pts = perp_section(model, x)
+        sp = span(model.ctx, [model.point(p) for p in pts[:q + 2]])
         if sp.rank != 4:
             raise AssertionError("ovoid does not span a 3-space")
-        ovoids.append(Ovoid(
-            id=len(ovoids),
-            orbit=(rep, max(x, y)),
-            points=tuple(int(p) for p in pts),
-            dense_points=np.array([dense_of[int(p)] for p in pts]),
-            mask=mask,
-            span=sp,
-        ))
+        ovoids.append(Ovoid(id=len(ovoids), orbit=(x, y), points=tuple(pts), span=sp))
     expected = q * q * (q * q - 1) // 2
     if len(ovoids) != expected:
         raise AssertionError(f"{len(ovoids)} ovoids, expected {expected}")
@@ -144,15 +121,11 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     q = model.ctx.q
     geom = OvoidGeometry(model)
     geom.ovoids = enumerate_ovoids(model)
-    for ov in geom.ovoids:
-        geom._orbit_lookup[ov.orbit[0]] = ov.id
-        geom._orbit_lookup[ov.orbit[1]] = ov.id
 
     n_ov = geom.n_ovoids
     n_q0 = len(model.section_points)
-    member = np.zeros((n_ov, n_q0), dtype=bool)
-    for ov in geom.ovoids:
-        member[ov.id, ov.dense_points] = True
+    reps = [ov.orbit[0] for ov in geom.ovoids]
+    member = model.gram[np.ix_(reps, model.section_points)] == 0
     geom.member_matrix = member
 
     mf = member.astype(np.float32)
@@ -187,20 +160,17 @@ def _build_span_duals(geom: OvoidGeometry) -> None:
     model = geom.model
     M = model.ctx.mul_table
     coords0 = model.coords[model.section_points][:, :5].astype(np.int64)
-    vals = np.zeros((geom.n_ovoids, len(coords0)), dtype=np.uint16)
     for ov in geom.ovoids:
         kernel = null_space(model.ctx, [row[:5] for row in ov.span.basis])
         if len(kernel) != 1:
             raise AssertionError("ovoid span has no unique dual functional")
-        w = kernel[0]
-        geom._span_dual.append(w)
-        acc = vals[ov.id]
-        for j in range(5):
-            if w[j]:
-                acc ^= M[w[j], coords0[:, j]].astype(np.uint16)
-        if not np.array_equal(acc == 0, geom.member_matrix[ov.id]):
-            raise AssertionError("span functional does not vanish exactly on the ovoid")
-    geom._span_vals = vals
+        geom._span_dual.append(kernel[0])
+    W = np.array(geom._span_dual)
+    vals = np.zeros(geom.member_matrix.shape, dtype=M.dtype)
+    for j in range(5):
+        vals ^= M[W[:, j:j + 1], coords0[None, :, j]]
+    if not np.array_equal(vals == 0, geom.member_matrix):
+        raise AssertionError("span functional does not vanish exactly on the ovoid")
 
 
 def _build_rosettes(geom: OvoidGeometry) -> None:
@@ -213,7 +183,6 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     """
     model = geom.model
     q = model.ctx.q
-    sect = np.array(model.section_points)
     rosettes: List[Rosette] = []
     rosettes_at: List[List[int]] = []
     for k, p in enumerate(model.section_points):
@@ -239,9 +208,7 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
             plane = _tangent_plane_from_members(geom, members, p)
             _check_rosette_partition(geom, members, p, k)
             rid = len(rosettes)
-            rosettes.append(Rosette(
-                id=rid, base=p, base_dense=k, members=members, tangent_plane=plane,
-            ))
+            rosettes.append(Rosette(id=rid, base=p, members=members, tangent_plane=plane))
             ids_here.append(rid)
         if len(ids_here) != q * (q - 1) // 2:
             raise AssertionError("wrong number of pencils at a point")
@@ -268,18 +235,18 @@ def _check_rosette_partition(geom: OvoidGeometry, members: Sequence[int], p: int
 
 def _tangent_plane_from_members(geom: OvoidGeometry, members: Sequence[int],
                                 p: int) -> Subspace:
-    """Fast tangent plane: common kernel of the first two member span functionals."""
+    """Fast tangent plane: common kernel of the first two member span functionals.
+
+    Callers have checked that the members meet exactly in the base p, and
+    each functional vanishes on exactly its ovoid, so the plane meets the
+    section only at p.  The zero-padded ``null_space`` basis is canonical.
+    """
     model = geom.model
     a, b = members[0], members[1]
-    on_both = (geom._span_vals[a] == 0) & (geom._span_vals[b] == 0)
-    k = model.section_index[p]
-    if on_both.sum() != 1 or not on_both[k]:
-        raise AssertionError("tangent plane meets the section beyond the base point")
-    rows = [geom._span_dual[a], geom._span_dual[b]]
-    basis5 = null_space(model.ctx, rows)
+    basis5 = null_space(model.ctx, [geom._span_dual[a], geom._span_dual[b]])
     if len(basis5) != 3:
         raise AssertionError("two pencil member spans do not meet in a plane")
-    return span(model.ctx, [tuple(v) + (0,) for v in basis5])
+    return Subspace(tuple(tuple(v) + (0,) for v in basis5))
 
 
 def _verify_incidence(geom: OvoidGeometry) -> None:
@@ -336,7 +303,7 @@ def rosette_from_pair(geom: OvoidGeometry, a: Ovoid, b: Ovoid) -> Rosette:
     plane = _tangent_plane_from_members(geom, members, p)
     existing = [r for r in geom.rosettes_at[k] if geom.rosettes[r].members == members]
     rid = existing[0] if existing else -1
-    return Rosette(id=rid, base=p, base_dense=k, members=members, tangent_plane=plane)
+    return Rosette(id=rid, base=p, members=members, tangent_plane=plane)
 
 
 def tangent_plane(geom: OvoidGeometry, r: Rosette, check_all_pairs: bool = False) -> Subspace:

@@ -25,12 +25,9 @@ from .projgeom import (
     Subspace,
     Vec,
     enumerate_points,
-    line_points,
     normalize_tuple,
     null_space,
     span,
-    vec_add,
-    vec_scale,
 )
 
 MAX_BUILD_DEGREE = 3  # model enumeration is desk-scale only through q = 8
@@ -158,45 +155,44 @@ def _gram_matrix(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
 
 
 def _build_lines(model: QuadricModel) -> None:
-    """Collect the totally singular lines by scanning perpendicular point pairs.
+    """Collect the totally singular lines as common perps of collinear pairs.
 
     In characteristic 2 the line joining two quadric points lies on the
-    quadric exactly when the points are perpendicular, so each zero entry of
-    the gram matrix above the diagonal witnesses a line; seen pairs are
-    remembered to emit every line once.
+    quadric exactly when the points are perpendicular, and in a generalized
+    quadrangle the points collinear with two collinear points x, y are
+    exactly the points of line xy.  Each point x walks its later perp
+    neighbours not yet on a line through x, so every line is emitted once,
+    from its two smallest points, and in sorted order.
     """
-    ctx, q = model.ctx, model.ctx.q
+    q = model.ctx.q
     nq = model.n_points
-    covered = set()
-    lines: List[Tuple[int, ...]] = []
     gram = model.gram
+    ids = list(range(nq))     # line tuples share these ints: at q = 8 fresh ones cost ~8 MB
+    lines: List[Tuple[int, ...]] = []
+    through: List[List[int]] = [[] for _ in range(nq)]
     for x in range(nq):
-        partners = np.nonzero(gram[x, x + 1:] == 0)[0] + x + 1
-        for y in partners:
-            key = x * nq + int(y)
-            if key in covered:
+        perp_x = gram[x] == 0
+        todo = perp_x.copy()
+        todo[:x + 1] = False
+        for li in through[x]:
+            todo[list(lines[li])] = False
+        for y in np.nonzero(todo)[0]:
+            if not todo[y]:
                 continue
-            pts = line_points(ctx, model.point(x), model.point(int(y)))
-            idxs = []
+            pts = np.nonzero(perp_x & (gram[y] == 0))[0]
+            if len(pts) != q + 1:
+                raise AssertionError("common perp of collinear points is not a line")
+            todo[pts] = False
             for p in pts:
-                i = model.q_table.get(p)
-                if i is None:
-                    raise AssertionError("line through perpendicular quadric points left Q")
-                idxs.append(i)
-            idxs.sort()
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    covered.add(idxs[a] * nq + idxs[b])
-            lines.append(tuple(idxs))
-    lines.sort()
+                through[p].append(len(lines))
+            lines.append(tuple(ids[p] for p in pts))
     model.lines = lines
     expected = nq * (q * q + 1) // (q + 1)
     if len(lines) != expected:
         raise AssertionError(f"{len(lines)} lines, expected {expected}")
-    through: List[List[int]] = [[] for _ in range(nq)]
-    for li, ln in enumerate(lines):
-        for p in ln:
-            through[p].append(li)
+    ln = np.array(lines)
+    if gram[ln[:, :, None], ln[:, None, :]].any():
+        raise AssertionError("a line is not totally singular")
     if any(len(t) != q * q + 1 for t in through):
         raise AssertionError("some point is not on q^2+1 lines")
     model.lines_through = through
@@ -218,20 +214,29 @@ def _find_nucleus(model: QuadricModel) -> None:
     model.nucleus = nucleus
 
 
+def second_intersection(model: QuadricModel, x: Sequence[int],
+                        c: Sequence[int]) -> Optional[Vec]:
+    """Second quadric point on the line through x (on Q) and c (off Q).
+
+    Returns None when the line is tangent at x.  On the affine parametrisation
+    c + t*x the quadric condition reads f(c) + t*alpha(c, x) = 0.
+    """
+    a = model.alpha_scalar(c, x)
+    if a == 0:
+        return None
+    t = model.ctx.mul(model.f_scalar(c), model.ctx.inv(a))
+    y = tuple(ci ^ model.ctx.mul(t, xi) for ci, xi in zip(c, x))
+    return normalize_tuple(model.ctx, y)
+
+
 def _build_elation(model: QuadricModel) -> None:
     """Pair each point off the axis with the second quadric point toward the nucleus."""
-    ctx = model.ctx
     nq = model.n_points
     perm = np.arange(nq, dtype=np.int32)
-    for x in np.nonzero(~model.in_section)[0]:
-        x = int(x)
-        hits = [
-            p for p in line_points(ctx, model.point(x), model.nucleus)
-            if model.f_scalar(p) == 0
-        ]
-        if len(hits) != 2:
+    for x in model.affine_points:
+        other = second_intersection(model, model.point(x), model.nucleus)
+        if other is None:
             raise AssertionError("nucleus line is not a secant")
-        other = hits[0] if hits[1] == model.point(x) else hits[1]
         perm[x] = model.q_table.index(other)
     if not np.array_equal(perm[perm], np.arange(nq)):
         raise AssertionError("elation is not an involution")
@@ -356,27 +361,15 @@ def verify_gq_axioms(model: QuadricModel, sample: Optional[int] = None, seed: in
 def nucleus_tangency_check(model: QuadricModel) -> bool:
     """Every line of the hyperplane through the nucleus meets the section at
     most once; equivalently no two section points differ only in the nucleus
-    direction."""
+    direction.  The radical of x1y2 + x2y1 + x3y4 + x4y3 on {x6 = 0} is e5
+    for every modulus and lam, so dropping that coordinate keys the lines."""
+    dirs = [j for j, c in enumerate(model.nucleus) if c]
+    if len(dirs) != 1:
+        raise AssertionError("nucleus is not a coordinate point")
     seen = set()
-    nuc = model.nucleus
-    dirs = [j for j, c in enumerate(nuc) if c]
-    drop = dirs[0] if len(dirs) == 1 else None
     for i in model.section_points:
-        p = model.point(i)
-        if drop is not None:
-            key = tuple(c for j, c in enumerate(p) if j != drop)
-        else:  # general position: reduce modulo the nucleus direction
-            key = _mod_nucleus_key(model, p)
+        key = tuple(c for j, c in enumerate(model.point(i)) if j != dirs[0])
         if key in seen:
             return False
         seen.add(key)
     return True
-
-
-def _mod_nucleus_key(model: QuadricModel, p: Vec) -> Vec:
-    ctx = model.ctx
-    nuc = model.nucleus
-    lead = next(j for j, c in enumerate(nuc) if c)
-    if p[lead]:
-        p = vec_add(p, vec_scale(ctx, ctx.div(p[lead], nuc[lead]), nuc))
-    return normalize_tuple(ctx, p) if any(p) else p

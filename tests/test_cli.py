@@ -98,6 +98,8 @@ def test_census_full_q4(tmp_path):
     by_name = {c["name"]: c for c in data["checks"]}
     assert by_name["nonlinear_3_cliques"]["expected"] == 16320
     assert by_name["nonlinear_5_cliques"]["expected"] == 0  # even field degree
+    assert by_name["strong_regularity"]["pass"]
+    assert (data["srg"]["v"], data["srg"]["k"]) == (120, 51)
     assert all(c["pass"] for c in data["checks"])
     assert len(list(csv.reader(path.open()))) - 1 == 3060
 

@@ -24,10 +24,10 @@ from quadcover.figures import (
     hexagon_labels,
     lift_clique_to_figure,
     make_figure,
-    second_intersection,
     verify_centric_figure,
 )
 from quadcover.gf2n import conic_solution_set
+from quadcover.quadric import second_intersection
 
 
 def _alpha(model, i, j):

@@ -1,11 +1,12 @@
-"""Every name that a module of the package imports is used in that module."""
+"""Every name that a module of the package or a test file imports is used there."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quadcover"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "quadcover"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -22,6 +23,8 @@ def _unused_imports(tree: ast.Module) -> list:
     return sorted(bound - used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}"
+                         if p.parent == TESTS else p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []

@@ -26,14 +26,14 @@ def test_ovoid_counts_and_sizes(request, name):
         assert len(ov) == q * q + 1
         assert ov.span.rank == 4
         assert set(ov.points) <= section
-        assert int(ov.mask.sum()) == q * q + 1
+        assert int(geom.member_matrix[ov.id].sum()) == q * q + 1
         assert ov.orbit[0] < ov.orbit[1]
         assert geom.model.elation_perm[ov.orbit[0]] == ov.orbit[1]
 
 
-def test_ovoid_of_affine_point(geom_q2):
-    for x in geom_q2.model.affine_points:
-        ov = geom_q2.ovoids[geom_q2.ovoid_of_affine_point(int(x))]
+def test_ovoid_of_affine_point(cov_q2):
+    for x in cov_q2.geom.model.affine_points:
+        ov = cov_q2.geom.ovoids[int(cov_q2.point_image[x])]
         assert int(x) in ov.orbit
 
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from quadcover import covering, ovoid, projgeom, quadric
 from quadcover.gf2n import FieldCtx, trace
-from quadcover.projgeom import span
+from quadcover.ovoid import build_geometry
+from quadcover.projgeom import line_points, span
 from quadcover.quadric import (alpha_perp, build_model,
                                nucleus_tangency_check, perp_section,
                                section_type, solid_section_census,
@@ -75,6 +77,30 @@ def test_collinear_pairs_lie_on_lines(model_q4):
     assert {(int(a), int(b)) for a, b in zero} == on_line
 
 
+@pytest.mark.parametrize("name", ["model_q2", "model_q4"])
+def test_lines_match_line_points_oracle(request, name):
+    # the lines are read off gram; rebuild them from coordinates instead
+    model = request.getfixturevalue(name)
+    want = set()
+    for a, b in np.argwhere(np.triu(model.gram == 0, 1)):
+        pts = line_points(model.ctx, model.point(int(a)), model.point(int(b)))
+        want.add(tuple(sorted(model.q_table.index(p) for p in pts)))
+    assert model.lines == sorted(want)
+
+
+def test_construction_makes_no_line_points_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return line_points(*args)
+
+    for mod in (projgeom, quadric, ovoid, covering):
+        monkeypatch.setattr(mod, "line_points", counted, raising=False)
+    build_geometry(build_model(FieldCtx(2)))
+    assert calls == []
+
+
 def test_nucleus_properties(model_q2, model_q4, model_q8):
     for model in (model_q2, model_q4, model_q8):
         n0 = model.nucleus
@@ -85,8 +111,9 @@ def test_nucleus_properties(model_q2, model_q4, model_q8):
         assert nucleus_tangency_check(model)
 
 
-def test_elation_is_a_fixed_point_free_section_involution(model_q4):
-    model = model_q4
+@pytest.mark.parametrize("name", ["model_q2", "model_q4"])
+def test_elation_is_a_fixed_point_free_section_involution(request, name):
+    model = request.getfixturevalue(name)
     perm = model.elation_perm
     assert (perm[perm] == np.arange(model.n_points)).all()
     sect = np.array(model.section_points)
@@ -94,7 +121,7 @@ def test_elation_is_a_fixed_point_free_section_involution(model_q4):
     assert (perm[sect] == sect).all()
     assert (perm[aff] != aff).all()
     # orbits stay collinear with the nucleus: x, nu(x), n0 on a line
-    for x in aff[:: max(1, len(aff) // 40)]:
+    for x in aff:
         x = int(x)
         y = int(perm[x])
         rowspace = span(model.ctx, [model.point(x), model.point(y),
