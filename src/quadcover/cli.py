@@ -354,18 +354,13 @@ def cmd_figures_verify(run: Run, args) -> dict:
             parity_ok &= len(ext["decades"]) == want_decades
             parity_ok &= (ext["dodecade"] is not None) == (want_decades > 0)
         checks.append(_bool_check("cube_solver_matches_bruteforce", cube_ok, "oracle"))
-        checks.append(_check("decades_per_cube", want_decades if n_cube else None,
-                             len(ext["decades"]) if n_cube else None, "formula"))
+        checks.append(_check("decades_per_cube", want_decades, len(ext["decades"]), "formula"))
         checks.append(_bool_check("fifth_pair_parity_law", parity_ok, "formula"))
 
-    with run.timed("quadrangles"):
-        if q <= 4:
+    if q <= 4:  # the exhaustive count is out of reach above q = 4
+        with run.timed("quadrangles"):
             checks.append(_check("quadrangle_count", count_quadrangles_formula(q),
                                  count_quadrangles_exhaustive(model), "enumeration"))
-        else:
-            checks.append(_check("quadrangle_count_formula",
-                                 count_quadrangles_formula(q),
-                                 count_quadrangles_formula(q), "formula"))
 
     return {"checks": checks, "samples": {"hexagons": int(n_hex), "cubes": int(n_cube)}}
 

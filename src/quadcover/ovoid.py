@@ -21,13 +21,12 @@ import numpy as np
 
 from .projgeom import (
     Subspace,
-    null_space,
     span,
     subspace_contains,
     subspace_intersection,
     subspace_points,
 )
-from .quadric import QuadricModel, perp_section
+from .quadric import QuadricModel
 
 
 @dataclass(eq=False)
@@ -50,7 +49,6 @@ class Rosette:
     id: int
     base: int                       # quadric point index of the common point
     members: Tuple[int, ...]        # sorted ovoid ids
-    tangent_plane: Subspace         # rank-3 subspace meeting the section only at base
 
     def __len__(self) -> int:
         return len(self.members)
@@ -84,49 +82,40 @@ class OvoidGeometry:
         self.tangency_point: np.ndarray
         self.through: List[np.ndarray] = []
         self.rosettes_at: List[List[int]] = []
-        # per-ovoid dual functional of its span inside the hyperplane
-        self._span_dual: List[Tuple[int, ...]] = []
 
     @property
     def n_ovoids(self) -> int:
         return len(self.ovoids)
 
 
-def enumerate_ovoids(model: QuadricModel) -> List[Ovoid]:
-    """One ovoid per elation orbit of the affine points, as perpendicular sections.
+def build_geometry(model: QuadricModel) -> OvoidGeometry:
+    """Assemble ovoids, tangency tables and rosettes, asserting the structure laws.
 
-    A plane meets an elliptic quadric in at most q+1 points, so q+2 points of
-    an ovoid span its solid; ``_build_span_duals`` checks that the span's
-    functional vanishes on exactly the ovoid.
+    There is one ovoid per elation orbit of the affine points: the section
+    points perpendicular to the orbit's smaller point x.  As x6 != 0 at x,
+    x^perp meets {x6 = 0} in a solid that holds the ovoid; a plane meets an
+    elliptic quadric in at most q+1 points, so q+2 ovoid points of rank 4
+    span exactly that solid.
     """
     q = model.ctx.q
-    ovoids: List[Ovoid] = []
-    for x in model.affine_points:
-        y = int(model.elation_perm[x])
-        if y < x:       # the orbit was met at its smaller point
-            continue
-        pts = perp_section(model, x)
+    geom = OvoidGeometry(model)
+    reps = [x for x in model.affine_points if model.elation_perm[x] > x]
+    n_ov = len(reps)
+    if n_ov != q * q * (q * q - 1) // 2:
+        raise AssertionError(f"{n_ov} ovoids, expected {q * q * (q * q - 1) // 2}")
+    n_q0 = len(model.section_points)
+    sect = np.array(model.section_points, dtype=np.int16)
+    member = model.gram[np.ix_(reps, model.section_points)] == 0
+    if (member.sum(axis=1) != q * q + 1).any():
+        raise AssertionError("perp section has the wrong size")
+    geom.member_matrix = member
+    for i, x in enumerate(reps):
+        pts = tuple(sect[member[i]].tolist())
         sp = span(model.ctx, [model.point(p) for p in pts[:q + 2]])
         if sp.rank != 4:
             raise AssertionError("ovoid does not span a 3-space")
-        ovoids.append(Ovoid(id=len(ovoids), orbit=(x, y), points=tuple(pts), span=sp))
-    expected = q * q * (q * q - 1) // 2
-    if len(ovoids) != expected:
-        raise AssertionError(f"{len(ovoids)} ovoids, expected {expected}")
-    return ovoids
-
-
-def build_geometry(model: QuadricModel) -> OvoidGeometry:
-    """Assemble ovoids, tangency tables and rosettes, asserting the structure laws."""
-    q = model.ctx.q
-    geom = OvoidGeometry(model)
-    geom.ovoids = enumerate_ovoids(model)
-
-    n_ov = geom.n_ovoids
-    n_q0 = len(model.section_points)
-    reps = [ov.orbit[0] for ov in geom.ovoids]
-    member = model.gram[np.ix_(reps, model.section_points)] == 0
-    geom.member_matrix = member
+        geom.ovoids.append(Ovoid(id=i, orbit=(x, int(model.elation_perm[x])),
+                                 points=pts, span=sp))
 
     mf = member.astype(np.float32)
     inter = (mf @ mf.T).astype(np.int32)
@@ -141,7 +130,6 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     # index of the unique common point (exact in float32, values < 2^24)
     weighted = mf * np.arange(n_q0, dtype=np.float32)
     tp_dense = (mf @ weighted.T).astype(np.int32)
-    sect = np.array(model.section_points, dtype=np.int16)
     tp = np.where(geom.adjacency, sect[np.clip(tp_dense, 0, n_q0 - 1)], -1).astype(np.int16)
     geom.tangency_point = tp
 
@@ -150,68 +138,44 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     if any(len(t) != per_point for t in geom.through):
         raise AssertionError("wrong number of ovoids through a section point")
 
-    _build_span_duals(geom)
     _build_rosettes(geom)
     _verify_incidence(geom)
     return geom
 
 
-def _build_span_duals(geom: OvoidGeometry) -> None:
-    model = geom.model
-    M = model.ctx.mul_table
-    coords0 = model.coords[model.section_points][:, :5].astype(np.int64)
-    for ov in geom.ovoids:
-        kernel = null_space(model.ctx, [row[:5] for row in ov.span.basis])
-        if len(kernel) != 1:
-            raise AssertionError("ovoid span has no unique dual functional")
-        geom._span_dual.append(kernel[0])
-    W = np.array(geom._span_dual)
-    vals = np.zeros(geom.member_matrix.shape, dtype=M.dtype)
-    for j in range(5):
-        vals ^= M[W[:, j:j + 1], coords0[None, :, j]]
-    if not np.array_equal(vals == 0, geom.member_matrix):
-        raise AssertionError("span functional does not vanish exactly on the ovoid")
-
-
 def _build_rosettes(geom: OvoidGeometry) -> None:
     """Group the ovoids through each point into pencils of pairwise tangent ones.
 
-    Two ovoids sharing a point are tangent there or nowhere, so the tangency
-    relation restricted to the ovoids through p splits them into groups; each
-    group must be a full pencil of q pairwise tangent members partitioning the
-    section points not perpendicular to p.
+    With S the tangency matrix of the ovoids through p, diagonal set,
+    S.S = q.S holds exactly when tangency at p is an equivalence relation
+    with classes of q pairwise tangent ovoids; each pencil is the row of S
+    at its smallest member.  No ovoid through p meets p^perp beyond p, so a
+    pencil's members meet p^perp only at p, and their union (pairwise
+    meeting only at p) has q^3+1 points.
     """
     model = geom.model
     q = model.ctx.q
+    sect = np.array(model.section_points)
     rosettes: List[Rosette] = []
     rosettes_at: List[List[int]] = []
     for k, p in enumerate(model.section_points):
         cands = geom.through[k]
-        sub = geom.adjacency[np.ix_(cands, cands)]
-        tp_sub = geom.tangency_point[np.ix_(cands, cands)]
-        if not (tp_sub[sub] == p).all():
+        S = geom.adjacency[np.ix_(cands, cands)]
+        if not (geom.tangency_point[np.ix_(cands, cands)][S] == p).all():
             raise AssertionError("ovoids sharing a point are tangent elsewhere")
-        ids_here: List[int] = []
-        unassigned = set(range(len(cands)))
-        while unassigned:
-            i = min(unassigned)
-            group = sorted(set(np.nonzero(sub[i])[0].tolist()) | {i})
-            if not set(group) <= unassigned:
-                raise AssertionError("tangency at a point is not transitive")
-            if len(group) != q:
-                raise AssertionError("tangency pencil at a point is not of size q")
-            g = np.array(group)
-            if not sub[np.ix_(g, g)][~np.eye(q, dtype=bool)].all():
-                raise AssertionError("tangency pencil is not pairwise tangent")
-            unassigned -= set(group)
-            members = tuple(sorted(int(cands[j]) for j in group))
-            plane = _tangent_plane_from_members(geom, members, p)
-            _check_rosette_partition(geom, members, p, k)
-            rid = len(rosettes)
-            rosettes.append(Rosette(id=rid, base=p, members=members, tangent_plane=plane))
-            ids_here.append(rid)
-        if len(ids_here) != q * (q - 1) // 2:
-            raise AssertionError("wrong number of pencils at a point")
+        np.fill_diagonal(S, True)
+        Sf = S.astype(np.float32)
+        if not np.array_equal(Sf @ Sf, q * Sf):
+            raise AssertionError("tangency at a point is not an equivalence "
+                                 "with classes of size q")
+        meets = geom.member_matrix[np.ix_(cands, model.gram[p, sect] == 0)]
+        if (meets.sum(axis=1) != 1).any():
+            raise AssertionError("an ovoid through a point meets its perp beyond the point")
+        ids_here = []
+        for i in np.nonzero(S.argmax(axis=1) == np.arange(len(cands)))[0]:
+            ids_here.append(len(rosettes))
+            rosettes.append(Rosette(id=len(rosettes), base=p,
+                                    members=tuple(cands[S[i]].tolist())))
         rosettes_at.append(ids_here)
     geom.rosettes = rosettes
     geom.rosettes_at = rosettes_at
@@ -231,22 +195,6 @@ def _check_rosette_partition(geom: OvoidGeometry, members: Sequence[int], p: int
     bad = union & perp
     if bad.sum() != 1 or not bad[p_dense]:
         raise AssertionError("pencil union meets the perp of its base beyond the base")
-
-
-def _tangent_plane_from_members(geom: OvoidGeometry, members: Sequence[int],
-                                p: int) -> Subspace:
-    """Fast tangent plane: common kernel of the first two member span functionals.
-
-    Callers have checked that the members meet exactly in the base p, and
-    each functional vanishes on exactly its ovoid, so the plane meets the
-    section only at p.  The zero-padded ``null_space`` basis is canonical.
-    """
-    model = geom.model
-    a, b = members[0], members[1]
-    basis5 = null_space(model.ctx, [geom._span_dual[a], geom._span_dual[b]])
-    if len(basis5) != 3:
-        raise AssertionError("two pencil member spans do not meet in a plane")
-    return Subspace(tuple(tuple(v) + (0,) for v in basis5))
 
 
 def _verify_incidence(geom: OvoidGeometry) -> None:
@@ -300,37 +248,34 @@ def rosette_from_pair(geom: OvoidGeometry, a: Ovoid, b: Ovoid) -> Rosette:
         raise AssertionError("pencil recovery did not find q members")
     members = tuple(sorted(members))
     _check_rosette_partition(geom, members, p, k)
-    plane = _tangent_plane_from_members(geom, members, p)
     existing = [r for r in geom.rosettes_at[k] if geom.rosettes[r].members == members]
     rid = existing[0] if existing else -1
-    return Rosette(id=rid, base=p, members=members, tangent_plane=plane)
+    return Rosette(id=rid, base=p, members=members)
 
 
-def tangent_plane(geom: OvoidGeometry, r: Rosette, check_all_pairs: bool = False) -> Subspace:
-    """Definitional tangent plane: intersection of two member spans, fully verified.
+def tangent_plane(geom: OvoidGeometry, r: Rosette) -> Subspace:
+    """The pencil's tangent plane: the common intersection of its member spans.
 
-    Enumerates the plane's points to confirm it meets the section only at the
-    base; with check_all_pairs every member pair is intersected and all the
-    resulting planes are required to coincide.
+    Every member pair is intersected, and all the resulting planes are
+    required to coincide; the plane's points are enumerated to confirm that
+    it meets the section only at the base.
     """
     model = geom.model
     ms = r.members
-    pairs = ([(a, b) for i, a in enumerate(ms) for b in ms[i + 1:]]
-             if check_all_pairs else [(ms[0], ms[1])])
     planes = []
     base_pt = model.point(r.base)
-    for a, b in pairs:
-        pl = subspace_intersection(model.ctx, geom.ovoids[a].span, geom.ovoids[b].span)
-        pl = span(model.ctx, pl.basis)
-        if pl.rank != 3:
-            raise AssertionError("member spans do not meet in a plane")
-        if not subspace_contains(model.ctx, pl, base_pt):
-            raise AssertionError("tangent plane misses the base point")
-        hits = [v for v in subspace_points(model.ctx, pl)
-                if model.f_scalar(v) == 0 and v[5] == 0]
-        if hits != [base_pt]:
-            raise AssertionError("tangent plane meets the section beyond the base point")
-        planes.append(pl)
+    for i, a in enumerate(ms):
+        for b in ms[i + 1:]:
+            pl = subspace_intersection(model.ctx, geom.ovoids[a].span, geom.ovoids[b].span)
+            if pl.rank != 3:
+                raise AssertionError("member spans do not meet in a plane")
+            if not subspace_contains(model.ctx, pl, base_pt):
+                raise AssertionError("tangent plane misses the base point")
+            hits = [v for v in subspace_points(model.ctx, pl)
+                    if model.f_scalar(v) == 0 and v[5] == 0]
+            if hits != [base_pt]:
+                raise AssertionError("tangent plane meets the section beyond the base point")
+            planes.append(pl)
     if any(p.basis != planes[0].basis for p in planes[1:]):
         raise AssertionError("different member pairs give different planes")
     return planes[0]

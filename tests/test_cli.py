@@ -184,6 +184,17 @@ def test_figures_verify_command(tmp_path):
     assert data["samples"]["hexagons"] == 20
 
 
+def test_figures_verify_q8_reports_only_checks_that_ran(tmp_path):
+    # the quadrangle count is enumerated only up to q = 4; at q = 8 no row
+    # stands in for it
+    rc, data = _run(tmp_path, ["figures", "verify", "--n", "3"])
+    assert rc == 0
+    assert data["pass"] is True
+    names = {c["name"] for c in data["checks"]}
+    assert not any(name.startswith("quadrangle_count") for name in names)
+    assert all(c["pass"] for c in data["checks"])
+
+
 def test_counts_command(tmp_path):
     rc, data = _run(tmp_path, ["counts", "--n-max", "9"])
     assert rc == 0

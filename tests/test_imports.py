@@ -1,4 +1,5 @@
-"""Every name that a module of the package or a test file imports is used there."""
+"""Every name that a module of the package or a test file imports is used
+there, and every private module-level name of the package is referenced."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,31 @@ def _unused_imports(tree: ast.Module) -> list:
                          if p.parent == TESTS else p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree: ast.Module) -> set:
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def test_package_references_every_private_name():
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    defined = set().union(*map(_private_definitions, trees))
+    referenced = set().union(*map(_references, trees))
+    assert sorted(defined - referenced) == []

@@ -1,11 +1,13 @@
 """Elliptic ovoids, tangency, rosettes and the semipartial axioms."""
 
+import copy
 import csv
 
 import numpy as np
 import pytest
 
 from quadcover.ovoid import (
+    _build_rosettes,
     common_tangents_through,
     export_incidence_csv,
     intersection_kind,
@@ -89,7 +91,6 @@ def test_rosette_structure(request, name):
     assert len(geom.rosettes) == n_q0 * q * (q - 1) // 2
     for r in geom.rosettes:
         assert len(r) == q
-        assert r.tangent_plane.rank == 3
         sub = geom.adjacency[np.ix_(r.members, r.members)]
         assert sub[~np.eye(q, dtype=bool)].all()
         assert (geom.tangency_point[np.ix_(r.members, r.members)][sub] == r.base).all()
@@ -108,31 +109,36 @@ def test_incidence_lists_match_membership(geom_q4):
             assert oid in geom.rosettes[rid].members
 
 
-def test_tangent_plane_oracle_agrees_with_fast_path(geom_q2, geom_q4):
-    for r in geom_q2.rosettes:
-        pl = tangent_plane(geom_q2, r, check_all_pairs=True)
-        assert pl.basis == r.tangent_plane.basis
-    rng = np.random.default_rng(11)
-    for rid in rng.choice(len(geom_q4.rosettes), size=12, replace=False):
-        r = geom_q4.rosettes[int(rid)]
-        pl = tangent_plane(geom_q4, r, check_all_pairs=True)
-        assert pl.basis == r.tangent_plane.basis
+def test_tangent_plane_of_every_pencil(geom_q2, geom_q4):
+    for geom in (geom_q2, geom_q4):
+        for r in geom.rosettes:
+            assert tangent_plane(geom, r).rank == 3
 
 
-def test_rosette_recovery_from_a_tangent_pair(geom_q4):
+def test_rosette_recovery_from_a_tangent_pair(geom_q2, geom_q4):
+    for geom in (geom_q2, geom_q4):
+        for r in geom.rosettes:
+            a, b = geom.ovoids[r.members[0]], geom.ovoids[r.members[1]]
+            rec = rosette_from_pair(geom, a, b)
+            assert rec.members == r.members
+            assert rec.base == r.base
+            assert rec.id == r.id
     geom = geom_q4
-    rng = np.random.default_rng(5)
-    for rid in rng.choice(len(geom.rosettes), size=10, replace=False):
-        r = geom.rosettes[int(rid)]
-        a, b = geom.ovoids[r.members[0]], geom.ovoids[r.members[1]]
-        rec = rosette_from_pair(geom, a, b)
-        assert rec.members == r.members
-        assert rec.base == r.base
-        assert rec.id == r.id
     q = geom.model.ctx.q
     c, d = map(int, np.argwhere(geom.inter_count == q + 1)[0])
     with pytest.raises(ValueError):
         rosette_from_pair(geom, geom.ovoids[c], geom.ovoids[d])
+
+
+def test_grouping_rejects_a_broken_tangency_class(geom_q4):
+    geom = copy.copy(geom_q4)
+    a, b = geom.rosettes[0].members[:2]
+    geom.adjacency = geom_q4.adjacency.copy()
+    geom.tangency_point = geom_q4.tangency_point.copy()
+    geom.adjacency[[a, b], [b, a]] = False
+    geom.tangency_point[[a, b], [b, a]] = -1
+    with pytest.raises(AssertionError, match="not an equivalence"):
+        _build_rosettes(geom)
 
 
 @pytest.mark.parametrize("name", ["geom_q2", "geom_q4"])

@@ -89,16 +89,24 @@ def test_lines_match_line_points_oracle(request, name):
 
 
 def test_construction_makes_no_line_points_call(monkeypatch):
-    calls = []
+    """The q = 4 model and geometry make no line_points call and one
+    null_space call, for the nucleus."""
+    calls = {"line_points": 0, "null_space": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return line_points(*args)
+    def counting(name):
+        real = getattr(projgeom, name)
 
-    for mod in (projgeom, quadric, ovoid, covering):
-        monkeypatch.setattr(mod, "line_points", counted, raising=False)
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        wrapper = counting(name)
+        for mod in (projgeom, quadric, ovoid, covering):
+            monkeypatch.setattr(mod, name, wrapper, raising=False)
     build_geometry(build_model(FieldCtx(2)))
-    assert calls == []
+    assert calls == {"line_points": 0, "null_space": 1}
 
 
 def test_nucleus_properties(model_q2, model_q4, model_q8):
