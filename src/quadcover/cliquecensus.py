@@ -9,6 +9,14 @@ non-linear triangle grows to exactly q+1 four-cliques, each non-linear
 four-clique to exactly two five-cliques and one six-clique when the field
 degree is odd, and to none when it is even) are verified on that split.
 
+Edges are processed in batches.  For each edge the adjacency among its q^2
+non-linear completions is packed into one uint64 per completion (q^2 <= 64 for
+every buildable field), bit z of word w set when completions w and z are
+tangent.  A word's popcount is the triangle's 4-clique count; the adjacent
+pairs w < z are read off the words lowest bit first; the popcount of
+P[w] & P[z] is the 4-clique's 5-extension count, and its two set bits y1 < y2
+give a 6-clique exactly when bit y2 of P[y1] is set.
+
 The maximal-size spectrum follows from the same data: pencils are maximal
 exactly when their members have no common neighbour, non-linear cliques stop
 growing exactly where the extension counts say they do, and a clique of seven
@@ -166,6 +174,35 @@ class SplitMix64:
 # -- census --------------------------------------------------------------------
 
 
+def pack_rows(S: np.ndarray) -> np.ndarray:
+    """One uint64 per row of a boolean array with at most 64 columns: bit j
+    of word [..., i] is S[..., i, j]."""
+    packed = np.packbits(S, axis=-1, bitorder="little")
+    words = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view("<u8")[..., 0]
+
+
+def lowest_set_bits(x: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k lowest set bits of each uint64 word, ascending,
+    along a new last axis.  A word with fewer than k set bits is padded with
+    the sentinel 64: the lowest set bit of an exhausted word is 0, and 0 - 1
+    has 64 set bits."""
+    x = x.copy()
+    out = np.empty(x.shape + (k,), dtype=np.uint8)
+    one = np.uint64(1)
+    for r in range(k):
+        low = x & (~x + one)
+        out[..., r] = np.bitwise_count(low - one)
+        x ^= low
+    return out
+
+
+def _values(x: np.ndarray) -> List[int]:
+    """The distinct values of an array of small non-negative integers."""
+    return np.flatnonzero(np.bincount(x.ravel())).tolist()
+
+
 @dataclass(eq=False)
 class CensusReport:
     q: int
@@ -227,7 +264,8 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
     every edge is processed and the totals are exact enumerated counts; in
     sampled mode a seeded subset of edges is processed and only the per-edge
     laws are checked.  collect=True additionally gathers the vertex arrays of
-    all non-linear triangles and 4-cliques (full mode).
+    the non-linear triangles and 4-cliques through the processed edges, each
+    once in full mode.
     """
     model = gx.model
     q = model.ctx.q
@@ -270,17 +308,16 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         B = len(sel)
         a, b = iu[sel], ju[sel]
         C = A[a] & A[b]
-        t_ab = tp[a, b]
-        eq_both = (tp[a] == t_ab[:, None]) & (tp[b] == t_ab[:, None])
-        Rm = C & eq_both
-        Wm = C & ~eq_both
         if not (C.sum(axis=1) == lam).all():
             raise AssertionError("common neighbour count differs from lambda")
-        if not (Rm.sum(axis=1) == n_r).all():
+        Ci = np.nonzero(C)[1].reshape(B, lam)
+        t_ab = tp[a, b][:, None]
+        on_pencil = (tp[a[:, None], Ci] == t_ab) & (tp[b[:, None], Ci] == t_ab)
+        if not (on_pencil.sum(axis=1) == n_r).all():
             raise AssertionError("pencil completion count differs from q-2")
-        Wi = np.nonzero(Wm)[1].reshape(B, n_nl)
+        Wi = Ci[~on_pencil].reshape(B, n_nl)
         if n_r:
-            Ri = np.nonzero(Rm)[1].reshape(B, n_r)
+            Ri = Ci[on_pencil].reshape(B, n_r)
             cross = A[Ri[:, :, None], Wi[:, None, :]]
             if cross.any():
                 no_mixed = False
@@ -291,31 +328,34 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         tot_lin3 += B * n_r
         tot_nl3 += B * n_nl
 
-        S = A[Wi[:, :, None], Wi[:, None, :]]
-        rows = S.sum(axis=2)
-        obs_3to4.update(int(x) for x in np.unique(rows))
+        # P[e, i] holds row i of the completion adjacency S = A[Wi][:, Wi]
+        P = pack_rows(A[Wi[:, :, None], Wi[:, None, :]])
+        rows = np.bitwise_count(P)
+        obs_3to4.update(_values(rows))
         if not (rows == q + 1).all() and counterexample is None:
             eb, ei = np.argwhere(rows != q + 1)[0]
             counterexample = {"kind": "triangle_extension",
                               "triangle": [int(a[eb]), int(b[eb]), int(Wi[eb, ei])],
                               "got": int(rows[eb, ei])}
-        tot_pairs4 += int(S.sum()) // 2
+        tot_pairs4 += int(rows.sum()) // 2
 
         if collect:
             rsel, csel = np.nonzero(Wi > b[:, None])
             tris.append(np.stack([a[rsel], b[rsel], Wi[rsel, csel]], axis=1))
 
-        triu_s = np.triu(S, 1)
-        bb, ww, zz = np.nonzero(triu_s)
+        # adjacent completion pairs w < z in row-major order, as nonzero(triu(S))
+        # lists them; an exhausted row's sentinel 64 is never below n_nl
+        Z = lowest_set_bits(P, int(rows.max()))
+        bb, ww, rr = np.nonzero((Z > np.arange(n_nl)[:, None]) & (Z < n_nl))
         if len(bb) != B * s_edges:
             raise AssertionError("adjacent-pair count among completions not uniform")
+        zz = Z[bb, ww, rr].reshape(B, s_edges)
         ww = ww.reshape(B, s_edges)
-        zz = zz.reshape(B, s_edges)
-        b_ix = np.arange(B)[:, None, None]
-        v_ix = np.arange(n_nl)[None, :, None]
-        F = S[b_ix, v_ix, ww[:, None, :]] & S[b_ix, v_ix, zz[:, None, :]]
-        col = F.sum(axis=1)       # 5-extension count of each 4-clique
-        obs_4to5.update(int(x) for x in np.unique(col))
+        Pf = P.ravel()
+        row0 = (np.arange(B) * n_nl)[:, None]
+        X = Pf[row0 + ww] & Pf[row0 + zz]   # completions adjacent to w and z
+        col = np.bitwise_count(X)           # 5-extension count of each 4-clique
+        obs_4to5.update(_values(col))
         want5 = 2 if n_odd else 0
         if not (col == want5).all() and counterexample is None:
             eb, ei = np.argwhere(col != want5)[0]
@@ -336,13 +376,13 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         if not n_odd:
             obs_4to6.add(0)
             continue
-        Ft = F.transpose(0, 2, 1)
-        fb, fe, fv = np.nonzero(Ft)
-        if len(fb) != B * s_edges * 2:
+        if (col != 2).any():
             raise AssertionError("five-extension support is not two vertices each")
-        ys = fv.reshape(B, s_edges, 2)
-        six = S[np.arange(B)[:, None], ys[:, :, 0], ys[:, :, 1]]
-        obs_4to6.update(int(x) for x in np.unique(six.astype(np.int64)))
+        # X has bits y1 < y2 and row y1 has no bit y1 (A has no loops), so
+        # P[y1] & X is nonzero exactly when y1 and y2 are adjacent
+        y1 = lowest_set_bits(X, 1)[..., 0]
+        six = (Pf[row0 + y1] & X) != 0
+        obs_4to6.update(_values(six))
         if not six.all() and counterexample is None:
             eb, ei = np.argwhere(~six)[0]
             counterexample = {"kind": "four_clique_six_extension",

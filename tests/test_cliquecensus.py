@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from census_oracle import boolean_census
 from quadcover.cliquecensus import (
     bk_neighborhood_spectrum,
     bk_spectrum,
@@ -14,7 +15,9 @@ from quadcover.cliquecensus import (
     formula_n5,
     formula_n6,
     formula_srg_params,
+    lowest_set_bits,
     maximal_cliques,
+    pack_rows,
     rosette_maximality,
     verify_srg,
 )
@@ -190,6 +193,48 @@ def test_sampled_census_q8(census_q8_sampled):
     assert rep.mode == "sampled" and rep.ok
     assert rep.counterexample is None
     assert rep.extension_counts == {"3to4": [9], "4to5": [2], "4to6": [1]}
+
+
+def _assert_same_census(rep, ref):
+    assert rep.to_dict() == ref.to_dict()
+    for got, want in ((rep.triangles, ref.triangles), (rep.cliques4, ref.cliques4)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)  # row for row, same order
+
+
+@pytest.mark.parametrize("cname,gname,tname", [("census_q2", "geom_q2", "tg_q2"),
+                                               ("census_q4", "geom_q4", "tg_q4")])
+def test_full_census_matches_boolean_oracle(request, cname, gname, tname):
+    ref = boolean_census(request.getfixturevalue(tname),
+                         request.getfixturevalue(gname), collect=True)
+    _assert_same_census(request.getfixturevalue(cname), ref)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sampled_q8_census_matches_boolean_oracle(tg_q8, geom_q8, census_q8_sampled, seed):
+    kw = dict(mode="sampled", seed=seed, n_samples=4000, collect=True)
+    rep = census_q8_sampled if seed == 1 else census(tg_q8, geom_q8, **kw)
+    _assert_same_census(rep, boolean_census(tg_q8, geom_q8, **kw))
+
+
+def test_lowest_set_bits_against_nonzero():
+    rng = np.random.default_rng(6)
+    bits = rng.random((300, 64)) < rng.random((300, 1))   # densities 0..1
+    bits[:40, 63] = True                                   # q = 8 uses column 63
+    bits[40] = True                                        # all ones
+    bits[41] = False                                       # exhausted from the start
+    bits[42] = np.arange(64) == 63                         # only the top bit
+    for w in (4, 16, 64):                                  # row widths at q = 2, 4, 8
+        words = pack_rows(bits[:, :w])
+        assert words.dtype == np.uint64 and words.shape == (300,)
+        np.testing.assert_array_equal(np.bitwise_count(words), bits[:, :w].sum(axis=1))
+        pos = lowest_set_bits(words, w + 1)
+        for row, p in zip(bits[:, :w], pos):
+            c = row.sum()
+            np.testing.assert_array_equal(p[:c], np.nonzero(row)[0])
+            assert (p[c:] == 64).all()   # the sentinel fills only exhausted slots
+            # census keeps positions below the row width: exactly the set bits
+            np.testing.assert_array_equal(p[p < w], np.nonzero(row)[0])
 
 
 def test_census_input_validation(tg_q2, geom_q2):
