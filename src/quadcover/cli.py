@@ -20,9 +20,6 @@ Exit status: 0 all checks pass, 1 a check failed, 2 bad configuration.
 Every command runs on one `Run`: its stages (model, ovoid geometry, covering)
 are built on first use and timed once each, so a command only adds its check
 rows and payload.
-
-Heavy imports happen after argument parsing so that ``--threads`` can cap
-BLAS pools through the environment before numpy loads.
 """
 
 from __future__ import annotations
@@ -38,9 +35,6 @@ from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 SCHEMA_VERSION = 1
-
-_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 @dataclass
@@ -232,16 +226,13 @@ def cmd_verify_covering(run: Run, args) -> dict:
 def cmd_verify_semipartial(run: Run, args) -> dict:
     from .ovoid import export_incidence_csv, verify_common_tangent_counts, verify_semipartial
 
-    cfg, gx = run.cfg, run.gx
+    gx = run.gx
     with run.timed("verify"):
-        rep = verify_semipartial(gx, sample=cfg.samples, seed=cfg.seed)
-        tangents = verify_common_tangent_counts(gx) if gx.model.ctx.q <= 4 else None
-    payload = {"semipartial": rep, "checks": [
-        _bool_check("semipartial_axioms", rep["pass"], "enumeration")]}
-    if tangents is not None:
-        payload["checks"].append(_bool_check("common_tangent_counts", tangents["pass"],
-                                             "enumeration"))
-        payload["common_tangents"] = tangents
+        rep = verify_semipartial(gx)
+        tangents = verify_common_tangent_counts(gx)
+    payload = {"semipartial": rep, "common_tangents": tangents, "checks": [
+        _bool_check("semipartial_axioms", rep["pass"], "enumeration"),
+        _bool_check("common_tangent_counts", tangents["pass"], "enumeration")]}
     if args.export_incidence:
         export_incidence_csv(gx, args.export_incidence)
         payload["exports"] = {"incidence_csv": args.export_incidence}
@@ -345,16 +336,19 @@ def cmd_figures_verify(run: Run, args) -> dict:
         sel4 = rng.choice(len(rep.cliques4), size=n_cube, replace=False)
         want_decades = 2 if cfg.n % 2 == 1 else 0
         cube_ok = parity_ok = True
+        n_decades = set()
         for k in sel4:
             cubef = lift_clique_to_figure(cov, tuple(int(x) for x in rep.cliques4[k]))
             ext = extend_cube(model, cubef)
             brute = extend_cube_bruteforce(model, cubef)
             cube_ok &= ({d.key() for d in ext["decades"]}
                         == {d.key() for d in brute["decades"]})
+            n_decades.add(len(ext["decades"]))
             parity_ok &= len(ext["decades"]) == want_decades
             parity_ok &= (ext["dodecade"] is not None) == (want_decades > 0)
         checks.append(_bool_check("cube_solver_matches_bruteforce", cube_ok, "oracle"))
-        checks.append(_check("decades_per_cube", want_decades, len(ext["decades"]), "formula"))
+        checks.append(_check("decades_per_cube", [want_decades], sorted(n_decades),
+                             "formula"))
         checks.append(_bool_check("fifth_pair_parity_law", parity_ok, "formula"))
 
     if q <= 4:  # the exhaustive count is out of reach above q = 4
@@ -426,8 +420,6 @@ _COMMANDS = {
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS thread pools")
     p.add_argument("--out", type=str, default=None,
                    help="write the JSON report here instead of stdout")
 
@@ -438,9 +430,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="irreducible modulus as a binary literal, e.g. 1011")
     p.add_argument("--lambda", dest="lam", type=int,
                    help="quadric form parameter override (trace-one element)")
+    _add_output_flags(p)
+
+
+def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="PRNG seed")
     p.add_argument("--samples", type=int, help="sample count for sampled checks")
-    _add_output_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("census", help="clique census")
     _add_model_flags(p)
+    _add_sampling_flags(p)
     p.add_argument("--mode", choices=("full", "sampled"))
     p.add_argument("--export-edges", type=str, default=None,
                    help="CSV dump of tangency edges")
@@ -479,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("figures", help="figure solver cross-checks")
     p.add_argument("what", choices=("verify",))
     _add_model_flags(p)
+    _add_sampling_flags(p)
 
     p = add("subgeometry", help="binary closure of a lifted clique")
     _add_model_flags(p)
@@ -515,13 +512,6 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be positive", file=sys.stderr)
-            return 2
-        for var in _THREAD_ENV:
-            os.environ[var] = str(args.threads)
-
     try:
         cfg = _config_from_args(args)
         run = Run(cfg)

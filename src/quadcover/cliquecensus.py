@@ -33,7 +33,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .ovoid import OvoidGeometry
+from .ovoid import OvoidGeometry, pencil_counts
 
 MASK64 = (1 << 64) - 1
 BATCH = 512                       # edges per vectorised census step
@@ -90,12 +90,16 @@ def verify_srg(A: np.ndarray) -> dict:
     n = len(A)
     deg = A.sum(axis=1)
     k = int(deg[0])
+    # C stays float32 (exact below 2^24) and the diagonal is cleared in
+    # place: at q = 8, larger temporaries here stayed resident in the heap
+    # after the call and raised the peak of the next large allocation
     af = A.astype(np.float32)
-    C = (af @ af).astype(np.int64)
-    off = ~np.eye(n, dtype=bool)
-    lam_vals = np.unique(C[A])
-    nonadj = off & ~A
-    mu_vals = np.unique(C[nonadj]) if nonadj.any() else np.array([], dtype=np.int64)
+    C = af @ af
+    del af
+    lam_vals = np.unique(C[A]).astype(np.int64)
+    nonadj = ~A
+    np.fill_diagonal(nonadj, False)
+    mu_vals = np.unique(C[nonadj]).astype(np.int64)
     regular = bool((deg == k).all())
     lam_ok = len(lam_vals) == 1
     mu_vacuous = not nonadj.any()
@@ -244,13 +248,11 @@ class CensusReport:
 
 
 def rosette_maximality(A: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]:
-    """(number of pencils that are maximal cliques, total pencils)."""
-    n_max = 0
-    for r in gx.rosettes:
-        common = A[list(r.members)].all(axis=0)
-        common[list(r.members)] = False
-        if not common.any():
-            n_max += 1
+    """(number of pencils that are maximal cliques, total pencils).  A member
+    of a pencil is tangent to at most the other q-1 members, so a pencil is
+    maximal exactly when no ovoid is tangent to all q of them."""
+    q = gx.model.ctx.q
+    n_max = sum(int((C != q).all(axis=1).sum()) for _, _, C in pencil_counts(gx, A))
     return n_max, len(gx.rosettes)
 
 

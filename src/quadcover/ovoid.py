@@ -9,13 +9,18 @@ rosettes) are the lines of a semipartial geometry with parameters
 
 All pairwise intersection sizes are computed with one integer matrix product
 over the membership matrix, and the common point of each tangent pair drops
-out of a second, position-weighted product.
+out of a second, position-weighted product.  The structural laws are checked
+exhaustively, one section point at a time.  Summing the tangency rows of the
+members of each pencil based at the point counts, for every ovoid, the
+members tangent to it (semipartial and maximality laws); with T the ovoids
+through the point, A[T][:, T].T @ A[T] counts the common tangents through it
+of every ovoid pair with one member in T (common-tangent law).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -284,73 +289,66 @@ def tangent_plane(geom: OvoidGeometry, r: Rosette) -> Subspace:
 # -- semipartial geometry and common-tangent laws ------------------------------
 
 
-def verify_semipartial(geom: OvoidGeometry, sample: Optional[int] = None,
-                       seed: int = 0) -> dict:
+def pencil_counts(geom: OvoidGeometry,
+                  A: np.ndarray) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
+    """Per section point: the ids of the pencils based there, their members
+    (one row of q sorted ovoid ids per pencil), and C, where C[j, v] is the
+    number of members of pencil j tangent to ovoid v under the tangency
+    matrix A: the sum of the members' rows of A."""
+    for rids in geom.rosettes_at:
+        members = np.array([geom.rosettes[r].members for r in rids])
+        yield rids, members, A[members].sum(axis=1, dtype=np.uint8)
+
+
+def verify_semipartial(geom: OvoidGeometry) -> dict:
     """Check the semipartial axioms: line size q, point degree q^2+1, and for
     every non-incident (ovoid, pencil) pair either 0 or exactly 2 members
-    tangent to the ovoid.  Exhaustive by default; sampled over pairs if asked."""
+    tangent to the ovoid.  Each member must be tangent to the other q-1
+    members; a member that is not fails with reason "member degree"."""
     q = geom.model.ctx.q
     if any(len(r) != q for r in geom.rosettes):
         return {"pass": False, "reason": "line size"}
     if any(len(t) != q * q + 1 for t in geom.incidence):
         return {"pass": False, "reason": "point degree"}
-    rng = np.random.default_rng(seed)
-    n_r = len(geom.rosettes)
-    if sample is None:
-        rosette_ids = range(n_r)
-    else:
-        rosette_ids = [int(i) for i in rng.integers(0, n_r, size=max(1, sample // geom.n_ovoids))]
     checked = 0
-    for rid in rosette_ids:
-        r = geom.rosettes[rid]
-        members = np.array(r.members)
-        counts = geom.adjacency[members].sum(axis=0)
-        counts[members] = 0
-        if not np.isin(counts[np.setdiff1d(np.arange(geom.n_ovoids), members)], (0, 2)).all():
-            return {"pass": False, "reason": "alpha condition", "rosette": rid}
-        checked += geom.n_ovoids - q
-    return {"pass": True, "pairs_checked": checked,
-            "mode": "full" if sample is None else "sampled"}
-
-
-def common_tangents_through(geom: OvoidGeometry, a: int, b: int, x: int) -> List[int]:
-    """Ovoid ids through section point x tangent to both ovoids a and b."""
-    k = geom.model.section_index[x]
-    out = []
-    for oid in geom.through[k]:
-        oid = int(oid)
-        if oid in (a, b):
-            continue
-        if geom.adjacency[oid, a] and geom.adjacency[oid, b]:
-            out.append(oid)
-    return out
+    for rids, members, C in pencil_counts(geom, geom.adjacency):
+        rows = np.arange(len(rids))[:, None]
+        bad = (C != 0) & (C != 2)
+        bad[rows, members] = C[rows, members] != q - 1
+        if bad.any():
+            j, v = (int(i) for i in np.argwhere(bad)[0])
+            reason = "member degree" if v in members[j] else "alpha condition"
+            return {"pass": False, "reason": reason, "rosette": rids[j], "ovoid": v}
+        checked += C.size - members.size
+    return {"pass": True, "pairs_checked": checked}
 
 
 def verify_common_tangent_counts(geom: OvoidGeometry) -> dict:
-    """Exhaustive law check over all ovoid pairs: through a point of exactly one
-    of two tangent ovoids there is a unique common tangent ovoid; for a conic
-    pair there are two through an outside point and none through a common one."""
-    n = geom.n_ovoids
+    """Exhaustive law check over all ordered ovoid pairs (a, b) and points x
+    of a: through x there is a unique ovoid tangent to both when a, b are
+    tangent and x is not on b, two when they meet in a conic and x is not on
+    b, and none when they meet in a conic through x.
+
+    At each point x, with T the ovoids through x, N = A[T][:, T].T @ A[T]
+    counts for every a in T and every ovoid b the ovoids through x tangent
+    to both (neither a nor b, as no ovoid is tangent to itself)."""
+    A = geom.adjacency
+    sect = geom.model.section_points
     checked = 0
-    for a in range(n):
-        pa = set(geom.ovoids[a].points)
-        for b in range(a + 1, n):
-            pb = set(geom.ovoids[b].points)
-            tangent = bool(geom.adjacency[a, b])
-            for x in sorted(pa - pb):
-                want = 1 if tangent else 2
-                got = len(common_tangents_through(geom, a, b, x))
-                if got != want:
-                    return {"pass": False, "pair": (a, b), "point": x,
-                            "expected": want, "got": got}
-                checked += 1
-            if not tangent:
-                for x in sorted(pa & pb):
-                    got = len(common_tangents_through(geom, a, b, x))
-                    if got != 0:
-                        return {"pass": False, "pair": (a, b), "point": x,
-                                "expected": 0, "got": got}
-                    checked += 1
+    for k, T in enumerate(geom.through):
+        AT = A[T]
+        Af = AT.astype(np.float32)
+        N = Af[:, T].T @ Af
+        want = np.where(AT, 1, 2).astype(np.int8)
+        # b through x: only conic pairs have a law, and it is 0
+        want[:, T] = np.where(AT[:, T] | np.eye(len(T), dtype=bool), -1, 0)
+        law = want >= 0
+        bad = law & (N != want)
+        if bad.any():
+            i, b = np.argwhere(bad)[0]
+            return {"pass": False, "pair": (int(T[i]), int(b)), "point": sect[k],
+                    "expected": int(want[i, b]), "got": int(N[i, b])}
+        checked += int(law.sum())
     return {"pass": True, "cases_checked": checked}
 
 

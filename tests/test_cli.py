@@ -182,6 +182,8 @@ def test_figures_verify_command(tmp_path):
             "fifth_pair_parity_law", "quadrangle_count"} == names
     assert all(c["pass"] for c in data["checks"])
     assert data["samples"]["hexagons"] == 20
+    by_name = {c["name"]: c for c in data["checks"]}
+    assert by_name["decades_per_cube"]["actual"] == [2]   # over every sampled cube
 
 
 def test_figures_verify_q8_reports_only_checks_that_ran(tmp_path):
@@ -193,6 +195,7 @@ def test_figures_verify_q8_reports_only_checks_that_ran(tmp_path):
     names = {c["name"] for c in data["checks"]}
     assert not any(name.startswith("quadrangle_count") for name in names)
     assert all(c["pass"] for c in data["checks"])
+    assert {c["name"]: c for c in data["checks"]}["decades_per_cube"]["actual"] == [2]
 
 
 def test_counts_command(tmp_path):
@@ -223,7 +226,7 @@ def test_out_dir_environment(tmp_path, monkeypatch):
     ["build", "--n", "0"],
     ["build", "--n", "17"],
     ["build", "--modulus", "1021", "--n", "1"],
-    ["census", "--n", "2", "--threads", "0"],
+    ["subgeometry", "--n", "1", "--clique", "0,1,2", "--extend-dodecade"],
     ["lift", "--n", "2", "--clique", "1,2"],
     ["lift", "--n", "2", "--clique", "1,2,3,4,5"],
     ["counts", "--n-max", "12"],
@@ -238,3 +241,10 @@ def test_out_dir_environment(tmp_path, monkeypatch):
 def test_bad_configurations_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sampling_flags_only_where_read():
+    # verify, build, lift and subgeometry read no seed or sample count
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "semipartial", "--n", "1", "--samples", "5"])
+    assert exc.value.code == 2

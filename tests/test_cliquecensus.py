@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from census_oracle import boolean_census
+from ovoid_oracle import loop_rosette_maximality
 from quadcover.cliquecensus import (
+    SplitMix64,
     bk_neighborhood_spectrum,
     bk_spectrum,
     census,
@@ -244,9 +246,41 @@ def test_census_input_validation(tg_q2, geom_q2):
         census(tg_q2, geom_q2, mode="everything")
 
 
-def test_rosette_maximality(tg_q2, geom_q2, tg_q4, geom_q4):
+def test_rosette_maximality(tg_q2, geom_q2, tg_q4, geom_q4, tg_q8, geom_q8):
     assert rosette_maximality(tg_q2, geom_q2) == (0, 15)
     assert rosette_maximality(tg_q4, geom_q4) == (510, 510)
+    assert rosette_maximality(tg_q8, geom_q8) == (16380, 16380)
+
+
+def test_rosette_maximality_matches_pencil_loop(tg_q2, geom_q2, tg_q4, geom_q4):
+    for A, gx in ((tg_q2, geom_q2), (tg_q4, geom_q4)):
+        assert rosette_maximality(A, gx) == loop_rosette_maximality(A, gx)
+
+
+def test_census_raises_on_a_cleared_tangent_pair(tg_q4, geom_q4):
+    A = tg_q4.copy()
+    a, b = geom_q4.rosettes[0].members[:2]
+    A[[a, b], [b, a]] = False
+    with pytest.raises(AssertionError, match="common neighbour count differs from lambda"):
+        census(A, geom_q4)
+
+
+def test_census_reports_a_mixed_four_clique(tg_q4, geom_q4):
+    # join a pencil completion r of the first edge (a, b) to a non-linear
+    # completion w of it: {a, b, r, w} becomes a clique that is neither
+    tp = geom_q4.tangency_point
+    iu, ju = np.nonzero(np.triu(tg_q4, 1))
+    a, b = int(iu[0]), int(ju[0])
+    common = np.flatnonzero(tg_q4[a] & tg_q4[b])
+    on_pencil = (tp[a, common] == tp[a, b]) & (tp[b, common] == tp[a, b])
+    r, w = int(common[on_pencil][0]), int(common[~on_pencil][0])
+    A = tg_q4.copy()
+    A[[r, w], [w, r]] = True
+    # (a, b) is still edge 0, and seed 1288 draws it first
+    assert SplitMix64(1288).randbelow(int(np.triu(A, 1).sum())) == 0
+    rep = census(A, geom_q4, mode="sampled", seed=1288, n_samples=1)
+    assert not rep.ok
+    assert rep.counterexample == {"kind": "mixed_4_clique", "vertices": [a, b, r, w]}
 
 
 def test_maximal_cliques_on_small_graphs():

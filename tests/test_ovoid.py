@@ -6,9 +6,9 @@ import csv
 import numpy as np
 import pytest
 
+from ovoid_oracle import common_tangents_through, loop_common_tangent_counts, loop_semipartial
 from quadcover.ovoid import (
     _build_rosettes,
-    common_tangents_through,
     export_incidence_csv,
     intersection_kind,
     rosette_from_pair,
@@ -141,27 +141,89 @@ def test_grouping_rejects_a_broken_tangency_class(geom_q4):
         _build_rosettes(geom)
 
 
-@pytest.mark.parametrize("name", ["geom_q2", "geom_q4"])
+@pytest.fixture(scope="module", params=["cleared_first", "cleared_last", "added"])
+def geom_q4_broken(request, geom_q4):
+    """The q = 4 geometry with one tangency flipped: a tangent pair of the
+    first or the last pencil made non-tangent, or a conic pair made tangent.
+    Returns (flip, geometry)."""
+    geom = copy.copy(geom_q4)
+    flip = request.param
+    if flip == "added":
+        a = geom.rosettes[0].members[0]
+        b = int(np.flatnonzero(geom.inter_count[a] == geom.model.ctx.q + 1)[0])
+    else:
+        a, b = geom.rosettes[0 if flip == "cleared_first" else -1].members[:2]
+    geom.adjacency = geom_q4.adjacency.copy()
+    geom.adjacency[[a, b], [b, a]] = flip == "added"
+    return flip, geom
+
+
+# non-incident (ovoid, pencil) pairs: pencils times (ovoids - q)
+SEMIPARTIAL_PAIRS = {"geom_q2": 15 * 4, "geom_q4": 510 * 116, "geom_q8": 32_891_040}
+
+
+@pytest.mark.parametrize("name", ["geom_q2", "geom_q4", "geom_q8"])
 def test_semipartial_axioms_hold_exhaustively(request, name):
     rep = verify_semipartial(request.getfixturevalue(name))
-    assert rep["pass"]
-    assert rep["mode"] == "full"
+    assert rep == {"pass": True, "pairs_checked": SEMIPARTIAL_PAIRS[name]}
 
 
-def test_semipartial_sampled_mode(geom_q8):
-    geom = geom_q8
-    rep = verify_semipartial(geom, sample=20000, seed=2)
-    assert rep["pass"]
-    assert rep["mode"] == "sampled"
-    # whole pencils are sampled, n_ovoids - q non-member pairs per pencil
-    n, q = geom.n_ovoids, geom.model.ctx.q
-    assert rep["pairs_checked"] == (20000 // n) * (n - q)
+@pytest.mark.parametrize("name", ["geom_q2", "geom_q4"])
+def test_semipartial_matches_pencil_loop(request, name):
+    geom = request.getfixturevalue(name)
+    assert verify_semipartial(geom) == loop_semipartial(geom)
 
 
-def test_common_tangent_laws_exhaustive(geom_q2):
-    rep = verify_common_tangent_counts(geom_q2)
-    assert rep["pass"]
-    assert rep["cases_checked"] > 0
+def test_semipartial_names_a_violating_pair(geom_q4_broken):
+    flip, geom = geom_q4_broken
+    q = geom.model.ctx.q
+    rep = verify_semipartial(geom)
+    assert not rep["pass"]
+    members = list(geom.rosettes[rep["rosette"]].members)
+    v = rep["ovoid"]
+    seen = int(geom.adjacency[v, members].sum())   # recount from the table
+    if flip == "cleared_first":
+        # pencil 0 comes first, and its two members lost a tangent
+        assert rep["reason"] == "member degree" and rep["rosette"] == 0
+        assert v in members and seen == q - 2
+    else:
+        # members are intact up to the first failing pencil, which is the loop's
+        assert rep["reason"] == "alpha condition" and v not in members
+        assert seen not in (0, 2)
+        assert rep["rosette"] == loop_semipartial(geom)["rosette"]
+
+
+def test_common_tangent_laws_exhaustive(geom_q2, geom_q4, geom_q8):
+    # ordered (pair, point) cases: twice the unordered cases of the scalar loop
+    for geom, cases in ((geom_q2, 120), (geom_q4, 236_640), (geom_q8, 263_128_320)):
+        assert verify_common_tangent_counts(geom) == {"pass": True, "cases_checked": cases}
+
+
+@pytest.mark.parametrize("name", ["geom_q2", "geom_q4"])
+def test_common_tangent_laws_match_scalar_loop(request, name):
+    geom = request.getfixturevalue(name)
+    rep, oracle = verify_common_tangent_counts(geom), loop_common_tangent_counts(geom)
+    assert rep["pass"] and oracle["pass"]
+    assert rep["cases_checked"] == 2 * oracle["cases_checked"]
+
+
+def test_common_tangent_law_names_a_violating_case(geom_q4_broken):
+    _, geom = geom_q4_broken
+    rep = verify_common_tangent_counts(geom)
+    assert not rep["pass"]
+    (a, b), x = rep["pair"], rep["point"]
+    pa, pb = set(geom.ovoids[a].points), set(geom.ovoids[b].points)
+    assert x in pa
+    if x in pb:
+        assert not geom.adjacency[a, b]
+        want = 0
+    else:
+        want = 1 if geom.adjacency[a, b] else 2
+    # recount from the table: ovoids through x tangent to both
+    got = sum(1 for c in range(geom.n_ovoids) if x in geom.ovoids[c].points
+              and geom.adjacency[c, a] and geom.adjacency[c, b])
+    assert (rep["expected"], rep["got"]) == (want, got)
+    assert got != want
 
 
 def test_common_tangents_through_sampled(geom_q4):
