@@ -6,7 +6,7 @@ from .gf2n import FieldCtx, conic_solution_set, solve_artin_schreier, trace
 from .projgeom import PointTable, Subspace
 from .quadric import QuadricModel, build_model
 from .ovoid import Ovoid, OvoidGeometry, Rosette, build_geometry
-from .covering import AffineQuadrangle, CoveringMap, build_affine, canonical_covering
+from .covering import CoveringMap, canonical_covering
 from .cliquecensus import CensusReport, build_tangency_graph, census
 from .figures import CentricFigure, CubeParams, lift_clique_to_figure
 from .subf2 import F2Span, SubgeometryReport, closure_report, f2_closure
@@ -17,7 +17,7 @@ __all__ = [
     "FieldCtx", "conic_solution_set", "solve_artin_schreier",
     "trace", "PointTable", "Subspace", "QuadricModel",
     "build_model", "Ovoid", "OvoidGeometry", "Rosette", "build_geometry",
-    "AffineQuadrangle", "CoveringMap", "build_affine", "canonical_covering",
+    "CoveringMap", "canonical_covering",
     "CensusReport", "build_tangency_graph", "census",
     "CentricFigure", "CubeParams", "lift_clique_to_figure", "F2Span",
     "SubgeometryReport", "closure_report", "f2_closure", "__version__",

@@ -12,8 +12,7 @@ and the quotient by orbits reproduces the ovoid geometry on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -22,80 +21,53 @@ from .quadric import QuadricModel
 
 
 @dataclass(eq=False)
-class AffineQuadrangle:
-    """Points and punctured lines of the quadric away from the hyperplane.
+class CoveringMap:
+    """The canonical 2-fold covering onto the ovoid geometry, over index arrays.
 
-    points: affine quadric point indices (sorted).
-    lines: per affine line, (tuple of its q affine points, infinity point).
-    pencils: per affine point index, list of affine line ids through it.
-    adjacency: collinearity matrix over dense affine indices.
+    point_image: quadric point index -> ovoid id (-1 off the affine points).
+    point_fiber: (ovoids, 2) array, the elation orbit over each ovoid.
+    lines: (L, q) array, the affine points of each punctured line, ascending.
+    infinity: (L,) array, the section point each punctured line lost.
+    line_image: (L,) array, the pencil (rosette) id of each punctured line.
     """
 
     model: QuadricModel
-    points: List[int]
-    lines: List[Tuple[Tuple[int, ...], int]]
-    pencils: Dict[int, List[int]]
-    adjacency: np.ndarray
-
-    @property
-    def n_points(self) -> int:
-        return len(self.points)
-
-
-@dataclass(eq=False)
-class CoveringMap:
-    """The canonical 2-fold covering onto the ovoid geometry, with its fibers."""
-
-    affine: AffineQuadrangle
     geom: OvoidGeometry
-    point_image: np.ndarray                 # quadric point index -> ovoid id (-1 off P̂)
-    line_image: np.ndarray                  # affine line id -> rosette id
-    point_fiber: List[Tuple[int, int]]      # ovoid id -> pair of affine point indices
-    line_fiber: List[Tuple[int, int]]       # rosette id -> pair of affine line ids
-
-    @cached_property
-    def fiber_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense affine indices of the first and of the second fiber points."""
-        aidx = self.affine.model.affine_index
-        return (np.array([aidx[f[0]] for f in self.point_fiber]),
-                np.array([aidx[f[1]] for f in self.point_fiber]))
+    point_image: np.ndarray
+    point_fiber: np.ndarray
+    lines: np.ndarray
+    infinity: np.ndarray
+    line_image: np.ndarray
 
 
-def build_affine(model: QuadricModel) -> AffineQuadrangle:
-    """Split the model's lines along the hyperplane and keep the punctured ones."""
-    q = model.ctx.q
-    lines: List[Tuple[Tuple[int, ...], int]] = []
-    for ln in model.lines:
-        inf = [p for p in ln if model.in_section[p]]
-        if len(inf) == q + 1:
-            continue
-        if len(inf) != 1:
-            raise AssertionError("line meets the hyperplane section in "
-                                 f"{len(inf)} points, expected 1 or q+1")
-        lines.append((tuple(p for p in ln if not model.in_section[p]), inf[0]))
-    pencils: Dict[int, List[int]] = {p: [] for p in model.affine_points}
-    for li, (pts, _) in enumerate(lines):
-        for p in pts:
-            pencils[p].append(li)
-    if any(len(v) != q * q + 1 for v in pencils.values()):
-        raise AssertionError("some affine point is not on q^2+1 punctured lines")
-    aff = model.affine_points
-    sub = model.gram[np.ix_(aff, aff)] == 0
-    np.fill_diagonal(sub, False)
-    return AffineQuadrangle(model=model, points=list(aff), lines=lines,
-                            pencils=pencils, adjacency=sub)
+def _pencil_rows(geom: OvoidGeometry) -> np.ndarray:
+    """(pencils, q) array of the sorted member ovoids of each pencil."""
+    return np.array([r.members for r in geom.rosettes])
 
 
 def canonical_covering(model: QuadricModel, gx: OvoidGeometry) -> CoveringMap:
     """Map affine points to their perpendicular-section ovoids and punctured
-    lines to the pencils at their infinity points; collect the 2-element fibers."""
+    lines to the pencils at their infinity points, checking that every line
+    maps injectively onto a pencil and every pencil has two lines over it."""
     if gx.model is not model:
         raise ValueError("geometry was built from a different model")
-    affine = build_affine(model)
     q = model.ctx.q
 
-    point_fiber = [ov.orbit for ov in gx.ovoids]
-    orbits = np.array(point_fiber)
+    ln = np.array(model.lines)
+    on = model.in_section[ln]
+    n_inf = on.sum(axis=1)
+    if not np.isin(n_inf, (1, q + 1)).all():
+        bad = int(n_inf[~np.isin(n_inf, (1, q + 1))][0])
+        raise AssertionError("line meets the hyperplane section in "
+                             f"{bad} points, expected 1 or q+1")
+    punctured = n_inf == 1
+    infinity = ln[punctured][on[punctured]]
+    lines = ln[punctured][~on[punctured]].reshape(-1, q)
+    per_point = np.bincount(lines.ravel(), minlength=model.n_points)
+    if (per_point[model.affine_points] != q * q + 1).any():
+        raise AssertionError("some affine point is not on q^2+1 punctured lines")
+
+    orbits = np.array([ov.orbit for ov in gx.ovoids])
     # both orbit points must have the same perpendicular section
     sect = model.section_points
     if not np.array_equal(model.gram[np.ix_(orbits[:, 0], sect)] == 0,
@@ -104,29 +76,26 @@ def canonical_covering(model: QuadricModel, gx: OvoidGeometry) -> CoveringMap:
     point_image = np.full(model.n_points, -1, dtype=np.int32)
     point_image[orbits] = np.arange(len(orbits), dtype=np.int32)[:, None]
 
-    line_image = np.full(len(affine.lines), -1, dtype=np.int32)
-    line_fiber_acc: Dict[int, List[int]] = {}
-    member_lookup = {
-        (r.base, frozenset(r.members)): r.id for r in gx.rosettes
-    }
-    for li, (pts, inf) in enumerate(affine.lines):
-        images = [int(point_image[p]) for p in pts]
-        if len(set(images)) != q:
-            raise AssertionError("punctured line does not map injectively")
-        rid = member_lookup.get((inf, frozenset(images)))
-        if rid is None:
-            raise AssertionError("image of a punctured line is not a pencil "
-                                 "based at its infinity point")
-        line_image[li] = rid
-        line_fiber_acc.setdefault(rid, []).append(li)
-    if sorted(line_fiber_acc) != list(range(len(gx.rosettes))):
+    images = np.sort(point_image[lines], axis=1)
+    if (images[:, 1:] == images[:, :-1]).any():
+        raise AssertionError("punctured line does not map injectively")
+    # the pencil based at a section point that holds a given ovoid through it
+    members = _pencil_rows(gx)
+    base = np.searchsorted(sect, [r.base for r in gx.rosettes])
+    pencil_of = np.full((gx.n_ovoids, len(sect)), -1, dtype=np.int32)
+    pencil_of[members, base[:, None]] = np.arange(len(members))[:, None]
+    line_image = pencil_of[images[:, 0], np.searchsorted(sect, infinity)]
+    if ((line_image < 0) | (members[line_image] != images).any(axis=1)).any():
+        raise AssertionError("image of a punctured line is not a pencil "
+                             "based at its infinity point")
+    fiber_size = np.bincount(line_image, minlength=len(members))
+    if (fiber_size == 0).any():
         raise AssertionError("line map is not surjective onto the pencils")
-    if any(len(v) != 2 for v in line_fiber_acc.values()):
+    if (fiber_size != 2).any():
         raise AssertionError("some pencil has a line fiber of size != 2")
-    line_fiber = [tuple(sorted(line_fiber_acc[r])) for r in range(len(gx.rosettes))]
-    return CoveringMap(affine=affine, geom=gx, point_image=point_image,
-                       line_image=line_image, point_fiber=point_fiber,
-                       line_fiber=line_fiber)
+    return CoveringMap(model=model, geom=gx, point_image=point_image,
+                       point_fiber=orbits, lines=lines, infinity=infinity,
+                       line_image=line_image)
 
 
 def lift_path(cov: CoveringMap, path: Sequence[int], start: int) -> List[int]:
@@ -136,17 +105,15 @@ def lift_path(cov: CoveringMap, path: Sequence[int], start: int) -> List[int]:
     an affine point over path[0].  Each step crosses to the unique fiber point
     of the next ovoid collinear with the current point.
     """
-    geom, affine = cov.geom, cov.affine
+    geom, gram = cov.geom, cov.model.gram
     if int(cov.point_image[start]) != path[0]:
         raise ValueError("start point is not in the fiber of the first vertex")
-    aidx = affine.model.affine_index
     out = [start]
     cur = start
     for prev_ov, next_ov in zip(path, path[1:]):
         if not geom.adjacency[prev_ov, next_ov]:
             raise ValueError("consecutive path vertices are not tangent")
-        cands = [b for b in cov.point_fiber[next_ov]
-                 if affine.adjacency[aidx[cur], aidx[b]]]
+        cands = [int(b) for b in cov.point_fiber[next_ov] if gram[cur, b] == 0]
         if len(cands) != 1:
             raise AssertionError("edge does not lift uniquely")
         cur = cands[0]
@@ -154,11 +121,21 @@ def lift_path(cov: CoveringMap, path: Sequence[int], start: int) -> List[int]:
     return out
 
 
+def _as_sets(rows: np.ndarray) -> np.ndarray:
+    """Each row of non-negative entries as a set: sorted, with repeats
+    replaced by -1 and moved first, so that two rows are equal exactly when
+    their sets are."""
+    s = np.sort(rows, axis=1)
+    s[:, 1:][s[:, 1:] == s[:, :-1]] = -1
+    return np.sort(s, axis=1)
+
+
 def verify_covering(cov: CoveringMap) -> dict:
     """Re-check the covering laws from the stored maps: fiber sizes and orbit
     structure, per-line and per-pencil bijectivity, and the isomorphism of the
-    orbit quotient with the ovoid geometry.  Failures carry coordinates."""
-    model = cov.affine.model
+    orbit quotient with the ovoid geometry.  Failures carry coordinates; the
+    one reported is the first in point, ovoid, line or pencil order."""
+    model = cov.model
     geom = cov.geom
     q = model.ctx.q
     report: dict = {
@@ -166,66 +143,71 @@ def verify_covering(cov: CoveringMap) -> dict:
         "pencil_bijections_ok": True, "quotient_iso_ok": True,
     }
 
+    def fail(law, **counterexample):
+        report[law] = False
+        report["counterexample"] = counterexample
+        return report
+
     # point fibers: size 2, elation orbits, consistent with the direction map
     perm = model.elation_perm
-    for oid, fib in enumerate(cov.point_fiber):
-        ok = (len(set(fib)) == 2
-              and int(perm[fib[0]]) == fib[1]
-              and all(int(cov.point_image[x]) == oid for x in fib))
-        if not ok:
-            report["fibers_ok"] = False
-            report["counterexample"] = {"kind": "point_fiber", "ovoid": oid}
-            return report
-    covered = [int(cov.point_image[x]) for x in cov.affine.points]
-    if sorted(set(covered)) != list(range(geom.n_ovoids)):
-        report["fibers_ok"] = False
-        report["counterexample"] = {"kind": "point_map_not_surjective"}
-        return report
+    fib = cov.point_fiber
+    bad = ((fib[:, 0] == fib[:, 1]) | (perm[fib[:, 0]] != fib[:, 1])
+           | (cov.point_image[fib] != np.arange(len(fib))[:, None]).any(axis=1))
+    if bad.any():
+        return fail("fibers_ok", kind="point_fiber", ovoid=int(np.argmax(bad)))
+    aff = np.asarray(model.affine_points)
+    if not np.array_equal(np.unique(cov.point_image[aff]), np.arange(geom.n_ovoids)):
+        return fail("fibers_ok", kind="point_map_not_surjective")
 
     # line restrictions: each punctured line maps bijectively onto its pencil
-    for li, (pts, inf) in enumerate(cov.affine.lines):
-        rid = int(cov.line_image[li])
-        r = geom.rosettes[rid]
-        images = sorted(int(cov.point_image[p]) for p in pts)
-        if r.base != inf or images != sorted(r.members) or len(set(images)) != q:
-            report["line_bijections_ok"] = False
-            report["counterexample"] = {"kind": "line_restriction", "line": li,
-                                        "infinity": inf, "rosette": rid}
-            return report
-    for rid, fib in enumerate(cov.line_fiber):
-        if len(set(fib)) != 2 or any(int(cov.line_image[l]) != rid for l in fib):
-            report["line_bijections_ok"] = False
-            report["counterexample"] = {"kind": "line_fiber", "rosette": rid}
-            return report
+    members = _pencil_rows(geom)
+    n_pencils = len(members)
+    rid = cov.line_image
+    in_range = (rid >= 0) & (rid < n_pencils)
+    r = np.where(in_range, rid, 0)
+    bases = np.array([p.base for p in geom.rosettes])
+    images = np.sort(cov.point_image[cov.lines], axis=1)
+    bad = (~in_range | (bases[r] != cov.infinity)
+           | (images != members[r]).any(axis=1))
+    if bad.any():
+        li = int(np.argmax(bad))
+        return fail("line_bijections_ok", kind="line_restriction", line=li,
+                    infinity=int(cov.infinity[li]), rosette=int(rid[li]))
+    bad = np.bincount(rid, minlength=n_pencils) != 2
+    if bad.any():
+        return fail("line_bijections_ok", kind="line_fiber", rosette=int(np.argmax(bad)))
 
-    # pencil restrictions: lines through x <-> pencils through the image ovoid
-    for x in cov.affine.points:
-        rids = sorted(int(cov.line_image[l]) for l in cov.affine.pencils[x])
-        want = sorted(geom.incidence[int(cov.point_image[x])])
-        if rids != want:
-            report["pencil_bijections_ok"] = False
-            report["counterexample"] = {"kind": "pencil_restriction", "point": x}
-            return report
+    # pencil restrictions: lines through x <-> pencils through the image ovoid.
+    # Both sides are sorted (point, pencil) keys; the first point whose keys
+    # differ sits at the first position where the two key lists differ.
+    have = np.sort(cov.lines.ravel().astype(np.int64) * n_pencils
+                   + np.repeat(rid, q))
+    inc = np.array(geom.incidence)
+    want = np.sort((aff[:, None].astype(np.int64) * n_pencils
+                    + inc[cov.point_image[aff]]).ravel())
+    if not np.array_equal(have, want):
+        n = min(len(have), len(want))
+        diff = np.flatnonzero(have[:n] != want[:n])
+        i = int(diff[0]) if len(diff) else n
+        point = min(int(k[i]) // n_pencils for k in (have, want) if i < len(k))
+        return fail("pencil_bijections_ok", kind="pencil_restriction", point=point)
 
     # quotient by orbits is the ovoid geometry: the class map [x] -> image
-    # ovoid is constant on orbits and carries quotient lines onto pencils
-    qlines = {}
-    for li, (pts, _) in enumerate(cov.affine.lines):
-        orbit_class = frozenset(min(p, int(perm[p])) for p in pts)
-        members = frozenset(int(cov.point_image[p]) for p in pts)
-        prev = qlines.setdefault(orbit_class, (members, li))
-        if prev[0] != members:
-            report["quotient_iso_ok"] = False
-            report["counterexample"] = {"kind": "quotient_line", "lines": [prev[1], li]}
-            return report
-    rosette_sets = {frozenset(r.members) for r in geom.rosettes}
-    image_sets = [v[0] for v in qlines.values()]
-    if (len(qlines) != len(geom.rosettes)
-            or len(set(image_sets)) != len(image_sets)
-            or set(image_sets) != rosette_sets):
-        report["quotient_iso_ok"] = False
-        report["counterexample"] = {"kind": "quotient_line_sets"}
-        return report
+    # ovoid is constant on orbits and carries quotient lines onto pencils.
+    # Each row of images is now its pencil's row of members, a sorted set,
+    # and every pencil is the image of a line, so the quotient lines map
+    # onto the pencils, one to one exactly when there are as many of them.
+    orbit_class = _as_sets(np.minimum(cov.lines, perm[cov.lines]))
+    _, first, cls = np.unique(orbit_class, axis=0, return_index=True,
+                              return_inverse=True)
+    cls = cls.ravel()
+    bad = (images != images[first[cls]]).any(axis=1)
+    if bad.any():
+        li = int(np.argmax(bad))
+        return fail("quotient_iso_ok", kind="quotient_line",
+                    lines=[int(first[cls[li]]), li])
+    if len(first) != n_pencils:
+        return fail("quotient_iso_ok", kind="quotient_line_sets")
     return report
 
 
@@ -234,15 +216,23 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
 
     Checks, for every ovoid pair, that |A∩B| = 1 exactly when some point of
     A's fiber is collinear with some point of B's fiber."""
-    geom, affine = cov.geom, cov.affine
-    x1, x2 = cov.fiber_rows
-    A = affine.adjacency
-    cross = (A[np.ix_(x1, x1)] | A[np.ix_(x1, x2)]
-             | A[np.ix_(x2, x1)] | A[np.ix_(x2, x2)])
+    geom = cov.geom
+    pts = cov.point_fiber.ravel()
+    Z = cov.model.gram[np.ix_(pts, pts)] == 0   # index 2i + j: point j over ovoid i
+    cross = Z[0::2, 0::2] | Z[0::2, 1::2] | Z[1::2, 0::2] | Z[1::2, 1::2]
     agree = cross == geom.adjacency
     np.fill_diagonal(agree, True)
     return {"pass": bool(agree.all()),
             "pairs_checked": geom.n_ovoids * (geom.n_ovoids - 1) // 2}
+
+
+def _affine_collinearity(model: QuadricModel) -> np.ndarray:
+    """Collinearity matrix of the affine points, over their dense indices
+    (positions in ``model.affine_points``)."""
+    aff = model.affine_points
+    A = model.gram[np.ix_(aff, aff)] == 0
+    np.fill_diagonal(A, False)
+    return A
 
 
 def fiber_distances(cov: CoveringMap) -> dict:
@@ -251,12 +241,11 @@ def fiber_distances(cov: CoveringMap) -> dict:
     Uses boolean/float32 powers of the collinearity matrix; the two fiber
     points must be non-adjacent, share no neighbour, and be joined by a
     3-step walk, and the whole graph must have diameter exactly 3."""
-    affine, geom = cov.affine, cov.geom
-    A = affine.adjacency
+    A = _affine_collinearity(cov.model)
     af = A.astype(np.float32)
     A2 = af @ af
     A3 = af @ A2
-    x1, x2 = cov.fiber_rows
+    x1, x2 = np.searchsorted(cov.model.affine_points, cov.point_fiber).T
     fibers_at_3 = bool((~A[x1, x2]).all() and (A2[x1, x2] == 0).all()
                        and (A3[x1, x2] > 0).all())
 
@@ -274,7 +263,6 @@ def fiber_distances(cov: CoveringMap) -> dict:
 def quotient_graph_diameter(geom: OvoidGeometry) -> int:
     """Diameter of the tangency graph on ovoids (complete at q=2, else 2)."""
     A = geom.adjacency.astype(np.float32)
-    n = len(A)
     reach = geom.adjacency.copy()
     np.fill_diagonal(reach, True)
     if reach.all():
@@ -290,24 +278,18 @@ def rook_grid_complement_check(cov: CoveringMap) -> dict:
 
     The complement must decompose into two disjoint 6-cliques (the grid rows)
     plus a perfect matching between them (the columns), with no other edges."""
-    affine = cov.affine
-    model = affine.model
+    model = cov.model
     if model.ctx.q != 2:
         raise ValueError("grid complement structure is specific to q = 2")
-    n = affine.n_points
-    C = ~affine.adjacency
+    C = ~_affine_collinearity(model)
     np.fill_diagonal(C, False)
-    perm = model.elation_perm
-    aidx = model.affine_index
-    matching = {(aidx[x], aidx[int(perm[x])]) for x in affine.points}
-    matching = {tuple(sorted(e)) for e in matching}
+    n = len(C)
+    aff = model.affine_points
+    partner = np.searchsorted(aff, model.elation_perm[aff]).tolist()
+    matching = {tuple(sorted((a, b))) for a, b in enumerate(partner)}
     if len(matching) != 6 or not all(C[a, b] for a, b in matching):
         return {"pass": False, "reason": "orbit matching not in complement"}
     v0 = 0
-    partner = dict()
-    for a, b in matching:
-        partner[a] = b
-        partner[b] = a
     row0 = sorted(set(np.nonzero(C[v0])[0].tolist()) - {partner[v0]} | {v0})
     row1 = sorted(set(range(n)) - set(row0))
     if len(row0) != 6 or len(row1) != 6:

@@ -62,7 +62,6 @@ class QuadricModel:
         self.section_points: List[int]
         self.affine_points: List[int]
         self.section_index: Dict[int, int]
-        self.affine_index: Dict[int, int]
         self.nucleus: Vec
         self.elation_perm: np.ndarray
 
@@ -108,6 +107,8 @@ def build_model(ctx: FieldCtx, lam=None) -> QuadricModel:
     if lam is None:
         lam = ctx.default_form_parameter()
     lam = int(lam)
+    if not 0 <= lam < ctx.q:
+        raise ValueError(f"form parameter must be a field element in 0..{ctx.q - 1}")
     if trace(ctx, lam) != 1:
         raise ValueError("form parameter must have trace 1")
     q = ctx.q
@@ -130,7 +131,6 @@ def build_model(ctx: FieldCtx, lam=None) -> QuadricModel:
     model.section_points = [int(i) for i in np.nonzero(model.in_section)[0]]
     model.affine_points = [int(i) for i in np.nonzero(~model.in_section)[0]]
     model.section_index = {p: i for i, p in enumerate(model.section_points)}
-    model.affine_index = {p: i for i, p in enumerate(model.affine_points)}
     if len(model.section_points) != (q + 1) * (q**2 + 1):
         raise AssertionError("hyperplane section point count mismatch")
 
@@ -245,19 +245,7 @@ def _build_elation(model: QuadricModel) -> None:
     model.elation_perm = perm
 
 
-# -- perpendicular sections and 3-space classification ------------------------
-
-
-def perp_section(model: QuadricModel, x: int) -> List[int]:
-    """Section-point indices perpendicular to an affine point x (an elliptic ovoid)."""
-    if bool(model.in_section[x]):
-        raise ValueError("perp section is only taken at points off the hyperplane")
-    sect = np.array(model.section_points)
-    row = model.gram[x, sect] == 0
-    out = [int(i) for i in sect[row]]
-    if len(out) != model.ctx.q**2 + 1:
-        raise AssertionError("perp section has the wrong size")
-    return out
+# -- 3-space sections of the hyperplane ---------------------------------------
 
 
 def _section_dual_functional(model: QuadricModel, s: Subspace) -> Vec:

@@ -1,0 +1,95 @@
+"""Reference loops for the covering laws, which `quadcover.covering.verify_covering`
+now checks in array passes.
+
+Kept only as an oracle for the diff tests in `test_covering.py`: one Python
+pass per law over the ovoids, the punctured lines, the pencils and the
+affine points, with ``frozenset`` keys for the orbit quotient.  It reads the
+same `CoveringMap` arrays and reports the same counterexamples.
+"""
+
+from quadcover.covering import CoveringMap
+
+
+def loop_verify_covering(cov: CoveringMap) -> dict:
+    """`verify_covering`, one law and one object at a time."""
+    model = cov.model
+    geom = cov.geom
+    q = model.ctx.q
+    report: dict = {
+        "fibers_ok": True, "line_bijections_ok": True,
+        "pencil_bijections_ok": True, "quotient_iso_ok": True,
+    }
+    point_image = cov.point_image.tolist()
+    line_image = cov.line_image.tolist()
+    lines = cov.lines.tolist()
+    infinity = cov.infinity.tolist()
+
+    # point fibers: size 2, elation orbits, consistent with the direction map
+    perm = model.elation_perm.tolist()
+    for oid, fib in enumerate(cov.point_fiber.tolist()):
+        ok = (len(set(fib)) == 2
+              and perm[fib[0]] == fib[1]
+              and all(point_image[x] == oid for x in fib))
+        if not ok:
+            report["fibers_ok"] = False
+            report["counterexample"] = {"kind": "point_fiber", "ovoid": oid}
+            return report
+    covered = [point_image[x] for x in model.affine_points]
+    if sorted(set(covered)) != list(range(geom.n_ovoids)):
+        report["fibers_ok"] = False
+        report["counterexample"] = {"kind": "point_map_not_surjective"}
+        return report
+
+    # line restrictions: each punctured line maps bijectively onto its pencil
+    n_pencils = len(geom.rosettes)
+    for li, (pts, inf) in enumerate(zip(lines, infinity)):
+        rid = line_image[li]
+        images = sorted(point_image[p] for p in pts)
+        if (not 0 <= rid < n_pencils or geom.rosettes[rid].base != inf
+                or images != sorted(geom.rosettes[rid].members)
+                or len(set(images)) != q):
+            report["line_bijections_ok"] = False
+            report["counterexample"] = {"kind": "line_restriction", "line": li,
+                                        "infinity": inf, "rosette": rid}
+            return report
+    line_fiber = {rid: [] for rid in range(n_pencils)}
+    for li, rid in enumerate(line_image):
+        line_fiber[rid].append(li)
+    for rid, fib in line_fiber.items():
+        if len(fib) != 2:
+            report["line_bijections_ok"] = False
+            report["counterexample"] = {"kind": "line_fiber", "rosette": rid}
+            return report
+
+    # pencil restrictions: lines through x <-> pencils through the image ovoid
+    pencils = {x: [] for x in model.affine_points}
+    for li, pts in enumerate(lines):
+        for p in pts:
+            pencils[p].append(li)
+    for x in model.affine_points:
+        rids = sorted(line_image[l] for l in pencils[x])
+        if rids != sorted(geom.incidence[point_image[x]]):
+            report["pencil_bijections_ok"] = False
+            report["counterexample"] = {"kind": "pencil_restriction", "point": x}
+            return report
+
+    # quotient by orbits is the ovoid geometry: the class map [x] -> image
+    # ovoid is constant on orbits and carries quotient lines onto pencils
+    qlines = {}
+    for li, pts in enumerate(lines):
+        orbit_class = frozenset(min(p, perm[p]) for p in pts)
+        members = frozenset(point_image[p] for p in pts)
+        prev = qlines.setdefault(orbit_class, (members, li))
+        if prev[0] != members:
+            report["quotient_iso_ok"] = False
+            report["counterexample"] = {"kind": "quotient_line", "lines": [prev[1], li]}
+            return report
+    rosette_sets = {frozenset(r.members) for r in geom.rosettes}
+    image_sets = [v[0] for v in qlines.values()]
+    if (len(qlines) != n_pencils
+            or len(set(image_sets)) != len(image_sets)
+            or set(image_sets) != rosette_sets):
+        report["quotient_iso_ok"] = False
+        report["counterexample"] = {"kind": "quotient_line_sets"}
+        return report
+    return report

@@ -159,7 +159,7 @@ def test_cube_center_solver_agrees_with_projective_scan(request, mname, count):
 @pytest.mark.parametrize("cov_name", ["cov_q2", "cov_q4", "cov_q8"])
 def test_covering_laws_exhaustive_all_fields(request, cov_name):
     cov = request.getfixturevalue(cov_name)
-    q = cov.affine.model.ctx.q
+    q = cov.model.ctx.q
     with _criterion(f"two-fold covering laws exhaustive at q={q}"):
         rep = verify_covering(cov)
         assert rep["fibers_ok"]
@@ -174,7 +174,7 @@ def test_lift_project_identity_on_nonlinear_cliques(cov_q4, census_q4, cov_q8,
     with _criterion("lift-then-project identity on every non-linear 3-/4-clique "
                     "at q=4 and on over 10^4 samples at q=8, centered at the "
                     "nucleus"):
-        n0_4 = cov_q4.affine.model.nucleus
+        n0_4 = cov_q4.model.nucleus
         for rows in (census_q4.triangles, census_q4.cliques4):
             for row in rows:
                 clique = tuple(int(v) for v in row)
@@ -182,7 +182,7 @@ def test_lift_project_identity_on_nonlinear_cliques(cov_q4, census_q4, cov_q8,
                 assert fig.center == n0_4
                 assert figure_to_clique(cov_q4, fig) == clique
 
-        n0_8 = cov_q8.affine.model.nucleus
+        n0_8 = cov_q8.model.nucleus
         rng = np.random.default_rng(42)
         checked = 0
         for rows, take in ((census_q8_sampled.triangles, 6000),

@@ -1,5 +1,7 @@
 """Tangency graph census: strong regularity, clique counts, spectra."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -265,22 +267,92 @@ def test_census_raises_on_a_cleared_tangent_pair(tg_q4, geom_q4):
         census(A, geom_q4)
 
 
+def _edge(A, geom, e):
+    """Edge e (a, b) of the tangency graph, in row-major order, with its
+    pencil completions and its non-linear completions, each ascending."""
+    tp = geom.tangency_point
+    iu, ju = np.nonzero(np.triu(A, 1))
+    a, b = int(iu[e]), int(ju[e])
+    common = np.flatnonzero(A[a] & A[b])
+    on_pencil = (tp[a, common] == tp[a, b]) & (tp[b, common] == tp[a, b])
+    return a, b, common[on_pencil], common[~on_pencil]
+
+
+def _seed_edge(A):
+    """The index of the edge that seed 1288 draws first."""
+    return SplitMix64(1288).randbelow(int(np.triu(A, 1).sum()))
+
+
+def _census_of_seed_edge(A, geom, edge):
+    """Census of the one edge that seed 1288 draws, checked against the
+    boolean kernel."""
+    assert _edge(A, geom, _seed_edge(A))[:2] == edge
+    kw = dict(mode="sampled", seed=1288, n_samples=1)
+    rep = census(A, geom, **kw)
+    assert rep.to_dict() == boolean_census(A, geom, **kw).to_dict()
+    assert not rep.ok
+    return rep
+
+
 def test_census_reports_a_mixed_four_clique(tg_q4, geom_q4):
     # join a pencil completion r of the first edge (a, b) to a non-linear
-    # completion w of it: {a, b, r, w} becomes a clique that is neither
-    tp = geom_q4.tangency_point
-    iu, ju = np.nonzero(np.triu(tg_q4, 1))
-    a, b = int(iu[0]), int(ju[0])
-    common = np.flatnonzero(tg_q4[a] & tg_q4[b])
-    on_pencil = (tp[a, common] == tp[a, b]) & (tp[b, common] == tp[a, b])
-    r, w = int(common[on_pencil][0]), int(common[~on_pencil][0])
+    # completion w of it: {a, b, r, w} becomes a clique that is neither.
+    # The new edge makes seed 1288 draw edge 0.
+    a, b, R, W = _edge(tg_q4, geom_q4, 0)
+    r, w = int(R[0]), int(W[0])
     A = tg_q4.copy()
     A[[r, w], [w, r]] = True
-    # (a, b) is still edge 0, and seed 1288 draws it first
-    assert SplitMix64(1288).randbelow(int(np.triu(A, 1).sum())) == 0
-    rep = census(A, geom_q4, mode="sampled", seed=1288, n_samples=1)
-    assert not rep.ok
+    rep = _census_of_seed_edge(A, geom_q4, (a, b))
     assert rep.counterexample == {"kind": "mixed_4_clique", "vertices": [a, b, r, w]}
+
+
+def test_census_reports_a_triangle_extension(tg_q4, geom_q4):
+    # completion W[0] trades a tangent completion W[i] for a non-tangent one
+    # W[j]: the adjacent-pair total stays the same, but {a, b, W[i]} now has
+    # q four-cliques over it and {a, b, W[j]} has q + 2
+    q = 4
+    a, b, _, W = _edge(tg_q4, geom_q4, _seed_edge(tg_q4))
+    S = tg_q4[np.ix_(W, W)]
+    i = int(np.flatnonzero(S[0])[0])
+    j = int(np.flatnonzero(~S[0, 1:])[0]) + 1
+    A = tg_q4.copy()
+    A[[W[0], W[i]], [W[i], W[0]]] = False
+    A[[W[0], W[j]], [W[j], W[0]]] = True
+    rep = _census_of_seed_edge(A, geom_q4, (a, b))
+    first = min(i, j)
+    assert rep.counterexample == {"kind": "triangle_extension",
+                                  "triangle": [a, b, int(W[first])],
+                                  "got": q if first == i else q + 2}
+
+
+def test_census_reports_a_four_clique_five_extension(tg_q4, geom_q4):
+    # switch tangent pairs (w1, z1), (w2, z2) among the non-linear
+    # completions of the sampled edge to (w1, z2), (w2, z1): every
+    # completion keeps q + 1 tangent ones, but the completions are no longer
+    # triangle-free, so some 4-clique through the edge gains a 5-extension
+    # (even degree allows none)
+    a, b, _, W = _edge(tg_q4, geom_q4, _seed_edge(tg_q4))
+    S = tg_q4[np.ix_(W, W)]
+    assert not (S.astype(int) @ S.astype(int) * S).any()
+    for (w1, z1), (w2, z2) in combinations(np.argwhere(np.triu(S)).tolist(), 2):
+        if len({w1, z1, w2, z2}) < 4 or S[w1, z2] or S[w2, z1]:
+            continue
+        T = S.copy()
+        T[[w1, z1, w2, z2], [z1, w1, z2, w2]] = False
+        T[[w1, z2, w2, z1], [z2, w1, z1, w2]] = True
+        if (T.astype(int) @ T.astype(int) * T).any():
+            break
+    else:
+        pytest.fail("no switch of two tangent pairs makes a triangle")
+    A = tg_q4.copy()
+    A[np.ix_(W, W)] = T
+    rep = _census_of_seed_edge(A, geom_q4, (a, b))
+    # the first adjacent pair w < z, in row-major order, with a common neighbour
+    w, z = next((w, z) for w, z in np.argwhere(np.triu(T)).tolist()
+                if (T[w] & T[z]).any())
+    assert rep.counterexample == {"kind": "four_clique_five_extension",
+                                  "clique": [a, b, int(W[w]), int(W[z])],
+                                  "got": int((T[w] & T[z]).sum())}
 
 
 def test_maximal_cliques_on_small_graphs():

@@ -1,10 +1,13 @@
 """The affine quadrangle and its 2-fold covering of the ovoid geometry."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from covering_oracle import loop_verify_covering
 from quadcover.covering import (
-    CoveringMap,
     canonical_covering,
     fiber_distances,
     lift_path,
@@ -17,17 +20,28 @@ from quadcover.covering import (
 
 @pytest.mark.parametrize("name", ["cov_q2", "cov_q4"])
 def test_affine_quadrangle_structure(request, name):
-    affine = request.getfixturevalue(name).affine
-    q = affine.model.ctx.q
-    assert affine.n_points == q ** 4 - q ** 2
-    assert len(affine.lines) == q * (q * q + 1) * (q * q - 1)
-    for pts, inf in affine.lines:
-        assert len(pts) == q
-        assert affine.model.in_section[inf]
-        assert not any(affine.model.in_section[p] for p in pts)
-    assert all(len(v) == q * q + 1 for v in affine.pencils.values())
+    cov = request.getfixturevalue(name)
+    model = cov.model
+    q = model.ctx.q
+    aff = np.array(model.affine_points)
+    assert len(aff) == q ** 4 - q ** 2
+    n_lines = q * (q * q + 1) * (q * q - 1)
+    assert cov.lines.shape == (n_lines, q) and cov.infinity.shape == (n_lines,)
+    assert model.in_section[cov.infinity].all()
+    assert not model.in_section[cov.lines].any()
+    assert (np.diff(cov.lines, axis=1) > 0).all()
+    # each punctured line is a quadric line less its infinity point
+    whole = {tuple(ln) for ln in model.lines}
+    assert all(tuple(sorted([*pts, inf])) in whole
+               for pts, inf in zip(cov.lines.tolist(), cov.infinity.tolist()))
+    assert (np.bincount(cov.lines.ravel(), minlength=model.n_points)[aff]
+            == q * q + 1).all()
     # collinearity degree: q^2+1 punctured lines with q-1 other points each
-    assert (affine.adjacency.sum(axis=1) == (q * q + 1) * (q - 1)).all()
+    # (gram is 0 on the diagonal, so each row also counts its own point)
+    collinear = model.gram[np.ix_(aff, aff)] == 0
+    assert (collinear.sum(axis=1) - 1 == (q * q + 1) * (q - 1)).all()
+    assert cov.point_fiber.shape == (cov.geom.n_ovoids, 2)
+    assert [tuple(f) for f in cov.point_fiber.tolist()] == [ov.orbit for ov in cov.geom.ovoids]
 
 
 @pytest.mark.parametrize("name", ["cov_q2", "cov_q4"])
@@ -38,33 +52,173 @@ def test_covering_laws_hold(request, name):
     assert rep["pencil_bijections_ok"]
     assert rep["quotient_iso_ok"]
     assert "counterexample" not in rep
+    assert rep == loop_verify_covering(request.getfixturevalue(name))
+
+
+def _point_fiber(cov):
+    # ovoid 0's fiber repeats its first point
+    fib = cov.point_fiber.copy()
+    fib[0, 1] = fib[0, 0]
+    return replace(cov, point_fiber=fib)
+
+
+def _fiber_at_infinity(cov):
+    # ovoid 0's fiber is one section point, which the elation fixes, given
+    # ovoid 0 as its image
+    s = cov.model.section_points[0]
+    image, fib = cov.point_image.copy(), cov.point_fiber.copy()
+    image[s], fib[0] = 0, s
+    return replace(cov, point_image=image, point_fiber=fib)
+
+
+def _split_fiber(cov):
+    # the larger point over ovoid 0 is sent to ovoid 1
+    image = cov.point_image.copy()
+    image[cov.point_fiber[0, 1]] = 1
+    return replace(cov, point_image=image)
+
+
+def _crossed_fibers(cov):
+    # ovoids 0 and 1 swap their larger points, images and all
+    image, fib = cov.point_image.copy(), cov.point_fiber.copy()
+    fib[[0, 1], 1] = fib[[1, 0], 1]
+    image[fib[:2, 1]] = [0, 1]
+    return replace(cov, point_image=image, point_fiber=fib)
+
+
+def _point_map_not_surjective(cov):
+    # the last ovoid loses its fiber and its two points their image
+    image = cov.point_image.copy()
+    image[cov.point_fiber[-1]] = -1
+    return replace(cov, point_image=image, point_fiber=cov.point_fiber[:-1])
+
+
+def _line_restriction(cov):
+    # line 0 is sent to a pencil it does not cover
+    li = cov.line_image.copy()
+    li[0] = next(r for r in range(len(cov.geom.rosettes)) if r != int(li[0]))
+    return replace(cov, line_image=li)
+
+
+def _negative_line_image(cov):
+    # line 0's pencil id is given as the negative index of the same pencil
+    li = cov.line_image.copy()
+    li[0] -= len(cov.geom.rosettes)
+    return replace(cov, line_image=li)
+
+
+def _line_at_infinity(cov):
+    # line 0 loses the right point at infinity, so its pencil has the wrong base
+    inf = cov.infinity.copy()
+    inf[0] = next(p for p in cov.model.section_points if p != inf[0])
+    return replace(cov, infinity=inf)
+
+
+def _line_fiber(cov):
+    # line 0 is overwritten by a line over another pencil, which then has
+    # three lines over it while line 0's pencil has one
+    other = int(np.flatnonzero(cov.line_image != cov.line_image[0])[0])
+    lines, inf, li = cov.lines.copy(), cov.infinity.copy(), cov.line_image.copy()
+    lines[0], inf[0], li[0] = lines[other], inf[other], li[other]
+    return replace(cov, lines=lines, infinity=inf, line_image=li)
+
+
+def _pencil_restriction(cov):
+    # ovoid 0's smaller point x gives up its line over its last pencil r to
+    # its partner y: the images stay the same, but y is now on two lines
+    # over r and x on q^2 lines, the first keys of x to differ being its last
+    x, y = cov.point_fiber[0]
+    r = max(cov.geom.incidence[0])
+    line = next(l for l in np.flatnonzero(cov.line_image == r) if x in cov.lines[l])
+    lines = cov.lines.copy()
+    lines[line][lines[line] == x] = y
+    lines[line].sort()
+    return replace(cov, lines=lines)
+
+
+def _with_elation(cov, larger_to):
+    # the elation keeps each orbit's smaller point and sends its larger
+    # point to larger_to(point), so the fibers still check out
+    model = copy.copy(cov.model)
+    model.elation_perm = cov.model.elation_perm.copy()
+    big = cov.point_fiber[:, 1]
+    model.elation_perm[big] = larger_to(big)
+    return replace(cov, model=model)
+
+
+def _quotient_line(cov):
+    # every larger orbit point falls into the class of point 0: the lines
+    # made only of larger orbit points share the class {0} but cover
+    # different pencils
+    return _with_elation(cov, np.zeros_like)
+
+
+def _quotient_line_sets(cov):
+    # the larger orbit points are fixed: the two lines over each pencil fall
+    # into different classes, so the quotient has twice too many lines
+    return _with_elation(cov, lambda big: big)
+
+
+CORRUPTIONS = [
+    ("point_fiber", _point_fiber),
+    ("point_fiber", _fiber_at_infinity),
+    ("point_fiber", _crossed_fibers),
+    ("point_fiber", _split_fiber),
+    ("point_map_not_surjective", _point_map_not_surjective),
+    ("line_restriction", _line_restriction),
+    ("line_restriction", _negative_line_image),
+    ("line_restriction", _line_at_infinity),
+    ("line_fiber", _line_fiber),
+    ("pencil_restriction", _pencil_restriction),
+    ("quotient_line", _quotient_line),
+    ("quotient_line_sets", _quotient_line_sets),
+]
+
+
+@pytest.mark.parametrize("kind,corrupt", CORRUPTIONS,
+                         ids=[f.__name__.strip("_") for _, f in CORRUPTIONS])
+@pytest.mark.parametrize("name", ["cov_q2", "cov_q4"])
+def test_corrupted_covering_reports_its_counterexample(request, name, kind, corrupt):
+    bad = corrupt(request.getfixturevalue(name))
+    rep = verify_covering(bad)
+    assert rep["counterexample"]["kind"] == kind
+    assert sum(not v for v in rep.values() if isinstance(v, bool)) == 1
+    assert rep == loop_verify_covering(bad)
+
+
+def test_orbit_classes_are_compared_as_sets(cov_q4):
+    # two disjoint lines over different pencils, all of whose points are
+    # larger orbit points, get the classes [0, 0, 1, 2] and [0, 1, 1, 2]:
+    # one set, two multisets
+    cov = cov_q4
+    larger = np.zeros(cov.model.n_points, dtype=bool)
+    larger[cov.point_fiber[:, 1]] = True
+    l1, l2 = (int(l) for l in np.flatnonzero(larger[cov.lines].all(axis=1))[:2])
+    assert not set(cov.lines[l1]) & set(cov.lines[l2])
+    assert cov.line_image[l1] != cov.line_image[l2]
+    model = copy.copy(cov.model)
+    model.elation_perm = cov.model.elation_perm.copy()
+    model.elation_perm[cov.lines[l1]] = [0, 0, 1, 2]
+    model.elation_perm[cov.lines[l2]] = [0, 1, 1, 2]
+    bad = replace(cov, model=model)
+    rep = verify_covering(bad)
+    assert rep["counterexample"] == {"kind": "quotient_line", "lines": [l1, l2]}
+    assert rep == loop_verify_covering(bad)
 
 
 def test_corrupted_point_fiber_is_detected(cov_q2):
-    cov = cov_q2
-    fibers = list(cov.point_fiber)
-    fibers[0] = (fibers[0][0], fibers[0][0])
-    bad = CoveringMap(affine=cov.affine, geom=cov.geom,
-                      point_image=cov.point_image.copy(),
-                      line_image=cov.line_image.copy(),
-                      point_fiber=fibers, line_fiber=list(cov.line_fiber))
-    rep = verify_covering(bad)
+    rep = verify_covering(_point_fiber(cov_q2))
     assert not rep["fibers_ok"]
     assert rep["counterexample"] == {"kind": "point_fiber", "ovoid": 0}
 
 
 def test_corrupted_line_image_is_detected(cov_q2):
-    cov = cov_q2
-    li = cov.line_image.copy()
-    wrong = next(r for r in range(len(cov.geom.rosettes)) if r != int(li[0]))
-    li[0] = wrong
-    bad = CoveringMap(affine=cov.affine, geom=cov.geom,
-                      point_image=cov.point_image.copy(), line_image=li,
-                      point_fiber=list(cov.point_fiber),
-                      line_fiber=list(cov.line_fiber))
+    bad = _line_restriction(cov_q2)
     rep = verify_covering(bad)
     assert not rep["line_bijections_ok"]
-    assert rep["counterexample"]["kind"] in ("line_restriction", "line_fiber")
+    assert rep["counterexample"] == {"kind": "line_restriction", "line": 0,
+                                     "infinity": int(bad.infinity[0]),
+                                     "rosette": int(bad.line_image[0])}
 
 
 def test_covering_rejects_foreign_geometry(model_q2, geom_q4):
@@ -86,7 +240,7 @@ def test_fiber_points_sit_at_distance_three(request, name):
     assert rep["pass"]
     assert rep["fibers_at_distance_3"]
     assert rep["diameter_is_3"]
-    assert rep["n_points"] == cov.affine.n_points
+    assert rep["n_points"] == len(cov.model.affine_points)
 
 
 def test_quotient_graph_diameter_values(geom_q2, geom_q4):
@@ -118,8 +272,7 @@ def test_lift_of_an_edge_crosses_to_the_right_fiber(cov_q4):
         lifted = lift_path(cov, [a, b], start)
         assert lifted[0] == start
         assert lifted[1] in cov.point_fiber[b]
-        aidx = cov.affine.model.affine_index
-        assert cov.affine.adjacency[aidx[start], aidx[lifted[1]]]
+        assert cov.model.gram[start, lifted[1]] == 0
 
 
 def test_nonlinear_triangle_lifts_to_a_six_cycle(cov_q2):
@@ -151,8 +304,7 @@ def test_linear_triangle_lifts_closed(cov_q4):
     lifted = lift_path(cov, [a, b, c, a], start)
     assert lifted[-1] == start
     # and the lift stays inside one punctured line over the pencil
-    aidx = cov.affine.model.affine_index
-    line_pts = [set(pts) for pts, _ in (cov.affine.lines[l] for l in cov.line_fiber[r.id])]
+    line_pts = [set(cov.lines[l].tolist()) for l in np.flatnonzero(cov.line_image == r.id)]
     assert any(set(lifted) <= pts for pts in line_pts)
 
 

@@ -122,7 +122,7 @@ def test_second_intersection_generic_and_tangent(model_q4):
 
 def test_lift_project_round_trip(cov_q4, census_q4):
     cov = cov_q4
-    nucleus = cov.affine.model.nucleus
+    nucleus = cov.model.nucleus
     rng = np.random.default_rng(1)
     tris = census_q4.triangles
     for row in tris[rng.choice(len(tris), size=40, replace=False)]:
@@ -134,7 +134,7 @@ def test_lift_project_round_trip(cov_q4, census_q4):
     for row in quads[rng.choice(len(quads), size=20, replace=False)]:
         fig = lift_clique_to_figure(cov, [int(v) for v in row])
         assert fig.kind == "cube"
-        assert verify_centric_figure(cov.affine.model, fig)["pass"]
+        assert verify_centric_figure(cov.model, fig)["pass"]
         assert figure_to_clique(cov, fig) == tuple(sorted(int(v) for v in row))
 
 

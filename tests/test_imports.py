@@ -57,3 +57,9 @@ def test_package_references_every_private_name():
     defined = set().union(*map(_private_definitions, trees))
     referenced = set().union(*map(_references, trees))
     assert sorted(defined - referenced) == []
+
+
+def test_package_exports_resolve():
+    import quadcover
+
+    assert [name for name in quadcover.__all__ if not hasattr(quadcover, name)] == []

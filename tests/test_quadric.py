@@ -8,7 +8,7 @@ from quadcover.gf2n import FieldCtx, trace
 from quadcover.ovoid import build_geometry
 from quadcover.projgeom import line_points, span
 from quadcover.quadric import (alpha_perp, build_model,
-                               nucleus_tangency_check, perp_section,
+                               nucleus_tangency_check,
                                section_type, solid_section_census,
                                verify_gq_axioms)
 
@@ -16,6 +16,12 @@ from quadcover.quadric import (alpha_perp, build_model,
 def test_build_rejects_large_degree():
     with pytest.raises(ValueError):
         build_model(FieldCtx(4))
+
+
+@pytest.mark.parametrize("lam", [-1, 4])
+def test_build_rejects_lambda_outside_the_field(lam):
+    with pytest.raises(ValueError, match="field element"):
+        build_model(FieldCtx(2), lam=lam)
 
 
 def test_build_rejects_trace_zero_lambda():
@@ -137,13 +143,14 @@ def test_elation_is_a_fixed_point_free_section_involution(request, name):
         assert rowspace.rank == 2
 
 
-def test_perp_sections_are_ovoid_sized(model_q4):
-    model = model_q4
+def test_perp_sections_are_ovoid_sized(geom_q4):
+    model = geom_q4.model
     q = model.ctx.q
-    for x in model.affine_points[:: len(model.affine_points) // 25]:
-        sec = perp_section(model, x)
-        assert len(sec) == q * q + 1
-        assert all(model.in_section[i] for i in sec)
+    sect = np.array(model.section_points)
+    for ov, row in zip(geom_q4.ovoids, geom_q4.member_matrix):
+        assert row.sum() == q * q + 1
+        assert (model.gram[ov.orbit[0], sect[row]] == 0).all()
+        assert model.in_section[sect[row]].all()
 
 
 def test_solid_section_census_counts(model_q2, model_q4):
