@@ -90,22 +90,27 @@ def verify_srg(A: np.ndarray) -> dict:
     n = len(A)
     deg = A.sum(axis=1)
     k = int(deg[0])
-    # C stays float32 (exact below 2^24) and the diagonal is cleared in
-    # place: at q = 8, larger temporaries here stayed resident in the heap
-    # after the call and raised the peak of the next large allocation
+    # C stays float32 (exact below 2^24) and is read through one small
+    # unsigned cast: at q = 8, larger temporaries here stayed resident in
+    # the heap after the call and raised the peak of the next large
+    # allocation
     af = A.astype(np.float32)
     C = af @ af
     del af
-    lam_vals = np.unique(C[A]).astype(np.int64)
-    nonadj = ~A
-    np.fill_diagonal(nonadj, False)
-    mu_vals = np.unique(C[nonadj]).astype(np.int64)
+    # which counts occur on non-adjacent (row 0) and adjacent (row 1) pairs;
+    # row 2 takes the diagonal, which is no pair unless A has a loop there
+    kind = A.view(np.uint8).copy()
+    np.fill_diagonal(kind, 2 - kind.diagonal())
+    seen = np.zeros((3, n + 1), dtype=bool)
+    seen[kind, C.astype(np.min_scalar_type(n))] = True
+    lam_vals = np.flatnonzero(seen[1]).tolist()
+    mu_vals = np.flatnonzero(seen[0]).tolist()
     regular = bool((deg == k).all())
     lam_ok = len(lam_vals) == 1
-    mu_vacuous = not nonadj.any()
+    mu_vacuous = not mu_vals
     mu_ok = mu_vacuous or len(mu_vals) == 1
-    lam = int(lam_vals[0]) if lam_ok else None
-    mu = int(mu_vals[0]) if (mu_ok and not mu_vacuous) else None
+    lam = lam_vals[0] if lam_ok else None
+    mu = mu_vals[0] if (mu_ok and not mu_vacuous) else None
     feasible = True
     if lam is not None and mu is not None:
         feasible = k * (k - lam - 1) == mu * (n - k - 1)
@@ -113,8 +118,8 @@ def verify_srg(A: np.ndarray) -> dict:
         "pass": bool(regular and lam_ok and mu_ok and feasible),
         "v": n, "k": k, "lambda": lam, "mu": mu,
         "mu_vacuous": mu_vacuous, "feasibility_ok": feasible,
-        "lambda_values": [int(x) for x in lam_vals],
-        "mu_values": [int(x) for x in mu_vals],
+        "lambda_values": lam_vals,
+        "mu_values": mu_vals,
     }
 
 
@@ -179,12 +184,13 @@ class SplitMix64:
 
 
 def pack_rows(S: np.ndarray) -> np.ndarray:
-    """One uint64 per row of a boolean array with at most 64 columns: bit j
-    of word [..., i] is S[..., i, j]."""
+    """The rows of a boolean array as uint64 words along the last axis,
+    zero padded to a whole word: bit j % 64 of word [..., i, j // 64] is
+    S[..., i, j]."""
     packed = np.packbits(S, axis=-1, bitorder="little")
-    words = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
+    words = np.zeros(packed.shape[:-1] + (-(-S.shape[-1] // 64) * 8,), dtype=np.uint8)
     words[..., :packed.shape[-1]] = packed
-    return words.view("<u8")[..., 0]
+    return words.view("<u8")
 
 
 def lowest_set_bits(x: np.ndarray, k: int) -> np.ndarray:
@@ -331,7 +337,7 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         tot_nl3 += B * n_nl
 
         # P[e, i] holds row i of the completion adjacency S = A[Wi][:, Wi]
-        P = pack_rows(A[Wi[:, :, None], Wi[:, None, :]])
+        P = pack_rows(A[Wi[:, :, None], Wi[:, None, :]])[..., 0]
         rows = np.bitwise_count(P)
         obs_3to4.update(_values(rows))
         if not (rows == q + 1).all() and counterexample is None:

@@ -16,8 +16,11 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .cliquecensus import pack_rows
 from .ovoid import OvoidGeometry
 from .quadric import QuadricModel
+
+_CHUNK = 1 << 17                # uint64 words gathered per fiber_distances step
 
 
 @dataclass(eq=False)
@@ -235,25 +238,67 @@ def _affine_collinearity(model: QuadricModel) -> np.ndarray:
     return A
 
 
+def _bits(words: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Bit cols[i] of packed row rows[i], as booleans."""
+    shift = (cols & 63).astype(np.uint64)
+    return ((words[rows, cols >> 6] >> shift) & np.uint64(1)).astype(bool)
+
+
+def _three_walks(P: np.ndarray, W2: np.ndarray, x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether a 3-walk joins x[i] to y[i] for every i: some neighbour of
+    x[i] is two steps from y[i].  Gathers at most _CHUNK words a step."""
+    step = max(1, _CHUNK // P.shape[1])
+    return all((P[x[k:k + step]] & W2[y[k:k + step]]).any(axis=1).all()
+               for k in range(0, len(x), step))
+
+
 def fiber_distances(cov: CoveringMap) -> dict:
     """Distance upstairs between the two points of every fiber, plus diameters.
 
-    Uses boolean/float32 powers of the collinearity matrix; the two fiber
-    points must be non-adjacent, share no neighbour, and be joined by a
-    3-step walk, and the whole graph must have diameter exactly 3."""
+    Works on bit-packed rows of the collinearity matrix: P[x] holds the
+    neighbours of x and W2[x], the OR of P[z] over those neighbours, the
+    points two steps from x.  The two fiber points must be non-adjacent,
+    share no neighbour, and be joined by a 3-step walk (P[x1] & W2[x2] is
+    nonzero; collinearity is symmetric), and the whole graph must have
+    diameter exactly 3: some pair is more than two steps apart, and every
+    such far pair is joined by a 3-step walk."""
     A = _affine_collinearity(cov.model)
-    af = A.astype(np.float32)
-    A2 = af @ af
-    A3 = af @ A2
-    x1, x2 = np.searchsorted(cov.model.affine_points, cov.point_fiber).T
-    fibers_at_3 = bool((~A[x1, x2]).all() and (A2[x1, x2] == 0).all()
-                       and (A3[x1, x2] > 0).all())
-
     n = len(A)
-    reach2 = A | (A2 > 0)
-    np.fill_diagonal(reach2, True)
-    reach = reach2 | (A3 > 0)
-    diam3 = bool(reach.all()) and not bool(reach2.all())   # not already within 2
+    P = pack_rows(A)
+    w = P.shape[1]
+    deg = A.sum(axis=1)
+    nbr = np.flatnonzero(A)
+    nbr %= n                                    # neighbours, row after row
+    start = np.concatenate(([0], np.cumsum(deg)))
+    W2 = np.zeros_like(P)                       # a row without neighbours stays empty
+    step = max(1, _CHUNK // (w * max(1, int(deg.max()))))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        has = deg[lo:hi] > 0
+        W2[lo:hi][has] = np.bitwise_or.reduceat(
+            P[nbr[start[lo]:start[hi]]], start[lo:hi][has] - start[lo], axis=0)
+
+    x1, x2 = np.searchsorted(cov.model.affine_points, cov.point_fiber).T
+    fibers_at_3 = (not _bits(P, x1, x2).any() and not _bits(W2, x1, x2).any()
+                   and _three_walks(P, W2, x1, x2))
+
+    # far pairs: the bits clear in P | W2, over the n real columns.  The
+    # identity adds nothing: a point with a neighbour is two steps from
+    # itself, and a point without one fails the 3-walk test either way.
+    far = ~(P | W2)
+    far[:, -1] &= ~np.uint64(0) >> np.uint64(-n % 64)
+    rows, cols = np.nonzero(far)                # words holding a far pair
+    step = max(1, _CHUNK // (64 * w))
+
+    def far_pairs():
+        for k in range(0, len(rows), step):
+            r, c = rows[k:k + step], cols[k:k + step]
+            bits = np.unpackbits(far[r, c].view(np.uint8).reshape(-1, 8),
+                                 axis=1, bitorder="little")
+            e, b = np.nonzero(bits)
+            yield r[e], 64 * c[e] + b
+
+    diam3 = len(rows) > 0 and all(_three_walks(P, W2, x, y) for x, y in far_pairs())
     return {"pass": fibers_at_3 and diam3,
             "fibers_at_distance_3": fibers_at_3,
             "diameter_is_3": diam3,

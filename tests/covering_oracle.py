@@ -1,13 +1,20 @@
-"""Reference loops for the covering laws, which `quadcover.covering.verify_covering`
-now checks in array passes.
+"""Reference versions of the covering checks, kept only as oracles for the
+diff tests in `test_covering.py`.
 
-Kept only as an oracle for the diff tests in `test_covering.py`: one Python
+`loop_verify_covering` checks the covering laws that
+`quadcover.covering.verify_covering` now checks in array passes: one Python
 pass per law over the ovoids, the punctured lines, the pencils and the
 affine points, with ``frozenset`` keys for the orbit quotient.  It reads the
 same `CoveringMap` arrays and reports the same counterexamples.
+
+`product_fiber_distances` is the `fiber_distances` that the packed 2-walk
+rows replaced: it takes the fiber and diameter laws from two dense float32
+products, A @ A and A @ (A @ A), of the affine collinearity matrix.
 """
 
-from quadcover.covering import CoveringMap
+import numpy as np
+
+from quadcover.covering import CoveringMap, _affine_collinearity
 
 
 def loop_verify_covering(cov: CoveringMap) -> dict:
@@ -93,3 +100,29 @@ def loop_verify_covering(cov: CoveringMap) -> dict:
         report["counterexample"] = {"kind": "quotient_line_sets"}
         return report
     return report
+
+
+def product_fiber_distances(cov: CoveringMap) -> dict:
+    """Distance upstairs between the two points of every fiber, plus diameters.
+
+    Uses boolean/float32 powers of the collinearity matrix; the two fiber
+    points must be non-adjacent, share no neighbour, and be joined by a
+    3-step walk, and the whole graph must have diameter exactly 3."""
+    A = _affine_collinearity(cov.model)
+    af = A.astype(np.float32)
+    A2 = af @ af
+    A3 = af @ A2
+    x1, x2 = np.searchsorted(cov.model.affine_points, cov.point_fiber).T
+    fibers_at_3 = bool((~A[x1, x2]).all() and (A2[x1, x2] == 0).all()
+                       and (A3[x1, x2] > 0).all())
+
+    n = len(A)
+    reach2 = A | (A2 > 0)
+    np.fill_diagonal(reach2, True)
+    reach = reach2 | (A3 > 0)
+    diam3 = bool(reach.all()) and not bool(reach2.all())   # not already within 2
+    return {"pass": fibers_at_3 and diam3,
+            "fibers_at_distance_3": fibers_at_3,
+            "diameter_is_3": diam3,
+            "n_points": n}
+

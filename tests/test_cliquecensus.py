@@ -1,5 +1,6 @@
 """Tangency graph census: strong regularity, clique counts, spectra."""
 
+import copy
 from itertools import combinations
 
 import numpy as np
@@ -230,7 +231,8 @@ def test_lowest_set_bits_against_nonzero():
     bits[42] = np.arange(64) == 63                         # only the top bit
     for w in (4, 16, 64):                                  # row widths at q = 2, 4, 8
         words = pack_rows(bits[:, :w])
-        assert words.dtype == np.uint64 and words.shape == (300,)
+        assert words.dtype == np.uint64 and words.shape == (300, 1)
+        words = words[:, 0]
         np.testing.assert_array_equal(np.bitwise_count(words), bits[:, :w].sum(axis=1))
         pos = lowest_set_bits(words, w + 1)
         for row, p in zip(bits[:, :w], pos):
@@ -239,6 +241,19 @@ def test_lowest_set_bits_against_nonzero():
             assert (p[c:] == 64).all()   # the sentinel fills only exhausted slots
             # census keeps positions below the row width: exactly the set bits
             np.testing.assert_array_equal(p[p < w], np.nonzero(row)[0])
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 240, 4032])
+def test_pack_rows_across_words(width):
+    rng = np.random.default_rng(width)
+    S = rng.random((2, 3, width)) < 0.5
+    words = pack_rows(S)
+    assert words.dtype == np.uint64 and words.shape == (2, 3, -(-width // 64))
+    # bit j % 64 of word j // 64, and no bit in the padding
+    j = np.arange(64 * words.shape[-1])
+    bits = (words[..., j // 64] >> (j % 64).astype(np.uint64)) & np.uint64(1)
+    np.testing.assert_array_equal(bits[..., :width], S)
+    assert not bits[..., width:].any()
 
 
 def test_census_input_validation(tg_q2, geom_q2):
@@ -353,6 +368,49 @@ def test_census_reports_a_four_clique_five_extension(tg_q4, geom_q4):
     assert rep.counterexample == {"kind": "four_clique_five_extension",
                                   "clique": [a, b, int(W[w]), int(W[z])],
                                   "got": int((T[w] & T[z]).sum())}
+
+
+def _assert_seed_edge_raises(A, geom, edge, message):
+    """Census of the one edge that seed 1288 draws raises message, as the
+    boolean kernel does."""
+    assert _edge(A, geom, _seed_edge(A))[:2] == edge
+    kw = dict(mode="sampled", seed=1288, n_samples=1)
+    for kernel in (census, boolean_census):
+        with pytest.raises(AssertionError) as err:
+            kernel(A, geom, **kw)
+        assert str(err.value) == message
+
+
+def test_census_raises_on_an_extra_pencil_completion(tg_q4, geom_q4):
+    # the tangency table puts a non-linear completion w of the sampled edge
+    # (a, b) on the pencil of (a, b): q - 1 pencil completions
+    a, b, _, W = _edge(tg_q4, geom_q4, _seed_edge(tg_q4))
+    w = int(W[0])
+    geom = copy.copy(geom_q4)
+    tp = geom_q4.tangency_point.copy()
+    tp[[a, w, b, w], [w, a, w, b]] = tp[a, b]
+    geom.tangency_point = tp
+    _assert_seed_edge_raises(tg_q4, geom, (a, b),
+                             "pencil completion count differs from q-2")
+
+
+def test_census_raises_on_a_missing_completion_pair(tg_q4, geom_q4):
+    # the tangent completions W[0], W[i] of the sampled edge (a, b) become
+    # non-tangent, one pair short of the uniform count.  A new edge in
+    # row min(W[0], W[i]), away from a, b and the completions, keeps the
+    # edge count and the position of (a, b), so seed 1288 still draws it.
+    A = tg_q4.copy()
+    a, b, _, W = _edge(A, geom_q4, _seed_edge(A))
+    S = A[np.ix_(W, W)]
+    i = int(np.flatnonzero(S[0])[0])
+    u = int(min(W[0], W[i]))
+    free = ~A[u] & (np.arange(len(A)) > u)
+    free[[a, b, *W]] = False
+    v = int(np.flatnonzero(free)[0])
+    A[[W[0], W[i]], [W[i], W[0]]] = False
+    A[[u, v], [v, u]] = True
+    _assert_seed_edge_raises(A, geom_q4, (a, b),
+                             "adjacent-pair count among completions not uniform")
 
 
 def test_maximal_cliques_on_small_graphs():

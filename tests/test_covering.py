@@ -2,11 +2,13 @@
 
 import copy
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from covering_oracle import loop_verify_covering
+from covering_oracle import loop_verify_covering, product_fiber_distances
+from quadcover import covering
 from quadcover.covering import (
     canonical_covering,
     fiber_distances,
@@ -233,7 +235,7 @@ def test_tangency_matches_cross_fiber_collinearity(request, name):
     assert rep == {"pass": True, "pairs_checked": v * (v - 1) // 2}
 
 
-@pytest.mark.parametrize("name", ["cov_q2", "cov_q4"])
+@pytest.mark.parametrize("name", ["cov_q2", "cov_q4", "cov_q8"])
 def test_fiber_points_sit_at_distance_three(request, name):
     cov = request.getfixturevalue(name)
     rep = fiber_distances(cov)
@@ -241,6 +243,106 @@ def test_fiber_points_sit_at_distance_three(request, name):
     assert rep["fibers_at_distance_3"]
     assert rep["diameter_is_3"]
     assert rep["n_points"] == len(cov.model.affine_points)
+
+
+def _rolled_partners(cov):
+    # each ovoid's larger point moves to the next ovoid: a non-partner,
+    # hence at distance at most 2
+    fib = cov.point_fiber.copy()
+    fib[:, 1] = np.roll(fib[:, 1], 1)
+    return replace(cov, point_fiber=fib)
+
+
+@pytest.mark.parametrize("corrupt", [None, _rolled_partners, _point_fiber],
+                         ids=["lawful", "rolled_partners", "self_partnered"])
+@pytest.mark.parametrize("name", ["cov_q2", "cov_q4", "cov_q8"])
+def test_fiber_distances_match_the_product_oracle(request, name, corrupt):
+    cov = request.getfixturevalue(name)
+    if corrupt is not None:
+        cov = corrupt(cov)
+    rep = fiber_distances(cov)
+    assert rep == product_fiber_distances(cov)
+    assert rep["fibers_at_distance_3"] == (corrupt is None)
+    assert rep["diameter_is_3"]
+
+
+def _graph_covering(adj, partners):
+    """A stand-in covering whose affine collinearity graph is adj: the
+    affine points are every other point of a gram matrix with three extra
+    points after them, and the fibers are the given vertex pairs."""
+    n = len(adj)
+    aff = np.arange(0, 2 * n, 2)
+    gram = np.ones((2 * n + 3,) * 2, dtype=np.uint8)
+    gram[np.ix_(aff, aff)] = ~adj
+    model = SimpleNamespace(gram=gram, affine_points=aff)
+    return SimpleNamespace(model=model, point_fiber=aff[np.array(partners)])
+
+
+def _path(n):
+    adj = np.zeros((n, n), dtype=bool)
+    i = np.arange(n - 1)
+    adj[i, i + 1] = adj[i + 1, i] = True
+    return adj
+
+
+def _cycle(n):
+    adj = _path(n)
+    adj[0, n - 1] = adj[n - 1, 0] = True
+    return adj
+
+
+def _layers(sizes, seed):
+    # consecutive layers completely joined and sparse random edges inside
+    # each layer: irregular degrees, and diameter len(sizes) - 1
+    rng = np.random.default_rng(seed)
+    layer = np.repeat(np.arange(len(sizes)), sizes)
+    adj = np.abs(layer[:, None] - layer[None, :]) == 1
+    inside = np.triu((layer[:, None] == layer[None, :]) & (rng.random(adj.shape) < 0.2), 1)
+    adj |= inside | inside.T
+    return adj
+
+
+def _with_isolated(adj):
+    out = np.zeros((len(adj) + 1,) * 2, dtype=bool)
+    out[:-1, :-1] = adj
+    return out
+
+
+def _random_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < rng.random((n, 1)) * 0.1, 1)
+    return upper | upper.T
+
+
+STUB_GRAPHS = [
+    # name, adjacency, fibers, expected (fibers_at_distance_3, diameter_is_3)
+    ("complete_5", ~np.eye(5, dtype=bool), [(0, 1)], (False, False)),
+    ("edgeless_3", np.zeros((3, 3), dtype=bool), [(0, 1)], (False, False)),
+    ("path_5", _path(5), [(0, 3), (1, 4)], (True, False)),
+    ("cycle_6", _cycle(6), [(0, 3), (1, 4), (2, 5)], (True, True)),
+    ("cycle_6_and_isolated", _with_isolated(_cycle(6)), [(0, 3)], (True, False)),
+    ("isolated_partner", _with_isolated(_cycle(6)), [(0, 6)], (False, False)),
+    ("cycle_6_near_partners", _cycle(6), [(0, 2), (1, 4)], (False, True)),
+    # adjacent partners with no common neighbour: joined by a 3-walk
+    ("cycle_6_adjacent_partners", _cycle(6), [(0, 1)], (False, True)),
+    ("layers_70", _layers([10, 30, 25, 5], 1), [(0, 69), (5, 65)], (True, True)),
+    ("layers_130", _layers([40, 30, 20, 40], 2), [(0, 129), (39, 90)], (True, True)),
+    ("layers_128", _layers([32, 32, 32, 32], 3), [(0, 127)], (True, True)),
+    ("layers_64_near", _layers([20, 12, 12, 20], 4), [(0, 25)], (False, True)),
+    ("layers_200_long", _layers([50, 40, 30, 40, 40], 5), [(0, 199)], (False, False)),
+    ("random_150", _random_graph(150, 6), [(0, 1), (2, 149)], None),
+]
+
+
+@pytest.mark.parametrize("adj,partners,expected", [g[1:] for g in STUB_GRAPHS],
+                         ids=[g[0] for g in STUB_GRAPHS])
+def test_fiber_distances_on_small_graphs(adj, partners, expected):
+    cov = _graph_covering(adj, partners)
+    rep = fiber_distances(cov)
+    assert rep == product_fiber_distances(cov)
+    assert rep["n_points"] == len(adj)
+    if expected is not None:
+        assert (rep["fibers_at_distance_3"], rep["diameter_is_3"]) == expected
 
 
 def test_quotient_graph_diameter_values(geom_q2, geom_q4):
@@ -319,3 +421,15 @@ def test_lift_path_rejects_bad_walks(cov_q4):
              if x not in (a,) and not geom.adjacency[a, x])
     with pytest.raises(ValueError):
         lift_path(cov, [a, c], start=cov.point_fiber[a][0])
+
+
+@pytest.mark.parametrize("chunk", [1, 200])
+def test_fiber_distances_in_small_chunks(monkeypatch, cov_q4, chunk):
+    # every chunked loop takes many steps, some of them ragged
+    monkeypatch.setattr(covering, "_CHUNK", chunk)
+    for cov in (cov_q4, _rolled_partners(cov_q4),
+                _graph_covering(_layers([40, 30, 20, 40], 2), [(0, 129), (39, 90)]),
+                # forty partners at distance 3, then one at distance 4
+                _graph_covering(_layers([50, 40, 30, 40, 40], 5),
+                                [(i, 120 + i) for i in range(40)] + [(0, 199)])):
+        assert fiber_distances(cov) == product_fiber_distances(cov)
