@@ -2,8 +2,9 @@
 
 The context object owns the modulus and the (eagerly built) exp/log tables;
 all scalar operations take and return plain ints below 2^n.
-Division-free hot paths elsewhere in the package consume ``FieldCtx.mul_table``,
-a dense numpy multiplication table available for n <= 8.
+Array passes elsewhere in the package consume ``FieldCtx.mul_table``, a dense
+numpy multiplication table available for n <= 8, and ``FieldCtx.inv_table``,
+the inverses as one array with 0 mapped to 0.
 """
 
 from __future__ import annotations
@@ -131,6 +132,10 @@ class FieldCtx:
         if any(t not in (0, 1) for t in tr):
             raise AssertionError("trace fell outside F_2")
         self._trace = tr
+        # inverse table for vectorized callers, 0 -> 0
+        inv = np.zeros(q, dtype=np.uint16)
+        inv[exp] = np.array(exp, dtype=np.uint16)[(-np.arange(q - 1)) % (q - 1)]
+        self.inv_table: np.ndarray = inv
         # dense numpy product table for vectorized callers (small fields only)
         if self.n <= 8:
             t = np.zeros((q, q), dtype=np.uint16)

@@ -24,9 +24,9 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .gf2n import FieldCtx
 from .projgeom import (
     Subspace,
-    span,
     subspace_contains,
     subspace_intersection,
     subspace_points,
@@ -100,11 +100,12 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     points perpendicular to the orbit's smaller point x.  As x6 != 0 at x,
     x^perp meets {x6 = 0} in a solid that holds the ovoid; a plane meets an
     elliptic quadric in at most q+1 points, so q+2 ovoid points of rank 4
-    span exactly that solid.
+    span exactly that solid.  One batched row reduction gives every span.
     """
     q = model.ctx.q
     geom = OvoidGeometry(model)
-    reps = [x for x in model.affine_points if model.elation_perm[x] > x]
+    aff = np.array(model.affine_points)
+    reps = aff[model.elation_perm[aff] > aff]
     n_ov = len(reps)
     if n_ov != q * q * (q * q - 1) // 2:
         raise AssertionError(f"{n_ov} ovoids, expected {q * q * (q * q - 1) // 2}")
@@ -114,76 +115,140 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     if (member.sum(axis=1) != q * q + 1).any():
         raise AssertionError("perp section has the wrong size")
     geom.member_matrix = member
-    for i, x in enumerate(reps):
-        pts = tuple(sect[member[i]].tolist())
-        sp = span(model.ctx, [model.point(p) for p in pts[:q + 2]])
-        if sp.rank != 4:
-            raise AssertionError("ovoid does not span a 3-space")
-        geom.ovoids.append(Ovoid(id=i, orbit=(x, int(model.elation_perm[x])),
-                                 points=pts, span=sp))
+    cols = np.nonzero(member)[1].reshape(n_ov, q * q + 1)
+    basis, rank = _batched_rref(model.ctx, model.coords[sect[cols[:, :q + 2]]])
+    if (rank != 4).any():
+        raise AssertionError("ovoid does not span a 3-space")
+    points = np.array(model.section_points, dtype=object)[cols].tolist()
+    partner = model.elation_perm[reps].tolist()
+    geom.ovoids = [Ovoid(id=i, orbit=(x, y), points=tuple(pts),
+                         span=Subspace(tuple(map(tuple, sp))))
+                   for i, (x, y, pts, sp) in enumerate(zip(reps.tolist(), partner, points,
+                                                           basis[:, :4].tolist()))]
 
+    # float32 products are exact here: every entry is an integer below 2^24
     mf = member.astype(np.float32)
-    inter = (mf @ mf.T).astype(np.int32)
+    inter = mf @ mf.T
     np.fill_diagonal(inter, 0)
-    off = inter[~np.eye(n_ov, dtype=bool)]
-    if not np.isin(off, (1, q + 1)).all():
+    lawful = (inter == 1) | (inter == q + 1)
+    np.fill_diagonal(lawful, True)
+    if not lawful.all():
         raise AssertionError("some ovoid pair meets in neither a point nor a conic")
+    del lawful
     geom.inter_count = inter.astype(np.uint8)
     geom.adjacency = inter == 1
+    del inter
 
     # position-weighted product: for tangent pairs the entry is the dense
-    # index of the unique common point (exact in float32, values < 2^24)
-    weighted = mf * np.arange(n_q0, dtype=np.float32)
-    tp_dense = (mf @ weighted.T).astype(np.int32)
-    tp = np.where(geom.adjacency, sect[np.clip(tp_dense, 0, n_q0 - 1)], -1).astype(np.int16)
-    geom.tangency_point = tp
+    # index of the unique common point
+    tp_dense = mf @ (mf * np.arange(n_q0, dtype=np.float32)).T
+    del mf
+    geom.tangency_point = np.full((n_ov, n_ov), -1, dtype=np.int16)
+    geom.tangency_point[geom.adjacency] = sect[tp_dense[geom.adjacency].astype(np.intp)]
+    del tp_dense
 
-    geom.through = [np.nonzero(member[:, k])[0] for k in range(n_q0)]
     per_point = q * q * (q - 1) // 2
-    if any(len(t) != per_point for t in geom.through):
+    if (member.sum(axis=0) != per_point).any():
         raise AssertionError("wrong number of ovoids through a section point")
+    geom.through = list(np.nonzero(member.T)[1].reshape(n_q0, per_point))
 
     _build_rosettes(geom)
     _verify_incidence(geom)
     return geom
 
 
+def _batched_rref(ctx: FieldCtx, mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form over GF(q) of every matrix in a (B, R, C)
+    stack, one column at a time for the whole stack: the first rank rows of
+    each are the canonical basis `projgeom.rref` gives, the rest are zero.
+    Returns the reduced stack and the rank of each matrix."""
+    M = ctx.mul_table
+    A = mats.astype(np.uint16)
+    B, R, C = A.shape
+    rank = np.zeros(B, dtype=np.intp)
+    for col in range(C):
+        cand = (A[:, :, col] != 0) & (np.arange(R) >= rank[:, None])
+        has = np.flatnonzero(cand.any(axis=1))
+        top, sel = rank[has], cand[has].argmax(axis=1)
+        row = A[has, sel]
+        A[has, sel] = A[has, top]
+        row = M[ctx.inv_table[row[:, col]][:, None], row]
+        A[has, top] = row
+        factor = A[has, :, col]
+        factor[np.arange(len(has)), top] = 0
+        A[has] ^= M[factor[:, :, None], row[:, None, :]]
+        rank[has] += 1
+    return A, rank
+
+
 def _build_rosettes(geom: OvoidGeometry) -> None:
     """Group the ovoids through each point into pencils of pairwise tangent ones.
 
-    With S the tangency matrix of the ovoids through p, diagonal set,
-    S.S = q.S holds exactly when tangency at p is an equivalence relation
-    with classes of q pairwise tangent ovoids; each pencil is the row of S
-    at its smallest member.  No ovoid through p meets p^perp beyond p, so a
+    The tangent pairs (a, b) and their tangency points p are read from the
+    tables.  Let N(a) be a with its tangents at p, and m(a) the smallest
+    member of N(a).  Tangency at p is an equivalence with classes of q
+    pairwise tangent ovoids when it is symmetric, |N(a)| = q for every ovoid
+    a through p, and m is constant on each N(a).  For then, with m = m(a),
+    every b with m(b) = m is in N(m) (m is in N(b), and by symmetry b in
+    N(m)), N(a) is among those b, and |N(a)| = |N(m)| = q: so N(a) = N(m).
+    Each pencil is the class of its smallest member, in the order of (base,
+    smallest member).  No ovoid through p meets p^perp beyond p, so a
     pencil's members meet p^perp only at p, and their union (pairwise
     meeting only at p) has q^3+1 points.
     """
     model = geom.model
     q = model.ctx.q
+    member = geom.member_matrix
+    n_ov, n_q0 = member.shape
+    dense = np.full(model.n_points, n_q0, dtype=np.int16)   # n_q0: off the section
+    dense[model.section_points] = np.arange(n_q0)
+    # int16: fewer than 2^15 ovoids and points at every buildable degree
+    a, b = (v.astype(np.int16) for v in np.nonzero(geom.adjacency))
+    tp = geom.tangency_point[a, b]
+    pk = np.where(tp >= 0, dense[tp], n_q0)
+    on_both = np.append(member, np.zeros((n_ov, 1), dtype=bool), axis=1)
+    if not (on_both[a, pk] & on_both[b, pk]).all():
+        raise AssertionError("ovoids sharing a point are tangent elsewhere")
+    del on_both
+
+    equivalence = "tangency at a point is not an equivalence with classes of size q"
+    if not (geom.adjacency[b, a] & (geom.tangency_point[b, a] == tp)).all():
+        raise AssertionError(equivalence)
+    del tp
+    # every pair's point is on a, so a count off the member pairs is 0
+    counts = np.bincount(pk * np.int32(n_ov) + a, minlength=n_q0 * n_ov)
+    if (counts.reshape(n_q0, n_ov)[member.T] != q - 1).any():
+        raise AssertionError(equivalence)
+    del counts
+    # one row per (p, a) with p on a, sorted by (p, a): a's tangents at p, ascending
+    order = np.argsort(pk, kind="stable")
+    tangents = b[order].reshape(-1, q - 1)
+    base, a = pk[order][::q - 1], a[order][::q - 1]
+    del order, b, pk
+    least = np.minimum(a, tangents[:, 0])
+    row_of = np.empty((n_q0, n_ov), dtype=np.int32)
+    row_of[base, a] = np.arange(len(a))
+    if not (least[row_of[base[:, None], tangents]] == least[:, None]).all():
+        raise AssertionError(equivalence)
+    del row_of
+    if (geom.inter_count[a[:, None], tangents] != 1).any():
+        raise AssertionError("ovoids sharing a point are tangent elsewhere")
+
     sect = np.array(model.section_points)
-    rosettes: List[Rosette] = []
-    rosettes_at: List[List[int]] = []
-    for k, p in enumerate(model.section_points):
-        cands = geom.through[k]
-        S = geom.adjacency[np.ix_(cands, cands)]
-        if not (geom.tangency_point[np.ix_(cands, cands)][S] == p).all():
-            raise AssertionError("ovoids sharing a point are tangent elsewhere")
-        np.fill_diagonal(S, True)
-        Sf = S.astype(np.float32)
-        if not np.array_equal(Sf @ Sf, q * Sf):
-            raise AssertionError("tangency at a point is not an equivalence "
-                                 "with classes of size q")
-        meets = geom.member_matrix[np.ix_(cands, model.gram[p, sect] == 0)]
-        if (meets.sum(axis=1) != 1).any():
+    on_ovoid = np.packbits(member, axis=1)
+    perp = np.packbits(model.gram[np.ix_(sect, sect)] == 0, axis=1)
+    for lo in range(0, len(a), 1 << 15):
+        meets = on_ovoid[a[lo:lo + (1 << 15)]] & perp[base[lo:lo + (1 << 15)]]
+        if (np.bitwise_count(meets).sum(axis=1) != 1).any():
             raise AssertionError("an ovoid through a point meets its perp beyond the point")
-        ids_here = []
-        for i in np.nonzero(S.argmax(axis=1) == np.arange(len(cands)))[0]:
-            ids_here.append(len(rosettes))
-            rosettes.append(Rosette(id=len(rosettes), base=p,
-                                    members=tuple(cands[S[i]].tolist())))
-        rosettes_at.append(ids_here)
-    geom.rosettes = rosettes
-    geom.rosettes_at = rosettes_at
+
+    heads = np.flatnonzero(least == a)
+    members = np.column_stack([a[heads], tangents[heads]]).tolist()
+    bases = sect[base[heads]].tolist()
+    geom.rosettes = [Rosette(id=i, base=p, members=tuple(m))
+                     for i, (p, m) in enumerate(zip(bases, members))]
+    ends = np.cumsum(np.bincount(base[heads], minlength=n_q0)).tolist()
+    geom.rosettes_at = [list(range(lo, hi)) for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def _check_rosette_partition(geom: OvoidGeometry, members: Sequence[int], p: int,
@@ -204,13 +269,13 @@ def _check_rosette_partition(geom: OvoidGeometry, members: Sequence[int], p: int
 
 def _verify_incidence(geom: OvoidGeometry) -> None:
     q = geom.model.ctx.q
-    incidence: List[List[int]] = [[] for _ in range(geom.n_ovoids)]
-    for r in geom.rosettes:
-        for m in r.members:
-            incidence[m].append(r.id)
-    if any(len(t) != q * q + 1 for t in incidence):
+    members = np.array([r.members for r in geom.rosettes]).ravel()
+    if (np.bincount(members, minlength=geom.n_ovoids) != q * q + 1).any():
         raise AssertionError("some ovoid is not on q^2+1 pencils")
-    geom.incidence = incidence
+    # stable radix sort: fewer than 2^16 ovoids at every buildable degree
+    by_ovoid = np.argsort(members.astype(np.uint16), kind="stable") // q
+    rids = np.array([r.id for r in geom.rosettes], dtype=object)
+    geom.incidence = rids[by_ovoid].reshape(geom.n_ovoids, q * q + 1).tolist()
 
 
 # -- intersection queries ------------------------------------------------------

@@ -140,62 +140,102 @@ def build_model(ctx: FieldCtx, lam=None) -> QuadricModel:
 
 
 def _gram_matrix(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
-    M = ctx.mul_table
+    """alpha(x, y) for every pair of points, one hyperbolic pair of
+    coordinates at a time: row a*q + b of T_i is a*y_{i+1} + b*y_i over all
+    points y, so row x of the matrix is the XOR over i = 0, 2, 4 of
+    T_i[x_i*q + x_{i+1}]."""
+    q = ctx.q
+    M = ctx.mul_table.astype(np.uint8)
+    T = [(M[:, None, coords[:, i + 1]] ^ M[None, :, coords[:, i]]).reshape(q * q, -1)
+         for i in (0, 2, 4)]
+    keys = [coords[:, i] * q + coords[:, i + 1] for i in (0, 2, 4)]
     n = len(coords)
     gram = np.empty((n, n), dtype=np.uint8)
-    pairs = ((0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4))
     block = 1024
     for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        acc = np.zeros((hi - lo, n), dtype=np.uint8)
-        for i, j in pairs:
-            acc ^= M[coords[lo:hi, i][:, None], coords[None, :, j]].astype(np.uint8)
-        gram[lo:hi] = acc
+        acc = gram[lo:lo + block]
+        np.take(T[0], keys[0][lo:lo + block], axis=0, out=acc)
+        acc ^= T[1][keys[1][lo:lo + block]]
+        acc ^= T[2][keys[2][lo:lo + block]]
     return gram
 
 
+def _point_codes(n: int, rows: np.ndarray) -> np.ndarray:
+    """Each coordinate row (..., 6) read as one 6n-bit integer.  The points
+    are sorted lexicographically, so their codes are increasing."""
+    code = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for j in range(6):
+        code = (code << n) | rows[..., j]
+    return code
+
+
+def _index_by_code(model: QuadricModel) -> np.ndarray:
+    """Dense point index of every 6n-bit code, -1 off the quadric."""
+    table = np.full(1 << (6 * model.ctx.n), -1, dtype=np.int32)
+    table[_point_codes(model.ctx.n, model.coords)] = np.arange(model.n_points)
+    return table
+
+
 def _build_lines(model: QuadricModel) -> None:
-    """Collect the totally singular lines as common perps of collinear pairs.
+    """The totally singular lines, each emitted once from its two smallest points.
 
     In characteristic 2 the line joining two quadric points lies on the
-    quadric exactly when the points are perpendicular, and in a generalized
-    quadrangle the points collinear with two collinear points x, y are
-    exactly the points of line xy.  Each point x walks its later perp
-    neighbours not yet on a line through x, so every line is emitted once,
-    from its two smallest points, and in sorted order.
+    quadric exactly when the points are perpendicular.  Let piv be the first
+    nonzero coordinate of a normalized point.  A line's smallest point x is
+    its only point with the largest piv, and its second point k is the one
+    with k[piv(x)] = 0; its points are x and k + t*x for t = 0, 1, ..., q-1,
+    in sorted order.  So the lines are the perp pairs (x, k) with
+    piv(k) < piv(x) and k[piv(x)] = 0.  The laws checked: there are
+    (q^3+1)(q^2+1) lines, every point of a line is on the quadric and
+    perpendicular to the others, the common perp of x and k is the line,
+    and each point's perp is the union of its q^2+1 lines.
     """
-    q = model.ctx.q
+    ctx = model.ctx
+    q = ctx.q
     nq = model.n_points
     gram = model.gram
-    ids = list(range(nq))     # line tuples share these ints: at q = 8 fresh ones cost ~8 MB
-    lines: List[Tuple[int, ...]] = []
-    through: List[List[int]] = [[] for _ in range(nq)]
-    for x in range(nq):
-        perp_x = gram[x] == 0
-        todo = perp_x.copy()
-        todo[:x + 1] = False
-        for li in through[x]:
-            todo[list(lines[li])] = False
-        for y in np.nonzero(todo)[0]:
-            if not todo[y]:
-                continue
-            pts = np.nonzero(perp_x & (gram[y] == 0))[0]
-            if len(pts) != q + 1:
-                raise AssertionError("common perp of collinear points is not a line")
-            todo[pts] = False
-            for p in pts:
-                through[p].append(len(lines))
-            lines.append(tuple(ids[p] for p in pts))
-    model.lines = lines
+    c = model.coords
+    piv = (c != 0).argmax(axis=1)
+    xs, ks = [], []
+    for p in range(5, 0, -1):           # points with a larger pivot sort first
+        X = np.flatnonzero(piv == p)
+        K = np.flatnonzero((piv < p) & (c[:, p] == 0))
+        i, j = np.nonzero(gram[np.ix_(X, K)] == 0)
+        xs.append(X[i])
+        ks.append(K[j])
+    x, k = np.concatenate(xs), np.concatenate(ks)
     expected = nq * (q * q + 1) // (q + 1)
-    if len(lines) != expected:
-        raise AssertionError(f"{len(lines)} lines, expected {expected}")
-    ln = np.array(lines)
-    if gram[ln[:, :, None], ln[:, None, :]].any():
+    if len(x) != expected:
+        raise AssertionError(f"{len(x)} lines, expected {expected}")
+
+    # code(k + t*x) = code(k) ^ code(t*x), with multiples[t, x] = code(t*x)
+    multiples = _point_codes(ctx.n, ctx.mul_table[np.arange(q)[:, None, None], c])
+    ln = np.empty((len(x), q + 1), dtype=np.int32)
+    ln[:, 0] = x
+    ln[:, 1:] = _index_by_code(model)[_point_codes(ctx.n, c)[k][:, None] ^ multiples[:, x].T]
+    # gram is symmetric with a zero diagonal; nq^2 < 2^31 at every buildable degree
+    i, j = np.triu_indices(q + 1, 1)
+    if (ln < 0).any() or np.take(gram, ln[:, i] * nq + ln[:, j]).any():
         raise AssertionError("a line is not totally singular")
-    if any(len(t) != q * q + 1 for t in through):
-        raise AssertionError("some point is not on q^2+1 lines")
-    model.lines_through = through
+    P = np.concatenate([np.packbits(gram[lo:lo + 1024] == 0, axis=1)
+                        for lo in range(0, nq, 1024)])
+    for lo in range(0, len(x), 4096):
+        common = np.bitwise_count(P[x[lo:lo + 4096]] & P[k[lo:lo + 4096]]).sum(axis=1)
+        if (common != q + 1).any():
+            raise AssertionError("common perp of collinear points is not a line")
+    # distinct lines through a point meet only there: q^2+1 of them cover
+    # q(q^2+1) perps, and a point with more perps has a perp pair on no line
+    on = np.bincount(ln.ravel(), minlength=nq)
+    perps = np.bitwise_count(P).sum(axis=1) - 1
+    if ((on != q * q + 1) | (perps != q * on)).any():
+        raise AssertionError("some point is not on q^2+1 lines that cover its perp")
+
+    ids = np.arange(nq).astype(object)  # shared ints: at q = 8 fresh ones cost ~8 MB
+    model.lines = list(zip(*(ids[col].tolist() for col in ln.T)))
+    # stable radix sort: nq < 2^16 at every buildable degree
+    by_point = np.argsort(ln.ravel().astype(np.uint16), kind="stable") // (q + 1)
+    line_ids = np.arange(len(ln)).astype(object)
+    model.lines_through = line_ids[by_point].reshape(nq, q * q + 1).tolist()
 
 
 def _find_nucleus(model: QuadricModel) -> None:
@@ -230,14 +270,27 @@ def second_intersection(model: QuadricModel, x: Sequence[int],
 
 
 def _build_elation(model: QuadricModel) -> None:
-    """Pair each point off the axis with the second quadric point toward the nucleus."""
+    """Pair each point x off the axis with its `second_intersection` toward
+    the nucleus c, all in one pass: y = c + (f(c) / alpha(c, x)) * x."""
+    M = model.ctx.mul_table
     nq = model.n_points
+    aff = np.array(model.affine_points)
+    x = model.coords[aff]
+    c = np.array(model.nucleus)
+    a = np.zeros(len(aff), dtype=np.uint16)
+    for i, j in ((0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)):
+        a ^= M[c[i], x[:, j]]
+    if (a == 0).any():
+        raise AssertionError("nucleus line is not a secant")
+    t = M[model.f_scalar(model.nucleus), model.ctx.inv_table[a]]
+    y = c ^ M[t[:, None], x]
+    lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
+    y = M[model.ctx.inv_table[lead][:, None], y]
+    other = _index_by_code(model)[_point_codes(model.ctx.n, y)]
+    if (other < 0).any():
+        raise AssertionError("second intersection is off the quadric")
     perm = np.arange(nq, dtype=np.int32)
-    for x in model.affine_points:
-        other = second_intersection(model, model.point(x), model.nucleus)
-        if other is None:
-            raise AssertionError("nucleus line is not a secant")
-        perm[x] = model.q_table.index(other)
+    perm[aff] = other
     if not np.array_equal(perm[perm], np.arange(nq)):
         raise AssertionError("elation is not an involution")
     if (perm[model.affine_points] == model.affine_points).any():

@@ -1,0 +1,201 @@
+"""Reference loops for the model and geometry set-up, which
+`quadcover.quadric` and `quadcover.ovoid` now build in array passes.
+
+Kept only as oracles for the diff tests in `test_setup.py`: the block-wise
+scalar-table gram matrix, the per-point common-perp walk for the lines, one
+scalar `second_intersection` per point for the elation, one `span` per
+ovoid, the per-point S.S = q.S grouping of the pencils and the per-member
+incidence lists.  They share no code with the array passes.
+`loop_build_lines`, `loop_build_elation`, `loop_build_rosettes` and
+`loop_incidence` fill the same fields of the model or geometry they are
+given as the function they replaced; `loop_build_geometry` is the whole
+former `build_geometry`.
+"""
+
+from typing import List, Tuple
+
+import numpy as np
+
+from quadcover.gf2n import FieldCtx
+from quadcover.ovoid import Ovoid, OvoidGeometry, Rosette
+from quadcover.projgeom import span
+from quadcover.quadric import QuadricModel, second_intersection
+
+
+def loop_gram_matrix(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
+    M = ctx.mul_table
+    n = len(coords)
+    gram = np.empty((n, n), dtype=np.uint8)
+    pairs = ((0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4))
+    block = 1024
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        acc = np.zeros((hi - lo, n), dtype=np.uint8)
+        for i, j in pairs:
+            acc ^= M[coords[lo:hi, i][:, None], coords[None, :, j]].astype(np.uint8)
+        gram[lo:hi] = acc
+    return gram
+
+
+def loop_build_lines(model: QuadricModel) -> None:
+    """Collect the totally singular lines as common perps of collinear pairs.
+
+    In characteristic 2 the line joining two quadric points lies on the
+    quadric exactly when the points are perpendicular, and in a generalized
+    quadrangle the points collinear with two collinear points x, y are
+    exactly the points of line xy.  Each point x walks its later perp
+    neighbours not yet on a line through x, so every line is emitted once,
+    from its two smallest points, and in sorted order.
+    """
+    q = model.ctx.q
+    nq = model.n_points
+    gram = model.gram
+    ids = list(range(nq))     # line tuples share these ints: at q = 8 fresh ones cost ~8 MB
+    lines: List[Tuple[int, ...]] = []
+    through: List[List[int]] = [[] for _ in range(nq)]
+    for x in range(nq):
+        perp_x = gram[x] == 0
+        todo = perp_x.copy()
+        todo[:x + 1] = False
+        for li in through[x]:
+            todo[list(lines[li])] = False
+        for y in np.nonzero(todo)[0]:
+            if not todo[y]:
+                continue
+            pts = np.nonzero(perp_x & (gram[y] == 0))[0]
+            if len(pts) != q + 1:
+                raise AssertionError("common perp of collinear points is not a line")
+            todo[pts] = False
+            for p in pts:
+                through[p].append(len(lines))
+            lines.append(tuple(ids[p] for p in pts))
+    model.lines = lines
+    expected = nq * (q * q + 1) // (q + 1)
+    if len(lines) != expected:
+        raise AssertionError(f"{len(lines)} lines, expected {expected}")
+    ln = np.array(lines)
+    if gram[ln[:, :, None], ln[:, None, :]].any():
+        raise AssertionError("a line is not totally singular")
+    if any(len(t) != q * q + 1 for t in through):
+        raise AssertionError("some point is not on q^2+1 lines")
+    model.lines_through = through
+
+
+def loop_build_elation(model: QuadricModel) -> None:
+    """Pair each point off the axis with the second quadric point toward the nucleus."""
+    nq = model.n_points
+    perm = np.arange(nq, dtype=np.int32)
+    for x in model.affine_points:
+        other = second_intersection(model, model.point(x), model.nucleus)
+        if other is None:
+            raise AssertionError("nucleus line is not a secant")
+        perm[x] = model.q_table.index(other)
+    if not np.array_equal(perm[perm], np.arange(nq)):
+        raise AssertionError("elation is not an involution")
+    if (perm[model.affine_points] == model.affine_points).any():
+        raise AssertionError("elation fixes a point off its axis")
+    model.elation_perm = perm
+
+
+def loop_build_geometry(model: QuadricModel) -> OvoidGeometry:
+    """Assemble ovoids, tangency tables and rosettes, asserting the structure laws.
+
+    There is one ovoid per elation orbit of the affine points: the section
+    points perpendicular to the orbit's smaller point x.  As x6 != 0 at x,
+    x^perp meets {x6 = 0} in a solid that holds the ovoid; a plane meets an
+    elliptic quadric in at most q+1 points, so q+2 ovoid points of rank 4
+    span exactly that solid.
+    """
+    q = model.ctx.q
+    geom = OvoidGeometry(model)
+    reps = [x for x in model.affine_points if model.elation_perm[x] > x]
+    n_ov = len(reps)
+    if n_ov != q * q * (q * q - 1) // 2:
+        raise AssertionError(f"{n_ov} ovoids, expected {q * q * (q * q - 1) // 2}")
+    n_q0 = len(model.section_points)
+    sect = np.array(model.section_points, dtype=np.int16)
+    member = model.gram[np.ix_(reps, model.section_points)] == 0
+    if (member.sum(axis=1) != q * q + 1).any():
+        raise AssertionError("perp section has the wrong size")
+    geom.member_matrix = member
+    for i, x in enumerate(reps):
+        pts = tuple(sect[member[i]].tolist())
+        sp = span(model.ctx, [model.point(p) for p in pts[:q + 2]])
+        if sp.rank != 4:
+            raise AssertionError("ovoid does not span a 3-space")
+        geom.ovoids.append(Ovoid(id=i, orbit=(x, int(model.elation_perm[x])),
+                                 points=pts, span=sp))
+
+    mf = member.astype(np.float32)
+    inter = (mf @ mf.T).astype(np.int32)
+    np.fill_diagonal(inter, 0)
+    off = inter[~np.eye(n_ov, dtype=bool)]
+    if not np.isin(off, (1, q + 1)).all():
+        raise AssertionError("some ovoid pair meets in neither a point nor a conic")
+    geom.inter_count = inter.astype(np.uint8)
+    geom.adjacency = inter == 1
+
+    # position-weighted product: for tangent pairs the entry is the dense
+    # index of the unique common point (exact in float32, values < 2^24)
+    weighted = mf * np.arange(n_q0, dtype=np.float32)
+    tp_dense = (mf @ weighted.T).astype(np.int32)
+    tp = np.where(geom.adjacency, sect[np.clip(tp_dense, 0, n_q0 - 1)], -1).astype(np.int16)
+    geom.tangency_point = tp
+
+    geom.through = [np.nonzero(member[:, k])[0] for k in range(n_q0)]
+    per_point = q * q * (q - 1) // 2
+    if any(len(t) != per_point for t in geom.through):
+        raise AssertionError("wrong number of ovoids through a section point")
+
+    loop_build_rosettes(geom)
+    loop_incidence(geom)
+    return geom
+
+
+def loop_build_rosettes(geom: OvoidGeometry) -> None:
+    """Group the ovoids through each point into pencils of pairwise tangent ones.
+
+    With S the tangency matrix of the ovoids through p, diagonal set,
+    S.S = q.S holds exactly when tangency at p is an equivalence relation
+    with classes of q pairwise tangent ovoids; each pencil is the row of S
+    at its smallest member.  No ovoid through p meets p^perp beyond p, so a
+    pencil's members meet p^perp only at p, and their union (pairwise
+    meeting only at p) has q^3+1 points.
+    """
+    model = geom.model
+    q = model.ctx.q
+    sect = np.array(model.section_points)
+    rosettes: List[Rosette] = []
+    rosettes_at: List[List[int]] = []
+    for k, p in enumerate(model.section_points):
+        cands = geom.through[k]
+        S = geom.adjacency[np.ix_(cands, cands)]
+        if not (geom.tangency_point[np.ix_(cands, cands)][S] == p).all():
+            raise AssertionError("ovoids sharing a point are tangent elsewhere")
+        np.fill_diagonal(S, True)
+        Sf = S.astype(np.float32)
+        if not np.array_equal(Sf @ Sf, q * Sf):
+            raise AssertionError("tangency at a point is not an equivalence "
+                                 "with classes of size q")
+        meets = geom.member_matrix[np.ix_(cands, model.gram[p, sect] == 0)]
+        if (meets.sum(axis=1) != 1).any():
+            raise AssertionError("an ovoid through a point meets its perp beyond the point")
+        ids_here = []
+        for i in np.nonzero(S.argmax(axis=1) == np.arange(len(cands)))[0]:
+            ids_here.append(len(rosettes))
+            rosettes.append(Rosette(id=len(rosettes), base=p,
+                                    members=tuple(cands[S[i]].tolist())))
+        rosettes_at.append(ids_here)
+    geom.rosettes = rosettes
+    geom.rosettes_at = rosettes_at
+
+
+def loop_incidence(geom: OvoidGeometry) -> None:
+    q = geom.model.ctx.q
+    incidence: List[List[int]] = [[] for _ in range(geom.n_ovoids)]
+    for r in geom.rosettes:
+        for m in r.members:
+            incidence[m].append(r.id)
+    if any(len(t) != q * q + 1 for t in incidence):
+        raise AssertionError("some ovoid is not on q^2+1 pencils")
+    geom.incidence = incidence

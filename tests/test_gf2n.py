@@ -16,6 +16,14 @@ def test_default_moduli_are_irreducible():
         assert is_irreducible(default_modulus(n))
 
 
+def test_inverse_table():
+    for n in range(1, 9):
+        ctx = FieldCtx(n)
+        a = list(range(1, ctx.q))
+        assert ctx.inv_table[0] == 0
+        assert (ctx.mul_table[a, ctx.inv_table[a]] == 1).all()
+
+
 def test_rejects_reducible_modulus():
     with pytest.raises(ValueError):
         FieldCtx(3, modulus=0b1010)  # x^3 + x = x(x+1)^2

@@ -95,24 +95,26 @@ def test_lines_match_line_points_oracle(request, name):
 
 
 def test_construction_makes_no_line_points_call(monkeypatch):
-    """The q = 4 model and geometry make no line_points call and one
-    null_space call, for the nucleus."""
-    calls = {"line_points": 0, "null_space": 0}
+    """The q = 4 model and geometry make no line_points or span call, one
+    null_space call (two rref calls), for the nucleus, and only the scalar
+    field products of the nucleus and the field's own tables."""
+    calls = {"line_points": 0, "span": 0, "null_space": 0, "rref": 0, "mul": 0}
 
-    def counting(name):
-        real = getattr(projgeom, name)
-
+    def counting(name, real):
         def counted(*args):
             calls[name] += 1
             return real(*args)
         return counted
 
-    for name in calls:
-        wrapper = counting(name)
+    for name in ("line_points", "span", "null_space", "rref"):
+        wrapper = counting(name, getattr(projgeom, name))
         for mod in (projgeom, quadric, ovoid, covering):
             monkeypatch.setattr(mod, name, wrapper, raising=False)
+    monkeypatch.setattr(FieldCtx, "mul", counting("mul", FieldCtx.mul))
     build_geometry(build_model(FieldCtx(2)))
-    assert calls == {"line_points": 0, "null_space": 1}
+    mul = calls.pop("mul")
+    assert calls == {"line_points": 0, "span": 0, "null_space": 1, "rref": 2}
+    assert mul < 300
 
 
 def test_nucleus_properties(model_q2, model_q4, model_q8):

@@ -1,0 +1,218 @@
+"""The model and geometry set-up against the loops it replaced.
+
+`setup_oracle` holds the former scalar and per-point set-up.  Every field
+the set-up fills is diffed against it, with its type, at q = 2 and q = 4
+for every modulus and trace-one form parameter, and at q = 8 for the
+default field.  Corrupted copies of the tables show that the line and
+grouping laws still fire.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from setup_oracle import (loop_build_elation, loop_build_geometry, loop_build_lines,
+                          loop_build_rosettes, loop_gram_matrix)
+from quadcover.gf2n import FieldCtx, is_irreducible, trace
+from quadcover.ovoid import _batched_rref, _build_rosettes, build_geometry
+from quadcover.projgeom import rref
+from quadcover.quadric import _build_elation, _build_lines, build_model
+
+FIELDS = [(n, m, lam) for n in (1, 2)
+          for m in range(1 << n, 2 << n) if is_irreducible(m)
+          for lam in range(1 << n) if trace(FieldCtx(n, m), lam) == 1]
+
+
+def assert_same_model(model):
+    oracle = copy.copy(model)
+    loop_build_lines(oracle)
+    loop_build_elation(oracle)
+    gram = loop_gram_matrix(model.ctx, model.coords)
+    assert model.gram.dtype == gram.dtype and np.array_equal(model.gram, gram)
+    assert model.lines == oracle.lines
+    assert {type(p) for line in model.lines for p in line} == {int}
+    assert all(type(line) is tuple for line in model.lines)
+    assert model.lines_through == oracle.lines_through
+    assert {type(i) for t in model.lines_through for i in t} == {int}
+    assert model.elation_perm.dtype == oracle.elation_perm.dtype
+    assert np.array_equal(model.elation_perm, oracle.elation_perm)
+
+
+def assert_same_geometry(geom):
+    oracle = loop_build_geometry(geom.model)
+    ovoid_fields = [(o.id, o.orbit, o.points, o.span) for o in oracle.ovoids]
+    assert [(o.id, o.orbit, o.points, o.span) for o in geom.ovoids] == ovoid_fields
+    assert {type(v) for o in geom.ovoids for v in o.orbit + o.points} == {int}
+    assert {type(v) for o in geom.ovoids for row in o.span.basis for v in row} == {int}
+    for name in ("member_matrix", "inter_count", "adjacency", "tangency_point"):
+        new, old = getattr(geom, name), getattr(oracle, name)
+        assert new.dtype == old.dtype and np.array_equal(new, old), name
+    assert len(geom.through) == len(oracle.through)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b)
+               for a, b in zip(geom.through, oracle.through))
+    rosette_fields = [(r.id, r.base, r.members) for r in oracle.rosettes]
+    assert [(r.id, r.base, r.members) for r in geom.rosettes] == rosette_fields
+    assert {type(v) for r in geom.rosettes for v in (r.id, r.base) + r.members} == {int}
+    assert geom.rosettes_at == oracle.rosettes_at
+    assert {type(i) for ids in geom.rosettes_at for i in ids} == {int}
+    assert geom.incidence == oracle.incidence
+    assert {type(i) for ids in geom.incidence for i in ids} == {int}
+
+
+@pytest.mark.parametrize("n,modulus,lam", FIELDS)
+def test_small_setup_matches_the_loop_oracle(n, modulus, lam):
+    model = build_model(FieldCtx(n, modulus), lam=lam)
+    assert_same_model(model)
+    assert_same_geometry(build_geometry(model))
+
+
+def test_q8_setup_matches_the_loop_oracle(model_q8, geom_q8):
+    assert_same_model(model_q8)
+    assert_same_geometry(geom_q8)
+
+
+def _flipped_pair(model, flip):
+    """A perpendicular pair on the first line (its two smallest points, from
+    which it is emitted, or its last two), or a non-perpendicular pair: the
+    first one, the first of two points with leading coordinate 1 (both pivot
+    0, so never a pair a line is emitted from), or the last point with its
+    last non-perpendicular partner."""
+    if flip == "perp_emitting":
+        return model.lines[0][:2]
+    if flip == "perp_later":
+        return model.lines[0][-2:]
+    if flip == "non_perp_last":
+        return model.n_points - 1, int(np.flatnonzero(model.gram[-1])[-1])
+    pts = np.arange(model.n_points)
+    if flip == "non_perp_leading":
+        pts = np.flatnonzero(model.coords[:, 0] == 1)
+    i, j = np.argwhere(np.triu(model.gram[np.ix_(pts, pts)] != 0, 1))[0]
+    return int(pts[i]), int(pts[j])
+
+
+# the law each flip breaks first in _build_lines; the oracle raises too
+LINE_LAWS = {"perp_emitting": "1104 lines, expected 1105",
+             "perp_later": "a line is not totally singular",
+             "non_perp_first": "1106 lines, expected 1105",
+             "non_perp_leading": "common perp of collinear points is not a line",
+             "non_perp_last": "some point is not on q\\^2\\+1 lines that cover its perp"}
+
+
+@pytest.mark.parametrize("flip", list(LINE_LAWS))
+def test_line_laws_reject_a_flipped_gram_entry(model_q4, flip):
+    model = copy.copy(model_q4)
+    model.gram = model_q4.gram.copy()
+    x, y = _flipped_pair(model, flip)
+    model.gram[[x, y], [y, x]] = 0 if flip.startswith("non_perp") else 1
+    with pytest.raises(AssertionError, match=LINE_LAWS[flip]):
+        _build_lines(copy.copy(model))
+    with pytest.raises(AssertionError):
+        loop_build_lines(copy.copy(model))
+
+
+def test_elation_rejects_a_nucleus_on_the_quadric(model_q4):
+    """A quadric point in place of the nucleus is perpendicular to some
+    affine points, so their lines toward it are not secants."""
+    model = copy.copy(model_q4)
+    model.nucleus = model.point(0)
+    for build in (_build_elation, loop_build_elation):
+        with pytest.raises(AssertionError, match="nucleus line is not a secant"):
+            build(copy.copy(model))
+
+
+@pytest.mark.parametrize("corruption", ["swapped", "one_way"])
+def test_grouping_rejects_tangencies_that_keep_every_count(geom_q4, corruption):
+    """Two pencils {a1..a4}, {b1..b4} at the first section point p, with
+    a1 < b1.  "swapped": a1-a2 and b1-b2 made non-tangent, a1-b1 and a2-b2
+    made tangent at p.  "one_way": each b made tangent at p to a1, a2, a3
+    and to no other b, while the a rows stay as they are; every smallest
+    class member is then a1, and only symmetry fails.  Either way every
+    ovoid still has q - 1 tangents at every one of its points."""
+    geom = copy.copy(geom_q4)
+    q = geom.model.ctx.q
+    p = geom.model.section_points[0]
+    first, second = (geom.rosettes[r].members for r in geom.rosettes_at[0][:2])
+    geom.adjacency = geom_q4.adjacency.copy()
+    geom.tangency_point = geom_q4.tangency_point.copy()
+    if corruption == "swapped":
+        for u, v, tangent in ((first[0], first[1], False), (second[0], second[1], False),
+                              (first[0], second[0], True), (first[1], second[1], True)):
+            geom.adjacency[[u, v], [v, u]] = tangent
+            geom.tangency_point[[u, v], [v, u]] = p if tangent else -1
+    else:
+        rows = np.array(second)[:, None]
+        geom.adjacency[rows, np.array(second)] = False
+        geom.tangency_point[rows, np.array(second)] = -1
+        geom.adjacency[rows, np.array(first[:q - 1])] = True
+        geom.tangency_point[rows, np.array(first[:q - 1])] = p
+    sect = np.array(geom.model.section_points)
+    for a in range(geom.n_ovoids):
+        tp = geom.tangency_point[a][geom.adjacency[a]]
+        on = sect[geom.member_matrix[a]]
+        assert (np.bincount(tp, minlength=geom.model.n_points)[on] == q - 1).all()
+    for build in (_build_rosettes, loop_build_rosettes):
+        with pytest.raises(AssertionError, match="not an equivalence"):
+            build(geom)
+
+
+def _regroup(geom, corruption):
+    """The q = 4 geometry with its tables made inconsistent with the ovoids'
+    points, keeping tangency at every point an equivalence with classes of
+    size q.  "off_common_point": the first pencil's first pair made tangent
+    at a point of only one of them.  "regrouped": the first two pencils at
+    the first section point exchange their last two members, so that pairs
+    meeting in a conic are marked tangent.  "perp_in_ovoid": two points of
+    the first ovoid made perpendicular in the model's gram."""
+    geom = copy.copy(geom)
+    geom.adjacency = geom.adjacency.copy()
+    geom.tangency_point = geom.tangency_point.copy()
+    first, second = (geom.rosettes[r].members for r in geom.rosettes_at[0][:2])
+    if corruption == "off_common_point":
+        a, b = first[:2]
+        other = next(p for p in geom.ovoids[a].points if p not in geom.ovoids[b].points)
+        geom.tangency_point[[a, b], [b, a]] = other
+    elif corruption == "regrouped":
+        p = geom.model.section_points[0]
+        for u in first[:2] + second[:2]:
+            old = first[2:] if u in first else second[2:]
+            new = second[2:] if u in first else first[2:]
+            for v, tangent in [(v, False) for v in old] + [(v, True) for v in new]:
+                geom.adjacency[[u, v], [v, u]] = tangent
+                geom.tangency_point[[u, v], [v, u]] = p if tangent else -1
+    else:
+        geom.model = copy.copy(geom.model)
+        geom.model.gram = geom.model.gram.copy()
+        x, y = geom.ovoids[0].points[:2]
+        geom.model.gram[[x, y], [y, x]] = 0
+    return geom
+
+
+@pytest.mark.parametrize("corruption,law", [
+    ("off_common_point", "ovoids sharing a point are tangent elsewhere"),
+    ("regrouped", "ovoids sharing a point are tangent elsewhere"),
+    ("perp_in_ovoid", "an ovoid through a point meets its perp beyond the point")])
+def test_grouping_rejects_tables_that_disagree_with_the_points(geom_q4, corruption, law):
+    geom = _regroup(geom_q4, corruption)
+    for build in (_build_rosettes, loop_build_rosettes):
+        with pytest.raises(AssertionError, match=law):
+            build(geom)
+
+
+@pytest.mark.parametrize("n,rows", [(1, 4), (2, 7), (3, 4), (3, 10)])
+def test_batched_rref_matches_rref(n, rows):
+    """Random stacks with repeated rows, scaled rows, an empty column and
+    zero matrices, reduced at once and one at a time."""
+    ctx = FieldCtx(n)
+    rng = np.random.default_rng(rows)
+    mats = rng.integers(0, ctx.q, (300, rows, 6))
+    mats[::3, 2] = mats[::3, 0]
+    mats[1::3, -1] = ctx.mul_table[rng.integers(1, ctx.q), mats[1::3, 1]]
+    mats[2::5, :, 1] = 0
+    mats[::11] = 0
+    basis, rank = _batched_rref(ctx, mats)
+    for m, b, r in zip(mats, basis, rank):
+        want = rref(ctx, m.tolist())
+        assert r == len(want)
+        assert tuple(map(tuple, b[:r].tolist())) == want
+        assert not b[r:].any()
