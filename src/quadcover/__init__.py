@@ -5,7 +5,7 @@ census machinery and binary-subgeometry recognition."""
 from .gf2n import FieldCtx, conic_solution_set, solve_artin_schreier, trace
 from .projgeom import PointTable, Subspace
 from .quadric import QuadricModel, build_model
-from .ovoid import Ovoid, OvoidGeometry, Rosette, build_geometry
+from .ovoid import OvoidGeometry, build_geometry
 from .covering import CoveringMap, canonical_covering
 from .cliquecensus import CensusReport, build_tangency_graph, census
 from .figures import CentricFigure, CubeParams, lift_clique_to_figure
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FieldCtx", "conic_solution_set", "solve_artin_schreier",
     "trace", "PointTable", "Subspace", "QuadricModel",
-    "build_model", "Ovoid", "OvoidGeometry", "Rosette", "build_geometry",
+    "build_model", "OvoidGeometry", "build_geometry",
     "CoveringMap", "canonical_covering",
     "CensusReport", "build_tangency_graph", "census",
     "CentricFigure", "CubeParams", "lift_clique_to_figure", "F2Span",

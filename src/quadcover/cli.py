@@ -15,7 +15,8 @@ counts              exact-integer identity checks across field degrees
 Reports are JSON (stdout or ``--out``), with a ``schema`` version, a config
 echo, per-check expected/actual/source rows, and timings kept in a separate
 object so that identical configurations produce byte-identical payloads.
-Exit status: 0 all checks pass, 1 a check failed, 2 bad configuration.
+Exit status: 0 all checks pass, 1 a check failed, 2 bad configuration or an
+output path (`--out`, `--export-*`) that cannot be written.
 
 Every command runs on one `Run`: its stages (model, ovoid geometry, covering)
 are built on first use and timed once each, so a command only adds its check
@@ -182,7 +183,7 @@ def cmd_build(run: Run, args) -> dict:
     if args.export_lines:
         with open(args.export_lines, "w") as fh:
             fh.write("line_id," + ",".join(f"p{i}" for i in range(q + 1)) + "\n")
-            for lid, line in enumerate(model.lines):
+            for lid, line in enumerate(model.lines.tolist()):
                 fh.write(f"{lid}," + ",".join(str(p) for p in line) + "\n")
         payload["exports"] = {"lines_csv": args.export_lines}
     return payload
@@ -516,7 +517,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _config_from_args(args)
         run = Run(cfg)
         payload = _COMMANDS[cfg.label](run, args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:     # bad input, or an unwritable --export-*
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if run.built("model"):
@@ -535,8 +536,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     out = _resolve_out(args.out)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0 if ok else 1

@@ -258,8 +258,8 @@ def rosette_maximality(A: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]:
     of a pencil is tangent to at most the other q-1 members, so a pencil is
     maximal exactly when no ovoid is tangent to all q of them."""
     q = gx.model.ctx.q
-    n_max = sum(int((C != q).all(axis=1).sum()) for _, _, C in pencil_counts(gx, A))
-    return n_max, len(gx.rosettes)
+    n_max = sum(int((C != q).all(axis=1).sum()) for _, C in pencil_counts(gx, A))
+    return n_max, len(gx.pencil_base)
 
 
 def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
@@ -409,7 +409,7 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         rosette_c3 = q * (q - 1) * (q - 2) // 6
         # every edge was checked to have lam common neighbours
         identities["triangle_total"] = 3 * (lin3 + n3) == E * lam
-        identities["linear_triangles_from_pencils"] = lin3 == len(gx.rosettes) * rosette_c3
+        identities["linear_triangles_from_pencils"] = lin3 == len(gx.pencil_base) * rosette_c3
         identities["n3_formula"] = n3 == formula_n3(q)
         identities["n4_formula"] = n4 == formula_n4(q)
         identities["n4_from_n3"] = 4 * n4 == n3 * (q + 1)

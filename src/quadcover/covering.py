@@ -43,11 +43,6 @@ class CoveringMap:
     line_image: np.ndarray
 
 
-def _pencil_rows(geom: OvoidGeometry) -> np.ndarray:
-    """(pencils, q) array of the sorted member ovoids of each pencil."""
-    return np.array([r.members for r in geom.rosettes])
-
-
 def canonical_covering(model: QuadricModel, gx: OvoidGeometry) -> CoveringMap:
     """Map affine points to their perpendicular-section ovoids and punctured
     lines to the pencils at their infinity points, checking that every line
@@ -56,7 +51,7 @@ def canonical_covering(model: QuadricModel, gx: OvoidGeometry) -> CoveringMap:
         raise ValueError("geometry was built from a different model")
     q = model.ctx.q
 
-    ln = np.array(model.lines)
+    ln = model.lines
     on = model.in_section[ln]
     n_inf = on.sum(axis=1)
     if not np.isin(n_inf, (1, q + 1)).all():
@@ -70,7 +65,7 @@ def canonical_covering(model: QuadricModel, gx: OvoidGeometry) -> CoveringMap:
     if (per_point[model.affine_points] != q * q + 1).any():
         raise AssertionError("some affine point is not on q^2+1 punctured lines")
 
-    orbits = np.array([ov.orbit for ov in gx.ovoids])
+    orbits = gx.ovoid_orbit
     # both orbit points must have the same perpendicular section
     sect = model.section_points
     if not np.array_equal(model.gram[np.ix_(orbits[:, 0], sect)] == 0,
@@ -83,8 +78,8 @@ def canonical_covering(model: QuadricModel, gx: OvoidGeometry) -> CoveringMap:
     if (images[:, 1:] == images[:, :-1]).any():
         raise AssertionError("punctured line does not map injectively")
     # the pencil based at a section point that holds a given ovoid through it
-    members = _pencil_rows(gx)
-    base = np.searchsorted(sect, [r.base for r in gx.rosettes])
+    members = gx.pencil_members
+    base = np.searchsorted(sect, gx.pencil_base)
     pencil_of = np.full((gx.n_ovoids, len(sect)), -1, dtype=np.int32)
     pencil_of[members, base[:, None]] = np.arange(len(members))[:, None]
     line_image = pencil_of[images[:, 0], np.searchsorted(sect, infinity)]
@@ -163,12 +158,12 @@ def verify_covering(cov: CoveringMap) -> dict:
         return fail("fibers_ok", kind="point_map_not_surjective")
 
     # line restrictions: each punctured line maps bijectively onto its pencil
-    members = _pencil_rows(geom)
+    members = geom.pencil_members
     n_pencils = len(members)
     rid = cov.line_image
     in_range = (rid >= 0) & (rid < n_pencils)
     r = np.where(in_range, rid, 0)
-    bases = np.array([p.base for p in geom.rosettes])
+    bases = geom.pencil_base
     images = np.sort(cov.point_image[cov.lines], axis=1)
     bad = (~in_range | (bases[r] != cov.infinity)
            | (images != members[r]).any(axis=1))
@@ -185,9 +180,8 @@ def verify_covering(cov: CoveringMap) -> dict:
     # differ sits at the first position where the two key lists differ.
     have = np.sort(cov.lines.ravel().astype(np.int64) * n_pencils
                    + np.repeat(rid, q))
-    inc = np.array(geom.incidence)
     want = np.sort((aff[:, None].astype(np.int64) * n_pencils
-                    + inc[cov.point_image[aff]]).ravel())
+                    + geom.incidence[cov.point_image[aff]]).ravel())
     if not np.array_equal(have, want):
         n = min(len(have), len(want))
         diff = np.flatnonzero(have[:n] != want[:n])

@@ -19,8 +19,7 @@ of every ovoid pair with one member in T (common-tangent law).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -34,63 +33,52 @@ from .projgeom import (
 from .quadric import QuadricModel
 
 
-@dataclass(eq=False)
-class Ovoid:
-    """One elliptic ovoid: q^2+1 pairwise non-perpendicular section points."""
-
-    id: int
-    orbit: Tuple[int, int]          # the defining elation orbit, ascending
-    points: Tuple[int, ...]         # sorted quadric point indices, all in the section
-    span: Subspace                  # rank-4 subspace of the hyperplane
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(eq=False)
-class Rosette:
-    """Maximal pencil of q ovoids pairwise tangent at the base point."""
-
-    id: int
-    base: int                       # quadric point index of the common point
-    members: Tuple[int, ...]        # sorted ovoid ids
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 class OvoidGeometry:
-    """The ovoids and rosettes of one quadric model, with tangency tables.
+    """The ovoids and pencils (rosettes) of one quadric model, as index arrays.
 
     Attributes
     ----------
     model : the underlying quadric model.
-    ovoids, rosettes : the point and line lists of the geometry.
-    incidence : per-ovoid sorted list of rosette ids.
-    member_matrix : (n_ovoids, |Q0|) boolean membership matrix.
-    inter_count : (n_ovoids, n_ovoids) uint8 pairwise intersection sizes.
+    ovoid_orbit : (V, 2) int32 array, the defining elation orbit of each
+        ovoid, ascending.
+    ovoid_points : (V, q^2+1) int32 array, the ascending quadric point
+        indices of each ovoid, all in the section.
+    ovoid_span : (V, 4, 6) int16 array, the reduced row echelon basis of the
+        rank-4 subspace of the hyperplane each ovoid spans.
+    pencil_base : (R,) int32 array, the quadric point index of each pencil's
+        common point.
+    pencil_members : (R, q) int32 array, the ascending member ovoids of each
+        pencil.  Pencils are sorted by base and then by smallest member, and
+        every section point is the base of m = q(q-1)/2 of them, so the
+        pencils at dense section index k are rows k*m .. (k+1)*m - 1.
+    incidence : (V, q^2+1) int32 array, the ascending pencil ids through
+        each ovoid.
+    member_matrix : (V, |Q0|) boolean membership matrix.
+    inter_count : (V, V) uint8 pairwise intersection sizes.
     adjacency : boolean tangency matrix (intersection size 1, off-diagonal).
     tangency_point : int16 matrix of the common quadric point index of each
         tangent pair, -1 elsewhere.
-    through : per dense section index, array of ovoid ids containing it.
-    rosettes_at : per dense section index, list of rosette ids based there.
+    through : (|Q0|, q^2(q-1)/2) int32 array, the ascending ovoid ids through
+        each point, by dense section index.
     """
 
     def __init__(self, model: QuadricModel):
         self.model = model
-        self.ovoids: List[Ovoid] = []
-        self.rosettes: List[Rosette] = []
-        self.incidence: List[List[int]] = []
+        self.ovoid_orbit: np.ndarray
+        self.ovoid_points: np.ndarray
+        self.ovoid_span: np.ndarray
+        self.pencil_base: np.ndarray
+        self.pencil_members: np.ndarray
+        self.incidence: np.ndarray
         self.member_matrix: np.ndarray
         self.inter_count: np.ndarray
         self.adjacency: np.ndarray
         self.tangency_point: np.ndarray
-        self.through: List[np.ndarray] = []
-        self.rosettes_at: List[List[int]] = []
+        self.through: np.ndarray
 
     @property
     def n_ovoids(self) -> int:
-        return len(self.ovoids)
+        return len(self.ovoid_orbit)
 
 
 def build_geometry(model: QuadricModel) -> OvoidGeometry:
@@ -119,12 +107,9 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     basis, rank = _batched_rref(model.ctx, model.coords[sect[cols[:, :q + 2]]])
     if (rank != 4).any():
         raise AssertionError("ovoid does not span a 3-space")
-    points = np.array(model.section_points, dtype=object)[cols].tolist()
-    partner = model.elation_perm[reps].tolist()
-    geom.ovoids = [Ovoid(id=i, orbit=(x, y), points=tuple(pts),
-                         span=Subspace(tuple(map(tuple, sp))))
-                   for i, (x, y, pts, sp) in enumerate(zip(reps.tolist(), partner, points,
-                                                           basis[:, :4].tolist()))]
+    geom.ovoid_orbit = np.column_stack([reps, model.elation_perm[reps]]).astype(np.int32)
+    geom.ovoid_points = sect.astype(np.int32)[cols]
+    geom.ovoid_span = basis[:, :4].astype(np.int16)
 
     # float32 products are exact here: every entry is an integer below 2^24
     mf = member.astype(np.float32)
@@ -150,7 +135,7 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     per_point = q * q * (q - 1) // 2
     if (member.sum(axis=0) != per_point).any():
         raise AssertionError("wrong number of ovoids through a section point")
-    geom.through = list(np.nonzero(member.T)[1].reshape(n_q0, per_point))
+    geom.through = np.nonzero(member.T)[1].astype(np.int32).reshape(n_q0, per_point)
 
     _build_rosettes(geom)
     _verify_incidence(geom)
@@ -192,9 +177,9 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     every b with m(b) = m is in N(m) (m is in N(b), and by symmetry b in
     N(m)), N(a) is among those b, and |N(a)| = |N(m)| = q: so N(a) = N(m).
     Each pencil is the class of its smallest member, in the order of (base,
-    smallest member).  No ovoid through p meets p^perp beyond p, so a
-    pencil's members meet p^perp only at p, and their union (pairwise
-    meeting only at p) has q^3+1 points.
+    smallest member); each point is the base of q(q-1)/2 of them.  No ovoid
+    through p meets p^perp beyond p, so a pencil's members meet p^perp only
+    at p, and their union (pairwise meeting only at p) has q^3+1 points.
     """
     model = geom.model
     q = model.ctx.q
@@ -243,12 +228,10 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
             raise AssertionError("an ovoid through a point meets its perp beyond the point")
 
     heads = np.flatnonzero(least == a)
-    members = np.column_stack([a[heads], tangents[heads]]).tolist()
-    bases = sect[base[heads]].tolist()
-    geom.rosettes = [Rosette(id=i, base=p, members=tuple(m))
-                     for i, (p, m) in enumerate(zip(bases, members))]
-    ends = np.cumsum(np.bincount(base[heads], minlength=n_q0)).tolist()
-    geom.rosettes_at = [list(range(lo, hi)) for lo, hi in zip([0] + ends[:-1], ends)]
+    if (np.bincount(base[heads], minlength=n_q0) != q * (q - 1) // 2).any():
+        raise AssertionError("some point is not the base of q(q-1)/2 pencils")
+    geom.pencil_base = sect[base[heads]].astype(np.int32)
+    geom.pencil_members = np.column_stack([a[heads], tangents[heads]]).astype(np.int32)
 
 
 def _check_rosette_partition(geom: OvoidGeometry, members: Sequence[int], p: int,
@@ -269,74 +252,76 @@ def _check_rosette_partition(geom: OvoidGeometry, members: Sequence[int], p: int
 
 def _verify_incidence(geom: OvoidGeometry) -> None:
     q = geom.model.ctx.q
-    members = np.array([r.members for r in geom.rosettes]).ravel()
+    members = geom.pencil_members.ravel()
     if (np.bincount(members, minlength=geom.n_ovoids) != q * q + 1).any():
         raise AssertionError("some ovoid is not on q^2+1 pencils")
     # stable radix sort: fewer than 2^16 ovoids at every buildable degree
     by_ovoid = np.argsort(members.astype(np.uint16), kind="stable") // q
-    rids = np.array([r.id for r in geom.rosettes], dtype=object)
-    geom.incidence = rids[by_ovoid].reshape(geom.n_ovoids, q * q + 1).tolist()
+    geom.incidence = by_ovoid.astype(np.int32).reshape(geom.n_ovoids, q * q + 1)
 
 
 # -- intersection queries ------------------------------------------------------
 
 
-def intersection_kind(a: Ovoid, b: Ovoid) -> Tuple[str, Tuple[int, ...]]:
-    """Classify the intersection of two distinct ovoids: tangent point or conic."""
-    if a.id == b.id or a.points == b.points:
+def intersection_kind(geom: OvoidGeometry, a: int,
+                      b: int) -> Tuple[str, Tuple[int, ...]]:
+    """Classify the intersection of two distinct ovoids, given by id: tangent
+    point or conic."""
+    if a == b:
         raise ValueError("intersection kind is defined for distinct ovoids")
-    common = sorted(set(a.points) & set(b.points))
-    q2 = len(a.points) - 1
+    pa, pb = geom.ovoid_points[a], geom.ovoid_points[b]
+    common = tuple(np.intersect1d(pa, pb).tolist())
     if len(common) == 1:
-        return "tangent", tuple(common)
-    if (len(common) - 1) ** 2 == q2:
-        return "conic", tuple(common)
+        return "tangent", common
+    if (len(common) - 1) ** 2 == len(pa) - 1:
+        return "conic", common
     raise AssertionError(f"ovoids meet in {len(common)} points")
 
 
-def rosette_from_pair(geom: OvoidGeometry, a: Ovoid, b: Ovoid) -> Rosette:
+def rosette_from_pair(geom: OvoidGeometry, a: int, b: int) -> int:
     """Definition-driven pencil recovery from two ovoids tangent at a point.
 
     Collects every ovoid through the tangency point whose intersection with
     each input is exactly that point, then checks the partition property.
+    Returns the id of the stored pencil with those members, -1 if none.
     """
-    kind, common = intersection_kind(a, b)
+    kind, common = intersection_kind(geom, a, b)
     if kind != "tangent":
         raise ValueError("pencil recovery requires a tangent pair")
     p = common[0]
     k = geom.model.section_index[p]
     members = []
-    for oid in geom.through[k]:
-        oid = int(oid)
-        if oid in (a.id, b.id):
+    for oid in geom.through[k].tolist():
+        if oid in (a, b):
             members.append(oid)
             continue
-        if geom.inter_count[oid, a.id] == 1 and geom.inter_count[oid, b.id] == 1:
+        if geom.inter_count[oid, a] == 1 and geom.inter_count[oid, b] == 1:
             members.append(oid)
     q = geom.model.ctx.q
     if len(members) != q:
         raise AssertionError("pencil recovery did not find q members")
-    members = tuple(sorted(members))
     _check_rosette_partition(geom, members, p, k)
-    existing = [r for r in geom.rosettes_at[k] if geom.rosettes[r].members == members]
-    rid = existing[0] if existing else -1
-    return Rosette(id=rid, base=p, members=members)
+    m = q * (q - 1) // 2
+    hit = np.flatnonzero((geom.pencil_members[k * m:(k + 1) * m] == members).all(axis=1))
+    return k * m + int(hit[0]) if len(hit) else -1
 
 
-def tangent_plane(geom: OvoidGeometry, r: Rosette) -> Subspace:
-    """The pencil's tangent plane: the common intersection of its member spans.
+def tangent_plane(geom: OvoidGeometry, r: int) -> Subspace:
+    """The tangent plane of pencil r: the common intersection of its member
+    spans.
 
     Every member pair is intersected, and all the resulting planes are
     required to coincide; the plane's points are enumerated to confirm that
     it meets the section only at the base.
     """
     model = geom.model
-    ms = r.members
+    ms = geom.pencil_members[r].tolist()
+    spans = {a: Subspace(tuple(map(tuple, geom.ovoid_span[a].tolist()))) for a in ms}
     planes = []
-    base_pt = model.point(r.base)
+    base_pt = model.point(int(geom.pencil_base[r]))
     for i, a in enumerate(ms):
         for b in ms[i + 1:]:
-            pl = subspace_intersection(model.ctx, geom.ovoids[a].span, geom.ovoids[b].span)
+            pl = subspace_intersection(model.ctx, spans[a], spans[b])
             if pl.rank != 3:
                 raise AssertionError("member spans do not meet in a plane")
             if not subspace_contains(model.ctx, pl, base_pt):
@@ -355,14 +340,14 @@ def tangent_plane(geom: OvoidGeometry, r: Rosette) -> Subspace:
 
 
 def pencil_counts(geom: OvoidGeometry,
-                  A: np.ndarray) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
-    """Per section point: the ids of the pencils based there, their members
-    (one row of q sorted ovoid ids per pencil), and C, where C[j, v] is the
-    number of members of pencil j tangent to ovoid v under the tangency
-    matrix A: the sum of the members' rows of A."""
-    for rids in geom.rosettes_at:
-        members = np.array([geom.rosettes[r].members for r in rids])
-        yield rids, members, A[members].sum(axis=1, dtype=np.uint8)
+                  A: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Per dense section index: the members of the pencils based there (one
+    row of q sorted ovoid ids per pencil, in pencil order), and C, where
+    C[j, v] is the number of members of pencil j tangent to ovoid v under
+    the tangency matrix A: the sum of the members' rows of A."""
+    q = geom.model.ctx.q
+    for members in geom.pencil_members.reshape(len(geom.through), -1, q):
+        yield members, A[members].sum(axis=1, dtype=np.uint8)
 
 
 def verify_semipartial(geom: OvoidGeometry) -> dict:
@@ -371,19 +356,20 @@ def verify_semipartial(geom: OvoidGeometry) -> dict:
     tangent to the ovoid.  Each member must be tangent to the other q-1
     members; a member that is not fails with reason "member degree"."""
     q = geom.model.ctx.q
-    if any(len(r) != q for r in geom.rosettes):
+    if geom.pencil_members.shape != (len(geom.pencil_base), q):
         return {"pass": False, "reason": "line size"}
-    if any(len(t) != q * q + 1 for t in geom.incidence):
+    if geom.incidence.shape != (geom.n_ovoids, q * q + 1):
         return {"pass": False, "reason": "point degree"}
     checked = 0
-    for rids, members, C in pencil_counts(geom, geom.adjacency):
-        rows = np.arange(len(rids))[:, None]
+    for k, (members, C) in enumerate(pencil_counts(geom, geom.adjacency)):
+        rows = np.arange(len(members))[:, None]
         bad = (C != 0) & (C != 2)
         bad[rows, members] = C[rows, members] != q - 1
         if bad.any():
             j, v = (int(i) for i in np.argwhere(bad)[0])
             reason = "member degree" if v in members[j] else "alpha condition"
-            return {"pass": False, "reason": reason, "rosette": rids[j], "ovoid": v}
+            return {"pass": False, "reason": reason, "rosette": k * len(members) + j,
+                    "ovoid": v}
         checked += C.size - members.size
     return {"pass": True, "pairs_checked": checked}
 
@@ -411,7 +397,7 @@ def verify_common_tangent_counts(geom: OvoidGeometry) -> dict:
         bad = law & (N != want)
         if bad.any():
             i, b = np.argwhere(bad)[0]
-            return {"pass": False, "pair": (int(T[i]), int(b)), "point": sect[k],
+            return {"pass": False, "pair": [int(T[i]), int(b)], "point": sect[k],
                     "expected": int(want[i, b]), "got": int(N[i, b])}
         checked += int(law.sum())
     return {"pass": True, "cases_checked": checked}
@@ -425,5 +411,6 @@ def export_incidence_csv(geom: OvoidGeometry, path: str) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rosette_id", "base_point", "member_ovoids"])
-        for r in geom.rosettes:
-            w.writerow([r.id, r.base, " ".join(str(m) for m in r.members)])
+        for rid, (base, members) in enumerate(zip(geom.pencil_base.tolist(),
+                                                  geom.pencil_members.tolist())):
+            w.writerow([rid, base, " ".join(str(m) for m in members)])

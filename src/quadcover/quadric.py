@@ -41,8 +41,10 @@ class QuadricModel:
     ctx, lam : field context and the trace-1 form parameter.
     q_table : PointTable over the quadric points (dense, lexicographically sorted).
     coords : (|Q|, 6) int16 array of the same points.
-    lines : sorted list of (q+1)-tuples of point indices, one per quadric line.
-    lines_through : per-point list of line ids.
+    lines : (L, q+1) int32 array, the ascending point indices of each quadric
+        line, rows in ascending order.
+    lines_through : (|Q|, q^2+1) int32 array, the ascending ids of the lines
+        through each point.
     gram : (|Q|, |Q|) uint8 array of pairwise bilinear-form values.
     in_section : boolean mask of points lying in the hyperplane {x6 = 0}.
     section_points / affine_points : index lists for the two sides of the split.
@@ -55,8 +57,8 @@ class QuadricModel:
         self.lam = lam
         self.q_table: PointTable
         self.coords: np.ndarray
-        self.lines: List[Tuple[int, ...]]
-        self.lines_through: List[List[int]]
+        self.lines: np.ndarray
+        self.lines_through: np.ndarray
         self.gram: np.ndarray
         self.in_section: np.ndarray
         self.section_points: List[int]
@@ -230,12 +232,10 @@ def _build_lines(model: QuadricModel) -> None:
     if ((on != q * q + 1) | (perps != q * on)).any():
         raise AssertionError("some point is not on q^2+1 lines that cover its perp")
 
-    ids = np.arange(nq).astype(object)  # shared ints: at q = 8 fresh ones cost ~8 MB
-    model.lines = list(zip(*(ids[col].tolist() for col in ln.T)))
+    model.lines = ln
     # stable radix sort: nq < 2^16 at every buildable degree
     by_point = np.argsort(ln.ravel().astype(np.uint16), kind="stable") // (q + 1)
-    line_ids = np.arange(len(ln)).astype(object)
-    model.lines_through = line_ids[by_point].reshape(nq, q * q + 1).tolist()
+    model.lines_through = by_point.astype(np.int32).reshape(nq, q * q + 1)
 
 
 def _find_nucleus(model: QuadricModel) -> None:
@@ -377,7 +377,7 @@ def verify_gq_axioms(model: QuadricModel) -> dict:
     off it with exactly one."""
     nq = model.n_points
     q = model.ctx.q
-    for ln in np.array(model.lines):
+    for ln in model.lines:
         perp_counts = (model.gram[:, ln] == 0).sum(axis=1)
         on_line = np.zeros(nq, dtype=bool)
         on_line[ln] = True

@@ -291,16 +291,12 @@ def recognize_subgeometry(model: QuadricModel, span: F2Span,
     npts = len(idx)
     local = {x: k for k, x in enumerate(idx)}
     coll = (model.gram[np.ix_(idx, idx)] == 0).tolist()
-    through = [set(model.lines_through[x]) for x in idx]
 
-    # two collinear quadric points lie on exactly one quadric line
-    line_ids: Set[int] = set()
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            if coll[i][j]:
-                line_ids |= through[i] & through[j]
-    lines = [frozenset(local[p] for p in model.lines[li] if p in local)
-             for li in sorted(line_ids)]
+    # two collinear quadric points lie on exactly one quadric line, so the
+    # lines through two or more of the points are the ids met twice
+    line_ids, seen = np.unique(model.lines_through[idx], return_counts=True)
+    lines = [frozenset(local[p] for p in pts if p in local)
+             for pts in model.lines[line_ids[seen >= 2]].tolist()]
 
     degrees = [0] * npts
     for l in lines:

@@ -48,12 +48,14 @@ def loop_verify_covering(cov: CoveringMap) -> dict:
         return report
 
     # line restrictions: each punctured line maps bijectively onto its pencil
-    n_pencils = len(geom.rosettes)
+    bases = geom.pencil_base.tolist()
+    pencils = geom.pencil_members.tolist()
+    n_pencils = len(pencils)
     for li, (pts, inf) in enumerate(zip(lines, infinity)):
         rid = line_image[li]
         images = sorted(point_image[p] for p in pts)
-        if (not 0 <= rid < n_pencils or geom.rosettes[rid].base != inf
-                or images != sorted(geom.rosettes[rid].members)
+        if (not 0 <= rid < n_pencils or bases[rid] != inf
+                or images != sorted(pencils[rid])
                 or len(set(images)) != q):
             report["line_bijections_ok"] = False
             report["counterexample"] = {"kind": "line_restriction", "line": li,
@@ -69,13 +71,14 @@ def loop_verify_covering(cov: CoveringMap) -> dict:
             return report
 
     # pencil restrictions: lines through x <-> pencils through the image ovoid
-    pencils = {x: [] for x in model.affine_points}
+    lines_at = {x: [] for x in model.affine_points}
     for li, pts in enumerate(lines):
         for p in pts:
-            pencils[p].append(li)
+            lines_at[p].append(li)
+    incidence = geom.incidence.tolist()
     for x in model.affine_points:
-        rids = sorted(line_image[l] for l in pencils[x])
-        if rids != sorted(geom.incidence[point_image[x]]):
+        rids = sorted(line_image[l] for l in lines_at[x])
+        if rids != sorted(incidence[point_image[x]]):
             report["pencil_bijections_ok"] = False
             report["counterexample"] = {"kind": "pencil_restriction", "point": x}
             return report
@@ -91,7 +94,7 @@ def loop_verify_covering(cov: CoveringMap) -> dict:
             report["quotient_iso_ok"] = False
             report["counterexample"] = {"kind": "quotient_line", "lines": [prev[1], li]}
             return report
-    rosette_sets = {frozenset(r.members) for r in geom.rosettes}
+    rosette_sets = {frozenset(members) for members in pencils}
     image_sets = [v[0] for v in qlines.values()]
     if (len(qlines) != n_pencils
             or len(set(image_sets)) != len(image_sets)

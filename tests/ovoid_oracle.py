@@ -19,14 +19,12 @@ def loop_semipartial(geom: OvoidGeometry) -> dict:
     """Line size q, point degree q^2+1, and 0 or 2 members of every pencil
     tangent to every ovoid off it, one pencil at a time."""
     q = geom.model.ctx.q
-    if any(len(r) != q for r in geom.rosettes):
+    if any(len(r) != q for r in geom.pencil_members):
         return {"pass": False, "reason": "line size"}
     if any(len(t) != q * q + 1 for t in geom.incidence):
         return {"pass": False, "reason": "point degree"}
     checked = 0
-    for rid in range(len(geom.rosettes)):
-        r = geom.rosettes[rid]
-        members = np.array(r.members)
+    for rid, members in enumerate(geom.pencil_members):
         counts = geom.adjacency[members].sum(axis=0)
         counts[members] = 0
         if not np.isin(counts[np.setdiff1d(np.arange(geom.n_ovoids), members)], (0, 2)).all():
@@ -38,12 +36,12 @@ def loop_semipartial(geom: OvoidGeometry) -> dict:
 def loop_rosette_maximality(A: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]:
     """(number of pencils that are maximal cliques, total pencils)."""
     n_max = 0
-    for r in gx.rosettes:
-        common = A[list(r.members)].all(axis=0)
-        common[list(r.members)] = False
+    for members in gx.pencil_members:
+        common = A[members].all(axis=0)
+        common[members] = False
         if not common.any():
             n_max += 1
-    return n_max, len(gx.rosettes)
+    return n_max, len(gx.pencil_members)
 
 
 def common_tangents_through(geom: OvoidGeometry, a: int, b: int, x: int) -> List[int]:
@@ -67,9 +65,9 @@ def loop_common_tangent_counts(geom: OvoidGeometry) -> dict:
     n = geom.n_ovoids
     checked = 0
     for a in range(n):
-        pa = set(geom.ovoids[a].points)
+        pa = set(geom.ovoid_points[a].tolist())
         for b in range(a + 1, n):
-            pb = set(geom.ovoids[b].points)
+            pb = set(geom.ovoid_points[b].tolist())
             tangent = bool(geom.adjacency[a, b])
             for x in sorted(pa - pb):
                 want = 1 if tangent else 2

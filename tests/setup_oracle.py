@@ -9,7 +9,8 @@ incidence lists.  They share no code with the array passes.
 `loop_build_lines`, `loop_build_elation`, `loop_build_rosettes` and
 `loop_incidence` fill the same fields of the model or geometry they are
 given as the function they replaced; `loop_build_geometry` is the whole
-former `build_geometry`.
+former `build_geometry`.  Each packages its loop's results into the same
+index arrays the set-up fills.
 """
 
 from typing import List, Tuple
@@ -17,7 +18,7 @@ from typing import List, Tuple
 import numpy as np
 
 from quadcover.gf2n import FieldCtx
-from quadcover.ovoid import Ovoid, OvoidGeometry, Rosette
+from quadcover.ovoid import OvoidGeometry
 from quadcover.projgeom import span
 from quadcover.quadric import QuadricModel, second_intersection
 
@@ -50,7 +51,6 @@ def loop_build_lines(model: QuadricModel) -> None:
     q = model.ctx.q
     nq = model.n_points
     gram = model.gram
-    ids = list(range(nq))     # line tuples share these ints: at q = 8 fresh ones cost ~8 MB
     lines: List[Tuple[int, ...]] = []
     through: List[List[int]] = [[] for _ in range(nq)]
     for x in range(nq):
@@ -68,8 +68,7 @@ def loop_build_lines(model: QuadricModel) -> None:
             todo[pts] = False
             for p in pts:
                 through[p].append(len(lines))
-            lines.append(tuple(ids[p] for p in pts))
-    model.lines = lines
+            lines.append(tuple(pts.tolist()))
     expected = nq * (q * q + 1) // (q + 1)
     if len(lines) != expected:
         raise AssertionError(f"{len(lines)} lines, expected {expected}")
@@ -78,7 +77,8 @@ def loop_build_lines(model: QuadricModel) -> None:
         raise AssertionError("a line is not totally singular")
     if any(len(t) != q * q + 1 for t in through):
         raise AssertionError("some point is not on q^2+1 lines")
-    model.lines_through = through
+    model.lines = ln.astype(np.int32)
+    model.lines_through = np.array(through, dtype=np.int32)
 
 
 def loop_build_elation(model: QuadricModel) -> None:
@@ -118,13 +118,18 @@ def loop_build_geometry(model: QuadricModel) -> OvoidGeometry:
     if (member.sum(axis=1) != q * q + 1).any():
         raise AssertionError("perp section has the wrong size")
     geom.member_matrix = member
+    orbits, points, spans = [], [], []
     for i, x in enumerate(reps):
         pts = tuple(sect[member[i]].tolist())
         sp = span(model.ctx, [model.point(p) for p in pts[:q + 2]])
         if sp.rank != 4:
             raise AssertionError("ovoid does not span a 3-space")
-        geom.ovoids.append(Ovoid(id=i, orbit=(x, int(model.elation_perm[x])),
-                                 points=pts, span=sp))
+        orbits.append((x, int(model.elation_perm[x])))
+        points.append(pts)
+        spans.append(sp.basis)
+    geom.ovoid_orbit = np.array(orbits, dtype=np.int32)
+    geom.ovoid_points = np.array(points, dtype=np.int32)
+    geom.ovoid_span = np.array(spans, dtype=np.int16)
 
     mf = member.astype(np.float32)
     inter = (mf @ mf.T).astype(np.int32)
@@ -142,10 +147,11 @@ def loop_build_geometry(model: QuadricModel) -> OvoidGeometry:
     tp = np.where(geom.adjacency, sect[np.clip(tp_dense, 0, n_q0 - 1)], -1).astype(np.int16)
     geom.tangency_point = tp
 
-    geom.through = [np.nonzero(member[:, k])[0] for k in range(n_q0)]
+    through = [np.nonzero(member[:, k])[0] for k in range(n_q0)]
     per_point = q * q * (q - 1) // 2
-    if any(len(t) != per_point for t in geom.through):
+    if any(len(t) != per_point for t in through):
         raise AssertionError("wrong number of ovoids through a section point")
+    geom.through = np.array(through, dtype=np.int32)
 
     loop_build_rosettes(geom)
     loop_incidence(geom)
@@ -165,8 +171,8 @@ def loop_build_rosettes(geom: OvoidGeometry) -> None:
     model = geom.model
     q = model.ctx.q
     sect = np.array(model.section_points)
-    rosettes: List[Rosette] = []
-    rosettes_at: List[List[int]] = []
+    bases: List[int] = []
+    members: List[Tuple[int, ...]] = []
     for k, p in enumerate(model.section_points):
         cands = geom.through[k]
         S = geom.adjacency[np.ix_(cands, cands)]
@@ -180,22 +186,19 @@ def loop_build_rosettes(geom: OvoidGeometry) -> None:
         meets = geom.member_matrix[np.ix_(cands, model.gram[p, sect] == 0)]
         if (meets.sum(axis=1) != 1).any():
             raise AssertionError("an ovoid through a point meets its perp beyond the point")
-        ids_here = []
         for i in np.nonzero(S.argmax(axis=1) == np.arange(len(cands)))[0]:
-            ids_here.append(len(rosettes))
-            rosettes.append(Rosette(id=len(rosettes), base=p,
-                                    members=tuple(cands[S[i]].tolist())))
-        rosettes_at.append(ids_here)
-    geom.rosettes = rosettes
-    geom.rosettes_at = rosettes_at
+            bases.append(p)
+            members.append(tuple(cands[S[i]].tolist()))
+    geom.pencil_base = np.array(bases, dtype=np.int32)
+    geom.pencil_members = np.array(members, dtype=np.int32)
 
 
 def loop_incidence(geom: OvoidGeometry) -> None:
     q = geom.model.ctx.q
     incidence: List[List[int]] = [[] for _ in range(geom.n_ovoids)]
-    for r in geom.rosettes:
-        for m in r.members:
-            incidence[m].append(r.id)
+    for rid, members in enumerate(geom.pencil_members.tolist()):
+        for m in members:
+            incidence[m].append(rid)
     if any(len(t) != q * q + 1 for t in incidence):
         raise AssertionError("some ovoid is not on q^2+1 pencils")
-    geom.incidence = incidence
+    geom.incidence = np.array(incidence, dtype=np.int32)

@@ -36,7 +36,7 @@ def test_build_with_explicit_modulus(tmp_path):
     assert data["model"]["modulus"] == "1011"
 
 
-def test_build_export_lines(tmp_path):
+def test_build_export_lines(tmp_path, model_q2):
     path = tmp_path / "lines.csv"
     rc, data = _run(tmp_path, ["build", "--n", "1", "--export-lines", str(path)])
     assert rc == 0
@@ -44,6 +44,8 @@ def test_build_export_lines(tmp_path):
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["line_id", "p0", "p1", "p2"]
     assert len(rows) - 1 == data["model"]["lines"] == 45
+    assert [[int(v) for v in row] for row in rows[1:]] == [
+        [lid, *line] for lid, line in enumerate(model_q2.lines.tolist())]
 
 
 def test_verify_srg(tmp_path):
@@ -128,7 +130,7 @@ def test_lift_triangle(tmp_path, census_q4):
 
 
 def test_lift_linear_clique_fails_with_reason(tmp_path, geom_q4):
-    clique = ",".join(str(v) for v in geom_q4.rosettes[0].members[:3])
+    clique = ",".join(str(v) for v in geom_q4.pencil_members[0, :3])
     rc, data = _run(tmp_path, ["lift", "--n", "2", "--clique", clique])
     assert rc == 1
     assert data["pass"] is False
@@ -237,6 +239,9 @@ def test_out_dir_environment(tmp_path, monkeypatch):
     ["census", "--n", "1", "--mode", "sampled", "--samples", "0"],
     ["census", "--n", "1", "--mode", "sampled", "--samples", "-3"],
     ["figures", "verify", "--n", "1", "--samples", "0"],
+    # unwritable output paths: a directory that does not exist
+    ["build", "--n", "1", "--out", "/nonexistent/d/x.json"],
+    ["build", "--n", "1", "--export-lines", "/nonexistent/d/x.csv"],
 ])
 def test_bad_configurations_exit_2(argv, capsys):
     assert main(argv) == 2

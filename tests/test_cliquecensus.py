@@ -114,7 +114,7 @@ def test_four_clique_totals_match_bitmask_brute_force(request, cname, gname):
     g = request.getfixturevalue(gname)
     q = rep.q
     n_linear_k4 = len(request.getfixturevalue(
-        {"census_q2": "geom_q2", "census_q4": "geom_q4"}[cname]).rosettes) \
+        {"census_q2": "geom_q2", "census_q4": "geom_q4"}[cname]).pencil_base) \
         * (1 if q >= 4 else 0)  # C(q, 4) pencil subsets: 1 at q=4, 0 at q=2
     assert _count_k4_bitmask(g) == rep.n4 + n_linear_k4
 
@@ -170,10 +170,9 @@ def test_collected_triangles_and_four_cliques(geom_q4, census_q4):
 
 
 def test_classify_clique_linear_and_errors(geom_q4):
-    r = geom_q4.rosettes[0]
-    rec = classify_clique(geom_q4, r.members)
+    rec = classify_clique(geom_q4, geom_q4.pencil_members[0])
     assert rec.kind == "linear"
-    assert rec.base == r.base
+    assert rec.base == geom_q4.pencil_base[0]
     assert rec.maximal
     with pytest.raises(ValueError):
         classify_clique(geom_q4, [0])
@@ -276,7 +275,7 @@ def test_rosette_maximality_matches_pencil_loop(tg_q2, geom_q2, tg_q4, geom_q4):
 
 def test_census_raises_on_a_cleared_tangent_pair(tg_q4, geom_q4):
     A = tg_q4.copy()
-    a, b = geom_q4.rosettes[0].members[:2]
+    a, b = geom_q4.pencil_members[0, :2]
     A[[a, b], [b, a]] = False
     with pytest.raises(AssertionError, match="common neighbour count differs from lambda"):
         census(A, geom_q4)

@@ -140,9 +140,8 @@ def test_lift_project_round_trip(cov_q4, census_q4):
 
 def test_lift_rejects_bad_cliques(cov_q4):
     geom = cov_q4.geom
-    r = geom.rosettes[0]
     with pytest.raises(ValueError, match="linear"):
-        lift_clique_to_figure(cov_q4, r.members[:3])
+        lift_clique_to_figure(cov_q4, tuple(geom.pencil_members[0, :3].tolist()))
     a = 0
     b = next(x for x in range(geom.n_ovoids) if x != a and not geom.adjacency[a, x])
     with pytest.raises(ValueError, match="not tangent"):

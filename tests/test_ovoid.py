@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -23,20 +24,22 @@ def test_ovoid_counts_and_sizes(request, name):
     geom = request.getfixturevalue(name)
     q = geom.model.ctx.q
     assert geom.n_ovoids == q * q * (q * q - 1) // 2
-    section = set(geom.model.section_points)
-    for ov in geom.ovoids:
-        assert len(ov) == q * q + 1
-        assert ov.span.rank == 4
-        assert set(ov.points) <= section
-        assert int(geom.member_matrix[ov.id].sum()) == q * q + 1
-        assert ov.orbit[0] < ov.orbit[1]
-        assert geom.model.elation_perm[ov.orbit[0]] == ov.orbit[1]
+    assert geom.ovoid_points.shape == (geom.n_ovoids, q * q + 1)
+    assert geom.ovoid_span.shape == (geom.n_ovoids, 4, 6)
+    # each span is a rank-4 echelon basis: its pivots rise along its rows
+    pivots = (geom.ovoid_span != 0).argmax(axis=2)
+    assert geom.ovoid_span.any(axis=2).all() and (np.diff(pivots, axis=1) > 0).all()
+    assert geom.model.in_section[geom.ovoid_points].all()
+    assert (np.diff(geom.ovoid_points, axis=1) > 0).all()
+    assert (geom.member_matrix.sum(axis=1) == q * q + 1).all()
+    orbit = geom.ovoid_orbit
+    assert (orbit[:, 0] < orbit[:, 1]).all()
+    assert (geom.model.elation_perm[orbit[:, 0]] == orbit[:, 1]).all()
 
 
 def test_ovoid_of_affine_point(cov_q2):
     for x in cov_q2.geom.model.affine_points:
-        ov = cov_q2.geom.ovoids[int(cov_q2.point_image[x])]
-        assert int(x) in ov.orbit
+        assert x in cov_q2.geom.ovoid_orbit[cov_q2.point_image[x]]
 
 
 @pytest.mark.parametrize("name", ["geom_q2", "geom_q4"])
@@ -54,8 +57,8 @@ def test_tangency_point_matrix(geom_q4):
     rng = np.random.default_rng(3)
     pairs = np.argwhere(geom.adjacency)
     for a, b in pairs[rng.choice(len(pairs), size=50, replace=False)]:
-        common = set(geom.ovoids[a].points) & set(geom.ovoids[b].points)
-        assert common == {int(geom.tangency_point[a, b])}
+        common = np.intersect1d(geom.ovoid_points[a], geom.ovoid_points[b])
+        assert common.tolist() == [geom.tangency_point[a, b]]
     non = np.argwhere(~geom.adjacency)
     for a, b in non[rng.choice(len(non), size=50, replace=False)]:
         assert geom.tangency_point[a, b] == -1
@@ -65,22 +68,23 @@ def test_intersection_kind_classifies_pairs(geom_q4):
     geom = geom_q4
     q = geom.model.ctx.q
     a, b = map(int, np.argwhere(geom.adjacency)[0])
-    kind, common = intersection_kind(geom.ovoids[a], geom.ovoids[b])
-    assert kind == "tangent" and len(common) == 1
+    kind, common = intersection_kind(geom, a, b)
+    assert kind == "tangent" and common == (geom.tangency_point[a, b],)
     c, d = map(int, np.argwhere(geom.inter_count == q + 1)[0])
-    kind, common = intersection_kind(geom.ovoids[c], geom.ovoids[d])
+    kind, common = intersection_kind(geom, c, d)
     assert kind == "conic" and len(common) == q + 1
-    assert set(common) == set(geom.ovoids[c].points) & set(geom.ovoids[d].points)
+    assert set(common) == set(geom.ovoid_points[c].tolist()) & set(geom.ovoid_points[d].tolist())
     with pytest.raises(ValueError):
-        intersection_kind(geom.ovoids[0], geom.ovoids[0])
+        intersection_kind(geom, 0, 0)
 
 
 @pytest.mark.parametrize("name", ["geom_q2", "geom_q4"])
 def test_ovoids_through_each_section_point(request, name):
     geom = request.getfixturevalue(name)
     q = geom.model.ctx.q
-    for t in geom.through:
-        assert len(t) == q * q * (q - 1) // 2
+    assert geom.through.shape == (len(geom.model.section_points), q * q * (q - 1) // 2)
+    for k, t in enumerate(geom.through):
+        assert np.array_equal(t, np.flatnonzero(geom.member_matrix[:, k]))
 
 
 @pytest.mark.parametrize("name", ["geom_q2", "geom_q4"])
@@ -88,14 +92,16 @@ def test_rosette_structure(request, name):
     geom = request.getfixturevalue(name)
     q = geom.model.ctx.q
     n_q0 = len(geom.model.section_points)
-    assert len(geom.rosettes) == n_q0 * q * (q - 1) // 2
-    for r in geom.rosettes:
-        assert len(r) == q
-        sub = geom.adjacency[np.ix_(r.members, r.members)]
+    assert geom.pencil_members.shape == (n_q0 * q * (q - 1) // 2, q)
+    # pencils are grouped by base, q(q-1)/2 at each section point in turn
+    assert np.array_equal(geom.pencil_base,
+                          np.repeat(geom.model.section_points, q * (q - 1) // 2))
+    for base, members in zip(geom.pencil_base, geom.pencil_members):
+        sub = geom.adjacency[np.ix_(members, members)]
         assert sub[~np.eye(q, dtype=bool)].all()
-        assert (geom.tangency_point[np.ix_(r.members, r.members)][sub] == r.base).all()
+        assert (geom.tangency_point[np.ix_(members, members)][sub] == base).all()
         union = np.zeros(n_q0, dtype=bool)
-        for m in r.members:
+        for m in members:
             union |= geom.member_matrix[m]
         assert int(union.sum()) == q ** 3 + 1
 
@@ -103,36 +109,32 @@ def test_rosette_structure(request, name):
 def test_incidence_lists_match_membership(geom_q4):
     geom = geom_q4
     q = geom.model.ctx.q
+    assert geom.incidence.shape == (geom.n_ovoids, q * q + 1)
     for oid, rids in enumerate(geom.incidence):
-        assert len(rids) == q * q + 1
         for rid in rids:
-            assert oid in geom.rosettes[rid].members
+            assert oid in geom.pencil_members[rid]
 
 
 def test_tangent_plane_of_every_pencil(geom_q2, geom_q4):
     for geom in (geom_q2, geom_q4):
-        for r in geom.rosettes:
+        for r in range(len(geom.pencil_base)):
             assert tangent_plane(geom, r).rank == 3
 
 
 def test_rosette_recovery_from_a_tangent_pair(geom_q2, geom_q4):
     for geom in (geom_q2, geom_q4):
-        for r in geom.rosettes:
-            a, b = geom.ovoids[r.members[0]], geom.ovoids[r.members[1]]
-            rec = rosette_from_pair(geom, a, b)
-            assert rec.members == r.members
-            assert rec.base == r.base
-            assert rec.id == r.id
+        for r, members in enumerate(geom.pencil_members.tolist()):
+            assert rosette_from_pair(geom, members[0], members[1]) == r
     geom = geom_q4
     q = geom.model.ctx.q
     c, d = map(int, np.argwhere(geom.inter_count == q + 1)[0])
     with pytest.raises(ValueError):
-        rosette_from_pair(geom, geom.ovoids[c], geom.ovoids[d])
+        rosette_from_pair(geom, c, d)
 
 
 def test_grouping_rejects_a_broken_tangency_class(geom_q4):
     geom = copy.copy(geom_q4)
-    a, b = geom.rosettes[0].members[:2]
+    a, b = geom.pencil_members[0, :2]
     geom.adjacency = geom_q4.adjacency.copy()
     geom.tangency_point = geom_q4.tangency_point.copy()
     geom.adjacency[[a, b], [b, a]] = False
@@ -149,10 +151,10 @@ def geom_q4_broken(request, geom_q4):
     geom = copy.copy(geom_q4)
     flip = request.param
     if flip == "added":
-        a = geom.rosettes[0].members[0]
+        a = geom.pencil_members[0, 0]
         b = int(np.flatnonzero(geom.inter_count[a] == geom.model.ctx.q + 1)[0])
     else:
-        a, b = geom.rosettes[0 if flip == "cleared_first" else -1].members[:2]
+        a, b = geom.pencil_members[0 if flip == "cleared_first" else -1, :2]
     geom.adjacency = geom_q4.adjacency.copy()
     geom.adjacency[[a, b], [b, a]] = flip == "added"
     return flip, geom
@@ -179,7 +181,8 @@ def test_semipartial_names_a_violating_pair(geom_q4_broken):
     q = geom.model.ctx.q
     rep = verify_semipartial(geom)
     assert not rep["pass"]
-    members = list(geom.rosettes[rep["rosette"]].members)
+    assert json.loads(json.dumps(rep)) == rep
+    members = geom.pencil_members[rep["rosette"]].tolist()
     v = rep["ovoid"]
     seen = int(geom.adjacency[v, members].sum())   # recount from the table
     if flip == "cleared_first":
@@ -211,8 +214,9 @@ def test_common_tangent_law_names_a_violating_case(geom_q4_broken):
     _, geom = geom_q4_broken
     rep = verify_common_tangent_counts(geom)
     assert not rep["pass"]
+    assert json.loads(json.dumps(rep)) == rep
     (a, b), x = rep["pair"], rep["point"]
-    pa, pb = set(geom.ovoids[a].points), set(geom.ovoids[b].points)
+    pa, pb = set(geom.ovoid_points[a].tolist()), set(geom.ovoid_points[b].tolist())
     assert x in pa
     if x in pb:
         assert not geom.adjacency[a, b]
@@ -220,7 +224,7 @@ def test_common_tangent_law_names_a_violating_case(geom_q4_broken):
     else:
         want = 1 if geom.adjacency[a, b] else 2
     # recount from the table: ovoids through x tangent to both
-    got = sum(1 for c in range(geom.n_ovoids) if x in geom.ovoids[c].points
+    got = sum(1 for c in range(geom.n_ovoids) if x in geom.ovoid_points[c]
               and geom.adjacency[c, a] and geom.adjacency[c, b])
     assert (rep["expected"], rep["got"]) == (want, got)
     assert got != want
@@ -235,7 +239,7 @@ def test_common_tangents_through_sampled(geom_q4):
         a, b = map(int, rng.integers(0, n, size=2))
         if a == b:
             continue
-        pa, pb = set(geom.ovoids[a].points), set(geom.ovoids[b].points)
+        pa, pb = set(geom.ovoid_points[a].tolist()), set(geom.ovoid_points[b].tolist())
         tangent = bool(geom.adjacency[a, b])
         x = sorted(pa - pb)[int(rng.integers(0, len(pa - pb)))]
         assert len(common_tangents_through(geom, a, b, x)) == (1 if tangent else 2)
@@ -251,8 +255,8 @@ def test_incidence_csv_round_trip(tmp_path, geom_q2):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["rosette_id", "base_point", "member_ovoids"]
-    assert len(rows) - 1 == len(geom_q2.rosettes)
-    for row in rows[1:]:
-        r = geom_q2.rosettes[int(row[0])]
-        assert int(row[1]) == r.base
-        assert tuple(int(m) for m in row[2].split()) == r.members
+    assert len(rows) - 1 == len(geom_q2.pencil_base)
+    for rid, row in enumerate(rows[1:]):
+        assert int(row[0]) == rid
+        assert int(row[1]) == geom_q2.pencil_base[rid]
+        assert [int(m) for m in row[2].split()] == geom_q2.pencil_members[rid].tolist()

@@ -37,10 +37,11 @@ def test_point_and_line_counts(fix, q, request):
     assert model.n_points == (q + 1) * (q ** 3 + 1)
     assert len(model.section_points) == (q + 1) * (q ** 2 + 1)
     assert len(model.affine_points) == q ** 4 - q ** 2
-    assert len(model.lines) == (q ** 3 + 1) * (q ** 2 + 1)
-    assert all(len(l) == q + 1 for l in model.lines)
-    assert all(len(model.lines_through[p]) == q ** 2 + 1
-               for p in range(model.n_points))
+    assert model.lines.shape == ((q ** 3 + 1) * (q ** 2 + 1), q + 1)
+    assert model.lines_through.shape == (model.n_points, q ** 2 + 1)
+    # each line id is listed at exactly its q+1 points
+    assert (model.lines[model.lines_through] == np.arange(model.n_points)[:, None, None]
+            ).any(axis=2).all()
 
 
 def test_form_vanishes_exactly_on_points(model_q4):
@@ -91,7 +92,7 @@ def test_lines_match_line_points_oracle(request, name):
     for a, b in np.argwhere(np.triu(model.gram == 0, 1)):
         pts = line_points(model.ctx, model.point(int(a)), model.point(int(b)))
         want.add(tuple(sorted(model.q_table.index(p) for p in pts)))
-    assert model.lines == sorted(want)
+    assert [tuple(line) for line in model.lines.tolist()] == sorted(want)
 
 
 def test_construction_makes_no_line_points_call(monkeypatch):
@@ -149,9 +150,9 @@ def test_perp_sections_are_ovoid_sized(geom_q4):
     model = geom_q4.model
     q = model.ctx.q
     sect = np.array(model.section_points)
-    for ov, row in zip(geom_q4.ovoids, geom_q4.member_matrix):
+    for (x, _), row in zip(geom_q4.ovoid_orbit, geom_q4.member_matrix):
         assert row.sum() == q * q + 1
-        assert (model.gram[ov.orbit[0], sect[row]] == 0).all()
+        assert (model.gram[x, sect[row]] == 0).all()
         assert model.in_section[sect[row]].all()
 
 

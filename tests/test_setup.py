@@ -1,7 +1,7 @@
 """The model and geometry set-up against the loops it replaced.
 
 `setup_oracle` holds the former scalar and per-point set-up.  Every field
-the set-up fills is diffed against it, with its type, at q = 2 and q = 4
+the set-up fills is diffed against it, with its dtype and shape, at q = 2 and q = 4
 for every modulus and trace-one form parameter, and at q = 8 for the
 default field.  Corrupted copies of the tables show that the line and
 grouping laws still fire.
@@ -24,40 +24,34 @@ FIELDS = [(n, m, lam) for n in (1, 2)
           for lam in range(1 << n) if trace(FieldCtx(n, m), lam) == 1]
 
 
+def assert_same_fields(new, old, names):
+    for name in names:
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
 def assert_same_model(model):
     oracle = copy.copy(model)
     loop_build_lines(oracle)
     loop_build_elation(oracle)
-    gram = loop_gram_matrix(model.ctx, model.coords)
-    assert model.gram.dtype == gram.dtype and np.array_equal(model.gram, gram)
-    assert model.lines == oracle.lines
-    assert {type(p) for line in model.lines for p in line} == {int}
-    assert all(type(line) is tuple for line in model.lines)
-    assert model.lines_through == oracle.lines_through
-    assert {type(i) for t in model.lines_through for i in t} == {int}
-    assert model.elation_perm.dtype == oracle.elation_perm.dtype
-    assert np.array_equal(model.elation_perm, oracle.elation_perm)
+    oracle.gram = loop_gram_matrix(model.ctx, model.coords)
+    assert_same_fields(model, oracle, ("gram", "lines", "lines_through", "elation_perm"))
+    q = model.ctx.q
+    assert model.lines.shape == ((q ** 3 + 1) * (q * q + 1), q + 1)
+    assert model.lines_through.shape == (model.n_points, q * q + 1)
 
 
 def assert_same_geometry(geom):
     oracle = loop_build_geometry(geom.model)
-    ovoid_fields = [(o.id, o.orbit, o.points, o.span) for o in oracle.ovoids]
-    assert [(o.id, o.orbit, o.points, o.span) for o in geom.ovoids] == ovoid_fields
-    assert {type(v) for o in geom.ovoids for v in o.orbit + o.points} == {int}
-    assert {type(v) for o in geom.ovoids for row in o.span.basis for v in row} == {int}
-    for name in ("member_matrix", "inter_count", "adjacency", "tangency_point"):
-        new, old = getattr(geom, name), getattr(oracle, name)
-        assert new.dtype == old.dtype and np.array_equal(new, old), name
-    assert len(geom.through) == len(oracle.through)
-    assert all(a.dtype == b.dtype and np.array_equal(a, b)
-               for a, b in zip(geom.through, oracle.through))
-    rosette_fields = [(r.id, r.base, r.members) for r in oracle.rosettes]
-    assert [(r.id, r.base, r.members) for r in geom.rosettes] == rosette_fields
-    assert {type(v) for r in geom.rosettes for v in (r.id, r.base) + r.members} == {int}
-    assert geom.rosettes_at == oracle.rosettes_at
-    assert {type(i) for ids in geom.rosettes_at for i in ids} == {int}
-    assert geom.incidence == oracle.incidence
-    assert {type(i) for ids in geom.incidence for i in ids} == {int}
+    assert_same_fields(geom, oracle, (
+        "ovoid_orbit", "ovoid_points", "ovoid_span", "member_matrix", "inter_count",
+        "adjacency", "tangency_point", "through", "pencil_base", "pencil_members",
+        "incidence"))
+    q = geom.model.ctx.q
+    assert geom.ovoid_span.shape == (geom.n_ovoids, 4, 6)
+    assert geom.pencil_members.shape == (len(geom.pencil_base), q)
+    assert geom.incidence.shape == (geom.n_ovoids, q * q + 1)
 
 
 @pytest.mark.parametrize("n,modulus,lam", FIELDS)
@@ -79,9 +73,9 @@ def _flipped_pair(model, flip):
     0, so never a pair a line is emitted from), or the last point with its
     last non-perpendicular partner."""
     if flip == "perp_emitting":
-        return model.lines[0][:2]
+        return model.lines[0, :2]
     if flip == "perp_later":
-        return model.lines[0][-2:]
+        return model.lines[0, -2:]
     if flip == "non_perp_last":
         return model.n_points - 1, int(np.flatnonzero(model.gram[-1])[-1])
     pts = np.arange(model.n_points)
@@ -132,7 +126,7 @@ def test_grouping_rejects_tangencies_that_keep_every_count(geom_q4, corruption):
     geom = copy.copy(geom_q4)
     q = geom.model.ctx.q
     p = geom.model.section_points[0]
-    first, second = (geom.rosettes[r].members for r in geom.rosettes_at[0][:2])
+    first, second = map(tuple, geom.pencil_members[:2].tolist())   # both at point 0
     geom.adjacency = geom_q4.adjacency.copy()
     geom.tangency_point = geom_q4.tangency_point.copy()
     if corruption == "swapped":
@@ -167,10 +161,10 @@ def _regroup(geom, corruption):
     geom = copy.copy(geom)
     geom.adjacency = geom.adjacency.copy()
     geom.tangency_point = geom.tangency_point.copy()
-    first, second = (geom.rosettes[r].members for r in geom.rosettes_at[0][:2])
+    first, second = map(tuple, geom.pencil_members[:2].tolist())   # both at point 0
     if corruption == "off_common_point":
         a, b = first[:2]
-        other = next(p for p in geom.ovoids[a].points if p not in geom.ovoids[b].points)
+        other = int(np.setdiff1d(geom.ovoid_points[a], geom.ovoid_points[b])[0])
         geom.tangency_point[[a, b], [b, a]] = other
     elif corruption == "regrouped":
         p = geom.model.section_points[0]
@@ -183,7 +177,7 @@ def _regroup(geom, corruption):
     else:
         geom.model = copy.copy(geom.model)
         geom.model.gram = geom.model.gram.copy()
-        x, y = geom.ovoids[0].points[:2]
+        x, y = geom.ovoid_points[0, :2]
         geom.model.gram[[x, y], [y, x]] = 0
     return geom
 
