@@ -69,7 +69,8 @@ class RunConfig:
             raise ValueError("model enumeration commands support degrees 1..3")
         if self.mode not in ("full", "sampled"):
             raise ValueError("mode must be full or sampled")
-        if self.modulus is not None and set(self.modulus) - {"0", "1"}:
+        if self.modulus is not None and (self.modulus == ""
+                                         or set(self.modulus) - {"0", "1"}):
             raise ValueError("modulus must be a binary literal")
         if not 1 <= self.n_max <= 9:
             raise ValueError("n-max must be between 1 and 9")

@@ -79,10 +79,10 @@ def canonical_covering(model: QuadricModel, gx: OvoidGeometry) -> CoveringMap:
         raise AssertionError("punctured line does not map injectively")
     # the pencil based at a section point that holds a given ovoid through it
     members = gx.pencil_members
-    base = np.searchsorted(sect, gx.pencil_base)
+    dense = model.section_index
     pencil_of = np.full((gx.n_ovoids, len(sect)), -1, dtype=np.int32)
-    pencil_of[members, base[:, None]] = np.arange(len(members))[:, None]
-    line_image = pencil_of[images[:, 0], np.searchsorted(sect, infinity)]
+    pencil_of[members, dense[gx.pencil_base][:, None]] = np.arange(len(members))[:, None]
+    line_image = pencil_of[images[:, 0], dense[infinity]]
     if ((line_image < 0) | (members[line_image] != images).any(axis=1)).any():
         raise AssertionError("image of a punctured line is not a pencil "
                              "based at its infinity point")
@@ -149,11 +149,11 @@ def verify_covering(cov: CoveringMap) -> dict:
     # point fibers: size 2, elation orbits, consistent with the direction map
     perm = model.elation_perm
     fib = cov.point_fiber
-    bad = ((fib[:, 0] == fib[:, 1]) | (perm[fib[:, 0]] != fib[:, 1])
+    bad = ((fib[:, 0] == fib[:, 1]) | (perm[fib] != fib[:, ::-1]).any(axis=1)
            | (cov.point_image[fib] != np.arange(len(fib))[:, None]).any(axis=1))
     if bad.any():
         return fail("fibers_ok", kind="point_fiber", ovoid=int(np.argmax(bad)))
-    aff = np.asarray(model.affine_points)
+    aff = model.affine_points
     if not np.array_equal(np.unique(cov.point_image[aff]), np.arange(geom.n_ovoids)):
         return fail("fibers_ok", kind="point_map_not_surjective")
 

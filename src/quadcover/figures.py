@@ -255,7 +255,7 @@ def _cube_vertex_pairs(model: QuadricModel, par: CubeParams) -> List[Tuple[int, 
 
     pairs = []
     for x, y in ((a1, a2), (b1, b2), (c1, c2), (d1, d2)):
-        ix, iy = model.index_of(normalize_tuple(ctx, x)), model.index_of(normalize_tuple(ctx, y))
+        ix, iy = model.index_of(x), model.index_of(y)
         if ix is None or iy is None:
             raise AssertionError("cube vertex fell off the quadric")
         pairs.append((ix, iy))
@@ -468,8 +468,8 @@ def extend_hexagon_to_cubes(model: QuadricModel, fig: CentricFigure) -> List[Cen
         d3 = ctx.mul(d5, d5) ^ ctx.mul(d5, d6) ^ ctx.mul(model.lam, ctx.mul(d6, d6))
         dd1 = (0, 0, d3, 1, d5, d6)
         dd2 = tuple(ctx.mul(p4, a) ^ b for a, b in zip(dd1, p))
-        i1 = model.index_of(normalize_tuple(ctx, fm.from_frame(dd1)))
-        i2 = model.index_of(normalize_tuple(ctx, fm.from_frame(dd2)))
+        i1 = model.index_of(fm.from_frame(dd1))
+        i2 = model.index_of(fm.from_frame(dd2))
         if i1 is None or i2 is None:
             raise AssertionError("solved pair fell off the quadric")
         out.append(_made(model, list(fig.pairs) + [(i1, i2)], fig.center,
@@ -569,8 +569,8 @@ def extend_cube(model: QuadricModel, fig: CentricFigure) -> dict:
                mu(mu(vi, s), e5) ^ mu(mu(vi, r), e6),
                mu(rs1, e5) ^ mu(mu(r, r), e6),
                mu(mu(s, s), e5) ^ mu(rs1, e6))
-        i1 = model.index_of(normalize_tuple(ctx, fm.from_frame(p1v)))
-        i2 = model.index_of(normalize_tuple(ctx, fm.from_frame(p2v)))
+        i1 = model.index_of(fm.from_frame(p1v))
+        i2 = model.index_of(fm.from_frame(p2v))
         if i1 is None or i2 is None:
             raise AssertionError("fifth pair fell off the quadric")
         pairs_new.append((i1, i2))

@@ -92,14 +92,14 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     """
     q = model.ctx.q
     geom = OvoidGeometry(model)
-    aff = np.array(model.affine_points)
+    aff = model.affine_points
     reps = aff[model.elation_perm[aff] > aff]
     n_ov = len(reps)
     if n_ov != q * q * (q * q - 1) // 2:
         raise AssertionError(f"{n_ov} ovoids, expected {q * q * (q * q - 1) // 2}")
-    n_q0 = len(model.section_points)
-    sect = np.array(model.section_points, dtype=np.int16)
-    member = model.gram[np.ix_(reps, model.section_points)] == 0
+    sect = model.section_points
+    n_q0 = len(sect)
+    member = model.gram[np.ix_(reps, sect)] == 0
     if (member.sum(axis=1) != q * q + 1).any():
         raise AssertionError("perp section has the wrong size")
     geom.member_matrix = member
@@ -107,8 +107,8 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     basis, rank = _batched_rref(model.ctx, model.coords[sect[cols[:, :q + 2]]])
     if (rank != 4).any():
         raise AssertionError("ovoid does not span a 3-space")
-    geom.ovoid_orbit = np.column_stack([reps, model.elation_perm[reps]]).astype(np.int32)
-    geom.ovoid_points = sect.astype(np.int32)[cols]
+    geom.ovoid_orbit = np.column_stack([reps, model.elation_perm[reps]])
+    geom.ovoid_points = sect[cols]
     geom.ovoid_span = basis[:, :4].astype(np.int16)
 
     # float32 products are exact here: every entry is an integer below 2^24
@@ -185,12 +185,12 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     q = model.ctx.q
     member = geom.member_matrix
     n_ov, n_q0 = member.shape
-    dense = np.full(model.n_points, n_q0, dtype=np.int16)   # n_q0: off the section
-    dense[model.section_points] = np.arange(n_q0)
-    # int16: fewer than 2^15 ovoids and points at every buildable degree
+    # int16: fewer than 2^15 ovoids and points at every buildable degree,
+    # and the stable argsort of int16 keys below is a radix sort
     a, b = (v.astype(np.int16) for v in np.nonzero(geom.adjacency))
     tp = geom.tangency_point[a, b]
-    pk = np.where(tp >= 0, dense[tp], n_q0)
+    pk = np.where(tp >= 0, model.section_index[tp], -1).astype(np.int16)
+    # key -1 (off the section) reads the appended all-False column
     on_both = np.append(member, np.zeros((n_ov, 1), dtype=bool), axis=1)
     if not (on_both[a, pk] & on_both[b, pk]).all():
         raise AssertionError("ovoids sharing a point are tangent elsewhere")
@@ -219,7 +219,7 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     if (geom.inter_count[a[:, None], tangents] != 1).any():
         raise AssertionError("ovoids sharing a point are tangent elsewhere")
 
-    sect = np.array(model.section_points)
+    sect = model.section_points
     on_ovoid = np.packbits(member, axis=1)
     perp = np.packbits(model.gram[np.ix_(sect, sect)] == 0, axis=1)
     for lo in range(0, len(a), 1 << 15):
@@ -230,7 +230,7 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     heads = np.flatnonzero(least == a)
     if (np.bincount(base[heads], minlength=n_q0) != q * (q - 1) // 2).any():
         raise AssertionError("some point is not the base of q(q-1)/2 pencils")
-    geom.pencil_base = sect[base[heads]].astype(np.int32)
+    geom.pencil_base = sect[base[heads]]
     geom.pencil_members = np.column_stack([a[heads], tangents[heads]]).astype(np.int32)
 
 
@@ -243,8 +243,7 @@ def _check_rosette_partition(geom: OvoidGeometry, members: Sequence[int], p: int
         union |= geom.member_matrix[m]
     if union.sum() != q**3 + 1:
         raise AssertionError("pencil members overlap outside the base point")
-    sect = np.array(model.section_points)
-    perp = model.gram[p, sect] == 0
+    perp = model.gram[p, model.section_points] == 0
     bad = union & perp
     if bad.sum() != 1 or not bad[p_dense]:
         raise AssertionError("pencil union meets the perp of its base beyond the base")
@@ -289,7 +288,7 @@ def rosette_from_pair(geom: OvoidGeometry, a: int, b: int) -> int:
     if kind != "tangent":
         raise ValueError("pencil recovery requires a tangent pair")
     p = common[0]
-    k = geom.model.section_index[p]
+    k = int(geom.model.section_index[p])
     members = []
     for oid in geom.through[k].tolist():
         if oid in (a, b):
@@ -397,7 +396,7 @@ def verify_common_tangent_counts(geom: OvoidGeometry) -> dict:
         bad = law & (N != want)
         if bad.any():
             i, b = np.argwhere(bad)[0]
-            return {"pass": False, "pair": [int(T[i]), int(b)], "point": sect[k],
+            return {"pass": False, "pair": [int(T[i]), int(b)], "point": int(sect[k]),
                     "expected": int(want[i, b]), "got": int(N[i, b])}
         checked += int(law.sum())
     return {"pass": True, "cases_checked": checked}

@@ -3,14 +3,13 @@
 Projective points are normalized 6-tuples of field bit masks whose first
 nonzero coordinate is 1, so point equality is tuple equality.  Subspaces are
 kept in reduced row echelon form, the canonical representative of their row
-space.  Heavy consumers intern normalized tuples through PointTable and speak
-in dense integer indices.
+space.  Dense point indices live in the quadric model (`quadric.QuadricModel`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .gf2n import FieldCtx
 
@@ -205,35 +204,7 @@ def mat_inv(ctx: FieldCtx, m: Sequence[Sequence[int]]) -> Tuple[Vec, ...]:
     return tuple(tuple(row[size:]) for row in aug)
 
 
-# -- point interning ----------------------------------------------------------
-
-
-class PointTable:
-    """Sorted intern table mapping normalized coordinate tuples to dense indices."""
-
-    def __init__(self, points: Iterable[Vec]):
-        self._points: List[Vec] = sorted(points)
-        self._index: Dict[Vec, int] = {p: i for i, p in enumerate(self._points)}
-        if len(self._index) != len(self._points):
-            raise ValueError("duplicate points in table")
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def index(self, p: Vec) -> int:
-        return self._index[p]
-
-    def get(self, p: Vec) -> Optional[int]:
-        return self._index.get(p)
-
-    def point(self, i: int) -> Vec:
-        return self._points[i]
-
-    def __contains__(self, p: Vec) -> bool:
-        return p in self._index
-
-    def __iter__(self):
-        return iter(self._points)
+# -- enumeration --------------------------------------------------------------
 
 
 def enumerate_points(ctx: FieldCtx, dim: int = 6) -> List[Vec]:

@@ -15,13 +15,12 @@ elation fixing it pointwise are computed, not assumed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gf2n import FieldCtx, trace
 from .projgeom import (
-    PointTable,
     Subspace,
     Vec,
     enumerate_points,
@@ -39,15 +38,20 @@ class QuadricModel:
     Attributes
     ----------
     ctx, lam : field context and the trace-1 form parameter.
-    q_table : PointTable over the quadric points (dense, lexicographically sorted).
-    coords : (|Q|, 6) int16 array of the same points.
+    coords : (|Q|, 6) int16 array of the normalized quadric points, sorted
+        lexicographically; a point's row is its dense index.
+    index_by_code : (2^(6n),) int32 array, the dense index of each point
+        read as a 6n-bit code (see `_point_codes`), -1 off the quadric.
     lines : (L, q+1) int32 array, the ascending point indices of each quadric
         line, rows in ascending order.
     lines_through : (|Q|, q^2+1) int32 array, the ascending ids of the lines
         through each point.
     gram : (|Q|, |Q|) uint8 array of pairwise bilinear-form values.
     in_section : boolean mask of points lying in the hyperplane {x6 = 0}.
-    section_points / affine_points : index lists for the two sides of the split.
+    section_points / affine_points : ascending int32 arrays of the point
+        indices on the two sides of the split.
+    section_index : (|Q|,) int32 array, each section point's position in
+        section_points (its dense section index), -1 at affine points.
     nucleus : coordinates of the radical point of the restricted form (off Q).
     elation_perm : involutive permutation of point indices with axis {x6 = 0}.
     """
@@ -55,15 +59,15 @@ class QuadricModel:
     def __init__(self, ctx: FieldCtx, lam: int):
         self.ctx = ctx
         self.lam = lam
-        self.q_table: PointTable
         self.coords: np.ndarray
+        self.index_by_code: np.ndarray
         self.lines: np.ndarray
         self.lines_through: np.ndarray
         self.gram: np.ndarray
         self.in_section: np.ndarray
-        self.section_points: List[int]
-        self.affine_points: List[int]
-        self.section_index: Dict[int, int]
+        self.section_points: np.ndarray
+        self.affine_points: np.ndarray
+        self.section_index: np.ndarray
         self.nucleus: Vec
         self.elation_perm: np.ndarray
 
@@ -84,14 +88,18 @@ class QuadricModel:
 
     def index_of(self, v: Sequence[int]) -> Optional[int]:
         """Dense index of a quadric point given by any representative, else None."""
-        return self.q_table.get(normalize_tuple(self.ctx, v))
+        code = 0
+        for a in normalize_tuple(self.ctx, v):
+            code = (code << self.ctx.n) | a
+        i = int(self.index_by_code[code])
+        return None if i < 0 else i
 
     def point(self, i: int) -> Vec:
-        return self.q_table.point(i)
+        return tuple(self.coords[i].tolist())
 
     @property
     def n_points(self) -> int:
-        return len(self.q_table)
+        return len(self.coords)
 
 
 def _f_vectorized(ctx: FieldCtx, lam: int, coords: np.ndarray) -> np.ndarray:
@@ -116,25 +124,24 @@ def build_model(ctx: FieldCtx, lam=None) -> QuadricModel:
     q = ctx.q
     model = QuadricModel(ctx, lam)
 
-    pg = enumerate_points(ctx, 6)
-    pg_arr = np.array(pg, dtype=np.int16)
-    fvals = _f_vectorized(ctx, lam, pg_arr)
-    q_pts = [pg[i] for i in np.nonzero(fvals == 0)[0]]
-    model.q_table = PointTable(q_pts)
-    nq = len(model.q_table)
+    pg = np.array(enumerate_points(ctx, 6), dtype=np.int16)
+    model.coords = pg[_f_vectorized(ctx, lam, pg) == 0]
+    nq = model.n_points
     if nq != (q + 1) * (q**3 + 1):
         raise AssertionError(f"|Q| = {nq}, expected {(q + 1) * (q**3 + 1)}")
-    model.coords = np.array(list(model.q_table), dtype=np.int16)
+    model.index_by_code = np.full(1 << (6 * ctx.n), -1, dtype=np.int32)
+    model.index_by_code[_point_codes(ctx.n, model.coords)] = np.arange(nq)
 
     model.gram = _gram_matrix(ctx, model.coords)
     _build_lines(model)
 
     model.in_section = model.coords[:, 5] == 0
-    model.section_points = [int(i) for i in np.nonzero(model.in_section)[0]]
-    model.affine_points = [int(i) for i in np.nonzero(~model.in_section)[0]]
-    model.section_index = {p: i for i, p in enumerate(model.section_points)}
+    model.section_points = np.flatnonzero(model.in_section).astype(np.int32)
+    model.affine_points = np.flatnonzero(~model.in_section).astype(np.int32)
     if len(model.section_points) != (q + 1) * (q**2 + 1):
         raise AssertionError("hyperplane section point count mismatch")
+    model.section_index = np.full(nq, -1, dtype=np.int32)
+    model.section_index[model.section_points] = np.arange(len(model.section_points))
 
     _find_nucleus(model)
     _build_elation(model)
@@ -169,13 +176,6 @@ def _point_codes(n: int, rows: np.ndarray) -> np.ndarray:
     for j in range(6):
         code = (code << n) | rows[..., j]
     return code
-
-
-def _index_by_code(model: QuadricModel) -> np.ndarray:
-    """Dense point index of every 6n-bit code, -1 off the quadric."""
-    table = np.full(1 << (6 * model.ctx.n), -1, dtype=np.int32)
-    table[_point_codes(model.ctx.n, model.coords)] = np.arange(model.n_points)
-    return table
 
 
 def _build_lines(model: QuadricModel) -> None:
@@ -214,7 +214,7 @@ def _build_lines(model: QuadricModel) -> None:
     multiples = _point_codes(ctx.n, ctx.mul_table[np.arange(q)[:, None, None], c])
     ln = np.empty((len(x), q + 1), dtype=np.int32)
     ln[:, 0] = x
-    ln[:, 1:] = _index_by_code(model)[_point_codes(ctx.n, c)[k][:, None] ^ multiples[:, x].T]
+    ln[:, 1:] = model.index_by_code[_point_codes(ctx.n, c)[k][:, None] ^ multiples[:, x].T]
     # gram is symmetric with a zero diagonal; nq^2 < 2^31 at every buildable degree
     i, j = np.triu_indices(q + 1, 1)
     if (ln < 0).any() or np.take(gram, ln[:, i] * nq + ln[:, j]).any():
@@ -274,7 +274,7 @@ def _build_elation(model: QuadricModel) -> None:
     the nucleus c, all in one pass: y = c + (f(c) / alpha(c, x)) * x."""
     M = model.ctx.mul_table
     nq = model.n_points
-    aff = np.array(model.affine_points)
+    aff = model.affine_points
     x = model.coords[aff]
     c = np.array(model.nucleus)
     a = np.zeros(len(aff), dtype=np.uint16)
@@ -286,14 +286,14 @@ def _build_elation(model: QuadricModel) -> None:
     y = c ^ M[t[:, None], x]
     lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
     y = M[model.ctx.inv_table[lead][:, None], y]
-    other = _index_by_code(model)[_point_codes(model.ctx.n, y)]
+    other = model.index_by_code[_point_codes(model.ctx.n, y)]
     if (other < 0).any():
         raise AssertionError("second intersection is off the quadric")
     perm = np.arange(nq, dtype=np.int32)
     perm[aff] = other
     if not np.array_equal(perm[perm], np.arange(nq)):
         raise AssertionError("elation is not an involution")
-    if (perm[model.affine_points] == model.affine_points).any():
+    if (perm[aff] == aff).any():
         raise AssertionError("elation fixes a point off its axis")
     model.elation_perm = perm
 
@@ -313,15 +313,15 @@ def _section_dual_functional(model: QuadricModel, s: Subspace) -> Vec:
     return kernel[0]
 
 
-def _classify_functional(model: QuadricModel, w: Sequence[int], sect_coords: np.ndarray,
-                         sect_qidx: np.ndarray) -> Tuple[str, List[int]]:
+def _classify_functional(model: QuadricModel, w: Sequence[int],
+                         sect_coords: np.ndarray) -> Tuple[str, List[int]]:
     M = model.ctx.mul_table
     q = model.ctx.q
     vals = np.zeros(len(sect_coords), dtype=np.uint16)
     for j in range(5):
         if w[j]:
             vals ^= M[np.full(len(sect_coords), w[j]), sect_coords[:, j]]
-    hit = sect_qidx[vals == 0]
+    hit = model.section_points[vals == 0]
     count = len(hit)
     if count == q * q + 2 * q + 1:
         return "hyperbolic", [int(i) for i in hit]
@@ -340,8 +340,7 @@ def section_type(model: QuadricModel, s: Subspace) -> str:
     """Classify a 3-space of {x6=0} by its quadric section: elliptic, hyperbolic, cone."""
     w = _section_dual_functional(model, s)
     sect_coords = model.coords[model.section_points][:, :5].astype(np.int64)
-    sect_qidx = np.array(model.section_points)
-    kind, _ = _classify_functional(model, w, sect_coords, sect_qidx)
+    kind, _ = _classify_functional(model, w, sect_coords)
     return kind
 
 
@@ -354,11 +353,10 @@ def solid_section_census(model: QuadricModel):
     ctx = model.ctx
     duals = enumerate_points(ctx, 5)
     sect_coords = model.coords[model.section_points][:, :5].astype(np.int64)
-    sect_qidx = np.array(model.section_points)
     counts = {"elliptic": 0, "hyperbolic": 0, "cone": 0}
     elliptic: List[Tuple[int, ...]] = []
     for w in duals:
-        kind, pts = _classify_functional(model, w, sect_coords, sect_qidx)
+        kind, pts = _classify_functional(model, w, sect_coords)
         counts[kind] += 1
         if kind == "elliptic":
             elliptic.append(tuple(pts))

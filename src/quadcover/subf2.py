@@ -287,7 +287,7 @@ def recognize_subgeometry(model: QuadricModel, span: F2Span,
     ``gram``, ``lines`` and ``lines_through``.
     """
     ctx = model.ctx
-    idx = [model.q_table.index(p) for p in span.quadric_points]
+    idx = [model.index_of(p) for p in span.quadric_points]
     npts = len(idx)
     local = {x: k for k, x in enumerate(idx)}
     coll = (model.gram[np.ix_(idx, idx)] == 0).tolist()

@@ -35,13 +35,14 @@ def loop_verify_covering(cov: CoveringMap) -> dict:
     perm = model.elation_perm.tolist()
     for oid, fib in enumerate(cov.point_fiber.tolist()):
         ok = (len(set(fib)) == 2
-              and perm[fib[0]] == fib[1]
+              and perm[fib[0]] == fib[1] and perm[fib[1]] == fib[0]
               and all(point_image[x] == oid for x in fib))
         if not ok:
             report["fibers_ok"] = False
             report["counterexample"] = {"kind": "point_fiber", "ovoid": oid}
             return report
-    covered = [point_image[x] for x in model.affine_points]
+    affine = model.affine_points.tolist()
+    covered = [point_image[x] for x in affine]
     if sorted(set(covered)) != list(range(geom.n_ovoids)):
         report["fibers_ok"] = False
         report["counterexample"] = {"kind": "point_map_not_surjective"}
@@ -71,12 +72,12 @@ def loop_verify_covering(cov: CoveringMap) -> dict:
             return report
 
     # pencil restrictions: lines through x <-> pencils through the image ovoid
-    lines_at = {x: [] for x in model.affine_points}
+    lines_at = {x: [] for x in affine}
     for li, pts in enumerate(lines):
         for p in pts:
             lines_at[p].append(li)
     incidence = geom.incidence.tolist()
-    for x in model.affine_points:
+    for x in affine:
         rids = sorted(line_image[l] for l in lines_at[x])
         if rids != sorted(incidence[point_image[x]]):
             report["pencil_bijections_ok"] = False

@@ -1,11 +1,12 @@
 """Reference loops for the model and geometry set-up, which
 `quadcover.quadric` and `quadcover.ovoid` now build in array passes.
 
-Kept only as oracles for the diff tests in `test_setup.py`: the block-wise
-scalar-table gram matrix, the per-point common-perp walk for the lines, one
-scalar `second_intersection` per point for the elation, one `span` per
-ovoid, the per-point S.S = q.S grouping of the pencils and the per-member
-incidence lists.  They share no code with the array passes.
+Kept only as oracles for the diff tests in `test_setup.py`: the point
+index from a scan of every coordinate tuple, the block-wise scalar-table
+gram matrix, the per-point common-perp walk for the lines, one scalar
+`second_intersection` per point for the elation, one `span` per ovoid, the
+per-point S.S = q.S grouping of the pencils and the per-member incidence
+lists.  They share no code with the array passes.  `loop_point_index`,
 `loop_build_lines`, `loop_build_elation`, `loop_build_rosettes` and
 `loop_incidence` fill the same fields of the model or geometry they are
 given as the function they replaced; `loop_build_geometry` is the whole
@@ -13,6 +14,7 @@ former `build_geometry`.  Each packages its loop's results into the same
 index arrays the set-up fills.
 """
 
+from itertools import product
 from typing import List, Tuple
 
 import numpy as np
@@ -21,6 +23,31 @@ from quadcover.gf2n import FieldCtx
 from quadcover.ovoid import OvoidGeometry
 from quadcover.projgeom import span
 from quadcover.quadric import QuadricModel, second_intersection
+
+
+def loop_point_index(model: QuadricModel) -> None:
+    """Intern the quadric points through a tuple-to-index dict, as the
+    former point table did: every coordinate tuple whose first nonzero entry
+    is 1 and on which the scalar form vanishes, in sorted order.  A point's
+    code is its coordinates read as base-q digits."""
+    q = model.ctx.q
+    pts = [v for v in product(range(q), repeat=6)
+           if any(v) and next(a for a in v if a) == 1 and model.f_scalar(v) == 0]
+    index = {p: i for i, p in enumerate(sorted(pts))}
+    by_code = np.full(q ** 6, -1, dtype=np.int32)
+    for p, i in index.items():
+        by_code[sum(a * q ** (5 - j) for j, a in enumerate(p))] = i
+    section = [i for p, i in index.items() if p[5] == 0]
+    section_index = np.full(len(index), -1, dtype=np.int32)
+    for k, i in enumerate(section):
+        section_index[i] = k
+    model.coords = np.array(list(index), dtype=np.int16)
+    model.index_by_code = by_code
+    model.in_section = model.coords[:, 5] == 0
+    model.section_points = np.array(section, dtype=np.int32)
+    model.affine_points = np.array([i for p, i in index.items() if p[5] != 0],
+                                   dtype=np.int32)
+    model.section_index = section_index
 
 
 def loop_gram_matrix(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
@@ -84,12 +111,13 @@ def loop_build_lines(model: QuadricModel) -> None:
 def loop_build_elation(model: QuadricModel) -> None:
     """Pair each point off the axis with the second quadric point toward the nucleus."""
     nq = model.n_points
+    index = {tuple(p): i for i, p in enumerate(model.coords.tolist())}
     perm = np.arange(nq, dtype=np.int32)
-    for x in model.affine_points:
+    for x in model.affine_points.tolist():
         other = second_intersection(model, model.point(x), model.nucleus)
         if other is None:
             raise AssertionError("nucleus line is not a secant")
-        perm[x] = model.q_table.index(other)
+        perm[x] = index[other]
     if not np.array_equal(perm[perm], np.arange(nq)):
         raise AssertionError("elation is not an involution")
     if (perm[model.affine_points] == model.affine_points).any():

@@ -242,6 +242,7 @@ def test_out_dir_environment(tmp_path, monkeypatch):
     # unwritable output paths: a directory that does not exist
     ["build", "--n", "1", "--out", "/nonexistent/d/x.json"],
     ["build", "--n", "1", "--export-lines", "/nonexistent/d/x.csv"],
+    ["build", "--n", "1", "--modulus", ""],
 ])
 def test_bad_configurations_exit_2(argv, capsys):
     assert main(argv) == 2

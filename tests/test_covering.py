@@ -141,7 +141,8 @@ def _pencil_restriction(cov):
 
 def _with_elation(cov, larger_to):
     # the elation keeps each orbit's smaller point and sends its larger
-    # point to larger_to(point), so the fibers still check out
+    # point to larger_to(point): only the fiber law's larger-point direction
+    # sees it
     model = copy.copy(cov.model)
     model.elation_perm = cov.model.elation_perm.copy()
     big = cov.point_fiber[:, 1]
@@ -151,15 +152,21 @@ def _with_elation(cov, larger_to):
 
 def _quotient_line(cov):
     # every larger orbit point falls into the class of point 0: the lines
-    # made only of larger orbit points share the class {0} but cover
+    # made only of larger orbit points would share the class {0} but cover
     # different pencils
     return _with_elation(cov, np.zeros_like)
 
 
 def _quotient_line_sets(cov):
-    # the larger orbit points are fixed: the two lines over each pencil fall
-    # into different classes, so the quotient has twice too many lines
+    # the larger orbit points are fixed: the two lines over each pencil would
+    # fall into different classes, twice too many quotient lines
     return _with_elation(cov, lambda big: big)
+
+
+def _swapped_partners(cov):
+    # ovoids 0 and 1 swap the elation images of their larger points
+    small = cov.point_fiber[:, 0]
+    return _with_elation(cov, lambda big: np.r_[small[1], small[0], small[2:]])
 
 
 CORRUPTIONS = [
@@ -173,8 +180,11 @@ CORRUPTIONS = [
     ("line_restriction", _line_at_infinity),
     ("line_fiber", _line_fiber),
     ("pencil_restriction", _pencil_restriction),
-    ("quotient_line", _quotient_line),
-    ("quotient_line_sets", _quotient_line_sets),
+    # the fiber law checks the elation at both orbit points, so it catches
+    # these before the quotient laws can
+    ("point_fiber", _quotient_line),
+    ("point_fiber", _quotient_line_sets),
+    ("point_fiber", _swapped_partners),
 ]
 
 
@@ -192,8 +202,9 @@ def test_corrupted_covering_reports_its_counterexample(request, name, kind, corr
 
 def test_orbit_classes_are_compared_as_sets(cov_q4):
     # two disjoint lines over different pencils, all of whose points are
-    # larger orbit points, get the classes [0, 0, 1, 2] and [0, 1, 1, 2]:
-    # one set, two multisets
+    # larger orbit points, with the classes [0, 0, 1, 2] and [0, 1, 1, 2]:
+    # one set, two multisets.  The fiber law now stops such an elation
+    # before the quotient law, so the class rows are compared directly.
     cov = cov_q4
     larger = np.zeros(cov.model.n_points, dtype=bool)
     larger[cov.point_fiber[:, 1]] = True
@@ -206,8 +217,10 @@ def test_orbit_classes_are_compared_as_sets(cov_q4):
     model.elation_perm[cov.lines[l2]] = [0, 1, 1, 2]
     bad = replace(cov, model=model)
     rep = verify_covering(bad)
-    assert rep["counterexample"] == {"kind": "quotient_line", "lines": [l1, l2]}
+    assert rep["counterexample"]["kind"] == "point_fiber"
     assert rep == loop_verify_covering(bad)
+    classes = covering._as_sets(np.array([[0, 0, 1, 2], [0, 1, 1, 2], [0, 1, 2, 3]]))
+    assert (classes[0] == classes[1]).all() and (classes[0] != classes[2]).any()
 
 
 def test_corrupted_point_fiber_is_detected(cov_q2):

@@ -1,13 +1,16 @@
 """Every name that a module of the package or a test file imports is used
-there, and every private module-level name of the package is referenced."""
+there, every private module-level name of the package is referenced, and
+every package name the benchmark imports or patches resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "quadcover"
+BENCH = TESTS.parent / "bench"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -63,3 +66,40 @@ def test_package_exports_resolve():
     import quadcover
 
     assert [name for name in quadcover.__all__ if not hasattr(quadcover, name)] == []
+
+
+def _literal(tree: ast.Module, name: str):
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == name)
+
+
+def test_bench_import_surface_resolves():
+    """Every package name the benchmark imports or patches exists.  The
+    benchmark lives outside the test paths, so without this check a name
+    dropped from the package fails only when the benchmark runs."""
+    from quadcover.gf2n import FieldCtx
+
+    missing = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[0] == "quadcover"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(module, alias.name):
+                    continue
+                try:
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                except ImportError:
+                    missing.append(f"{path.name}: {node.module}.{alias.name}")
+    tracing = ast.parse((BENCH / "tracing.py").read_text())
+    projgeom = importlib.import_module("quadcover.projgeom")
+    missing += [f"projgeom.{name}" for name in _literal(tracing, "PROJGEOM_COUNTED")
+                if not hasattr(projgeom, name)]
+    # the tracer patches the methods in the class dict
+    missing += [f"FieldCtx.{name}" for name in _literal(tracing, "GF2N_COUNTED")
+                if name not in vars(FieldCtx)]
+    for name in _literal(tracing, "PROJGEOM_IMPORTERS"):
+        importlib.import_module(f"quadcover.{name}")
+    assert missing == []

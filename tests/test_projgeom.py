@@ -1,17 +1,15 @@
-"""Projective-space primitives: normal forms, spans, duals, dense tables."""
+"""Projective-space primitives: normal forms, spans, duals."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadcover.gf2n import FieldCtx
-from quadcover.projgeom import (PointTable, enumerate_points,
-                                line_points, mat_inv, mat_mul, mat_vec,
+from quadcover.projgeom import (enumerate_points, line_points, mat_inv, mat_mul, mat_vec,
                                 normalize_tuple, null_space, rref,
                                 span, subspace_intersection, subspace_points,
                                 vec_add, vec_scale)
 
 CTX = FieldCtx(2)
-CTX8 = FieldCtx(3)
 
 
 def _vec_strategy(q=4, dim=6):
@@ -103,16 +101,3 @@ def test_matrix_inverse_rejects_singular():
     m = [(1, 0, 0, 0, 0, 0)] * 6
     with pytest.raises(ValueError):
         mat_inv(CTX, m)
-
-
-def test_point_table_roundtrip():
-    pts = enumerate_points(CTX8, 3)
-    table = PointTable(pts)
-    assert len(table) == len(pts)
-    for i in (0, 1, len(pts) // 2, len(pts) - 1):
-        assert table.index(table.point(i)) == i
-
-
-def test_point_table_rejects_duplicates():
-    with pytest.raises(ValueError):
-        PointTable([(1, 0, 0), (1, 0, 0)])

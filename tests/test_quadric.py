@@ -6,7 +6,7 @@ import pytest
 from quadcover import covering, ovoid, projgeom, quadric
 from quadcover.gf2n import FieldCtx, trace
 from quadcover.ovoid import build_geometry
-from quadcover.projgeom import line_points, span
+from quadcover.projgeom import enumerate_points, line_points, span, vec_scale
 from quadcover.quadric import (alpha_perp, build_model,
                                nucleus_tangency_check,
                                section_type, solid_section_census,
@@ -42,6 +42,22 @@ def test_point_and_line_counts(fix, q, request):
     # each line id is listed at exactly its q+1 points
     assert (model.lines[model.lines_through] == np.arange(model.n_points)[:, None, None]
             ).any(axis=2).all()
+
+
+@pytest.mark.parametrize("fix", ["model_q2", "model_q4", "model_q8"])
+def test_point_lookup(fix, request):
+    """index_of inverts point, finds a point from any nonzero multiple, and
+    finds nothing at the points of PG(5, q) off the quadric."""
+    model = request.getfixturevalue(fix)
+    ctx = model.ctx
+    for i in range(model.n_points):
+        p = model.point(i)
+        assert all(model.index_of(vec_scale(ctx, c, p)) == i for c in ctx.nonzero())
+    off = [p for p in enumerate_points(ctx, 6) if model.f_scalar(p) != 0]
+    assert len(off) == (ctx.q ** 6 - 1) // (ctx.q - 1) - model.n_points
+    assert all(model.index_of(p) is None for p in off)
+    with pytest.raises(ValueError):
+        model.index_of((0,) * 6)
 
 
 def test_form_vanishes_exactly_on_points(model_q4):
@@ -88,10 +104,11 @@ def test_collinear_pairs_lie_on_lines(model_q4):
 def test_lines_match_line_points_oracle(request, name):
     # the lines are read off gram; rebuild them from coordinates instead
     model = request.getfixturevalue(name)
+    index = {tuple(p): i for i, p in enumerate(model.coords.tolist())}
     want = set()
     for a, b in np.argwhere(np.triu(model.gram == 0, 1)):
         pts = line_points(model.ctx, model.point(int(a)), model.point(int(b)))
-        want.add(tuple(sorted(model.q_table.index(p) for p in pts)))
+        want.add(tuple(sorted(index[p] for p in pts)))
     assert [tuple(line) for line in model.lines.tolist()] == sorted(want)
 
 

@@ -1,10 +1,10 @@
 """The model and geometry set-up against the loops it replaced.
 
 `setup_oracle` holds the former scalar and per-point set-up.  Every field
-the set-up fills is diffed against it, with its dtype and shape, at q = 2 and q = 4
-for every modulus and trace-one form parameter, and at q = 8 for the
-default field.  Corrupted copies of the tables show that the line and
-grouping laws still fire.
+the set-up fills, the point index included, is diffed against it, with its
+dtype and shape, at q = 2 and q = 4 for every modulus and trace-one form
+parameter, and at q = 8 for the default field.  Corrupted copies of the
+tables show that the line and grouping laws still fire.
 """
 
 import copy
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from setup_oracle import (loop_build_elation, loop_build_geometry, loop_build_lines,
-                          loop_build_rosettes, loop_gram_matrix)
+                          loop_build_rosettes, loop_gram_matrix, loop_point_index)
 from quadcover.gf2n import FieldCtx, is_irreducible, trace
 from quadcover.ovoid import _batched_rref, _build_rosettes, build_geometry
 from quadcover.projgeom import rref
@@ -33,11 +33,17 @@ def assert_same_fields(new, old, names):
 
 def assert_same_model(model):
     oracle = copy.copy(model)
+    loop_point_index(oracle)
     loop_build_lines(oracle)
     loop_build_elation(oracle)
     oracle.gram = loop_gram_matrix(model.ctx, model.coords)
-    assert_same_fields(model, oracle, ("gram", "lines", "lines_through", "elation_perm"))
+    assert_same_fields(model, oracle, (
+        "coords", "index_by_code", "in_section", "section_points", "affine_points",
+        "section_index", "gram", "lines", "lines_through", "elation_perm"))
     q = model.ctx.q
+    assert model.coords.shape == ((q + 1) * (q ** 3 + 1), 6)
+    assert model.index_by_code.shape == (q ** 6,)
+    assert model.section_index.shape == (model.n_points,)
     assert model.lines.shape == ((q ** 3 + 1) * (q * q + 1), q + 1)
     assert model.lines_through.shape == (model.n_points, q * q + 1)
 
