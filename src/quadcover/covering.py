@@ -156,6 +156,8 @@ def verify_covering(cov: CoveringMap) -> dict:
     aff = model.affine_points
     if not np.array_equal(np.unique(cov.point_image[aff]), np.arange(geom.n_ovoids)):
         return fail("fibers_ok", kind="point_map_not_surjective")
+    if len(fib) != geom.n_ovoids:
+        return fail("fibers_ok", kind="point_fiber_count")
 
     # line restrictions: each punctured line maps bijectively onto its pencil
     members = geom.pencil_members

@@ -23,10 +23,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .gf2n import conic_solution_set, solve_artin_schreier
-from .projgeom import (Vec, enumerate_points, mat_inv, mat_vec, normalize_tuple,
-                       span, vec_add, vec_scale)
-from .quadric import QuadricModel, alpha_perp, second_intersection
+from .gf2n import FieldCtx, conic_solution_set, solve_artin_schreier
+from .projgeom import Vec, enumerate_points, normalize_tuple, rref, vec_add, vec_scale
+from .quadric import QuadricModel, second_intersection, second_intersections
 from .covering import CoveringMap
 
 KIND_BY_SIZE = {3: "hexagon", 4: "cube", 5: "decade", 6: "dodecade"}
@@ -105,12 +104,29 @@ def make_figure(model: QuadricModel, pairs: Sequence[Tuple[int, int]],
     return replace(fig, rows=rep["rows"])
 
 
-def _made(model: QuadricModel, pairs: Sequence[Tuple[int, int]],
-          center: Sequence[int], what: str) -> CentricFigure:
-    """``make_figure`` on a figure this module constructed.  A failed check
-    there is a broken law, not bad input, so it raises AssertionError."""
+def extend_figure(model: QuadricModel, fig: CentricFigure,
+                  new_pairs: Sequence[Tuple[int, int]]) -> CentricFigure:
+    """``fig`` (made by ``make_figure`` or here) with ``new_pairs`` added.
+
+    Only what the new pairs add is checked; a failure raises ValueError with
+    the reason ``make_figure`` would give on the whole figure.
+    """
+    pairs = fig.pairs + tuple((int(a), int(b)) for a, b in new_pairs)
+    m = len(pairs)
+    if m not in KIND_BY_SIZE:
+        raise ValueError(f"no figure kind with {m} pairs")
+    row = dict.fromkeys(fig.rows[0], 0)
+    row.update(dict.fromkeys(fig.rows[1], 1))
+    rows = _check_pairs(model, pairs, fig.center, len(fig.pairs), row)
+    return CentricFigure(KIND_BY_SIZE[m], pairs, fig.center, rows)
+
+
+def _made(what: str, build, *args) -> CentricFigure:
+    """``make_figure`` or ``extend_figure`` on a figure this module
+    constructed.  A failed check there is a broken law, not bad input, so it
+    raises AssertionError."""
     try:
-        return make_figure(model, pairs, center)
+        return build(*args)
     except ValueError as exc:
         raise AssertionError(f"{what} failed check: {exc}") from None
 
@@ -123,35 +139,53 @@ def verify_centric_figure(model: QuadricModel, fig: CentricFigure) -> dict:
 
     The report carries the derived bipartition as ``rows`` (two tuples of
     quadric point indices) when the check passes, and a ``reason`` string
-    when it does not.  Collinearity of quadric points is read from
-    ``model.gram``.  The center is off Q, so the line through a pair's first
-    point and the center meets Q in at most one other point: the pair is
-    concurrent with the center exactly when that point is the second one.
+    when it does not.
     """
     m = len(fig.pairs)
     out: dict = {"pass": False, "kind": fig.kind, "m": m}
     if SIZE_BY_KIND.get(fig.kind) != m:
         out["reason"] = "kind does not match number of pairs"
         return out
-    pts = [i for p in fig.pairs for i in p]
-    if len(set(pts)) != 2 * m:
-        out["reason"] = "repeated point"
+    try:
+        out["rows"] = _check_pairs(model, fig.pairs, fig.center, 0, {})
+    except ValueError as exc:
+        out["reason"] = str(exc)
         return out
-    if model.f_scalar(fig.center) == 0:
-        out["reason"] = "center lies on the quadric"
-        return out
-    for a, b in fig.pairs:
-        if second_intersection(model, model.point(a), fig.center) != model.point(b):
-            out["reason"] = f"pair ({a},{b}) not concurrent with the center"
-            return out
+    out["pass"] = True
+    return out
+
+
+def _check_pairs(model: QuadricModel, pairs: Sequence[Tuple[int, int]], center: Vec,
+                 k: int, row: Dict[int, int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The rows of a centric figure on ``pairs``, checked from pair k on.
+
+    ``pairs[:k]`` must be a checked figure on ``center`` with its rows in
+    ``row`` (empty for k = 0).  The axioms run in the order of a full check,
+    on what the new pairs add: distinct points, the center off Q (k = 0
+    only), concurrency, the rows against the reference pair ``pairs[0]``,
+    then collinear <=> different pair and different row for every pair of
+    points with a new one.  So the first failure raises ValueError with the
+    reason the full check gives.
+
+    Collinearity of quadric points is read from ``model.gram``.  The center
+    is off Q, so the line through a pair's first point and the center meets
+    Q in at most one other point: the pair is concurrent with the center
+    exactly when that point is the second one.
+    """
+    pts = [i for p in pairs for i in p]
+    if len(set(pts)) != len(pts):
+        raise ValueError("repeated point")
+    if k == 0 and model.f_scalar(center) == 0:
+        raise ValueError("center lies on the quadric")
+    for a, b in pairs[k:]:
+        if second_intersection(model, model.point(a), center) != model.point(b):
+            raise ValueError(f"pair ({a},{b}) not concurrent with the center")
 
     g = model.gram
-    partner = fig.partner
-    # Two-colour against the reference pair, then check the full relation:
-    # collinear <=> different pair and different row.
-    row = {fig.pairs[0][0]: 0, fig.pairs[0][1]: 1}
-    ra, rb = fig.pairs[0]
-    for a, b in fig.pairs[1:]:
+    ra, rb = pairs[0]
+    if k == 0:
+        row[ra], row[rb] = 0, 1
+    for a, b in pairs[max(k, 1):]:
         for x in (a, b):
             hits = not g[x, ra], not g[x, rb]
             if hits == (True, False):
@@ -159,22 +193,17 @@ def verify_centric_figure(model: QuadricModel, fig: CentricFigure) -> dict:
             elif hits == (False, True):
                 row[x] = 0
             else:
-                out["reason"] = f"point {x} sees the reference pair {hits}"
-                return out
+                raise ValueError(f"point {x} sees the reference pair {hits}")
         if row[a] == row[b]:
-            out["reason"] = f"pair ({a},{b}) landed in one row"
-            return out
+            raise ValueError(f"pair ({a},{b}) landed in one row")
+    # pts[i] and pts[j] are partners exactly when i // 2 == j // 2
     for i, u in enumerate(pts):
-        for v in pts[i + 1:]:
-            want = partner[u] != v and row[u] != row[v]
-            if (g[u, v] == 0) != want:
-                out["reason"] = f"adjacency mismatch at ({u},{v})"
-                return out
-
-    out["pass"] = True
-    out["rows"] = (tuple(sorted(x for x in pts if row[x] == 0)),
-                   tuple(sorted(x for x in pts if row[x] == 1)))
-    return out
+        for j in range(max(i + 1, 2 * k), len(pts)):
+            v = pts[j]
+            if (g[u, v] == 0) != (i // 2 != j // 2 and row[u] != row[v]):
+                raise ValueError(f"adjacency mismatch at ({u},{v})")
+    return (tuple(sorted(x for x in pts if row[x] == 0)),
+            tuple(sorted(x for x in pts if row[x] == 1)))
 
 
 # -- lifting cliques -----------------------------------------------------------
@@ -201,7 +230,8 @@ def lift_clique_to_figure(cov: CoveringMap, clique: Sequence[int]) -> CentricFig
            for i, a in enumerate(clique) for b in clique[i + 1:]}
     if len(tps) == 1:
         raise ValueError("linear clique: all tangencies share one point")
-    return _made(model, [cov.point_fiber[a] for a in clique], model.nucleus, "lift")
+    return _made("lift", make_figure, model, [cov.point_fiber[a] for a in clique],
+                 model.nucleus)
 
 
 def figure_to_clique(cov: CoveringMap, fig: CentricFigure) -> Tuple[int, ...]:
@@ -268,8 +298,8 @@ def fundamental_cube(model: QuadricModel, par: CubeParams) -> CentricFigure:
     Vertices are rational functions of (u, v, r, s); the returned figure is
     checked structurally before being handed back.
     """
-    return _made(model, _cube_vertex_pairs(model, par), cube_center(model, par),
-                 "fundamental cube")
+    return _made("fundamental cube", make_figure, model, _cube_vertex_pairs(model, par),
+                 cube_center(model, par))
 
 
 def enumerate_cube_centers(model: QuadricModel) -> Set[Vec]:
@@ -332,20 +362,38 @@ class FrameMap:
     Rows v1..v6 satisfy f(v1)=..=f(v4)=0, f(v5)=1, f(v6)=lam and the only
     nonzero polarization values are alpha(v1,v2)=alpha(v3,v4)=alpha(v5,v6)=1,
     so the quadric polynomial has the same expression in both coordinate
-    systems.
+    systems.  The basis is hyperbolic, so the frame coordinates of x are its
+    pairings alpha(x, v2), alpha(x, v1), alpha(x, v4), alpha(x, v3),
+    alpha(x, v6), alpha(x, v5); the pairings are checked once, here.
     """
 
     def __init__(self, model: QuadricModel, rows: Sequence[Vec]):
         self.model = model
         self.ctx = model.ctx
-        self._t = tuple(tuple(col) for col in zip(*rows))  # columns are v_i
-        self._tinv = mat_inv(self.ctx, self._t)
+        self.rows = tuple(tuple(r) for r in rows)
+        for i in range(6):
+            for j in range(i + 1, 6):
+                want = int(j == i + 1 and i % 2 == 0)
+                if model.alpha_scalar(self.rows[i], self.rows[j]) != want:
+                    raise AssertionError(f"frame pairing ({i + 1},{j + 1}) is not {want}")
 
     def to_frame(self, x: Sequence[int]) -> Vec:
-        return mat_vec(self.ctx, self._tinv, x)
+        return tuple([self.model.alpha_scalar(x, self.rows[i ^ 1]) for i in range(6)])
 
     def from_frame(self, y: Sequence[int]) -> Vec:
-        return mat_vec(self.ctx, self._t, y)
+        return tuple(_combination(self.ctx, y, self.rows))
+
+
+def _combination(ctx: FieldCtx, coeffs: Sequence[int], vecs: Sequence[Vec]) -> List[int]:
+    """sum_i coeffs[i] * vecs[i], skipping zero products."""
+    mul = ctx.mul
+    out = [0] * 6
+    for c, v in zip(coeffs, vecs):
+        if c:
+            for k, a in enumerate(v):
+                if a:
+                    out[k] ^= mul(c, a)
+    return out
 
 
 def build_adapted_frame(model: QuadricModel, a1: int, c1: int, b1: int,
@@ -359,6 +407,7 @@ def build_adapted_frame(model: QuadricModel, a1: int, c1: int, b1: int,
     the four quadric points are read from ``model.gram``.
     """
     ctx = model.ctx
+    mul = ctx.mul
     g = model.gram
     if g[a1, c1] == 0:
         raise ValueError("frame points a1, c1 must be non-collinear")
@@ -375,20 +424,38 @@ def build_adapted_frame(model: QuadricModel, a1: int, c1: int, b1: int,
     v2 = vec_scale(ctx, ctx.inv(int(g[a1, c1])), model.point(c1))
     v4 = vec_scale(ctx, ctx.inv(int(g[b1, d1])), model.point(d1))
 
-    # perp of v1..v4 is a plane on which f is anisotropic
-    w = alpha_perp(model, span(ctx, (v1, v2, v3, v4))).basis
+    # The perp of v1..v4 is a plane on which f is anisotropic.  Projecting
+    # e_j off the two hyperbolic pairs, e_j + alpha(e_j, v2) v1 + ..., spans
+    # it; alpha(e_j, v) = v[j ^ 1].  Its reduced echelon basis is canonical.
+    proj = []
+    for j in range(6):
+        x = _combination(ctx, (v2[j ^ 1], v1[j ^ 1], v4[j ^ 1], v3[j ^ 1]),
+                         (v1, v2, v3, v4))
+        x[j] ^= 1
+        proj.append(x)
+    w = rref(ctx, proj)
     if len(w) != 2:
         raise AssertionError(f"perp space has dimension {len(w)}, wanted 2")
-    plane = [vec_add(vec_scale(ctx, a, w[0]), vec_scale(ctx, b, w[1]))
-             for a in range(ctx.q) for b in range(ctx.q) if a or b]
-    v5 = next((x for x in plane if model.f_scalar(x) == 1), None)
-    if v5 is None:
+    # On a*w0 + b*w1: f = a^2 f(w0) + ab alpha(w0, w1) + b^2 f(w1), and
+    # alpha(v5, .) = a alpha(v5, w0) + b alpha(v5, w1).  Both searches scan
+    # (a, b) in lexicographic order: v5 and v6 are the first vectors that fit.
+    f0, f1 = model.f_scalar(w[0]), model.f_scalar(w[1])
+    a01 = model.alpha_scalar(w[0], w[1])
+    plane = [(a, b) for a in range(ctx.q) for b in range(ctx.q) if a or b]
+
+    def f_at(a, b):
+        return mul(mul(a, a), f0) ^ mul(mul(a, b), a01) ^ mul(mul(b, b), f1)
+
+    ab5 = next((ab for ab in plane if f_at(*ab) == 1), None)
+    if ab5 is None:
         raise AssertionError("no unit vector in the perp plane")
-    v6 = next((x for x in plane if model.alpha_scalar(v5, x) == 1
-               and model.f_scalar(x) == model.lam), None)
-    if v6 is None:
+    v5 = tuple(_combination(ctx, ab5, w))
+    s0, s1 = model.alpha_scalar(v5, w[0]), model.alpha_scalar(v5, w[1])
+    ab6 = next((ab for ab in plane if mul(ab[0], s0) ^ mul(ab[1], s1) == 1
+                and f_at(*ab) == model.lam), None)
+    if ab6 is None:
         raise AssertionError("frame completion failed")
-    return FrameMap(model, (v1, v2, v3, v4, v5, v6))
+    return FrameMap(model, (v1, v2, v3, v4, v5, tuple(_combination(ctx, ab6, w))))
 
 
 def _frame_and_center(model: QuadricModel, fig: CentricFigure,
@@ -412,15 +479,15 @@ def _completions_bruteforce(model: QuadricModel, fig: CentricFigure,
     line through the candidate and the center.  No solver calls this."""
     out: List[CentricFigure] = []
     seen = set()
-    for i in np.nonzero(mask)[0]:
-        i = int(i)
-        y = second_intersection(model, model.point(i), fig.center)
-        j = model.index_of(y) if y is not None else None
-        if j is None or j == i or frozenset((i, j)) in seen:
+    idx = np.flatnonzero(mask)
+    if len(idx) == 0:  # the cube scans at even degree: skip the array pass
+        return out
+    for i, j in zip(idx.tolist(), second_intersections(model, idx, fig.center).tolist()):
+        if j < 0 or j == i or frozenset((i, j)) in seen:
             continue
         seen.add(frozenset((i, j)))
         try:
-            out.append(make_figure(model, list(fig.pairs) + [(i, j)], fig.center))
+            out.append(extend_figure(model, fig, [(i, j)]))
         except ValueError:
             pass
     return out
@@ -450,7 +517,7 @@ def extend_hexagon_to_cubes(model: QuadricModel, fig: CentricFigure) -> List[Cen
     The hexagon frame (a1, c1, b1) is carried to the standard frame and the
     center scaled to f = 1; candidate fourth pairs then live on a conic with
     parameter mu = 1 + p1*p2/p4^2, giving q+1 solutions.  Every candidate is
-    rebuilt in the original coordinates and fully re-verified.
+    rebuilt in the original coordinates and checked as an extension.
     """
     ctx = model.ctx
     fm, p = _frame_and_center(model, fig, hexagon_labels(model, fig))
@@ -462,18 +529,18 @@ def extend_hexagon_to_cubes(model: QuadricModel, fig: CentricFigure) -> List[Cen
     mu = 1 ^ ctx.mul(ctx.mul(p1, p2), ctx.mul(p4i, p4i))
     shift5 = ctx.mul(p5, p4i)
     shift6 = ctx.mul(p6, p4i)
+    center = fm.from_frame(p)
     out: List[CentricFigure] = []
     for x, y in sorted(conic_solution_set(ctx, model.lam, mu)):
         d5, d6 = x ^ shift5, y ^ shift6
         d3 = ctx.mul(d5, d5) ^ ctx.mul(d5, d6) ^ ctx.mul(model.lam, ctx.mul(d6, d6))
-        dd1 = (0, 0, d3, 1, d5, d6)
-        dd2 = tuple(ctx.mul(p4, a) ^ b for a, b in zip(dd1, p))
-        i1 = model.index_of(fm.from_frame(dd1))
-        i2 = model.index_of(fm.from_frame(dd2))
+        # the pair is dd1 = (0, 0, d3, 1, d5, d6) and p4*dd1 + p in the frame
+        x1 = fm.from_frame((0, 0, d3, 1, d5, d6))
+        i1 = model.index_of(x1)
+        i2 = model.index_of(vec_add(vec_scale(ctx, p4, x1), center))
         if i1 is None or i2 is None:
             raise AssertionError("solved pair fell off the quadric")
-        out.append(_made(model, list(fig.pairs) + [(i1, i2)], fig.center,
-                         "candidate cube"))
+        out.append(_made("candidate cube", extend_figure, model, fig, [(i1, i2)]))
     if len({c.key() for c in out}) != ctx.q + 1:
         raise AssertionError("hexagon extension count is not q+1")
     return out
@@ -524,10 +591,9 @@ def cube_params(model: QuadricModel, fig: CentricFigure) -> Tuple[CubeParams, Fr
     if p[1] != ctx.inv(p[0]) or p[3] != ctx.inv(p[2]):
         raise AssertionError("cube center is not in parametric form")
     par = CubeParams(u=p[0], v=p[2], r=p[4], s=p[5])
-    moved = {normalize_tuple(ctx, fm.to_frame(model.point(i)))
-             for i in fig.point_indices()}
-    want = {model.point(i) for pr in _cube_vertex_pairs(model, par) for i in pr}
-    if moved != want:
+    want = [i for pr in _cube_vertex_pairs(model, par) for i in pr]
+    if {model.index_of(fm.from_frame(model.point(i))) for i in want} \
+            != set(fig.point_indices()):
         raise AssertionError("transported cube disagrees with parametric cube")
     return par, fm
 
@@ -575,11 +641,10 @@ def extend_cube(model: QuadricModel, fig: CentricFigure) -> dict:
             raise AssertionError("fifth pair fell off the quadric")
         pairs_new.append((i1, i2))
 
-    decades = [_made(model, list(fig.pairs) + [pr], fig.center, "decade")
-               for pr in pairs_new]
+    decades = [_made("decade", extend_figure, model, fig, [pr]) for pr in pairs_new]
     dodecade = None
     if pairs_new:
-        dodecade = _made(model, list(fig.pairs) + pairs_new, fig.center, "dodecade")
+        dodecade = _made("dodecade", extend_figure, model, fig, pairs_new)
     return {"decades": decades, "dodecade": dodecade}
 
 
@@ -601,8 +666,8 @@ def extend_cube_bruteforce(model: QuadricModel, fig: CentricFigure) -> dict:
     dodecade = None
     if decades:
         extra = [pr for d in decades for pr in d.pairs[4:]]
-        dodecade = _made(model, list(fig.pairs) + extra, fig.center,
-                         "merge of the brute-force fifth pairs")
+        dodecade = _made("merge of the brute-force fifth pairs", extend_figure,
+                         model, fig, extra)
     return {"decades": decades, "dodecade": dodecade}
 
 

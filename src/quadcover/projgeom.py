@@ -31,11 +31,12 @@ class Subspace:
 
 
 def vec_add(u: Sequence[int], v: Sequence[int]) -> Vec:
-    return tuple(a ^ b for a, b in zip(u, v))
+    return tuple([a ^ b for a, b in zip(u, v)])
 
 
 def vec_scale(ctx: FieldCtx, c: int, v: Sequence[int]) -> Vec:
-    return tuple(ctx.mul(c, a) for a in v)
+    mul = ctx.mul
+    return tuple([mul(c, a) for a in v])
 
 
 def normalize_tuple(ctx: FieldCtx, raw: Sequence[int]) -> Vec:
@@ -44,8 +45,8 @@ def normalize_tuple(ctx: FieldCtx, raw: Sequence[int]) -> Vec:
         if a:
             if a == 1:
                 return tuple(raw)
-            inv = ctx.inv(a)
-            return tuple(ctx.mul(inv, b) for b in raw)
+            inv, mul = ctx.inv(a), ctx.mul
+            return tuple([mul(inv, b) for b in raw])
     raise ValueError("cannot normalize the zero vector")
 
 
@@ -157,51 +158,6 @@ def subspace_intersection(ctx: FieldCtx, a: Subspace, b: Subspace) -> Subspace:
     reduced = rref(ctx, rows)
     inter = [r[ncols:] for r in reduced if not any(r[:ncols]) and any(r[ncols:])]
     return Subspace(rref(ctx, inter))
-
-
-# -- dense 6x6 linear algebra for the frame-change solvers --------------------
-
-
-def mat_vec(ctx: FieldCtx, m: Sequence[Sequence[int]], v: Sequence[int]) -> Vec:
-    out = []
-    for row in m:
-        acc = 0
-        for a, b in zip(row, v):
-            if a and b:
-                acc ^= ctx.mul(a, b)
-        out.append(acc)
-    return tuple(out)
-
-
-def mat_mul(ctx: FieldCtx, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Tuple[Vec, ...]:
-    bt = list(zip(*b))
-    return tuple(tuple(_dot(ctx, row, col) for col in bt) for row in a)
-
-
-def _dot(ctx: FieldCtx, u: Sequence[int], v: Sequence[int]) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc ^= ctx.mul(a, b)
-    return acc
-
-
-def mat_inv(ctx: FieldCtx, m: Sequence[Sequence[int]]) -> Tuple[Vec, ...]:
-    """Inverse by Gauss-Jordan; raises on singular input."""
-    size = len(m)
-    aug = [list(row) + [1 if i == j else 0 for j in range(size)] for i, row in enumerate(m)]
-    for col in range(size):
-        sel = next((r for r in range(col, size) if aug[r][col]), None)
-        if sel is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        inv = ctx.inv(aug[col][col])
-        aug[col] = [ctx.mul(inv, x) for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x ^ ctx.mul(c, y) for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[size:]) for row in aug)
 
 
 # -- enumeration --------------------------------------------------------------

@@ -26,7 +26,6 @@ from .projgeom import (
     enumerate_points,
     normalize_tuple,
     null_space,
-    span,
 )
 
 MAX_BUILD_DEGREE = 3  # model enumeration is desk-scale only through q = 8
@@ -264,31 +263,39 @@ def second_intersection(model: QuadricModel, x: Sequence[int],
     a = model.alpha_scalar(c, x)
     if a == 0:
         return None
-    t = model.ctx.mul(model.f_scalar(c), model.ctx.inv(a))
-    y = tuple(ci ^ model.ctx.mul(t, xi) for ci, xi in zip(c, x))
-    return normalize_tuple(model.ctx, y)
+    mul = model.ctx.mul
+    t = mul(model.f_scalar(c), model.ctx.inv(a))
+    return normalize_tuple(model.ctx, [ci ^ mul(t, xi) for ci, xi in zip(c, x)])
+
+
+def second_intersections(model: QuadricModel, idx: np.ndarray,
+                         c: Sequence[int]) -> np.ndarray:
+    """`second_intersection` of each quadric point in ``idx`` toward c (off Q),
+    as point indices in one pass: y = c + (f(c) / alpha(c, x)) * x.  The
+    index is -1 where the line is tangent at x."""
+    M = model.ctx.mul_table
+    inv = model.ctx.inv_table
+    x = model.coords[idx]
+    c = np.asarray(c)
+    a = np.zeros(len(x), dtype=np.uint16)
+    for i, j in ((0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)):
+        a ^= M[c[i], x[:, j]]
+    t = M[model.f_scalar(c), inv[a]]
+    y = c ^ M[t[:, None], x]
+    lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
+    out = model.index_by_code[_point_codes(model.ctx.n, M[inv[lead][:, None], y])]
+    out[a == 0] = -1
+    return out
 
 
 def _build_elation(model: QuadricModel) -> None:
-    """Pair each point x off the axis with its `second_intersection` toward
-    the nucleus c, all in one pass: y = c + (f(c) / alpha(c, x)) * x."""
-    M = model.ctx.mul_table
+    """Pair each point off the axis with its second intersection toward the
+    nucleus."""
     nq = model.n_points
     aff = model.affine_points
-    x = model.coords[aff]
-    c = np.array(model.nucleus)
-    a = np.zeros(len(aff), dtype=np.uint16)
-    for i, j in ((0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)):
-        a ^= M[c[i], x[:, j]]
-    if (a == 0).any():
-        raise AssertionError("nucleus line is not a secant")
-    t = M[model.f_scalar(model.nucleus), model.ctx.inv_table[a]]
-    y = c ^ M[t[:, None], x]
-    lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
-    y = M[model.ctx.inv_table[lead][:, None], y]
-    other = model.index_by_code[_point_codes(model.ctx.n, y)]
+    other = second_intersections(model, aff, model.nucleus)
     if (other < 0).any():
-        raise AssertionError("second intersection is off the quadric")
+        raise AssertionError("nucleus line is not a secant")
     perm = np.arange(nq, dtype=np.int32)
     perm[aff] = other
     if not np.array_equal(perm[perm], np.arange(nq)):
@@ -361,12 +368,6 @@ def solid_section_census(model: QuadricModel):
         if kind == "elliptic":
             elliptic.append(tuple(pts))
     return counts, elliptic
-
-
-def alpha_perp(model: QuadricModel, s: Subspace) -> Subspace:
-    """Perpendicular subspace of s under the bilinear form, canonical basis."""
-    rows = [(b[1], b[0], b[3], b[2], b[5], b[4]) for b in s.basis]
-    return span(model.ctx, null_space(model.ctx, rows))
 
 
 def verify_gq_axioms(model: QuadricModel) -> dict:

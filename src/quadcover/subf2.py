@@ -24,8 +24,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .gf2n import FieldCtx
-from .projgeom import Vec, normalize_tuple
+from .projgeom import Vec, normalize_tuple, vec_add, vec_scale
 from .quadric import QuadricModel
 from .figures import CentricFigure, formula_n6_bar
 from .cliquecensus import formula_n6
@@ -86,40 +85,31 @@ class SubgeometryReport:
 # -- representative scaling ----------------------------------------------------
 
 
-def _solve_pair_scaling(ctx: FieldCtx, va: Vec, vb: Vec, c: Vec) -> Tuple[int, int]:
-    """Scalars (s, t) with s*va + t*vb = c, via a 2x2 coordinate minor."""
-    n = len(va)
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = ctx.mul(va[i], vb[j]) ^ ctx.mul(va[j], vb[i])
-            if det == 0:
-                continue
-            di = ctx.inv(det)
-            s = ctx.mul(di, ctx.mul(c[i], vb[j]) ^ ctx.mul(c[j], vb[i]))
-            t = ctx.mul(di, ctx.mul(va[i], c[j]) ^ ctx.mul(va[j], c[i]))
-            got = tuple(ctx.mul(s, a) ^ ctx.mul(t, b) for a, b in zip(va, vb))
-            if got != c:
-                raise ValueError("center is not on the pair line")
-            if s == 0 or t == 0:
-                raise ValueError("center coincides with a pair point")
-            return s, t
-    raise ValueError("pair points are proportional")
-
-
 def scale_figure_representatives(model: QuadricModel, fig: CentricFigure) -> List[Vec]:
     """Representatives with rep(x1) + rep(x2) = rep(center) for every pair.
 
     The center representative is its normalized coordinate tuple, making the
-    output deterministic.  Returns 2m vectors in pair order.
+    output deterministic.  Returns 2m vectors in pair order.  With
+    g = alpha(va, vb) != 0, c = s*va + t*vb forces s = alpha(vb, c) / g and
+    t = alpha(va, c) / g; the sum is then checked.
     """
     ctx = model.ctx
     c = fig.center
     out: List[Vec] = []
     for a, b in fig.pairs:
         va, vb = model.point(a), model.point(b)
-        s, t = _solve_pair_scaling(ctx, va, vb, c)
-        out.append(tuple(ctx.mul(s, x) for x in va))
-        out.append(tuple(ctx.mul(t, x) for x in vb))
+        g = int(model.gram[a, b])
+        if g == 0:
+            raise ValueError("pair points are collinear")
+        gi = ctx.inv(g)
+        s = ctx.mul(gi, model.alpha_scalar(vb, c))
+        t = ctx.mul(gi, model.alpha_scalar(va, c))
+        ra, rb = vec_scale(ctx, s, va), vec_scale(ctx, t, vb)
+        if vec_add(ra, rb) != c:
+            raise ValueError("center is not on the pair line")
+        if s == 0 or t == 0:
+            raise ValueError("center coincides with a pair point")
+        out += [ra, rb]
     return out
 
 
@@ -134,29 +124,18 @@ def _vec_sum(vecs: Sequence[Vec]) -> Vec:
     return tuple(out)
 
 
-def _line_meet(ctx: FieldCtx, a: Vec, b: Vec, c: Vec, d: Vec) -> Vec:
-    """Intersection point of lines ab and cd (must meet in one point)."""
-    from .projgeom import span, subspace_intersection
-
-    inter = subspace_intersection(ctx, span(ctx, [a, b]), span(ctx, [c, d]))
-    if len(inter.basis) != 1:
-        raise ValueError("lines do not meet in a single point")
-    return normalize_tuple(ctx, inter.basis[0])
-
-
 def opposite_edge_points(model: QuadricModel, fig: CentricFigure,
                          scaled: Sequence[Vec]) -> List[Vec]:
     """One derived point per antipodal edge class of the figure.
 
     Opposite edges {x,y} and {x',y'} (primed = pair partners) span quadric
-    lines meeting in a single point, which with pair-sum scaling equals the
-    raw sum rep(x) + rep(y).  Both computations are run and compared.
+    lines, which are distinct because opposite points are not collinear.
+    With pair-sum scaling they meet in rep(x) + rep(y) = rep(x') + rep(y'):
+    the one sum lies on both lines, and it is checked to be the other sum.
     """
-    ctx = model.ctx
     verts = [i for p in fig.pairs for i in p]
     rep_of = dict(zip(verts, scaled))
     partner = fig.partner
-    vecs = {i: model.point(i) for i in verts}
     seen: Set[frozenset] = set()
     out: List[Vec] = []
     for i, u in enumerate(verts):
@@ -167,11 +146,9 @@ def opposite_edge_points(model: QuadricModel, fig: CentricFigure,
             if key in seen:
                 continue
             seen.add(key)
-            summed = _vec_sum([rep_of[u], rep_of[w]])
-            met = _line_meet(ctx, vecs[u], vecs[w],
-                             vecs[partner[u]], vecs[partner[w]])
-            if normalize_tuple(ctx, summed) != met:
-                raise AssertionError("edge sum disagrees with the line meet")
+            summed = vec_add(rep_of[u], rep_of[w])
+            if summed != vec_add(rep_of[partner[u]], rep_of[partner[w]]):
+                raise AssertionError("edge sum disagrees with the opposite edge sum")
             if model.f_scalar(summed) != 0:
                 raise AssertionError("edge point fell off the quadric")
             out.append(summed)
@@ -289,44 +266,37 @@ def recognize_subgeometry(model: QuadricModel, span: F2Span,
     ctx = model.ctx
     idx = [model.index_of(p) for p in span.quadric_points]
     npts = len(idx)
-    local = {x: k for k, x in enumerate(idx)}
-    coll = (model.gram[np.ix_(idx, idx)] == 0).tolist()
-
     # two collinear quadric points lie on exactly one quadric line, so the
     # lines through two or more of the points are the ids met twice
     line_ids, seen = np.unique(model.lines_through[idx], return_counts=True)
-    lines = [frozenset(local[p] for p in pts if p in local)
-             for pts in model.lines[line_ids[seen >= 2]].tolist()]
-
-    degrees = [0] * npts
-    for l in lines:
-        for k in l:
-            degrees[k] += 1
-    deg_profile = tuple(sorted(set(degrees))) if degrees else ()
+    local = np.full(model.n_points, -1)
+    local[idx] = np.arange(npts)
+    on = local[model.lines[line_ids[seen >= 2]]]
+    inc = np.zeros((npts, len(on)), dtype=np.int64)  # point-line incidence
+    li, k = np.nonzero(on >= 0)
+    inc[on[li, k], li] = 1
+    deg_profile = tuple(sorted(set(inc.sum(axis=1).tolist())))
 
     n0 = normalize_tuple(ctx, model.nucleus)
     report = SubgeometryReport(
-        type_tag="none", point_count=npts, line_count=len(lines),
+        type_tag="none", point_count=npts, line_count=len(on),
         contains_n0=n0 in span.points,
         contains_center=(center is not None
                          and normalize_tuple(ctx, center) in span.points),
         degrees=deg_profile)
 
-    sig = _SIGNATURES.get((npts, len(lines)))
+    sig = _SIGNATURES.get((npts, len(on)))
     if sig is None:
         return report
     tag, (s_ord, t_ord) = sig
-    if any(len(l) != s_ord + 1 for l in lines):
+    if (inc.sum(axis=0) != s_ord + 1).any():
         return report
     if deg_profile != (t_ord + 1,):
         return report
-    for k in range(npts):
-        for l in lines:
-            if k in l:
-                continue
-            hits = sum(1 for x in l if coll[k][x])
-            if hits != 1:
-                return report
+    # hits[x, l]: points of line l collinear with x, which must be one for x off l
+    hits = (model.gram[np.ix_(idx, idx)] == 0).astype(np.int64) @ inc
+    if ((hits != 1) & (inc == 0)).any():
+        return report
     report.type_tag = tag
     report.gq_ok = True
     return report

@@ -47,6 +47,10 @@ def loop_verify_covering(cov: CoveringMap) -> dict:
         report["fibers_ok"] = False
         report["counterexample"] = {"kind": "point_map_not_surjective"}
         return report
+    if len(cov.point_fiber) != geom.n_ovoids:
+        report["fibers_ok"] = False
+        report["counterexample"] = {"kind": "point_fiber_count"}
+        return report
 
     # line restrictions: each punctured line maps bijectively onto its pencil
     bases = geom.pencil_base.tolist()

@@ -201,10 +201,10 @@ def test_hexagon_extension_solver_vs_bruteforce(model_q2, cov_q2, census_q2,
                                                 model_q4, cov_q4, census_q4,
                                                 model_q8, cov_q8, census_q8_sampled):
     with _criterion("every hexagon extends to exactly q+1 cubes; solver equals "
-                    "brute force on all hexagons at q=2,4 and 100 random at q=8"):
+                    "brute force on all hexagons at q=2,4 and 1000 random at q=8"):
         jobs = [(model_q2, cov_q2, census_q2.triangles, None),
                 (model_q4, cov_q4, census_q4.triangles, None),
-                (model_q8, cov_q8, census_q8_sampled.triangles, 100)]
+                (model_q8, cov_q8, census_q8_sampled.triangles, 1000)]
         rng = np.random.default_rng(7)
         for model, cov, tris, limit in jobs:
             if limit is not None:
@@ -222,7 +222,8 @@ def test_binary_subgeometry_recognition(model_q4, cov_q4, census_q4,
                                         model_q8, cov_q8, census_q8_sampled):
     with _criterion("binary closures recognized as (9,6)/(15,15)/(27,45) "
                     "quadrangles with the nucleus in the span: all figures at "
-                    "q=4, sampled figures of all three kinds at q=8"):
+                    "q=4; 1000 hexagons, 300 cubes and their 300 dodecades at "
+                    "q=8"):
         for row in census_q4.triangles:
             fig = lift_clique_to_figure(cov_q4, [int(v) for v in row])
             span, rep = closure_report(model_q4, fig)
@@ -238,22 +239,18 @@ def test_binary_subgeometry_recognition(model_q4, cov_q4, census_q4,
 
         rng = np.random.default_rng(3)
         tris = census_q8_sampled.triangles
-        for row in tris[rng.choice(len(tris), size=20, replace=False)]:
+        for row in tris[rng.choice(len(tris), size=1000, replace=False)]:
             fig = lift_clique_to_figure(cov_q8, [int(v) for v in row])
             span, rep = closure_report(model_q8, fig)
             assert span.ok and rep.type_tag == "Qplus32" and rep.contains_n0
         quads = census_q8_sampled.cliques4
-        dodecades = 0
-        for row in quads[rng.choice(len(quads), size=10, replace=False)]:
+        for row in quads[rng.choice(len(quads), size=300, replace=False)]:
             fig = lift_clique_to_figure(cov_q8, [int(v) for v in row])
             span, rep = closure_report(model_q8, fig)
             assert span.ok and rep.type_tag == "Q42" and rep.contains_n0
-            if dodecades < 5:
-                dod = extend_cube(model_q8, fig)["dodecade"]
-                span, rep = closure_report(model_q8, dod)
-                assert span.ok and rep.type_tag == "Qminus52" and rep.contains_n0
-                dodecades += 1
-        assert dodecades == 5
+            dod = extend_cube(model_q8, fig)["dodecade"]
+            span, rep = closure_report(model_q8, dod)
+            assert span.ok and rep.type_tag == "Qminus52" and rep.contains_n0
 
 
 def test_exact_integer_identity_chain():

@@ -96,6 +96,12 @@ def _point_map_not_surjective(cov):
     return replace(cov, point_image=image, point_fiber=cov.point_fiber[:-1])
 
 
+def _dropped_fiber(cov):
+    # the last ovoid loses its fiber row but keeps its points' images, so
+    # every fiber row is sound and the point map is still onto
+    return replace(cov, point_fiber=cov.point_fiber[:-1])
+
+
 def _line_restriction(cov):
     # line 0 is sent to a pencil it does not cover
     li = cov.line_image.copy()
@@ -175,6 +181,7 @@ CORRUPTIONS = [
     ("point_fiber", _crossed_fibers),
     ("point_fiber", _split_fiber),
     ("point_map_not_surjective", _point_map_not_surjective),
+    ("point_fiber_count", _dropped_fiber),
     ("line_restriction", _line_restriction),
     ("line_restriction", _negative_line_image),
     ("line_restriction", _line_at_infinity),

@@ -194,19 +194,26 @@ def test_made_figures_carry_the_verified_rows(model_q2, cov_q2, census_q2):
 
 
 def test_hexagon_extension_checks_each_cube_once(monkeypatch, model_q4, cov_q4, census_q4):
+    """One run of the check loop per candidate cube, from its new pair on,
+    and the rows it derives are those of the full check."""
     import quadcover.figures as figures
 
     hexf = _some_hexagon(cov_q4, census_q4)
     calls = []
+    check = figures._check_pairs
 
-    def counting(model, fig):
-        calls.append(fig.kind)
-        return verify_centric_figure(model, fig)
+    def counting(model, pairs, center, k, row):
+        calls.append((len(pairs), k))
+        return check(model, pairs, center, k, row)
 
-    monkeypatch.setattr(figures, "verify_centric_figure", counting)
+    monkeypatch.setattr(figures, "_check_pairs", counting)
     cubes = extend_hexagon_to_cubes(model_q4, hexf)
-    assert len(cubes) == model_q4.ctx.q + 1
-    assert calls == ["cube"] * (model_q4.ctx.q + 1)
+    monkeypatch.undo()
+    q = model_q4.ctx.q
+    assert len(cubes) == q + 1
+    assert calls == [(4, 3)] * (q + 1)
+    for cube in cubes:
+        assert cube.rows == verify_centric_figure(model_q4, cube)["rows"]
 
 
 def test_hexagon_labels_walk_the_six_cycle(model_q4, cov_q4, census_q4):

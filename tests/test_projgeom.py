@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadcover.gf2n import FieldCtx
-from quadcover.projgeom import (enumerate_points, line_points, mat_inv, mat_mul, mat_vec,
-                                normalize_tuple, null_space, rref,
-                                span, subspace_intersection, subspace_points,
+from quadcover.projgeom import (enumerate_points, line_points, normalize_tuple, null_space,
+                                rref, span, subspace_intersection, subspace_points,
                                 vec_add, vec_scale)
 
 CTX = FieldCtx(2)
@@ -84,20 +83,3 @@ def test_subspace_intersection_of_planes():
     inter = subspace_intersection(CTX, a, b)
     assert inter.rank == 2
     assert inter == span(CTX, [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)])
-
-
-def test_matrix_inverse_roundtrip():
-    m = [(2, 1, 0, 3, 1, 2), (0, 1, 2, 0, 0, 1), (0, 0, 3, 1, 2, 0),
-         (0, 0, 0, 1, 3, 1), (0, 0, 0, 0, 2, 3), (0, 0, 0, 0, 0, 1)]
-    mi = mat_inv(CTX, m)
-    prod = mat_mul(CTX, m, mi)
-    ident = tuple(tuple(1 if i == j else 0 for j in range(6)) for i in range(6))
-    assert prod == ident
-    v = (1, 3, 2, 0, 1, 2)
-    assert mat_vec(CTX, m, mat_vec(CTX, mi, v)) == v
-
-
-def test_matrix_inverse_rejects_singular():
-    m = [(1, 0, 0, 0, 0, 0)] * 6
-    with pytest.raises(ValueError):
-        mat_inv(CTX, m)

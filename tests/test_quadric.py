@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from figures_oracle import alpha_perp
 from quadcover import covering, ovoid, projgeom, quadric
 from quadcover.gf2n import FieldCtx, trace
 from quadcover.ovoid import build_geometry
 from quadcover.projgeom import enumerate_points, line_points, span, vec_scale
-from quadcover.quadric import (alpha_perp, build_model,
-                               nucleus_tangency_check,
+from quadcover.quadric import (build_model, nucleus_tangency_check,
                                section_type, solid_section_census,
                                verify_gq_axioms)
 
