@@ -33,6 +33,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
+from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
 SCHEMA_VERSION = 1
@@ -62,11 +63,10 @@ class RunConfig:
         return self.command if self.what is None else f"{self.command} {self.what}"
 
     def validate(self) -> None:
-        if not 1 <= self.n <= 16:
-            raise ValueError("field degree must be between 1 and 16")
-        if self.command in ("build", "verify", "census", "lift", "figures",
-                            "subgeometry") and self.n > 3:
-            raise ValueError("model enumeration commands support degrees 1..3")
+        from .quadric import MAX_BUILD_DEGREE
+
+        if not 1 <= self.n <= MAX_BUILD_DEGREE:
+            raise ValueError(f"field degree must be between 1 and {MAX_BUILD_DEGREE}")
         if self.mode not in ("full", "sampled"):
             raise ValueError("mode must be full or sampled")
         if self.modulus is not None and (self.modulus == ""
@@ -280,6 +280,10 @@ def _lift(run: Run):
 def cmd_lift(run: Run, args) -> dict:
     from .figures import figure_to_clique
 
+    gx = run.gx
+    for a, b in combinations(run.cfg.clique, 2):  # ids that are no clique: bad input
+        if not gx.adjacency[a, b]:
+            raise ValueError(f"ovoids {a} and {b} are not tangent")
     try:
         fig = _lift(run)
     except ValueError as exc:

@@ -328,7 +328,7 @@ def enumerate_cube_centers_bruteforce(model: QuadricModel) -> Set[Vec]:
     a1, b1, c1, d1 = fundamental_quadrangle(model)
     frame = [model.point(i) for i in (a1, b1, c1, d1)]
     out: Set[Vec] = set()
-    for p in enumerate_points(ctx, 6):
+    for p in enumerate_points(ctx, 6).tolist():
         if model.f_scalar(p) == 0:
             continue
         # the center must be perp-free on the frame

@@ -1,10 +1,12 @@
-"""Arithmetic in GF(2^n) with elements stored as polynomial coefficient bit masks.
+"""Arithmetic in GF(2^n), 1 <= n <= 8, with elements stored as polynomial
+coefficient bit masks.
 
-The context object owns the modulus and the (eagerly built) exp/log tables;
-all scalar operations take and return plain ints below 2^n.
-Array passes elsewhere in the package consume ``FieldCtx.mul_table``, a dense
-numpy multiplication table available for n <= 8, and ``FieldCtx.inv_table``,
-the inverses as one array with 0 mapped to 0.
+The context object owns the modulus and one arithmetic: the dense product
+table ``FieldCtx.mul_table``, built once by a vectorised carry-less product,
+and the tables derived from it (``FieldCtx.inv_table`` with 0 mapped to 0,
+square roots, traces and Artin-Schreier roots).  Array passes elsewhere in
+the package index the numpy tables; the scalar operations take and return
+plain ints below 2^n and read Python-list copies of the same tables.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional, Set, Tuple
 
 import numpy as np
 
-MAX_DEGREE = 16
+MAX_DEGREE = 8  # the product table is q x q
 
 
 def poly_degree(a: int) -> int:
@@ -29,17 +31,6 @@ def poly_mod(a: int, m: int) -> int:
         if da < dm:
             return a
         a ^= m << (da - dm)
-
-
-def poly_mulmod(a: int, b: int, m: int) -> int:
-    """Carry-less shift-and-add product of `a` and `b`, reduced mod `m`."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-    return poly_mod(acc, m)
 
 
 def is_irreducible(poly: int) -> bool:
@@ -71,7 +62,7 @@ class FieldCtx:
     Parameters
     ----------
     n : int
-        Field degree, 1 <= n <= 16.
+        Field degree, 1 <= n <= MAX_DEGREE.
     modulus : int, optional
         Bit mask of an irreducible degree-n polynomial; defaults to the
         lexicographically least one.
@@ -87,71 +78,42 @@ class FieldCtx:
         if not is_irreducible(modulus):
             raise ValueError(f"modulus {modulus:#b} is reducible")
         self.n = n
-        self.q = 1 << n
+        self.q = q = 1 << n
         self.modulus = modulus
-        self._build_tables()
-        self._as_root: Optional[list] = None  # lazy: c -> root of t^2+t+c, or -1
-
-    # -- construction helpers -------------------------------------------------
-
-    def _build_tables(self) -> None:
-        q = self.q
-        if q == 2:
-            exp = [1]
-            generator = 1
-        else:
-            generator = None
-            exp = []
-            for g in range(2, q):
-                exp = [1]
-                x = 1
-                for _ in range(q - 2):
-                    x = poly_mulmod(x, g, self.modulus)
-                    if x == 1:
-                        break
-                    exp.append(x)
-                if len(exp) == q - 1 and poly_mulmod(exp[-1], g, self.modulus) == 1:
-                    generator = g
-                    break
-            if generator is None:
-                raise AssertionError("no multiplicative generator found")
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self.generator = generator
-        self._exp = exp
-        self._log = log
-        # trace by repeated squaring, tabulated once
-        tr = [0] * q
-        for a in range(1, q):
-            acc, x = 0, a
-            for _ in range(self.n):
-                acc ^= x
-                x = self.mul(x, x)
-            tr[a] = acc
-        if any(t not in (0, 1) for t in tr):
+        # carry-less products t[a, b] of every pair, one shift-and-XOR pass
+        # per bit of b, then one reduction pass per bit above degree n - 1
+        elems = np.arange(q)
+        t = np.zeros((q, q), dtype=np.int32)
+        for i in range(n):
+            t ^= (elems[:, None] << i) * ((elems >> i) & 1)
+        for d in range(2 * n - 2, n - 1, -1):
+            t ^= ((t >> d) & 1) * (modulus << (d - n))
+        self.mul_table: np.ndarray = t.astype(np.uint16)
+        # inverses with 0 -> 0: row 0 holds no 1, so argmax lands on column 0
+        self.inv_table: np.ndarray = (self.mul_table == 1).argmax(axis=1).astype(np.uint16)
+        squares = self.mul_table[elems, elems]
+        tr, x = np.zeros(q, dtype=np.int64), elems
+        for _ in range(n):
+            tr ^= x
+            x = squares[x]
+        if not np.isin(tr, (0, 1)).all():
             raise AssertionError("trace fell outside F_2")
-        self._trace = tr
-        # inverse table for vectorized callers, 0 -> 0
-        inv = np.zeros(q, dtype=np.uint16)
-        inv[exp] = np.array(exp, dtype=np.uint16)[(-np.arange(q - 1)) % (q - 1)]
-        self.inv_table: np.ndarray = inv
-        # dense numpy product table for vectorized callers (small fields only)
-        if self.n <= 8:
-            t = np.zeros((q, q), dtype=np.uint16)
-            for a in range(1, q):
-                for b in range(1, q):
-                    t[a, b] = self._exp[(self._log[a] + self._log[b]) % (q - 1)]
-            self.mul_table: Optional[np.ndarray] = t
-        else:
-            self.mul_table = None
+        # t -> t^2 + t is two-to-one with fibers {t, t ^ 1}; the even t is
+        # the smaller root of t^2 + t = c
+        as_root = np.full(q, -1, dtype=np.int64)
+        as_root[(squares ^ elems)[::2]] = elems[::2]
+        # the scalar methods read Python-list copies of the same tables
+        self._mul = self.mul_table.tolist()
+        self._inv = self.inv_table.tolist()
+        # square roots invert squaring, a bijection in characteristic 2
+        self._sqrt = np.argsort(squares).tolist()
+        self._trace = tr.tolist()
+        self._as_root = as_root.tolist()
 
     # -- scalar operations ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._mul[a][b]
 
     def square(self, a: int) -> int:
         return self.mul(a, a)
@@ -159,23 +121,14 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("0 to a negative power")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
-
     def sqrt(self, a: int) -> int:
         """The unique square root: squaring is a bijection in characteristic 2."""
-        return self.pow(a, 1 << (self.n - 1))
+        return self._sqrt[a]
 
     def elements(self) -> range:
         return range(self.q)
@@ -184,10 +137,7 @@ class FieldCtx:
         return range(1, self.q)
 
     def least_trace_one(self) -> int:
-        for a in range(self.q):
-            if self._trace[a] == 1:
-                return a
-        raise AssertionError("trace is surjective onto F_2")  # unreachable
+        return self._trace.index(1)  # the trace is onto F_2
 
     def default_form_parameter(self) -> int:
         """Default trace-1 parameter for the quadratic form: 1 when n is odd,
@@ -220,14 +170,6 @@ def solve_artin_schreier(ctx: FieldCtx, c: int) -> Set[int]:
 
     Two solutions differing by 1 when trace(c) = 0, none when trace(c) = 1.
     """
-    if ctx._as_root is None:
-        # invert t -> t^2 + t once; each image has the fiber {t, t+1}
-        table = [-1] * ctx.q
-        for t in range(ctx.q):
-            v = ctx.mul(t, t) ^ t
-            if table[v] == -1:
-                table[v] = t
-        ctx._as_root = table
     t = ctx._as_root[c]
     if t == -1:
         return set()
@@ -252,15 +194,3 @@ def conic_solution_set(ctx: FieldCtx, lam: int, mu: int) -> Set[Tuple[int, int]]
         for t in solve_artin_schreier(ctx, c):
             sols.add((ctx.mul(t, y), y))
     return sols
-
-
-def conic_solution_count_bruteforce(ctx: FieldCtx, lam: int, mu: int) -> int:
-    """Literal double loop over F_q^2; the oracle for conic_solution_set."""
-    count = 0
-    for x in ctx.elements():
-        for y in ctx.elements():
-            v = ctx.mul(x, x) ^ ctx.mul(x, y) ^ ctx.mul(lam, ctx.mul(y, y)) ^ mu
-            if v == 1:
-                count += 1
-    return count
-

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from .gf2n import FieldCtx
 
 Vec = Tuple[int, ...]
@@ -163,18 +165,15 @@ def subspace_intersection(ctx: FieldCtx, a: Subspace, b: Subspace) -> Subspace:
 # -- enumeration --------------------------------------------------------------
 
 
-def enumerate_points(ctx: FieldCtx, dim: int = 6) -> List[Vec]:
-    """All normalized points of PG(dim-1, q), sorted lexicographically by bit mask."""
-    pts: List[Vec] = []
-    for lead in range(dim):
-        head = (0,) * lead + (1,)
-        tail_len = dim - lead - 1
-        stack = [head]
-        for _ in range(tail_len):
-            stack = [t + (c,) for t in stack for c in ctx.elements()]
-        pts.extend(stack)
-    pts.sort()
-    expected = (ctx.q ** dim - 1) // (ctx.q - 1)
-    if len(pts) != expected:
-        raise AssertionError("projective point count mismatch")
-    return pts
+def enumerate_points(ctx: FieldCtx, dim: int = 6) -> np.ndarray:
+    """All normalized points of PG(dim-1, q) as one (N, dim) int16 array,
+    rows sorted lexicographically by bit mask.
+
+    Read as a base-q code, a normalized point with t coordinates after its
+    leading 1 lies in [q^t, 2 q^t), so the ascending codes are those ranges
+    for t = 0..dim-1 and their digits are the rows in lexicographic order.
+    """
+    codes = np.concatenate([np.arange(1 << (ctx.n * t), 2 << (ctx.n * t))
+                            for t in range(dim)])
+    shifts = ctx.n * np.arange(dim - 1, -1, -1)
+    return ((codes[:, None] >> shifts) & (ctx.q - 1)).astype(np.int16)

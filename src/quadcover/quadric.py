@@ -123,7 +123,7 @@ def build_model(ctx: FieldCtx, lam=None) -> QuadricModel:
     q = ctx.q
     model = QuadricModel(ctx, lam)
 
-    pg = np.array(enumerate_points(ctx, 6), dtype=np.int16)
+    pg = enumerate_points(ctx, 6)
     model.coords = pg[_f_vectorized(ctx, lam, pg) == 0]
     nq = model.n_points
     if nq != (q + 1) * (q**3 + 1):
@@ -357,12 +357,10 @@ def solid_section_census(model: QuadricModel):
     Returns (counts, elliptic_sections) where elliptic_sections is the list of
     section-point index tuples of all elliptic 3-space sections.
     """
-    ctx = model.ctx
-    duals = enumerate_points(ctx, 5)
     sect_coords = model.coords[model.section_points][:, :5].astype(np.int64)
     counts = {"elliptic": 0, "hyperbolic": 0, "cone": 0}
     elliptic: List[Tuple[int, ...]] = []
-    for w in duals:
+    for w in enumerate_points(model.ctx, 5).tolist():
         kind, pts = _classify_functional(model, w, sect_coords)
         counts[kind] += 1
         if kind == "elliptic":

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from gf2n_oracle import conic_solution_count_bruteforce
 from quadcover.cliquecensus import (
     census,
     formula_n3,
@@ -31,12 +32,7 @@ from quadcover.figures import (
     lift_clique_to_figure,
     verify_centric_figure,
 )
-from quadcover.gf2n import (
-    FieldCtx,
-    conic_solution_count_bruteforce,
-    conic_solution_set,
-    trace,
-)
+from quadcover.gf2n import FieldCtx, conic_solution_set, trace
 from quadcover.ovoid import verify_semipartial
 from quadcover.subf2 import closure_report, count_identities, subgeometry_count_formula
 

@@ -236,6 +236,8 @@ def test_out_dir_environment(tmp_path, monkeypatch):
     ["build", "--n", "1", "--lambda", "-1"],
     ["lift", "--n", "1", "--clique", "0,1,99"],
     ["lift", "--n", "1", "--clique", "0,1,1"],
+    # ovoids 0 and 1 are not tangent: no clique, so bad input, not a failed lift
+    ["lift", "--n", "2", "--clique", "0,1,2"],
     ["census", "--n", "1", "--mode", "sampled", "--samples", "0"],
     ["census", "--n", "1", "--mode", "sampled", "--samples", "-3"],
     ["figures", "verify", "--n", "1", "--samples", "0"],

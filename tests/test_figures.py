@@ -104,7 +104,7 @@ def test_second_intersection_generic_and_tangent(model_q4):
     model = model_q4
     x = model.point(0)
     generic = tangent = None
-    for c in enumerate_points(model.ctx, 6):
+    for c in enumerate_points(model.ctx, 6).tolist():
         if model.f_scalar(c) == 0:
             continue
         if model.alpha_scalar(c, x) != 0 and generic is None:

@@ -198,7 +198,7 @@ def test_corrupted_extensions_fail_with_the_full_check_reason(request, mname, co
 def test_second_intersections_match_the_scalar_pass(n, request):
     model = request.getfixturevalue(f"model_q{2 ** n}")
     ctx = model.ctx
-    off = [p for p in enumerate_points(ctx, 6) if model.f_scalar(p) != 0]
+    off = [p for p in enumerate_points(ctx, 6).tolist() if model.f_scalar(p) != 0]
     rng = np.random.default_rng(5)
     centers = [model.nucleus] + [off[k] for k in rng.choice(len(off), 5, replace=False)]
     idx = np.arange(model.n_points)

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadcover.gf2n import (FieldCtx, conic_solution_count_bruteforce,
-                            conic_solution_set, default_modulus, is_irreducible,
-                            solve_artin_schreier, trace)
+from gf2n_oracle import conic_solution_count_bruteforce, poly_mulmod
+from quadcover.gf2n import (MAX_DEGREE, FieldCtx, conic_solution_set, default_modulus,
+                            is_irreducible, solve_artin_schreier, trace)
 
 CTX3 = FieldCtx(3)
 CTX4 = FieldCtx(4)
@@ -27,6 +27,48 @@ def test_inverse_table():
 def test_rejects_reducible_modulus():
     with pytest.raises(ValueError):
         FieldCtx(3, modulus=0b1010)  # x^3 + x = x(x+1)^2
+
+
+@pytest.mark.parametrize("n", [0, MAX_DEGREE + 1, 16])
+def test_rejects_degree_outside_the_tables(n):
+    with pytest.raises(ValueError):
+        FieldCtx(n)
+
+
+MODULI = [(n, m) for n in range(1, MAX_DEGREE + 1) for m in range(1 << n, 2 << n)
+          if is_irreducible(m)]
+
+
+def test_every_irreducible_modulus_is_listed():
+    # 2, 1, 2, 3, 6, 9, 18, 30 irreducible polynomials of degree 1..8
+    assert MAX_DEGREE == 8 and len(MODULI) == 71
+
+
+@pytest.mark.parametrize("n,m", MODULI, ids=[f"{n}-{m:#b}" for n, m in MODULI])
+def test_tables_match_the_scalar_definitions(n, m):
+    """Every table entry and scalar operation against shift-and-add products."""
+    ctx = FieldCtx(n, m)
+    elems = range(ctx.q)
+    mul = [[poly_mulmod(a, b, m) for b in elems] for a in elems]
+    assert ctx.mul_table.tolist() == mul
+    assert [[ctx.mul(a, b) for b in elems] for a in elems] == mul
+    inv = [0] + [mul[a].index(1) for a in ctx.nonzero()]
+    assert ctx.inv_table.tolist() == inv
+    assert [ctx.inv(a) for a in ctx.nonzero()] == inv[1:]
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
+    squares = [mul[a][a] for a in elems]
+    assert [ctx.sqrt(a) for a in elems] == [squares.index(a) for a in elems]
+    for a in elems:
+        acc, x = 0, a
+        for _ in range(n):
+            acc ^= x
+            x = mul[x][x]
+        assert trace(ctx, a) == acc
+    roots = {c: set() for c in elems}
+    for t in elems:
+        roots[squares[t] ^ t].add(t)
+    assert [solve_artin_schreier(ctx, c) for c in elems] == [roots[c] for c in elems]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Projective-space primitives: normal forms, spans, duals."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,10 +33,33 @@ def test_point_counts_by_dimension():
     for n, q in ((1, 2), (2, 4)):
         ctx = FieldCtx(n)
         for dim in (2, 3, 6):
-            pts = enumerate_points(ctx, dim)
+            pts = [tuple(p) for p in enumerate_points(ctx, dim).tolist()]
             assert len(pts) == (q ** dim - 1) // (q - 1)
             assert len(set(pts)) == len(pts)
             assert all(p == normalize_tuple(ctx, p) for p in pts)
+
+
+def _tuple_enumeration(ctx, dim):
+    """The list-of-tuples enumeration that the array pass replaced: each
+    leading position, all tails, one sort."""
+    pts = []
+    for lead in range(dim):
+        stack = [(0,) * lead + (1,)]
+        for _ in range(dim - lead - 1):
+            stack = [t + (c,) for t in stack for c in ctx.elements()]
+        pts.extend(stack)
+    pts.sort()
+    return pts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_point_array_matches_the_tuple_enumeration(n):
+    ctx = FieldCtx(n)
+    for dim in range(2, 7):
+        pts = enumerate_points(ctx, dim)
+        assert pts.dtype == np.int16
+        assert pts.shape == ((ctx.q ** dim - 1) // (ctx.q - 1), dim)
+        assert [tuple(p) for p in pts.tolist()] == _tuple_enumeration(ctx, dim)
 
 
 def test_line_through_two_points():

@@ -53,7 +53,7 @@ def test_point_lookup(fix, request):
     for i in range(model.n_points):
         p = model.point(i)
         assert all(model.index_of(vec_scale(ctx, c, p)) == i for c in ctx.nonzero())
-    off = [p for p in enumerate_points(ctx, 6) if model.f_scalar(p) != 0]
+    off = [p for p in enumerate_points(ctx, 6).tolist() if model.f_scalar(p) != 0]
     assert len(off) == (ctx.q ** 6 - 1) // (ctx.q - 1) - model.n_points
     assert all(model.index_of(p) is None for p in off)
     with pytest.raises(ValueError):
