@@ -3,7 +3,6 @@ canonical double cover of the affine quadrangle, with exhaustive clique
 census machinery and binary-subgeometry recognition."""
 
 from .gf2n import FieldCtx, conic_solution_set, solve_artin_schreier, trace
-from .projgeom import Subspace
 from .quadric import QuadricModel, build_model
 from .ovoid import OvoidGeometry, build_geometry
 from .covering import CoveringMap, canonical_covering
@@ -15,7 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldCtx", "conic_solution_set", "solve_artin_schreier",
-    "trace", "Subspace", "QuadricModel",
+    "trace", "QuadricModel",
     "build_model", "OvoidGeometry", "build_geometry",
     "CoveringMap", "canonical_covering",
     "CensusReport", "build_tangency_graph", "census",

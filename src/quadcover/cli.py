@@ -79,6 +79,8 @@ class RunConfig:
             raise ValueError(f"lambda must be a field element in 0..{q - 1}")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.command in ("lift", "subgeometry"):
             if not self.clique or len(self.clique) not in (3, 4):
                 raise ValueError("a clique of 3 or 4 vertex ids is required")

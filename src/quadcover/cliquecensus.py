@@ -21,15 +21,13 @@ The maximal-size spectrum follows from the same data: pencils are maximal
 exactly when their members have no common neighbour, non-linear cliques stop
 growing exactly where the extension counts say they do, and a clique of seven
 or more would force some four-subclique to have at least three five-cliques
-over it, contradicting the uniform count of two.  An independent pivoting
-clique search cross-checks the spectrum on small graphs and on sampled
-neighbourhoods.
+over it, contradicting the uniform count of two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -121,39 +119,6 @@ def verify_srg(A: np.ndarray) -> dict:
         "lambda_values": lam_vals,
         "mu_values": mu_vals,
     }
-
-
-# -- clique classification -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CliqueRecord:
-    vertices: Tuple[int, ...]
-    kind: str                     # "linear" | "nonlinear"
-    base: Optional[int]           # common tangency point for linear cliques
-    maximal: bool
-
-
-def classify_clique(gx: OvoidGeometry, vertices: Sequence[int]) -> CliqueRecord:
-    """Decide linearity from the tangency-point table and test maximality."""
-    vs = tuple(sorted(int(v) for v in vertices))
-    if len(vs) < 2 or len(set(vs)) != len(vs):
-        raise ValueError("need at least two distinct vertices")
-    A = gx.adjacency
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            if not A[u, v]:
-                raise ValueError(f"vertices {u} and {v} are not adjacent")
-    tps = {int(gx.tangency_point[u, v]) for i, u in enumerate(vs) for v in vs[i + 1:]}
-    linear = len(tps) == 1
-    common = A[vs[0]].copy()
-    for v in vs[1:]:
-        common &= A[v]
-    common[list(vs)] = False
-    return CliqueRecord(vertices=vs,
-                        kind="linear" if linear else "nonlinear",
-                        base=tps.pop() if linear else None,
-                        maximal=not bool(common.any()))
 
 
 # -- seeded PRNG for sampled mode ---------------------------------------------
@@ -454,61 +419,6 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         cliques4=np.concatenate(quads) if collect and quads else None,
     )
     return report
-
-
-# -- independent maximal-clique search ----------------------------------------
-
-
-def _bitmask_rows(adj: np.ndarray) -> List[int]:
-    return [int.from_bytes(np.packbits(adj[i], bitorder="little").tobytes(), "little")
-            for i in range(len(adj))]
-
-
-def maximal_cliques(adj: np.ndarray) -> Iterator[List[int]]:
-    """All maximal cliques via recursive pivoting search on bitmask rows."""
-    n = len(adj)
-    rows = _bitmask_rows(adj)
-    full = (1 << n) - 1
-
-    def bits(x: int) -> Iterator[int]:
-        while x:
-            lsb = x & -x
-            yield lsb.bit_length() - 1
-            x ^= lsb
-
-    def expand(r: List[int], p: int, x: int):
-        if p == 0 and x == 0:
-            yield list(r)
-            return
-        pux = p | x
-        pivot = max(bits(pux), key=lambda u: (p & rows[u]).bit_count())
-        for v in bits(p & ~rows[pivot]):
-            vb = 1 << v
-            r.append(v)
-            yield from expand(r, p & rows[v], x & rows[v])
-            r.pop()
-            p &= ~vb
-            x |= vb
-    yield from expand([], full, 0)
-
-
-def bk_spectrum(adj: np.ndarray) -> Dict[int, int]:
-    """Size histogram of all maximal cliques (use on small graphs)."""
-    hist: Dict[int, int] = {}
-    for c in maximal_cliques(adj):
-        hist[len(c)] = hist.get(len(c), 0) + 1
-    return dict(sorted(hist.items()))
-
-
-def bk_neighborhood_spectrum(A: np.ndarray, vertex: int) -> Dict[int, int]:
-    """Size histogram of maximal cliques through one vertex, via its
-    neighbourhood subgraph (sizes include the vertex itself)."""
-    nbrs = np.nonzero(A[vertex])[0]
-    sub = A[np.ix_(nbrs, nbrs)]
-    hist: Dict[int, int] = {}
-    for c in maximal_cliques(sub):
-        hist[len(c) + 1] = hist.get(len(c) + 1, 0) + 1
-    return dict(sorted(hist.items()))
 
 
 def export_edges_csv(A: np.ndarray, path: str) -> None:

@@ -292,16 +292,6 @@ def _cube_vertex_pairs(model: QuadricModel, par: CubeParams) -> List[Tuple[int, 
     return pairs
 
 
-def fundamental_cube(model: QuadricModel, par: CubeParams) -> CentricFigure:
-    """The unique cube on the standard quadrangle with the given center.
-
-    Vertices are rational functions of (u, v, r, s); the returned figure is
-    checked structurally before being handed back.
-    """
-    return _made("fundamental cube", make_figure, model, _cube_vertex_pairs(model, par),
-                 cube_center(model, par))
-
-
 def enumerate_cube_centers(model: QuadricModel) -> Set[Vec]:
     """Centers of cubes on the standard quadrangle, parametrically.
 

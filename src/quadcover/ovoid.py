@@ -1,4 +1,4 @@
-"""Elliptic ovoids of the hyperplane section, tangency, rosettes, tangent planes.
+"""Elliptic ovoids of the hyperplane section, tangency, rosettes.
 
 An ovoid here is the perpendicular section of an affine quadric point; the two
 points of an elation orbit give the same ovoid, so ovoids are indexed by
@@ -8,28 +8,23 @@ rosettes) are the lines of a semipartial geometry with parameters
 (q-1, q^2, 2, 2q(q-1)).
 
 All pairwise intersection sizes are computed with one integer matrix product
-over the membership matrix, and the common point of each tangent pair drops
-out of a second, position-weighted product.  The structural laws are checked
-exhaustively, one section point at a time.  Summing the tangency rows of the
-members of each pencil based at the point counts, for every ovoid, the
-members tangent to it (semipartial and maximality laws); with T the ovoids
-through the point, A[T][:, T].T @ A[T] counts the common tangents through it
-of every ovoid pair with one member in T (common-tangent law).
+over the membership matrix and kept as the tangency matrix (size 1); the
+common point of each tangent pair drops out of a second, position-weighted
+product.  The structural laws are checked exhaustively, one section point at
+a time.  Summing the tangency rows of the members of each pencil based at
+the point counts, for every ovoid, the members tangent to it (semipartial
+and maximality laws); with T the ovoids through the point,
+A[T][:, T].T @ A[T] counts the common tangents through it of every ovoid
+pair with one member in T (common-tangent law).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from .gf2n import FieldCtx
-from .projgeom import (
-    Subspace,
-    subspace_contains,
-    subspace_intersection,
-    subspace_points,
-)
 from .quadric import QuadricModel
 
 
@@ -54,7 +49,6 @@ class OvoidGeometry:
     incidence : (V, q^2+1) int32 array, the ascending pencil ids through
         each ovoid.
     member_matrix : (V, |Q0|) boolean membership matrix.
-    inter_count : (V, V) uint8 pairwise intersection sizes.
     adjacency : boolean tangency matrix (intersection size 1, off-diagonal).
     tangency_point : int16 matrix of the common quadric point index of each
         tangent pair, -1 elsewhere.
@@ -71,7 +65,6 @@ class OvoidGeometry:
         self.pencil_members: np.ndarray
         self.incidence: np.ndarray
         self.member_matrix: np.ndarray
-        self.inter_count: np.ndarray
         self.adjacency: np.ndarray
         self.tangency_point: np.ndarray
         self.through: np.ndarray
@@ -120,7 +113,6 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     if not lawful.all():
         raise AssertionError("some ovoid pair meets in neither a point nor a conic")
     del lawful
-    geom.inter_count = inter.astype(np.uint8)
     geom.adjacency = inter == 1
     del inter
 
@@ -177,9 +169,11 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     every b with m(b) = m is in N(m) (m is in N(b), and by symmetry b in
     N(m)), N(a) is among those b, and |N(a)| = |N(m)| = q: so N(a) = N(m).
     Each pencil is the class of its smallest member, in the order of (base,
-    smallest member); each point is the base of q(q-1)/2 of them.  No ovoid
-    through p meets p^perp beyond p, so a pencil's members meet p^perp only
-    at p, and their union (pairwise meeting only at p) has q^3+1 points.
+    smallest member); each point is the base of q(q-1)/2 of them.  The
+    members of each class meet pairwise only at p, which holds exactly when
+    their union has q^3+1 points; the tangency tables are checked against
+    the ovoids' points this way.  No ovoid through p meets p^perp beyond p,
+    so a pencil's members meet p^perp only at p.
     """
     model = geom.model
     q = model.ctx.q
@@ -216,37 +210,27 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     if not (least[row_of[base[:, None], tangents]] == least[:, None]).all():
         raise AssertionError(equivalence)
     del row_of
-    if (geom.inter_count[a[:, None], tangents] != 1).any():
+    heads = np.flatnonzero(least == a)
+    pencils = np.column_stack([a[heads], tangents[heads]])
+    on_ovoid = np.packbits(member, axis=1)
+    union = on_ovoid[pencils[:, 0]]
+    for column in pencils[:, 1:].T:
+        union |= on_ovoid[column]
+    if (np.bitwise_count(union).sum(axis=1) != q ** 3 + 1).any():
         raise AssertionError("ovoids sharing a point are tangent elsewhere")
+    del union
 
     sect = model.section_points
-    on_ovoid = np.packbits(member, axis=1)
     perp = np.packbits(model.gram[np.ix_(sect, sect)] == 0, axis=1)
     for lo in range(0, len(a), 1 << 15):
         meets = on_ovoid[a[lo:lo + (1 << 15)]] & perp[base[lo:lo + (1 << 15)]]
         if (np.bitwise_count(meets).sum(axis=1) != 1).any():
             raise AssertionError("an ovoid through a point meets its perp beyond the point")
 
-    heads = np.flatnonzero(least == a)
     if (np.bincount(base[heads], minlength=n_q0) != q * (q - 1) // 2).any():
         raise AssertionError("some point is not the base of q(q-1)/2 pencils")
     geom.pencil_base = sect[base[heads]]
-    geom.pencil_members = np.column_stack([a[heads], tangents[heads]]).astype(np.int32)
-
-
-def _check_rosette_partition(geom: OvoidGeometry, members: Sequence[int], p: int,
-                             p_dense: int) -> None:
-    model = geom.model
-    q = model.ctx.q
-    union = np.zeros(len(model.section_points), dtype=bool)
-    for m in members:
-        union |= geom.member_matrix[m]
-    if union.sum() != q**3 + 1:
-        raise AssertionError("pencil members overlap outside the base point")
-    perp = model.gram[p, model.section_points] == 0
-    bad = union & perp
-    if bad.sum() != 1 or not bad[p_dense]:
-        raise AssertionError("pencil union meets the perp of its base beyond the base")
+    geom.pencil_members = pencils.astype(np.int32)
 
 
 def _verify_incidence(geom: OvoidGeometry) -> None:
@@ -257,82 +241,6 @@ def _verify_incidence(geom: OvoidGeometry) -> None:
     # stable radix sort: fewer than 2^16 ovoids at every buildable degree
     by_ovoid = np.argsort(members.astype(np.uint16), kind="stable") // q
     geom.incidence = by_ovoid.astype(np.int32).reshape(geom.n_ovoids, q * q + 1)
-
-
-# -- intersection queries ------------------------------------------------------
-
-
-def intersection_kind(geom: OvoidGeometry, a: int,
-                      b: int) -> Tuple[str, Tuple[int, ...]]:
-    """Classify the intersection of two distinct ovoids, given by id: tangent
-    point or conic."""
-    if a == b:
-        raise ValueError("intersection kind is defined for distinct ovoids")
-    pa, pb = geom.ovoid_points[a], geom.ovoid_points[b]
-    common = tuple(np.intersect1d(pa, pb).tolist())
-    if len(common) == 1:
-        return "tangent", common
-    if (len(common) - 1) ** 2 == len(pa) - 1:
-        return "conic", common
-    raise AssertionError(f"ovoids meet in {len(common)} points")
-
-
-def rosette_from_pair(geom: OvoidGeometry, a: int, b: int) -> int:
-    """Definition-driven pencil recovery from two ovoids tangent at a point.
-
-    Collects every ovoid through the tangency point whose intersection with
-    each input is exactly that point, then checks the partition property.
-    Returns the id of the stored pencil with those members, -1 if none.
-    """
-    kind, common = intersection_kind(geom, a, b)
-    if kind != "tangent":
-        raise ValueError("pencil recovery requires a tangent pair")
-    p = common[0]
-    k = int(geom.model.section_index[p])
-    members = []
-    for oid in geom.through[k].tolist():
-        if oid in (a, b):
-            members.append(oid)
-            continue
-        if geom.inter_count[oid, a] == 1 and geom.inter_count[oid, b] == 1:
-            members.append(oid)
-    q = geom.model.ctx.q
-    if len(members) != q:
-        raise AssertionError("pencil recovery did not find q members")
-    _check_rosette_partition(geom, members, p, k)
-    m = q * (q - 1) // 2
-    hit = np.flatnonzero((geom.pencil_members[k * m:(k + 1) * m] == members).all(axis=1))
-    return k * m + int(hit[0]) if len(hit) else -1
-
-
-def tangent_plane(geom: OvoidGeometry, r: int) -> Subspace:
-    """The tangent plane of pencil r: the common intersection of its member
-    spans.
-
-    Every member pair is intersected, and all the resulting planes are
-    required to coincide; the plane's points are enumerated to confirm that
-    it meets the section only at the base.
-    """
-    model = geom.model
-    ms = geom.pencil_members[r].tolist()
-    spans = {a: Subspace(tuple(map(tuple, geom.ovoid_span[a].tolist()))) for a in ms}
-    planes = []
-    base_pt = model.point(int(geom.pencil_base[r]))
-    for i, a in enumerate(ms):
-        for b in ms[i + 1:]:
-            pl = subspace_intersection(model.ctx, spans[a], spans[b])
-            if pl.rank != 3:
-                raise AssertionError("member spans do not meet in a plane")
-            if not subspace_contains(model.ctx, pl, base_pt):
-                raise AssertionError("tangent plane misses the base point")
-            hits = [v for v in subspace_points(model.ctx, pl)
-                    if model.f_scalar(v) == 0 and v[5] == 0]
-            if hits != [base_pt]:
-                raise AssertionError("tangent plane meets the section beyond the base point")
-            planes.append(pl)
-    if any(p.basis != planes[0].basis for p in planes[1:]):
-        raise AssertionError("different member pairs give different planes")
-    return planes[0]
 
 
 # -- semipartial geometry and common-tangent laws ------------------------------

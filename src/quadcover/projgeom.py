@@ -1,14 +1,13 @@
-"""Points and subspaces of PG(5, q): canonical forms, spans, lines, membership.
+"""Points of PG(5, q): canonical forms, lines, row reduction, enumeration.
 
 Projective points are normalized 6-tuples of field bit masks whose first
-nonzero coordinate is 1, so point equality is tuple equality.  Subspaces are
-kept in reduced row echelon form, the canonical representative of their row
-space.  Dense point indices live in the quadric model (`quadric.QuadricModel`).
+nonzero coordinate is 1, so point equality is tuple equality.  Row spaces
+are reduced to reduced row echelon form, their canonical basis.  Dense point
+indices live in the quadric model (`quadric.QuadricModel`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -16,17 +15,6 @@ import numpy as np
 from .gf2n import FieldCtx
 
 Vec = Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A projective subspace as the reduced row echelon basis of its row space."""
-
-    basis: Tuple[Vec, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
 
 # -- vector helpers -----------------------------------------------------------
@@ -98,41 +86,6 @@ def rref(ctx: FieldCtx, rows: Iterable[Sequence[int]]) -> Tuple[Vec, ...]:
     return tuple(tuple(r) for r in mat[:pivot_row] if any(r))
 
 
-def span(ctx: FieldCtx, points: Iterable[Sequence[int]]) -> Subspace:
-    """Projective span of the given points as a canonical subspace."""
-    rows = [tuple(p) for p in points]
-    if not rows:
-        raise ValueError("span of an empty point list is undefined")
-    return Subspace(rref(ctx, rows))
-
-
-def subspace_contains(ctx: FieldCtx, sub: Subspace, vec: Sequence[int]) -> bool:
-    """Membership test by reducing `vec` against the echelon basis."""
-    v = list(vec)
-    for row in sub.basis:
-        lead = next(i for i, x in enumerate(row) if x)
-        if v[lead]:
-            c = v[lead]
-            v = [x ^ ctx.mul(c, y) for x, y in zip(v, row)]
-    return not any(v)
-
-
-def subspace_points(ctx: FieldCtx, sub: Subspace) -> List[Vec]:
-    """All normalized points of the subspace (enumerates q^rank combinations)."""
-    pts = set()
-    combos = [()]  # coefficient tuples built up per basis row
-    for _ in sub.basis:
-        combos = [c + (t,) for c in combos for t in ctx.elements()]
-    for coeffs in combos:
-        v = [0] * len(sub.basis[0]) if sub.basis else []
-        for c, row in zip(coeffs, sub.basis):
-            if c:
-                v = [x ^ ctx.mul(c, y) for x, y in zip(v, row)]
-        if any(v):
-            pts.add(normalize_tuple(ctx, v))
-    return sorted(pts)
-
-
 def null_space(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> Tuple[Vec, ...]:
     """Canonical basis of {v : M v = 0} for the matrix with the given rows."""
     if not rows:
@@ -151,15 +104,6 @@ def null_space(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> Tuple[Vec, ...]:
             v[pcol] = prow[fc]
         basis.append(tuple(v))
     return rref(ctx, basis) if basis else ()
-
-
-def subspace_intersection(ctx: FieldCtx, a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of row spaces by the doubled-matrix (Zassenhaus) method."""
-    ncols = len(a.basis[0])
-    rows = [list(r) + list(r) for r in a.basis] + [list(r) + [0] * ncols for r in b.basis]
-    reduced = rref(ctx, rows)
-    inter = [r[ncols:] for r in reduced if not any(r[:ncols]) and any(r[ncols:])]
-    return Subspace(rref(ctx, inter))
 
 
 # -- enumeration --------------------------------------------------------------

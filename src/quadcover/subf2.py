@@ -4,17 +4,25 @@ With representatives scaled so that each opposite pair sums to the center,
 the vertices of a centric figure generate a GF(2)-subspace of the ambient
 GF(2^n)^6 whose nonzero subset sums form a projective subgeometry:
 
-* hexagon vertices plus the three opposite-edge intersection points span a
-  rank-4 structure whose quadric points form a hyperbolic quadric Q+(3,2);
-* cube vertices plus six edge points and the common face-sum point span a
-  rank-5 structure carrying a parabolic quadric Q(4,2) with its own
-  nucleus, distinct from the ambient nucleus;
+* hexagon vertices span rank 4, and the quadric points of the span form a
+  hyperbolic quadric Q+(3,2);
+* cube vertices span rank 5, carrying a parabolic quadric Q(4,2) with its
+  own nucleus, distinct from the ambient nucleus;
 * dodecade vertices span rank 6 and carry an elliptic quadric Q-(5,2).
 
-This module scales representatives, builds the closures, recognizes the
-resulting subgeometries by incidence counts and quadrangle axioms, and
-checks the exact counting identities tying the number of elliptic binary
-subgeometries to the dodecade census.
+The span holds the figure's derived points with no construction of their
+own.  Opposite edges {u, w} and {u', w'} (primed = pair partner) have one
+sum: rep(u) + rep(w) + rep(u') + rep(w') = c + c = 0 for the center c.  That
+sum lies on both edge lines, and on the quadric, since f(s x_u + t x_w) =
+st alpha(x_u, x_w) = 0 for collinear u, w.  A cube's face sums pick one
+vertex of each pair, two in each row; two such picks differ by swapping an
+even number of pairs, so they differ by an even number of c's and all six
+face sums are one point.
+
+This module scales representatives, spans them, recognizes the resulting
+subgeometries by incidence counts and quadrangle axioms, and checks the
+exact counting identities tying the number of elliptic binary subgeometries
+to the dodecade census.
 """
 
 from __future__ import annotations
@@ -111,93 +119,6 @@ def scale_figure_representatives(model: QuadricModel, fig: CentricFigure) -> Lis
             raise ValueError("center coincides with a pair point")
         out += [ra, rb]
     return out
-
-
-# -- derived closure points ----------------------------------------------------
-
-
-def _vec_sum(vecs: Sequence[Vec]) -> Vec:
-    out = [0] * len(vecs[0])
-    for v in vecs:
-        for i, x in enumerate(v):
-            out[i] ^= x
-    return tuple(out)
-
-
-def opposite_edge_points(model: QuadricModel, fig: CentricFigure,
-                         scaled: Sequence[Vec]) -> List[Vec]:
-    """One derived point per antipodal edge class of the figure.
-
-    Opposite edges {x,y} and {x',y'} (primed = pair partners) span quadric
-    lines, which are distinct because opposite points are not collinear.
-    With pair-sum scaling they meet in rep(x) + rep(y) = rep(x') + rep(y'):
-    the one sum lies on both lines, and it is checked to be the other sum.
-    """
-    verts = [i for p in fig.pairs for i in p]
-    rep_of = dict(zip(verts, scaled))
-    partner = fig.partner
-    seen: Set[frozenset] = set()
-    out: List[Vec] = []
-    for i, u in enumerate(verts):
-        for w in verts[i + 1:]:
-            if partner[u] == w or model.gram[u, w] != 0:
-                continue
-            key = frozenset({frozenset({u, w}), frozenset({partner[u], partner[w]})})
-            if key in seen:
-                continue
-            seen.add(key)
-            summed = vec_add(rep_of[u], rep_of[w])
-            if summed != vec_add(rep_of[partner[u]], rep_of[partner[w]]):
-                raise AssertionError("edge sum disagrees with the opposite edge sum")
-            if model.f_scalar(summed) != 0:
-                raise AssertionError("edge point fell off the quadric")
-            out.append(summed)
-    return out
-
-
-def face_point(model: QuadricModel, fig: CentricFigure,
-               scaled: Sequence[Vec]) -> Vec:
-    """The common sum of the four vertices of each face of a cube.
-
-    Faces are the six transversals picking one vertex per pair with exactly
-    two picks in each half of the bipartition; all six sums must agree.
-    """
-    if fig.kind != "cube":
-        raise ValueError("face points are defined for cubes")
-    row0 = set(fig.rows[0])
-    verts = [i for p in fig.pairs for i in p]
-    rep_of = dict(zip(verts, scaled))
-    sums = set()
-    from itertools import product
-
-    for picks in product(*fig.pairs):
-        if sum(1 for x in picks if x in row0) != 2:
-            continue
-        sums.add(_vec_sum([rep_of[x] for x in picks]))
-    if len(sums) != 1:
-        raise AssertionError(f"face sums are not constant ({len(sums)} values)")
-    p0 = sums.pop()
-    if model.f_scalar(p0) != 0:
-        raise AssertionError("face point fell off the quadric")
-    return p0
-
-
-def closure_vectors(model: QuadricModel, fig: CentricFigure) -> List[Vec]:
-    """Generating vectors of the binary closure of a figure.
-
-    Hexagons contribute their six scaled vertices and three edge points;
-    cubes add six edge points and the face point; dodecades span already.
-    Decades have no closure construction here.
-    """
-    scaled = scale_figure_representatives(model, fig)
-    if fig.kind == "hexagon":
-        return list(scaled) + opposite_edge_points(model, fig, scaled)
-    if fig.kind == "cube":
-        return (list(scaled) + opposite_edge_points(model, fig, scaled)
-                + [face_point(model, fig, scaled)])
-    if fig.kind == "dodecade":
-        return list(scaled)
-    raise ValueError(f"no closure construction for kind {fig.kind!r}")
 
 
 # -- F2 spans ------------------------------------------------------------------
@@ -304,8 +225,15 @@ def recognize_subgeometry(model: QuadricModel, span: F2Span,
 
 def closure_report(model: QuadricModel, fig: CentricFigure
                    ) -> Tuple[F2Span, SubgeometryReport]:
-    """Closure vectors -> span -> recognition, in one call."""
-    span = f2_closure(model, closure_vectors(model, fig))
+    """The F2 span of a figure's pair-scaled vertices, recognized.
+
+    Hexagons, cubes and dodecades only; decades have no closure construction
+    here.  The span already holds the edge and face points (see the module
+    docstring), which recognition finds among its quadric points.
+    """
+    if fig.kind not in ("hexagon", "cube", "dodecade"):
+        raise ValueError(f"no closure construction for kind {fig.kind!r}")
+    span = f2_closure(model, scale_figure_representatives(model, fig))
     rep = recognize_subgeometry(model, span, center=fig.center)
     return span, rep
 

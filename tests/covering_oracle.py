@@ -10,11 +10,18 @@ same `CoveringMap` arrays and reports the same counterexamples.
 `product_fiber_distances` is the `fiber_distances` that the packed 2-walk
 rows replaced: it takes the fiber and diameter laws from two dense float32
 products, A @ A and A @ (A @ A), of the affine collinearity matrix.
+
+`lift_path`, `quotient_graph_diameter` and `rook_grid_complement_check` are
+covering facts that no command reports: unique path lifting, the diameter of
+the tangency graph, and the rook-grid complement at q = 2.
 """
+
+from typing import List, Sequence
 
 import numpy as np
 
 from quadcover.covering import CoveringMap, _affine_collinearity
+from quadcover.ovoid import OvoidGeometry
 
 
 def loop_verify_covering(cov: CoveringMap) -> dict:
@@ -134,3 +141,74 @@ def product_fiber_distances(cov: CoveringMap) -> dict:
             "diameter_is_3": diam3,
             "n_points": n}
 
+
+def lift_path(cov: CoveringMap, path: Sequence[int], start: int) -> List[int]:
+    """Unique path upstairs over a walk of pairwise-tangent ovoids, from start.
+
+    path is a sequence of ovoid ids with consecutive entries tangent; start is
+    an affine point over path[0].  Each step crosses to the unique fiber point
+    of the next ovoid collinear with the current point.
+    """
+    geom, gram = cov.geom, cov.model.gram
+    if int(cov.point_image[start]) != path[0]:
+        raise ValueError("start point is not in the fiber of the first vertex")
+    out = [start]
+    cur = start
+    for prev_ov, next_ov in zip(path, path[1:]):
+        if not geom.adjacency[prev_ov, next_ov]:
+            raise ValueError("consecutive path vertices are not tangent")
+        cands = [int(b) for b in cov.point_fiber[next_ov] if gram[cur, b] == 0]
+        if len(cands) != 1:
+            raise AssertionError("edge does not lift uniquely")
+        cur = cands[0]
+        out.append(cur)
+    return out
+
+
+def quotient_graph_diameter(geom: OvoidGeometry) -> int:
+    """Diameter of the tangency graph on ovoids (complete at q=2, else 2)."""
+    A = geom.adjacency.astype(np.float32)
+    reach = geom.adjacency.copy()
+    np.fill_diagonal(reach, True)
+    if reach.all():
+        return 1
+    reach |= (A @ A) > 0
+    if reach.all():
+        return 2
+    raise AssertionError("tangency graph has diameter > 2")
+
+
+def rook_grid_complement_check(cov: CoveringMap) -> dict:
+    """At q=2 the affine collinearity graph is the complement of a 2-by-6 grid.
+
+    The complement must decompose into two disjoint 6-cliques (the grid rows)
+    plus a perfect matching between them (the columns), with no other edges."""
+    model = cov.model
+    if model.ctx.q != 2:
+        raise ValueError("grid complement structure is specific to q = 2")
+    C = ~_affine_collinearity(model)
+    np.fill_diagonal(C, False)
+    n = len(C)
+    aff = model.affine_points
+    partner = np.searchsorted(aff, model.elation_perm[aff]).tolist()
+    matching = {tuple(sorted((a, b))) for a, b in enumerate(partner)}
+    if len(matching) != 6 or not all(C[a, b] for a, b in matching):
+        return {"pass": False, "reason": "orbit matching not in complement"}
+    v0 = 0
+    row0 = sorted(set(np.nonzero(C[v0])[0].tolist()) - {partner[v0]} | {v0})
+    row1 = sorted(set(range(n)) - set(row0))
+    if len(row0) != 6 or len(row1) != 6:
+        return {"pass": False, "reason": "rows are not two sixes"}
+    for row in (row0, row1):
+        sub = C[np.ix_(row, row)]
+        if not sub[~np.eye(6, dtype=bool)].all():
+            return {"pass": False, "reason": "a row is not a 6-clique"}
+    expected_edges = {tuple(sorted((a, b))) for row in (row0, row1)
+                      for i, a in enumerate(row) for b in row[i + 1:]}
+    expected_edges |= matching
+    actual = {tuple(sorted((int(i), int(j)))) for i, j in zip(*np.nonzero(C)) if i < j}
+    if actual != expected_edges:
+        return {"pass": False, "reason": "extra or missing complement edges"}
+    if not all(len({a, b} & set(row0)) == 1 for a, b in matching):
+        return {"pass": False, "reason": "matching does not join the two rows"}
+    return {"pass": True, "rows": [row0, row1], "matching": sorted(matching)}

@@ -12,10 +12,15 @@ Kept as the reference the figure layer is diffed against:
 * the pair scaling solves a 2x2 coordinate minor (`_solve_pair_scaling`),
   and each edge point is met as the Zassenhaus intersection of two lines
   (`_line_meet`);
+* the closure spans the scaled vertices together with every edge point
+  and, for a cube, the face point (`closure_vectors`, `face_point`), each
+  checked to be on the quadric;
 * the recognition checks the quadrangle axiom point by point and line by
   line (`recognize_subgeometry`).
 
-Everything else (labels, the parametric cube and the F2 closure) is
+`fundamental_cube` builds the cube on the standard quadrangle with a given
+center, which need not be the nucleus, and checks it in full here.
+Everything else (labels, the parametric cube vertices and the F2 span) is
 imported from the package unchanged.
 """
 
@@ -26,14 +31,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from projgeom_oracle import Subspace, span, subspace_intersection
 from quadcover.figures import (KIND_BY_SIZE, SIZE_BY_KIND, CentricFigure, CubeParams,
-                               _cube_vertex_pairs, cube_labels, hexagon_labels)
+                               _cube_vertex_pairs, cube_center, cube_labels,
+                               hexagon_labels)
 from quadcover.gf2n import FieldCtx, conic_solution_set, solve_artin_schreier
-from quadcover.projgeom import (Subspace, Vec, normalize_tuple, null_space, span,
-                                subspace_intersection, vec_add, vec_scale)
+from quadcover.projgeom import Vec, normalize_tuple, null_space, vec_add, vec_scale
 from quadcover.quadric import QuadricModel, second_intersection
-from quadcover.subf2 import (_SIGNATURES, F2Span, SubgeometryReport, _vec_sum, f2_closure,
-                             face_point)
+from quadcover.subf2 import _SIGNATURES, F2Span, SubgeometryReport, f2_closure
 
 
 def mat_vec(ctx: FieldCtx, m: Sequence[Sequence[int]], v: Sequence[int]) -> Vec:
@@ -112,6 +117,16 @@ def _made(model: QuadricModel, pairs: Sequence[Tuple[int, int]],
         return make_figure(model, pairs, center)
     except ValueError as exc:
         raise AssertionError(f"{what} failed check: {exc}") from None
+
+
+def fundamental_cube(model: QuadricModel, par: CubeParams) -> CentricFigure:
+    """The unique cube on the standard quadrangle with the given center.
+
+    Vertices are rational functions of (u, v, r, s); the returned figure is
+    checked structurally before being handed back.
+    """
+    return _made(model, _cube_vertex_pairs(model, par), cube_center(model, par),
+                 "fundamental cube")
 
 
 def verify_centric_figure(model: QuadricModel, fig: CentricFigure) -> dict:
@@ -455,6 +470,14 @@ def scale_figure_representatives(model: QuadricModel, fig: CentricFigure) -> Lis
     return out
 
 
+def _vec_sum(vecs: Sequence[Vec]) -> Vec:
+    out = [0] * len(vecs[0])
+    for v in vecs:
+        for i, x in enumerate(v):
+            out[i] ^= x
+    return tuple(out)
+
+
 def _line_meet(ctx: FieldCtx, a: Vec, b: Vec, c: Vec, d: Vec) -> Vec:
     """Intersection point of lines ab and cd (must meet in one point)."""
     inter = subspace_intersection(ctx, span(ctx, [a, b]), span(ctx, [c, d]))
@@ -495,6 +518,33 @@ def opposite_edge_points(model: QuadricModel, fig: CentricFigure,
                 raise AssertionError("edge point fell off the quadric")
             out.append(summed)
     return out
+
+
+def face_point(model: QuadricModel, fig: CentricFigure,
+               scaled: Sequence[Vec]) -> Vec:
+    """The common sum of the four vertices of each face of a cube.
+
+    Faces are the six transversals picking one vertex per pair with exactly
+    two picks in each half of the bipartition; all six sums must agree.
+    """
+    if fig.kind != "cube":
+        raise ValueError("face points are defined for cubes")
+    row0 = set(fig.rows[0])
+    verts = [i for p in fig.pairs for i in p]
+    rep_of = dict(zip(verts, scaled))
+    sums = set()
+    from itertools import product
+
+    for picks in product(*fig.pairs):
+        if sum(1 for x in picks if x in row0) != 2:
+            continue
+        sums.add(_vec_sum([rep_of[x] for x in picks]))
+    if len(sums) != 1:
+        raise AssertionError(f"face sums are not constant ({len(sums)} values)")
+    p0 = sums.pop()
+    if model.f_scalar(p0) != 0:
+        raise AssertionError("face point fell off the quadric")
+    return p0
 
 
 def closure_vectors(model: QuadricModel, fig: CentricFigure) -> List[Vec]:

@@ -1,17 +1,21 @@
 """Reference loops for the structural laws of the ovoid geometry, which
 `quadcover.ovoid` and `quadcover.cliquecensus.rosette_maximality` now read
-from per-point pencil counts.
+from per-point pencil counts, and per-pair queries that no command runs.
 
 Kept only as oracles for the diff tests in `test_ovoid.py` and
 `test_cliquecensus.py`: a Python loop over the pencils for the semipartial
 and maximality laws, and a scalar loop over ovoid pairs and points for the
-common-tangent law.  They share no code with the per-point products.
+common-tangent law.  They share no code with the per-point products.  The
+queries classify the meet of two ovoids, recover a pencil from one tangent
+pair by its definition, and intersect the member spans of a pencil into its
+tangent plane.
 """
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from projgeom_oracle import Subspace, subspace_contains, subspace_intersection, subspace_points
 from quadcover.ovoid import OvoidGeometry
 
 
@@ -84,3 +88,91 @@ def loop_common_tangent_counts(geom: OvoidGeometry) -> dict:
                                 "expected": 0, "got": got}
                     checked += 1
     return {"pass": True, "cases_checked": checked}
+
+
+def _check_rosette_partition(geom: OvoidGeometry, members: Sequence[int], p: int,
+                             p_dense: int) -> None:
+    model = geom.model
+    q = model.ctx.q
+    union = np.zeros(len(model.section_points), dtype=bool)
+    for m in members:
+        union |= geom.member_matrix[m]
+    if union.sum() != q**3 + 1:
+        raise AssertionError("pencil members overlap outside the base point")
+    perp = model.gram[p, model.section_points] == 0
+    bad = union & perp
+    if bad.sum() != 1 or not bad[p_dense]:
+        raise AssertionError("pencil union meets the perp of its base beyond the base")
+
+
+def intersection_kind(geom: OvoidGeometry, a: int,
+                      b: int) -> Tuple[str, Tuple[int, ...]]:
+    """Classify the intersection of two distinct ovoids, given by id: tangent
+    point or conic."""
+    if a == b:
+        raise ValueError("intersection kind is defined for distinct ovoids")
+    pa, pb = geom.ovoid_points[a], geom.ovoid_points[b]
+    common = tuple(np.intersect1d(pa, pb).tolist())
+    if len(common) == 1:
+        return "tangent", common
+    if (len(common) - 1) ** 2 == len(pa) - 1:
+        return "conic", common
+    raise AssertionError(f"ovoids meet in {len(common)} points")
+
+
+def rosette_from_pair(geom: OvoidGeometry, a: int, b: int) -> int:
+    """Definition-driven pencil recovery from two ovoids tangent at a point.
+
+    Collects every ovoid through the tangency point whose intersection with
+    each input is exactly that point, then checks the partition property.
+    Returns the id of the stored pencil with those members, -1 if none.
+    """
+    kind, common = intersection_kind(geom, a, b)
+    if kind != "tangent":
+        raise ValueError("pencil recovery requires a tangent pair")
+    p = common[0]
+    k = int(geom.model.section_index[p])
+    members = []
+    for oid in geom.through[k].tolist():
+        if oid in (a, b):
+            members.append(oid)
+            continue
+        if geom.adjacency[oid, a] and geom.adjacency[oid, b]:
+            members.append(oid)
+    q = geom.model.ctx.q
+    if len(members) != q:
+        raise AssertionError("pencil recovery did not find q members")
+    _check_rosette_partition(geom, members, p, k)
+    m = q * (q - 1) // 2
+    hit = np.flatnonzero((geom.pencil_members[k * m:(k + 1) * m] == members).all(axis=1))
+    return k * m + int(hit[0]) if len(hit) else -1
+
+
+def tangent_plane(geom: OvoidGeometry, r: int) -> Subspace:
+    """The tangent plane of pencil r: the common intersection of its member
+    spans.
+
+    Every member pair is intersected, and all the resulting planes are
+    required to coincide; the plane's points are enumerated to confirm that
+    it meets the section only at the base.
+    """
+    model = geom.model
+    ms = geom.pencil_members[r].tolist()
+    spans = {a: Subspace(tuple(map(tuple, geom.ovoid_span[a].tolist()))) for a in ms}
+    planes = []
+    base_pt = model.point(int(geom.pencil_base[r]))
+    for i, a in enumerate(ms):
+        for b in ms[i + 1:]:
+            pl = subspace_intersection(model.ctx, spans[a], spans[b])
+            if pl.rank != 3:
+                raise AssertionError("member spans do not meet in a plane")
+            if not subspace_contains(model.ctx, pl, base_pt):
+                raise AssertionError("tangent plane misses the base point")
+            hits = [v for v in subspace_points(model.ctx, pl)
+                    if model.f_scalar(v) == 0 and v[5] == 0]
+            if hits != [base_pt]:
+                raise AssertionError("tangent plane meets the section beyond the base point")
+            planes.append(pl)
+    if any(p.basis != planes[0].basis for p in planes[1:]):
+        raise AssertionError("different member pairs give different planes")
+    return planes[0]

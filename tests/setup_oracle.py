@@ -19,9 +19,9 @@ from typing import List, Tuple
 
 import numpy as np
 
+from projgeom_oracle import span
 from quadcover.gf2n import FieldCtx
 from quadcover.ovoid import OvoidGeometry
-from quadcover.projgeom import span
 from quadcover.quadric import QuadricModel, second_intersection
 
 
@@ -165,7 +165,6 @@ def loop_build_geometry(model: QuadricModel) -> OvoidGeometry:
     off = inter[~np.eye(n_ov, dtype=bool)]
     if not np.isin(off, (1, q + 1)).all():
         raise AssertionError("some ovoid pair meets in neither a point nor a conic")
-    geom.inter_count = inter.astype(np.uint8)
     geom.adjacency = inter == 1
 
     # position-weighted product: for tangent pairs the entry is the dense

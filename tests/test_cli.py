@@ -245,10 +245,19 @@ def test_out_dir_environment(tmp_path, monkeypatch):
     ["build", "--n", "1", "--out", "/nonexistent/d/x.json"],
     ["build", "--n", "1", "--export-lines", "/nonexistent/d/x.csv"],
     ["build", "--n", "1", "--modulus", ""],
+    # a negative seed names the flag: numpy rejected it in figures, and the
+    # census masked it to 2^64 - 1
+    ["figures", "verify", "--n", "1", "--seed", "-5"],
+    ["census", "--n", "1", "--mode", "sampled", "--seed", "-1"],
 ])
 def test_bad_configurations_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_negative_seed_names_the_flag(capsys):
+    assert main(["census", "--n", "1", "--mode", "sampled", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
 
 def test_sampling_flags_only_where_read():

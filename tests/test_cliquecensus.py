@@ -6,14 +6,17 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from census_oracle import boolean_census
+from census_oracle import (
+    bk_neighborhood_spectrum,
+    bk_spectrum,
+    boolean_census,
+    classify_clique,
+    maximal_cliques,
+)
 from ovoid_oracle import loop_rosette_maximality
 from quadcover.cliquecensus import (
     SplitMix64,
-    bk_neighborhood_spectrum,
-    bk_spectrum,
     census,
-    classify_clique,
     export_edges_csv,
     formula_n3,
     formula_n4,
@@ -21,7 +24,6 @@ from quadcover.cliquecensus import (
     formula_n6,
     formula_srg_params,
     lowest_set_bits,
-    maximal_cliques,
     pack_rows,
     rosette_maximality,
     verify_srg,

@@ -8,14 +8,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from covering_oracle import loop_verify_covering, product_fiber_distances
+from covering_oracle import (
+    lift_path,
+    loop_verify_covering,
+    product_fiber_distances,
+    quotient_graph_diameter,
+    rook_grid_complement_check,
+)
 from quadcover import covering
 from quadcover.covering import (
     canonical_covering,
     fiber_distances,
-    lift_path,
-    quotient_graph_diameter,
-    rook_grid_complement_check,
     verify_adjacency_oracle,
     verify_covering,
 )

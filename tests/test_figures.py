@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from figures_oracle import fundamental_cube
 from quadcover.figures import (
     CubeParams,
     count_quadrangles_exhaustive,
@@ -19,7 +20,6 @@ from quadcover.figures import (
     extend_hexagon_to_cubes_bruteforce,
     figure_to_clique,
     formula_n6_bar,
-    fundamental_cube,
     fundamental_quadrangle,
     hexagon_labels,
     lift_clique_to_figure,

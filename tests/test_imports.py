@@ -1,6 +1,7 @@
 """Every name that a module of the package or a test file imports is used
-there, every private module-level name of the package is referenced, and
-every package name the benchmark imports or patches resolves."""
+there, every private module-level name of the package is referenced, every
+package name the benchmark imports or patches resolves, and every function
+and class of the package is reached from a command or the benchmark."""
 
 import ast
 import importlib
@@ -103,3 +104,79 @@ def test_bench_import_surface_resolves():
     for name in _literal(tracing, "PROJGEOM_IMPORTERS"):
         importlib.import_module(f"quadcover.{name}")
     assert missing == []
+
+
+def _bound_names(node: ast.stmt) -> list:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _package_references() -> dict:
+    """(module, name) of each top-level binding of the package, outside
+    `__init__`, mapped to the (module, name) bindings that its statement
+    loads: its own module's by name, the others through its module's
+    ``from .module import name`` lines."""
+    refs = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name: (node.module, alias.name)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for alias in node.names}
+        own = {name for node in tree.body for name in _bound_names(node)}
+        for node in tree.body:
+            loads = {n.id for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            targets = ({imported[n] for n in loads if n in imported}
+                       | {(path.stem, n) for n in loads & own if n not in imported})
+            for name in _bound_names(node):
+                refs[(path.stem, name)] = targets
+    return refs
+
+
+def _bench_references() -> set:
+    """(module, name) of the package names the benchmark reaches: what it
+    imports from a package module, the attributes it reads off an imported
+    package module (``cli.main``), and what the tracer patches."""
+    out = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "quadcover":
+                modules.update({a.asname or a.name: a.name for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("quadcover."):
+                out |= {(node.module.split(".")[1], a.name) for a in node.names}
+        out |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules}
+    tracing = ast.parse((BENCH / "tracing.py").read_text())
+    out |= {("projgeom", name) for name in _literal(tracing, "PROJGEOM_COUNTED")}
+    if _literal(tracing, "GF2N_COUNTED"):       # methods of the field class
+        out.add(("gf2n", "FieldCtx"))
+    return out
+
+
+def test_package_defines_only_what_commands_and_benchmark_reach():
+    """Walk the package's references from the CLI's command table and from
+    what the benchmark reaches.  A function or class of the package that the
+    walk misses is run only by tests, and belongs in a test oracle; a
+    re-export in `__init__` is not a use."""
+    refs = _package_references()
+    reached, todo = set(), [("cli", "_COMMANDS"), *_bench_references()]
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            todo += refs.get(key, ())
+    defined = {(path.stem, node.name) for path in SRC.glob("*.py") if path.stem != "__init__"
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert sorted(f"{m}.{n}" for m, n in defined - reached) == []

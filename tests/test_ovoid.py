@@ -7,16 +7,26 @@ import json
 import numpy as np
 import pytest
 
-from ovoid_oracle import common_tangents_through, loop_common_tangent_counts, loop_semipartial
+from ovoid_oracle import (
+    common_tangents_through,
+    intersection_kind,
+    loop_common_tangent_counts,
+    loop_semipartial,
+    rosette_from_pair,
+    tangent_plane,
+)
 from quadcover.ovoid import (
     _build_rosettes,
     export_incidence_csv,
-    intersection_kind,
-    rosette_from_pair,
-    tangent_plane,
     verify_common_tangent_counts,
     verify_semipartial,
 )
+
+
+def _intersection_sizes(geom):
+    """|A ∩ B| for every pair of ovoids, from the membership matrix."""
+    member = geom.member_matrix.astype(np.int32)
+    return member @ member.T
 
 
 @pytest.mark.parametrize("name", ["geom_q2", "geom_q4", "geom_q8"])
@@ -46,8 +56,10 @@ def test_ovoid_of_affine_point(cov_q2):
 def test_pairwise_intersection_sizes(request, name):
     geom = request.getfixturevalue(name)
     q = geom.model.ctx.q
-    off = geom.inter_count[~np.eye(geom.n_ovoids, dtype=bool)]
-    assert set(np.unique(off).tolist()) <= {1, q + 1}
+    off_diagonal = ~np.eye(geom.n_ovoids, dtype=bool)
+    sizes = _intersection_sizes(geom)
+    assert set(np.unique(sizes[off_diagonal]).tolist()) <= {1, q + 1}
+    assert np.array_equal(geom.adjacency, (sizes == 1) & off_diagonal)
     # each ovoid is tangent to q-1 others on each of its q^2+1 pencils
     assert (geom.adjacency.sum(axis=1) == (q * q + 1) * (q - 1)).all()
 
@@ -70,7 +82,7 @@ def test_intersection_kind_classifies_pairs(geom_q4):
     a, b = map(int, np.argwhere(geom.adjacency)[0])
     kind, common = intersection_kind(geom, a, b)
     assert kind == "tangent" and common == (geom.tangency_point[a, b],)
-    c, d = map(int, np.argwhere(geom.inter_count == q + 1)[0])
+    c, d = map(int, np.argwhere(_intersection_sizes(geom) == q + 1)[0])
     kind, common = intersection_kind(geom, c, d)
     assert kind == "conic" and len(common) == q + 1
     assert set(common) == set(geom.ovoid_points[c].tolist()) & set(geom.ovoid_points[d].tolist())
@@ -127,7 +139,7 @@ def test_rosette_recovery_from_a_tangent_pair(geom_q2, geom_q4):
             assert rosette_from_pair(geom, members[0], members[1]) == r
     geom = geom_q4
     q = geom.model.ctx.q
-    c, d = map(int, np.argwhere(geom.inter_count == q + 1)[0])
+    c, d = map(int, np.argwhere(_intersection_sizes(geom) == q + 1)[0])
     with pytest.raises(ValueError):
         rosette_from_pair(geom, c, d)
 
@@ -152,7 +164,7 @@ def geom_q4_broken(request, geom_q4):
     flip = request.param
     if flip == "added":
         a = geom.pencil_members[0, 0]
-        b = int(np.flatnonzero(geom.inter_count[a] == geom.model.ctx.q + 1)[0])
+        b = int(np.flatnonzero(_intersection_sizes(geom)[a] == geom.model.ctx.q + 1)[0])
     else:
         a, b = geom.pencil_members[0 if flip == "cleared_first" else -1, :2]
     geom.adjacency = geom_q4.adjacency.copy()

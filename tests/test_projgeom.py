@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from projgeom_oracle import span, subspace_intersection, subspace_points
 from quadcover.gf2n import FieldCtx
 from quadcover.projgeom import (enumerate_points, line_points, normalize_tuple, null_space,
-                                rref, span, subspace_intersection, subspace_points,
-                                vec_add, vec_scale)
+                                rref, vec_add, vec_scale)
 
 CTX = FieldCtx(2)
 

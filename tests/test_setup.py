@@ -51,9 +51,8 @@ def assert_same_model(model):
 def assert_same_geometry(geom):
     oracle = loop_build_geometry(geom.model)
     assert_same_fields(geom, oracle, (
-        "ovoid_orbit", "ovoid_points", "ovoid_span", "member_matrix", "inter_count",
-        "adjacency", "tangency_point", "through", "pencil_base", "pencil_members",
-        "incidence"))
+        "ovoid_orbit", "ovoid_points", "ovoid_span", "member_matrix", "adjacency",
+        "tangency_point", "through", "pencil_base", "pencil_members", "incidence"))
     q = geom.model.ctx.q
     assert geom.ovoid_span.shape == (geom.n_ovoids, 4, 6)
     assert geom.pencil_members.shape == (len(geom.pencil_base), q)

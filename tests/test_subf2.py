@@ -2,21 +2,18 @@
 
 import pytest
 
+from figures_oracle import face_point, fundamental_cube, opposite_edge_points
 from quadcover.figures import (
     CubeParams,
     extend_cube,
     extend_hexagon_to_cubes,
-    fundamental_cube,
     lift_clique_to_figure,
 )
 from quadcover.projgeom import normalize_tuple
 from quadcover.subf2 import (
     closure_report,
-    closure_vectors,
     count_identities,
     f2_closure,
-    face_point,
-    opposite_edge_points,
     recognize_subgeometry,
     scale_figure_representatives,
     span_f2_radical,
@@ -136,8 +133,8 @@ def test_dodecade_closure_is_a_binary_elliptic_quadric(request, mname, cov_name,
 def test_decade_closure_is_not_defined(model_q2, cov_q2, census_q2):
     cube = _cube(model_q2, cov_q2, census_q2)
     decade = extend_cube(model_q2, cube)["decades"][0]
-    with pytest.raises(ValueError):
-        closure_vectors(model_q2, decade)
+    with pytest.raises(ValueError, match="no closure construction for kind 'decade'"):
+        closure_report(model_q2, decade)
 
 
 def test_f2_closure_of_the_standard_basis(model_q4):
