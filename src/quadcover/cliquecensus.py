@@ -9,13 +9,17 @@ non-linear triangle grows to exactly q+1 four-cliques, each non-linear
 four-clique to exactly two five-cliques and one six-clique when the field
 degree is odd, and to none when it is even) are verified on that split.
 
-Edges are processed in batches.  For each edge the adjacency among its q^2
-non-linear completions is packed into one uint64 per completion (q^2 <= 64 for
-every buildable field), bit z of word w set when completions w and z are
-tangent.  A word's popcount is the triangle's 4-clique count; the adjacent
-pairs w < z are read off the words lowest bit first; the popcount of
-P[w] & P[z] is the 4-clique's 5-extension count, and its two set bits y1 < y2
-give a 6-clique exactly when bit y2 of P[y1] is set.
+Edges are listed by one flat scan of the upper triangle, sampled edges are
+drawn in one vectorised SplitMix64 pass, and edges are processed in batches.
+Every gather reads the flat adjacency and tangency tables at row * V + col.
+For each edge the adjacency among its q^2 non-linear completions is packed
+into one uint64 per completion (q^2 <= 64 for every buildable field), bit z
+of word w set when completions w and z are tangent.  A word's popcount is the
+triangle's 4-clique count; the adjacent pairs w < z are read off word w with
+its bits up to w cleared, lowest bit first, in the order nonzero(triu(S))
+lists them; the popcount of P[w] & P[z] is the 4-clique's 5-extension count,
+and its two set bits y1 < y2 give a 6-clique exactly when bit y2 of P[y1] is
+set.
 
 The maximal-size spectrum follows from the same data: pencils are maximal
 exactly when their members have no common neighbour, non-linear cliques stop
@@ -35,6 +39,8 @@ from .ovoid import OvoidGeometry, pencil_counts
 
 MASK64 = (1 << 64) - 1
 BATCH = 512                       # edges per vectorised census step
+# _ABOVE[w] keeps the bits above bit w of a word
+_ABOVE = np.array([MASK64 ^ ((2 << w) - 1) for w in range(64)], dtype=np.uint64)
 
 
 # -- closed-form counts --------------------------------------------------------
@@ -121,28 +127,43 @@ def verify_srg(A: np.ndarray) -> dict:
     }
 
 
-# -- seeded PRNG for sampled mode ---------------------------------------------
+# -- edges and seeded edge draws ----------------------------------------------
 
 
-class SplitMix64:
-    """Tiny 64-bit split-mix generator; deterministic across platforms."""
+def edge_list(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The edges i < j of A in row-major order, as ``nonzero(triu(A, 1))``
+    lists them, read off one flat scan."""
+    return np.divmod(np.flatnonzero(np.triu(A, 1)), len(A))
 
-    def __init__(self, seed: int):
-        self.state = seed & MASK64
 
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
+_GAMMA = 0x9E3779B97F4A7C15
 
-    def randbelow(self, n: int) -> int:
-        lim = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = self.next_u64()
-            if v < lim:
-                return v % n
+
+def splitmix_below(seed: int, n: int, count: int) -> np.ndarray:
+    """``count`` uint64 draws below n from the SplitMix64 stream of seed.
+
+    Raw output k (k = 1, 2, ...) mixes the state seed + k * 0x9E3779B97F4A7C15
+    mod 2^64.  A raw draw at or above the largest multiple of n that fits in
+    64 bits is rejected and the next one taken, so the draws are unbiased and
+    deterministic across platforms.  The stream is mixed in uint64 arrays,
+    whose products wrap mod 2^64.
+    """
+    top = np.uint64(MASK64 - (1 << 64) % n)   # the largest accepted raw draw
+    out: List[np.ndarray] = []
+    need, k0 = count, 0
+    while True:
+        m = need + 16             # raw draws, with a few spare for rejections
+        z = np.uint64(seed & MASK64) + np.arange(k0 + 1, k0 + m + 1, dtype=np.uint64) \
+            * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        z = z[z <= top][:need]
+        out.append(z % np.uint64(n))
+        need -= len(z)
+        k0 += m
+        if not need:
+            return np.concatenate(out)
 
 
 # -- census --------------------------------------------------------------------
@@ -173,8 +194,30 @@ def lowest_set_bits(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def upper_pairs(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The adjacent pairs w < z of each group of packed rows, in row-major
+    order, as ``nonzero(triu(S, 1))`` lists them.
+
+    P[e, w] is row w of group e's adjacency S, as `pack_rows` packs it into
+    one word (at most 64 rows a group).  Each row keeps only its bits above
+    w, and the positions of those bits are read lowest first.  Returns the
+    flat indices into ``P.ravel()`` of rows w and z, pair by pair.
+    """
+    B, n = P.shape
+    U = P & _ABOVE[:n]
+    up = np.bitwise_count(U)
+    Z = lowest_set_bits(U, int(up.max(initial=0)))
+    w = np.repeat(np.arange(B * n), up.ravel())
+    z = np.repeat(np.arange(0, B * n, n), up.sum(axis=1, dtype=np.intp)) + Z[Z < 64]
+    return w, z
+
+
 def _values(x: np.ndarray) -> List[int]:
-    """The distinct values of an array of small non-negative integers."""
+    """The distinct values of an array of small non-negative integers.  A
+    law that holds leaves one value, which two reductions find."""
+    lo, hi = int(x.min()), int(x.max())
+    if lo == hi:
+        return [lo]
     return np.flatnonzero(np.bincount(x.ravel())).tolist()
 
 
@@ -244,15 +287,16 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
     q = model.ctx.q
     ndeg = model.ctx.n
     n_odd = ndeg % 2 == 1
-    tp = gx.tangency_point
-    iu, ju = np.nonzero(np.triu(A, 1))
+    V = len(A)
+    Af = A.ravel()
+    tpf = gx.tangency_point.ravel()
+    iu, ju = edge_list(A)
     E = len(iu)
 
     if mode == "sampled":
         if seed is None or n_samples is None:
             raise ValueError("sampled mode needs seed and n_samples")
-        sm = SplitMix64(seed)
-        edge_sel = np.array([sm.randbelow(E) for _ in range(n_samples)])
+        edge_sel = splitmix_below(seed, E, n_samples).astype(np.intp)
     elif mode == "full":
         edge_sel = np.arange(E)
     else:
@@ -283,15 +327,17 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         C = A[a] & A[b]
         if not (C.sum(axis=1) == lam).all():
             raise AssertionError("common neighbour count differs from lambda")
-        Ci = np.nonzero(C)[1].reshape(B, lam)
-        t_ab = tp[a, b][:, None]
-        on_pencil = (tp[a[:, None], Ci] == t_ab) & (tp[b[:, None], Ci] == t_ab)
+        # every row holds lam common neighbours, so the flat scan reshapes
+        Ci = np.flatnonzero(C).reshape(B, lam) - (np.arange(B) * V)[:, None]
+        aV, bV = a * V, b * V
+        t_ab = tpf[aV + b][:, None]
+        on_pencil = (tpf[aV[:, None] + Ci] == t_ab) & (tpf[bV[:, None] + Ci] == t_ab)
         if not (on_pencil.sum(axis=1) == n_r).all():
             raise AssertionError("pencil completion count differs from q-2")
         Wi = Ci[~on_pencil].reshape(B, n_nl)
         if n_r:
             Ri = Ci[on_pencil].reshape(B, n_r)
-            cross = A[Ri[:, :, None], Wi[:, None, :]]
+            cross = Af[(Ri * V)[:, :, None] + Wi[:, None, :]]
             if cross.any():
                 no_mixed = False
                 eb, ei, ej = np.argwhere(cross)[0]
@@ -302,7 +348,7 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         tot_nl3 += B * n_nl
 
         # P[e, i] holds row i of the completion adjacency S = A[Wi][:, Wi]
-        P = pack_rows(A[Wi[:, :, None], Wi[:, None, :]])[..., 0]
+        P = pack_rows(Af[(Wi * V)[:, :, None] + Wi[:, None, :]])[..., 0]
         rows = np.bitwise_count(P)
         obs_3to4.update(_values(rows))
         if not (rows == q + 1).all() and counterexample is None:
@@ -313,20 +359,18 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         tot_pairs4 += int(rows.sum()) // 2
 
         if collect:
-            rsel, csel = np.nonzero(Wi > b[:, None])
-            tris.append(np.stack([a[rsel], b[rsel], Wi[rsel, csel]], axis=1))
+            keep = Wi > b[:, None]
+            tris.append(np.stack([np.broadcast_to(a[:, None], Wi.shape)[keep],
+                                  np.broadcast_to(b[:, None], Wi.shape)[keep],
+                                  Wi[keep]], axis=1))
 
-        # adjacent completion pairs w < z in row-major order, as nonzero(triu(S))
-        # lists them; an exhausted row's sentinel 64 is never below n_nl
-        Z = lowest_set_bits(P, int(rows.max()))
-        bb, ww, rr = np.nonzero((Z > np.arange(n_nl)[:, None]) & (Z < n_nl))
-        if len(bb) != B * s_edges:
+        # adjacent completion pairs w < z, as flat rows of P
+        wrow, zrow = upper_pairs(P)
+        if len(wrow) != B * s_edges:
             raise AssertionError("adjacent-pair count among completions not uniform")
-        zz = Z[bb, ww, rr].reshape(B, s_edges)
-        ww = ww.reshape(B, s_edges)
-        Pf = P.ravel()
-        row0 = (np.arange(B) * n_nl)[:, None]
-        X = Pf[row0 + ww] & Pf[row0 + zz]   # completions adjacent to w and z
+        wrow, zrow = wrow.reshape(B, s_edges), zrow.reshape(B, s_edges)
+        Pf, Wf = P.ravel(), Wi.ravel()
+        X = Pf[wrow] & Pf[zrow]             # completions adjacent to w and z
         col = np.bitwise_count(X)           # 5-extension count of each 4-clique
         obs_4to5.update(_values(col))
         want5 = 2 if n_odd else 0
@@ -334,13 +378,12 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
             eb, ei = np.argwhere(col != want5)[0]
             counterexample = {"kind": "four_clique_five_extension",
                               "clique": [int(a[eb]), int(b[eb]),
-                                         int(Wi[eb, ww[eb, ei]]), int(Wi[eb, zz[eb, ei]])],
+                                         int(Wf[wrow[eb, ei]]), int(Wf[zrow[eb, ei]])],
                               "got": int(col[eb, ei])}
         tot_five += int(col.sum())
 
         if collect:
-            wv = Wi[np.arange(B)[:, None], ww]
-            zv = Wi[np.arange(B)[:, None], zz]
+            wv, zv = Wf[wrow], Wf[zrow]
             keep = wv > b[:, None]
             quads.append(np.stack([np.broadcast_to(a[:, None], wv.shape)[keep],
                                    np.broadcast_to(b[:, None], wv.shape)[keep],
@@ -354,7 +397,7 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         # X has bits y1 < y2 and row y1 has no bit y1 (A has no loops), so
         # P[y1] & X is nonzero exactly when y1 and y2 are adjacent
         y1 = lowest_set_bits(X, 1)[..., 0]
-        six = (Pf[row0 + y1] & X) != 0
+        six = (Pf[(np.arange(B) * n_nl)[:, None] + y1] & X) != 0
         obs_4to6.update(_values(six))
         if not six.all() and counterexample is None:
             eb, ei = np.argwhere(~six)[0]
@@ -425,7 +468,7 @@ def export_edges_csv(A: np.ndarray, path: str) -> None:
     """Write the edge list as CSV rows: ovoid id, ovoid id."""
     import csv
 
-    iu, ju = np.nonzero(np.triu(A, 1))
+    iu, ju = edge_list(A)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["ovoid_a", "ovoid_b"])

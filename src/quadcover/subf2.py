@@ -28,7 +28,7 @@ to the dodecade census.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,34 +129,47 @@ def f2_closure(model: QuadricModel, vectors: Sequence[Vec]) -> F2Span:
 
     A new vector is independent exactly when it is not already a subset sum
     of the current basis; rank beyond 6 or a projective collision between
-    sums marks the span as failed (reported, not raised).
+    sums marks the span as failed (reported, not raised).  The form is
+    carried along the sums: f(s + v) = f(s) + f(v) + alpha(s, v), where
+    alpha(s, v) sums alpha(b, v) over the basis vectors b in s, so f is
+    evaluated on the basis only.  A scale leaves f = 0 unchanged, so the
+    quadric points are the normalized sums with f = 0.
     """
     if not vectors:
         raise ValueError("empty input")
     ctx = model.ctx
     basis: List[Vec] = []
-    sums: Set[Vec] = set()
+    # f of each subset sum, the zero sum included, keyed in basis-mask order
+    forms: Dict[Vec, int] = {(0,) * 6: 0}
     failure = None
     for v in vectors:
         v = tuple(int(x) for x in v)
         if not any(v):
             failure = {"reason": "zero vector in input", "vector": v}
             break
-        if v in sums:
+        if v in forms:
             continue
         if len(basis) == 6:
             failure = {"reason": "rank exceeds 6", "vector": v}
             break
+        # alpha(s, v) for each mask s, one basis vector at a time
+        alphas = [0]
+        for u in basis:
+            au = model.alpha_scalar(u, v)
+            alphas += [x ^ au for x in alphas]
+        fv = model.f_scalar(v)
+        forms.update({tuple(a ^ b for a, b in zip(s, v)): f ^ fv ^ x
+                      for (s, f), x in zip(list(forms.items()), alphas)})
         basis.append(v)
-        new = {tuple(a ^ b for a, b in zip(s, v)) for s in sums}
-        sums |= new | {v}
-    sums_t = tuple(sorted(sums))
-    points = tuple(sorted({normalize_tuple(ctx, s) for s in sums_t}))
+    del forms[(0,) * 6]
+    sums_t = tuple(sorted(forms))
+    norm = {s: normalize_tuple(ctx, s) for s in sums_t}
+    points = tuple(sorted(set(norm.values())))
     ok = failure is None
     if ok and len(points) != len(sums_t):
         ok = False
         failure = {"reason": "subset sums collide projectively"}
-    quadric = tuple(p for p in points if model.f_scalar(p) == 0)
+    quadric = tuple(sorted({norm[s] for s, f in forms.items() if f == 0}))
     return F2Span(basis=tuple(basis), sums=sums_t, points=points,
                   quadric_points=quadric, ok=ok, failure=failure)
 

@@ -5,8 +5,10 @@ search.
 Kept only as an oracle for the diff tests in `test_cliquecensus.py`.  It
 gathers the completion adjacency S as a dense boolean array, lists adjacent
 completion pairs with ``nonzero(triu(S))`` and counts the 4->5 and 4->6
-extensions through a dense ``B x q^2 x q^2(q+1)/2`` gather.  Edge selection,
-checks, counterexamples and the report are those of the shipped kernel.
+extensions through a dense ``B x q^2 x q^2(q+1)/2`` gather.  It lists the
+edges with ``nonzero(triu(A, 1))`` and draws sampled edges one at a time
+from the scalar `SplitMix64`, the stream the shipped kernel draws in arrays.
+Checks, counterexamples and the report are those of the shipped kernel.
 
 `maximal_cliques` lists every maximal clique by a pivoting search on bitmask
 rows; its size histograms cross-check the census spectrum on small graphs
@@ -21,8 +23,8 @@ import numpy as np
 
 from quadcover.cliquecensus import (
     BATCH,
+    MASK64,
     CensusReport,
-    SplitMix64,
     formula_n3,
     formula_n4,
     formula_n5,
@@ -30,6 +32,28 @@ from quadcover.cliquecensus import (
     rosette_maximality,
 )
 from quadcover.ovoid import OvoidGeometry
+
+
+class SplitMix64:
+    """Tiny 64-bit split-mix generator; deterministic across platforms.  One
+    scalar draw at a time, the stream `splitmix_below` draws in arrays."""
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def randbelow(self, n: int) -> int:
+        lim = (1 << 64) - ((1 << 64) % n)
+        while True:
+            v = self.next_u64()
+            if v < lim:
+                return v % n
 
 
 def boolean_census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",

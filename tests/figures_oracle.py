@@ -14,14 +14,15 @@ Kept as the reference the figure layer is diffed against:
   (`_line_meet`);
 * the closure spans the scaled vertices together with every edge point
   and, for a cube, the face point (`closure_vectors`, `face_point`), each
-  checked to be on the quadric;
+  checked to be on the quadric, and evaluates the form on every point of
+  the span (`f2_closure`);
 * the recognition checks the quadrangle axiom point by point and line by
   line (`recognize_subgeometry`).
 
 `fundamental_cube` builds the cube on the standard quadrangle with a given
 center, which need not be the nucleus, and checks it in full here.
-Everything else (labels, the parametric cube vertices and the F2 span) is
-imported from the package unchanged.
+Everything else (labels and the parametric cube vertices) is imported from
+the package unchanged.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from quadcover.figures import (KIND_BY_SIZE, SIZE_BY_KIND, CentricFigure, CubePa
 from quadcover.gf2n import FieldCtx, conic_solution_set, solve_artin_schreier
 from quadcover.projgeom import Vec, normalize_tuple, null_space, vec_add, vec_scale
 from quadcover.quadric import QuadricModel, second_intersection
-from quadcover.subf2 import _SIGNATURES, F2Span, SubgeometryReport, f2_closure
+from quadcover.subf2 import _SIGNATURES, F2Span, SubgeometryReport
 
 
 def mat_vec(ctx: FieldCtx, m: Sequence[Sequence[int]], v: Sequence[int]) -> Vec:
@@ -563,6 +564,44 @@ def closure_vectors(model: QuadricModel, fig: CentricFigure) -> List[Vec]:
     if fig.kind == "dodecade":
         return list(scaled)
     raise ValueError(f"no closure construction for kind {fig.kind!r}")
+
+
+def f2_closure(model: QuadricModel, vectors: Sequence[Vec]) -> F2Span:
+    """Greedy subset-sum span of a vector family, the form evaluated on
+    every normalized point of it.
+
+    A new vector is independent exactly when it is not already a subset sum
+    of the current basis; rank beyond 6 or a projective collision between
+    sums marks the span as failed (reported, not raised).
+    """
+    if not vectors:
+        raise ValueError("empty input")
+    ctx = model.ctx
+    basis: List[Vec] = []
+    sums: Set[Vec] = set()
+    failure = None
+    for v in vectors:
+        v = tuple(int(x) for x in v)
+        if not any(v):
+            failure = {"reason": "zero vector in input", "vector": v}
+            break
+        if v in sums:
+            continue
+        if len(basis) == 6:
+            failure = {"reason": "rank exceeds 6", "vector": v}
+            break
+        basis.append(v)
+        new = {tuple(a ^ b for a, b in zip(s, v)) for s in sums}
+        sums |= new | {v}
+    sums_t = tuple(sorted(sums))
+    points = tuple(sorted({normalize_tuple(ctx, s) for s in sums_t}))
+    ok = failure is None
+    if ok and len(points) != len(sums_t):
+        ok = False
+        failure = {"reason": "subset sums collide projectively"}
+    quadric = tuple(p for p in points if model.f_scalar(p) == 0)
+    return F2Span(basis=tuple(basis), sums=sums_t, points=points,
+                  quadric_points=quadric, ok=ok, failure=failure)
 
 
 def recognize_subgeometry(model: QuadricModel, span: F2Span,

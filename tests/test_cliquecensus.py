@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from census_oracle import (
+    SplitMix64,
     bk_neighborhood_spectrum,
     bk_spectrum,
     boolean_census,
@@ -15,8 +16,8 @@ from census_oracle import (
 )
 from ovoid_oracle import loop_rosette_maximality
 from quadcover.cliquecensus import (
-    SplitMix64,
     census,
+    edge_list,
     export_edges_csv,
     formula_n3,
     formula_n4,
@@ -26,6 +27,8 @@ from quadcover.cliquecensus import (
     lowest_set_bits,
     pack_rows,
     rosette_maximality,
+    splitmix_below,
+    upper_pairs,
     verify_srg,
 )
 
@@ -242,6 +245,76 @@ def test_lowest_set_bits_against_nonzero():
             assert (p[c:] == 64).all()   # the sentinel fills only exhausted slots
             # census keeps positions below the row width: exactly the set bits
             np.testing.assert_array_equal(p[p < w], np.nonzero(row)[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1288, 2**64 - 1])
+def test_splitmix_draws_match_the_scalar_stream(seed):
+    n = 458640                     # the edge count at q = 8
+    sm = SplitMix64(seed)
+    assert splitmix_below(seed, n, 5000).tolist() == [sm.randbelow(n) for _ in range(5000)]
+
+
+def test_splitmix_draws_at_the_extreme_bounds():
+    assert splitmix_below(7, 1, 300).tolist() == [0] * 300
+    assert len(splitmix_below(7, 458640, 0)) == 0
+    # 2^64 mod n = 2^63 - 1: raw draws at or above n are rejected, about
+    # half of them; the state counts the raw draws
+    n = 2**63 + 1
+    sm = SplitMix64(1288)
+    want = [sm.randbelow(n) for _ in range(2000)]
+    raw = (sm.state - 1288) * pow(0x9E3779B97F4A7C15, -1, 2**64) % 2**64
+    assert 1800 < raw - 2000 < 2200
+    got = splitmix_below(1288, n, 2000)
+    assert got.dtype == np.uint64 and got.tolist() == want
+
+
+def _irregular(A, geom):
+    """A copy of A with a pencil completion and a non-linear completion of
+    edge 0 joined, as in `test_census_reports_a_mixed_four_clique`, the
+    first pencil pair cleared and a loop at vertex 5: no longer regular, nor
+    simple."""
+    _, _, R, W = _edge(A, geom, 0)
+    A = A.copy()
+    A[[R[0], W[0]], [W[0], R[0]]] = True
+    a, b = geom.pencil_members[0, :2]
+    A[[a, b], [b, a]] = False
+    A[5, 5] = True
+    assert len(set(A.sum(axis=1).tolist())) > 1
+    return A
+
+
+@pytest.mark.parametrize("tname", ["tg_q2", "tg_q4", "tg_q8", "irregular_q4"])
+def test_edge_list_matches_nonzero_triu(request, tname):
+    if tname == "irregular_q4":
+        A = _irregular(request.getfixturevalue("tg_q4"), request.getfixturevalue("geom_q4"))
+    else:
+        A = request.getfixturevalue(tname)
+    got, want = edge_list(A), np.nonzero(np.triu(A, 1))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [16, 64])             # completions at q = 4 and q = 8
+def test_upper_pairs_against_nonzero_triu(n):
+    rng = np.random.default_rng(n)
+    S = np.triu(rng.random((40, n, n)) < rng.random((40, 1, 1)), 1)  # densities 0..1
+    S[0] = False                                          # no pair at all
+    S[1] = np.triu(np.ones((n, n), dtype=bool), 1)        # every pair
+    S[2, :, n // 2:] = False                              # rows from n/2 on: no bit above
+    S[3] = np.eye(n, k=1, dtype=bool)                     # one pair per row but the last
+    S[4, :, n - 1] = True                                 # the last row is full below
+    S |= S.transpose(0, 2, 1)
+    S[:, np.arange(n), np.arange(n)] = False
+    P = pack_rows(S)[..., 0]
+    w, z = upper_pairs(P)
+    bb, ww, zz = np.nonzero(np.triu(S, 1))
+    np.testing.assert_array_equal(w, bb * n + ww)
+    np.testing.assert_array_equal(z, bb * n + zz)
+    # rows with no bits above them give no pair, row n - 1 among them
+    empty = ~np.triu(S, 1).any(axis=2)
+    assert empty[:, n - 1].all() and empty[0].all() and empty[2, n // 2:].all()
+    assert not np.isin(np.flatnonzero(empty), w).any()
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 240, 4032])

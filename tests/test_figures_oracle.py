@@ -99,6 +99,25 @@ def test_recognition_matches_the_scalar_oracle_off_signature(model_q4):
     assert {"none", "Q42"} <= tags
 
 
+@pytest.mark.parametrize("mname", ["model_q2", "model_q4", "model_q8"])
+def test_span_forms_match_the_per_point_oracle(request, mname):
+    """The form carried along the subset sums marks the same quadric points
+    as the oracle's form on every point, failed spans included."""
+    model = request.getfixturevalue(mname)
+    q = model.ctx.q
+    e = [tuple(int(i == j) for i in range(6)) for j in range(6)]
+    rng = np.random.default_rng(q)
+    families = [e, e[:3], e[1:5], e + [e[0]], [e[0], (0,) * 6],
+                [e[0], e[1], tuple(q - 1 if i == 0 else 0 for i in range(6))]]
+    families += [[tuple(int(x) for x in rng.integers(0, q, 6)) for _ in range(k)]
+                 for k in (1, 2, 3, 4, 5, 6, 7) for _ in range(6)]
+    points = enumerate_points(model.ctx)
+    families += [[tuple(points[i]) for i in rng.choice(len(points), size=k, replace=False)]
+                 for k in (3, 4, 5, 6) for _ in range(6)]
+    for vecs in families:
+        assert subf2.f2_closure(model, vecs) == old.f2_closure(model, vecs)
+
+
 def test_frame_coordinates_invert_the_frame(model_q4, cov_q4, census_q4):
     """to_frame by pairings is the inverse of from_frame, as the oracle's
     Gauss-Jordan inverse is, on every quadric point."""
