@@ -67,8 +67,8 @@ def canonical_covering(model: QuadricModel, gx: OvoidGeometry) -> CoveringMap:
     orbits = gx.ovoid_orbit
     # both orbit points must have the same perpendicular section
     sect = model.section_points
-    if not np.array_equal(model.gram[np.ix_(orbits[:, 0], sect)] == 0,
-                          model.gram[np.ix_(orbits[:, 1], sect)] == 0):
+    if not np.array_equal(model.collinear(orbits[:, 0], sect),
+                          model.collinear(orbits[:, 1], sect)):
         raise AssertionError("elation orbit points have different perp sections")
     point_image = np.full(model.n_points, -1, dtype=np.int32)
     point_image[orbits] = np.arange(len(orbits), dtype=np.int32)[:, None]
@@ -193,7 +193,7 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
     A's fiber is collinear with some point of B's fiber."""
     geom = cov.geom
     pts = cov.point_fiber.ravel()
-    Z = cov.model.gram[np.ix_(pts, pts)] == 0   # index 2i + j: point j over ovoid i
+    Z = cov.model.collinear(pts, pts)   # index 2i + j: point j over ovoid i
     cross = Z[0::2, 0::2] | Z[0::2, 1::2] | Z[1::2, 0::2] | Z[1::2, 1::2]
     agree = cross == geom.adjacency
     np.fill_diagonal(agree, True)
@@ -205,7 +205,7 @@ def _affine_collinearity(model: QuadricModel) -> np.ndarray:
     """Collinearity matrix of the affine points, over their dense indices
     (positions in ``model.affine_points``)."""
     aff = model.affine_points
-    A = model.gram[np.ix_(aff, aff)] == 0
+    A = model.collinear(aff, aff)
     np.fill_diagonal(A, False)
     return A
 
@@ -238,7 +238,7 @@ def fiber_distances(cov: CoveringMap) -> dict:
     n = len(A)
     P = pack_rows(A)
     w = P.shape[1]
-    deg = A.sum(axis=1)
+    deg = np.bitwise_count(P).sum(axis=1, dtype=np.intp)
     nbr = np.flatnonzero(A)
     nbr %= n                                    # neighbours, row after row
     start = np.concatenate(([0], np.cumsum(deg)))

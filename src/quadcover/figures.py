@@ -167,10 +167,10 @@ def _check_pairs(model: QuadricModel, pairs: Sequence[Tuple[int, int]], center: 
     points with a new one.  So the first failure raises ValueError with the
     reason the full check gives.
 
-    Collinearity of quadric points is read from ``model.gram``.  The center
-    is off Q, so the line through a pair's first point and the center meets
-    Q in at most one other point: the pair is concurrent with the center
-    exactly when that point is the second one.
+    Collinearity of the figure's points is read once, as one block of
+    ``model.collinear``.  The center is off Q, so the line through a pair's
+    first point and the center meets Q in at most one other point: the pair
+    is concurrent with the center exactly when that point is the second one.
     """
     pts = [i for p in pairs for i in p]
     if len(set(pts)) != len(pts):
@@ -181,26 +181,26 @@ def _check_pairs(model: QuadricModel, pairs: Sequence[Tuple[int, int]], center: 
         if second_intersection(model, model.point(a), center) != model.point(b):
             raise ValueError(f"pair ({a},{b}) not concurrent with the center")
 
-    g = model.gram
+    coll = model.collinear(pts, pts).tolist()
     ra, rb = pairs[0]
     if k == 0:
         row[ra], row[rb] = 0, 1
-    for a, b in pairs[max(k, 1):]:
-        for x in (a, b):
-            hits = not g[x, ra], not g[x, rb]
-            if hits == (True, False):
-                row[x] = 1
-            elif hits == (False, True):
-                row[x] = 0
-            else:
-                raise ValueError(f"point {x} sees the reference pair {hits}")
-        if row[a] == row[b]:
-            raise ValueError(f"pair ({a},{b}) landed in one row")
+    for i in range(2 * max(k, 1), len(pts)):
+        x = pts[i]
+        hits = coll[i][0], coll[i][1]
+        if hits == (True, False):
+            row[x] = 1
+        elif hits == (False, True):
+            row[x] = 0
+        else:
+            raise ValueError(f"point {x} sees the reference pair {hits}")
+        if i % 2 and row[pts[i - 1]] == row[x]:
+            raise ValueError(f"pair ({pts[i - 1]},{x}) landed in one row")
     # pts[i] and pts[j] are partners exactly when i // 2 == j // 2
     for i, u in enumerate(pts):
         for j in range(max(i + 1, 2 * k), len(pts)):
             v = pts[j]
-            if (g[u, v] == 0) != (i // 2 != j // 2 and row[u] != row[v]):
+            if coll[i][j] != (i // 2 != j // 2 and row[u] != row[v]):
                 raise ValueError(f"adjacency mismatch at ({u},{v})")
     return (tuple(sorted(x for x in pts if row[x] == 0)),
             tuple(sorted(x for x in pts if row[x] == 1)))

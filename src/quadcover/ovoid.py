@@ -92,7 +92,7 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
         raise AssertionError(f"{n_ov} ovoids, expected {q * q * (q * q - 1) // 2}")
     sect = model.section_points
     n_q0 = len(sect)
-    member = model.gram[np.ix_(reps, sect)] == 0
+    member = model.collinear(reps, sect)
     if (member.sum(axis=1) != q * q + 1).any():
         raise AssertionError("perp section has the wrong size")
     geom.member_matrix = member
@@ -221,7 +221,7 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     del union
 
     sect = model.section_points
-    perp = np.packbits(model.gram[np.ix_(sect, sect)] == 0, axis=1)
+    perp = np.packbits(model.collinear(sect, sect), axis=1)
     for lo in range(0, len(a), 1 << 15):
         meets = on_ovoid[a[lo:lo + (1 << 15)]] & perp[base[lo:lo + (1 << 15)]]
         if (np.bitwise_count(meets).sum(axis=1) != 1).any():

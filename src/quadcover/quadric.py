@@ -39,7 +39,8 @@ class QuadricModel:
         line, rows in ascending order.
     lines_through : (|Q|, q^2+1) int32 array, the ascending ids of the lines
         through each point.
-    gram : (|Q|, |Q|) uint8 array of pairwise bilinear-form values.
+    gram : (|Q|, |Q|) uint8 array of pairwise bilinear-form values.  Blocks
+        of it are read as collinearity through `collinear`.
     in_section : boolean mask of points lying in the hyperplane {x6 = 0}.
     section_points / affine_points : ascending int32 arrays of the point
         indices on the two sides of the split.
@@ -93,6 +94,13 @@ class QuadricModel:
     @property
     def n_points(self) -> int:
         return len(self.coords)
+
+    def collinear(self, rows, cols) -> np.ndarray:
+        """The boolean block [alpha(x, y) == 0] over point indices x in rows
+        and y in cols: collinearity for two quadric points.  A row take then
+        a column take, which gathers faster than ``gram[np.ix_(rows, cols)]``.
+        The diagonal of a square block is True, as alpha(x, x) = 0."""
+        return np.take(np.take(self.gram, rows, axis=0), cols, axis=1) == 0
 
 
 def _f_vectorized(ctx: FieldCtx, lam: int, coords: np.ndarray) -> np.ndarray:
@@ -195,7 +203,7 @@ def _build_lines(model: QuadricModel) -> None:
     for p in range(5, 0, -1):           # points with a larger pivot sort first
         X = np.flatnonzero(piv == p)
         K = np.flatnonzero((piv < p) & (c[:, p] == 0))
-        i, j = np.nonzero(gram[np.ix_(X, K)] == 0)
+        i, j = np.nonzero(model.collinear(X, K))
         xs.append(X[i])
         ks.append(K[j])
     x, k = np.concatenate(xs), np.concatenate(ks)

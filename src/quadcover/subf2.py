@@ -195,7 +195,7 @@ def recognize_subgeometry(model: QuadricModel, span: F2Span,
     three binary quadric signatures, and the generalized-quadrangle axiom
     (a point off a line sees exactly one of its points) is checked for the
     matched order.  Collinearity and the lines are read from the model's
-    ``gram``, ``lines`` and ``lines_through``.
+    ``collinear``, ``lines`` and ``lines_through``.
     """
     ctx = model.ctx
     idx = [model.index_of(p) for p in span.quadric_points]
@@ -228,7 +228,7 @@ def recognize_subgeometry(model: QuadricModel, span: F2Span,
     if deg_profile != (t_ord + 1,):
         return report
     # hits[x, l]: points of line l collinear with x, which must be one for x off l
-    hits = (model.gram[np.ix_(idx, idx)] == 0).astype(np.int64) @ inc
+    hits = model.collinear(idx, idx).astype(np.int64) @ inc
     if ((hits != 1) & (inc == 0)).any():
         return report
     report.type_tag = tag

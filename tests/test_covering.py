@@ -22,6 +22,7 @@ from quadcover.covering import (
     verify_adjacency_oracle,
     verify_covering,
 )
+from quadcover.quadric import QuadricModel
 
 
 @pytest.mark.parametrize("name", ["cov_q2", "cov_q4"])
@@ -260,6 +261,48 @@ def test_tangency_matches_cross_fiber_collinearity(request, name):
     assert rep == {"pass": True, "pairs_checked": v * (v - 1) // 2}
 
 
+def _with_gram(cov, edit):
+    # a model copy whose gram is edited in place by edit(gram)
+    model = copy.copy(cov.model)
+    model.gram = cov.model.gram.copy()
+    edit(model.gram)
+    return replace(cov, model=model)
+
+
+def _collinear_non_tangent(cov):
+    # one cross-fibre pair of two non-tangent ovoids made collinear
+    adj = cov.geom.adjacency
+    i, j = (int(t) for t in np.argwhere(~adj & ~np.eye(len(adj), dtype=bool))[0])
+    x, y = cov.point_fiber[i, 0], cov.point_fiber[j, 1]
+    assert cov.model.gram[x, y] != 0
+
+    def edit(gram):
+        gram[x, y] = gram[y, x] = 0
+    return _with_gram(cov, edit)
+
+
+def _separated_tangent(cov):
+    # every cross-fibre collinearity of one tangent pair cleared
+    i, j = (int(t) for t in np.argwhere(cov.geom.adjacency)[0])
+    block = np.ix_(cov.point_fiber[i], cov.point_fiber[j])
+    assert (cov.model.gram[block] == 0).any()
+
+    def edit(gram):
+        gram[block] = np.where(gram[block] == 0, 1, gram[block])
+        gram.T[block] = gram[block]
+    return _with_gram(cov, edit)
+
+
+@pytest.mark.parametrize("corrupt", [_collinear_non_tangent, _separated_tangent],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_adjacency_oracle_reports_a_corrupted_gram(cov_q4, corrupt):
+    bad = corrupt(cov_q4)
+    changed = bad.model.gram != cov_q4.model.gram
+    assert changed.any() and (changed == changed.T).all()
+    rep = verify_adjacency_oracle(bad)
+    assert rep == {"pass": False, "pairs_checked": 120 * 119 // 2}
+
+
 @pytest.mark.parametrize("name", ["cov_q2", "cov_q4", "cov_q8"])
 def test_fiber_points_sit_at_distance_three(request, name):
     cov = request.getfixturevalue(name)
@@ -299,8 +342,73 @@ def _graph_covering(adj, partners):
     aff = np.arange(0, 2 * n, 2)
     gram = np.ones((2 * n + 3,) * 2, dtype=np.uint8)
     gram[np.ix_(aff, aff)] = ~adj
-    model = SimpleNamespace(gram=gram, affine_points=aff)
+    model = QuadricModel(ctx=None, lam=0)       # only gram and the affine points
+    model.gram, model.affine_points = gram, aff
     return SimpleNamespace(model=model, point_fiber=aff[np.array(partners)])
+
+
+def _call_site_blocks(cov):
+    """The (rows, cols) index arrays of the collinearity blocks that the
+    package reads: affine points, fibre order, orbit rows x section, ovoid
+    representatives x section, section x section, and the line search's
+    pivot classes."""
+    model = cov.model
+    aff, sect, fib = model.affine_points, model.section_points, cov.point_fiber
+    yield aff, aff
+    yield fib.ravel(), fib.ravel()
+    yield fib[:, 0], sect
+    yield fib[:, 1], sect
+    yield aff[model.elation_perm[aff] > aff], sect
+    yield sect, sect
+    piv = (model.coords != 0).argmax(axis=1)
+    for p in range(1, 6):
+        yield (np.flatnonzero(piv == p),
+               np.flatnonzero((piv < p) & (model.coords[:, p] == 0)))
+
+
+def _odd_blocks(n, rng):
+    """Unsorted, repeated and empty index arrays over n points, and a list."""
+    yield rng.permutation(n), rng.permutation(n)[: n // 3]
+    yield rng.integers(0, n, 50), rng.integers(0, n, 7)
+    yield np.array([], dtype=np.intp), rng.integers(0, n, 5)
+    yield rng.integers(0, n, 5), np.array([], dtype=np.intp)
+    yield [3, 1, 3, 0], [0, 0, 2]
+
+
+def _assert_collinear_matches_ix(model, blocks):
+    for rows, cols in blocks:
+        for dtype in (np.int32, np.intp):
+            r, c = np.asarray(rows, dtype=dtype), np.asarray(cols, dtype=dtype)
+            got = model.collinear(r, c)
+            assert got.dtype == bool
+            assert np.array_equal(got, model.gram[np.ix_(r, c)] == 0)
+        assert np.array_equal(model.collinear(rows, cols),
+                              model.gram[np.ix_(rows, cols)] == 0)
+
+
+@pytest.mark.parametrize("name", ["cov_q2", "cov_q4", "cov_q8"])
+def test_collinear_matches_the_ix_gather(request, name):
+    cov = request.getfixturevalue(name)
+    model = cov.model
+    rng = np.random.default_rng(17)
+    _assert_collinear_matches_ix(model, _call_site_blocks(cov))
+    _assert_collinear_matches_ix(model, _odd_blocks(model.n_points, rng))
+    # alpha(x, x) = 0: a square block is True on its diagonal
+    assert model.collinear(model.affine_points, model.affine_points).diagonal().all()
+
+
+def test_collinear_matches_the_ix_gather_on_a_synthetic_gram():
+    rng = np.random.default_rng(17)
+    adj = rng.random((40, 40)) < 0.3
+    adj = np.triu(adj, 1) | np.triu(adj, 1).T
+    model = _graph_covering(adj, [(0, 1)]).model
+    aff = model.affine_points
+    _assert_collinear_matches_ix(model, [(aff, aff), (aff[::-1], np.arange(len(model.gram)))])
+    _assert_collinear_matches_ix(model, _odd_blocks(len(model.gram), rng))
+    assert np.array_equal(model.collinear(aff, aff), adj)
+    # an asymmetric gram tells rows from columns
+    model.gram = rng.integers(0, 3, (30, 30)).astype(np.uint8)
+    _assert_collinear_matches_ix(model, _odd_blocks(30, rng))
 
 
 def _path(n):

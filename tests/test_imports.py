@@ -180,3 +180,36 @@ def test_package_defines_only_what_commands_and_benchmark_reach():
                for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert sorted(f"{m}.{n}" for m, n in defined - reached) == []
+
+
+def _gram_ix_reads(tree: ast.Module) -> list:
+    """Source of each subscript that applies ``np.ix_`` to the Gram matrix:
+    to ``<expr>.gram``, or to a name bound to one."""
+    aliases = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "gram"
+               for t in node.targets if isinstance(t, ast.Name)}
+
+    def is_gram(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "gram")
+                or (isinstance(node, ast.Name) and node.id in aliases))
+
+    def has_ix(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "ix_" for n in ast.walk(node))
+
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and is_gram(node.value) and has_ix(node.slice)]
+
+
+def test_gram_ix_check_sees_direct_and_aliased_reads():
+    tree = ast.parse("a = m.gram[np.ix_(r, c)] == 0\n"
+                     "g = m.gram\nb = g[np.ix_(r, c)]\n"
+                     "g0 = m.gram == 0\nd = g0[np.ix_(r, r)]\ne = m.gram[r, c]\n")
+    assert sorted(_gram_ix_reads(tree)) == ["g[np.ix_(r, c)]", "m.gram[np.ix_(r, c)]"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_reads_gram_blocks_through_collinear(path):
+    """Every block of quadric-point collinearity is read through
+    `QuadricModel.collinear`, a row take then a column take, not through
+    numpy's two-index gather."""
+    assert _gram_ix_reads(ast.parse(path.read_text())) == []
