@@ -39,6 +39,7 @@ from .ovoid import OvoidGeometry, pencil_counts
 
 MASK64 = (1 << 64) - 1
 BATCH = 512                       # edges per vectorised census step
+SRG_BLOCK = 1 << 19               # common-neighbour counts per verify_srg step
 # _ABOVE[w] keeps the bits above bit w of a word
 _ABOVE = np.array([MASK64 ^ ((2 << w) - 1) for w in range(64)], dtype=np.uint64)
 
@@ -90,23 +91,29 @@ def build_tangency_graph(gx: OvoidGeometry) -> np.ndarray:
 
 def verify_srg(A: np.ndarray) -> dict:
     """Exhaustive strong-regularity check: common-neighbour counts on every
-    adjacent and non-adjacent pair, plus the feasibility identity."""
+    adjacent and non-adjacent pair, plus the feasibility identity.  A is a
+    symmetric boolean adjacency matrix."""
     n = len(A)
     deg = A.sum(axis=1)
     k = int(deg[0])
-    # C stays float32 (exact below 2^24) and is read through one small
-    # unsigned cast: at q = 8, larger temporaries here stayed resident in
-    # the heap after the call and raised the peak of the next large
-    # allocation
+    # The counts of pairs i <= j, one block of rows at a time: rows lo..hi
+    # against columns lo.. as one float32 product (exact below 2^24).  The
+    # blocks cover the upper triangle, half the flops of A @ A, and no V x V
+    # product is ever held.  Which counts occur on non-adjacent (row 0) and
+    # adjacent (row 1) pairs is read through one flat key per pair,
+    # count + (n + 1) * row, built in place.  Row 2 takes the diagonal,
+    # which is no pair unless A has a loop there.
     af = A.astype(np.float32)
-    C = af @ af
-    del af
-    # which counts occur on non-adjacent (row 0) and adjacent (row 1) pairs;
-    # row 2 takes the diagonal, which is no pair unless A has a loop there
-    kind = A.view(np.uint8).copy()
-    np.fill_diagonal(kind, 2 - kind.diagonal())
     seen = np.zeros((3, n + 1), dtype=bool)
-    seen[kind, C.astype(np.min_scalar_type(n))] = True
+    step = max(1, SRG_BLOCK // n)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        key = A[lo:hi, lo:].astype(np.min_scalar_type(3 * n + 2))
+        key *= n + 1
+        np.add(key, af[lo:hi] @ af[lo:].T, out=key, casting="unsafe")
+        diag = key.ravel()[::n - lo + 1]
+        np.add(diag, 2 * (n + 1), out=diag, where=~A.diagonal()[lo:hi])
+        seen.ravel()[key.ravel()] = True
     lam_vals = np.flatnonzero(seen[1]).tolist()
     mu_vals = np.flatnonzero(seen[0]).tolist()
     regular = bool((deg == k).all())

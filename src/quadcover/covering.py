@@ -7,6 +7,10 @@ infinity).  Sending an affine point to its perpendicular section and a
 punctured line to the pencil based at its infinity point is a 2-to-1 covering
 of the ovoid geometry; the fiber over an ovoid is exactly one elation orbit,
 and the quotient by orbits reproduces the ovoid geometry on the nose.
+
+Distances upstairs are read off the same lines: the lines through a point
+partition its neighbours, so a point's 2-step row is the OR over its lines
+of each line's neighbour row.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .cliquecensus import pack_rows
 from .ovoid import OvoidGeometry
 from .quadric import QuadricModel
 
-_CHUNK = 1 << 17                # uint64 words gathered per fiber_distances step
+_CHUNK = 1 << 16                # uint64 words gathered per fiber_distances step
 
 
 @dataclass(eq=False)
@@ -201,63 +205,106 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
             "pairs_checked": geom.n_ovoids * (geom.n_ovoids - 1) // 2}
 
 
-def _affine_collinearity(model: QuadricModel) -> np.ndarray:
-    """Collinearity matrix of the affine points, over their dense indices
-    (positions in ``model.affine_points``)."""
-    aff = model.affine_points
-    A = model.collinear(aff, aff)
-    np.fill_diagonal(A, False)
-    return A
-
-
 def _bits(words: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Bit cols[i] of packed row rows[i], as booleans."""
     shift = (cols & 63).astype(np.uint64)
     return ((words[rows, cols >> 6] >> shift) & np.uint64(1)).astype(bool)
 
 
-def _three_walks(P: np.ndarray, W2: np.ndarray, x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether a 3-walk joins x[i] to y[i] for every i: some neighbour of
-    x[i] is two steps from y[i].  Gathers at most _CHUNK words a step."""
+def _three_walks(P: np.ndarray, B2: np.ndarray, x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether some neighbour of x[i] is within two steps of y[i], for every
+    i: a 3-walk joining them, when x[i] and y[i] share no neighbour.
+    Gathers at most _CHUNK words a step."""
     step = max(1, _CHUNK // P.shape[1])
-    return all((P[x[k:k + step]] & W2[y[k:k + step]]).any(axis=1).all()
+    return all((P[x[k:k + step]] & B2[y[k:k + step]]).any(axis=1).all()
                for k in range(0, len(x), step))
+
+
+def _or_rows(rows: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = the OR of rows[index[i, j]] over j.  Each step takes at most
+    _CHUNK words into out and one preallocated buffer."""
+    buf = np.empty((max(1, _CHUNK // rows.shape[1]), rows.shape[1]), dtype=rows.dtype)
+    for lo in range(0, len(index), len(buf)):
+        hi = min(len(index), lo + len(buf))
+        np.take(rows, index[lo:hi, 0], axis=0, out=out[lo:hi])
+        for j in range(1, index.shape[1]):
+            out[lo:hi] |= np.take(rows, index[lo:hi, j], axis=0, out=buf[:hi - lo])
 
 
 def fiber_distances(cov: CoveringMap) -> dict:
     """Distance upstairs between the two points of every fiber, plus diameters.
 
-    Works on bit-packed rows of the collinearity matrix: P[x] holds the
-    neighbours of x and W2[x], the OR of P[z] over those neighbours, the
-    points two steps from x.  The two fiber points must be non-adjacent,
-    share no neighbour, and be joined by a 3-step walk (P[x1] & W2[x2] is
-    nonzero; collinearity is symmetric), and the whole graph must have
-    diameter exactly 3: some pair is more than two steps apart, and every
-    such far pair is joined by a 3-step walk."""
-    A = _affine_collinearity(cov.model)
-    n = len(A)
-    P = pack_rows(A)
-    w = P.shape[1]
-    deg = np.bitwise_count(P).sum(axis=1, dtype=np.intp)
-    nbr = np.flatnonzero(A)
-    nbr %= n                                    # neighbours, row after row
-    start = np.concatenate(([0], np.cumsum(deg)))
-    W2 = np.zeros_like(P)                       # a row without neighbours stays empty
-    step = max(1, _CHUNK // (w * max(1, int(deg.max()))))
+    Works on bit-packed rows of the affine collinearity graph, read through
+    the punctured lines.  P[x] holds the neighbours of x.  LN[l], the OR of
+    P over the q points of line l, holds the points within one step of l;
+    B2[x], the OR of LN over the q^2 + 1 lines through x, holds the points
+    within two steps of x.  Each point is on q^2 + 1 lines of q points, so
+    that is 2(q^2 + 1) row ORs a point, where the OR over its neighbours'
+    rows takes (q^2 + 1)(q - 1).  B2 is exact when the lines through each
+    point partition its neighbours.  That is checked on every block of rows
+    of P before any row is used, and a violation raises AssertionError.
+
+    The two fiber points must be more than two steps apart (bit x2 of
+    B2[x1] is clear) and joined by a 3-step walk (P[x1] & B2[x2] is
+    nonzero; collinearity is symmetric).  The whole graph must have diameter
+    exactly 3: some pair is more than two steps apart, and every such far
+    pair is joined by a 3-step walk."""
+    model = cov.model
+    aff = model.affine_points
+    n = len(aff)
+    dense = np.full(model.n_points, -1, dtype=np.intp)
+    dense[aff] = np.arange(n)
+    lines = dense[cov.lines]
+    if (lines < 0).any():
+        raise AssertionError("a punctured line holds a point off the affine part")
+    n_lines, k = lines.shape
+    # the lines through each point, point after point (a stable sort of
+    # 16-bit keys is a radix sort)
+    count = np.bincount(lines.ravel(), minlength=n)
+    start = np.concatenate(([0], np.cumsum(count)))
+    line_of = np.argsort(lines.ravel().astype(np.min_scalar_type(n)), kind="stable")
+    line_of //= k
+
+    # P, one block of rows at a time, each checked against the line-mates of
+    # its points: every line is a clique, every collinear pair is on a line,
+    # and the lines through a point meet only there
+    w = -(-n // 64)
+    P = np.empty((n, w), dtype=np.uint64)
+    step = max(1, 8 * _CHUNK // n)
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        has = deg[lo:hi] > 0
-        W2[lo:hi][has] = np.bitwise_or.reduceat(
-            P[nbr[start[lo]:start[hi]]], start[lo:hi][has] - start[lo], axis=0)
+        block = model.collinear(aff[lo:hi], aff)
+        mates = np.zeros_like(block)
+        at = np.repeat(np.arange(hi - lo) * n, count[lo:hi])
+        mates.ravel()[at[:, None] + lines[line_of[start[lo]:start[hi]]]] = True
+        diag = np.arange(hi - lo) * (n + 1) + lo
+        block.ravel()[diag] = mates.ravel()[diag] = False
+        if not np.array_equal(block, mates):
+            raise AssertionError("the punctured lines do not cover the "
+                                 "affine collinearity exactly")
+        P[lo:hi] = pack_rows(block)
+    if (np.bitwise_count(P).sum(axis=1, dtype=np.intp) != count * (k - 1)).any():
+        raise AssertionError("two lines through a point meet again")
 
-    x1, x2 = np.searchsorted(cov.model.affine_points, cov.point_fiber).T
-    fibers_at_3 = (not _bits(P, x1, x2).any() and not _bits(W2, x1, x2).any()
-                   and _three_walks(P, W2, x1, x2))
+    # the lines through each point as rows, padded with the empty line n_lines
+    width = max(1, int(count.max(initial=0)))
+    through = np.full((n, width), n_lines)
+    through.ravel()[np.arange(len(line_of))
+                    + np.repeat(np.arange(n) * width - start[:-1], count)] = line_of
+    del line_of
+    LN = np.zeros((n_lines + 1, w), dtype=np.uint64)
+    _or_rows(P, lines, LN[:-1])
+    B2 = np.empty_like(P)
+    _or_rows(LN, through, B2)
+    del LN
 
-    # far pairs: the bits clear in P | W2, over the n real columns.  The
+    x1, x2 = np.searchsorted(aff, cov.point_fiber).T
+    fibers_at_3 = not _bits(B2, x1, x2).any() and _three_walks(P, B2, x1, x2)
+
+    # far pairs: the bits clear in B2, over the n real columns.  The
     # identity adds nothing: a point with a neighbour is two steps from
     # itself, and a point without one fails the 3-walk test either way.
-    far = ~(P | W2)
+    far = ~B2
     far[:, -1] &= ~np.uint64(0) >> np.uint64(-n % 64)
     rows, cols = np.nonzero(far)                # words holding a far pair
     step = max(1, _CHUNK // (64 * w))
@@ -270,7 +317,7 @@ def fiber_distances(cov: CoveringMap) -> dict:
             e, b = np.nonzero(bits)
             yield r[e], 64 * c[e] + b
 
-    diam3 = len(rows) > 0 and all(_three_walks(P, W2, x, y) for x, y in far_pairs())
+    diam3 = len(rows) > 0 and all(_three_walks(P, B2, x, y) for x, y in far_pairs())
     return {"pass": fibers_at_3 and diam3,
             "fibers_at_distance_3": fibers_at_3,
             "diameter_is_3": diam3,

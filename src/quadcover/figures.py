@@ -168,17 +168,26 @@ def _check_pairs(model: QuadricModel, pairs: Sequence[Tuple[int, int]], center: 
     reason the full check gives.
 
     Collinearity of the figure's points is read once, as one block of
-    ``model.collinear``.  The center is off Q, so the line through a pair's
-    first point and the center meets Q in at most one other point: the pair
+    ``model.collinear``.  The center c is off Q, so the line through a
+    pair's first point x and c meets Q in at most one other point: the pair
     is concurrent with the center exactly when that point is the second one.
+    On c + t*x the quadric condition reads f(c) + t*alpha(c, x) = 0, so the
+    point is [c + (f(c) / alpha(c, x)) x], and there is none when alpha(c, x)
+    is 0; f(c) is evaluated once.
     """
     pts = [i for p in pairs for i in p]
     if len(set(pts)) != len(pts):
         raise ValueError("repeated point")
-    if k == 0 and model.f_scalar(center) == 0:
+    fc = model.f_scalar(center)
+    if k == 0 and fc == 0:
         raise ValueError("center lies on the quadric")
+    ctx, mul = model.ctx, model.ctx.mul
     for a, b in pairs[k:]:
-        if second_intersection(model, model.point(a), center) != model.point(b):
+        x = model.point(a)
+        s = model.alpha_scalar(center, x)
+        t = mul(fc, ctx.inv(s)) if s else 0
+        if not s or normalize_tuple(
+                ctx, [ci ^ mul(t, xi) for ci, xi in zip(center, x)]) != model.point(b):
             raise ValueError(f"pair ({a},{b}) not concurrent with the center")
 
     coll = model.collinear(pts, pts).tolist()

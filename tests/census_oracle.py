@@ -10,6 +10,9 @@ edges with ``nonzero(triu(A, 1))`` and draws sampled edges one at a time
 from the scalar `SplitMix64`, the stream the shipped kernel draws in arrays.
 Checks, counterexamples and the report are those of the shipped kernel.
 
+`pair_srg_values` reads the common-neighbour counts of `verify_srg` pair
+by pair from a float64 product ``A @ A``.
+
 `maximal_cliques` lists every maximal clique by a pivoting search on bitmask
 rows; its size histograms cross-check the census spectrum on small graphs
 and on sampled neighbourhoods.  `classify_clique` decides linearity and
@@ -267,6 +270,29 @@ def classify_clique(gx: OvoidGeometry, vertices: Sequence[int]) -> CliqueRecord:
                         kind="linear" if linear else "nonlinear",
                         base=tps.pop() if linear else None,
                         maximal=not bool(common.any()))
+
+
+def pair_srg_values(A: np.ndarray) -> dict:
+    """`verify_srg`'s verdict, one vertex pair at a time: the common-neighbour
+    counts of adjacent and non-adjacent pairs i < j from a float64 ``A @ A``.
+    A vertex with a loop counts as an adjacent pair with itself."""
+    n = len(A)
+    C = A.astype(np.float64) @ A.astype(np.float64)
+    adj = A.tolist()
+    lam, mu = set(), set()
+    for i in range(n):
+        if adj[i][i]:
+            lam.add(int(C[i, i]))
+        for j in range(i + 1, n):
+            (lam if adj[i][j] else mu).add(int(C[i, j]))
+    degrees = {sum(row) for row in adj}
+    k = sum(adj[0])
+    feasible = True
+    if len(lam) == 1 and len(mu) == 1:
+        feasible = k * (k - min(lam) - 1) == min(mu) * (n - k - 1)
+    return {"pass": len(degrees) == 1 and len(lam) == 1 and len(mu) <= 1 and feasible,
+            "lambda_values": sorted(lam), "mu_values": sorted(mu),
+            "feasibility_ok": feasible}
 
 
 def _bitmask_rows(adj: np.ndarray) -> List[int]:

@@ -20,8 +20,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-from quadcover.covering import CoveringMap, _affine_collinearity
+from quadcover.covering import CoveringMap
 from quadcover.ovoid import OvoidGeometry
+from quadcover.quadric import QuadricModel
 
 
 def loop_verify_covering(cov: CoveringMap) -> dict:
@@ -115,6 +116,15 @@ def loop_verify_covering(cov: CoveringMap) -> dict:
         report["counterexample"] = {"kind": "quotient_line_sets"}
         return report
     return report
+
+
+def _affine_collinearity(model: QuadricModel) -> np.ndarray:
+    """Collinearity matrix of the affine points, over their dense indices
+    (positions in ``model.affine_points``)."""
+    aff = model.affine_points
+    A = model.collinear(aff, aff)
+    np.fill_diagonal(A, False)
+    return A
 
 
 def product_fiber_distances(cov: CoveringMap) -> dict:

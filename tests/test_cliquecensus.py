@@ -13,8 +13,10 @@ from census_oracle import (
     boolean_census,
     classify_clique,
     maximal_cliques,
+    pair_srg_values,
 )
 from ovoid_oracle import loop_rosette_maximality
+from quadcover import cliquecensus
 from quadcover.cliquecensus import (
     census,
     edge_list,
@@ -59,6 +61,55 @@ def test_strong_regularity_exhaustive(request, name, q):
     assert (rep["v"], rep["k"], rep["lambda"], rep["mu"]) == (v, k, lam, mu)
     assert rep["feasibility_ok"]
     assert not rep["mu_vacuous"]
+
+
+def _cycle(n):
+    A = np.zeros((n, n), dtype=bool)
+    i = np.arange(n)
+    A[i, (i + 1) % n] = A[(i + 1) % n, i] = True
+    return A
+
+
+def _edge_removed(A):
+    A = A.copy()
+    i, j = np.argwhere(A)[0]
+    A[i, j] = A[j, i] = False
+    return A
+
+
+def _loop_added(A):
+    A = A.copy()
+    A[3, 3] = True
+    return A
+
+
+def _random_symmetric(n, seed):
+    A = np.random.default_rng(seed).random((n, n)) < 0.3
+    return A | A.T          # loops where the draw hit the diagonal
+
+
+SRG_CASES = [
+    # name, the graph made from the q = 4 tangency graph, whether it passes
+    ("tg_q4", lambda A: A, True),
+    ("tg_q4_edge_removed", _edge_removed, False),
+    ("tg_q4_loop_added", _loop_added, False),
+    ("cycle_5", lambda A: _cycle(5), True),     # strongly regular (5, 2, 0, 1)
+    ("cycle_6", lambda A: _cycle(6), False),    # mu in {0, 1}
+    ("random_60_with_loops", lambda A: _random_symmetric(60, 3), False),
+]
+
+
+@pytest.mark.parametrize("block", [cliquecensus.SRG_BLOCK, 900])
+@pytest.mark.parametrize("make,passes", [c[1:] for c in SRG_CASES],
+                         ids=[c[0] for c in SRG_CASES])
+def test_srg_verdict_matches_the_pair_oracle(monkeypatch, tg_q4, make, passes, block):
+    # block 900 splits the 120 rows at q = 4 into blocks of 7, the last ragged
+    monkeypatch.setattr(cliquecensus, "SRG_BLOCK", block)
+    A = make(tg_q4)
+    rep = verify_srg(A)
+    want = pair_srg_values(A)
+    assert {key: rep[key] for key in want} == want
+    assert rep["pass"] == passes
 
 
 def test_srg_degenerates_to_complete_graph_at_q2(tg_q2):

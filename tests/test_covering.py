@@ -2,6 +2,7 @@
 
 import copy
 import json
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -337,14 +338,17 @@ def test_fiber_distances_match_the_product_oracle(request, name, corrupt):
 def _graph_covering(adj, partners):
     """A stand-in covering whose affine collinearity graph is adj: the
     affine points are every other point of a gram matrix with three extra
-    points after them, and the fibers are the given vertex pairs."""
+    points after them, the lines are the edges, as 2-point lines, and the
+    fibers are the given vertex pairs."""
     n = len(adj)
     aff = np.arange(0, 2 * n, 2)
     gram = np.ones((2 * n + 3,) * 2, dtype=np.uint8)
     gram[np.ix_(aff, aff)] = ~adj
-    model = QuadricModel(ctx=None, lam=0)       # only gram and the affine points
+    model = QuadricModel(ctx=None, lam=0)   # only gram, coords and the affine points
     model.gram, model.affine_points = gram, aff
-    return SimpleNamespace(model=model, point_fiber=aff[np.array(partners)])
+    model.coords = np.zeros((len(gram), 6), dtype=np.uint8)
+    return SimpleNamespace(model=model, lines=aff[np.argwhere(np.triu(adj, 1))],
+                           point_fiber=aff[np.array(partners)])
 
 
 def _call_site_blocks(cov):
@@ -555,9 +559,12 @@ def test_lift_path_rejects_bad_walks(cov_q4):
         lift_path(cov, [a, c], start=cov.point_fiber[a][0])
 
 
-@pytest.mark.parametrize("chunk", [1, 200])
+@pytest.mark.parametrize("chunk", [1, 200, 350])
 def test_fiber_distances_in_small_chunks(monkeypatch, cov_q4, chunk):
-    # every chunked loop takes many steps, some of them ragged
+    # every chunked loop takes many steps.  At q = 4 (240 points of 4 words,
+    # 1,020 lines) chunk 200 gives OR steps of 50 rows over the lines and
+    # the points, and chunk 350 blocks of 11 rows and OR steps of 87 rows:
+    # all ragged
     monkeypatch.setattr(covering, "_CHUNK", chunk)
     for cov in (cov_q4, _rolled_partners(cov_q4),
                 _graph_covering(_layers([40, 30, 20, 40], 2), [(0, 129), (39, 90)]),
@@ -565,3 +572,64 @@ def test_fiber_distances_in_small_chunks(monkeypatch, cov_q4, chunk):
                 _graph_covering(_layers([50, 40, 30, 40, 40], 5),
                                 [(i, 120 + i) for i in range(40)] + [(0, 199)])):
         assert fiber_distances(cov) == product_fiber_distances(cov)
+
+
+def _line_dropped(cov):
+    return replace(cov, lines=cov.lines[1:])
+
+
+def _line_over_another(cov):
+    # line 0 is overwritten by line 1, so the pairs on line 0 are on no line
+    lines = cov.lines.copy()
+    lines[0] = lines[1]
+    return replace(cov, lines=lines)
+
+
+def _line_repeated(cov):
+    # line 0 appears twice: every pair is still on a line, but the lines
+    # through its points meet again
+    return replace(cov, lines=np.vstack([cov.lines, cov.lines[:1]]))
+
+
+def _line_point_moved(cov):
+    # the last point of line 0 moves to an affine point that is not
+    # collinear with its first point
+    model, line = cov.model, cov.lines[0]
+    far = model.affine_points[~model.collinear(line[:1], model.affine_points)[0]]
+    lines = cov.lines.copy()
+    lines[0, -1] = far[0]
+    return replace(cov, lines=lines)
+
+
+def _line_at_infinity_point(cov):
+    lines = cov.lines.copy()
+    lines[0, -1] = cov.infinity[0]
+    return replace(cov, lines=lines)
+
+
+LINE_MUTANTS = [
+    (_line_dropped, "do not cover the affine collinearity"),
+    (_line_over_another, "do not cover the affine collinearity"),
+    (_line_repeated, "meet again"),
+    (_line_point_moved, "do not cover the affine collinearity"),
+    (_line_at_infinity_point, "off the affine part"),
+]
+
+
+@pytest.mark.parametrize("corrupt,reason", LINE_MUTANTS,
+                         ids=[f.__name__.strip("_") for f, _ in LINE_MUTANTS])
+def test_fiber_distances_rejects_lines_that_miss_the_collinearity(cov_q4, corrupt, reason):
+    with pytest.raises(AssertionError, match=reason):
+        fiber_distances(corrupt(cov_q4))
+
+
+def test_fiber_distances_peak_stays_below_32_mib(cov_q8):
+    # the line rows LN (16.5 MB at q = 8) are the only large array; P, B2
+    # and every gather are built in place or in chunks
+    tracemalloc.start()
+    try:
+        fiber_distances(cov_q8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
