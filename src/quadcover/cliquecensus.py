@@ -11,7 +11,8 @@ degree is odd, and to none when it is even) are verified on that split.
 
 Edges are listed by one flat scan of the upper triangle, sampled edges are
 drawn in one vectorised SplitMix64 pass, and edges are processed in batches.
-Every gather reads the flat adjacency and tangency tables at row * V + col.
+Every gather reads the flat adjacency and tangency tables at row * V + col;
+the completion adjacency of a batch is gathered S_BLOCK pairs at a time.
 For each edge the adjacency among its q^2 non-linear completions is packed
 into one uint64 per completion (q^2 <= 64 for every buildable field), bit z
 of word w set when completions w and z are tangent.  A word's popcount is the
@@ -40,6 +41,7 @@ from .ovoid import OvoidGeometry, pencil_counts
 MASK64 = (1 << 64) - 1
 BATCH = 512                       # edges per vectorised census step
 SRG_BLOCK = 1 << 19               # common-neighbour counts per verify_srg step
+S_BLOCK = 1 << 19                 # completion pairs gathered per census S step
 # _ABOVE[w] keeps the bits above bit w of a word
 _ABOVE = np.array([MASK64 ^ ((2 << w) - 1) for w in range(64)], dtype=np.uint64)
 
@@ -313,6 +315,7 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
     n_nl = q * q                  # non-linear completions per edge
     n_r = q - 2                   # pencil completions per edge
     s_edges = n_nl * (q + 1) // 2  # adjacent pairs among them, once uniform
+    s_step = max(1, S_BLOCK // (n_nl * n_nl))  # edges per S gather
 
     tot_lin3 = 0
     tot_nl3 = 0
@@ -342,9 +345,10 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         if not (on_pencil.sum(axis=1) == n_r).all():
             raise AssertionError("pencil completion count differs from q-2")
         Wi = Ci[~on_pencil].reshape(B, n_nl)
-        if n_r:
+        if n_r and no_mixed:
             Ri = Ci[on_pencil].reshape(B, n_r)
             cross = Af[(Ri * V)[:, :, None] + Wi[:, None, :]]
+            # the first mixed clique found replaces any other counterexample
             if cross.any():
                 no_mixed = False
                 eb, ei, ej = np.argwhere(cross)[0]
@@ -354,8 +358,12 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         tot_lin3 += B * n_r
         tot_nl3 += B * n_nl
 
-        # P[e, i] holds row i of the completion adjacency S = A[Wi][:, Wi]
-        P = pack_rows(Af[(Wi * V)[:, :, None] + Wi[:, None, :]])[..., 0]
+        # P[e, i] holds row i of the completion adjacency S = A[Wi][:, Wi],
+        # gathered S_BLOCK pairs at a time
+        P = np.empty((B, n_nl), dtype=np.uint64)
+        for k in range(0, B, s_step):
+            W = Wi[k:k + s_step]
+            P[k:k + s_step] = pack_rows(Af[(W * V)[:, :, None] + W[:, None, :]])[..., 0]
         rows = np.bitwise_count(P)
         obs_3to4.update(_values(rows))
         if not (rows == q + 1).all() and counterexample is None:

@@ -16,6 +16,7 @@ of each line's neighbour row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .ovoid import OvoidGeometry
 from .quadric import QuadricModel
 
 _CHUNK = 1 << 16                # uint64 words gathered per fiber_distances step
+ORACLE_BLOCK = 1 << 20          # collinearity entries per verify_adjacency_oracle step
 
 
 @dataclass(eq=False)
@@ -176,33 +178,52 @@ def verify_covering(cov: CoveringMap) -> dict:
     # Each row of images is now its pencil's row of members, a sorted set,
     # and every pencil is the image of a line, so the quotient lines map
     # onto the pencils, one to one exactly when there are as many of them.
-    orbit_class = _as_sets(np.minimum(cov.lines, perm[cov.lines]))
-    _, first, cls = np.unique(orbit_class, axis=0, return_index=True,
-                              return_inverse=True)
-    cls = cls.ravel()
-    bad = (images != images[first[cls]]).any(axis=1)
+    first, n_classes = _first_of_class(_as_sets(np.minimum(cov.lines, perm[cov.lines])))
+    bad = (images != images[first]).any(axis=1)
     if bad.any():
         li = int(np.argmax(bad))
         return fail("quotient_iso_ok", kind="quotient_line",
-                    lines=[int(first[cls[li]]), li])
-    if len(first) != n_pencils:
+                    lines=[int(first[li]), li])
+    if n_classes != n_pencils:
         return fail("quotient_iso_ok", kind="quotient_line_sets")
     return report
+
+
+def _first_of_class(rows: np.ndarray) -> Tuple[np.ndarray, int]:
+    """For each row, the smallest index of a row equal to it; and the number
+    of distinct rows.  The rows are sorted lexicographically, stably, so each
+    run of equal rows starts at its smallest index."""
+    order = np.lexsort(rows.T[::-1])
+    s = rows[order]
+    starts = np.ones(len(s), dtype=bool)
+    starts[1:] = (s[1:] != s[:-1]).any(axis=1)
+    first = np.empty_like(order)
+    first[order] = order[np.maximum.accumulate(np.where(starts, np.arange(len(s)), 0))]
+    return first, int(starts.sum())
 
 
 def verify_adjacency_oracle(cov: CoveringMap) -> dict:
     """Tangency downstairs equals cross-fiber collinearity upstairs.
 
     Checks, for every ovoid pair, that |A∩B| = 1 exactly when some point of
-    A's fiber is collinear with some point of B's fiber."""
+    A's fiber is collinear with some point of B's fiber.  The collinearity
+    is read one block of fiber rows at a time, at most ORACLE_BLOCK entries,
+    against every fiber point, and compared with the same rows of the
+    tangency matrix."""
     geom = cov.geom
-    pts = cov.point_fiber.ravel()
-    Z = cov.model.collinear(pts, pts)   # index 2i + j: point j over ovoid i
-    cross = Z[0::2, 0::2] | Z[0::2, 1::2] | Z[1::2, 0::2] | Z[1::2, 1::2]
-    agree = cross == geom.adjacency
-    np.fill_diagonal(agree, True)
-    return {"pass": bool(agree.all()),
-            "pairs_checked": geom.n_ovoids * (geom.n_ovoids - 1) // 2}
+    n = geom.n_ovoids
+    pts = cov.point_fiber.ravel()       # index 2i + j: point j over ovoid i
+    step = max(1, ORACLE_BLOCK // (2 * len(pts)))
+    report = {"pass": True, "pairs_checked": n * (n - 1) // 2}
+    for lo in range(0, n, step):
+        Z = cov.model.collinear(pts[2 * lo:2 * (lo + step)], pts)
+        cross = Z[0::2, 0::2] | Z[0::2, 1::2] | Z[1::2, 0::2] | Z[1::2, 1::2]
+        agree = cross == geom.adjacency[lo:lo + step]
+        np.fill_diagonal(agree[:, lo:], True)
+        if not agree.all():
+            report["pass"] = False
+            break
+    return report
 
 
 def _bits(words: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -7,11 +7,13 @@ q+1 points; the maximal pencils of pairwise tangent ovoids at a point (the
 rosettes) are the lines of a semipartial geometry with parameters
 (q-1, q^2, 2, 2q(q-1)).
 
-All pairwise intersection sizes are computed with one integer matrix product
-over the membership matrix and kept as the tangency matrix (size 1); the
-common point of each tangent pair drops out of a second, position-weighted
-product.  The structural laws are checked exhaustively, one section point at
-a time.  Summing the tangency rows of the members of each pencil based at
+The pairwise intersection sizes are integer matrix products over the
+membership matrix, one block of ovoid rows at a time, and the tangency matrix
+(size 1) is filled block by block; the common point of each tangent pair
+drops out of a second, position-weighted product over the same rows.  No
+block holds more than PAIR_BLOCK ovoid pairs, so no V x V product is ever
+held.  The structural laws are checked exhaustively, one section point at a
+time.  Summing the tangency rows of the members of each pencil based at
 the point counts, for every ovoid, the members tangent to it (semipartial
 and maximality laws); with T the ovoids through the point,
 A[T][:, T].T @ A[T] counts the common tangents through it of every ovoid
@@ -26,6 +28,8 @@ import numpy as np
 
 from .gf2n import FieldCtx
 from .quadric import QuadricModel
+
+PAIR_BLOCK = 1 << 20              # ovoid pairs per block of a set-up product
 
 
 class OvoidGeometry:
@@ -104,25 +108,27 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     geom.ovoid_points = sect[cols]
     geom.ovoid_span = basis[:, :4].astype(np.int16)
 
-    # float32 products are exact here: every entry is an integer below 2^24
+    # The tables are filled one block of ovoid rows at a time.  float32
+    # products are exact here: every entry is an integer below 2^24.  In the
+    # position-weighted product the entry of a tangent pair is the dense
+    # index of its unique common point.
     mf = member.astype(np.float32)
-    inter = mf @ mf.T
-    np.fill_diagonal(inter, 0)
-    lawful = (inter == 1) | (inter == q + 1)
-    np.fill_diagonal(lawful, True)
-    if not lawful.all():
-        raise AssertionError("some ovoid pair meets in neither a point nor a conic")
-    del lawful
-    geom.adjacency = inter == 1
-    del inter
-
-    # position-weighted product: for tangent pairs the entry is the dense
-    # index of the unique common point
-    tp_dense = mf @ (mf * np.arange(n_q0, dtype=np.float32)).T
-    del mf
+    geom.adjacency = np.empty((n_ov, n_ov), dtype=bool)
     geom.tangency_point = np.full((n_ov, n_ov), -1, dtype=np.int16)
-    geom.tangency_point[geom.adjacency] = sect[tp_dense[geom.adjacency].astype(np.intp)]
-    del tp_dense
+    step = max(1, PAIR_BLOCK // n_ov)
+    for lo in range(0, n_ov, step):
+        rows = mf[lo:lo + step]
+        inter = rows @ mf.T
+        # the diagonal is no pair: count it as a conic, lawful and not tangent
+        np.fill_diagonal(inter[:, lo:], q + 1)
+        if not ((inter == 1) | (inter == q + 1)).all():
+            raise AssertionError("some ovoid pair meets in neither a point nor a conic")
+        adj = np.equal(inter, 1, out=geom.adjacency[lo:lo + step])
+        del inter
+        tp_dense = (rows * np.arange(n_q0, dtype=np.float32)) @ mf.T
+        geom.tangency_point[lo:lo + step][adj] = sect[tp_dense[adj].astype(np.intp)]
+        del tp_dense
+    del mf, rows
 
     per_point = q * q * (q - 1) // 2
     if (member.sum(axis=0) != per_point).any():
@@ -179,12 +185,20 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     q = model.ctx.q
     member = geom.member_matrix
     n_ov, n_q0 = member.shape
-    # int16: fewer than 2^15 ovoids and points at every buildable degree,
-    # and the stable argsort of int16 keys below is a radix sort
-    a, b = (v.astype(np.int16) for v in np.nonzero(geom.adjacency))
+    # the tangent pairs in row-major order, read one block of rows at a time
+    # into int16: fewer than 2^15 ovoids and points at every buildable
+    # degree, and the stable argsort of int16 keys below is a radix sort
+    step = max(1, PAIR_BLOCK // n_ov)
+    blocks = []
+    for lo in range(0, n_ov, step):
+        r, c = np.nonzero(geom.adjacency[lo:lo + step])
+        blocks.append(((r + lo).astype(np.int16), c.astype(np.int16)))
+    a, b = (np.concatenate(v) for v in zip(*blocks))
+    del blocks
     tp = geom.tangency_point[a, b]
-    pk = np.where(tp >= 0, model.section_index[tp], -1).astype(np.int16)
-    # key -1 (off the section) reads the appended all-False column
+    # a point -1 (no tangency point) reads the appended dense index -1, and
+    # a key -1 (off the section) the appended all-False column
+    pk = np.append(model.section_index, -1).astype(np.int16)[tp]
     on_both = np.append(member, np.zeros((n_ov, 1), dtype=bool), axis=1)
     if not (on_both[a, pk] & on_both[b, pk]).all():
         raise AssertionError("ovoids sharing a point are tangent elsewhere")
@@ -194,16 +208,25 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     if not (geom.adjacency[b, a] & (geom.tangency_point[b, a] == tp)).all():
         raise AssertionError(equivalence)
     del tp
-    # every pair's point is on a, so a count off the member pairs is 0
-    counts = np.bincount(pk * np.int32(n_ov) + a, minlength=n_q0 * n_ov)
-    if (counts.reshape(n_q0, n_ov)[member.T] != q - 1).any():
-        raise AssertionError(equivalence)
-    del counts
-    # one row per (p, a) with p on a, sorted by (p, a): a's tangents at p, ascending
+    # Sorted by (p, a), the pairs come in runs of equal keys p * V + a, each
+    # run a's tangents at p, ascending.  a has q - 1 tangents at each of its
+    # points exactly when the keys form runs of q - 1 equal keys, one run
+    # per member pair, in the order of the member pairs' keys.
     order = np.argsort(pk, kind="stable")
-    tangents = b[order].reshape(-1, q - 1)
-    base, a = pk[order][::q - 1], a[order][::q - 1]
+    if len(order) != np.count_nonzero(member) * (q - 1):
+        raise AssertionError(equivalence)
+    base, a, tangents = pk[order], a[order], b[order].reshape(-1, q - 1)
     del order, b, pk
+    key = base.astype(np.int32)
+    key *= n_ov
+    key += a
+    key = key.reshape(-1, q - 1)
+    if not ((key == key[:, :1]).all()
+            and np.array_equal(key[:, 0], np.flatnonzero(member.T))):
+        raise AssertionError(equivalence)
+    del key
+    # one row per (p, a) with p on a: a's tangents at p
+    base, a = base[::q - 1], a[::q - 1]
     least = np.minimum(a, tangents[:, 0])
     row_of = np.empty((n_q0, n_ov), dtype=np.int32)
     row_of[base, a] = np.arange(len(a))

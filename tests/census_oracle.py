@@ -113,7 +113,7 @@ def boolean_census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         if not (Rm.sum(axis=1) == n_r).all():
             raise AssertionError("pencil completion count differs from q-2")
         Wi = np.nonzero(Wm)[1].reshape(B, n_nl)
-        if n_r:
+        if n_r and no_mixed:
             Ri = np.nonzero(Rm)[1].reshape(B, n_r)
             cross = A[Ri[:, :, None], Wi[:, None, :]]
             if cross.any():

@@ -1,11 +1,13 @@
 """Tangency graph census: strong regularity, clique counts, spectra."""
 
 import copy
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import census_oracle
 from census_oracle import (
     SplitMix64,
     bk_neighborhood_spectrum,
@@ -277,6 +279,40 @@ def test_sampled_q8_census_matches_boolean_oracle(tg_q8, geom_q8, census_q8_samp
     _assert_same_census(rep, boolean_census(tg_q8, geom_q8, **kw))
 
 
+@pytest.mark.parametrize("tname,gname,edges", [("tg_q2", "geom_q2", 4),
+                                               ("tg_q4", "geom_q4", 3)])
+def test_full_census_in_ragged_s_blocks_matches_boolean_oracle(monkeypatch, request,
+                                                               tname, gname, edges):
+    # S gathered a few edges at a time: 15 = 3 * 4 + 3 edges at q = 2, and
+    # batches of 512 = 170 * 3 + 2 edges at q = 4, the last of them 500 long
+    A, geom = request.getfixturevalue(tname), request.getfixturevalue(gname)
+    q = geom.model.ctx.q
+    ref = boolean_census(A, geom, collect=True)
+    monkeypatch.setattr(cliquecensus, "S_BLOCK", edges * q ** 4)
+    _assert_same_census(census(A, geom, collect=True), ref)
+
+
+def test_sampled_q8_census_in_ragged_s_blocks_matches_boolean_oracle(monkeypatch, tg_q8,
+                                                                     geom_q8):
+    # 100 edges a step: batches of 512 = 5 * 100 + 12 and 88 edges
+    kw = dict(mode="sampled", seed=5, n_samples=600, collect=True)
+    ref = boolean_census(tg_q8, geom_q8, **kw)
+    monkeypatch.setattr(cliquecensus, "S_BLOCK", 100 * 64 * 64)
+    _assert_same_census(census(tg_q8, geom_q8, **kw), ref)
+
+
+def test_sampled_census_peak_stays_below_24_mib(tg_q8, geom_q8):
+    # the edge list (two 3.7 MB index arrays and the 4 MB upper triangle)
+    # and one batch; the S gather index is at most S_BLOCK int64 entries
+    tracemalloc.start()
+    try:
+        census(tg_q8, geom_q8, mode="sampled", seed=1, n_samples=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+
+
 def test_lowest_set_bits_against_nonzero():
     rng = np.random.default_rng(6)
     bits = rng.random((300, 64)) < rng.random((300, 1))   # densities 0..1
@@ -444,6 +480,70 @@ def test_census_reports_a_mixed_four_clique(tg_q4, geom_q4):
     A[[r, w], [w, r]] = True
     rep = _census_of_seed_edge(A, geom_q4, (a, b))
     assert rep.counterexample == {"kind": "mixed_4_clique", "vertices": [a, b, r, w]}
+
+
+def _mixed_in_several_batches(A, geom):
+    """A copy of A with two mixed 4-cliques made as in
+    `test_census_reports_a_mixed_four_clique`, on edge 0 and on the last edge
+    whose vertices avoid edge 0's, and the edges on which a census of the
+    copy reaches a report: those with no joined vertex as an end (the others
+    fail the lambda law) and without both joined vertices of a pair among
+    their non-linear completions (those fail the adjacent-pair count).
+    Returns the copy, those edges, the ones among them with a mixed clique,
+    and edge 0's clique."""
+    first = _edge(A, geom, 0)
+    quad0 = [first[0], first[1], int(first[2][0]), int(first[3][0])]
+    for e in range(len(edge_list(A)[0]) - 1, 0, -1):
+        a, b, R, W = _edge(A, geom, e)
+        quad = [a, b, int(R[0]), int(W[0])]
+        if not set(quad) & set(quad0):
+            break
+    joined = [quad0[2:], quad[2:]]
+    A = A.copy()
+    for r, w in joined:
+        A[[r, w], [w, r]] = True
+    iu, ju = edge_list(A)
+    ends = np.array(joined).ravel()
+    edges, mixed = [], []
+    for e in np.flatnonzero(~np.isin(iu, ends) & ~np.isin(ju, ends)).tolist():
+        _, _, R, W = _edge(A, geom, e)
+        if any(np.isin([r, w], W).all() for r, w in joined):
+            continue
+        if A[np.ix_(R, W)].any():
+            mixed.append(len(edges))
+        edges.append(e)
+    return A, np.array(edges), mixed, quad0
+
+
+def test_census_keeps_the_first_mixed_four_clique(monkeypatch, tg_q4, geom_q4):
+    # the census draws the reachable edges in order (a sampled census with
+    # its draws replaced), once in batches of 512 and once of 97; mixed
+    # cliques turn up in several batches either way, and the report is
+    # edge 0's clique both times, as in the boolean kernel
+    A, edges, mixed, quad0 = _mixed_in_several_batches(tg_q4, geom_q4)
+    assert edges[mixed[0]] == 0 and _edge(A, geom_q4, 0)[:2] == tuple(quad0[:2])
+    monkeypatch.setattr(cliquecensus, "splitmix_below",
+                        lambda seed, n, count: edges[:count])
+
+    class Draws:
+        def __init__(self, seed):
+            self.draws = iter(edges.tolist())
+
+        def randbelow(self, n):
+            return next(self.draws)
+    monkeypatch.setattr(census_oracle, "SplitMix64", Draws)
+    kw = dict(mode="sampled", seed=0, n_samples=len(edges))
+    reports = []
+    for batch in (512, 97):
+        assert len({i // batch for i in mixed}) > 2
+        monkeypatch.setattr(cliquecensus, "BATCH", batch)
+        monkeypatch.setattr(census_oracle, "BATCH", batch)
+        rep = census(A, geom_q4, **kw)
+        assert rep.to_dict() == boolean_census(A, geom_q4, **kw).to_dict()
+        reports.append(rep.to_dict())
+    assert reports[0] == reports[1]
+    assert not reports[0]["no_mixed"]
+    assert reports[0]["counterexample"] == {"kind": "mixed_4_clique", "vertices": quad0}
 
 
 def test_census_reports_a_triangle_extension(tg_q4, geom_q4):

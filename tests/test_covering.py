@@ -304,6 +304,72 @@ def test_adjacency_oracle_reports_a_corrupted_gram(cov_q4, corrupt):
     assert rep == {"pass": False, "pairs_checked": 120 * 119 // 2}
 
 
+@pytest.mark.parametrize("name,rows,corrupt", [
+    ("cov_q2", 4, None), ("cov_q4", 7, None),
+    ("cov_q4", 7, _collinear_non_tangent), ("cov_q4", 7, _separated_tangent)],
+    ids=["q2", "q4", "q4_collinear_non_tangent", "q4_separated_tangent"])
+def test_adjacency_oracle_in_ragged_blocks(monkeypatch, request, name, rows, corrupt):
+    # blocks of a few ovoid rows, the last one short: 6 = 4 + 2 ovoids at
+    # q = 2 and 120 = 17 * 7 + 1 at q = 4
+    cov = request.getfixturevalue(name)
+    if corrupt is not None:
+        cov = corrupt(cov)
+    n = cov.geom.n_ovoids
+    monkeypatch.setattr(covering, "ORACLE_BLOCK", rows * 4 * n)
+    rep = verify_adjacency_oracle(cov)
+    assert rep == {"pass": corrupt is None, "pairs_checked": n * (n - 1) // 2}
+
+
+def test_adjacency_oracle_peak_stays_below_8_mib(cov_q8):
+    # one block of fiber rows: at most ORACLE_BLOCK collinearity entries
+    tracemalloc.start()
+    try:
+        verify_adjacency_oracle(cov_q8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def _unique_first_of_class(rows):
+    """`covering._first_of_class` by ``np.unique(rows, axis=0)``."""
+    _, first, cls = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first[cls.ravel()], len(first)
+
+
+GROUPING_CASES = ([(name, None) for name in ("cov_q2", "cov_q4", "cov_q8")]
+                  + [(name, f) for name in ("cov_q2", "cov_q4") for _, f in CORRUPTIONS])
+
+
+@pytest.mark.parametrize("name,corrupt", GROUPING_CASES,
+                         ids=[f"{name}-{f.__name__.strip('_') if f else 'clean'}"
+                              for name, f in GROUPING_CASES])
+def test_orbit_classes_group_as_np_unique_does(request, name, corrupt):
+    cov = request.getfixturevalue(name)
+    if corrupt is not None:
+        cov = corrupt(cov)
+    perm = cov.model.elation_perm
+    rows = covering._as_sets(np.minimum(cov.lines, perm[cov.lines]))
+    first, n_classes = covering._first_of_class(rows)
+    want, n_want = _unique_first_of_class(rows)
+    assert n_classes == n_want
+    np.testing.assert_array_equal(first, want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_first_of_class_on_random_rows(seed):
+    # few distinct values, so that most rows repeat, and rows equal up to
+    # their last column
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-1, 3, (500, 4))
+    rows[::7, -1] = 5
+    for r in (rows, rows[:1], rows[:0]):
+        first, n_classes = covering._first_of_class(r)
+        want, n_want = _unique_first_of_class(r)
+        assert n_classes == n_want
+        np.testing.assert_array_equal(first, want)
+
+
 @pytest.mark.parametrize("name", ["cov_q2", "cov_q4", "cov_q8"])
 def test_fiber_points_sit_at_distance_three(request, name):
     cov = request.getfixturevalue(name)

@@ -8,12 +8,14 @@ tables show that the line and grouping laws still fire.
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from setup_oracle import (loop_build_elation, loop_build_geometry, loop_build_lines,
                           loop_build_rosettes, loop_gram_matrix, loop_point_index)
+from quadcover import ovoid
 from quadcover.gf2n import FieldCtx, is_irreducible, trace
 from quadcover.ovoid import _batched_rref, _build_rosettes, build_geometry
 from quadcover.projgeom import rref
@@ -69,6 +71,27 @@ def test_small_setup_matches_the_loop_oracle(n, modulus, lam):
 def test_q8_setup_matches_the_loop_oracle(model_q8, geom_q8):
     assert_same_model(model_q8)
     assert_same_geometry(geom_q8)
+
+
+@pytest.mark.parametrize("n,rows", [(1, 4), (2, 7)])
+def test_setup_in_ragged_blocks_matches_the_loop_oracle(monkeypatch, n, rows):
+    # blocks of a few ovoid rows, the last one short: 6 = 4 + 2 ovoids at
+    # q = 2 and 120 = 17 * 7 + 1 at q = 4
+    q = 2 ** n
+    monkeypatch.setattr(ovoid, "PAIR_BLOCK", rows * q * q * (q * q - 1) // 2)
+    assert_same_geometry(build_geometry(build_model(FieldCtx(n))))
+
+
+def test_build_geometry_peak_stays_below_40_mib(model_q8):
+    # the kept tables (4 MB adjacency, 8 MB tangency points) and the sort of
+    # the 917,280 tangent pairs; no product block exceeds PAIR_BLOCK entries
+    tracemalloc.start()
+    try:
+        build_geometry(model_q8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 def _flipped_pair(model, flip):
@@ -150,6 +173,52 @@ def test_grouping_rejects_tangencies_that_keep_every_count(geom_q4, corruption):
         tp = geom.tangency_point[a][geom.adjacency[a]]
         on = sect[geom.member_matrix[a]]
         assert (np.bincount(tp, minlength=geom.model.n_points)[on] == q - 1).all()
+    for build in (_build_rosettes, loop_build_rosettes):
+        with pytest.raises(AssertionError, match="not an equivalence"):
+            build(geom)
+
+
+def _retangent(geom, corruption):
+    """The q = 4 geometry with pairs made tangent at the first section point
+    p or non-tangent, keeping the relation symmetric and every pair's point
+    on both ovoids.  P1 and P2 are the first two pencils at p, (u, v) the
+    first pair of the last pencil.  "cleared": (u, v) made non-tangent, so
+    u and v have q - 2 tangents at their point.  "moved": (u, v) cleared and
+    P1[0] made tangent to P2[0] at p: the number of tangent pairs is kept,
+    but P1[0] and P2[0] have q tangents at p.  "doubled": P2[0] made
+    tangent to none of P2 and P1[0] to all of it, so P1[0] has 2(q - 1)
+    tangents at p, P2[0] none and every other ovoid q - 1 at each of its
+    points.  "shifted": a and b, the first two consecutive ovoids through p
+    in different pencils, and y a pencil mate of a; (a, y) cleared and
+    (b, y) made tangent, so a has q - 2 tangents at p and b has q."""
+    geom = copy.copy(geom)
+    geom.adjacency = geom.adjacency.copy()
+    geom.tangency_point = geom.tangency_point.copy()
+    p = geom.model.section_points[0]
+    P1, P2 = geom.pencil_members[:2].tolist()              # both at point p
+    u, v = geom.pencil_members[-1, :2].tolist()
+    if corruption == "cleared":
+        edits = [(u, v, None)]
+    elif corruption == "moved":
+        edits = [(u, v, None), (P1[0], P2[0], p)]
+    elif corruption == "doubled":
+        edits = [(P2[0], w, None) for w in P2[1:]] + [(P1[0], w, p) for w in P2[1:]]
+    else:
+        through = geom.through[0].tolist()
+        a, b = next((a, b) for a, b in zip(through, through[1:])
+                    if not geom.adjacency[a, b])
+        y = next(y for y in through if geom.adjacency[a, y] and y != b)
+        edits = [(a, y, None), (b, y, p)]
+    for x, y, point in edits:
+        assert geom.adjacency[x, y] == (point is None)
+        geom.adjacency[[x, y], [y, x]] = point is not None
+        geom.tangency_point[[x, y], [y, x]] = -1 if point is None else point
+    return geom
+
+
+@pytest.mark.parametrize("corruption", ["cleared", "moved", "doubled", "shifted"])
+def test_grouping_rejects_a_wrong_number_of_tangents_at_a_point(geom_q4, corruption):
+    geom = _retangent(geom_q4, corruption)
     for build in (_build_rosettes, loop_build_rosettes):
         with pytest.raises(AssertionError, match="not an equivalence"):
             build(geom)
