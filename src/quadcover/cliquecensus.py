@@ -9,10 +9,13 @@ non-linear triangle grows to exactly q+1 four-cliques, each non-linear
 four-clique to exactly two five-cliques and one six-clique when the field
 degree is odd, and to none when it is even) are verified on that split.
 
-Edges are listed by one flat scan of the upper triangle, sampled edges are
-drawn in one vectorised SplitMix64 pass, and edges are processed in batches.
-Every gather reads the flat adjacency and tangency tables at row * V + col;
-the completion adjacency of a batch is gathered S_BLOCK pairs at a time.
+Edges are kept as flat keys a * V + b from one scan of the upper triangle,
+sampled edges are drawn in one vectorised SplitMix64 pass, and edges are
+processed in batches.  A common neighbour of an edge (a, b) is a pencil
+completion exactly when it passes through the common point of a and b, which
+the membership matrix gives; all three are then tangent there.  Every gather
+reads the flat adjacency or membership matrix at row * width + col; the
+completion adjacency of a batch is gathered S_BLOCK pairs at a time.
 For each edge the adjacency among its q^2 non-linear completions is packed
 into one uint64 per completion (q^2 <= 64 for every buildable field), bit z
 of word w set when completions w and z are tangent.  A word's popcount is the
@@ -298,9 +301,11 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
     n_odd = ndeg % 2 == 1
     V = len(A)
     Af = A.ravel()
-    tpf = gx.tangency_point.ravel()
-    iu, ju = edge_list(A)
-    E = len(iu)
+    member = gx.member_matrix
+    n_q0 = member.shape[1]
+    Mf = member.ravel()
+    keys = np.flatnonzero(np.triu(A, 1))     # edge a < b at a * V + b
+    E = len(keys)
 
     if mode == "sampled":
         if seed is None or n_samples is None:
@@ -333,15 +338,16 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
     for lo in range(0, len(edge_sel), BATCH):
         sel = edge_sel[lo:lo + BATCH]
         B = len(sel)
-        a, b = iu[sel], ju[sel]
+        a, b = np.divmod(keys[sel], V)
         C = A[a] & A[b]
         if not (C.sum(axis=1) == lam).all():
             raise AssertionError("common neighbour count differs from lambda")
         # every row holds lam common neighbours, so the flat scan reshapes
         Ci = np.flatnonzero(C).reshape(B, lam) - (np.arange(B) * V)[:, None]
-        aV, bV = a * V, b * V
-        t_ab = tpf[aV + b][:, None]
-        on_pencil = (tpf[aV[:, None] + Ci] == t_ab) & (tpf[bV[:, None] + Ci] == t_ab)
+        # a common neighbour is tangent to a and b at their common point p
+        # exactly when it passes through p
+        p = (member[a] & member[b]).argmax(axis=1)
+        on_pencil = Mf[Ci * n_q0 + p[:, None]]
         if not (on_pencil.sum(axis=1) == n_r).all():
             raise AssertionError("pencil completion count differs from q-2")
         Wi = Ci[~on_pencil].reshape(B, n_nl)

@@ -235,9 +235,9 @@ def lift_clique_to_figure(cov: CoveringMap, clique: Sequence[int]) -> CentricFig
                 raise ValueError(f"ovoids {a} and {b} are not tangent")
     if len(clique) not in KIND_BY_SIZE:
         raise ValueError(f"no figure kind with {len(clique)} pairs")
-    tps = {int(gx.tangency_point[a, b])
-           for i, a in enumerate(clique) for b in clique[i + 1:]}
-    if len(tps) == 1:
+    # pairwise tangent ovoids share their tangency points exactly when they
+    # all pass through one point
+    if gx.member_matrix[list(clique)].all(axis=0).any():
         raise ValueError("linear clique: all tangencies share one point")
     return _made("lift", make_figure, model, [cov.point_fiber[a] for a in clique],
                  model.nucleus)

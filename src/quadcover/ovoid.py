@@ -9,15 +9,16 @@ rosettes) are the lines of a semipartial geometry with parameters
 
 The pairwise intersection sizes are integer matrix products over the
 membership matrix, one block of ovoid rows at a time, and the tangency matrix
-(size 1) is filled block by block; the common point of each tangent pair
-drops out of a second, position-weighted product over the same rows.  No
-block holds more than PAIR_BLOCK ovoid pairs, so no V x V product is ever
-held.  The structural laws are checked exhaustively, one section point at a
-time.  Summing the tangency rows of the members of each pencil based at
-the point counts, for every ovoid, the members tangent to it (semipartial
-and maximality laws); with T the ovoids through the point,
-A[T][:, T].T @ A[T] counts the common tangents through it of every ovoid
-pair with one member in T (common-tangent law).
+(size 1) is filled block by block.  No block holds more than PAIR_BLOCK
+ovoid pairs, so no V x V product is ever held.  Two tangent ovoids meet only
+at their tangency point, so the pencils at a point are the tangency classes
+among the ovoids through it, and no table of tangency points is needed.  The
+structural laws are checked exhaustively, one section point at a time.
+Summing the tangency rows of the members of each pencil based at the point
+counts, for every ovoid, the members tangent to it (semipartial and
+maximality laws); with T the ovoids through the point, A[T][:, T].T @ A[T]
+counts the common tangents through it of every ovoid pair with one member in
+T (common-tangent law).
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ class OvoidGeometry:
         each ovoid.
     member_matrix : (V, |Q0|) boolean membership matrix.
     adjacency : boolean tangency matrix (intersection size 1, off-diagonal).
-    tangency_point : int16 matrix of the common quadric point index of each
-        tangent pair, -1 elsewhere.
     through : (|Q0|, q^2(q-1)/2) int32 array, the ascending ovoid ids through
         each point, by dense section index.
     """
@@ -70,7 +69,6 @@ class OvoidGeometry:
         self.incidence: np.ndarray
         self.member_matrix: np.ndarray
         self.adjacency: np.ndarray
-        self.tangency_point: np.ndarray
         self.through: np.ndarray
 
     @property
@@ -79,7 +77,7 @@ class OvoidGeometry:
 
 
 def build_geometry(model: QuadricModel) -> OvoidGeometry:
-    """Assemble ovoids, tangency tables and rosettes, asserting the structure laws.
+    """Assemble ovoids, the tangency matrix and rosettes, asserting the structure laws.
 
     There is one ovoid per elation orbit of the affine points: the section
     points perpendicular to the orbit's smaller point x.  As x6 != 0 at x,
@@ -108,27 +106,20 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     geom.ovoid_points = sect[cols]
     geom.ovoid_span = basis[:, :4].astype(np.int16)
 
-    # The tables are filled one block of ovoid rows at a time.  float32
-    # products are exact here: every entry is an integer below 2^24.  In the
-    # position-weighted product the entry of a tangent pair is the dense
-    # index of its unique common point.
+    # adjacency is filled one block of ovoid rows at a time.  float32
+    # products are exact here: every entry is an integer below 2^24.
     mf = member.astype(np.float32)
     geom.adjacency = np.empty((n_ov, n_ov), dtype=bool)
-    geom.tangency_point = np.full((n_ov, n_ov), -1, dtype=np.int16)
     step = max(1, PAIR_BLOCK // n_ov)
     for lo in range(0, n_ov, step):
-        rows = mf[lo:lo + step]
-        inter = rows @ mf.T
+        inter = mf[lo:lo + step] @ mf.T
         # the diagonal is no pair: count it as a conic, lawful and not tangent
         np.fill_diagonal(inter[:, lo:], q + 1)
         if not ((inter == 1) | (inter == q + 1)).all():
             raise AssertionError("some ovoid pair meets in neither a point nor a conic")
-        adj = np.equal(inter, 1, out=geom.adjacency[lo:lo + step])
+        np.equal(inter, 1, out=geom.adjacency[lo:lo + step])
         del inter
-        tp_dense = (rows * np.arange(n_q0, dtype=np.float32)) @ mf.T
-        geom.tangency_point[lo:lo + step][adj] = sect[tp_dense[adj].astype(np.intp)]
-        del tp_dense
-    del mf, rows
+    del mf
 
     per_point = q * q * (q - 1) // 2
     if (member.sum(axis=0) != per_point).any():
@@ -167,75 +158,40 @@ def _batched_rref(ctx: FieldCtx, mats: np.ndarray) -> Tuple[np.ndarray, np.ndarr
 def _build_rosettes(geom: OvoidGeometry) -> None:
     """Group the ovoids through each point into pencils of pairwise tangent ones.
 
-    The tangent pairs (a, b) and their tangency points p are read from the
-    tables.  Let N(a) be a with its tangents at p, and m(a) the smallest
-    member of N(a).  Tangency at p is an equivalence with classes of q
-    pairwise tangent ovoids when it is symmetric, |N(a)| = q for every ovoid
-    a through p, and m is constant on each N(a).  For then, with m = m(a),
-    every b with m(b) = m is in N(m) (m is in N(b), and by symmetry b in
-    N(m)), N(a) is among those b, and |N(a)| = |N(m)| = q: so N(a) = N(m).
-    Each pencil is the class of its smallest member, in the order of (base,
-    smallest member); each point is the base of q(q-1)/2 of them.  The
-    members of each class meet pairwise only at p, which holds exactly when
-    their union has q^3+1 points; the tangency tables are checked against
-    the ovoids' points this way.  No ovoid through p meets p^perp beyond p,
-    so a pencil's members meet p^perp only at p.
+    Two tangent ovoids through p meet only at p, so the pencils at p are the
+    classes of tangency among the ovoids through p.  Let S be their tangency
+    matrix with the diagonal set, and least(a) the first ovoid in a's row of
+    S: the smallest of a's class, as the ovoids through p ascend.  Sorted
+    stably by least, the ovoids through p come class by class in the order
+    of their smallest members, so tangency at p is an equivalence with
+    classes of size q exactly when S, rows and columns in that order, is
+    block diagonal with q x q blocks of ones.  The ovoids through p, in that
+    order, are then the pencils based there, q at a time, sorted by (base,
+    smallest member).  The members of each pencil meet pairwise only at p,
+    which holds exactly when their union has q^3+1 points; the tangency
+    matrix is checked against the ovoids' points this way.  No ovoid through
+    p meets p^perp beyond p, so a pencil's members meet p^perp only at p.
     """
     model = geom.model
     q = model.ctx.q
-    member = geom.member_matrix
-    n_ov, n_q0 = member.shape
-    # the tangent pairs in row-major order, read one block of rows at a time
-    # into int16: fewer than 2^15 ovoids and points at every buildable
-    # degree, and the stable argsort of int16 keys below is a radix sort
-    step = max(1, PAIR_BLOCK // n_ov)
-    blocks = []
-    for lo in range(0, n_ov, step):
-        r, c = np.nonzero(geom.adjacency[lo:lo + step])
-        blocks.append(((r + lo).astype(np.int16), c.astype(np.int16)))
-    a, b = (np.concatenate(v) for v in zip(*blocks))
-    del blocks
-    tp = geom.tangency_point[a, b]
-    # a point -1 (no tangency point) reads the appended dense index -1, and
-    # a key -1 (off the section) the appended all-False column
-    pk = np.append(model.section_index, -1).astype(np.int16)[tp]
-    on_both = np.append(member, np.zeros((n_ov, 1), dtype=bool), axis=1)
-    if not (on_both[a, pk] & on_both[b, pk]).all():
-        raise AssertionError("ovoids sharing a point are tangent elsewhere")
-    del on_both
-
-    equivalence = "tangency at a point is not an equivalence with classes of size q"
-    if not (geom.adjacency[b, a] & (geom.tangency_point[b, a] == tp)).all():
-        raise AssertionError(equivalence)
-    del tp
-    # Sorted by (p, a), the pairs come in runs of equal keys p * V + a, each
-    # run a's tangents at p, ascending.  a has q - 1 tangents at each of its
-    # points exactly when the keys form runs of q - 1 equal keys, one run
-    # per member pair, in the order of the member pairs' keys.
-    order = np.argsort(pk, kind="stable")
-    if len(order) != np.count_nonzero(member) * (q - 1):
-        raise AssertionError(equivalence)
-    base, a, tangents = pk[order], a[order], b[order].reshape(-1, q - 1)
-    del order, b, pk
-    key = base.astype(np.int32)
-    key *= n_ov
-    key += a
-    key = key.reshape(-1, q - 1)
-    if not ((key == key[:, :1]).all()
-            and np.array_equal(key[:, 0], np.flatnonzero(member.T))):
-        raise AssertionError(equivalence)
-    del key
-    # one row per (p, a) with p on a: a's tangents at p
-    base, a = base[::q - 1], a[::q - 1]
-    least = np.minimum(a, tangents[:, 0])
-    row_of = np.empty((n_q0, n_ov), dtype=np.int32)
-    row_of[base, a] = np.arange(len(a))
-    if not (least[row_of[base[:, None], tangents]] == least[:, None]).all():
-        raise AssertionError(equivalence)
-    del row_of
-    heads = np.flatnonzero(least == a)
-    pencils = np.column_stack([a[heads], tangents[heads]])
-    on_ovoid = np.packbits(member, axis=1)
+    n_q0, per_point = geom.through.shape
+    m = q * (q - 1) // 2
+    if per_point != q * m:
+        raise AssertionError("some point is not the base of q(q-1)/2 pencils")
+    diagonal = np.eye(per_point, dtype=bool)
+    classes = np.kron(np.eye(m, dtype=bool), np.ones((q, q), dtype=bool))
+    pencils = np.empty_like(geom.through)
+    # take, not fancy indexing: these are many small gathers
+    for T, out in zip(geom.through, pencils):
+        S = geom.adjacency.take(T, axis=0).take(T, axis=1)
+        S |= diagonal
+        order = S.argmax(axis=1).argsort(kind="stable")
+        if (S.take(order, axis=0).take(order, axis=1) != classes).any():
+            raise AssertionError("tangency at a point is not an equivalence "
+                                 "with classes of size q")
+        T.take(order, out=out)
+    pencils = pencils.reshape(-1, q)
+    on_ovoid = np.packbits(geom.member_matrix, axis=1)
     union = on_ovoid[pencils[:, 0]]
     for column in pencils[:, 1:].T:
         union |= on_ovoid[column]
@@ -245,15 +201,13 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
 
     sect = model.section_points
     perp = np.packbits(model.collinear(sect, sect), axis=1)
-    for lo in range(0, len(a), 1 << 15):
-        meets = on_ovoid[a[lo:lo + (1 << 15)]] & perp[base[lo:lo + (1 << 15)]]
-        if (np.bitwise_count(meets).sum(axis=1) != 1).any():
+    step = max(1, (1 << 15) // per_point)
+    for lo in range(0, n_q0, step):
+        meets = on_ovoid[geom.through[lo:lo + step]] & perp[lo:lo + step, None]
+        if (np.bitwise_count(meets).sum(axis=2) != 1).any():
             raise AssertionError("an ovoid through a point meets its perp beyond the point")
-
-    if (np.bincount(base[heads], minlength=n_q0) != q * (q - 1) // 2).any():
-        raise AssertionError("some point is not the base of q(q-1)/2 pencils")
-    geom.pencil_base = sect[base[heads]]
-    geom.pencil_members = pencils.astype(np.int32)
+    geom.pencil_base = np.repeat(sect, m)
+    geom.pencil_members = pencils
 
 
 def _verify_incidence(geom: OvoidGeometry) -> None:

@@ -16,7 +16,10 @@ by pair from a float64 product ``A @ A``.
 `maximal_cliques` lists every maximal clique by a pivoting search on bitmask
 rows; its size histograms cross-check the census spectrum on small graphs
 and on sampled neighbourhoods.  `classify_clique` decides linearity and
-maximality of one clique from the tangency tables.
+maximality of one clique from the tangency matrix and the tangency points.
+
+The tangency points come from `ovoid_oracle.tangency_points`, which reads
+them off the ovoids' point sets.
 """
 
 from dataclasses import dataclass
@@ -24,6 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ovoid_oracle import tangency_points
 from quadcover.cliquecensus import (
     BATCH,
     MASK64,
@@ -67,7 +71,7 @@ def boolean_census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
     q = model.ctx.q
     ndeg = model.ctx.n
     n_odd = ndeg % 2 == 1
-    tp = gx.tangency_point
+    tp = tangency_points(gx)
     iu, ju = np.nonzero(np.triu(A, 1))
     E = len(iu)
 
@@ -251,7 +255,7 @@ class CliqueRecord:
 
 
 def classify_clique(gx: OvoidGeometry, vertices: Sequence[int]) -> CliqueRecord:
-    """Decide linearity from the tangency-point table and test maximality."""
+    """Decide linearity from the tangency points and test maximality."""
     vs = tuple(sorted(int(v) for v in vertices))
     if len(vs) < 2 or len(set(vs)) != len(vs):
         raise ValueError("need at least two distinct vertices")
@@ -260,7 +264,8 @@ def classify_clique(gx: OvoidGeometry, vertices: Sequence[int]) -> CliqueRecord:
         for v in vs[i + 1:]:
             if not A[u, v]:
                 raise ValueError(f"vertices {u} and {v} are not adjacent")
-    tps = {int(gx.tangency_point[u, v]) for i, u in enumerate(vs) for v in vs[i + 1:]}
+    tp = tangency_points(gx)
+    tps = {int(tp[u, v]) for i, u in enumerate(vs) for v in vs[i + 1:]}
     linear = len(tps) == 1
     common = A[vs[0]].copy()
     for v in vs[1:]:

@@ -8,7 +8,8 @@ and maximality laws, and a scalar loop over ovoid pairs and points for the
 common-tangent law.  They share no code with the per-point products.  The
 queries classify the meet of two ovoids, recover a pencil from one tangent
 pair by its definition, and intersect the member spans of a pencil into its
-tangent plane.
+tangent plane.  `tangency_points` rebuilds, from the ovoids' point sets
+alone, the table of tangency points that the set-up no longer keeps.
 """
 
 from typing import List, Sequence, Tuple
@@ -17,6 +18,24 @@ import numpy as np
 
 from projgeom_oracle import Subspace, subspace_contains, subspace_intersection, subspace_points
 from quadcover.ovoid import OvoidGeometry
+
+
+def tangency_points(geom: OvoidGeometry) -> np.ndarray:
+    """The (V, V) int16 table of the common quadric point of every pair of
+    ovoids that meet in exactly one point, -1 elsewhere (the diagonal
+    included).  Read from `ovoid_points` as sets: each point adds itself to
+    the intersection of every pair of ovoids through it, so a pair's count is
+    the size of its intersection and its last entry the largest common
+    point."""
+    pts = geom.ovoid_points
+    n = len(pts)
+    size = np.zeros((n, n), dtype=np.int16)
+    last = np.zeros((n, n), dtype=np.int16)
+    for x in np.unique(pts):
+        on = np.flatnonzero((pts == x).any(axis=1))
+        size[np.ix_(on, on)] += 1
+        last[np.ix_(on, on)] = x
+    return np.where(size == 1, last, -1).astype(np.int16)
 
 
 def loop_semipartial(geom: OvoidGeometry) -> dict:

@@ -10,7 +10,9 @@ lists.  They share no code with the array passes.  `loop_point_index`,
 `loop_build_lines`, `loop_build_elation`, `loop_build_rosettes` and
 `loop_incidence` fill the same fields of the model or geometry they are
 given as the function they replaced; `loop_build_geometry` is the whole
-former `build_geometry`.  Each packages its loop's results into the same
+former `build_geometry`, but for its table of tangency points, which
+`loop_tangency_point` computes as that did: by a position-weighted product
+over the membership matrix.  Each packages its loop's results into the same
 index arrays the set-up fills.
 """
 
@@ -126,7 +128,7 @@ def loop_build_elation(model: QuadricModel) -> None:
 
 
 def loop_build_geometry(model: QuadricModel) -> OvoidGeometry:
-    """Assemble ovoids, tangency tables and rosettes, asserting the structure laws.
+    """Assemble ovoids, the tangency matrix and rosettes, asserting the structure laws.
 
     There is one ovoid per elation orbit of the affine points: the section
     points perpendicular to the orbit's smaller point x.  As x6 != 0 at x,
@@ -167,13 +169,6 @@ def loop_build_geometry(model: QuadricModel) -> OvoidGeometry:
         raise AssertionError("some ovoid pair meets in neither a point nor a conic")
     geom.adjacency = inter == 1
 
-    # position-weighted product: for tangent pairs the entry is the dense
-    # index of the unique common point (exact in float32, values < 2^24)
-    weighted = mf * np.arange(n_q0, dtype=np.float32)
-    tp_dense = (mf @ weighted.T).astype(np.int32)
-    tp = np.where(geom.adjacency, sect[np.clip(tp_dense, 0, n_q0 - 1)], -1).astype(np.int16)
-    geom.tangency_point = tp
-
     through = [np.nonzero(member[:, k])[0] for k in range(n_q0)]
     per_point = q * q * (q - 1) // 2
     if any(len(t) != per_point for t in through):
@@ -185,15 +180,29 @@ def loop_build_geometry(model: QuadricModel) -> OvoidGeometry:
     return geom
 
 
+def loop_tangency_point(geom: OvoidGeometry) -> np.ndarray:
+    """The former (V, V) int16 table of the common quadric point of every
+    tangent pair, -1 elsewhere.  In a position-weighted product over the
+    membership matrix the entry of a tangent pair is the dense index of its
+    unique common point (exact in float32, values < 2^24)."""
+    sect = geom.model.section_points
+    mf = geom.member_matrix.astype(np.float32)
+    weighted = mf * np.arange(len(sect), dtype=np.float32)
+    tp_dense = (mf @ weighted.T).astype(np.int32)
+    return np.where(geom.adjacency, sect[np.clip(tp_dense, 0, len(sect) - 1)],
+                    -1).astype(np.int16)
+
+
 def loop_build_rosettes(geom: OvoidGeometry) -> None:
     """Group the ovoids through each point into pencils of pairwise tangent ones.
 
     With S the tangency matrix of the ovoids through p, diagonal set,
     S.S = q.S holds exactly when tangency at p is an equivalence relation
     with classes of q pairwise tangent ovoids; each pencil is the row of S
-    at its smallest member.  No ovoid through p meets p^perp beyond p, so a
-    pencil's members meet p^perp only at p, and their union (pairwise
-    meeting only at p) has q^3+1 points.
+    at its smallest member.  Once every point is grouped, the members of
+    each pencil must meet pairwise only at its base.  No ovoid through p
+    meets p^perp beyond p, so a pencil's members meet p^perp only at p, and
+    their union (pairwise meeting only at p) has q^3+1 points.
     """
     model = geom.model
     q = model.ctx.q
@@ -203,19 +212,22 @@ def loop_build_rosettes(geom: OvoidGeometry) -> None:
     for k, p in enumerate(model.section_points):
         cands = geom.through[k]
         S = geom.adjacency[np.ix_(cands, cands)]
-        if not (geom.tangency_point[np.ix_(cands, cands)][S] == p).all():
-            raise AssertionError("ovoids sharing a point are tangent elsewhere")
         np.fill_diagonal(S, True)
         Sf = S.astype(np.float32)
         if not np.array_equal(Sf @ Sf, q * Sf):
             raise AssertionError("tangency at a point is not an equivalence "
                                  "with classes of size q")
-        meets = geom.member_matrix[np.ix_(cands, model.gram[p, sect] == 0)]
-        if (meets.sum(axis=1) != 1).any():
-            raise AssertionError("an ovoid through a point meets its perp beyond the point")
         for i in np.nonzero(S.argmax(axis=1) == np.arange(len(cands)))[0]:
             bases.append(p)
             members.append(tuple(cands[S[i]].tolist()))
+    for p, ms in zip(bases, members):
+        shared = geom.member_matrix[list(ms)].sum(axis=0) > 1
+        if sect[shared].tolist() != [p]:
+            raise AssertionError("ovoids sharing a point are tangent elsewhere")
+    for k, p in enumerate(model.section_points):
+        meets = geom.member_matrix[np.ix_(geom.through[k], model.gram[p, sect] == 0)]
+        if (meets.sum(axis=1) != 1).any():
+            raise AssertionError("an ovoid through a point meets its perp beyond the point")
     geom.pencil_base = np.array(bases, dtype=np.int32)
     geom.pencil_members = np.array(members, dtype=np.int32)
 

@@ -17,7 +17,7 @@ from census_oracle import (
     maximal_cliques,
     pair_srg_values,
 )
-from ovoid_oracle import loop_rosette_maximality
+from ovoid_oracle import loop_rosette_maximality, tangency_points
 from quadcover import cliquecensus
 from quadcover.cliquecensus import (
     census,
@@ -130,7 +130,7 @@ def test_triangle_total_matches_matrix_trace(request, cname):
 
 
 def test_triangle_classification_matches_brute_force(geom_q4, census_q4):
-    A, tp = geom_q4.adjacency, geom_q4.tangency_point
+    A, tp = geom_q4.adjacency, tangency_points(geom_q4)
     lin = nl = 0
     for a in range(geom_q4.n_ovoids):
         for b in np.nonzero(A[a])[0]:
@@ -446,7 +446,7 @@ def test_census_raises_on_a_cleared_tangent_pair(tg_q4, geom_q4):
 def _edge(A, geom, e):
     """Edge e (a, b) of the tangency graph, in row-major order, with its
     pencil completions and its non-linear completions, each ascending."""
-    tp = geom.tangency_point
+    tp = tangency_points(geom)
     iu, ju = np.nonzero(np.triu(A, 1))
     a, b = int(iu[e]), int(ju[e])
     common = np.flatnonzero(A[a] & A[b])
@@ -607,14 +607,21 @@ def _assert_seed_edge_raises(A, geom, edge, message):
 
 
 def test_census_raises_on_an_extra_pencil_completion(tg_q4, geom_q4):
-    # the tangency table puts a non-linear completion w of the sampled edge
-    # (a, b) on the pencil of (a, b): q - 1 pencil completions
+    # a non-linear completion w of the sampled edge (a, b) moved from its
+    # tangency points with a and b to their common point p, in the
+    # membership matrix that the census reads and in the point sets that
+    # the boolean kernel reads: q - 1 pencil completions
     a, b, _, W = _edge(tg_q4, geom_q4, _seed_edge(tg_q4))
     w = int(W[0])
+    tp = tangency_points(geom_q4)
+    sect_index = geom_q4.model.section_index
     geom = copy.copy(geom_q4)
-    tp = geom_q4.tangency_point.copy()
-    tp[[a, w, b, w], [w, a, w, b]] = tp[a, b]
-    geom.tangency_point = tp
+    geom.ovoid_points = geom_q4.ovoid_points.copy()
+    geom.member_matrix = geom_q4.member_matrix.copy()
+    row = geom.ovoid_points[w]
+    row[np.isin(row, [tp[a, w], tp[b, w]])] = tp[a, b]
+    geom.member_matrix[w] = False
+    geom.member_matrix[w, sect_index[row]] = True
     _assert_seed_edge_raises(tg_q4, geom, (a, b),
                              "pencil completion count differs from q-2")
 

@@ -16,6 +16,7 @@ from covering_oracle import (
     quotient_graph_diameter,
     rook_grid_complement_check,
 )
+from ovoid_oracle import tangency_points
 from quadcover import covering
 from quadcover.covering import (
     canonical_covering,
@@ -565,7 +566,7 @@ def test_rook_grid_complement_at_q2(cov_q2, cov_q4):
 
 
 def _is_linear(geom, a, b, c):
-    tp = geom.tangency_point
+    tp = tangency_points(geom)
     return tp[a, b] == tp[a, c] == tp[b, c]
 
 

@@ -1,6 +1,7 @@
 """Centric figures: verification, clique lifting, the cube family, extensions."""
 
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -140,8 +141,13 @@ def test_lift_project_round_trip(cov_q4, census_q4):
 
 def test_lift_rejects_bad_cliques(cov_q4):
     geom = cov_q4.geom
-    with pytest.raises(ValueError, match="linear"):
-        lift_clique_to_figure(cov_q4, tuple(geom.pencil_members[0, :3].tolist()))
+    # every 3- and 4-subset of every pencil is a linear clique
+    for members in geom.pencil_members.tolist():
+        for size in (3, 4):
+            for clique in combinations(members, size):
+                with pytest.raises(ValueError) as err:
+                    lift_clique_to_figure(cov_q4, clique)
+                assert str(err.value) == "linear clique: all tangencies share one point"
     a = 0
     b = next(x for x in range(geom.n_ovoids) if x != a and not geom.adjacency[a, x])
     with pytest.raises(ValueError, match="not tangent"):

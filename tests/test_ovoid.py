@@ -13,6 +13,7 @@ from ovoid_oracle import (
     loop_common_tangent_counts,
     loop_semipartial,
     rosette_from_pair,
+    tangency_points,
     tangent_plane,
 )
 from quadcover.ovoid import (
@@ -66,14 +67,15 @@ def test_pairwise_intersection_sizes(request, name):
 
 def test_tangency_point_matrix(geom_q4):
     geom = geom_q4
+    tp = tangency_points(geom)
     rng = np.random.default_rng(3)
     pairs = np.argwhere(geom.adjacency)
     for a, b in pairs[rng.choice(len(pairs), size=50, replace=False)]:
         common = np.intersect1d(geom.ovoid_points[a], geom.ovoid_points[b])
-        assert common.tolist() == [geom.tangency_point[a, b]]
+        assert common.tolist() == [tp[a, b]]
     non = np.argwhere(~geom.adjacency)
     for a, b in non[rng.choice(len(non), size=50, replace=False)]:
-        assert geom.tangency_point[a, b] == -1
+        assert tp[a, b] == -1
 
 
 def test_intersection_kind_classifies_pairs(geom_q4):
@@ -81,7 +83,7 @@ def test_intersection_kind_classifies_pairs(geom_q4):
     q = geom.model.ctx.q
     a, b = map(int, np.argwhere(geom.adjacency)[0])
     kind, common = intersection_kind(geom, a, b)
-    assert kind == "tangent" and common == (geom.tangency_point[a, b],)
+    assert kind == "tangent" and common == (tangency_points(geom)[a, b],)
     c, d = map(int, np.argwhere(_intersection_sizes(geom) == q + 1)[0])
     kind, common = intersection_kind(geom, c, d)
     assert kind == "conic" and len(common) == q + 1
@@ -104,6 +106,7 @@ def test_rosette_structure(request, name):
     geom = request.getfixturevalue(name)
     q = geom.model.ctx.q
     n_q0 = len(geom.model.section_points)
+    tp = tangency_points(geom)
     assert geom.pencil_members.shape == (n_q0 * q * (q - 1) // 2, q)
     # pencils are grouped by base, q(q-1)/2 at each section point in turn
     assert np.array_equal(geom.pencil_base,
@@ -111,7 +114,7 @@ def test_rosette_structure(request, name):
     for base, members in zip(geom.pencil_base, geom.pencil_members):
         sub = geom.adjacency[np.ix_(members, members)]
         assert sub[~np.eye(q, dtype=bool)].all()
-        assert (geom.tangency_point[np.ix_(members, members)][sub] == base).all()
+        assert (tp[np.ix_(members, members)][sub] == base).all()
         union = np.zeros(n_q0, dtype=bool)
         for m in members:
             union |= geom.member_matrix[m]
@@ -148,9 +151,7 @@ def test_grouping_rejects_a_broken_tangency_class(geom_q4):
     geom = copy.copy(geom_q4)
     a, b = geom.pencil_members[0, :2]
     geom.adjacency = geom_q4.adjacency.copy()
-    geom.tangency_point = geom_q4.tangency_point.copy()
     geom.adjacency[[a, b], [b, a]] = False
-    geom.tangency_point[[a, b], [b, a]] = -1
     with pytest.raises(AssertionError, match="not an equivalence"):
         _build_rosettes(geom)
 

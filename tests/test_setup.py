@@ -3,8 +3,10 @@
 `setup_oracle` holds the former scalar and per-point set-up.  Every field
 the set-up fills, the point index included, is diffed against it, with its
 dtype and shape, at q = 2 and q = 4 for every modulus and trace-one form
-parameter, and at q = 8 for the default field.  Corrupted copies of the
-tables show that the line and grouping laws still fire.
+parameter, and at q = 8 for the default field, and so is the table of
+tangency points that the tests read off the ovoids' point sets, against the
+former position-weighted product.  Corrupted copies of the tables show that
+the line and grouping laws still fire.
 """
 
 import copy
@@ -13,8 +15,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ovoid_oracle import tangency_points
 from setup_oracle import (loop_build_elation, loop_build_geometry, loop_build_lines,
-                          loop_build_rosettes, loop_gram_matrix, loop_point_index)
+                          loop_build_rosettes, loop_gram_matrix, loop_point_index,
+                          loop_tangency_point)
 from quadcover import ovoid
 from quadcover.gf2n import FieldCtx, is_irreducible, trace
 from quadcover.ovoid import _batched_rref, _build_rosettes, build_geometry
@@ -54,7 +58,8 @@ def assert_same_geometry(geom):
     oracle = loop_build_geometry(geom.model)
     assert_same_fields(geom, oracle, (
         "ovoid_orbit", "ovoid_points", "ovoid_span", "member_matrix", "adjacency",
-        "tangency_point", "through", "pencil_base", "pencil_members", "incidence"))
+        "through", "pencil_base", "pencil_members", "incidence"))
+    assert np.array_equal(tangency_points(geom), loop_tangency_point(oracle))
     q = geom.model.ctx.q
     assert geom.ovoid_span.shape == (geom.n_ovoids, 4, 6)
     assert geom.pencil_members.shape == (len(geom.pencil_base), q)
@@ -82,16 +87,17 @@ def test_setup_in_ragged_blocks_matches_the_loop_oracle(monkeypatch, n, rows):
     assert_same_geometry(build_geometry(build_model(FieldCtx(n))))
 
 
-def test_build_geometry_peak_stays_below_40_mib(model_q8):
-    # the kept tables (4 MB adjacency, 8 MB tangency points) and the sort of
-    # the 917,280 tangent pairs; no product block exceeds PAIR_BLOCK entries
+def test_build_geometry_peak_stays_below_28_mib(model_q8):
+    # the kept tables (4 MB adjacency, 1 MB membership) and one product
+    # block of at most PAIR_BLOCK float32 entries beside the float copy of
+    # the membership matrix
     tracemalloc.start()
     try:
         build_geometry(model_q8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2 ** 20
+    assert peak < 28 * 2 ** 20
 
 
 def _flipped_pair(model, flip):
@@ -147,72 +153,81 @@ def test_elation_rejects_a_nucleus_on_the_quadric(model_q4):
 def test_grouping_rejects_tangencies_that_keep_every_count(geom_q4, corruption):
     """Two pencils {a1..a4}, {b1..b4} at the first section point p, with
     a1 < b1.  "swapped": a1-a2 and b1-b2 made non-tangent, a1-b1 and a2-b2
-    made tangent at p.  "one_way": each b made tangent at p to a1, a2, a3
-    and to no other b, while the a rows stay as they are; every smallest
-    class member is then a1, and only symmetry fails.  Either way every
-    ovoid still has q - 1 tangents at every one of its points."""
+    made tangent.  "one_way": each b made tangent to a1, a2, a3 and to no
+    other b, while the a rows stay as they are; every smallest class member
+    is then a1, and only symmetry fails.  Either way every ovoid keeps its
+    (q - 1)(q^2 + 1) tangents."""
     geom = copy.copy(geom_q4)
     q = geom.model.ctx.q
-    p = geom.model.section_points[0]
     first, second = map(tuple, geom.pencil_members[:2].tolist())   # both at point 0
     geom.adjacency = geom_q4.adjacency.copy()
-    geom.tangency_point = geom_q4.tangency_point.copy()
     if corruption == "swapped":
         for u, v, tangent in ((first[0], first[1], False), (second[0], second[1], False),
                               (first[0], second[0], True), (first[1], second[1], True)):
             geom.adjacency[[u, v], [v, u]] = tangent
-            geom.tangency_point[[u, v], [v, u]] = p if tangent else -1
     else:
         rows = np.array(second)[:, None]
         geom.adjacency[rows, np.array(second)] = False
-        geom.tangency_point[rows, np.array(second)] = -1
         geom.adjacency[rows, np.array(first[:q - 1])] = True
-        geom.tangency_point[rows, np.array(first[:q - 1])] = p
-    sect = np.array(geom.model.section_points)
-    for a in range(geom.n_ovoids):
-        tp = geom.tangency_point[a][geom.adjacency[a]]
-        on = sect[geom.member_matrix[a]]
-        assert (np.bincount(tp, minlength=geom.model.n_points)[on] == q - 1).all()
+    assert (geom.adjacency.sum(axis=1) == (q - 1) * (q * q + 1)).all()
+    for build in (_build_rosettes, loop_build_rosettes):
+        with pytest.raises(AssertionError, match="not an equivalence"):
+            build(geom)
+
+
+def test_grouping_rejects_a_one_way_tangency_that_keeps_the_counts_at_every_point(geom_q4):
+    """b1, the first member of the second pencil at the first section point,
+    made tangent to a1, the first member of the first pencil, in its own row
+    only, and non-tangent in its row to one pencil mate at each of the q + 1
+    points it shares with a1.  Every row of the tangency matrix among the
+    ovoids through each point still holds q - 1 tangents, and only symmetry
+    fails."""
+    geom = copy.copy(geom_q4)
+    q = geom.model.ctx.q
+    geom.adjacency = A = geom_q4.adjacency.copy()
+    a1, b1 = geom.pencil_members[:2, 0]
+    A[b1, a1] = True
+    for k in np.flatnonzero(geom.member_matrix[a1] & geom.member_matrix[b1]):
+        T = geom.through[k]
+        A[b1, T[A[b1, T] & (T != a1)][0]] = False
+    for T in geom.through:
+        assert (A[np.ix_(T, T)].sum(axis=1) == q - 1).all()
     for build in (_build_rosettes, loop_build_rosettes):
         with pytest.raises(AssertionError, match="not an equivalence"):
             build(geom)
 
 
 def _retangent(geom, corruption):
-    """The q = 4 geometry with pairs made tangent at the first section point
-    p or non-tangent, keeping the relation symmetric and every pair's point
-    on both ovoids.  P1 and P2 are the first two pencils at p, (u, v) the
-    first pair of the last pencil.  "cleared": (u, v) made non-tangent, so
-    u and v have q - 2 tangents at their point.  "moved": (u, v) cleared and
-    P1[0] made tangent to P2[0] at p: the number of tangent pairs is kept,
-    but P1[0] and P2[0] have q tangents at p.  "doubled": P2[0] made
-    tangent to none of P2 and P1[0] to all of it, so P1[0] has 2(q - 1)
-    tangents at p, P2[0] none and every other ovoid q - 1 at each of its
-    points.  "shifted": a and b, the first two consecutive ovoids through p
-    in different pencils, and y a pencil mate of a; (a, y) cleared and
-    (b, y) made tangent, so a has q - 2 tangents at p and b has q."""
+    """The q = 4 geometry with pairs through the first section point p made
+    tangent or non-tangent, keeping the relation symmetric.  P1 and P2 are
+    the first two pencils at p, (u, v) the first pair of the last pencil.
+    "cleared": (u, v) made non-tangent, so u and v have q - 2 tangents at
+    their point.  "moved": (u, v) cleared and P1[0] made tangent to P2[0]:
+    the number of tangent pairs is kept, but P1[0] and P2[0] have q tangents
+    at p.  "doubled": P2[0] made tangent to none of P2 and P1[0] to all of
+    it, so P1[0] has 2(q - 1) tangents at p, P2[0] none and every other
+    ovoid q - 1 at p.  "shifted": a and b, the first two consecutive ovoids
+    through p in different pencils, and y a pencil mate of a; (a, y) cleared
+    and (b, y) made tangent, so a has q - 2 tangents at p and b has q."""
     geom = copy.copy(geom)
     geom.adjacency = geom.adjacency.copy()
-    geom.tangency_point = geom.tangency_point.copy()
-    p = geom.model.section_points[0]
     P1, P2 = geom.pencil_members[:2].tolist()              # both at point p
     u, v = geom.pencil_members[-1, :2].tolist()
     if corruption == "cleared":
-        edits = [(u, v, None)]
+        edits = [(u, v, False)]
     elif corruption == "moved":
-        edits = [(u, v, None), (P1[0], P2[0], p)]
+        edits = [(u, v, False), (P1[0], P2[0], True)]
     elif corruption == "doubled":
-        edits = [(P2[0], w, None) for w in P2[1:]] + [(P1[0], w, p) for w in P2[1:]]
+        edits = [(P2[0], w, False) for w in P2[1:]] + [(P1[0], w, True) for w in P2[1:]]
     else:
         through = geom.through[0].tolist()
         a, b = next((a, b) for a, b in zip(through, through[1:])
                     if not geom.adjacency[a, b])
         y = next(y for y in through if geom.adjacency[a, y] and y != b)
-        edits = [(a, y, None), (b, y, p)]
-    for x, y, point in edits:
-        assert geom.adjacency[x, y] == (point is None)
-        geom.adjacency[[x, y], [y, x]] = point is not None
-        geom.tangency_point[[x, y], [y, x]] = -1 if point is None else point
+        edits = [(a, y, False), (b, y, True)]
+    for x, y, tangent in edits:
+        assert geom.adjacency[x, y] != tangent
+        geom.adjacency[[x, y], [y, x]] = tangent
     return geom
 
 
@@ -226,28 +241,28 @@ def test_grouping_rejects_a_wrong_number_of_tangents_at_a_point(geom_q4, corrupt
 
 def _regroup(geom, corruption):
     """The q = 4 geometry with its tables made inconsistent with the ovoids'
-    points, keeping tangency at every point an equivalence with classes of
-    size q.  "off_common_point": the first pencil's first pair made tangent
-    at a point of only one of them.  "regrouped": the first two pencils at
-    the first section point exchange their last two members, so that pairs
-    meeting in a conic are marked tangent.  "perp_in_ovoid": two points of
-    the first ovoid made perpendicular in the model's gram."""
+    points.  "regrouped": the first two pencils at the first section point p
+    exchange their last two members, so that pairs meeting in a conic are
+    marked tangent; tangency at p stays an equivalence with classes of size
+    q, and fails to be one at the conic pair's second common point.
+    "mate_point": the first ovoid of the first pencil given, in the
+    membership matrix, a point of its pencil mate other than p, so that the
+    two share two points.  "perp_in_ovoid": two points of the first ovoid
+    made perpendicular in the model's gram."""
     geom = copy.copy(geom)
-    geom.adjacency = geom.adjacency.copy()
-    geom.tangency_point = geom.tangency_point.copy()
     first, second = map(tuple, geom.pencil_members[:2].tolist())   # both at point 0
-    if corruption == "off_common_point":
-        a, b = first[:2]
-        other = int(np.setdiff1d(geom.ovoid_points[a], geom.ovoid_points[b])[0])
-        geom.tangency_point[[a, b], [b, a]] = other
-    elif corruption == "regrouped":
-        p = geom.model.section_points[0]
+    if corruption == "regrouped":
+        geom.adjacency = geom.adjacency.copy()
         for u in first[:2] + second[:2]:
             old = first[2:] if u in first else second[2:]
             new = second[2:] if u in first else first[2:]
             for v, tangent in [(v, False) for v in old] + [(v, True) for v in new]:
                 geom.adjacency[[u, v], [v, u]] = tangent
-                geom.tangency_point[[u, v], [v, u]] = p if tangent else -1
+    elif corruption == "mate_point":
+        a, b = first[:2]
+        geom.member_matrix = geom.member_matrix.copy()
+        x = np.flatnonzero(geom.member_matrix[b] & ~geom.member_matrix[a])[0]
+        geom.member_matrix[a, x] = True
     else:
         geom.model = copy.copy(geom.model)
         geom.model.gram = geom.model.gram.copy()
@@ -257,8 +272,8 @@ def _regroup(geom, corruption):
 
 
 @pytest.mark.parametrize("corruption,law", [
-    ("off_common_point", "ovoids sharing a point are tangent elsewhere"),
-    ("regrouped", "ovoids sharing a point are tangent elsewhere"),
+    ("regrouped", "not an equivalence"),
+    ("mate_point", "ovoids sharing a point are tangent elsewhere"),
     ("perp_in_ovoid", "an ovoid through a point meets its perp beyond the point")])
 def test_grouping_rejects_tables_that_disagree_with_the_points(geom_q4, corruption, law):
     geom = _regroup(geom_q4, corruption)
