@@ -403,25 +403,26 @@ def build_adapted_frame(model: QuadricModel, a1: int, c1: int, b1: int,
     when d1 is omitted the first quadric point with the right incidences is
     taken.  The remaining two basis vectors come from the perp of the first
     four, normalized against the quadric polynomial.  The values of alpha on
-    the four quadric points are read from ``model.gram``.
+    the four quadric points are read from one block: every point against
+    a1, c1 and b1.
     """
     ctx = model.ctx
     mul = ctx.mul
-    g = model.gram
-    if g[a1, c1] == 0:
+    ga, gc, gb = model.alpha(np.arange(model.n_points), [a1, c1, b1]).T
+    if ga[c1] == 0:
         raise ValueError("frame points a1, c1 must be non-collinear")
-    if g[a1, b1] or g[c1, b1]:
+    if ga[b1] or gc[b1]:
         raise ValueError("frame point b1 must be collinear with a1 and c1")
     if d1 is None:
-        found = np.nonzero((g[a1] == 0) & (g[c1] == 0) & (g[b1] != 0))[0]
+        found = np.nonzero((ga == 0) & (gc == 0) & (gb != 0))[0]
         if len(found) == 0:
             raise AssertionError("no fourth frame point found")
         d1 = int(found[0])
-    if g[b1, d1] == 0 or g[a1, d1] or g[c1, d1]:
+    if gb[d1] == 0 or ga[d1] or gc[d1]:
         raise ValueError("fourth frame point has wrong incidences")
     v1, v3 = model.point(a1), model.point(b1)
-    v2 = vec_scale(ctx, ctx.inv(int(g[a1, c1])), model.point(c1))
-    v4 = vec_scale(ctx, ctx.inv(int(g[b1, d1])), model.point(d1))
+    v2 = vec_scale(ctx, ctx.inv(int(ga[c1])), model.point(c1))
+    v4 = vec_scale(ctx, ctx.inv(int(gb[d1])), model.point(d1))
 
     # The perp of v1..v4 is a plane on which f is anisotropic.  Projecting
     # e_j off the two hyperbolic pairs, e_j + alpha(e_j, v2) v1 + ..., spans
@@ -501,8 +502,9 @@ def hexagon_labels(model: QuadricModel, fig: CentricFigure) -> Dict[str, int]:
         raise ValueError("not a centric hexagon")
     partner = fig.partner
     a1 = fig.pairs[0][0]
-    nbrs = [x for x in fig.point_indices() if x != a1 and x != partner[a1]
-            and model.gram[a1, x] == 0]
+    pts = fig.point_indices()
+    nbrs = [x for x, coll in zip(pts, model.collinear([a1], pts)[0].tolist())
+            if coll and x != a1 and x != partner[a1]]
     if len(nbrs) != 2:
         raise AssertionError("hexagon vertex degree is not 2")
     b1, c2 = nbrs
@@ -554,9 +556,9 @@ def extend_hexagon_to_cubes_bruteforce(model: QuadricModel,
     independent of the frame solver for cross-checking.
     """
     lab = hexagon_labels(model, fig)
-    g = model.gram
-    mask = ((g[lab["a1"]] == 0) & (g[lab["c1"]] == 0) & (g[lab["b2"]] == 0)
-            & (g[lab["b1"]] != 0) & (g[lab["a2"]] != 0) & (g[lab["c2"]] != 0))
+    a1, c1, b2, b1, a2, c2 = model.collinear(
+        np.arange(model.n_points), [lab[k] for k in ("a1", "c1", "b2", "b1", "a2", "c2")]).T
+    mask = a1 & c1 & b2 & ~(b1 | a2 | c2)
     return _completions_bruteforce(model, fig, mask)
 
 
@@ -652,16 +654,11 @@ def extend_cube_bruteforce(model: QuadricModel, fig: CentricFigure) -> dict:
     if fig.kind != "cube":
         raise ValueError("not a centric cube")
     row0, row1 = fig.rows
-    g = model.gram
-    m0 = np.ones(model.n_points, dtype=bool)
-    m1 = np.ones_like(m0)
-    for x in row0:
-        m0 &= g[x] == 0
-        m1 &= g[x] != 0
-    for x in row1:
-        m0 &= g[x] != 0
-        m1 &= g[x] == 0
-    decades = _completions_bruteforce(model, fig, m0 | m1)
+    # a cube's rows hold one point of each of its 4 pairs, so a point's
+    # collinearity with row0 + row1 packs into one byte; a fifth pair's point
+    # sees all of one row and none of the other: 0xF0 or 0x0F
+    code = np.packbits(model.collinear(np.arange(model.n_points), row0 + row1), axis=1)[:, 0]
+    decades = _completions_bruteforce(model, fig, (code == 0xF0) | (code == 0x0F))
     dodecade = None
     if decades:
         extra = [pr for d in decades for pr in d.pairs[4:]]
@@ -692,10 +689,10 @@ def count_quadrangles_exhaustive(model: QuadricModel) -> int:
     q = model.ctx.q
     if q > 4:
         raise ValueError("exhaustive quadrangle count supported only for q <= 4")
-    g0 = model.gram == 0
+    n = model.n_points
+    g0 = model.collinear(np.arange(n), np.arange(n))
     np.fill_diagonal(g0, False)
     total = 0
-    n = model.n_points
     for a in range(n):
         for c in range(a + 1, n):
             if g0[a, c]:

@@ -3,8 +3,9 @@
 The model is built by brute enumeration: evaluate the quadratic form on every
 point of PG(5, q), collect the zeros, and recover all structure (lines,
 nucleus, elation) from the form itself.  Everything downstream speaks in dense
-quadric point indices; the pairwise bilinear-form matrix (``gram``) is the
-single numpy artifact that makes the censuses fast.
+quadric point indices and reads the bilinear form in blocks through
+`QuadricModel.alpha`, the one place that evaluates it: from three q^2-row
+tables, one per hyperbolic pair of coordinates, with no |Q| x |Q| array held.
 
 Coordinates: f(x) = x1*x2 + x3*x4 + x5^2 + x5*x6 + lam*x6^2 with trace(lam) = 1,
 polarized to alpha(u, v) = u1*v2 + u2*v1 + u3*v4 + u4*v3 + u5*v6 + u6*v5.
@@ -39,8 +40,10 @@ class QuadricModel:
         line, rows in ascending order.
     lines_through : (|Q|, q^2+1) int32 array, the ascending ids of the lines
         through each point.
-    gram : (|Q|, |Q|) uint8 array of pairwise bilinear-form values.  Blocks
-        of it are read as collinearity through `collinear`.
+    pair_tables, pair_keys : (3q^2, |Q|) uint8 and (3, |Q|) intp arrays.
+        Rows i*q^2 + a*q + b, i = 0, 1, 2, hold a*y_{2i+2} + b*y_{2i+1} over
+        all points y; point x's keys are i*q^2 + x_{2i+1}*q + x_{2i+2}.  Read
+        by `alpha`.
     in_section : boolean mask of points lying in the hyperplane {x6 = 0}.
     section_points / affine_points : ascending int32 arrays of the point
         indices on the two sides of the split.
@@ -57,7 +60,8 @@ class QuadricModel:
         self.index_by_code: np.ndarray
         self.lines: np.ndarray
         self.lines_through: np.ndarray
-        self.gram: np.ndarray
+        self.pair_tables: np.ndarray
+        self.pair_keys: np.ndarray
         self.in_section: np.ndarray
         self.section_points: np.ndarray
         self.affine_points: np.ndarray
@@ -95,12 +99,22 @@ class QuadricModel:
     def n_points(self) -> int:
         return len(self.coords)
 
+    def alpha(self, rows, cols) -> np.ndarray:
+        """The uint8 block [alpha(x, y)] over point indices x in rows and y in
+        cols: the XOR over the three hyperbolic pairs of the pair table's
+        entry at x's key and column y.  The tables' columns are taken first,
+        then their rows gathered by key: rows first was slower on every block
+        shape the package reads at q = 8."""
+        part = self.pair_tables.take(cols, axis=1).take(self.pair_keys.take(rows, axis=1), axis=0)
+        out = part[0] ^ part[1]
+        out ^= part[2]
+        return out
+
     def collinear(self, rows, cols) -> np.ndarray:
         """The boolean block [alpha(x, y) == 0] over point indices x in rows
-        and y in cols: collinearity for two quadric points.  A row take then
-        a column take, which gathers faster than ``gram[np.ix_(rows, cols)]``.
-        The diagonal of a square block is True, as alpha(x, x) = 0."""
-        return np.take(np.take(self.gram, rows, axis=0), cols, axis=1) == 0
+        and y in cols: collinearity for two quadric points.  The diagonal of
+        a square block is True, as alpha(x, x) = 0."""
+        return self.alpha(rows, cols) == 0
 
 
 def _f_vectorized(ctx: FieldCtx, lam: int, coords: np.ndarray) -> np.ndarray:
@@ -133,7 +147,14 @@ def build_model(ctx: FieldCtx, lam=None) -> QuadricModel:
     model.index_by_code = np.full(1 << (6 * ctx.n), -1, dtype=np.int32)
     model.index_by_code[_point_codes(ctx.n, model.coords)] = np.arange(nq)
 
-    model.gram = _gram_matrix(ctx, model.coords)
+    # one table per hyperbolic pair of coordinates, read by `alpha`
+    c, M = model.coords, ctx.mul_table.astype(np.uint8)
+    tables = np.empty((3, q, q, nq), dtype=np.uint8)
+    for t, i in zip(tables, (0, 2, 4)):
+        np.bitwise_xor(M[:, None, c[:, i + 1]], M[None, :, c[:, i]], out=t)
+    model.pair_tables = tables.reshape(3 * q * q, nq)
+    keys = c[:, 0::2] * q + c[:, 1::2] + np.arange(0, 3 * q * q, q * q)
+    model.pair_keys = np.ascontiguousarray(keys.T, dtype=np.intp)
     _build_lines(model)
 
     model.in_section = model.coords[:, 5] == 0
@@ -147,27 +168,6 @@ def build_model(ctx: FieldCtx, lam=None) -> QuadricModel:
     _find_nucleus(model)
     _build_elation(model)
     return model
-
-
-def _gram_matrix(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
-    """alpha(x, y) for every pair of points, one hyperbolic pair of
-    coordinates at a time: row a*q + b of T_i is a*y_{i+1} + b*y_i over all
-    points y, so row x of the matrix is the XOR over i = 0, 2, 4 of
-    T_i[x_i*q + x_{i+1}]."""
-    q = ctx.q
-    M = ctx.mul_table.astype(np.uint8)
-    T = [(M[:, None, coords[:, i + 1]] ^ M[None, :, coords[:, i]]).reshape(q * q, -1)
-         for i in (0, 2, 4)]
-    keys = [coords[:, i] * q + coords[:, i + 1] for i in (0, 2, 4)]
-    n = len(coords)
-    gram = np.empty((n, n), dtype=np.uint8)
-    block = 1024
-    for lo in range(0, n, block):
-        acc = gram[lo:lo + block]
-        np.take(T[0], keys[0][lo:lo + block], axis=0, out=acc)
-        acc ^= T[1][keys[1][lo:lo + block]]
-        acc ^= T[2][keys[2][lo:lo + block]]
-    return gram
 
 
 def _point_codes(n: int, rows: np.ndarray) -> np.ndarray:
@@ -196,7 +196,6 @@ def _build_lines(model: QuadricModel) -> None:
     ctx = model.ctx
     q = ctx.q
     nq = model.n_points
-    gram = model.gram
     c = model.coords
     piv = (c != 0).argmax(axis=1)
     xs, ks = [], []
@@ -216,12 +215,15 @@ def _build_lines(model: QuadricModel) -> None:
     ln = np.empty((len(x), q + 1), dtype=np.int32)
     ln[:, 0] = x
     ln[:, 1:] = model.index_by_code[_point_codes(ctx.n, c)[k][:, None] ^ multiples[:, x].T]
-    # gram is symmetric with a zero diagonal; nq^2 < 2^31 at every buildable degree
-    i, j = np.triu_indices(q + 1, 1)
-    if (ln < 0).any() or np.take(gram, ln[:, i] * nq + ln[:, j]).any():
-        raise AssertionError("a line is not totally singular")
-    P = np.concatenate([np.packbits(gram[lo:lo + 1024] == 0, axis=1)
+    # packed perp rows: bit 7 - (y & 7) of byte y >> 3 in row x is set
+    # exactly when alpha(x, y) == 0
+    pts = np.arange(nq)
+    P = np.concatenate([np.packbits(model.collinear(pts[lo:lo + 1024], pts), axis=1)
                         for lo in range(0, nq, 1024)])
+    i, j = np.triu_indices(q + 1, 1)
+    a, b = ln[:, i], ln[:, j]
+    if (ln < 0).any() or not (P[a, b >> 3] << (b & 7) & 0x80).all():
+        raise AssertionError("a line is not totally singular")
     for lo in range(0, len(x), 4096):
         common = np.bitwise_count(P[x[lo:lo + 4096]] & P[k[lo:lo + 4096]]).sum(axis=1)
         if (common != q + 1).any():

@@ -104,9 +104,9 @@ def scale_figure_representatives(model: QuadricModel, fig: CentricFigure) -> Lis
     ctx = model.ctx
     c = fig.center
     out: List[Vec] = []
-    for a, b in fig.pairs:
+    firsts, seconds = zip(*fig.pairs)
+    for (a, b), g in zip(fig.pairs, model.alpha(firsts, seconds).diagonal().tolist()):
         va, vb = model.point(a), model.point(b)
-        g = int(model.gram[a, b])
         if g == 0:
             raise ValueError("pair points are collinear")
         gi = ctx.inv(g)

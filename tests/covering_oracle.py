@@ -20,6 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from quadric_oracle import alpha_table
 from quadcover.covering import CoveringMap
 from quadcover.ovoid import OvoidGeometry
 from quadcover.quadric import QuadricModel
@@ -159,7 +160,7 @@ def lift_path(cov: CoveringMap, path: Sequence[int], start: int) -> List[int]:
     an affine point over path[0].  Each step crosses to the unique fiber point
     of the next ovoid collinear with the current point.
     """
-    geom, gram = cov.geom, cov.model.gram
+    geom, gram = cov.geom, alpha_table(cov.model)
     if int(cov.point_image[start]) != path[0]:
         raise ValueError("start point is not in the fiber of the first vertex")
     out = [start]

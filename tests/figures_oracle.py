@@ -17,7 +17,9 @@ Kept as the reference the figure layer is diffed against:
   checked to be on the quadric, and evaluates the form on every point of
   the span (`f2_closure`);
 * the recognition checks the quadrangle axiom point by point and line by
-  line (`recognize_subgeometry`).
+  line (`recognize_subgeometry`);
+* the form is read from `quadric_oracle.alpha_table`, never through the
+  model's `alpha`.
 
 `fundamental_cube` builds the cube on the standard quadrangle with a given
 center, which need not be the nucleus, and checks it in full here.
@@ -33,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from projgeom_oracle import Subspace, span, subspace_intersection
+from quadric_oracle import alpha_table
 from quadcover.figures import (KIND_BY_SIZE, SIZE_BY_KIND, CentricFigure, CubeParams,
                                _cube_vertex_pairs, cube_center, cube_labels,
                                hexagon_labels)
@@ -136,9 +139,10 @@ def verify_centric_figure(model: QuadricModel, fig: CentricFigure) -> dict:
     The report carries the derived bipartition as ``rows`` (two tuples of
     quadric point indices) when the check passes, and a ``reason`` string
     when it does not.  Collinearity of quadric points is read from
-    ``model.gram``.  The center is off Q, so the line through a pair's first
-    point and the center meets Q in at most one other point: the pair is
-    concurrent with the center exactly when that point is the second one.
+    `quadric_oracle.alpha_table`.  The center is off Q, so the line through
+    a pair's first point and the center meets Q in at most one other point:
+    the pair is concurrent with the center exactly when that point is the
+    second one.
     """
     m = len(fig.pairs)
     out: dict = {"pass": False, "kind": fig.kind, "m": m}
@@ -157,7 +161,7 @@ def verify_centric_figure(model: QuadricModel, fig: CentricFigure) -> dict:
             out["reason"] = f"pair ({a},{b}) not concurrent with the center"
             return out
 
-    g = model.gram
+    g = alpha_table(model)
     partner = fig.partner
     # Two-colour against the reference pair, then check the full relation:
     # collinear <=> different pair and different row.
@@ -219,10 +223,10 @@ def build_adapted_frame(model: QuadricModel, a1: int, c1: int, b1: int,
     when d1 is omitted the first quadric point with the right incidences is
     taken.  The remaining two basis vectors come from the perp of the first
     four, normalized against the quadric polynomial.  The values of alpha on
-    the four quadric points are read from ``model.gram``.
+    the four quadric points are read from `quadric_oracle.alpha_table`.
     """
     ctx = model.ctx
-    g = model.gram
+    g = alpha_table(model)
     if g[a1, c1] == 0:
         raise ValueError("frame points a1, c1 must be non-collinear")
     if g[a1, b1] or g[c1, b1]:
@@ -333,7 +337,7 @@ def extend_hexagon_to_cubes_bruteforce(model: QuadricModel,
     independent of the frame solver for cross-checking.
     """
     lab = hexagon_labels(model, fig)
-    g = model.gram
+    g = alpha_table(model)
     mask = ((g[lab["a1"]] == 0) & (g[lab["c1"]] == 0) & (g[lab["b2"]] == 0)
             & (g[lab["b1"]] != 0) & (g[lab["a2"]] != 0) & (g[lab["c2"]] != 0))
     return _completions_bruteforce(model, fig, mask)
@@ -416,7 +420,7 @@ def extend_cube_bruteforce(model: QuadricModel, fig: CentricFigure) -> dict:
     if fig.kind != "cube":
         raise ValueError("not a centric cube")
     row0, row1 = fig.rows
-    g = model.gram
+    g = alpha_table(model)
     m0 = np.ones(model.n_points, dtype=bool)
     m1 = np.ones_like(m0)
     for x in row0:
@@ -496,6 +500,7 @@ def opposite_edge_points(model: QuadricModel, fig: CentricFigure,
     raw sum rep(x) + rep(y).  Both computations are run and compared.
     """
     ctx = model.ctx
+    gram = alpha_table(model)
     verts = [i for p in fig.pairs for i in p]
     rep_of = dict(zip(verts, scaled))
     partner = fig.partner
@@ -504,7 +509,7 @@ def opposite_edge_points(model: QuadricModel, fig: CentricFigure,
     out: List[Vec] = []
     for i, u in enumerate(verts):
         for w in verts[i + 1:]:
-            if partner[u] == w or model.gram[u, w] != 0:
+            if partner[u] == w or gram[u, w] != 0:
                 continue
             key = frozenset({frozenset({u, w}), frozenset({partner[u], partner[w]})})
             if key in seen:
@@ -612,14 +617,14 @@ def recognize_subgeometry(model: QuadricModel, span: F2Span,
     points; the (points, lines, degrees) profile is matched against the
     three binary quadric signatures, and the generalized-quadrangle axiom
     (a point off a line sees exactly one of its points) is checked for the
-    matched order.  Collinearity and the lines are read from the model's
-    ``gram``, ``lines`` and ``lines_through``.
+    matched order.  Collinearity is read from `quadric_oracle.alpha_table`
+    and the lines from the model's ``lines`` and ``lines_through``.
     """
     ctx = model.ctx
     idx = [model.index_of(p) for p in span.quadric_points]
     npts = len(idx)
     local = {x: k for k, x in enumerate(idx)}
-    coll = (model.gram[np.ix_(idx, idx)] == 0).tolist()
+    coll = (alpha_table(model)[np.ix_(idx, idx)] == 0).tolist()
 
     # two collinear quadric points lie on exactly one quadric line, so the
     # lines through two or more of the points are the ids met twice

@@ -17,6 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from projgeom_oracle import Subspace, subspace_contains, subspace_intersection, subspace_points
+from quadric_oracle import alpha_table
 from quadcover.ovoid import OvoidGeometry
 
 
@@ -118,7 +119,7 @@ def _check_rosette_partition(geom: OvoidGeometry, members: Sequence[int], p: int
         union |= geom.member_matrix[m]
     if union.sum() != q**3 + 1:
         raise AssertionError("pencil members overlap outside the base point")
-    perp = model.gram[p, model.section_points] == 0
+    perp = alpha_table(model)[p, model.section_points] == 0
     bad = union & perp
     if bad.sum() != 1 or not bad[p_dense]:
         raise AssertionError("pencil union meets the perp of its base beyond the base")

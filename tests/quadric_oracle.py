@@ -5,15 +5,64 @@ on every (point, line) pair, and the nucleus tangency of the section.
 Kept as oracles for `test_quadric.py`.  `solid_section_census` classifies
 every 3-space of {x6 = 0} by its quadric section, independently of the ovoid
 geometry that `quadcover.ovoid` builds from perps.
+
+The test oracles read the bilinear form from `alpha_table`: the full
+|Q| x |Q| table from `loop_gram_matrix`, which shares no code with
+`QuadricModel.alpha`, or the explicit table of a `TableModel`, the model
+copy the corruption tests edit.
 """
 
+import weakref
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from projgeom_oracle import Subspace
+from quadcover.gf2n import FieldCtx
 from quadcover.projgeom import Vec, enumerate_points, null_space
 from quadcover.quadric import QuadricModel
+
+
+def loop_gram_matrix(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
+    """alpha(x, y) for every pair of coordinate rows, one scalar-table
+    product per coordinate pair, in row blocks."""
+    M = ctx.mul_table
+    n = len(coords)
+    gram = np.empty((n, n), dtype=np.uint8)
+    pairs = ((0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4))
+    block = 1024
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        acc = np.zeros((hi - lo, n), dtype=np.uint8)
+        for i, j in pairs:
+            acc ^= M[coords[lo:hi, i][:, None], coords[None, :, j]].astype(np.uint8)
+        gram[lo:hi] = acc
+    return gram
+
+
+class TableModel(QuadricModel):
+    """A copy of a model whose `alpha` reads the explicit |Q| x |Q| table it
+    is given, so that a test can corrupt single entries of the form."""
+
+    def __init__(self, model: QuadricModel, table: np.ndarray):
+        vars(self).update(vars(model))
+        self.table = table
+
+    def alpha(self, rows, cols) -> np.ndarray:
+        return np.take(np.take(self.table, rows, axis=0), cols, axis=1)
+
+
+_TABLES: "weakref.WeakKeyDictionary[QuadricModel, np.ndarray]" = weakref.WeakKeyDictionary()
+
+
+def alpha_table(model: QuadricModel) -> np.ndarray:
+    """The (|Q|, |Q|) uint8 table of alpha: a `TableModel`'s own, else
+    `loop_gram_matrix` on the model's points, computed once per model."""
+    if isinstance(model, TableModel):
+        return model.table
+    if model not in _TABLES:
+        _TABLES[model] = loop_gram_matrix(model.ctx, model.coords)
+    return _TABLES[model]
 
 
 def _section_dual_functional(model: QuadricModel, s: Subspace) -> Vec:
@@ -43,7 +92,7 @@ def _classify_functional(model: QuadricModel, w: Sequence[int],
     if count == q * q + q + 1:
         return "cone", [int(i) for i in hit]
     if count == q * q + 1:
-        sub = model.gram[np.ix_(hit, hit)]
+        sub = alpha_table(model)[np.ix_(hit, hit)]
         off_diag_perp = (sub == 0).sum() - count
         if off_diag_perp == 0:
             return "elliptic", [int(i) for i in hit]
@@ -82,8 +131,9 @@ def verify_gq_axioms(model: QuadricModel) -> dict:
     off it with exactly one."""
     nq = model.n_points
     q = model.ctx.q
+    gram = alpha_table(model)
     for ln in model.lines:
-        perp_counts = (model.gram[:, ln] == 0).sum(axis=1)
+        perp_counts = (gram[:, ln] == 0).sum(axis=1)
         on_line = np.zeros(nq, dtype=bool)
         on_line[ln] = True
         ok = np.where(on_line, perp_counts == q + 1, perp_counts == 1)

@@ -2,18 +2,18 @@
 `quadcover.quadric` and `quadcover.ovoid` now build in array passes.
 
 Kept only as oracles for the diff tests in `test_setup.py`: the point
-index from a scan of every coordinate tuple, the block-wise scalar-table
-gram matrix, the per-point common-perp walk for the lines, one scalar
-`second_intersection` per point for the elation, one `span` per ovoid, the
-per-point S.S = q.S grouping of the pencils and the per-member incidence
-lists.  They share no code with the array passes.  `loop_point_index`,
-`loop_build_lines`, `loop_build_elation`, `loop_build_rosettes` and
-`loop_incidence` fill the same fields of the model or geometry they are
-given as the function they replaced; `loop_build_geometry` is the whole
-former `build_geometry`, but for its table of tangency points, which
-`loop_tangency_point` computes as that did: by a position-weighted product
-over the membership matrix.  Each packages its loop's results into the same
-index arrays the set-up fills.
+index from a scan of every coordinate tuple, the per-point common-perp walk
+for the lines, one scalar `second_intersection` per point for the elation,
+one `span` per ovoid, the per-point S.S = q.S grouping of the pencils and
+the per-member incidence lists.  They share no code with the array passes.
+`loop_point_index`, `loop_build_lines`, `loop_build_elation`,
+`loop_build_rosettes` and `loop_incidence` fill the same fields of the
+model or geometry they are given as the function they replaced;
+`loop_build_geometry` is the whole former `build_geometry`, but for its
+table of tangency points, which `loop_tangency_point` computes as that did:
+by a position-weighted product over the membership matrix.  Each packages
+its loop's results into the same index arrays the set-up fills.  The loops read the form from
+`quadric_oracle.alpha_table`, not from the model's `alpha`.
 """
 
 from itertools import product
@@ -22,7 +22,7 @@ from typing import List, Tuple
 import numpy as np
 
 from projgeom_oracle import span
-from quadcover.gf2n import FieldCtx
+from quadric_oracle import alpha_table
 from quadcover.ovoid import OvoidGeometry
 from quadcover.quadric import QuadricModel, second_intersection
 
@@ -52,21 +52,6 @@ def loop_point_index(model: QuadricModel) -> None:
     model.section_index = section_index
 
 
-def loop_gram_matrix(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
-    M = ctx.mul_table
-    n = len(coords)
-    gram = np.empty((n, n), dtype=np.uint8)
-    pairs = ((0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4))
-    block = 1024
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        acc = np.zeros((hi - lo, n), dtype=np.uint8)
-        for i, j in pairs:
-            acc ^= M[coords[lo:hi, i][:, None], coords[None, :, j]].astype(np.uint8)
-        gram[lo:hi] = acc
-    return gram
-
-
 def loop_build_lines(model: QuadricModel) -> None:
     """Collect the totally singular lines as common perps of collinear pairs.
 
@@ -79,7 +64,7 @@ def loop_build_lines(model: QuadricModel) -> None:
     """
     q = model.ctx.q
     nq = model.n_points
-    gram = model.gram
+    gram = alpha_table(model)
     lines: List[Tuple[int, ...]] = []
     through: List[List[int]] = [[] for _ in range(nq)]
     for x in range(nq):
@@ -144,7 +129,7 @@ def loop_build_geometry(model: QuadricModel) -> OvoidGeometry:
         raise AssertionError(f"{n_ov} ovoids, expected {q * q * (q * q - 1) // 2}")
     n_q0 = len(model.section_points)
     sect = np.array(model.section_points, dtype=np.int16)
-    member = model.gram[np.ix_(reps, model.section_points)] == 0
+    member = alpha_table(model)[np.ix_(reps, model.section_points)] == 0
     if (member.sum(axis=1) != q * q + 1).any():
         raise AssertionError("perp section has the wrong size")
     geom.member_matrix = member
@@ -224,8 +209,9 @@ def loop_build_rosettes(geom: OvoidGeometry) -> None:
         shared = geom.member_matrix[list(ms)].sum(axis=0) > 1
         if sect[shared].tolist() != [p]:
             raise AssertionError("ovoids sharing a point are tangent elsewhere")
+    gram = alpha_table(model)
     for k, p in enumerate(model.section_points):
-        meets = geom.member_matrix[np.ix_(geom.through[k], model.gram[p, sect] == 0)]
+        meets = geom.member_matrix[np.ix_(geom.through[k], gram[p, sect] == 0)]
         if (meets.sum(axis=1) != 1).any():
             raise AssertionError("an ovoid through a point meets its perp beyond the point")
     geom.pencil_base = np.array(bases, dtype=np.int32)

@@ -17,6 +17,7 @@ from covering_oracle import (
     rook_grid_complement_check,
 )
 from ovoid_oracle import tangency_points
+from quadric_oracle import TableModel, alpha_table
 from quadcover import covering
 from quadcover.covering import (
     canonical_covering,
@@ -46,8 +47,8 @@ def test_affine_quadrangle_structure(request, name):
     assert (np.bincount(cov.lines.ravel(), minlength=model.n_points)[aff]
             == q * q + 1).all()
     # collinearity degree: q^2+1 punctured lines with q-1 other points each
-    # (gram is 0 on the diagonal, so each row also counts its own point)
-    collinear = model.gram[np.ix_(aff, aff)] == 0
+    # (alpha is 0 on the diagonal, so each row also counts its own point)
+    collinear = alpha_table(model)[np.ix_(aff, aff)] == 0
     assert (collinear.sum(axis=1) - 1 == (q * q + 1) * (q - 1)).all()
     assert cov.point_fiber.shape == (cov.geom.n_ovoids, 2)
     assert np.array_equal(cov.point_fiber, cov.geom.ovoid_orbit)
@@ -263,11 +264,11 @@ def test_tangency_matches_cross_fiber_collinearity(request, name):
     assert rep == {"pass": True, "pairs_checked": v * (v - 1) // 2}
 
 
-def _with_gram(cov, edit):
-    # a model copy whose gram is edited in place by edit(gram)
-    model = copy.copy(cov.model)
-    model.gram = cov.model.gram.copy()
-    edit(model.gram)
+def _with_table(cov, edit):
+    # a model copy whose alpha reads a copy of the oracle table, edited in
+    # place by edit(table)
+    model = TableModel(cov.model, alpha_table(cov.model).copy())
+    edit(model.table)
     return replace(cov, model=model)
 
 
@@ -276,30 +277,30 @@ def _collinear_non_tangent(cov):
     adj = cov.geom.adjacency
     i, j = (int(t) for t in np.argwhere(~adj & ~np.eye(len(adj), dtype=bool))[0])
     x, y = cov.point_fiber[i, 0], cov.point_fiber[j, 1]
-    assert cov.model.gram[x, y] != 0
+    assert alpha_table(cov.model)[x, y] != 0
 
-    def edit(gram):
-        gram[x, y] = gram[y, x] = 0
-    return _with_gram(cov, edit)
+    def edit(table):
+        table[x, y] = table[y, x] = 0
+    return _with_table(cov, edit)
 
 
 def _separated_tangent(cov):
     # every cross-fibre collinearity of one tangent pair cleared
     i, j = (int(t) for t in np.argwhere(cov.geom.adjacency)[0])
     block = np.ix_(cov.point_fiber[i], cov.point_fiber[j])
-    assert (cov.model.gram[block] == 0).any()
+    assert (alpha_table(cov.model)[block] == 0).any()
 
-    def edit(gram):
-        gram[block] = np.where(gram[block] == 0, 1, gram[block])
-        gram.T[block] = gram[block]
-    return _with_gram(cov, edit)
+    def edit(table):
+        table[block] = np.where(table[block] == 0, 1, table[block])
+        table.T[block] = table[block]
+    return _with_table(cov, edit)
 
 
 @pytest.mark.parametrize("corrupt", [_collinear_non_tangent, _separated_tangent],
                          ids=lambda f: f.__name__.strip("_"))
 def test_adjacency_oracle_reports_a_corrupted_gram(cov_q4, corrupt):
     bad = corrupt(cov_q4)
-    changed = bad.model.gram != cov_q4.model.gram
+    changed = bad.model.table != alpha_table(cov_q4.model)
     assert changed.any() and (changed == changed.T).all()
     rep = verify_adjacency_oracle(bad)
     assert rep == {"pass": False, "pairs_checked": 120 * 119 // 2}
@@ -404,28 +405,35 @@ def test_fiber_distances_match_the_product_oracle(request, name, corrupt):
 
 def _graph_covering(adj, partners):
     """A stand-in covering whose affine collinearity graph is adj: the
-    affine points are every other point of a gram matrix with three extra
+    affine points are every other point of a form table with three extra
     points after them, the lines are the edges, as 2-point lines, and the
     fibers are the given vertex pairs."""
     n = len(adj)
     aff = np.arange(0, 2 * n, 2)
-    gram = np.ones((2 * n + 3,) * 2, dtype=np.uint8)
-    gram[np.ix_(aff, aff)] = ~adj
-    model = QuadricModel(ctx=None, lam=0)   # only gram, coords and the affine points
-    model.gram, model.affine_points = gram, aff
-    model.coords = np.zeros((len(gram), 6), dtype=np.uint8)
+    table = np.ones((2 * n + 3,) * 2, dtype=np.uint8)
+    table[np.ix_(aff, aff)] = ~adj
+    bare = QuadricModel(ctx=None, lam=0)    # only coords and the affine points
+    bare.affine_points = aff
+    bare.coords = np.zeros((len(table), 6), dtype=np.uint8)
+    model = TableModel(bare, table)
     return SimpleNamespace(model=model, lines=aff[np.argwhere(np.triu(adj, 1))],
                            point_fiber=aff[np.array(partners)])
 
 
 def _call_site_blocks(cov):
-    """The (rows, cols) index arrays of the collinearity blocks that the
-    package reads: affine points, fibre order, orbit rows x section, ovoid
-    representatives x section, section x section, and the line search's
-    pivot classes."""
+    """The (rows, cols) index arrays of the form blocks that the package
+    reads: affine points, fibre order, orbit rows x section, ovoid
+    representatives x section, section x section, the line search's pivot
+    classes, a row block of the packed perp rows against every point, every
+    point against a figure's points (frames and brute-force scans) and a
+    figure's pairs (representative scaling)."""
     model = cov.model
     aff, sect, fib = model.affine_points, model.section_points, cov.point_fiber
+    pts = np.arange(model.n_points)
     yield aff, aff
+    yield pts[:1024], pts
+    yield pts, fib[:4].ravel()
+    yield fib[:4, 0], fib[:4, 1]
     yield fib.ravel(), fib.ravel()
     yield fib[:, 0], sect
     yield fib[:, 1], sect
@@ -447,14 +455,19 @@ def _odd_blocks(n, rng):
 
 
 def _assert_collinear_matches_ix(model, blocks):
+    # alpha and collinear against the oracle table's two-index gather
+    table = alpha_table(model)
     for rows, cols in blocks:
         for dtype in (np.int32, np.intp):
             r, c = np.asarray(rows, dtype=dtype), np.asarray(cols, dtype=dtype)
+            want = table[np.ix_(r, c)]
+            got = model.alpha(r, c)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
             got = model.collinear(r, c)
-            assert got.dtype == bool
-            assert np.array_equal(got, model.gram[np.ix_(r, c)] == 0)
-        assert np.array_equal(model.collinear(rows, cols),
-                              model.gram[np.ix_(rows, cols)] == 0)
+            assert got.dtype == bool and np.array_equal(got, want == 0)
+        want = table[np.ix_(rows, cols)]
+        assert np.array_equal(model.alpha(rows, cols), want)
+        assert np.array_equal(model.collinear(rows, cols), want == 0)
 
 
 @pytest.mark.parametrize("name", ["cov_q2", "cov_q4", "cov_q8"])
@@ -474,11 +487,11 @@ def test_collinear_matches_the_ix_gather_on_a_synthetic_gram():
     adj = np.triu(adj, 1) | np.triu(adj, 1).T
     model = _graph_covering(adj, [(0, 1)]).model
     aff = model.affine_points
-    _assert_collinear_matches_ix(model, [(aff, aff), (aff[::-1], np.arange(len(model.gram)))])
-    _assert_collinear_matches_ix(model, _odd_blocks(len(model.gram), rng))
+    _assert_collinear_matches_ix(model, [(aff, aff), (aff[::-1], np.arange(len(model.table)))])
+    _assert_collinear_matches_ix(model, _odd_blocks(len(model.table), rng))
     assert np.array_equal(model.collinear(aff, aff), adj)
-    # an asymmetric gram tells rows from columns
-    model.gram = rng.integers(0, 3, (30, 30)).astype(np.uint8)
+    # an asymmetric table tells rows from columns
+    model.table = rng.integers(0, 3, (30, 30)).astype(np.uint8)
     _assert_collinear_matches_ix(model, _odd_blocks(30, rng))
 
 
@@ -578,7 +591,7 @@ def test_lift_of_an_edge_crosses_to_the_right_fiber(cov_q4):
         lifted = lift_path(cov, [a, b], start)
         assert lifted[0] == start
         assert lifted[1] in cov.point_fiber[b]
-        assert cov.model.gram[start, lifted[1]] == 0
+        assert alpha_table(cov.model)[start, lifted[1]] == 0
 
 
 def test_nonlinear_triangle_lifts_to_a_six_cycle(cov_q2):

@@ -4,15 +4,15 @@ Solver lists (in order, with their rows), brute-force lists, cube
 parameters and frames, decades and dodecades, and closure reports must be
 equal on every hexagon and cube at q = 2 and q = 4, and on a seeded 300 of
 each at q = 8.  Corrupted extension candidates must fail the incremental
-check with the reason the full check gives.
+check with the reason the full check gives, and frame points with one
+broken incidence must be refused with the oracle frame's reason.
 """
-
-import copy
 
 import numpy as np
 import pytest
 
 import figures_oracle as old
+from quadric_oracle import TableModel, alpha_table
 from quadcover import figures as new
 from quadcover import subf2
 from quadcover.gf2n import FieldCtx
@@ -80,6 +80,42 @@ def test_cube_path_matches_the_scalar_oracle(request, mname, cov_name, cen_name)
         _same_closure(model, cube)
         if ext["dodecade"] is not None:
             _same_closure(model, ext["dodecade"])
+
+
+def _broken_frames(model, lab):
+    """A cube's frame points (a1, c1, b1, d1) with one incidence the frame
+    checks broken at a time, in the order it checks them: c1 collinear with
+    a1; b1 off the perp of c1, then of a1; d1 collinear with b1, then off
+    the perp of a1, then of c1."""
+    g = alpha_table(model)
+    a1, c1, b1, d1 = (lab[k] for k in ("a1", "c1", "b1", "d1"))
+
+    def first(mask):
+        return int(np.flatnonzero(mask)[0])
+    yield first((g[a1] == 0) & (np.arange(model.n_points) != a1)), b1, d1
+    yield c1, first((g[a1] == 0) & (g[c1] != 0)), d1
+    yield c1, first((g[a1] != 0) & (g[c1] == 0)), d1
+    yield c1, b1, first((g[a1] == 0) & (g[c1] == 0) & (g[b1] == 0))
+    yield c1, b1, first((g[a1] != 0) & (g[c1] == 0) & (g[b1] != 0))
+    yield c1, b1, first((g[a1] == 0) & (g[c1] != 0) & (g[b1] != 0))
+
+
+@pytest.mark.parametrize("mname,cov_name,cen_name", CASES[1:])
+def test_frame_rejects_each_broken_incidence_as_the_oracle_does(request, mname, cov_name,
+                                                                cen_name):
+    model = request.getfixturevalue(mname)
+    cov = request.getfixturevalue(cov_name)
+    row = request.getfixturevalue(cen_name).cliques4[0]
+    lab = new.cube_labels(model, new.lift_clique_to_figure(cov, [int(v) for v in row]))
+    reasons = []
+    for c1, b1, d1 in _broken_frames(model, lab):
+        with pytest.raises(ValueError) as exc:
+            new.build_adapted_frame(model, lab["a1"], c1, b1, d1)
+        with pytest.raises(ValueError) as want:
+            old.build_adapted_frame(model, lab["a1"], c1, b1, d1)
+        assert str(exc.value) == str(want.value)
+        reasons.append(str(exc.value).split()[1])
+    assert reasons == ["points"] + ["point"] * 2 + ["frame"] * 3
 
 
 def test_recognition_matches_the_scalar_oracle_off_signature(model_q4):
@@ -176,14 +212,14 @@ def _corruptions(model, hexf, cubes):
 
 
 def _one_row_model(model, hexf, pair):
-    """A copy of the model whose gram puts b on a's side of the reference
-    pair.  No concurrent pair lands in one row of a true figure, so this is
-    the way to reach that reason; concurrency reads coordinates and holds."""
-    bad = copy.copy(model)
-    bad.gram = model.gram.copy()
+    """A `TableModel` copy of the model whose form table puts b on a's side
+    of the reference pair.  No concurrent pair lands in one row of a true
+    figure, so this is the way to reach that reason; concurrency reads
+    coordinates and holds."""
+    table = alpha_table(model).copy()
     (a, b), ref = pair, hexf.pairs[0]
-    bad.gram[b, ref] = bad.gram[ref, b] = model.gram[a, ref]
-    return bad
+    table[b, ref] = table[ref, b] = table[a, ref]
+    return TableModel(model, table)
 
 
 @pytest.mark.parametrize("mname,cov_name,cen_name", CASES[:2])

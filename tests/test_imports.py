@@ -182,34 +182,33 @@ def test_package_defines_only_what_commands_and_benchmark_reach():
     assert sorted(f"{m}.{n}" for m, n in defined - reached) == []
 
 
-def _gram_ix_reads(tree: ast.Module) -> list:
-    """Source of each subscript that applies ``np.ix_`` to the Gram matrix:
-    to ``<expr>.gram``, or to a name bound to one."""
-    aliases = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
-               and isinstance(node.value, ast.Attribute) and node.value.attr == "gram"
-               for t in node.targets if isinstance(t, ast.Name)}
-
-    def is_gram(node):
-        return ((isinstance(node, ast.Attribute) and node.attr == "gram")
-                or (isinstance(node, ast.Name) and node.id in aliases))
-
-    def has_ix(node):
-        return any(isinstance(n, ast.Attribute) and n.attr == "ix_" for n in ast.walk(node))
-
+def _gram_attributes(tree: ast.Module) -> list:
+    """Source of each read or assignment of an attribute named ``gram``:
+    ``<expr>.gram`` in any context, and a ``getattr``, ``setattr``,
+    ``hasattr`` or ``delattr`` call that names it."""
     return [ast.unparse(node) for node in ast.walk(tree)
-            if isinstance(node, ast.Subscript) and is_gram(node.value) and has_ix(node.slice)]
+            if (isinstance(node, ast.Attribute) and node.attr == "gram")
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "setattr", "hasattr", "delattr")
+                and any(isinstance(a, ast.Constant) and a.value == "gram"
+                        for a in node.args[1:2]))]
 
 
-def test_gram_ix_check_sees_direct_and_aliased_reads():
-    tree = ast.parse("a = m.gram[np.ix_(r, c)] == 0\n"
-                     "g = m.gram\nb = g[np.ix_(r, c)]\n"
-                     "g0 = m.gram == 0\nd = g0[np.ix_(r, r)]\ne = m.gram[r, c]\n")
-    assert sorted(_gram_ix_reads(tree)) == ["g[np.ix_(r, c)]", "m.gram[np.ix_(r, c)]"]
+def test_gram_attribute_check_sees_direct_and_aliased_reads():
+    tree = ast.parse("a = m.gram[r, c] == 0\n"
+                     "g = cov.model.gram\nb = g[np.ix_(r, c)]\n"
+                     "mm = m\nd = mm.gram\ne = getattr(mm, 'gram')\n"
+                     "m.gram = t\nsetattr(m, 'gram', t)\n"
+                     "gram = 1\nf = m.grammar\nh = getattr(m, 'grammar')\n")
+    assert sorted(_gram_attributes(tree)) == [
+        "cov.model.gram", "getattr(mm, 'gram')", "m.gram", "m.gram", "mm.gram",
+        "setattr(m, 'gram', t)"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_reads_gram_blocks_through_collinear(path):
-    """Every block of quadric-point collinearity is read through
-    `QuadricModel.collinear`, a row take then a column take, not through
-    numpy's two-index gather."""
-    assert _gram_ix_reads(ast.parse(path.read_text())) == []
+    """No module reads or assigns a ``gram`` attribute: the bilinear form is
+    read in blocks through `QuadricModel.alpha` and `collinear`, which
+    evaluate it from the model's q^2-row pair tables, and no |Q| x |Q| table
+    of it is held."""
+    assert _gram_attributes(ast.parse(path.read_text())) == []

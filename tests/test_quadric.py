@@ -10,8 +10,8 @@ from quadcover.gf2n import FieldCtx, trace
 from quadcover.ovoid import build_geometry
 from quadcover.projgeom import enumerate_points, line_points, vec_scale
 from quadcover.quadric import build_model
-from quadric_oracle import (nucleus_tangency_check, section_type, solid_section_census,
-                            verify_gq_axioms)
+from quadric_oracle import (alpha_table, nucleus_tangency_check, section_type,
+                            solid_section_census, verify_gq_axioms)
 
 
 def test_build_rejects_large_degree():
@@ -70,22 +70,25 @@ def test_form_vanishes_exactly_on_points(model_q4):
 
 @pytest.mark.parametrize("name", ["model_q2", "model_q4"])
 def test_gram_matches_bilinear(request, name):
-    # every pair: the figure layer reads gram in place of the scalar form
+    # every pair: the figure layer reads alpha blocks in place of the scalar form
     model = request.getfixturevalue(name)
     pts = [model.point(i) for i in range(model.n_points)]
     scalar = np.array([[model.alpha_scalar(u, v) for v in pts] for u in pts])
-    assert (model.gram == scalar).all()
-    assert (model.gram == model.gram.T).all()
-    assert (np.diagonal(model.gram) == 0).all()
+    idx = np.arange(model.n_points)
+    block = model.alpha(idx, idx)
+    assert (block == scalar).all()
+    assert (block == block.T).all()
+    assert (np.diagonal(block) == 0).all()
 
 
 def test_lines_are_totally_singular(model_q2):
     model = model_q2
+    gram = alpha_table(model)
     for line in model.lines:
         pts = list(line)
         for i, a in enumerate(pts):
             for b in pts[i + 1:]:
-                assert model.gram[a, b] == 0
+                assert gram[a, b] == 0
 
 
 def test_collinear_pairs_lie_on_lines(model_q4):
@@ -97,17 +100,17 @@ def test_collinear_pairs_lie_on_lines(model_q4):
         for i, a in enumerate(pts):
             for b in pts[i + 1:]:
                 on_line.add((min(a, b), max(a, b)))
-    zero = np.argwhere(np.triu(model.gram == 0, 1))
+    zero = np.argwhere(np.triu(alpha_table(model) == 0, 1))
     assert {(int(a), int(b)) for a, b in zero} == on_line
 
 
 @pytest.mark.parametrize("name", ["model_q2", "model_q4"])
 def test_lines_match_line_points_oracle(request, name):
-    # the lines are read off gram; rebuild them from coordinates instead
+    # the lines are read off the form; rebuild them from coordinates instead
     model = request.getfixturevalue(name)
     index = {tuple(p): i for i, p in enumerate(model.coords.tolist())}
     want = set()
-    for a, b in np.argwhere(np.triu(model.gram == 0, 1)):
+    for a, b in np.argwhere(np.triu(alpha_table(model) == 0, 1)):
         pts = line_points(model.ctx, model.point(int(a)), model.point(int(b)))
         want.add(tuple(sorted(index[p] for p in pts)))
     assert [tuple(line) for line in model.lines.tolist()] == sorted(want)
@@ -172,7 +175,7 @@ def test_perp_sections_are_ovoid_sized(geom_q4):
     sect = np.array(model.section_points)
     for (x, _), row in zip(geom_q4.ovoid_orbit, geom_q4.member_matrix):
         assert row.sum() == q * q + 1
-        assert (model.gram[x, sect[row]] == 0).all()
+        assert (alpha_table(model)[x, sect[row]] == 0).all()
         assert model.in_section[sect[row]].all()
 
 

@@ -3,10 +3,12 @@
 `setup_oracle` holds the former scalar and per-point set-up.  Every field
 the set-up fills, the point index included, is diffed against it, with its
 dtype and shape, at q = 2 and q = 4 for every modulus and trace-one form
-parameter, and at q = 8 for the default field, and so is the table of
+parameter, and at q = 8 for the default field.  So are `alpha` on every
+pair of points, against `quadric_oracle.loop_gram_matrix`, and the table of
 tangency points that the tests read off the ovoids' point sets, against the
-former position-weighted product.  Corrupted copies of the tables show that
-the line and grouping laws still fire.
+former position-weighted product.  Corrupted copies of the tables, and of
+the form through `quadric_oracle.TableModel`, show that the line and
+grouping laws still fire.
 """
 
 import copy
@@ -16,9 +18,9 @@ import numpy as np
 import pytest
 
 from ovoid_oracle import tangency_points
+from quadric_oracle import TableModel, alpha_table
 from setup_oracle import (loop_build_elation, loop_build_geometry, loop_build_lines,
-                          loop_build_rosettes, loop_gram_matrix, loop_point_index,
-                          loop_tangency_point)
+                          loop_build_rosettes, loop_point_index, loop_tangency_point)
 from quadcover import ovoid
 from quadcover.gf2n import FieldCtx, is_irreducible, trace
 from quadcover.ovoid import _batched_rref, _build_rosettes, build_geometry
@@ -42,10 +44,13 @@ def assert_same_model(model):
     loop_point_index(oracle)
     loop_build_lines(oracle)
     loop_build_elation(oracle)
-    oracle.gram = loop_gram_matrix(model.ctx, model.coords)
     assert_same_fields(model, oracle, (
         "coords", "index_by_code", "in_section", "section_points", "affine_points",
-        "section_index", "gram", "lines", "lines_through", "elation_perm"))
+        "section_index", "lines", "lines_through", "elation_perm"))
+    # alpha on every pair against loop_gram_matrix on the oracle's points
+    pts = np.arange(model.n_points)
+    block = model.alpha(pts, pts)
+    assert block.dtype == np.uint8 and np.array_equal(block, alpha_table(oracle))
     q = model.ctx.q
     assert model.coords.shape == ((q + 1) * (q ** 3 + 1), 6)
     assert model.index_by_code.shape == (q ** 6,)
@@ -111,11 +116,11 @@ def _flipped_pair(model, flip):
     if flip == "perp_later":
         return model.lines[0, -2:]
     if flip == "non_perp_last":
-        return model.n_points - 1, int(np.flatnonzero(model.gram[-1])[-1])
+        return model.n_points - 1, int(np.flatnonzero(alpha_table(model)[-1])[-1])
     pts = np.arange(model.n_points)
     if flip == "non_perp_leading":
         pts = np.flatnonzero(model.coords[:, 0] == 1)
-    i, j = np.argwhere(np.triu(model.gram[np.ix_(pts, pts)] != 0, 1))[0]
+    i, j = np.argwhere(np.triu(alpha_table(model)[np.ix_(pts, pts)] != 0, 1))[0]
     return int(pts[i]), int(pts[j])
 
 
@@ -129,10 +134,10 @@ LINE_LAWS = {"perp_emitting": "1104 lines, expected 1105",
 
 @pytest.mark.parametrize("flip", list(LINE_LAWS))
 def test_line_laws_reject_a_flipped_gram_entry(model_q4, flip):
-    model = copy.copy(model_q4)
-    model.gram = model_q4.gram.copy()
-    x, y = _flipped_pair(model, flip)
-    model.gram[[x, y], [y, x]] = 0 if flip.startswith("non_perp") else 1
+    table = alpha_table(model_q4).copy()
+    x, y = _flipped_pair(model_q4, flip)
+    table[[x, y], [y, x]] = 0 if flip.startswith("non_perp") else 1
+    model = TableModel(model_q4, table)
     with pytest.raises(AssertionError, match=LINE_LAWS[flip]):
         _build_lines(copy.copy(model))
     with pytest.raises(AssertionError):
@@ -248,7 +253,8 @@ def _regroup(geom, corruption):
     "mate_point": the first ovoid of the first pencil given, in the
     membership matrix, a point of its pencil mate other than p, so that the
     two share two points.  "perp_in_ovoid": two points of the first ovoid
-    made perpendicular in the model's gram."""
+    made perpendicular in the form table of a `TableModel` copy of the
+    model."""
     geom = copy.copy(geom)
     first, second = map(tuple, geom.pencil_members[:2].tolist())   # both at point 0
     if corruption == "regrouped":
@@ -264,10 +270,10 @@ def _regroup(geom, corruption):
         x = np.flatnonzero(geom.member_matrix[b] & ~geom.member_matrix[a])[0]
         geom.member_matrix[a, x] = True
     else:
-        geom.model = copy.copy(geom.model)
-        geom.model.gram = geom.model.gram.copy()
+        table = alpha_table(geom.model).copy()
         x, y = geom.ovoid_points[0, :2]
-        geom.model.gram[[x, y], [y, x]] = 0
+        table[[x, y], [y, x]] = 0
+        geom.model = TableModel(geom.model, table)
     return geom
 
 
