@@ -221,6 +221,8 @@ def cmd_verify_covering(run: Run, args) -> dict:
                           "pencil_bijections_ok", "quotient_iso_ok")]
     checks += [_bool_check(key, dist[key], "enumeration")
                for key in ("fibers_at_distance_3", "diameter_is_3")]
+    checks.append(_bool_check("far_pairs_are_fibers", dist["far_pairs_are_fibers"],
+                              "enumeration") | {"cases": dist["far_pairs"]})
     payload = {"covering": rep, "checks": checks}
     if "counterexample" in rep:
         payload["counterexample"] = rep["counterexample"]

@@ -71,10 +71,11 @@ def canonical_covering(model: QuadricModel, gx: OvoidGeometry) -> CoveringMap:
         raise AssertionError("some affine point is not on q^2+1 punctured lines")
 
     orbits = gx.ovoid_orbit
-    # both orbit points must have the same perpendicular section
+    # both orbit points must have the same perpendicular section: rows 2i
+    # and 2i + 1 of one read hold orbit i's two points
     sect = model.section_points
-    if not np.array_equal(model.collinear(orbits[:, 0], sect),
-                          model.collinear(orbits[:, 1], sect)):
+    perp = model.collinear(orbits.ravel(), sect)
+    if not np.array_equal(perp[0::2], perp[1::2]):
         raise AssertionError("elation orbit points have different perp sections")
     point_image = np.full(model.n_points, -1, dtype=np.int32)
     point_image[orbits] = np.arange(len(orbits), dtype=np.int32)[:, None]
@@ -215,8 +216,9 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
     pts = cov.point_fiber.ravel()       # index 2i + j: point j over ovoid i
     step = max(1, ORACLE_BLOCK // (2 * len(pts)))
     report = {"pass": True, "pairs_checked": n * (n - 1) // 2}
+    blocks = cov.model.alpha_blocks(pts, pts, 2 * step)
     for lo in range(0, n, step):
-        Z = cov.model.collinear(pts[2 * lo:2 * (lo + step)], pts)
+        Z = next(blocks) == 0
         cross = Z[0::2, 0::2] | Z[0::2, 1::2] | Z[1::2, 0::2] | Z[1::2, 1::2]
         agree = cross == geom.adjacency[lo:lo + step]
         np.fill_diagonal(agree[:, lo:], True)
@@ -269,11 +271,16 @@ def fiber_distances(cov: CoveringMap) -> dict:
     B2[x1] is clear) and joined by a 3-step walk (P[x1] & B2[x2] is
     nonzero; collinearity is symmetric).  The whole graph must have diameter
     exactly 3: some pair is more than two steps apart, and every such far
-    pair is joined by a 3-step walk."""
+    pair is joined by a 3-step walk.  And the far pairs must be exactly the
+    fibers, in both orders: two non-collinear points x, y of Q have q^2 + 1
+    common neighbours, and they all lie at infinity exactly when
+    x^perp and y^perp cut the same ovoid from {x6 = 0}, that is, when x
+    and y form one elation orbit.  ``far_pairs`` counts the ordered far
+    pairs: two a fiber, q^4 - q^2 in all, when the law holds."""
     model = cov.model
     aff = model.affine_points
     n = len(aff)
-    dense = np.full(model.n_points, -1, dtype=np.intp)
+    dense = np.full(model.n_points, -1, dtype=np.int32)
     dense[aff] = np.arange(n)
     lines = dense[cov.lines]
     if (lines < 0).any():
@@ -283,7 +290,8 @@ def fiber_distances(cov: CoveringMap) -> dict:
     # 16-bit keys is a radix sort)
     count = np.bincount(lines.ravel(), minlength=n)
     start = np.concatenate(([0], np.cumsum(count)))
-    line_of = np.argsort(lines.ravel().astype(np.min_scalar_type(n)), kind="stable")
+    line_of = np.argsort(lines.ravel().astype(np.min_scalar_type(n)),
+                         kind="stable").astype(np.int32)
     line_of //= k
 
     # P, one block of rows at a time, each checked against the line-mates of
@@ -292,24 +300,29 @@ def fiber_distances(cov: CoveringMap) -> dict:
     w = -(-n // 64)
     P = np.empty((n, w), dtype=np.uint64)
     step = max(1, 8 * _CHUNK // n)
+    blocks = model.alpha_blocks(aff, aff, step)
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        block = model.collinear(aff[lo:hi], aff)
+        block = next(blocks) == 0
         mates = np.zeros_like(block)
-        at = np.repeat(np.arange(hi - lo) * n, count[lo:hi])
-        mates.ravel()[at[:, None] + lines[line_of[start[lo]:start[hi]]]] = True
+        # the flat positions of each point's line-mates in its row
+        at = lines.take(line_of[start[lo]:start[hi]], axis=0)
+        at += np.repeat(np.arange(0, (hi - lo) * n, n, dtype=np.int32),
+                        count[lo:hi])[:, None]
+        mates.ravel()[at] = True
         diag = np.arange(hi - lo) * (n + 1) + lo
         block.ravel()[diag] = mates.ravel()[diag] = False
         if not np.array_equal(block, mates):
             raise AssertionError("the punctured lines do not cover the "
                                  "affine collinearity exactly")
         P[lo:hi] = pack_rows(block)
+    del blocks                          # with the column table it holds
     if (np.bitwise_count(P).sum(axis=1, dtype=np.intp) != count * (k - 1)).any():
         raise AssertionError("two lines through a point meet again")
 
     # the lines through each point as rows, padded with the empty line n_lines
     width = max(1, int(count.max(initial=0)))
-    through = np.full((n, width), n_lines)
+    through = np.full((n, width), n_lines, dtype=np.int32)
     through.ravel()[np.arange(len(line_of))
                     + np.repeat(np.arange(n) * width - start[:-1], count)] = line_of
     del line_of
@@ -322,24 +335,33 @@ def fiber_distances(cov: CoveringMap) -> dict:
     x1, x2 = np.searchsorted(aff, cov.point_fiber).T
     fibers_at_3 = not _bits(B2, x1, x2).any() and _three_walks(P, B2, x1, x2)
 
-    # far pairs: the bits clear in B2, over the n real columns.  The
-    # identity adds nothing: a point with a neighbour is two steps from
-    # itself, and a point without one fails the 3-walk test either way.
+    # far pairs: the bits clear in B2, over the n real columns and off the
+    # diagonal (B2 holds a point itself only when it has a neighbour)
     far = ~B2
     far[:, -1] &= ~np.uint64(0) >> np.uint64(-n % 64)
+    pts = np.arange(n)
+    far[pts, pts >> 6] &= ~(np.uint64(1) << (pts & 63).astype(np.uint64))
+    far_pairs = int(np.bitwise_count(far).sum(dtype=np.intp))
+    # the fibers in both orders, as sorted keys x * n + y
+    fibers = np.unique(np.concatenate([x1 * n + x2, x2 * n + x1]))
     rows, cols = np.nonzero(far)                # words holding a far pair
+    diam3, far_are_fibers = len(rows) > 0, far_pairs == len(fibers)
     step = max(1, _CHUNK // (64 * w))
-
-    def far_pairs():
-        for k in range(0, len(rows), step):
-            r, c = rows[k:k + step], cols[k:k + step]
-            bits = np.unpackbits(far[r, c].view(np.uint8).reshape(-1, 8),
-                                 axis=1, bitorder="little")
-            e, b = np.nonzero(bits)
-            yield r[e], 64 * c[e] + b
-
-    diam3 = len(rows) > 0 and all(_three_walks(P, B2, x, y) for x, y in far_pairs())
-    return {"pass": fibers_at_3 and diam3,
+    for lo in range(0, len(rows), step):
+        if not (diam3 or far_are_fibers):
+            break
+        r, c = rows[lo:lo + step], cols[lo:lo + step]
+        bits = np.unpackbits(far[r, c].view(np.uint8).reshape(-1, 8),
+                             axis=1, bitorder="little")
+        e, b = np.nonzero(bits)
+        x, y = r[e], 64 * c[e] + b
+        diam3 = diam3 and _three_walks(P, B2, x, y)
+        key = x * n + y
+        far_are_fibers = far_are_fibers and bool(
+            (fibers.take(np.searchsorted(fibers, key), mode="clip") == key).all())
+    return {"pass": fibers_at_3 and diam3 and far_are_fibers,
             "fibers_at_distance_3": fibers_at_3,
             "diameter_is_3": diam3,
+            "far_pairs": far_pairs,
+            "far_pairs_are_fibers": far_are_fibers,
             "n_points": n}

@@ -3,9 +3,12 @@
 The model is built by brute enumeration: evaluate the quadratic form on every
 point of PG(5, q), collect the zeros, and recover all structure (lines,
 nucleus, elation) from the form itself.  Everything downstream speaks in dense
-quadric point indices and reads the bilinear form in blocks through
-`QuadricModel.alpha`, the one place that evaluates it: from three q^2-row
-tables, one per hyperbolic pair of coordinates, with no |Q| x |Q| array held.
+quadric point indices and reads the bilinear form in blocks, from three
+q^2-row tables, one per hyperbolic pair of coordinates, with no |Q| x |Q|
+array held.  One kernel evaluates it: take the tables' columns, then gather
+their rows by each point's key.  `QuadricModel.alpha_blocks` takes the
+columns once and yields the rows in blocks, for checks that read many row
+blocks against the same columns; `QuadricModel.alpha` is its one-block case.
 
 Coordinates: f(x) = x1*x2 + x3*x4 + x5^2 + x5*x6 + lam*x6^2 with trace(lam) = 1,
 polarized to alpha(u, v) = u1*v2 + u2*v1 + u3*v4 + u4*v3 + u5*v6 + u6*v5.
@@ -16,7 +19,7 @@ elation fixing it pointwise are computed, not assumed.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +46,7 @@ class QuadricModel:
     pair_tables, pair_keys : (3q^2, |Q|) uint8 and (3, |Q|) intp arrays.
         Rows i*q^2 + a*q + b, i = 0, 1, 2, hold a*y_{2i+2} + b*y_{2i+1} over
         all points y; point x's keys are i*q^2 + x_{2i+1}*q + x_{2i+2}.  Read
-        by `alpha`.
+        only by `alpha` and `alpha_blocks`.
     in_section : boolean mask of points lying in the hyperplane {x6 = 0}.
     section_points / affine_points : ascending int32 arrays of the point
         indices on the two sides of the split.
@@ -101,11 +104,25 @@ class QuadricModel:
 
     def alpha(self, rows, cols) -> np.ndarray:
         """The uint8 block [alpha(x, y)] over point indices x in rows and y in
-        cols: the XOR over the three hyperbolic pairs of the pair table's
-        entry at x's key and column y.  The tables' columns are taken first,
-        then their rows gathered by key: rows first was slower on every block
-        shape the package reads at q = 8."""
-        part = self.pair_tables.take(cols, axis=1).take(self.pair_keys.take(rows, axis=1), axis=0)
+        cols: `alpha_blocks` in one block, with no generator frame."""
+        return self._alpha_rows(self.pair_tables.take(cols, axis=1), rows)
+
+    def alpha_blocks(self, rows, cols, step: int) -> Iterator[np.ndarray]:
+        """The rows of the block `alpha(rows, cols)`, yielded `step` rows at
+        a time.  The pair tables' columns are taken once, then each block's
+        rows gathered from them by key: columns first was faster than rows
+        first on every block shape the package reads at q = 8, and taking
+        them once saves one 3q^2 x len(cols) take a block.  The callers take
+        each block with `next` and bind no name to it, so that it is freed
+        before the next one is gathered."""
+        table = self.pair_tables.take(cols, axis=1)
+        for lo in range(0, len(rows), step):
+            yield self._alpha_rows(table, rows[lo:lo + step])
+
+    def _alpha_rows(self, table: np.ndarray, rows) -> np.ndarray:
+        """XOR over the three hyperbolic pairs of the column table's entry
+        at each of x's keys, for x in rows."""
+        part = table.take(self.pair_keys.take(rows, axis=1), axis=0)
         out = part[0] ^ part[1]
         out ^= part[2]
         return out
@@ -218,13 +235,16 @@ def _build_lines(model: QuadricModel) -> None:
     # packed perp rows: bit 7 - (y & 7) of byte y >> 3 in row x is set
     # exactly when alpha(x, y) == 0
     pts = np.arange(nq)
-    P = np.concatenate([np.packbits(model.collinear(pts[lo:lo + 1024], pts), axis=1)
-                        for lo in range(0, nq, 1024)])
+    P = np.empty((nq, -(-nq // 8)), dtype=np.uint8)
+    blocks = model.alpha_blocks(pts, pts, 1024)
+    for lo in range(0, nq, 1024):
+        P[lo:lo + 1024] = np.packbits(next(blocks) == 0, axis=1)
     i, j = np.triu_indices(q + 1, 1)
-    a, b = ln[:, i], ln[:, j]
-    if (ln < 0).any() or not (P[a, b >> 3] << (b & 7) & 0x80).all():
-        raise AssertionError("a line is not totally singular")
     for lo in range(0, len(x), 4096):
+        chunk = ln[lo:lo + 4096]
+        a, b = chunk[:, i], chunk[:, j]
+        if (chunk < 0).any() or not (P[a, b >> 3] << (b & 7) & 0x80).all():
+            raise AssertionError("a line is not totally singular")
         common = np.bitwise_count(P[x[lo:lo + 4096]] & P[k[lo:lo + 4096]]).sum(axis=1)
         if (common != q + 1).any():
             raise AssertionError("common perp of collinear points is not a line")

@@ -133,7 +133,8 @@ def product_fiber_distances(cov: CoveringMap) -> dict:
 
     Uses boolean/float32 powers of the collinearity matrix; the two fiber
     points must be non-adjacent, share no neighbour, and be joined by a
-    3-step walk, and the whole graph must have diameter exactly 3."""
+    3-step walk, the whole graph must have diameter exactly 3, and the
+    pairs more than two steps apart must be exactly the fibers."""
     A = _affine_collinearity(cov.model)
     af = A.astype(np.float32)
     A2 = af @ af
@@ -147,9 +148,15 @@ def product_fiber_distances(cov: CoveringMap) -> dict:
     np.fill_diagonal(reach2, True)
     reach = reach2 | (A3 > 0)
     diam3 = bool(reach.all()) and not bool(reach2.all())   # not already within 2
-    return {"pass": fibers_at_3 and diam3,
+    # the far pairs, more than two steps apart, are the fibers in both orders
+    fibers = np.zeros_like(A)
+    fibers[x1, x2] = fibers[x2, x1] = True
+    far_are_fibers = bool(np.array_equal(~reach2, fibers))
+    return {"pass": fibers_at_3 and diam3 and far_are_fibers,
             "fibers_at_distance_3": fibers_at_3,
             "diameter_is_3": diam3,
+            "far_pairs": int((~reach2).sum()),
+            "far_pairs_are_fibers": far_are_fibers,
             "n_points": n}
 
 

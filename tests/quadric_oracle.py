@@ -13,7 +13,7 @@ copy the corruption tests edit.
 """
 
 import weakref
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,8 +41,9 @@ def loop_gram_matrix(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
 
 
 class TableModel(QuadricModel):
-    """A copy of a model whose `alpha` reads the explicit |Q| x |Q| table it
-    is given, so that a test can corrupt single entries of the form."""
+    """A copy of a model whose `alpha` and `alpha_blocks` read the explicit
+    |Q| x |Q| table it is given, so that a test can corrupt single entries
+    of the form."""
 
     def __init__(self, model: QuadricModel, table: np.ndarray):
         vars(self).update(vars(model))
@@ -50,6 +51,10 @@ class TableModel(QuadricModel):
 
     def alpha(self, rows, cols) -> np.ndarray:
         return np.take(np.take(self.table, rows, axis=0), cols, axis=1)
+
+    def alpha_blocks(self, rows, cols, step: int) -> Iterator[np.ndarray]:
+        for lo in range(0, len(rows), step):
+            yield self.alpha(rows[lo:lo + step], cols)
 
 
 _TABLES: "weakref.WeakKeyDictionary[QuadricModel, np.ndarray]" = weakref.WeakKeyDictionary()

@@ -73,8 +73,11 @@ def test_verify_covering(tmp_path):
     assert rc == 0
     names = {c["name"] for c in data["checks"]}
     assert {"fibers_ok", "line_bijections_ok", "pencil_bijections_ok",
-            "quotient_iso_ok", "fibers_at_distance_3", "diameter_is_3"} == names
+            "quotient_iso_ok", "fibers_at_distance_3", "diameter_is_3",
+            "far_pairs_are_fibers"} == names
     assert all(c["pass"] for c in data["checks"])
+    # the ordered far pairs at q = 2: two for each of the 6 fibers
+    assert data["checks"][-1]["cases"] == 12
 
 
 def test_verify_semipartial_with_incidence_export(tmp_path):

@@ -257,6 +257,17 @@ def test_covering_rejects_foreign_geometry(model_q2, geom_q4):
         canonical_covering(model_q2, geom_q4)
 
 
+@pytest.mark.parametrize("row", [0, -1])
+def test_covering_rejects_orbit_points_with_different_perps(model_q4, geom_q4, row):
+    # one orbit's larger point swapped for another orbit's: its perp
+    # section is another ovoid
+    gx = copy.copy(geom_q4)
+    gx.ovoid_orbit = geom_q4.ovoid_orbit.copy()
+    gx.ovoid_orbit[row, 1] = geom_q4.ovoid_orbit[row + 1, 1]
+    with pytest.raises(AssertionError, match="different perp sections"):
+        canonical_covering(model_q4, gx)
+
+
 @pytest.mark.parametrize("name", ["cov_q2", "cov_q4", "cov_q8"])
 def test_tangency_matches_cross_fiber_collinearity(request, name):
     v = {"cov_q2": 6, "cov_q4": 120, "cov_q8": 2016}[name]
@@ -380,6 +391,9 @@ def test_fiber_points_sit_at_distance_three(request, name):
     assert rep["fibers_at_distance_3"]
     assert rep["diameter_is_3"]
     assert rep["n_points"] == len(cov.model.affine_points)
+    # the far pairs are the fibers, in both orders: q^4 - q^2 of them
+    assert rep["far_pairs_are_fibers"]
+    assert rep["far_pairs"] == {"cov_q2": 12, "cov_q4": 240, "cov_q8": 4032}[name]
 
 
 def _rolled_partners(cov):
@@ -401,6 +415,27 @@ def test_fiber_distances_match_the_product_oracle(request, name, corrupt):
     assert rep == product_fiber_distances(cov)
     assert rep["fibers_at_distance_3"] == (corrupt is None)
     assert rep["diameter_is_3"]
+
+
+def _fiber_dropped(cov):
+    # the last ovoid's fiber left out: its points are still a far pair,
+    # and every remaining fiber keeps its distance
+    return replace(cov, point_fiber=cov.point_fiber[:-1])
+
+
+@pytest.mark.parametrize("corrupt", [_fiber_dropped, _rolled_partners],
+                         ids=["fiber_dropped", "rolled_partners"])
+@pytest.mark.parametrize("name", ["cov_q2", "cov_q4", "cov_q8"])
+def test_far_pairs_off_the_fibers_fail_the_law(request, name, corrupt):
+    cov = request.getfixturevalue(name)
+    bad = corrupt(cov)
+    rep = fiber_distances(bad)
+    assert rep["far_pairs"] == len(cov.model.affine_points)
+    assert not rep["far_pairs_are_fibers"] and not rep["pass"]
+    assert rep["fibers_at_distance_3"] == (corrupt is _fiber_dropped)
+    assert rep["diameter_is_3"]
+    if name != "cov_q8":
+        assert rep == product_fiber_distances(bad)
 
 
 def _graph_covering(adj, partners):
@@ -481,6 +516,32 @@ def test_collinear_matches_the_ix_gather(request, name):
     assert model.collinear(model.affine_points, model.affine_points).diagonal().all()
 
 
+def _assert_blocks_match_ix(model, blocks):
+    # alpha_blocks, at steps 1, 7, len - 1, len and len + 5, against the
+    # oracle table's two-index gather: the rows in order, step rows a block
+    table = alpha_table(model)
+    for rows, cols in blocks:
+        want = table[np.ix_(rows, cols)]
+        n = len(rows)
+        forms = [(np.asarray(rows, dtype=t), np.asarray(cols, dtype=t))
+                 for t in (np.int32, np.intp)]
+        forms.append((np.asarray(rows).tolist(), np.asarray(cols).tolist()))
+        for step in sorted({1, 7, max(1, n - 1), max(1, n), n + 5}):
+            for r, c in forms:
+                got = list(model.alpha_blocks(r, c, step))
+                assert [len(b) for b in got] == [min(step, n - lo) for lo in range(0, n, step)]
+                assert all(b.dtype == np.uint8 for b in got)
+                assert np.array_equal(np.concatenate(got) if got else want[:0], want)
+
+
+@pytest.mark.parametrize("name", ["cov_q2", "cov_q4", "cov_q8"])
+def test_alpha_blocks_match_the_ix_gather(request, name):
+    cov = request.getfixturevalue(name)
+    rng = np.random.default_rng(19)
+    _assert_blocks_match_ix(cov.model, _call_site_blocks(cov))
+    _assert_blocks_match_ix(cov.model, _odd_blocks(cov.model.n_points, rng))
+
+
 def test_collinear_matches_the_ix_gather_on_a_synthetic_gram():
     rng = np.random.default_rng(17)
     adj = rng.random((40, 40)) < 0.3
@@ -489,6 +550,7 @@ def test_collinear_matches_the_ix_gather_on_a_synthetic_gram():
     aff = model.affine_points
     _assert_collinear_matches_ix(model, [(aff, aff), (aff[::-1], np.arange(len(model.table)))])
     _assert_collinear_matches_ix(model, _odd_blocks(len(model.table), rng))
+    _assert_blocks_match_ix(model, _odd_blocks(len(model.table), rng))
     assert np.array_equal(model.collinear(aff, aff), adj)
     # an asymmetric table tells rows from columns
     model.table = rng.integers(0, 3, (30, 30)).astype(np.uint8)
@@ -540,6 +602,8 @@ STUB_GRAPHS = [
     ("cycle_6_and_isolated", _with_isolated(_cycle(6)), [(0, 3)], (True, False)),
     ("isolated_partner", _with_isolated(_cycle(6)), [(0, 6)], (False, False)),
     ("cycle_6_near_partners", _cycle(6), [(0, 2), (1, 4)], (False, True)),
+    # every far pair is a fiber, but one fiber is not a far pair
+    ("cycle_6_extra_partners", _cycle(6), [(0, 3), (1, 4), (2, 5), (0, 1)], (False, True)),
     # adjacent partners with no common neighbour: joined by a 3-walk
     ("cycle_6_adjacent_partners", _cycle(6), [(0, 1)], (False, True)),
     ("layers_70", _layers([10, 30, 25, 5], 1), [(0, 69), (5, 65)], (True, True)),

@@ -182,15 +182,15 @@ def test_package_defines_only_what_commands_and_benchmark_reach():
     assert sorted(f"{m}.{n}" for m, n in defined - reached) == []
 
 
-def _gram_attributes(tree: ast.Module) -> list:
-    """Source of each read or assignment of an attribute named ``gram``:
-    ``<expr>.gram`` in any context, and a ``getattr``, ``setattr``,
+def _attribute_uses(tree: ast.Module, names: set) -> list:
+    """Source of each read or assignment of an attribute named in names:
+    ``<expr>.name`` in any context, and a ``getattr``, ``setattr``,
     ``hasattr`` or ``delattr`` call that names it."""
     return [ast.unparse(node) for node in ast.walk(tree)
-            if (isinstance(node, ast.Attribute) and node.attr == "gram")
+            if (isinstance(node, ast.Attribute) and node.attr in names)
             or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in ("getattr", "setattr", "hasattr", "delattr")
-                and any(isinstance(a, ast.Constant) and a.value == "gram"
+                and any(isinstance(a, ast.Constant) and a.value in names
                         for a in node.args[1:2]))]
 
 
@@ -200,7 +200,7 @@ def test_gram_attribute_check_sees_direct_and_aliased_reads():
                      "mm = m\nd = mm.gram\ne = getattr(mm, 'gram')\n"
                      "m.gram = t\nsetattr(m, 'gram', t)\n"
                      "gram = 1\nf = m.grammar\nh = getattr(m, 'grammar')\n")
-    assert sorted(_gram_attributes(tree)) == [
+    assert sorted(_attribute_uses(tree, {"gram"})) == [
         "cov.model.gram", "getattr(mm, 'gram')", "m.gram", "m.gram", "mm.gram",
         "setattr(m, 'gram', t)"]
 
@@ -208,7 +208,34 @@ def test_gram_attribute_check_sees_direct_and_aliased_reads():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_reads_gram_blocks_through_collinear(path):
     """No module reads or assigns a ``gram`` attribute: the bilinear form is
-    read in blocks through `QuadricModel.alpha` and `collinear`, which
-    evaluate it from the model's q^2-row pair tables, and no |Q| x |Q| table
-    of it is held."""
-    assert _gram_attributes(ast.parse(path.read_text())) == []
+    read in blocks through `QuadricModel.alpha`, `alpha_blocks` and
+    `collinear`, which evaluate it from the model's q^2-row pair tables, and
+    no |Q| x |Q| table of it is held."""
+    assert _attribute_uses(ast.parse(path.read_text()), {"gram"}) == []
+
+
+_PAIR_TABLES = {"pair_tables", "pair_keys"}
+
+
+def test_pair_table_check_sees_direct_and_aliased_reads():
+    tree = ast.parse("a = m.pair_tables.take(c, axis=1)\n"
+                     "k = cov.model.pair_keys\nb = k[:, r]\n"
+                     "mm = m\nd = mm.pair_keys\ne = getattr(mm, 'pair_tables')\n"
+                     "m.pair_keys = t\nhasattr(m, 'pair_tables')\n"
+                     "pair_tables = 1\nf = m.pair_tables_cache\n"
+                     "h = getattr(m, 'pair_key')\n")
+    assert sorted(_attribute_uses(tree, _PAIR_TABLES)) == [
+        "cov.model.pair_keys", "getattr(mm, 'pair_tables')", "hasattr(m, 'pair_tables')",
+        "m.pair_keys", "m.pair_tables", "mm.pair_keys"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "quadric.py"]
+                         + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}"
+                         if p.parent == TESTS else p.name)
+def test_only_quadric_reads_the_pair_tables(path):
+    """The pair tables and keys are the storage of `QuadricModel.alpha` and
+    `alpha_blocks`: every other module, and every test, reads the form
+    through those methods, so the tables' layout stays private to
+    `quadric.py`."""
+    assert _attribute_uses(ast.parse(path.read_text()), _PAIR_TABLES) == []
