@@ -10,15 +10,31 @@ four-clique to exactly two five-cliques and one six-clique when the field
 degree is odd, and to none when it is even) are verified on that split.
 
 Edges are kept as flat keys a * V + b from one scan of the upper triangle,
-sampled edges are drawn in one vectorised SplitMix64 pass, and edges are
-processed in batches.  A common neighbour of an edge (a, b) is a pencil
-completion exactly when it passes through the common point of a and b, which
-the membership matrix gives; all three are then tangent there.  Every gather
-reads the flat adjacency or membership matrix at row * width + col; the
-completion adjacency of a batch is gathered S_BLOCK pairs at a time.
-For each edge the adjacency among its q^2 non-linear completions is packed
-into one uint64 per completion (q^2 <= 64 for every buildable field), bit z
-of word w set when completions w and z are tangent.  A word's popcount is the
+KEY_BLOCK entries at a time, and sampled edges are drawn in one vectorised
+SplitMix64 pass.  The selected edges are cut into batches of BATCH
+non-linear completions (BATCH // q^2 edges, 512 at q = 4 and 128 at q = 8),
+small enough that the batch a worker holds beside the main thread's adds
+little to the peak memory.  The main thread and one worker thread for each
+other CPU the process may use take the batches in edge order, each the next
+one not yet taken (numpy releases the interpreter lock in the gathers, so
+the threads overlap).  A batch returns its own partial
+report: sums, the values its laws took, its first mixed 4-clique, its first
+counterexample of another kind, and its collected rows; a batch that breaks
+a law outright raises.  The partial reports are merged in batch order, so
+the report is that of the batches run one after another on one thread,
+whatever the number of CPUs and whichever thread finishes first: the
+first mixed 4-clique replaces any other counterexample, the first other
+counterexample is kept, rows are collected in edge order, and the error of
+the first failing batch is raised once every thread has stopped.
+
+A common neighbour of an edge (a, b) is a pencil completion exactly when it
+passes through the common point of a and b, which the membership matrix
+gives; all three are then tangent there.  Every gather reads the flat
+adjacency or membership matrix at row * width + col; the completion
+adjacency of a batch is gathered S_BLOCK pairs at a time.  For each edge
+the adjacency among its q^2 non-linear completions is packed into one
+uint64 per completion (q^2 <= 64 for every buildable field), bit z of word
+w set when completions w and z are tangent.  A word's popcount is the
 triangle's 4-clique count; the adjacent pairs w < z are read off word w with
 its bits up to w cleared, lowest bit first, in the order nonzero(triu(S))
 lists them; the popcount of P[w] & P[z] is the 4-clique's 5-extension count,
@@ -34,17 +50,20 @@ over it, contradicting the uniform count of two.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .ovoid import OvoidGeometry, pencil_counts
 
 MASK64 = (1 << 64) - 1
-BATCH = 512                       # edges per vectorised census step
+BATCH = 1 << 13                   # non-linear completions (edges x q^2) per census batch
+KEY_BLOCK = 1 << 20               # adjacency entries per step of the edge-key scan
 SRG_BLOCK = 1 << 19               # common-neighbour counts per verify_srg step
-S_BLOCK = 1 << 19                 # completion pairs gathered per census S step
+S_BLOCK = 1 << 16                 # completion pairs gathered per census S step
 # _ABOVE[w] keeps the bits above bit w of a word
 _ABOVE = np.array([MASK64 ^ ((2 << w) - 1) for w in range(64)], dtype=np.uint64)
 
@@ -142,10 +161,20 @@ def verify_srg(A: np.ndarray) -> dict:
 # -- edges and seeded edge draws ----------------------------------------------
 
 
+def edge_keys(A: np.ndarray) -> np.ndarray:
+    """The edges i < j of A as flat keys i * V + j, ascending, as
+    ``flatnonzero(triu(A, 1))`` lists them, read off the upper triangle
+    KEY_BLOCK entries at a time, so that no V x V temporary is made."""
+    V = len(A)
+    step = max(1, KEY_BLOCK // V)
+    return np.concatenate([np.flatnonzero(np.triu(A[lo:lo + step], lo + 1)) + lo * V
+                           for lo in range(0, V, step)])
+
+
 def edge_list(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The edges i < j of A in row-major order, as ``nonzero(triu(A, 1))``
-    lists them, read off one flat scan."""
-    return np.divmod(np.flatnonzero(np.triu(A, 1)), len(A))
+    lists them."""
+    return np.divmod(edge_keys(A), len(A))
 
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -160,6 +189,8 @@ def splitmix_below(seed: int, n: int, count: int) -> np.ndarray:
     deterministic across platforms.  The stream is mixed in uint64 arrays,
     whose products wrap mod 2^64.
     """
+    if count < 0:
+        raise ValueError(f"draw count must be at least 0, got {count}")
     top = np.uint64(MASK64 - (1 << 64) % n)   # the largest accepted raw draw
     out: List[np.ndarray] = []
     need, k0 = count, 0
@@ -282,6 +313,168 @@ def rosette_maximality(A: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]:
     return n_max, len(gx.pencil_base)
 
 
+@dataclass(eq=False)
+class _Batch:
+    """One census batch's share of the report."""
+    pairs4: int                   # adjacent completion pairs
+    five: int                     # 5-extensions of the 4-cliques
+    six: int                      # 6-cliques over the 4-cliques
+    values: Dict[str, List[int]]  # the values each extension count took
+    mixed: Optional[dict]         # the batch's first mixed 4-clique
+    other: Optional[dict]         # its first counterexample of another kind
+    tris: Optional[np.ndarray]
+    quads: Optional[np.ndarray]
+
+
+def _census_batch(A: np.ndarray, member: np.ndarray, q: int, n_odd: bool,
+                  a: np.ndarray, b: np.ndarray, collect: bool) -> _Batch:
+    """The census of the edges (a[i], b[i]) of A.  A broken law that leaves
+    counts to report gives a counterexample; any other raises
+    AssertionError."""
+    B, V = len(a), len(A)
+    Af, Mf = A.ravel(), member.ravel()
+    n_q0 = member.shape[1]
+    lam = q * q + q - 2
+    n_nl = q * q                  # non-linear completions per edge
+    n_r = q - 2                   # pencil completions per edge
+    s_edges = n_nl * (q + 1) // 2  # adjacent pairs among them, once uniform
+    s_step = max(1, S_BLOCK // (n_nl * n_nl))  # edges per S gather
+    mixed = other = tris = quads = None
+
+    C = A[a] & A[b]
+    if not (C.sum(axis=1) == lam).all():
+        raise AssertionError("common neighbour count differs from lambda")
+    # every row holds lam common neighbours, so the flat scan reshapes
+    Ci = np.flatnonzero(C).reshape(B, lam) - (np.arange(B) * V)[:, None]
+    del C                         # each step frees what no later step reads
+    # a common neighbour is tangent to a and b at their common point p
+    # exactly when it passes through p
+    p = (member[a] & member[b]).argmax(axis=1)
+    on_pencil = Mf[Ci * n_q0 + p[:, None]]
+    if not (on_pencil.sum(axis=1) == n_r).all():
+        raise AssertionError("pencil completion count differs from q-2")
+    Wi = Ci[~on_pencil].reshape(B, n_nl)
+    if n_r:
+        Ri = Ci[on_pencil].reshape(B, n_r)
+        cross = Af[(Ri * V)[:, :, None] + Wi[:, None, :]]
+        if cross.any():
+            eb, ei, ej = np.argwhere(cross)[0]
+            mixed = {"kind": "mixed_4_clique",
+                     "vertices": [int(a[eb]), int(b[eb]), int(Ri[eb, ei]), int(Wi[eb, ej])]}
+        del Ri, cross
+    del Ci, on_pencil
+
+    # P[e, i] holds row i of the completion adjacency S = A[Wi][:, Wi],
+    # gathered S_BLOCK pairs at a time
+    P = np.empty((B, n_nl), dtype=np.uint64)
+    for k in range(0, B, s_step):
+        W = Wi[k:k + s_step]
+        P[k:k + s_step] = pack_rows(Af[(W * V)[:, :, None] + W[:, None, :]])[..., 0]
+    rows = np.bitwise_count(P)
+    values = {"3to4": _values(rows)}
+    if not (rows == q + 1).all():
+        eb, ei = np.argwhere(rows != q + 1)[0]
+        other = {"kind": "triangle_extension",
+                 "triangle": [int(a[eb]), int(b[eb]), int(Wi[eb, ei])],
+                 "got": int(rows[eb, ei])}
+
+    if collect:
+        keep = Wi > b[:, None]
+        tris = np.stack([np.broadcast_to(a[:, None], Wi.shape)[keep],
+                         np.broadcast_to(b[:, None], Wi.shape)[keep],
+                         Wi[keep]], axis=1)
+
+    # adjacent completion pairs w < z, as flat rows of P
+    wrow, zrow = upper_pairs(P)
+    if len(wrow) != B * s_edges:
+        raise AssertionError("adjacent-pair count among completions not uniform")
+    wrow, zrow = wrow.reshape(B, s_edges), zrow.reshape(B, s_edges)
+    Pf, Wf = P.ravel(), Wi.ravel()
+    X = Pf[wrow] & Pf[zrow]             # completions adjacent to w and z
+    col = np.bitwise_count(X)           # 5-extension count of each 4-clique
+    values["4to5"] = _values(col)
+    want5 = 2 if n_odd else 0
+    if not (col == want5).all() and other is None:
+        eb, ei = np.argwhere(col != want5)[0]
+        other = {"kind": "four_clique_five_extension",
+                 "clique": [int(a[eb]), int(b[eb]),
+                            int(Wf[wrow[eb, ei]]), int(Wf[zrow[eb, ei]])],
+                 "got": int(col[eb, ei])}
+
+    n6 = 0
+    if not n_odd:
+        values["4to6"] = [0]
+    else:
+        if (col != 2).any():
+            raise AssertionError("five-extension support is not two vertices each")
+        # X has bits y1 < y2 and row y1 has no bit y1 (A has no loops), so
+        # P[y1] & X is nonzero exactly when y1 and y2 are adjacent
+        y1 = lowest_set_bits(X, 1)[..., 0]
+        six = (Pf[(np.arange(B) * n_nl)[:, None] + y1] & X) != 0
+        values["4to6"] = _values(six)
+        if not six.all() and other is None:
+            eb, ei = np.argwhere(~six)[0]
+            other = {"kind": "four_clique_six_extension",
+                     "edge": [int(a[eb]), int(b[eb])], "got": 0}
+        n6 = int(six.sum())
+    del X
+
+    if collect:
+        # the 4-cliques {a, b, w, z} with b < w, in row-major order
+        e, k = np.nonzero(Wf[wrow] > b[:, None])
+        quads = np.empty((len(e), 4), dtype=np.intp)
+        quads[:, 0], quads[:, 1] = a[e], b[e]
+        quads[:, 2], quads[:, 3] = Wf[wrow[e, k]], Wf[zrow[e, k]]
+    return _Batch(pairs4=int(rows.sum()) // 2, five=int(col.sum()), six=n6, values=values,
+                  mixed=mixed, other=other, tris=tris, quads=quads)
+
+
+def census_workers() -> int:
+    """The worker threads a census runs beside the main thread: one for
+    each other CPU this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
+
+
+def _in_order(job: Callable[[int], _Batch], n: int) -> List[_Batch]:
+    """[job(0), ..., job(n - 1)], run by the main thread and up to
+    `census_workers` worker threads, each taking the lowest index not yet
+    taken.  After a job raises no index is taken; once every thread has
+    stopped, the error of the lowest failing index is raised (every lower
+    index was taken before it and has finished)."""
+    results: list = [None] * n
+    order = iter(range(n))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while not stop.is_set():
+            with lock:
+                i = next(order, n)
+            if i == n:
+                return
+            try:
+                results[i] = job(i)
+            except Exception as err:    # raised below, in index order
+                results[i] = err
+                stop.set()
+
+    threads = [threading.Thread(target=work) for _ in range(min(census_workers(), n - 1))]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        stop.set()                      # workers stop too if the main thread is interrupted
+        for t in threads:
+            t.join()
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return results
+
+
 def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
            seed: Optional[int] = None, n_samples: Optional[int] = None,
            collect: bool = False) -> CensusReport:
@@ -293,138 +486,43 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
     sampled mode a seeded subset of edges is processed and only the per-edge
     laws are checked.  collect=True additionally gathers the vertex arrays of
     the non-linear triangles and 4-cliques through the processed edges, each
-    once in full mode.
+    once in full mode.  The edge batches run on the main thread and
+    `census_workers` worker threads; the report does not depend on how many.
     """
     model = gx.model
     q = model.ctx.q
     ndeg = model.ctx.n
     n_odd = ndeg % 2 == 1
     V = len(A)
-    Af = A.ravel()
-    member = gx.member_matrix
-    n_q0 = member.shape[1]
-    Mf = member.ravel()
-    keys = np.flatnonzero(np.triu(A, 1))     # edge a < b at a * V + b
+    keys = edge_keys(A)           # edge a < b at a * V + b
     E = len(keys)
 
     if mode == "sampled":
         if seed is None or n_samples is None:
             raise ValueError("sampled mode needs seed and n_samples")
+        if n_samples < 1:
+            raise ValueError(f"sampled mode needs n_samples >= 1, got {n_samples}")
         edge_sel = splitmix_below(seed, E, n_samples).astype(np.intp)
     elif mode == "full":
         edge_sel = np.arange(E)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    lam = q * q + q - 2
-    n_nl = q * q                  # non-linear completions per edge
-    n_r = q - 2                   # pencil completions per edge
-    s_edges = n_nl * (q + 1) // 2  # adjacent pairs among them, once uniform
-    s_step = max(1, S_BLOCK // (n_nl * n_nl))  # edges per S gather
+    step = max(1, BATCH // (q * q))   # edges per batch
 
-    tot_lin3 = 0
-    tot_nl3 = 0
-    tot_pairs4 = 0
-    tot_five = 0
-    tot_six = 0
-    obs_3to4: Set[int] = set()
-    obs_4to5: Set[int] = set()
-    obs_4to6: Set[int] = set()
-    no_mixed = True
-    counterexample: Optional[dict] = None
-    tris: List[np.ndarray] = []
-    quads: List[np.ndarray] = []
+    def batch(i: int) -> _Batch:
+        a, b = np.divmod(keys[edge_sel[i * step:(i + 1) * step]], V)
+        return _census_batch(A, gx.member_matrix, q, n_odd, a, b, collect)
 
-    for lo in range(0, len(edge_sel), BATCH):
-        sel = edge_sel[lo:lo + BATCH]
-        B = len(sel)
-        a, b = np.divmod(keys[sel], V)
-        C = A[a] & A[b]
-        if not (C.sum(axis=1) == lam).all():
-            raise AssertionError("common neighbour count differs from lambda")
-        # every row holds lam common neighbours, so the flat scan reshapes
-        Ci = np.flatnonzero(C).reshape(B, lam) - (np.arange(B) * V)[:, None]
-        # a common neighbour is tangent to a and b at their common point p
-        # exactly when it passes through p
-        p = (member[a] & member[b]).argmax(axis=1)
-        on_pencil = Mf[Ci * n_q0 + p[:, None]]
-        if not (on_pencil.sum(axis=1) == n_r).all():
-            raise AssertionError("pencil completion count differs from q-2")
-        Wi = Ci[~on_pencil].reshape(B, n_nl)
-        if n_r and no_mixed:
-            Ri = Ci[on_pencil].reshape(B, n_r)
-            cross = Af[(Ri * V)[:, :, None] + Wi[:, None, :]]
-            # the first mixed clique found replaces any other counterexample
-            if cross.any():
-                no_mixed = False
-                eb, ei, ej = np.argwhere(cross)[0]
-                counterexample = {"kind": "mixed_4_clique",
-                                  "vertices": [int(a[eb]), int(b[eb]),
-                                               int(Ri[eb, ei]), int(Wi[eb, ej])]}
-        tot_lin3 += B * n_r
-        tot_nl3 += B * n_nl
-
-        # P[e, i] holds row i of the completion adjacency S = A[Wi][:, Wi],
-        # gathered S_BLOCK pairs at a time
-        P = np.empty((B, n_nl), dtype=np.uint64)
-        for k in range(0, B, s_step):
-            W = Wi[k:k + s_step]
-            P[k:k + s_step] = pack_rows(Af[(W * V)[:, :, None] + W[:, None, :]])[..., 0]
-        rows = np.bitwise_count(P)
-        obs_3to4.update(_values(rows))
-        if not (rows == q + 1).all() and counterexample is None:
-            eb, ei = np.argwhere(rows != q + 1)[0]
-            counterexample = {"kind": "triangle_extension",
-                              "triangle": [int(a[eb]), int(b[eb]), int(Wi[eb, ei])],
-                              "got": int(rows[eb, ei])}
-        tot_pairs4 += int(rows.sum()) // 2
-
-        if collect:
-            keep = Wi > b[:, None]
-            tris.append(np.stack([np.broadcast_to(a[:, None], Wi.shape)[keep],
-                                  np.broadcast_to(b[:, None], Wi.shape)[keep],
-                                  Wi[keep]], axis=1))
-
-        # adjacent completion pairs w < z, as flat rows of P
-        wrow, zrow = upper_pairs(P)
-        if len(wrow) != B * s_edges:
-            raise AssertionError("adjacent-pair count among completions not uniform")
-        wrow, zrow = wrow.reshape(B, s_edges), zrow.reshape(B, s_edges)
-        Pf, Wf = P.ravel(), Wi.ravel()
-        X = Pf[wrow] & Pf[zrow]             # completions adjacent to w and z
-        col = np.bitwise_count(X)           # 5-extension count of each 4-clique
-        obs_4to5.update(_values(col))
-        want5 = 2 if n_odd else 0
-        if not (col == want5).all() and counterexample is None:
-            eb, ei = np.argwhere(col != want5)[0]
-            counterexample = {"kind": "four_clique_five_extension",
-                              "clique": [int(a[eb]), int(b[eb]),
-                                         int(Wf[wrow[eb, ei]]), int(Wf[zrow[eb, ei]])],
-                              "got": int(col[eb, ei])}
-        tot_five += int(col.sum())
-
-        if collect:
-            wv, zv = Wf[wrow], Wf[zrow]
-            keep = wv > b[:, None]
-            quads.append(np.stack([np.broadcast_to(a[:, None], wv.shape)[keep],
-                                   np.broadcast_to(b[:, None], wv.shape)[keep],
-                                   wv[keep], zv[keep]], axis=1))
-
-        if not n_odd:
-            obs_4to6.add(0)
-            continue
-        if (col != 2).any():
-            raise AssertionError("five-extension support is not two vertices each")
-        # X has bits y1 < y2 and row y1 has no bit y1 (A has no loops), so
-        # P[y1] & X is nonzero exactly when y1 and y2 are adjacent
-        y1 = lowest_set_bits(X, 1)[..., 0]
-        six = (Pf[(np.arange(B) * n_nl)[:, None] + y1] & X) != 0
-        obs_4to6.update(_values(six))
-        if not six.all() and counterexample is None:
-            eb, ei = np.argwhere(~six)[0]
-            counterexample = {"kind": "four_clique_six_extension",
-                              "edge": [int(a[eb]), int(b[eb])], "got": 0}
-        tot_six += int(six.sum())
+    parts = _in_order(batch, -(-len(edge_sel) // step))
+    tot_lin3 = len(edge_sel) * (q - 2)    # every edge has q - 2 pencil completions
+    tot_nl3 = len(edge_sel) * q * q       # and q^2 non-linear ones
+    tot_pairs4 = sum(p.pairs4 for p in parts)
+    tot_five = sum(p.five for p in parts)
+    tot_six = sum(p.six for p in parts)
+    # the first mixed clique, in edge order, replaces any other counterexample
+    mixed = next((p.mixed for p in parts if p.mixed), None)
+    other = next((p.other for p in parts if p.other), None)
 
     lin3 = n3 = n4 = n5 = n6 = None
     identities: Dict[str, bool] = {}
@@ -436,8 +534,8 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         lin3, n3, n4 = tot_lin3 // 3, tot_nl3 // 3, tot_pairs4 // 6
         n5, n6 = tot_five // 30, tot_six // 90
         rosette_c3 = q * (q - 1) * (q - 2) // 6
-        # every edge was checked to have lam common neighbours
-        identities["triangle_total"] = 3 * (lin3 + n3) == E * lam
+        # every edge was checked to have lambda common neighbours
+        identities["triangle_total"] = 3 * (lin3 + n3) == E * (q * q + q - 2)
         identities["linear_triangles_from_pencils"] = lin3 == len(gx.pencil_base) * rosette_c3
         identities["n3_formula"] = n3 == formula_n3(q)
         identities["n4_formula"] = n4 == formula_n4(q)
@@ -466,23 +564,22 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
         spectrum = sorted(set(lin_spec) | set(nl_spec), reverse=True)
         spectrum_by_kind = {"linear": lin_spec, "nonlinear": nl_spec}
 
-    report = CensusReport(
+    return CensusReport(
         q=q, n=ndeg, mode=mode, seed=seed,
         edges_total=E, edges_checked=len(edge_sel),
         linear_triangles=lin3, n3=n3, n4=n4, n5=n5, n6=n6,
-        extension_counts={"3to4": sorted(obs_3to4), "4to5": sorted(obs_4to5),
-                          "4to6": sorted(obs_4to6)},
-        no_mixed=no_mixed, spectrum=spectrum, spectrum_by_kind=spectrum_by_kind,
+        extension_counts={k: sorted(set().union(*(p.values[k] for p in parts)))
+                          for k in ("3to4", "4to5", "4to6")},
+        no_mixed=mixed is None, spectrum=spectrum, spectrum_by_kind=spectrum_by_kind,
         linear_max_cliques=linear_max,
         identities=identities,
         formulas={"n3": formula_n3(q), "n4": formula_n4(q),
                   "n5": formula_n5(q) if n_odd else 0,
                   "n6": formula_n6(q) if n_odd else 0},
-        counterexample=counterexample,
-        triangles=np.concatenate(tris) if collect and tris else None,
-        cliques4=np.concatenate(quads) if collect and quads else None,
+        counterexample=mixed or other,
+        triangles=np.concatenate([p.tris for p in parts]) if collect else None,
+        cliques4=np.concatenate([p.quads for p in parts]) if collect else None,
     )
-    return report
 
 
 def export_edges_csv(A: np.ndarray, path: str) -> None:

@@ -103,8 +103,9 @@ def boolean_census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
     tris: List[np.ndarray] = []
     quads: List[np.ndarray] = []
 
-    for lo in range(0, len(edge_sel), BATCH):
-        sel = edge_sel[lo:lo + BATCH]
+    step = max(1, BATCH // n_nl)  # edges per batch, as in `census`
+    for lo in range(0, len(edge_sel), step):
+        sel = edge_sel[lo:lo + step]
         B = len(sel)
         a, b = iu[sel], ju[sel]
         C = A[a] & A[b]

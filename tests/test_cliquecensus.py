@@ -1,6 +1,8 @@
 """Tangency graph census: strong regularity, clique counts, spectra."""
 
 import copy
+import sys
+import threading
 import tracemalloc
 from itertools import combinations
 
@@ -21,6 +23,7 @@ from ovoid_oracle import loop_rosette_maximality, tangency_points
 from quadcover import cliquecensus
 from quadcover.cliquecensus import (
     census,
+    edge_keys,
     edge_list,
     export_edges_csv,
     formula_n3,
@@ -294,7 +297,7 @@ def test_full_census_in_ragged_s_blocks_matches_boolean_oracle(monkeypatch, requ
 
 def test_sampled_q8_census_in_ragged_s_blocks_matches_boolean_oracle(monkeypatch, tg_q8,
                                                                      geom_q8):
-    # 100 edges a step: batches of 512 = 5 * 100 + 12 and 88 edges
+    # 100 edges a step: batches of 128 = 100 + 28 edges, the last of them 88
     kw = dict(mode="sampled", seed=5, n_samples=600, collect=True)
     ref = boolean_census(tg_q8, geom_q8, **kw)
     monkeypatch.setattr(cliquecensus, "S_BLOCK", 100 * 64 * 64)
@@ -382,6 +385,22 @@ def test_edge_list_matches_nonzero_triu(request, tname):
         np.testing.assert_array_equal(g, w)
 
 
+@pytest.mark.parametrize("tname", ["tg_q2", "tg_q4", "tg_q8", "irregular_q4"])
+@pytest.mark.parametrize("block", [1, 900, 2016 * 300])
+def test_edge_keys_in_row_blocks_match_flatnonzero_triu(monkeypatch, request, tname, block):
+    # one row a step; 900 // V rows a step, 7 at q = 4 (the last step one
+    # row long) and one at q = 8; and 300 rows a step at q = 8 (the last
+    # step 216 rows long)
+    if tname == "irregular_q4":
+        A = _irregular(request.getfixturevalue("tg_q4"), request.getfixturevalue("geom_q4"))
+    else:
+        A = request.getfixturevalue(tname)
+    monkeypatch.setattr(cliquecensus, "KEY_BLOCK", block)
+    got, want = edge_keys(A), np.flatnonzero(np.triu(A, 1))
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("n", [16, 64])             # completions at q = 4 and q = 8
 def test_upper_pairs_against_nonzero_triu(n):
     rng = np.random.default_rng(n)
@@ -422,6 +441,20 @@ def test_census_input_validation(tg_q2, geom_q2):
         census(tg_q2, geom_q2, mode="sampled")
     with pytest.raises(ValueError):
         census(tg_q2, geom_q2, mode="everything")
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_sampled_census_that_would_check_nothing_is_refused(tg_q2, geom_q2, n_samples):
+    # a census of no edge would report pass: true having checked nothing
+    with pytest.raises(ValueError, match="n_samples >= 1"):
+        census(tg_q2, geom_q2, mode="sampled", seed=1, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("n,count", [(1, -1), (100, -1), (458640, -5000)])
+def test_splitmix_refuses_a_negative_count(n, count):
+    # a negative count made the draw loop run for ever
+    with pytest.raises(ValueError, match="at least 0"):
+        splitmix_below(1, n, count)
 
 
 def test_rosette_maximality(tg_q2, geom_q2, tg_q4, geom_q4, tg_q8, geom_q8):
@@ -515,12 +548,17 @@ def _mixed_in_several_batches(A, geom):
     return A, np.array(edges), mixed, quad0
 
 
-def test_census_keeps_the_first_mixed_four_clique(monkeypatch, tg_q4, geom_q4):
+@pytest.fixture(scope="module")
+def mixed_q4(tg_q4, geom_q4):
+    return _mixed_in_several_batches(tg_q4, geom_q4)
+
+
+def test_census_keeps_the_first_mixed_four_clique(monkeypatch, mixed_q4, geom_q4):
     # the census draws the reachable edges in order (a sampled census with
     # its draws replaced), once in batches of 512 and once of 97; mixed
     # cliques turn up in several batches either way, and the report is
     # edge 0's clique both times, as in the boolean kernel
-    A, edges, mixed, quad0 = _mixed_in_several_batches(tg_q4, geom_q4)
+    A, edges, mixed, quad0 = mixed_q4
     assert edges[mixed[0]] == 0 and _edge(A, geom_q4, 0)[:2] == tuple(quad0[:2])
     monkeypatch.setattr(cliquecensus, "splitmix_below",
                         lambda seed, n, count: edges[:count])
@@ -536,8 +574,9 @@ def test_census_keeps_the_first_mixed_four_clique(monkeypatch, tg_q4, geom_q4):
     reports = []
     for batch in (512, 97):
         assert len({i // batch for i in mixed}) > 2
-        monkeypatch.setattr(cliquecensus, "BATCH", batch)
-        monkeypatch.setattr(census_oracle, "BATCH", batch)
+        # BATCH counts completions, q^2 = 16 an edge
+        monkeypatch.setattr(cliquecensus, "BATCH", 16 * batch)
+        monkeypatch.setattr(census_oracle, "BATCH", 16 * batch)
         rep = census(A, geom_q4, **kw)
         assert rep.to_dict() == boolean_census(A, geom_q4, **kw).to_dict()
         reports.append(rep.to_dict())
@@ -546,23 +585,155 @@ def test_census_keeps_the_first_mixed_four_clique(monkeypatch, tg_q4, geom_q4):
     assert reports[0]["counterexample"] == {"kind": "mixed_4_clique", "vertices": quad0}
 
 
-def test_census_reports_a_triangle_extension(tg_q4, geom_q4):
-    # completion W[0] trades a tangent completion W[i] for a non-tangent one
-    # W[j]: the adjacent-pair total stays the same, but {a, b, W[i]} now has
-    # q four-cliques over it and {a, b, W[j]} has q + 2
-    q = 4
-    a, b, _, W = _edge(tg_q4, geom_q4, _seed_edge(tg_q4))
-    S = tg_q4[np.ix_(W, W)]
+def _census_per_worker_count(monkeypatch, *args, **kw):
+    """The census of args, kw with 0, 1, 2 and 3 worker threads; after each
+    call as many threads run as before it."""
+    reports = []
+    for workers in range(4):
+        monkeypatch.setattr(cliquecensus, "census_workers", lambda: workers)
+        before = threading.active_count()
+        reports.append(census(*args, **kw))
+        assert threading.active_count() == before
+    return reports
+
+
+@pytest.mark.parametrize("tname,gname,edges", [("tg_q2", "geom_q2", None),
+                                               ("tg_q2", "geom_q2", 4),
+                                               ("tg_q4", "geom_q4", None),
+                                               ("tg_q4", "geom_q4", 97)])
+def test_full_census_does_not_depend_on_the_worker_count(monkeypatch, request, tname,
+                                                         gname, edges):
+    # edges a batch: all 15 at q = 2 (no worker starts) or 4, the last
+    # batch 3 long; 512 at q = 4 (6 batches) or 97 (32 batches)
+    A, geom = request.getfixturevalue(tname), request.getfixturevalue(gname)
+    if edges:
+        monkeypatch.setattr(cliquecensus, "BATCH", edges * geom.model.ctx.q ** 2)
+    ref, *reports = _census_per_worker_count(monkeypatch, A, geom, collect=True)
+    assert ref.ok
+    for rep in reports:
+        _assert_same_census(rep, ref)
+
+
+def test_census_with_fast_thread_switches_matches_one_thread(monkeypatch, tg_q4, geom_q4):
+    # 765 batches of 4 edges on three workers and the main thread, switching
+    # threads every microsecond: a batch taken twice or lost would change
+    # the totals or the collected rows
+    monkeypatch.setattr(cliquecensus, "BATCH", 4 * 16)
+    monkeypatch.setattr(cliquecensus, "census_workers", lambda: 0)
+    ref = census(tg_q4, geom_q4, collect=True)
+    monkeypatch.setattr(cliquecensus, "census_workers", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rep = census(tg_q4, geom_q4, collect=True)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_same_census(rep, ref)
+
+
+def test_sampled_q8_census_in_ragged_s_blocks_does_not_depend_on_the_worker_count(
+        monkeypatch, tg_q8, geom_q8):
+    # batches of 128 edges, S gathered 100 edges a step: 128 = 100 + 28 and
+    # 600 = 4 * 128 + 88
+    monkeypatch.setattr(cliquecensus, "S_BLOCK", 100 * 64 * 64)
+    ref, *reports = _census_per_worker_count(monkeypatch, tg_q8, geom_q8, mode="sampled",
+                                             seed=5, n_samples=600, collect=True)
+    assert ref.ok
+    for rep in reports:
+        _assert_same_census(rep, ref)
+
+
+def _census_first_batch_last(monkeypatch, workers, first_edge, found, *args, **kw):
+    """The census of args, kw with `workers` worker threads, in which the
+    batch that starts with first_edge runs only once a later batch has
+    returned a part for which found(part) holds; after the call as many
+    threads run as before it."""
+    later = threading.Event()
+    kernel = cliquecensus._census_batch
+
+    def first_batch_last(A, member, q, n_odd, a, b, collect):
+        first = (a[0], b[0]) == tuple(first_edge)
+        if first:
+            assert later.wait(timeout=60)
+        part = kernel(A, member, q, n_odd, a, b, collect)
+        if found(part) and not first:
+            later.set()
+        return part
+    monkeypatch.setattr(cliquecensus, "_census_batch", first_batch_last)
+    monkeypatch.setattr(cliquecensus, "census_workers", lambda: workers)
+    before = threading.active_count()
+    rep = census(*args, **kw)
+    assert threading.active_count() == before
+    assert later.is_set()
+    return rep
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_first_mixed_clique_wins_whichever_thread_finds_one_first(monkeypatch, mixed_q4,
+                                                                   geom_q4, workers):
+    # batches of 97 edges; the batch of edge 0 waits until a later batch has
+    # found its own mixed clique, and edge 0's clique is still reported
+    A, edges, _, quad0 = mixed_q4
+    monkeypatch.setattr(cliquecensus, "splitmix_below",
+                        lambda seed, n, count: edges[:count])
+    monkeypatch.setattr(cliquecensus, "BATCH", 16 * 97)
+    kw = dict(mode="sampled", seed=0, n_samples=len(edges))
+    ref = _census_per_worker_count(monkeypatch, A, geom_q4, **kw)[0]
+    assert ref.counterexample == {"kind": "mixed_4_clique", "vertices": quad0}
+    rep = _census_first_batch_last(monkeypatch, workers, quad0[:2],
+                                   lambda part: part.mixed is not None, A, geom_q4, **kw)
+    assert rep.to_dict() == ref.to_dict()
+
+
+def _rejoined_completion(A, geom):
+    """A copy of A in which completion W[0] of the edge (a, b) that seed
+    1288 draws trades a tangent completion W[i] for a non-tangent one W[j],
+    and (a, b, W, i, j)."""
+    a, b, _, W = _edge(A, geom, _seed_edge(A))
+    S = A[np.ix_(W, W)]
     i = int(np.flatnonzero(S[0])[0])
     j = int(np.flatnonzero(~S[0, 1:])[0]) + 1
-    A = tg_q4.copy()
+    A = A.copy()
     A[[W[0], W[i]], [W[i], W[0]]] = False
     A[[W[0], W[j]], [W[j], W[0]]] = True
+    return A, (a, b, W, i, j)
+
+
+def test_census_reports_a_triangle_extension(tg_q4, geom_q4):
+    # the adjacent-pair total stays the same, but {a, b, W[i]} now has q
+    # four-cliques over it and {a, b, W[j]} has q + 2
+    q = 4
+    A, (a, b, W, i, j) = _rejoined_completion(tg_q4, geom_q4)
     rep = _census_of_seed_edge(A, geom_q4, (a, b))
     first = min(i, j)
     assert rep.counterexample == {"kind": "triangle_extension",
                                   "triangle": [a, b, int(W[first])],
                                   "got": q if first == i else q + 2}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_first_other_counterexample_wins_whichever_thread_finds_one_first(
+        monkeypatch, tg_q4, geom_q4, workers):
+    # every edge away from W[0], W[i] and W[j] that has all three as common
+    # neighbours reports a triangle extension of its own.  One edge a
+    # batch; the first batch waits until a later one has found its own.
+    A, (_, _, W, i, j) = _rejoined_completion(tg_q4, geom_q4)
+    three = [W[0], W[i], W[j]]
+    iu, ju = edge_list(A)
+    edges = np.flatnonzero((A[iu][:, three] & A[ju][:, three]).all(axis=1)
+                           & ~np.isin(iu, three) & ~np.isin(ju, three))
+    assert len(edges) > 2
+    monkeypatch.setattr(cliquecensus, "splitmix_below",
+                        lambda seed, n, count: edges[:count])
+    monkeypatch.setattr(cliquecensus, "BATCH", 16)
+    kw = dict(mode="sampled", seed=0, n_samples=len(edges))
+    ref = _census_per_worker_count(monkeypatch, A, geom_q4, **kw)[0]
+    first = [int(iu[edges[0]]), int(ju[edges[0]])]
+    assert ref.counterexample["kind"] == "triangle_extension"
+    assert ref.counterexample["triangle"][:2] == first
+    rep = _census_first_batch_last(monkeypatch, workers, first,
+                                   lambda part: part.other is not None, A, geom_q4, **kw)
+    assert rep.to_dict() == ref.to_dict()
 
 
 def test_census_reports_a_four_clique_five_extension(tg_q4, geom_q4):
@@ -626,13 +797,14 @@ def test_census_raises_on_an_extra_pencil_completion(tg_q4, geom_q4):
                              "pencil completion count differs from q-2")
 
 
-def test_census_raises_on_a_missing_completion_pair(tg_q4, geom_q4):
-    # the tangent completions W[0], W[i] of the sampled edge (a, b) become
-    # non-tangent, one pair short of the uniform count.  A new edge in
-    # row min(W[0], W[i]), away from a, b and the completions, keeps the
-    # edge count and the position of (a, b), so seed 1288 still draws it.
-    A = tg_q4.copy()
-    a, b, _, W = _edge(A, geom_q4, _seed_edge(A))
+def _missing_completion_pair(A, geom):
+    """A copy of A in which the tangent completions W[0], W[i] of the edge
+    (a, b) that seed 1288 draws are non-tangent, one pair short of the
+    uniform count, and (a, b).  A new edge in row min(W[0], W[i]), away
+    from a, b and the completions, keeps the edge count and the position of
+    (a, b), so seed 1288 still draws it."""
+    A = A.copy()
+    a, b, _, W = _edge(A, geom, _seed_edge(A))
     S = A[np.ix_(W, W)]
     i = int(np.flatnonzero(S[0])[0])
     u = int(min(W[0], W[i]))
@@ -641,8 +813,63 @@ def test_census_raises_on_a_missing_completion_pair(tg_q4, geom_q4):
     v = int(np.flatnonzero(free)[0])
     A[[W[0], W[i]], [W[i], W[0]]] = False
     A[[u, v], [v, u]] = True
-    _assert_seed_edge_raises(A, geom_q4, (a, b),
+    return A, (a, b)
+
+
+def test_census_raises_on_a_missing_completion_pair(tg_q4, geom_q4):
+    A, edge = _missing_completion_pair(tg_q4, geom_q4)
+    _assert_seed_edge_raises(A, geom_q4, edge,
                              "adjacent-pair count among completions not uniform")
+
+
+@pytest.mark.parametrize("first", ["lambda", "pairs"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_law_broken_in_a_worker_raises_the_first_failing_batch(monkeypatch, tg_q4,
+                                                                 geom_q4, workers, first):
+    # one edge a batch: the first fails one law and the three after it the
+    # other, and the error of the first batch is raised whoever ran it
+    A, pairs_edge = _missing_completion_pair(tg_q4, geom_q4)
+    iu, ju = edge_list(A)
+    lam = formula_srg_params(4)[2]
+    lam_edges = np.flatnonzero((A[iu] & A[ju]).sum(axis=1) != lam)
+    edges = {"lambda": lam_edges[0], "pairs": _seed_edge(A)}
+    assert (iu[edges["pairs"]], ju[edges["pairs"]]) == pairs_edge
+    later = edges["pairs" if first == "lambda" else "lambda"]
+    draws = np.array([edges[first]] + [later] * 3)
+    monkeypatch.setattr(cliquecensus, "splitmix_below", lambda seed, n, count: draws[:count])
+    monkeypatch.setattr(cliquecensus, "BATCH", 16)
+    kw = dict(mode="sampled", seed=0, n_samples=len(draws))
+    message = {"lambda": "common neighbour count differs from lambda",
+               "pairs": "adjacent-pair count among completions not uniform"}[first]
+    kernel = cliquecensus._census_batch
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+    monkeypatch.setattr(cliquecensus, "_census_batch", counted)
+    monkeypatch.setattr(cliquecensus, "census_workers", lambda: 0)
+    with pytest.raises(AssertionError) as err:
+        census(A, geom_q4, **kw)
+    assert str(err.value) == message and len(calls) == 1
+
+    # each thread takes one batch and waits for the others, so every thread
+    # fails, each in its own batch
+    everyone = threading.Barrier(workers + 1)
+
+    def together(*args):
+        everyone.wait(timeout=60)
+        return counted(*args)
+    monkeypatch.setattr(cliquecensus, "_census_batch", together)
+    monkeypatch.setattr(cliquecensus, "census_workers", lambda: workers)
+    calls.clear()
+    before = threading.active_count()
+    with pytest.raises(AssertionError) as err:
+        census(A, geom_q4, **kw)
+    assert str(err.value) == message
+    assert threading.active_count() == before
+    # and no thread takes a batch after its failure
+    assert len(calls) == workers + 1
 
 
 def test_maximal_cliques_on_small_graphs():
