@@ -15,9 +15,11 @@ SplitMix64 pass.  The selected edges are cut into batches of BATCH
 non-linear completions (BATCH // q^2 edges, 512 at q = 4 and 128 at q = 8),
 small enough that the batch a worker holds beside the main thread's adds
 little to the peak memory.  The main thread and one worker thread for each
-other CPU the process may use take the batches in edge order, each the next
-one not yet taken (numpy releases the interpreter lock in the gathers, so
-the threads overlap).  A batch returns its own partial
+other CPU the process may use, at most MAX_WORKERS of them, take the batches
+in edge order, each the next one not yet taken (numpy releases the
+interpreter lock in the gathers, so the threads overlap).  MAX_WORKERS is 1,
+the count that has been timed: every worker adds a batch to the peak memory,
+and more threads have not been measured.  A batch returns its own partial
 report: sums, the values its laws took, its first mixed 4-clique, its first
 counterexample of another kind, and its collected rows; a batch that breaks
 a law outright raises.  The partial reports are merged in batch order, so
@@ -64,6 +66,7 @@ BATCH = 1 << 13                   # non-linear completions (edges x q^2) per cen
 KEY_BLOCK = 1 << 20               # adjacency entries per step of the edge-key scan
 SRG_BLOCK = 1 << 19               # common-neighbour counts per verify_srg step
 S_BLOCK = 1 << 16                 # completion pairs gathered per census S step
+MAX_WORKERS = 1                   # census worker threads beside the main thread, at most
 # _ABOVE[w] keeps the bits above bit w of a word
 _ABOVE = np.array([MASK64 ^ ((2 << w) - 1) for w in range(64)], dtype=np.uint64)
 
@@ -431,10 +434,13 @@ def _census_batch(A: np.ndarray, member: np.ndarray, q: int, n_odd: bool,
 
 def census_workers() -> int:
     """The worker threads a census runs beside the main thread: one for
-    each other CPU this process may use."""
+    each other CPU this process may use, at most MAX_WORKERS.  Each worker
+    holds a batch of its own, so the cap also bounds the peak memory."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) - 1
-    return (os.cpu_count() or 1) - 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus - 1, MAX_WORKERS)
 
 
 def _in_order(job: Callable[[int], _Batch], n: int) -> List[_Batch]:

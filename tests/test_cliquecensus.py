@@ -305,14 +305,46 @@ def test_sampled_q8_census_in_ragged_s_blocks_matches_boolean_oracle(monkeypatch
 
 
 def test_sampled_census_peak_stays_below_24_mib(tg_q8, geom_q8):
-    # the edge list (two 3.7 MB index arrays and the 4 MB upper triangle)
-    # and one batch; the S gather index is at most S_BLOCK int64 entries
+    # the 3.7 MB of edge keys (twice while their row blocks are joined) and
+    # one batch for each running thread, the main thread and at most
+    # MAX_WORKERS workers; the S gather index is at most S_BLOCK int64 entries
     tracemalloc.start()
     try:
         census(tg_q8, geom_q8, mode="sampled", seed=1, n_samples=4000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+
+
+def _cpus(monkeypatch, n):
+    """Let census_workers see n CPUs."""
+    monkeypatch.setattr(cliquecensus.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(cliquecensus.os, "cpu_count", lambda: n)
+
+
+@pytest.mark.parametrize("cpus,workers", [(1, 0), (2, 1), (32, 1), (256, 1)])
+def test_census_workers_are_capped(monkeypatch, cpus, workers):
+    _cpus(monkeypatch, cpus)
+    assert cliquecensus.census_workers() == workers
+
+
+def test_sampled_census_peak_on_many_cpus_stays_below_24_mib(monkeypatch, tg_q8, geom_q8):
+    # 32 CPUs: 4,000 edges make 32 batches of 128, enough for 31 workers,
+    # of which MAX_WORKERS start (one batch held each)
+    _cpus(monkeypatch, 32)
+    started = []
+    thread_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda t: (started.append(t), thread_start(t))[1])
+    tracemalloc.start()
+    try:
+        census(tg_q8, geom_q8, mode="sampled", seed=1, n_samples=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(started) == cliquecensus.MAX_WORKERS
     assert peak < 24 * 2 ** 20
 
 
