@@ -97,8 +97,10 @@ def _check(name: str, expected, actual, source: str) -> dict:
             "source": source, "pass": expected == actual}
 
 
-def _bool_check(name: str, actual: bool, source: str) -> dict:
-    return _check(name, True, bool(actual), source)
+def _bool_check(name: str, actual: bool, source: str, cases=None) -> dict:
+    """A pass/fail row; with `cases`, the number of cases the check covered."""
+    row = _check(name, True, bool(actual), source)
+    return row if cases is None else row | {"cases": cases}
 
 
 # -- the staged pipeline -------------------------------------------------------
@@ -222,7 +224,7 @@ def cmd_verify_covering(run: Run, args) -> dict:
     checks += [_bool_check(key, dist[key], "enumeration")
                for key in ("fibers_at_distance_3", "diameter_is_3")]
     checks.append(_bool_check("far_pairs_are_fibers", dist["far_pairs_are_fibers"],
-                              "enumeration") | {"cases": dist["far_pairs"]})
+                              "enumeration", dist["far_pairs"]))
     payload = {"covering": rep, "checks": checks}
     if "counterexample" in rep:
         payload["counterexample"] = rep["counterexample"]
@@ -237,8 +239,10 @@ def cmd_verify_semipartial(run: Run, args) -> dict:
         rep = verify_semipartial(gx)
         tangents = verify_common_tangent_counts(gx)
     payload = {"semipartial": rep, "common_tangents": tangents, "checks": [
-        _bool_check("semipartial_axioms", rep["pass"], "enumeration"),
-        _bool_check("common_tangent_counts", tangents["pass"], "enumeration")]}
+        _bool_check("semipartial_axioms", rep["pass"], "enumeration",
+                    rep.get("pairs_checked")),
+        _bool_check("common_tangent_counts", tangents["pass"], "enumeration",
+                    tangents.get("cases_checked"))]}
     if args.export_incidence:
         export_incidence_csv(gx, args.export_incidence)
         payload["exports"] = {"incidence_csv": args.export_incidence}

@@ -310,9 +310,10 @@ class CensusReport:
 def rosette_maximality(A: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]:
     """(number of pencils that are maximal cliques, total pencils).  A member
     of a pencil is tangent to at most the other q-1 members, so a pencil is
-    maximal exactly when no ovoid is tangent to all q of them."""
-    q = gx.model.ctx.q
-    n_max = sum(int((C != q).all(axis=1).sum()) for _, C in pencil_counts(gx, A))
+    maximal exactly when no ovoid is tangent to all q of them: when the top
+    bit plane of its counts is clear."""
+    n_max = sum(len(members) - int(planes[-1].any(axis=1).sum())
+                for members, planes in pencil_counts(gx, A))
     return n_max, len(gx.pencil_base)
 
 

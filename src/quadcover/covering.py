@@ -192,12 +192,15 @@ def verify_covering(cov: CoveringMap) -> dict:
 
 def _first_of_class(rows: np.ndarray) -> Tuple[np.ndarray, int]:
     """For each row, the smallest index of a row equal to it; and the number
-    of distinct rows.  The rows are sorted lexicographically, stably, so each
-    run of equal rows starts at its smallest index."""
-    order = np.lexsort(rows.T[::-1])
-    s = rows[order]
+    of distinct rows.  Each row is one key, its bytes as a void scalar, and
+    the keys are sorted stably: equal rows have equal bytes, so they come
+    together, each run of them starting at its smallest index."""
+    key = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
+    keys = np.ascontiguousarray(rows).view(key).ravel()
+    order = np.argsort(keys, kind="stable")
+    s = keys[order]
     starts = np.ones(len(s), dtype=bool)
-    starts[1:] = (s[1:] != s[:-1]).any(axis=1)
+    starts[1:] = s[1:] != s[:-1]
     first = np.empty_like(order)
     first[order] = order[np.maximum.accumulate(np.where(starts, np.arange(len(s)), 0))]
     return first, int(starts.sum())
@@ -208,18 +211,25 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
 
     Checks, for every ovoid pair, that |A∩B| = 1 exactly when some point of
     A's fiber is collinear with some point of B's fiber.  The collinearity
-    is read one block of fiber rows at a time, at most ORACLE_BLOCK entries,
-    against every fiber point, and compared with the same rows of the
-    tangency matrix."""
+    is read one block of ovoid rows at a time, at most ORACLE_BLOCK entries,
+    from one `alpha_blocks` call: a block's fibre rows are its ovoids' first
+    points and then their second points, and the columns are every ovoid's
+    first point and then every second point.  The OR of the block's two row
+    halves and then of its two column halves is the cross-fibre
+    collinearity, compared with the same rows of the tangency matrix."""
     geom = cov.geom
     n = geom.n_ovoids
-    pts = cov.point_fiber.ravel()       # index 2i + j: point j over ovoid i
-    step = max(1, ORACLE_BLOCK // (2 * len(pts)))
+    fib = cov.point_fiber
+    step = max(1, ORACLE_BLOCK // (4 * n))
     report = {"pass": True, "pairs_checked": n * (n - 1) // 2}
-    blocks = cov.model.alpha_blocks(pts, pts, 2 * step)
+    rows = np.concatenate([fib[lo:lo + step].T.ravel() for lo in range(0, n, step)])
+    blocks = cov.model.alpha_blocks(rows, fib.T.ravel(), 2 * step)
     for lo in range(0, n, step):
         Z = next(blocks) == 0
-        cross = Z[0::2, 0::2] | Z[0::2, 1::2] | Z[1::2, 0::2] | Z[1::2, 1::2]
+        b = len(Z) // 2
+        Z[:b] |= Z[b:]
+        cross = Z[:b, :n]
+        cross |= Z[:b, n:]
         agree = cross == geom.adjacency[lo:lo + step]
         np.fill_diagonal(agree[:, lo:], True)
         if not agree.all():

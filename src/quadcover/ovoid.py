@@ -13,12 +13,12 @@ membership matrix, one block of ovoid rows at a time, and the tangency matrix
 ovoid pairs, so no V x V product is ever held.  Two tangent ovoids meet only
 at their tangency point, so the pencils at a point are the tangency classes
 among the ovoids through it, and no table of tangency points is needed.  The
-structural laws are checked exhaustively, one section point at a time.
-Summing the tangency rows of the members of each pencil based at the point
-counts, for every ovoid, the members tangent to it (semipartial and
-maximality laws); with T the ovoids through the point, A[T][:, T].T @ A[T]
-counts the common tangents through it of every ovoid pair with one member in
-T (common-tangent law).
+structural laws are checked exhaustively.  For every pencil and ovoid, the
+number of the pencil's members tangent to the ovoid is added from bit-packed
+tangency rows into bit planes, a block of pencils at a time (semipartial and
+maximality laws).  One section point at a time, with T the ovoids through
+the point, A[T][:, T].T @ A[T] counts the common tangents through it of
+every ovoid pair with one member in T (common-tangent law).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .gf2n import FieldCtx
 from .quadric import QuadricModel
 
 PAIR_BLOCK = 1 << 20              # ovoid pairs per block of a set-up product
+PENCIL_BLOCK = 1 << 9             # pencils per block of pencil counts
 
 
 class OvoidGeometry:
@@ -225,36 +226,64 @@ def _verify_incidence(geom: OvoidGeometry) -> None:
 
 def pencil_counts(geom: OvoidGeometry,
                   A: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Per dense section index: the members of the pencils based there (one
-    row of q sorted ovoid ids per pencil, in pencil order), and C, where
+    """Blocks of PENCIL_BLOCK pencils, in pencil order: the members of each
+    pencil (one row of q sorted ovoid ids), and the bit planes of C, where
     C[j, v] is the number of members of pencil j tangent to ovoid v under
-    the tangency matrix A: the sum of the members' rows of A."""
+    the tangency matrix A.  Plane i holds bit i of every count, packed along
+    v as ``np.packbits(A, axis=1, bitorder="little")`` packs the rows of A;
+    the members' packed rows are added into the planes by a ripple-carry
+    adder.  A count is at most q = 2^n, so there are n + 1 planes, and the
+    top one is set exactly where the count is q."""
     q = geom.model.ctx.q
-    for members in geom.pencil_members.reshape(len(geom.through), -1, q):
-        yield members, A[members].sum(axis=1, dtype=np.uint8)
+    packed = np.packbits(A, axis=1, bitorder="little")
+    for lo in range(0, len(geom.pencil_members), PENCIL_BLOCK):
+        members = geom.pencil_members[lo:lo + PENCIL_BLOCK]
+        planes = np.zeros((q.bit_length(), len(members), packed.shape[1]), dtype=np.uint8)
+        carry, spill = np.empty_like(planes[0]), np.empty_like(planes[0])
+        for k, column in enumerate(members.T, start=1):
+            packed.take(column, axis=0, out=carry)
+            # k rows in, so a carry reaches no plane beyond bit_length(k)
+            for plane in planes[:k.bit_length()]:
+                np.bitwise_and(plane, carry, out=spill)
+                plane ^= carry
+                carry, spill = spill, carry
+        yield members, planes
 
 
 def verify_semipartial(geom: OvoidGeometry) -> dict:
     """Check the semipartial axioms: line size q, point degree q^2+1, and for
     every non-incident (ovoid, pencil) pair either 0 or exactly 2 members
     tangent to the ovoid.  Each member must be tangent to the other q-1
-    members; a member that is not fails with reason "member degree"."""
+    members; a member that is not fails with reason "member degree".
+
+    On the bit planes of `pencil_counts` the law reads plane by plane:
+    plane i is bit i of q - 1 on the members and 0 off them, save plane 1
+    off them, where a count of 2 sets it."""
     q = geom.model.ctx.q
     if geom.pencil_members.shape != (len(geom.pencil_base), q):
         return {"pass": False, "reason": "line size"}
     if geom.incidence.shape != (geom.n_ovoids, q * q + 1):
         return {"pass": False, "reason": "point degree"}
-    checked = 0
-    for k, (members, C) in enumerate(pencil_counts(geom, geom.adjacency)):
-        rows = np.arange(len(members))[:, None]
-        bad = (C != 0) & (C != 2)
-        bad[rows, members] = C[rows, members] != q - 1
-        if bad.any():
-            j, v = (int(i) for i in np.argwhere(bad)[0])
+    checked = lo = 0
+    for members, planes in pencil_counts(geom, geom.adjacency):
+        rows = np.arange(len(members))
+        byte, bit = members >> 3, np.left_shift(1, members & 7).astype(np.uint8)
+        on = np.zeros_like(planes[0])
+        # one member column at a time: its (row, byte) pairs are distinct
+        for i in range(q):
+            on[rows, byte[:, i]] |= bit[:, i]
+        bad = np.zeros_like(on)
+        for i, plane in enumerate(planes):
+            miss = plane ^ on if (q - 1) >> i & 1 else plane
+            bad |= miss & on if i == 1 else miss
+        hit = np.flatnonzero(bad.any(axis=1))
+        if len(hit):
+            j = int(hit[0])
+            v = int(np.unpackbits(bad[j], bitorder="little").argmax())
             reason = "member degree" if v in members[j] else "alpha condition"
-            return {"pass": False, "reason": reason, "rosette": k * len(members) + j,
-                    "ovoid": v}
-        checked += C.size - members.size
+            return {"pass": False, "reason": reason, "rosette": lo + j, "ovoid": v}
+        checked += len(members) * (geom.n_ovoids - q)
+        lo += len(members)
     return {"pass": True, "pairs_checked": checked}
 
 

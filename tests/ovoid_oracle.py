@@ -1,15 +1,17 @@
 """Reference loops for the structural laws of the ovoid geometry, which
 `quadcover.ovoid` and `quadcover.cliquecensus.rosette_maximality` now read
-from per-point pencil counts, and per-pair queries that no command runs.
+from bit planes of pencil counts, and per-pair queries that no command runs.
 
 Kept only as oracles for the diff tests in `test_ovoid.py` and
-`test_cliquecensus.py`: a Python loop over the pencils for the semipartial
+`test_cliquecensus.py`: the per-point byte sums of tangency rows that the
+bit planes replaced, a Python loop over the pencils for the semipartial
 and maximality laws, and a scalar loop over ovoid pairs and points for the
-common-tangent law.  They share no code with the per-point products.  The
-queries classify the meet of two ovoids, recover a pencil from one tangent
-pair by its definition, and intersect the member spans of a pencil into its
-tangent plane.  `tangency_points` rebuilds, from the ovoids' point sets
-alone, the table of tangency points that the set-up no longer keeps.
+common-tangent law.  They share no code with the bit planes or the
+per-point products.  The queries classify the meet of two ovoids, recover a
+pencil from one tangent pair by its definition, and intersect the member
+spans of a pencil into its tangent plane.  `tangency_points` rebuilds, from
+the ovoids' point sets alone, the table of tangency points that the set-up
+no longer keeps.
 """
 
 from typing import List, Sequence, Tuple
@@ -37,6 +39,38 @@ def tangency_points(geom: OvoidGeometry) -> np.ndarray:
         size[np.ix_(on, on)] += 1
         last[np.ix_(on, on)] = x
     return np.where(size == 1, last, -1).astype(np.int16)
+
+
+def point_pencil_counts(geom: OvoidGeometry, A: np.ndarray):
+    """Per dense section index: the members of the pencils based there (one
+    row of q sorted ovoid ids per pencil, in pencil order), and C, where
+    C[j, v] is the number of members of pencil j tangent to ovoid v under
+    the tangency matrix A: the sum of the members' rows of A."""
+    q = geom.model.ctx.q
+    for members in geom.pencil_members.reshape(len(geom.through), -1, q):
+        yield members, A[members].sum(axis=1, dtype=np.uint8)
+
+
+def point_semipartial(geom: OvoidGeometry) -> dict:
+    """`quadcover.ovoid.verify_semipartial` on the per-point byte sums: the
+    same report, the first failing (pencil, ovoid) pair in pencil order."""
+    q = geom.model.ctx.q
+    if geom.pencil_members.shape != (len(geom.pencil_base), q):
+        return {"pass": False, "reason": "line size"}
+    if geom.incidence.shape != (geom.n_ovoids, q * q + 1):
+        return {"pass": False, "reason": "point degree"}
+    checked = 0
+    for k, (members, C) in enumerate(point_pencil_counts(geom, geom.adjacency)):
+        rows = np.arange(len(members))[:, None]
+        bad = (C != 0) & (C != 2)
+        bad[rows, members] = C[rows, members] != q - 1
+        if bad.any():
+            j, v = (int(i) for i in np.argwhere(bad)[0])
+            reason = "member degree" if v in members[j] else "alpha condition"
+            return {"pass": False, "reason": reason, "rosette": k * len(members) + j,
+                    "ovoid": v}
+        checked += C.size - members.size
+    return {"pass": True, "pairs_checked": checked}
 
 
 def loop_semipartial(geom: OvoidGeometry) -> dict:

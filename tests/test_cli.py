@@ -88,6 +88,9 @@ def test_verify_semipartial_with_incidence_export(tmp_path):
     assert data["semipartial"]["pass"] is True
     assert {c["name"] for c in data["checks"]} == {
         "semipartial_axioms", "common_tangent_counts"}
+    # the rows carry the cases their reports counted at q = 2
+    cases = {c["name"]: c["cases"] for c in data["checks"]}
+    assert cases == {"semipartial_axioms": 60, "common_tangent_counts": 120}
     rows = list(csv.reader(path.open()))
     assert rows[0][0] == "rosette_id"
     assert len(rows) - 1 == 15

@@ -20,7 +20,7 @@ from census_oracle import (
     pair_srg_values,
 )
 from ovoid_oracle import loop_rosette_maximality, tangency_points
-from quadcover import cliquecensus
+from quadcover import cliquecensus, ovoid
 from quadcover.cliquecensus import (
     census,
     edge_keys,
@@ -495,9 +495,19 @@ def test_rosette_maximality(tg_q2, geom_q2, tg_q4, geom_q4, tg_q8, geom_q8):
     assert rosette_maximality(tg_q8, geom_q8) == (16380, 16380)
 
 
-def test_rosette_maximality_matches_pencil_loop(tg_q2, geom_q2, tg_q4, geom_q4):
-    for A, gx in ((tg_q2, geom_q2), (tg_q4, geom_q4)):
-        assert rosette_maximality(A, gx) == loop_rosette_maximality(A, gx)
+def test_rosette_maximality_matches_pencil_loop(monkeypatch, tg_q2, geom_q2, tg_q4, geom_q4):
+    # and on a q = 4 graph where an ovoid tangent to two members of pencil 0
+    # is made tangent to all q: pencil 0 is no longer maximal, others are
+    members = geom_q4.pencil_members[0]
+    bent = tg_q4.copy()
+    v = int(np.flatnonzero(bent[:, members].sum(axis=1) == 2)[0])
+    bent[v, members] = bent[members, v] = True
+    n_max, n_pencils = loop_rosette_maximality(bent, geom_q4)
+    assert 0 < n_max < n_pencils
+    for block in (ovoid.PENCIL_BLOCK, 7):    # 7: ragged blocks
+        monkeypatch.setattr(ovoid, "PENCIL_BLOCK", block)
+        for A, gx in ((tg_q2, geom_q2), (tg_q4, geom_q4), (bent, geom_q4)):
+            assert rosette_maximality(A, gx) == loop_rosette_maximality(A, gx)
 
 
 def test_census_raises_on_a_cleared_tangent_pair(tg_q4, geom_q4):

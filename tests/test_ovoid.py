@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from ovoid_oracle import (
     intersection_kind,
     loop_common_tangent_counts,
     loop_semipartial,
+    point_semipartial,
     rosette_from_pair,
     tangency_points,
     tangent_plane,
 )
+from quadcover import ovoid
 from quadcover.ovoid import (
     _build_rosettes,
     export_incidence_csv,
@@ -187,6 +190,55 @@ def test_semipartial_axioms_hold_exhaustively(request, name):
 def test_semipartial_matches_pencil_loop(request, name):
     geom = request.getfixturevalue(name)
     assert verify_semipartial(geom) == loop_semipartial(geom)
+
+
+def _flipped(geom, rng, k):
+    """A copy of geom with one or two symmetric off-diagonal entries of its
+    tangency matrix flipped: for even k, one or two random pairs (the same
+    pair twice restores it); for odd k, two members of a pencil drawn from
+    the first k, so that some pencil fails first on a member."""
+    bad = copy.copy(geom)
+    bad.adjacency = geom.adjacency.copy()
+    if k % 2:
+        pairs = [geom.pencil_members[rng.integers(min(k, len(geom.pencil_members))), :2]]
+    else:
+        pairs = [rng.choice(geom.n_ovoids, 2, replace=False) for _ in range(1 + k % 4 // 2)]
+    for a, b in pairs:
+        bad.adjacency[[a, b], [b, a]] ^= True
+    return bad
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, "above"])
+@pytest.mark.parametrize("name", ["geom_q2", "geom_q4"])
+def test_semipartial_matches_per_point_sums(monkeypatch, request, name, block):
+    # the bit planes against the per-point byte sums they replaced, whole
+    # reports, on the clean geometry and 100 seeded corruptions, in blocks
+    # of PENCIL_BLOCK pencils, of one, of a few (the last one short) and of
+    # more than there are pencils
+    geom = request.getfixturevalue(name)
+    if block is not None:
+        n_pencils = len(geom.pencil_members)
+        monkeypatch.setattr(ovoid, "PENCIL_BLOCK", n_pencils + 1 if block == "above" else block)
+    rng = np.random.default_rng(24)
+    reasons = set()
+    for g in [geom] + [_flipped(geom, rng, k) for k in range(100)]:
+        rep = verify_semipartial(g)
+        assert rep == point_semipartial(g)
+        reasons.add(rep.get("reason"))
+    assert {None, "member degree", "alpha condition"} <= reasons
+
+
+def test_semipartial_peak_stays_below_3_mib(geom_q8):
+    # one block of PENCIL_BLOCK pencils: its bit planes, carry rows and
+    # member mask, beside the packed tangency rows (0.5 MiB at q = 8)
+    tracemalloc.start()
+    try:
+        rep = verify_semipartial(geom_q8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["pass"]
+    assert peak < 3 * 2 ** 20
 
 
 def test_semipartial_names_a_violating_pair(geom_q4_broken):
