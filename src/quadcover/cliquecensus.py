@@ -9,12 +9,14 @@ non-linear triangle grows to exactly q+1 four-cliques, each non-linear
 four-clique to exactly two five-cliques and one six-clique when the field
 degree is odd, and to none when it is even) are verified on that split.
 
-Edges are kept as flat keys a * V + b from one scan of the upper triangle,
-KEY_BLOCK entries at a time, and sampled edges are drawn in one vectorised
-SplitMix64 pass.  The selected edges are cut into batches of BATCH
-non-linear completions (BATCH // q^2 edges, 512 at q = 4 and 128 at q = 8),
-small enough that the batch a worker holds beside the main thread's adds
-little to the peak memory.  The main thread and one worker thread for each
+Edges are kept as flat keys a * V + b.  The full census lists them in one
+scan of the upper triangle, KEY_BLOCK entries at a time.  A sampled census
+draws edge ranks in one vectorised SplitMix64 pass and finds the key of
+each rank from the popcounts of the bit-packed rows, so no edge list is
+made.  The selected edges are cut into batches of BATCH non-linear
+completions (BATCH // q^2 edges, 512 at q = 4 and 128 at q = 8), small
+enough that the batch a worker holds beside the main thread's adds little
+to the peak memory.  The main thread and one worker thread for each
 other CPU the process may use, at most MAX_WORKERS of them, take the batches
 in edge order, each the next one not yet taken (numpy releases the
 interpreter lock in the gathers, so the threads overlap).  MAX_WORKERS is 1,
@@ -31,11 +33,15 @@ the first failing batch is raised once every thread has stopped.
 
 A common neighbour of an edge (a, b) is a pencil completion exactly when it
 passes through the common point of a and b, which the membership matrix
-gives; all three are then tangent there.  Every gather reads the flat
-adjacency or membership matrix at row * width + col; the completion
-adjacency of a batch is gathered S_BLOCK pairs at a time.  For each edge
-the adjacency among its q^2 non-linear completions is packed into one
-uint64 per completion (q^2 <= 64 for every buildable field), bit z of word
+gives; all three are then tangent there.  The census packs the tangency
+matrix once a call with `pack_rows`, bit j of row i in byte j >> 3 of a
+row of whole uint64 words (0.5 MB at q = 8, which fits in L2, against the
+boolean matrix's 4 MB).  The adjacency between an edge's pencil and
+non-linear completions, and among its non-linear completions (S_BLOCK
+pairs at a time), are read as bits of those bytes; the pencil test reads
+the flat membership matrix at row * width + col.  For each edge the
+adjacency among its q^2 non-linear completions is packed into one uint64
+per completion (q^2 <= 64 for every buildable field), bit z of word
 w set when completions w and z are tangent.  A word's popcount is the
 triangle's 4-clique count; the adjacent pairs w < z are read off word w with
 its bits up to w cleared, lowest bit first, in the order nonzero(triu(S))
@@ -59,7 +65,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ovoid import OvoidGeometry, pencil_counts
+from .ovoid import OvoidGeometry, pack_rows, pencil_counts
 
 MASK64 = (1 << 64) - 1
 BATCH = 1 << 13                   # non-linear completions (edges x q^2) per census batch
@@ -212,17 +218,63 @@ def splitmix_below(seed: int, n: int, count: int) -> np.ndarray:
             return np.concatenate(out)
 
 
+def sampled_edge_keys(Apk: np.ndarray, seed: int, n_samples: int) -> Tuple[int, np.ndarray]:
+    """(E, keys): the edge count E of the matrix whose rows `pack_rows`
+    packed into Apk, and ``edge_keys(A)[splitmix_below(seed, E, n_samples)]``,
+    found by rank without listing the edges.
+
+    The upper triangle is read as stored.  Row i's edges are its set bits
+    above bit i; with cum the running popcount of a row's words, those are
+    its last cum[i, -1] - low[i] bits, low[i] its bits up to the diagonal.
+    The draw s lies in the row r whose running edge count first exceeds it,
+    and is bit number s - (edges before row r) + low[r] of row r, counted
+    from bit 0: the comparison with r's running word counts gives its word,
+    and the running count of that word's bits its position."""
+    V = len(Apk)
+    rows = np.arange(V)
+    counts = np.bitwise_count(Apk)
+    cum = np.cumsum(counts, axis=1, dtype=np.min_scalar_type(64 * Apk.shape[1]))
+    diag = Apk[rows, rows >> 6]
+    low = cum[rows, rows >> 6] - np.bitwise_count(diag & _ABOVE[rows & 63])
+    upper = cum[:, -1] - low
+    ends = np.cumsum(upper, dtype=np.intp)
+    E = int(ends[-1])
+    s = splitmix_below(seed, E, n_samples).astype(np.intp)
+    r = np.searchsorted(ends, s, side="right")
+    t = s - (ends[r] - upper[r]) + low[r]
+    c = cum[r]
+    w = (c <= t[:, None]).sum(axis=1)
+    t -= c[np.arange(len(r)), w] - counts[r, w]
+    bits = np.unpackbits(Apk[r, w].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    j = (np.cumsum(bits, axis=1, dtype=np.uint8) <= t[:, None]).sum(axis=1)
+    return E, r * V + 64 * w + j
+
+
 # -- census --------------------------------------------------------------------
 
 
-def pack_rows(S: np.ndarray) -> np.ndarray:
-    """The rows of a boolean array as uint64 words along the last axis,
-    zero padded to a whole word: bit j % 64 of word [..., i, j // 64] is
-    S[..., i, j]."""
-    packed = np.packbits(S, axis=-1, bitorder="little")
-    words = np.zeros(packed.shape[:-1] + (-(-S.shape[-1] // 64) * 8,), dtype=np.uint8)
-    words[..., :packed.shape[-1]] = packed
-    return words.view("<u8")
+def adjacency_bits(Apk: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A[rows[e, i], cols[e, j]] for every e, i and j, as uint8 that are
+    nonzero exactly where A is set, from A's rows as `pack_rows` packs them:
+    byte cols >> 3 of the row, masked with bit cols & 7.  At q = 8 the
+    packed rows take 0.5 MB and stay in L2, where the 4 MB boolean matrix
+    does not."""
+    Ab = Apk.view(np.uint8)
+    return (Ab.ravel()[(rows * Ab.shape[1])[:, :, None] + (cols >> 3)[:, None, :]]
+            & np.left_shift(1, cols & 7).astype(np.uint8)[:, None, :])
+
+
+def completion_rows(Apk: np.ndarray, Wi: np.ndarray) -> np.ndarray:
+    """P[e, i]: row i of the adjacency S = A[Wi[e]][:, Wi[e]] among each
+    edge's non-linear completions, packed into one word by `pack_rows`
+    (at most 64 completions an edge), gathered S_BLOCK pairs at a time."""
+    B, n = Wi.shape
+    step = max(1, S_BLOCK // (n * n))      # edges per gather
+    P = np.empty((B, n), dtype=np.uint64)
+    for k in range(0, B, step):
+        W = Wi[k:k + step]
+        P[k:k + step] = pack_rows(adjacency_bits(Apk, W, W))[..., 0]
+    return P
 
 
 def lowest_set_bits(x: np.ndarray, k: int) -> np.ndarray:
@@ -307,13 +359,14 @@ class CensusReport:
         return out
 
 
-def rosette_maximality(A: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]:
-    """(number of pencils that are maximal cliques, total pencils).  A member
-    of a pencil is tangent to at most the other q-1 members, so a pencil is
+def rosette_maximality(Apk: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]:
+    """(number of pencils that are maximal cliques, total pencils), for the
+    tangency matrix whose rows `pack_rows` packed into Apk.  A member of a
+    pencil is tangent to at most the other q-1 members, so a pencil is
     maximal exactly when no ovoid is tangent to all q of them: when the top
     bit plane of its counts is clear."""
     n_max = sum(len(members) - int(planes[-1].any(axis=1).sum())
-                for members, planes in pencil_counts(gx, A))
+                for members, planes in pencil_counts(gx, Apk))
     return n_max, len(gx.pencil_base)
 
 
@@ -330,19 +383,18 @@ class _Batch:
     quads: Optional[np.ndarray]
 
 
-def _census_batch(A: np.ndarray, member: np.ndarray, q: int, n_odd: bool,
-                  a: np.ndarray, b: np.ndarray, collect: bool) -> _Batch:
-    """The census of the edges (a[i], b[i]) of A.  A broken law that leaves
-    counts to report gives a counterexample; any other raises
-    AssertionError."""
+def _census_batch(A: np.ndarray, Apk: np.ndarray, member: np.ndarray, q: int,
+                  n_odd: bool, a: np.ndarray, b: np.ndarray, collect: bool) -> _Batch:
+    """The census of the edges (a[i], b[i]) of A, whose rows `pack_rows`
+    packed into Apk.  A broken law that leaves counts to report gives a
+    counterexample; any other raises AssertionError."""
     B, V = len(a), len(A)
-    Af, Mf = A.ravel(), member.ravel()
+    Mf = member.ravel()
     n_q0 = member.shape[1]
     lam = q * q + q - 2
     n_nl = q * q                  # non-linear completions per edge
     n_r = q - 2                   # pencil completions per edge
     s_edges = n_nl * (q + 1) // 2  # adjacent pairs among them, once uniform
-    s_step = max(1, S_BLOCK // (n_nl * n_nl))  # edges per S gather
     mixed = other = tris = quads = None
 
     C = A[a] & A[b]
@@ -360,7 +412,7 @@ def _census_batch(A: np.ndarray, member: np.ndarray, q: int, n_odd: bool,
     Wi = Ci[~on_pencil].reshape(B, n_nl)
     if n_r:
         Ri = Ci[on_pencil].reshape(B, n_r)
-        cross = Af[(Ri * V)[:, :, None] + Wi[:, None, :]]
+        cross = adjacency_bits(Apk, Ri, Wi)
         if cross.any():
             eb, ei, ej = np.argwhere(cross)[0]
             mixed = {"kind": "mixed_4_clique",
@@ -368,12 +420,7 @@ def _census_batch(A: np.ndarray, member: np.ndarray, q: int, n_odd: bool,
         del Ri, cross
     del Ci, on_pencil
 
-    # P[e, i] holds row i of the completion adjacency S = A[Wi][:, Wi],
-    # gathered S_BLOCK pairs at a time
-    P = np.empty((B, n_nl), dtype=np.uint64)
-    for k in range(0, B, s_step):
-        W = Wi[k:k + s_step]
-        P[k:k + s_step] = pack_rows(Af[(W * V)[:, :, None] + W[:, None, :]])[..., 0]
+    P = completion_rows(Apk, Wi)
     rows = np.bitwise_count(P)
     values = {"3to4": _values(rows)}
     if not (rows == q + 1).all():
@@ -501,29 +548,30 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
     ndeg = model.ctx.n
     n_odd = ndeg % 2 == 1
     V = len(A)
-    keys = edge_keys(A)           # edge a < b at a * V + b
-    E = len(keys)
+    Apk = pack_rows(A)
 
+    # the edges a < b to check, as keys a * V + b
     if mode == "sampled":
         if seed is None or n_samples is None:
             raise ValueError("sampled mode needs seed and n_samples")
         if n_samples < 1:
             raise ValueError(f"sampled mode needs n_samples >= 1, got {n_samples}")
-        edge_sel = splitmix_below(seed, E, n_samples).astype(np.intp)
+        E, keys = sampled_edge_keys(Apk, seed, n_samples)
     elif mode == "full":
-        edge_sel = np.arange(E)
+        keys = edge_keys(A)
+        E = len(keys)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     step = max(1, BATCH // (q * q))   # edges per batch
 
     def batch(i: int) -> _Batch:
-        a, b = np.divmod(keys[edge_sel[i * step:(i + 1) * step]], V)
-        return _census_batch(A, gx.member_matrix, q, n_odd, a, b, collect)
+        a, b = np.divmod(keys[i * step:(i + 1) * step], V)
+        return _census_batch(A, Apk, gx.member_matrix, q, n_odd, a, b, collect)
 
-    parts = _in_order(batch, -(-len(edge_sel) // step))
-    tot_lin3 = len(edge_sel) * (q - 2)    # every edge has q - 2 pencil completions
-    tot_nl3 = len(edge_sel) * q * q       # and q^2 non-linear ones
+    parts = _in_order(batch, -(-len(keys) // step))
+    tot_lin3 = len(keys) * (q - 2)    # every edge has q - 2 pencil completions
+    tot_nl3 = len(keys) * q * q       # and q^2 non-linear ones
     tot_pairs4 = sum(p.pairs4 for p in parts)
     tot_five = sum(p.five for p in parts)
     tot_six = sum(p.six for p in parts)
@@ -554,7 +602,7 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
             identities["n6_from_n4"] = 15 * n6 == n4
         identities["five_cliques_iff_odd_degree"] = (n5 > 0) == n_odd
 
-        linear_max, n_ros = rosette_maximality(A, gx)
+        linear_max, n_ros = rosette_maximality(Apk, gx)
         if linear_max not in (0, n_ros):
             raise AssertionError("pencil maximality is not uniform")
         lin_spec = [q] if linear_max else []
@@ -573,7 +621,7 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
 
     return CensusReport(
         q=q, n=ndeg, mode=mode, seed=seed,
-        edges_total=E, edges_checked=len(edge_sel),
+        edges_total=E, edges_checked=len(keys),
         linear_triangles=lin3, n3=n3, n4=n4, n5=n5, n6=n6,
         extension_counts={k: sorted(set().union(*(p.values[k] for p in parts)))
                           for k in ("3to4", "4to5", "4to6")},

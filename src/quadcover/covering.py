@@ -20,8 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .cliquecensus import pack_rows
-from .ovoid import OvoidGeometry
+from .ovoid import OvoidGeometry, pack_rows
 from .quadric import QuadricModel
 
 _CHUNK = 1 << 16                # uint64 words gathered per fiber_distances step
@@ -216,12 +215,16 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
     points and then their second points, and the columns are every ovoid's
     first point and then every second point.  The OR of the block's two row
     halves and then of its two column halves is the cross-fibre
-    collinearity, compared with the same rows of the tangency matrix."""
+    collinearity, compared with the same rows of the tangency matrix.
+
+    A failing report names the first disagreeing pair in row order, a < b
+    when both matrices are symmetric, and whether it is tangent and its
+    fibres cross-collinear; it gives no pair count, as the scan stops
+    there."""
     geom = cov.geom
     n = geom.n_ovoids
     fib = cov.point_fiber
     step = max(1, ORACLE_BLOCK // (4 * n))
-    report = {"pass": True, "pairs_checked": n * (n - 1) // 2}
     rows = np.concatenate([fib[lo:lo + step].T.ravel() for lo in range(0, n, step)])
     blocks = cov.model.alpha_blocks(rows, fib.T.ravel(), 2 * step)
     for lo in range(0, n, step):
@@ -233,9 +236,11 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
         agree = cross == geom.adjacency[lo:lo + step]
         np.fill_diagonal(agree[:, lo:], True)
         if not agree.all():
-            report["pass"] = False
-            break
-    return report
+            i, b = (int(t) for t in np.argwhere(~agree)[0])
+            return {"pass": False, "pair": [lo + i, b],
+                    "tangent": bool(geom.adjacency[lo + i, b]),
+                    "cross_collinear": bool(cross[i, b])}
+    return {"pass": True, "pairs_checked": n * (n - 1) // 2}
 
 
 def _bits(words: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -14,11 +14,12 @@ ovoid pairs, so no V x V product is ever held.  Two tangent ovoids meet only
 at their tangency point, so the pencils at a point are the tangency classes
 among the ovoids through it, and no table of tangency points is needed.  The
 structural laws are checked exhaustively.  For every pencil and ovoid, the
-number of the pencil's members tangent to the ovoid is added from bit-packed
-tangency rows into bit planes, a block of pencils at a time (semipartial and
-maximality laws).  One section point at a time, with T the ovoids through
-the point, A[T][:, T].T @ A[T] counts the common tangents through it of
-every ovoid pair with one member in T (common-tangent law).
+number of the pencil's members tangent to the ovoid is added from the
+tangency rows as `pack_rows` packs them into bit planes, a block of pencils
+at a time (semipartial and maximality laws).  One section point at a time,
+with T the ovoids through the point, A[T][:, T].T @ A[T] counts the common
+tangents through it of every ovoid pair with one member in T
+(common-tangent law).
 """
 
 from __future__ import annotations
@@ -224,18 +225,35 @@ def _verify_incidence(geom: OvoidGeometry) -> None:
 # -- semipartial geometry and common-tangent laws ------------------------------
 
 
+def pack_rows(S: np.ndarray) -> np.ndarray:
+    """The rows of an array as uint64 words along the last axis, bit set
+    where the entry is nonzero, zero padded to a whole word: bit j % 64 of
+    word [..., i, j // 64] is S[..., i, j] != 0.  This is the one bit-packed
+    layout of rows in the package, the tangency matrix's included.  Rows
+    are padded to whole bytes and packed as one run, which numpy does about
+    50 times faster than packing rows of 16 one at a time."""
+    n = S.shape[-1]
+    if n % 8:
+        S = np.concatenate([S, np.zeros(S.shape[:-1] + (-n % 8,), dtype=S.dtype)], axis=-1)
+    packed = np.packbits(S.reshape(-1), bitorder="little").reshape(
+        S.shape[:-1] + (S.shape[-1] // 8,))
+    words = np.zeros(packed.shape[:-1] + (-(-S.shape[-1] // 64) * 8,), dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view("<u8")
+
+
 def pencil_counts(geom: OvoidGeometry,
-                  A: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+                  packed: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Blocks of PENCIL_BLOCK pencils, in pencil order: the members of each
     pencil (one row of q sorted ovoid ids), and the bit planes of C, where
     C[j, v] is the number of members of pencil j tangent to ovoid v under
-    the tangency matrix A.  Plane i holds bit i of every count, packed along
-    v as ``np.packbits(A, axis=1, bitorder="little")`` packs the rows of A;
-    the members' packed rows are added into the planes by a ripple-carry
-    adder.  A count is at most q = 2^n, so there are n + 1 planes, and the
-    top one is set exactly where the count is q."""
+    the tangency matrix A, given as its rows ``packed = pack_rows(A)``.
+    Plane i holds bit i of every count in the bytes of those rows (bit v & 7
+    of byte v >> 3); the members' packed rows are added into the planes by
+    a ripple-carry adder.  A count is at most q = 2^n, so there are n + 1
+    planes, and the top one is set exactly where the count is q."""
     q = geom.model.ctx.q
-    packed = np.packbits(A, axis=1, bitorder="little")
+    packed = packed.view(np.uint8)
     for lo in range(0, len(geom.pencil_members), PENCIL_BLOCK):
         members = geom.pencil_members[lo:lo + PENCIL_BLOCK]
         planes = np.zeros((q.bit_length(), len(members), packed.shape[1]), dtype=np.uint8)
@@ -265,7 +283,7 @@ def verify_semipartial(geom: OvoidGeometry) -> dict:
     if geom.incidence.shape != (geom.n_ovoids, q * q + 1):
         return {"pass": False, "reason": "point degree"}
     checked = lo = 0
-    for members, planes in pencil_counts(geom, geom.adjacency):
+    for members, planes in pencil_counts(geom, pack_rows(geom.adjacency)):
         rows = np.arange(len(members))
         byte, bit = members >> 3, np.left_shift(1, members & 7).astype(np.uint8)
         on = np.zeros_like(planes[0])

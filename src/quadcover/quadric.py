@@ -233,25 +233,27 @@ def _build_lines(model: QuadricModel) -> None:
     ln[:, 0] = x
     ln[:, 1:] = model.index_by_code[_point_codes(ctx.n, c)[k][:, None] ^ multiples[:, x].T]
     # packed perp rows: bit 7 - (y & 7) of byte y >> 3 in row x is set
-    # exactly when alpha(x, y) == 0
+    # exactly when alpha(x, y) == 0, zero padded to whole uint64 words, on
+    # which the popcounts run
     pts = np.arange(nq)
-    P = np.empty((nq, -(-nq // 8)), dtype=np.uint8)
+    P = np.zeros((nq, -(-nq // 64) * 8), dtype=np.uint8)
     blocks = model.alpha_blocks(pts, pts, 1024)
     for lo in range(0, nq, 1024):
-        P[lo:lo + 1024] = np.packbits(next(blocks) == 0, axis=1)
+        P[lo:lo + 1024, :-(-nq // 8)] = np.packbits(next(blocks) == 0, axis=1)
+    words = P.view(np.uint64)
     i, j = np.triu_indices(q + 1, 1)
     for lo in range(0, len(x), 4096):
         chunk = ln[lo:lo + 4096]
         a, b = chunk[:, i], chunk[:, j]
         if (chunk < 0).any() or not (P[a, b >> 3] << (b & 7) & 0x80).all():
             raise AssertionError("a line is not totally singular")
-        common = np.bitwise_count(P[x[lo:lo + 4096]] & P[k[lo:lo + 4096]]).sum(axis=1)
+        common = np.bitwise_count(words[x[lo:lo + 4096]] & words[k[lo:lo + 4096]]).sum(axis=1)
         if (common != q + 1).any():
             raise AssertionError("common perp of collinear points is not a line")
     # distinct lines through a point meet only there: q^2+1 of them cover
     # q(q^2+1) perps, and a point with more perps has a perp pair on no line
     on = np.bincount(ln.ravel(), minlength=nq)
-    perps = np.bitwise_count(P).sum(axis=1) - 1
+    perps = np.bitwise_count(words).sum(axis=1) - 1
     if ((on != q * q + 1) | (perps != q * on)).any():
         raise AssertionError("some point is not on q^2+1 lines that cover its perp")
 

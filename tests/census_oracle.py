@@ -10,6 +10,10 @@ edges with ``nonzero(triu(A, 1))`` and draws sampled edges one at a time
 from the scalar `SplitMix64`, the stream the shipped kernel draws in arrays.
 Checks, counterexamples and the report are those of the shipped kernel.
 
+`flat_bits` and `flat_completion_rows` are the gathers that the census
+made from the flat boolean adjacency, at row * V + col, before it read the
+bit-packed rows through `adjacency_bits` and `completion_rows`.
+
 `pair_srg_values` reads the common-neighbour counts of `verify_srg` pair
 by pair from a float64 product ``A @ A``.
 
@@ -28,6 +32,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ovoid_oracle import tangency_points
+from quadcover import cliquecensus
 from quadcover.cliquecensus import (
     BATCH,
     MASK64,
@@ -38,7 +43,7 @@ from quadcover.cliquecensus import (
     formula_n6,
     rosette_maximality,
 )
-from quadcover.ovoid import OvoidGeometry
+from quadcover.ovoid import OvoidGeometry, pack_rows
 
 
 class SplitMix64:
@@ -61,6 +66,25 @@ class SplitMix64:
             v = self.next_u64()
             if v < lim:
                 return v % n
+
+
+def flat_bits(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A[rows[e, i], cols[e, j]] for every e, i and j, read from the flat
+    boolean adjacency at row * V + col."""
+    return A.ravel()[(rows * len(A))[:, :, None] + cols[:, None, :]]
+
+
+def flat_completion_rows(A: np.ndarray, Wi: np.ndarray) -> np.ndarray:
+    """`cliquecensus.completion_rows` from the flat boolean adjacency:
+    P[e, i] is row i of A[Wi[e]][:, Wi[e]] packed into one word, gathered
+    S_BLOCK pairs at a time."""
+    B, n = Wi.shape
+    step = max(1, cliquecensus.S_BLOCK // (n * n))
+    P = np.empty((B, n), dtype=np.uint64)
+    for k in range(0, B, step):
+        W = Wi[k:k + step]
+        P[k:k + step] = pack_rows(flat_bits(A, W, W))[..., 0]
+    return P
 
 
 def boolean_census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
@@ -211,7 +235,7 @@ def boolean_census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
             identities["n6_from_n4"] = 15 * n6 == n4
         identities["five_cliques_iff_odd_degree"] = (n5 > 0) == n_odd
 
-        linear_max, n_ros = rosette_maximality(A, gx)
+        linear_max, n_ros = rosette_maximality(pack_rows(A), gx)
         if linear_max not in (0, n_ros):
             raise AssertionError("pencil maximality is not uniform")
         lin_spec = [q] if linear_max else []

@@ -16,6 +16,8 @@ from census_oracle import (
     bk_spectrum,
     boolean_census,
     classify_clique,
+    flat_bits,
+    flat_completion_rows,
     maximal_cliques,
     pair_srg_values,
 )
@@ -34,6 +36,7 @@ from quadcover.cliquecensus import (
     lowest_set_bits,
     pack_rows,
     rosette_maximality,
+    sampled_edge_keys,
     splitmix_below,
     upper_pairs,
     verify_srg,
@@ -455,7 +458,7 @@ def test_upper_pairs_against_nonzero_triu(n):
     assert not np.isin(np.flatnonzero(empty), w).any()
 
 
-@pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 240, 4032])
+@pytest.mark.parametrize("width", [1, 16, 63, 64, 65, 128, 240, 4032])
 def test_pack_rows_across_words(width):
     rng = np.random.default_rng(width)
     S = rng.random((2, 3, width)) < 0.5
@@ -466,6 +469,9 @@ def test_pack_rows_across_words(width):
     bits = (words[..., j // 64] >> (j % 64).astype(np.uint64)) & np.uint64(1)
     np.testing.assert_array_equal(bits[..., :width], S)
     assert not bits[..., width:].any()
+    # any nonzero byte sets its bit, as in the masked bytes the census packs
+    masked = S * rng.integers(1, 256, S.shape).astype(np.uint8)
+    np.testing.assert_array_equal(pack_rows(masked), words)
 
 
 def test_census_input_validation(tg_q2, geom_q2):
@@ -490,9 +496,9 @@ def test_splitmix_refuses_a_negative_count(n, count):
 
 
 def test_rosette_maximality(tg_q2, geom_q2, tg_q4, geom_q4, tg_q8, geom_q8):
-    assert rosette_maximality(tg_q2, geom_q2) == (0, 15)
-    assert rosette_maximality(tg_q4, geom_q4) == (510, 510)
-    assert rosette_maximality(tg_q8, geom_q8) == (16380, 16380)
+    assert rosette_maximality(pack_rows(tg_q2), geom_q2) == (0, 15)
+    assert rosette_maximality(pack_rows(tg_q4), geom_q4) == (510, 510)
+    assert rosette_maximality(pack_rows(tg_q8), geom_q8) == (16380, 16380)
 
 
 def test_rosette_maximality_matches_pencil_loop(monkeypatch, tg_q2, geom_q2, tg_q4, geom_q4):
@@ -507,7 +513,7 @@ def test_rosette_maximality_matches_pencil_loop(monkeypatch, tg_q2, geom_q2, tg_
     for block in (ovoid.PENCIL_BLOCK, 7):    # 7: ragged blocks
         monkeypatch.setattr(ovoid, "PENCIL_BLOCK", block)
         for A, gx in ((tg_q2, geom_q2), (tg_q4, geom_q4), (bent, geom_q4)):
-            assert rosette_maximality(A, gx) == loop_rosette_maximality(A, gx)
+            assert rosette_maximality(pack_rows(A), gx) == loop_rosette_maximality(A, gx)
 
 
 def test_census_raises_on_a_cleared_tangent_pair(tg_q4, geom_q4):
@@ -693,11 +699,11 @@ def _census_first_batch_last(monkeypatch, workers, first_edge, found, *args, **k
     later = threading.Event()
     kernel = cliquecensus._census_batch
 
-    def first_batch_last(A, member, q, n_odd, a, b, collect):
+    def first_batch_last(A, Apk, member, q, n_odd, a, b, collect):
         first = (a[0], b[0]) == tuple(first_edge)
         if first:
             assert later.wait(timeout=60)
-        part = kernel(A, member, q, n_odd, a, b, collect)
+        part = kernel(A, Apk, member, q, n_odd, a, b, collect)
         if found(part) and not first:
             later.set()
         return part
@@ -778,14 +784,13 @@ def test_first_other_counterexample_wins_whichever_thread_finds_one_first(
     assert rep.to_dict() == ref.to_dict()
 
 
-def test_census_reports_a_four_clique_five_extension(tg_q4, geom_q4):
-    # switch tangent pairs (w1, z1), (w2, z2) among the non-linear
-    # completions of the sampled edge to (w1, z2), (w2, z1): every
-    # completion keeps q + 1 tangent ones, but the completions are no longer
-    # triangle-free, so some 4-clique through the edge gains a 5-extension
-    # (even degree allows none)
-    a, b, _, W = _edge(tg_q4, geom_q4, _seed_edge(tg_q4))
-    S = tg_q4[np.ix_(W, W)]
+def _switched_completion_pairs(A, geom):
+    """A copy of A in which tangent pairs (w1, z1), (w2, z2) among the
+    non-linear completions W of the edge (a, b) that seed 1288 draws are
+    switched to (w1, z2), (w2, z1), so that the completions are no longer
+    triangle-free, and (a, b, W, T), T the new adjacency among W."""
+    a, b, _, W = _edge(A, geom, _seed_edge(A))
+    S = A[np.ix_(W, W)]
     assert not (S.astype(int) @ S.astype(int) * S).any()
     for (w1, z1), (w2, z2) in combinations(np.argwhere(np.triu(S)).tolist(), 2):
         if len({w1, z1, w2, z2}) < 4 or S[w1, z2] or S[w2, z1]:
@@ -797,8 +802,15 @@ def test_census_reports_a_four_clique_five_extension(tg_q4, geom_q4):
             break
     else:
         pytest.fail("no switch of two tangent pairs makes a triangle")
-    A = tg_q4.copy()
+    A = A.copy()
     A[np.ix_(W, W)] = T
+    return A, (a, b, W, T)
+
+
+def test_census_reports_a_four_clique_five_extension(tg_q4, geom_q4):
+    # every completion keeps q + 1 tangent ones, but some 4-clique through
+    # the edge gains a 5-extension (even degree allows none)
+    A, (a, b, W, T) = _switched_completion_pairs(tg_q4, geom_q4)
     rep = _census_of_seed_edge(A, geom_q4, (a, b))
     # the first adjacent pair w < z, in row-major order, with a common neighbour
     w, z = next((w, z) for w, z in np.argwhere(np.triu(T)).tolist()
@@ -862,6 +874,122 @@ def test_census_raises_on_a_missing_completion_pair(tg_q4, geom_q4):
     A, edge = _missing_completion_pair(tg_q4, geom_q4)
     _assert_seed_edge_raises(A, geom_q4, edge,
                              "adjacent-pair count among completions not uniform")
+
+
+def _gather_case(request, case):
+    """The graph, geometry and census arguments of one packed-gather diff
+    case, and the edge indices its sampled census draws (None: the draws
+    of its seed).  The corrupted graphs are those of the counterexample
+    tests; their census draws the seed edge, whose completions the
+    corruption edits, seven times over."""
+    tg, geom = request.getfixturevalue("tg_q4"), request.getfixturevalue("geom_q4")
+    if case == "q4_mixed":
+        A, edges = request.getfixturevalue("mixed_q4")[:2]
+        return A, geom, dict(mode="sampled", seed=0, n_samples=len(edges)), edges
+    corrupt = {"q4_triangle_extension": _rejoined_completion,
+               "q4_five_extension": _switched_completion_pairs,
+               "q4_missing_pair": _missing_completion_pair}.get(case)
+    if corrupt:
+        A = corrupt(tg, geom)[0]
+        return A, geom, dict(mode="sampled", seed=0, n_samples=7), [_seed_edge(A)] * 7
+    q = int(case[1:])
+    A, geom = request.getfixturevalue(f"tg_q{q}"), request.getfixturevalue(f"geom_q{q}")
+    if q == 8:
+        return A, geom, dict(mode="sampled", seed=5, n_samples=600, collect=True), None
+    return A, geom, dict(collect=True), None
+
+
+@pytest.mark.parametrize("edges", [None, 3])   # S_BLOCK as shipped, or 3 edges a step
+@pytest.mark.parametrize("case", ["q2", "q4", "q8", "q4_mixed", "q4_triangle_extension",
+                                  "q4_five_extension", "q4_missing_pair"])
+def test_packed_gathers_match_the_flat_gathers(monkeypatch, request, case, edges):
+    # every gather the census makes, from the cross block to each S step,
+    # is diffed against the flat boolean gather of the same indices; a
+    # census that a corruption makes raise has diffed its gathers first
+    A, geom, kw, draws = _gather_case(request, case)
+    if draws is not None:
+        draws = np.array(draws)
+        monkeypatch.setattr(cliquecensus, "splitmix_below",
+                            lambda seed, n, count: draws[:count])
+    if edges:
+        monkeypatch.setattr(cliquecensus, "S_BLOCK", edges * geom.model.ctx.q ** 4)
+    bits, rows = cliquecensus.adjacency_bits, cliquecensus.completion_rows
+    diffs = []
+
+    def diffed_bits(Apk, r, c):
+        got = bits(Apk, r, c)
+        diffs.append(("bits", got.shape == r.shape + c.shape[-1:]
+                      and np.array_equal(got != 0, flat_bits(A, r, c))))
+        return got
+
+    def diffed_rows(Apk, Wi):
+        got = rows(Apk, Wi)
+        diffs.append(("rows", np.array_equal(got, flat_completion_rows(A, Wi))))
+        return got
+    monkeypatch.setattr(cliquecensus, "adjacency_bits", diffed_bits)
+    monkeypatch.setattr(cliquecensus, "completion_rows", diffed_rows)
+    try:
+        census(A, geom, **kw)
+    except AssertionError:
+        assert case == "q4_missing_pair"
+    assert {name for name, _ in diffs} == {"bits", "rows"}
+    assert all(same for _, same in diffs)
+
+
+def _asymmetric(A):
+    """A copy of A read as a directed graph: rows 0 and V/2 with no bit
+    above the diagonal, row 10 with one, in its last word, a loop at
+    vertex 5 and one entry flipped without its mirror."""
+    V = len(A)
+    A = A.copy()
+    A[0, 1:] = False
+    A[V // 2, V // 2 + 1:] = False
+    A[10, 11:] = False
+    A[10, V - 1] = True
+    A[5, 5] = True
+    A[20, 21] = ~A[20, 21]
+    assert not np.array_equal(A, A.T)
+    return A
+
+
+def _rank_case(request, tname):
+    if tname.startswith("asymmetric"):
+        return _asymmetric(request.getfixturevalue("tg" + tname[len("asymmetric"):]))
+    return request.getfixturevalue(tname)
+
+
+RANK_GRAPHS = ["tg_q2", "tg_q4", "tg_q8", "asymmetric_q4", "asymmetric_q8"]
+
+
+@pytest.mark.parametrize("seed,n_samples", [(1, 1), (7, 500), (99, 4000)])
+@pytest.mark.parametrize("tname", RANK_GRAPHS)
+def test_sampled_edge_keys_match_the_listed_edges(request, tname, seed, n_samples):
+    A = _rank_case(request, tname)
+    want = edge_keys(A)
+    E, keys = sampled_edge_keys(pack_rows(A), seed, n_samples)
+    assert E == len(want)
+    want = want[splitmix_below(seed, E, n_samples).astype(np.intp)]
+    assert keys.dtype == want.dtype
+    np.testing.assert_array_equal(keys, want)
+
+
+@pytest.mark.parametrize("tname", RANK_GRAPHS)
+def test_sampled_edge_keys_select_every_rank(monkeypatch, request, tname):
+    # every rank from E - 1 down to 0 at q <= 4, and every 91st with the
+    # two ends at q = 8; the rows without an edge above the diagonal (the
+    # last row, and rows 0 and V/2 of the asymmetric graphs) own no rank
+    A = _rank_case(request, tname)
+    want = edge_keys(A)
+    E = len(want)
+    draws = np.concatenate([[E - 1, 0], np.arange(E)[::-max(1, E // 5000)]])
+    monkeypatch.setattr(cliquecensus, "splitmix_below", lambda seed, n, count: draws[:count])
+    got_E, keys = sampled_edge_keys(pack_rows(A), 0, len(draws))
+    assert got_E == E
+    np.testing.assert_array_equal(keys, want[draws])
+    empty = np.flatnonzero(~np.triu(A, 1).any(axis=1))
+    assert len(A) - 1 in empty and not np.isin(keys // len(A), empty).any()
+    if tname.startswith("asymmetric"):
+        assert {0, len(A) // 2} <= set(empty.tolist())
 
 
 @pytest.mark.parametrize("first", ["lambda", "pairs"])

@@ -283,10 +283,29 @@ def _with_table(cov, edit):
     return replace(cov, model=model)
 
 
+def _edited_pair(corrupt, cov):
+    """The ovoid pair i < j that corrupt edits: the first non-tangent pair,
+    or the first tangent one, in row order from row n / 2 on, so that it
+    lies past the first block of a blocked scan."""
+    adj = cov.geom.adjacency
+    n = len(adj)
+    pairs = adj if corrupt is _separated_tangent else ~adj
+    i, j = np.argwhere(np.triu(pairs, 1)[n // 2:])[0]
+    return [int(i) + n // 2, int(j)]
+
+
+def _oracle_failure(corrupt, cov):
+    """The report of the adjacency oracle on cov corrupted by corrupt: the
+    pair it edits, which was tangent exactly when its fibres are no longer
+    cross-collinear."""
+    tangent = corrupt is _separated_tangent
+    return {"pass": False, "pair": _edited_pair(corrupt, cov), "tangent": tangent,
+            "cross_collinear": not tangent}
+
+
 def _collinear_non_tangent(cov):
     # one cross-fibre pair of two non-tangent ovoids made collinear
-    adj = cov.geom.adjacency
-    i, j = (int(t) for t in np.argwhere(~adj & ~np.eye(len(adj), dtype=bool))[0])
+    i, j = _edited_pair(_collinear_non_tangent, cov)
     x, y = cov.point_fiber[i, 0], cov.point_fiber[j, 1]
     assert alpha_table(cov.model)[x, y] != 0
 
@@ -297,7 +316,7 @@ def _collinear_non_tangent(cov):
 
 def _separated_tangent(cov):
     # every cross-fibre collinearity of one tangent pair cleared
-    i, j = (int(t) for t in np.argwhere(cov.geom.adjacency)[0])
+    i, j = _edited_pair(_separated_tangent, cov)
     block = np.ix_(cov.point_fiber[i], cov.point_fiber[j])
     assert (alpha_table(cov.model)[block] == 0).any()
 
@@ -314,23 +333,28 @@ def test_adjacency_oracle_reports_a_corrupted_gram(cov_q4, corrupt):
     changed = bad.model.table != alpha_table(cov_q4.model)
     assert changed.any() and (changed == changed.T).all()
     rep = verify_adjacency_oracle(bad)
-    assert rep == {"pass": False, "pairs_checked": 120 * 119 // 2}
+    assert rep == _oracle_failure(corrupt, cov_q4)
 
 
 @pytest.mark.parametrize("name,rows,corrupt", [
     ("cov_q2", 4, None), ("cov_q4", 7, None),
-    ("cov_q4", 7, _collinear_non_tangent), ("cov_q4", 7, _separated_tangent)],
-    ids=["q2", "q4", "q4_collinear_non_tangent", "q4_separated_tangent"])
+    ("cov_q4", 7, _collinear_non_tangent), ("cov_q4", 7, _separated_tangent),
+    ("cov_q4", 1, _collinear_non_tangent), ("cov_q4", 1, _separated_tangent)],
+    ids=["q2", "q4", "q4_collinear_non_tangent", "q4_separated_tangent",
+         "q4_collinear_non_tangent_by_row", "q4_separated_tangent_by_row"])
 def test_adjacency_oracle_in_ragged_blocks(monkeypatch, request, name, rows, corrupt):
     # blocks of a few ovoid rows, the last one short: 6 = 4 + 2 ovoids at
-    # q = 2 and 120 = 17 * 7 + 1 at q = 4
+    # q = 2 and 120 = 17 * 7 + 1 at q = 4; or one row a block.  The edited
+    # pair's row, 60 or more, lies in block 8 or later
     cov = request.getfixturevalue(name)
-    if corrupt is not None:
-        cov = corrupt(cov)
     n = cov.geom.n_ovoids
+    want = {"pass": True, "pairs_checked": n * (n - 1) // 2}
+    if corrupt is not None:
+        want = _oracle_failure(corrupt, cov)
+        cov = corrupt(cov)
     monkeypatch.setattr(covering, "ORACLE_BLOCK", rows * 4 * n)
     rep = verify_adjacency_oracle(cov)
-    assert rep == {"pass": corrupt is None, "pairs_checked": n * (n - 1) // 2}
+    assert rep == want
 
 
 def test_adjacency_oracle_peak_stays_below_8_mib(cov_q8):

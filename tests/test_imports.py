@@ -239,3 +239,42 @@ def test_only_quadric_reads_the_pair_tables(path):
     through those methods, so the tables' layout stays private to
     `quadric.py`."""
     assert _attribute_uses(ast.parse(path.read_text()), _PAIR_TABLES) == []
+
+
+def _little_endian_packs(tree: ast.Module) -> list:
+    """(enclosing top-level function or "<module>", source) of each
+    ``packbits`` call, under any module name, that packs little-endian."""
+    out = []
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        out += [(where, ast.unparse(node)) for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+                == "packbits"
+                and any(k.arg == "bitorder" and isinstance(k.value, ast.Constant)
+                        and k.value.value == "little" for k in node.keywords)]
+    return out
+
+
+def test_little_endian_pack_check_sees_every_spelling():
+    tree = ast.parse("def f(A):\n    return np.packbits(A, axis=1, bitorder='little')\n"
+                     "g = numpy.packbits(gx.adjacency, bitorder='little')\n"
+                     "h = packbits(A[rows], axis=-1, bitorder='little')\n"
+                     "b = np.packbits(A, axis=1)\nc = np.packbits(A, bitorder='big')\n"
+                     "d = np.unpackbits(A, bitorder='little')\n")
+    assert _little_endian_packs(tree) == [
+        ("f", "np.packbits(A, axis=1, bitorder='little')"),
+        ("<module>", "numpy.packbits(gx.adjacency, bitorder='little')"),
+        ("<module>", "packbits(A[rows], axis=-1, bitorder='little')")]
+
+
+def test_package_packs_rows_only_through_pack_rows():
+    """The tangency rows that the census gathers from, and that the pencil
+    counts add, are packed by `ovoid.pack_rows`, as are the census's
+    completion rows and the covering's collinearity rows: one layout, which
+    the census's byte and word reads rely on.  No other little-endian
+    ``packbits`` call is made in the package."""
+    packs = {path.name: _little_endian_packs(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: p for name, p in packs.items() if p} == {
+        "ovoid.py": [("pack_rows", "np.packbits(S.reshape(-1), bitorder='little')")]}
