@@ -287,10 +287,11 @@ def _lift(run: Run):
 
 def cmd_lift(run: Run, args) -> dict:
     from .figures import figure_to_clique
+    from .ovoid import row_bits
 
     gx = run.gx
     for a, b in combinations(run.cfg.clique, 2):  # ids that are no clique: bad input
-        if not gx.adjacency[a, b]:
+        if not row_bits(gx.tangency, a, b):
             raise ValueError(f"ovoids {a} and {b} are not tangent")
     try:
         fig = _lift(run)

@@ -9,12 +9,13 @@ non-linear triangle grows to exactly q+1 four-cliques, each non-linear
 four-clique to exactly two five-cliques and one six-clique when the field
 degree is odd, and to none when it is even) are verified on that split.
 
-Edges are kept as flat keys a * V + b.  The full census lists them in one
-scan of the upper triangle, KEY_BLOCK entries at a time.  A sampled census
-draws edge ranks in one vectorised SplitMix64 pass and finds the key of
-each rank from the popcounts of the bit-packed rows, so no edge list is
-made.  The selected edges are cut into batches of BATCH non-linear
-completions (BATCH // q^2 edges, 512 at q = 4 and 128 at q = 8), small
+Edges are kept as flat keys a * V + b of T, the packed tangency table of
+the geometry.  The full census lists them in one scan of T's unpacked
+upper triangle, KEY_BLOCK entries at a time.  A sampled census draws edge
+ranks in one vectorised SplitMix64 pass and finds the key of each rank
+from the popcounts of T's rows, so no edge list is made.  The selected
+edges are cut into batches of BATCH non-linear completions (BATCH // q^2
+edges, 512 at q = 4 and 128 at q = 8), small
 enough that the batch a worker holds beside the main thread's adds little
 to the peak memory.  The main thread and one worker thread for each
 other CPU the process may use, at most MAX_WORKERS of them, take the batches
@@ -31,23 +32,21 @@ first mixed 4-clique replaces any other counterexample, the first other
 counterexample is kept, rows are collected in edge order, and the error of
 the first failing batch is raised once every thread has stopped.
 
-A common neighbour of an edge (a, b) is a pencil completion exactly when it
-passes through the common point of a and b, which the membership matrix
-gives; all three are then tangent there.  The census packs the tangency
-matrix once a call with `pack_rows`, bit j of row i in byte j >> 3 of a
-row of whole uint64 words (0.5 MB at q = 8, which fits in L2, against the
-boolean matrix's 4 MB).  The adjacency between an edge's pencil and
-non-linear completions, and among its non-linear completions (S_BLOCK
-pairs at a time), are read as bits of those bytes; the pencil test reads
-the flat membership matrix at row * width + col.  For each edge the
-adjacency among its q^2 non-linear completions is packed into one uint64
-per completion (q^2 <= 64 for every buildable field), bit z of word
-w set when completions w and z are tangent.  A word's popcount is the
-triangle's 4-clique count; the adjacent pairs w < z are read off word w with
-its bits up to w cleared, lowest bit first, in the order nonzero(triu(S))
-lists them; the popcount of P[w] & P[z] is the 4-clique's 5-extension count,
-and its two set bits y1 < y2 give a 6-clique exactly when bit y2 of P[y1] is
-set.
+A common neighbour of an edge (a, b), a bit of T[a] & T[b], is a pencil
+completion exactly when it passes through the common point of a and b,
+which the membership matrix gives; all three are then tangent there.  The
+adjacency between an edge's pencil and non-linear completions, and among
+its non-linear completions (S_BLOCK pairs at a time), are read as bits of
+T through `ovoid.row_bits` (T takes 0.5 MB at q = 8, which fits in L2);
+the pencil test reads the flat membership matrix at row * width + col.
+For each edge the adjacency among its q^2 non-linear completions is
+packed into one uint64 per completion (q^2 <= 64 for every buildable
+field), bit z of word w set when completions w and z are tangent.  A
+word's popcount is the triangle's 4-clique count; the adjacent pairs w < z
+are read off word w with its bits up to w cleared, lowest bit first, in the
+order nonzero(triu(S)) lists them; the popcount of P[w] & P[z] is the
+4-clique's 5-extension count, and its two set bits y1 < y2 give a 6-clique
+exactly when bit y2 of P[y1] is set.
 
 The maximal-size spectrum follows from the same data: pencils are maximal
 exactly when their members have no common neighbour, non-linear cliques stop
@@ -65,11 +64,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ovoid import OvoidGeometry, pack_rows, pencil_counts
+from .ovoid import OvoidGeometry, pack_rows, pencil_counts, row_bits, unpack_rows
 
 MASK64 = (1 << 64) - 1
 BATCH = 1 << 13                   # non-linear completions (edges x q^2) per census batch
-KEY_BLOCK = 1 << 20               # adjacency entries per step of the edge-key scan
+KEY_BLOCK = 1 << 20               # tangency entries per step of the edge-key scan
 SRG_BLOCK = 1 << 19               # common-neighbour counts per verify_srg step
 S_BLOCK = 1 << 16                 # completion pairs gathered per census S step
 MAX_WORKERS = 1                   # census worker threads beside the main thread, at most
@@ -110,23 +109,24 @@ def formula_n6(q: int) -> int:
 
 
 def build_tangency_graph(gx: OvoidGeometry) -> np.ndarray:
-    """The geometry's tangency matrix (vertex i is ovoid i), checked to be a
-    simple regular graph of the expected degree."""
-    A = gx.adjacency
+    """The geometry's packed tangency table (vertex i is ovoid i), checked
+    to be a simple regular graph of the expected degree."""
+    A = unpack_rows(gx.tangency, gx.n_ovoids)
     if not np.array_equal(A, A.T) or A.diagonal().any():
         raise AssertionError("tangency matrix is not a simple graph")
     q = gx.model.ctx.q
     k = (q - 1) * (q * q + 1)
-    if not (A.sum(axis=1) == k).all():
+    if not (np.bitwise_count(gx.tangency).sum(axis=1) == k).all():
         raise AssertionError(f"graph is not {k}-regular")
-    return A
+    return gx.tangency
 
 
-def verify_srg(A: np.ndarray) -> dict:
+def verify_srg(T: np.ndarray) -> dict:
     """Exhaustive strong-regularity check: common-neighbour counts on every
-    adjacent and non-adjacent pair, plus the feasibility identity.  A is a
-    symmetric boolean adjacency matrix."""
-    n = len(A)
+    adjacent and non-adjacent pair, plus the feasibility identity.  T is a
+    symmetric boolean adjacency matrix, its rows packed by `pack_rows`."""
+    n = len(T)
+    A = unpack_rows(T, n)
     deg = A.sum(axis=1)
     k = int(deg[0])
     # The counts of pairs i <= j, one block of rows at a time: rows lo..hi
@@ -170,20 +170,19 @@ def verify_srg(A: np.ndarray) -> dict:
 # -- edges and seeded edge draws ----------------------------------------------
 
 
-def edge_keys(A: np.ndarray) -> np.ndarray:
-    """The edges i < j of A as flat keys i * V + j, ascending, as
-    ``flatnonzero(triu(A, 1))`` lists them, read off the upper triangle
-    KEY_BLOCK entries at a time, so that no V x V temporary is made."""
-    V = len(A)
+def edge_keys(T: np.ndarray) -> np.ndarray:
+    """The edges i < j of A, its rows packed into T, as flat keys i * V + j,
+    ascending, as ``flatnonzero(triu(A, 1))`` lists them, read off the upper
+    triangle of unpacked row blocks KEY_BLOCK entries at a time."""
+    V = len(T)
     step = max(1, KEY_BLOCK // V)
-    return np.concatenate([np.flatnonzero(np.triu(A[lo:lo + step], lo + 1)) + lo * V
-                           for lo in range(0, V, step)])
+    return np.concatenate([np.flatnonzero(np.triu(unpack_rows(T[lo:lo + step], V), lo + 1))
+                           + lo * V for lo in range(0, V, step)])
 
 
-def edge_list(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The edges i < j of A in row-major order, as ``nonzero(triu(A, 1))``
-    lists them."""
-    return np.divmod(edge_keys(A), len(A))
+def edge_list(T: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The edges i < j of A (packed in T) in row-major order, as ``nonzero(triu(A, 1))``."""
+    return np.divmod(edge_keys(T), len(T))
 
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -218,9 +217,9 @@ def splitmix_below(seed: int, n: int, count: int) -> np.ndarray:
             return np.concatenate(out)
 
 
-def sampled_edge_keys(Apk: np.ndarray, seed: int, n_samples: int) -> Tuple[int, np.ndarray]:
+def sampled_edge_keys(T: np.ndarray, seed: int, n_samples: int) -> Tuple[int, np.ndarray]:
     """(E, keys): the edge count E of the matrix whose rows `pack_rows`
-    packed into Apk, and ``edge_keys(A)[splitmix_below(seed, E, n_samples)]``,
+    packed into T, and ``edge_keys(T)[splitmix_below(seed, E, n_samples)]``,
     found by rank without listing the edges.
 
     The upper triangle is read as stored.  Row i's edges are its set bits
@@ -230,11 +229,11 @@ def sampled_edge_keys(Apk: np.ndarray, seed: int, n_samples: int) -> Tuple[int, 
     and is bit number s - (edges before row r) + low[r] of row r, counted
     from bit 0: the comparison with r's running word counts gives its word,
     and the running count of that word's bits its position."""
-    V = len(Apk)
+    V = len(T)
     rows = np.arange(V)
-    counts = np.bitwise_count(Apk)
-    cum = np.cumsum(counts, axis=1, dtype=np.min_scalar_type(64 * Apk.shape[1]))
-    diag = Apk[rows, rows >> 6]
+    counts = np.bitwise_count(T)
+    cum = np.cumsum(counts, axis=1, dtype=np.min_scalar_type(64 * T.shape[1]))
+    diag = T[rows, rows >> 6]
     low = cum[rows, rows >> 6] - np.bitwise_count(diag & _ABOVE[rows & 63])
     upper = cum[:, -1] - low
     ends = np.cumsum(upper, dtype=np.intp)
@@ -245,7 +244,7 @@ def sampled_edge_keys(Apk: np.ndarray, seed: int, n_samples: int) -> Tuple[int, 
     c = cum[r]
     w = (c <= t[:, None]).sum(axis=1)
     t -= c[np.arange(len(r)), w] - counts[r, w]
-    bits = np.unpackbits(Apk[r, w].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    bits = unpack_rows(T[r, w][:, None])
     j = (np.cumsum(bits, axis=1, dtype=np.uint8) <= t[:, None]).sum(axis=1)
     return E, r * V + 64 * w + j
 
@@ -253,27 +252,16 @@ def sampled_edge_keys(Apk: np.ndarray, seed: int, n_samples: int) -> Tuple[int, 
 # -- census --------------------------------------------------------------------
 
 
-def adjacency_bits(Apk: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """A[rows[e, i], cols[e, j]] for every e, i and j, as uint8 that are
-    nonzero exactly where A is set, from A's rows as `pack_rows` packs them:
-    byte cols >> 3 of the row, masked with bit cols & 7.  At q = 8 the
-    packed rows take 0.5 MB and stay in L2, where the 4 MB boolean matrix
-    does not."""
-    Ab = Apk.view(np.uint8)
-    return (Ab.ravel()[(rows * Ab.shape[1])[:, :, None] + (cols >> 3)[:, None, :]]
-            & np.left_shift(1, cols & 7).astype(np.uint8)[:, None, :])
-
-
-def completion_rows(Apk: np.ndarray, Wi: np.ndarray) -> np.ndarray:
+def completion_rows(T: np.ndarray, Wi: np.ndarray) -> np.ndarray:
     """P[e, i]: row i of the adjacency S = A[Wi[e]][:, Wi[e]] among each
-    edge's non-linear completions, packed into one word by `pack_rows`
+    edge's non-linear completions, read from T and packed into one word
     (at most 64 completions an edge), gathered S_BLOCK pairs at a time."""
     B, n = Wi.shape
     step = max(1, S_BLOCK // (n * n))      # edges per gather
     P = np.empty((B, n), dtype=np.uint64)
     for k in range(0, B, step):
         W = Wi[k:k + step]
-        P[k:k + step] = pack_rows(adjacency_bits(Apk, W, W))[..., 0]
+        P[k:k + step] = pack_rows(row_bits(T, W[:, :, None], W[:, None, :]))[..., 0]
     return P
 
 
@@ -359,14 +347,14 @@ class CensusReport:
         return out
 
 
-def rosette_maximality(Apk: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]:
+def rosette_maximality(T: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]:
     """(number of pencils that are maximal cliques, total pencils), for the
-    tangency matrix whose rows `pack_rows` packed into Apk.  A member of a
+    tangency matrix whose rows `pack_rows` packed into T.  A member of a
     pencil is tangent to at most the other q-1 members, so a pencil is
     maximal exactly when no ovoid is tangent to all q of them: when the top
     bit plane of its counts is clear."""
     n_max = sum(len(members) - int(planes[-1].any(axis=1).sum())
-                for members, planes in pencil_counts(gx, Apk))
+                for members, planes in pencil_counts(gx, T))
     return n_max, len(gx.pencil_base)
 
 
@@ -383,12 +371,12 @@ class _Batch:
     quads: Optional[np.ndarray]
 
 
-def _census_batch(A: np.ndarray, Apk: np.ndarray, member: np.ndarray, q: int,
-                  n_odd: bool, a: np.ndarray, b: np.ndarray, collect: bool) -> _Batch:
-    """The census of the edges (a[i], b[i]) of A, whose rows `pack_rows`
-    packed into Apk.  A broken law that leaves counts to report gives a
-    counterexample; any other raises AssertionError."""
-    B, V = len(a), len(A)
+def _census_batch(T: np.ndarray, member: np.ndarray, q: int, n_odd: bool,
+                  a: np.ndarray, b: np.ndarray, collect: bool) -> _Batch:
+    """The census of the edges (a[i], b[i]) of the matrix whose rows
+    `pack_rows` packed into T.  A broken law that leaves counts to report
+    gives a counterexample; any other raises AssertionError."""
+    B, V = len(a), len(T)
     Mf = member.ravel()
     n_q0 = member.shape[1]
     lam = q * q + q - 2
@@ -397,7 +385,7 @@ def _census_batch(A: np.ndarray, Apk: np.ndarray, member: np.ndarray, q: int,
     s_edges = n_nl * (q + 1) // 2  # adjacent pairs among them, once uniform
     mixed = other = tris = quads = None
 
-    C = A[a] & A[b]
+    C = unpack_rows(T[a] & T[b], V)
     if not (C.sum(axis=1) == lam).all():
         raise AssertionError("common neighbour count differs from lambda")
     # every row holds lam common neighbours, so the flat scan reshapes
@@ -412,7 +400,7 @@ def _census_batch(A: np.ndarray, Apk: np.ndarray, member: np.ndarray, q: int,
     Wi = Ci[~on_pencil].reshape(B, n_nl)
     if n_r:
         Ri = Ci[on_pencil].reshape(B, n_r)
-        cross = adjacency_bits(Apk, Ri, Wi)
+        cross = row_bits(T, Ri[:, :, None], Wi[:, None, :])
         if cross.any():
             eb, ei, ej = np.argwhere(cross)[0]
             mixed = {"kind": "mixed_4_clique",
@@ -420,7 +408,7 @@ def _census_batch(A: np.ndarray, Apk: np.ndarray, member: np.ndarray, q: int,
         del Ri, cross
     del Ci, on_pencil
 
-    P = completion_rows(Apk, Wi)
+    P = completion_rows(T, Wi)
     rows = np.bitwise_count(P)
     values = {"3to4": _values(rows)}
     if not (rows == q + 1).all():
@@ -529,13 +517,13 @@ def _in_order(job: Callable[[int], _Batch], n: int) -> List[_Batch]:
     return results
 
 
-def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
+def census(T: np.ndarray, gx: OvoidGeometry, mode: str = "full",
            seed: Optional[int] = None, n_samples: Optional[int] = None,
            collect: bool = False) -> CensusReport:
     """Edge-driven clique census with classification and extension-law checks
     up to 6-cliques, the largest size a non-linear clique reaches.
 
-    ``A`` is the tangency matrix from `build_tangency_graph`.  In full mode
+    ``T`` is the packed tangency table from `build_tangency_graph`.  In full mode
     every edge is processed and the totals are exact enumerated counts; in
     sampled mode a seeded subset of edges is processed and only the per-edge
     laws are checked.  collect=True additionally gathers the vertex arrays of
@@ -547,8 +535,7 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
     q = model.ctx.q
     ndeg = model.ctx.n
     n_odd = ndeg % 2 == 1
-    V = len(A)
-    Apk = pack_rows(A)
+    V = len(T)
 
     # the edges a < b to check, as keys a * V + b
     if mode == "sampled":
@@ -556,9 +543,9 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
             raise ValueError("sampled mode needs seed and n_samples")
         if n_samples < 1:
             raise ValueError(f"sampled mode needs n_samples >= 1, got {n_samples}")
-        E, keys = sampled_edge_keys(Apk, seed, n_samples)
+        E, keys = sampled_edge_keys(T, seed, n_samples)
     elif mode == "full":
-        keys = edge_keys(A)
+        keys = edge_keys(T)
         E = len(keys)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -567,7 +554,7 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
 
     def batch(i: int) -> _Batch:
         a, b = np.divmod(keys[i * step:(i + 1) * step], V)
-        return _census_batch(A, Apk, gx.member_matrix, q, n_odd, a, b, collect)
+        return _census_batch(T, gx.member_matrix, q, n_odd, a, b, collect)
 
     parts = _in_order(batch, -(-len(keys) // step))
     tot_lin3 = len(keys) * (q - 2)    # every edge has q - 2 pencil completions
@@ -602,7 +589,7 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
             identities["n6_from_n4"] = 15 * n6 == n4
         identities["five_cliques_iff_odd_degree"] = (n5 > 0) == n_odd
 
-        linear_max, n_ros = rosette_maximality(Apk, gx)
+        linear_max, n_ros = rosette_maximality(T, gx)
         if linear_max not in (0, n_ros):
             raise AssertionError("pencil maximality is not uniform")
         lin_spec = [q] if linear_max else []
@@ -637,11 +624,11 @@ def census(A: np.ndarray, gx: OvoidGeometry, mode: str = "full",
     )
 
 
-def export_edges_csv(A: np.ndarray, path: str) -> None:
-    """Write the edge list as CSV rows: ovoid id, ovoid id."""
+def export_edges_csv(T: np.ndarray, path: str) -> None:
+    """Write the edge list of T as CSV rows: ovoid id, ovoid id."""
     import csv
 
-    iu, ju = edge_list(A)
+    iu, ju = edge_list(T)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["ovoid_a", "ovoid_b"])

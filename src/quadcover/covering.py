@@ -20,8 +20,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .ovoid import OvoidGeometry, pack_rows
-from .quadric import QuadricModel
+from .ovoid import OvoidGeometry, pack_rows, row_bits, unpack_rows
+from .quadric import QuadricModel, incidence_transpose
 
 _CHUNK = 1 << 16                # uint64 words gathered per fiber_distances step
 ORACLE_BLOCK = 1 << 20          # collinearity entries per verify_adjacency_oracle step
@@ -215,7 +215,7 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
     points and then their second points, and the columns are every ovoid's
     first point and then every second point.  The OR of the block's two row
     halves and then of its two column halves is the cross-fibre
-    collinearity, compared with the same rows of the tangency matrix.
+    collinearity, compared with the same rows of the tangency, unpacked.
 
     A failing report names the first disagreeing pair in row order, a < b
     when both matrices are symmetric, and whether it is tangent and its
@@ -233,20 +233,14 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
         Z[:b] |= Z[b:]
         cross = Z[:b, :n]
         cross |= Z[:b, n:]
-        agree = cross == geom.adjacency[lo:lo + step]
+        agree = cross == unpack_rows(geom.tangency[lo:lo + step], n)
         np.fill_diagonal(agree[:, lo:], True)
         if not agree.all():
             i, b = (int(t) for t in np.argwhere(~agree)[0])
             return {"pass": False, "pair": [lo + i, b],
-                    "tangent": bool(geom.adjacency[lo + i, b]),
+                    "tangent": bool(row_bits(geom.tangency, lo + i, b)),
                     "cross_collinear": bool(cross[i, b])}
     return {"pass": True, "pairs_checked": n * (n - 1) // 2}
-
-
-def _bits(words: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Bit cols[i] of packed row rows[i], as booleans."""
-    shift = (cols & 63).astype(np.uint64)
-    return ((words[rows, cols >> 6] >> shift) & np.uint64(1)).astype(bool)
 
 
 def _three_walks(P: np.ndarray, B2: np.ndarray, x: np.ndarray, y: np.ndarray) -> bool:
@@ -301,13 +295,10 @@ def fiber_distances(cov: CoveringMap) -> dict:
     if (lines < 0).any():
         raise AssertionError("a punctured line holds a point off the affine part")
     n_lines, k = lines.shape
-    # the lines through each point, point after point (a stable sort of
-    # 16-bit keys is a radix sort)
+    # the lines through each point, point after point
     count = np.bincount(lines.ravel(), minlength=n)
     start = np.concatenate(([0], np.cumsum(count)))
-    line_of = np.argsort(lines.ravel().astype(np.min_scalar_type(n)),
-                         kind="stable").astype(np.int32)
-    line_of //= k
+    line_of = incidence_transpose(lines, n)
 
     # P, one block of rows at a time, each checked against the line-mates of
     # its points: every line is a clique, every collinear pair is on a line,
@@ -348,7 +339,7 @@ def fiber_distances(cov: CoveringMap) -> dict:
     del LN
 
     x1, x2 = np.searchsorted(aff, cov.point_fiber).T
-    fibers_at_3 = not _bits(B2, x1, x2).any() and _three_walks(P, B2, x1, x2)
+    fibers_at_3 = not row_bits(B2, x1, x2).any() and _three_walks(P, B2, x1, x2)
 
     # far pairs: the bits clear in B2, over the n real columns and off the
     # diagonal (B2 holds a point itself only when it has a neighbour)
@@ -366,9 +357,7 @@ def fiber_distances(cov: CoveringMap) -> dict:
         if not (diam3 or far_are_fibers):
             break
         r, c = rows[lo:lo + step], cols[lo:lo + step]
-        bits = np.unpackbits(far[r, c].view(np.uint8).reshape(-1, 8),
-                             axis=1, bitorder="little")
-        e, b = np.nonzero(bits)
+        e, b = np.nonzero(unpack_rows(far[r, c][:, None]))
         x, y = r[e], 64 * c[e] + b
         diam3 = diam3 and _three_walks(P, B2, x, y)
         key = x * n + y

@@ -27,6 +27,7 @@ from .gf2n import FieldCtx, conic_solution_set, solve_artin_schreier
 from .projgeom import Vec, enumerate_points, normalize_tuple, rref, vec_add, vec_scale
 from .quadric import QuadricModel, second_intersection, second_intersections
 from .covering import CoveringMap
+from .ovoid import unpack_rows
 
 KIND_BY_SIZE = {3: "hexagon", 4: "cube", 5: "decade", 6: "dodecade"}
 SIZE_BY_KIND = {v: k for k, v in KIND_BY_SIZE.items()}
@@ -229,9 +230,10 @@ def lift_clique_to_figure(cov: CoveringMap, clique: Sequence[int]) -> CentricFig
     model = gx.model
     if len(clique) != len(set(clique)):
         raise ValueError("repeated clique vertex")
+    tangent = unpack_rows(gx.tangency[list(clique)], gx.n_ovoids)
     for i, a in enumerate(clique):
         for b in clique[i + 1:]:
-            if not gx.adjacency[a, b]:
+            if not tangent[i, b]:
                 raise ValueError(f"ovoids {a} and {b} are not tangent")
     if len(clique) not in KIND_BY_SIZE:
         raise ValueError(f"no figure kind with {len(clique)} pairs")

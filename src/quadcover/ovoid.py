@@ -8,28 +8,28 @@ rosettes) are the lines of a semipartial geometry with parameters
 (q-1, q^2, 2, 2q(q-1)).
 
 The pairwise intersection sizes are integer matrix products over the
-membership matrix, one block of ovoid rows at a time, and the tangency matrix
-(size 1) is filled block by block.  No block holds more than PAIR_BLOCK
-ovoid pairs, so no V x V product is ever held.  Two tangent ovoids meet only
-at their tangency point, so the pencils at a point are the tangency classes
-among the ovoids through it, and no table of tangency points is needed.  The
-structural laws are checked exhaustively.  For every pencil and ovoid, the
-number of the pencil's members tangent to the ovoid is added from the
-tangency rows as `pack_rows` packs them into bit planes, a block of pencils
-at a time (semipartial and maximality laws).  One section point at a time,
-with T the ovoids through the point, A[T][:, T].T @ A[T] counts the common
-tangents through it of every ovoid pair with one member in T
-(common-tangent law).
+membership matrix, one block of ovoid rows at a time, each block's
+tangency (size 1) packed by `pack_rows` into the one tangency table, read
+through `row_bits` and `unpack_rows`.  No block holds more than PAIR_BLOCK
+ovoid pairs, so no V x V array is held.  Two tangent ovoids meet only at
+their tangency point, so the pencils at a point are the tangency classes
+among the ovoids through it, and no table of tangency points is needed.
+The structural laws are checked exhaustively.  For every pencil and ovoid,
+the number of the pencil's members tangent to the ovoid is added from the
+packed rows into bit planes, a block of pencils at a time (semipartial and
+maximality laws).  One section point at a time, with T the ovoids through
+the point, A[T][:, T].T @ A[T] counts the common tangents through it of
+every ovoid pair with one member in T (common-tangent law).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from .gf2n import FieldCtx
-from .quadric import QuadricModel
+from .quadric import QuadricModel, incidence_transpose
 
 PAIR_BLOCK = 1 << 20              # ovoid pairs per block of a set-up product
 PENCIL_BLOCK = 1 << 9             # pencils per block of pencil counts
@@ -56,7 +56,7 @@ class OvoidGeometry:
     incidence : (V, q^2+1) int32 array, the ascending pencil ids through
         each ovoid.
     member_matrix : (V, |Q0|) boolean membership matrix.
-    adjacency : boolean tangency matrix (intersection size 1, off-diagonal).
+    tangency : the tangency matrix (meet in one point), rows packed by `pack_rows`.
     through : (|Q0|, q^2(q-1)/2) int32 array, the ascending ovoid ids through
         each point, by dense section index.
     """
@@ -70,7 +70,7 @@ class OvoidGeometry:
         self.pencil_members: np.ndarray
         self.incidence: np.ndarray
         self.member_matrix: np.ndarray
-        self.adjacency: np.ndarray
+        self.tangency: np.ndarray
         self.through: np.ndarray
 
     @property
@@ -79,7 +79,7 @@ class OvoidGeometry:
 
 
 def build_geometry(model: QuadricModel) -> OvoidGeometry:
-    """Assemble ovoids, the tangency matrix and rosettes, asserting the structure laws.
+    """Assemble ovoids, the packed tangency table and rosettes, asserting the structure laws.
 
     There is one ovoid per elation orbit of the affine points: the section
     points perpendicular to the orbit's smaller point x.  As x6 != 0 at x,
@@ -108,10 +108,10 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     geom.ovoid_points = sect[cols]
     geom.ovoid_span = basis[:, :4].astype(np.int16)
 
-    # adjacency is filled one block of ovoid rows at a time.  float32
+    # tangency is packed one block of ovoid rows at a time.  float32
     # products are exact here: every entry is an integer below 2^24.
     mf = member.astype(np.float32)
-    geom.adjacency = np.empty((n_ov, n_ov), dtype=bool)
+    geom.tangency = np.empty((n_ov, -(-n_ov // 64)), dtype="<u8")
     step = max(1, PAIR_BLOCK // n_ov)
     for lo in range(0, n_ov, step):
         inter = mf[lo:lo + step] @ mf.T
@@ -119,7 +119,7 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
         np.fill_diagonal(inter[:, lo:], q + 1)
         if not ((inter == 1) | (inter == q + 1)).all():
             raise AssertionError("some ovoid pair meets in neither a point nor a conic")
-        np.equal(inter, 1, out=geom.adjacency[lo:lo + step])
+        geom.tangency[lo:lo + step] = pack_rows(inter == 1)
         del inter
     del mf
 
@@ -185,7 +185,7 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     pencils = np.empty_like(geom.through)
     # take, not fancy indexing: these are many small gathers
     for T, out in zip(geom.through, pencils):
-        S = geom.adjacency.take(T, axis=0).take(T, axis=1)
+        S = unpack_rows(geom.tangency.take(T, axis=0), geom.n_ovoids).take(T, axis=1)
         S |= diagonal
         order = S.argmax(axis=1).argsort(kind="stable")
         if (S.take(order, axis=0).take(order, axis=1) != classes).any():
@@ -214,12 +214,10 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
 
 def _verify_incidence(geom: OvoidGeometry) -> None:
     q = geom.model.ctx.q
-    members = geom.pencil_members.ravel()
-    if (np.bincount(members, minlength=geom.n_ovoids) != q * q + 1).any():
+    V = geom.n_ovoids
+    if (np.bincount(geom.pencil_members.ravel(), minlength=V) != q * q + 1).any():
         raise AssertionError("some ovoid is not on q^2+1 pencils")
-    # stable radix sort: fewer than 2^16 ovoids at every buildable degree
-    by_ovoid = np.argsort(members.astype(np.uint16), kind="stable") // q
-    geom.incidence = by_ovoid.astype(np.int32).reshape(geom.n_ovoids, q * q + 1)
+    geom.incidence = incidence_transpose(geom.pencil_members, V).reshape(V, q * q + 1)
 
 
 # -- semipartial geometry and common-tangent laws ------------------------------
@@ -229,7 +227,7 @@ def pack_rows(S: np.ndarray) -> np.ndarray:
     """The rows of an array as uint64 words along the last axis, bit set
     where the entry is nonzero, zero padded to a whole word: bit j % 64 of
     word [..., i, j // 64] is S[..., i, j] != 0.  This is the one bit-packed
-    layout of rows in the package, the tangency matrix's included.  Rows
+    layout of rows in the package, the tangency table's included.  Rows
     are padded to whole bytes and packed as one run, which numpy does about
     50 times faster than packing rows of 16 one at a time."""
     n = S.shape[-1]
@@ -242,12 +240,25 @@ def pack_rows(S: np.ndarray) -> np.ndarray:
     return words.view("<u8")
 
 
+def unpack_rows(words: np.ndarray, n: Optional[int] = None) -> np.ndarray:
+    """The first n bits (all when n is None) of rows packed by `pack_rows`, as booleans."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+
+
+def row_bits(words: np.ndarray, rows, cols) -> np.ndarray:
+    """Bit cols of packed row rows (broadcast together), as uint8, nonzero
+    where the bit is set: byte cols >> 3 of the row, masked with bit cols & 7."""
+    b = words.view(np.uint8)
+    return (b.ravel()[rows * b.shape[1] + (cols >> 3)]
+            & np.left_shift(1, cols & 7).astype(np.uint8))
+
+
 def pencil_counts(geom: OvoidGeometry,
                   packed: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Blocks of PENCIL_BLOCK pencils, in pencil order: the members of each
     pencil (one row of q sorted ovoid ids), and the bit planes of C, where
     C[j, v] is the number of members of pencil j tangent to ovoid v under
-    the tangency matrix A, given as its rows ``packed = pack_rows(A)``.
+    the tangency matrix whose rows `pack_rows` packed into ``packed``.
     Plane i holds bit i of every count in the bytes of those rows (bit v & 7
     of byte v >> 3); the members' packed rows are added into the planes by
     a ripple-carry adder.  A count is at most q = 2^n, so there are n + 1
@@ -283,7 +294,7 @@ def verify_semipartial(geom: OvoidGeometry) -> dict:
     if geom.incidence.shape != (geom.n_ovoids, q * q + 1):
         return {"pass": False, "reason": "point degree"}
     checked = lo = 0
-    for members, planes in pencil_counts(geom, pack_rows(geom.adjacency)):
+    for members, planes in pencil_counts(geom, geom.tangency):
         rows = np.arange(len(members))
         byte, bit = members >> 3, np.left_shift(1, members & 7).astype(np.uint8)
         on = np.zeros_like(planes[0])
@@ -297,7 +308,7 @@ def verify_semipartial(geom: OvoidGeometry) -> dict:
         hit = np.flatnonzero(bad.any(axis=1))
         if len(hit):
             j = int(hit[0])
-            v = int(np.unpackbits(bad[j], bitorder="little").argmax())
+            v = int(unpack_rows(bad[j]).argmax())
             reason = "member degree" if v in members[j] else "alpha condition"
             return {"pass": False, "reason": reason, "rosette": lo + j, "ovoid": v}
         checked += len(members) * (geom.n_ovoids - q)
@@ -314,14 +325,13 @@ def verify_common_tangent_counts(geom: OvoidGeometry) -> dict:
     At each point x, with T the ovoids through x, N = A[T][:, T].T @ A[T]
     counts for every a in T and every ovoid b the ovoids through x tangent
     to both (neither a nor b, as no ovoid is tangent to itself)."""
-    A = geom.adjacency
     sect = geom.model.section_points
     checked = 0
     for k, T in enumerate(geom.through):
-        AT = A[T]
+        AT = unpack_rows(geom.tangency[T], geom.n_ovoids)
         Af = AT.astype(np.float32)
         N = Af[:, T].T @ Af
-        want = np.where(AT, 1, 2).astype(np.int8)
+        want = np.subtract(2, AT, dtype=np.int8)       # 1 where tangent, else 2
         # b through x: only conic pairs have a law, and it is 0
         want[:, T] = np.where(AT[:, T] | np.eye(len(T), dtype=bool), -1, 0)
         law = want >= 0

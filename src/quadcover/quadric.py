@@ -208,7 +208,8 @@ def _build_lines(model: QuadricModel) -> None:
     piv(k) < piv(x) and k[piv(x)] = 0.  The laws checked: there are
     (q^3+1)(q^2+1) lines, every point of a line is on the quadric and
     perpendicular to the others, the common perp of x and k is the line,
-    and each point's perp is the union of its q^2+1 lines.
+    each point's perp is the union of its q^2+1 lines, and the sorted
+    (line, point) keys of `lines_through` are those of `lines`.
     """
     ctx = model.ctx
     q = ctx.q
@@ -258,9 +259,19 @@ def _build_lines(model: QuadricModel) -> None:
         raise AssertionError("some point is not on q^2+1 lines that cover its perp")
 
     model.lines = ln
-    # stable radix sort: nq < 2^16 at every buildable degree
-    by_point = np.argsort(ln.ravel().astype(np.uint16), kind="stable") // (q + 1)
-    model.lines_through = by_point.astype(np.int32).reshape(nq, q * q + 1)
+    model.lines_through = through = incidence_transpose(ln, nq).reshape(nq, q * q + 1)
+    key = np.min_scalar_type(len(ln) * nq)      # (line, point) keys, sized from the count
+    have = through.astype(key) * nq + pts.astype(key)[:, None]
+    want = np.arange(len(ln), dtype=key)[:, None] * nq + ln.astype(key)
+    if not np.array_equal(np.sort(have, axis=None), np.sort(want, axis=None)):
+        raise AssertionError("lines_through is not the transpose of lines")
+
+
+def incidence_transpose(table: np.ndarray, n: int) -> np.ndarray:
+    """The rows of a 2-D table of ids below n that hold each id, id after id,
+    ascending: a stable sort of keys sized from n, as one flat int32 array."""
+    keys = table.ravel().astype(np.min_scalar_type(n))
+    return (np.argsort(keys, kind="stable") // table.shape[1]).astype(np.int32)
 
 
 def _find_nucleus(model: QuadricModel) -> None:

@@ -12,7 +12,7 @@ Checks, counterexamples and the report are those of the shipped kernel.
 
 `flat_bits` and `flat_completion_rows` are the gathers that the census
 made from the flat boolean adjacency, at row * V + col, before it read the
-bit-packed rows through `adjacency_bits` and `completion_rows`.
+bit-packed rows through `ovoid.row_bits` and `completion_rows`.
 
 `pair_srg_values` reads the common-neighbour counts of `verify_srg` pair
 by pair from a float64 product ``A @ A``.
@@ -44,6 +44,7 @@ from quadcover.cliquecensus import (
     rosette_maximality,
 )
 from quadcover.ovoid import OvoidGeometry, pack_rows
+from tangency_oracle import tangency_matrix
 
 
 class SplitMix64:
@@ -69,9 +70,9 @@ class SplitMix64:
 
 
 def flat_bits(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """A[rows[e, i], cols[e, j]] for every e, i and j, read from the flat
+    """A[rows, cols], rows and cols broadcast together, read from the flat
     boolean adjacency at row * V + col."""
-    return A.ravel()[(rows * len(A))[:, :, None] + cols[:, None, :]]
+    return A.ravel()[rows * len(A) + cols]
 
 
 def flat_completion_rows(A: np.ndarray, Wi: np.ndarray) -> np.ndarray:
@@ -83,7 +84,7 @@ def flat_completion_rows(A: np.ndarray, Wi: np.ndarray) -> np.ndarray:
     P = np.empty((B, n), dtype=np.uint64)
     for k in range(0, B, step):
         W = Wi[k:k + step]
-        P[k:k + step] = pack_rows(flat_bits(A, W, W))[..., 0]
+        P[k:k + step] = pack_rows(flat_bits(A, W[:, :, None], W[:, None, :]))[..., 0]
     return P
 
 
@@ -284,7 +285,7 @@ def classify_clique(gx: OvoidGeometry, vertices: Sequence[int]) -> CliqueRecord:
     vs = tuple(sorted(int(v) for v in vertices))
     if len(vs) < 2 or len(set(vs)) != len(vs):
         raise ValueError("need at least two distinct vertices")
-    A = gx.adjacency
+    A = tangency_matrix(gx)
     for i, u in enumerate(vs):
         for v in vs[i + 1:]:
             if not A[u, v]:

@@ -11,6 +11,7 @@ from quadcover.quadric import build_model
 from quadcover.ovoid import build_geometry
 from quadcover.covering import canonical_covering
 from quadcover.cliquecensus import build_tangency_graph, census
+from tangency_oracle import tangency_matrix
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +72,22 @@ def tg_q4(geom_q4):
 @pytest.fixture(scope="session")
 def tg_q8(geom_q8):
     return build_tangency_graph(geom_q8)
+
+
+# the tangency as a boolean matrix, for the oracles and the corruptions
+@pytest.fixture(scope="session")
+def adj_q2(geom_q2):
+    return tangency_matrix(geom_q2)
+
+
+@pytest.fixture(scope="session")
+def adj_q4(geom_q4):
+    return tangency_matrix(geom_q4)
+
+
+@pytest.fixture(scope="session")
+def adj_q8(geom_q8):
+    return tangency_matrix(geom_q8)
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from typing import List, Sequence
 import numpy as np
 
 from quadric_oracle import alpha_table
+from tangency_oracle import tangency_matrix
 from quadcover.covering import CoveringMap
 from quadcover.ovoid import OvoidGeometry
 from quadcover.quadric import QuadricModel
@@ -170,10 +171,11 @@ def lift_path(cov: CoveringMap, path: Sequence[int], start: int) -> List[int]:
     geom, gram = cov.geom, alpha_table(cov.model)
     if int(cov.point_image[start]) != path[0]:
         raise ValueError("start point is not in the fiber of the first vertex")
+    A = tangency_matrix(geom)
     out = [start]
     cur = start
     for prev_ov, next_ov in zip(path, path[1:]):
-        if not geom.adjacency[prev_ov, next_ov]:
+        if not A[prev_ov, next_ov]:
             raise ValueError("consecutive path vertices are not tangent")
         cands = [int(b) for b in cov.point_fiber[next_ov] if gram[cur, b] == 0]
         if len(cands) != 1:
@@ -185,8 +187,8 @@ def lift_path(cov: CoveringMap, path: Sequence[int], start: int) -> List[int]:
 
 def quotient_graph_diameter(geom: OvoidGeometry) -> int:
     """Diameter of the tangency graph on ovoids (complete at q=2, else 2)."""
-    A = geom.adjacency.astype(np.float32)
-    reach = geom.adjacency.copy()
+    reach = tangency_matrix(geom)
+    A = reach.astype(np.float32)
     np.fill_diagonal(reach, True)
     if reach.all():
         return 1

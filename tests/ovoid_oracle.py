@@ -14,12 +14,13 @@ the ovoids' point sets alone, the table of tangency points that the set-up
 no longer keeps.
 """
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from projgeom_oracle import Subspace, subspace_contains, subspace_intersection, subspace_points
 from quadric_oracle import alpha_table
+from tangency_oracle import tangency_matrix
 from quadcover.ovoid import OvoidGeometry
 
 
@@ -60,7 +61,7 @@ def point_semipartial(geom: OvoidGeometry) -> dict:
     if geom.incidence.shape != (geom.n_ovoids, q * q + 1):
         return {"pass": False, "reason": "point degree"}
     checked = 0
-    for k, (members, C) in enumerate(point_pencil_counts(geom, geom.adjacency)):
+    for k, (members, C) in enumerate(point_pencil_counts(geom, tangency_matrix(geom))):
         rows = np.arange(len(members))[:, None]
         bad = (C != 0) & (C != 2)
         bad[rows, members] = C[rows, members] != q - 1
@@ -81,9 +82,10 @@ def loop_semipartial(geom: OvoidGeometry) -> dict:
         return {"pass": False, "reason": "line size"}
     if any(len(t) != q * q + 1 for t in geom.incidence):
         return {"pass": False, "reason": "point degree"}
+    A = tangency_matrix(geom)
     checked = 0
     for rid, members in enumerate(geom.pencil_members):
-        counts = geom.adjacency[members].sum(axis=0)
+        counts = A[members].sum(axis=0)
         counts[members] = 0
         if not np.isin(counts[np.setdiff1d(np.arange(geom.n_ovoids), members)], (0, 2)).all():
             return {"pass": False, "reason": "alpha condition", "rosette": rid}
@@ -102,15 +104,18 @@ def loop_rosette_maximality(A: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]
     return n_max, len(gx.pencil_members)
 
 
-def common_tangents_through(geom: OvoidGeometry, a: int, b: int, x: int) -> List[int]:
-    """Ovoid ids through section point x tangent to both ovoids a and b."""
+def common_tangents_through(geom: OvoidGeometry, a: int, b: int, x: int,
+                            A: Optional[np.ndarray] = None) -> List[int]:
+    """Ovoid ids through section point x tangent to both ovoids a and b,
+    read from A, the geometry's tangency matrix when not given."""
+    A = tangency_matrix(geom) if A is None else A
     k = geom.model.section_index[x]
     out = []
     for oid in geom.through[k]:
         oid = int(oid)
         if oid in (a, b):
             continue
-        if geom.adjacency[oid, a] and geom.adjacency[oid, b]:
+        if A[oid, a] and A[oid, b]:
             out.append(oid)
     return out
 
@@ -121,22 +126,23 @@ def loop_common_tangent_counts(geom: OvoidGeometry) -> dict:
     point and none through a common one.  Checks each unordered pair a < b
     at the points of a only."""
     n = geom.n_ovoids
+    A = tangency_matrix(geom)
     checked = 0
     for a in range(n):
         pa = set(geom.ovoid_points[a].tolist())
         for b in range(a + 1, n):
             pb = set(geom.ovoid_points[b].tolist())
-            tangent = bool(geom.adjacency[a, b])
+            tangent = bool(A[a, b])
             for x in sorted(pa - pb):
                 want = 1 if tangent else 2
-                got = len(common_tangents_through(geom, a, b, x))
+                got = len(common_tangents_through(geom, a, b, x, A))
                 if got != want:
                     return {"pass": False, "pair": (a, b), "point": x,
                             "expected": want, "got": got}
                 checked += 1
             if not tangent:
                 for x in sorted(pa & pb):
-                    got = len(common_tangents_through(geom, a, b, x))
+                    got = len(common_tangents_through(geom, a, b, x, A))
                     if got != 0:
                         return {"pass": False, "pair": (a, b), "point": x,
                                 "expected": 0, "got": got}
@@ -186,12 +192,13 @@ def rosette_from_pair(geom: OvoidGeometry, a: int, b: int) -> int:
         raise ValueError("pencil recovery requires a tangent pair")
     p = common[0]
     k = int(geom.model.section_index[p])
+    A = tangency_matrix(geom)
     members = []
     for oid in geom.through[k].tolist():
         if oid in (a, b):
             members.append(oid)
             continue
-        if geom.adjacency[oid, a] and geom.adjacency[oid, b]:
+        if A[oid, a] and A[oid, b]:
             members.append(oid)
     q = geom.model.ctx.q
     if len(members) != q:

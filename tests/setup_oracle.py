@@ -23,7 +23,8 @@ import numpy as np
 
 from projgeom_oracle import span
 from quadric_oracle import alpha_table
-from quadcover.ovoid import OvoidGeometry
+from quadcover.ovoid import OvoidGeometry, pack_rows
+from tangency_oracle import tangency_matrix
 from quadcover.quadric import QuadricModel, second_intersection
 
 
@@ -152,7 +153,7 @@ def loop_build_geometry(model: QuadricModel) -> OvoidGeometry:
     off = inter[~np.eye(n_ov, dtype=bool)]
     if not np.isin(off, (1, q + 1)).all():
         raise AssertionError("some ovoid pair meets in neither a point nor a conic")
-    geom.adjacency = inter == 1
+    geom.tangency = pack_rows(inter == 1)
 
     through = [np.nonzero(member[:, k])[0] for k in range(n_q0)]
     per_point = q * q * (q - 1) // 2
@@ -174,7 +175,7 @@ def loop_tangency_point(geom: OvoidGeometry) -> np.ndarray:
     mf = geom.member_matrix.astype(np.float32)
     weighted = mf * np.arange(len(sect), dtype=np.float32)
     tp_dense = (mf @ weighted.T).astype(np.int32)
-    return np.where(geom.adjacency, sect[np.clip(tp_dense, 0, len(sect) - 1)],
+    return np.where(tangency_matrix(geom), sect[np.clip(tp_dense, 0, len(sect) - 1)],
                     -1).astype(np.int16)
 
 
@@ -192,11 +193,12 @@ def loop_build_rosettes(geom: OvoidGeometry) -> None:
     model = geom.model
     q = model.ctx.q
     sect = np.array(model.section_points)
+    A = tangency_matrix(geom)
     bases: List[int] = []
     members: List[Tuple[int, ...]] = []
     for k, p in enumerate(model.section_points):
         cands = geom.through[k]
-        S = geom.adjacency[np.ix_(cands, cands)]
+        S = A[np.ix_(cands, cands)]
         np.fill_diagonal(S, True)
         Sf = S.astype(np.float32)
         if not np.array_equal(Sf @ Sf, q * Sf):

@@ -22,6 +22,7 @@ from census_oracle import (
     pair_srg_values,
 )
 from ovoid_oracle import loop_rosette_maximality, tangency_points
+from tangency_oracle import tangency_matrix
 from quadcover import cliquecensus, ovoid
 from quadcover.cliquecensus import (
     census,
@@ -35,6 +36,7 @@ from quadcover.cliquecensus import (
     formula_srg_params,
     lowest_set_bits,
     pack_rows,
+    row_bits,
     rosette_maximality,
     sampled_edge_keys,
     splitmix_below,
@@ -57,8 +59,8 @@ def test_formula_values():
 def test_tangency_graph_shape(request, name, q):
     g = request.getfixturevalue(name)
     v, k, _, _ = formula_srg_params(q)
-    assert len(g) == v
-    assert g.sum() // 2 == v * k // 2
+    assert g.shape == (v, -(-v // 64)) and g.dtype == np.uint64
+    assert np.bitwise_count(g).sum() // 2 == v * k // 2
 
 
 @pytest.mark.parametrize("name,q", [("tg_q4", 4), ("tg_q8", 8)])
@@ -69,6 +71,11 @@ def test_strong_regularity_exhaustive(request, name, q):
     assert (rep["v"], rep["k"], rep["lambda"], rep["mu"]) == (v, k, lam, mu)
     assert rep["feasibility_ok"]
     assert not rep["mu_vacuous"]
+
+
+def _boolean(request, tname):
+    """The boolean matrix of the tangency graph fixture tname (tg_q*)."""
+    return request.getfixturevalue(tname.replace("tg_", "adj_"))
 
 
 def _cycle(n):
@@ -110,11 +117,11 @@ SRG_CASES = [
 @pytest.mark.parametrize("block", [cliquecensus.SRG_BLOCK, 900])
 @pytest.mark.parametrize("make,passes", [c[1:] for c in SRG_CASES],
                          ids=[c[0] for c in SRG_CASES])
-def test_srg_verdict_matches_the_pair_oracle(monkeypatch, tg_q4, make, passes, block):
+def test_srg_verdict_matches_the_pair_oracle(monkeypatch, adj_q4, make, passes, block):
     # block 900 splits the 120 rows at q = 4 into blocks of 7, the last ragged
     monkeypatch.setattr(cliquecensus, "SRG_BLOCK", block)
-    A = make(tg_q4)
-    rep = verify_srg(A)
+    A = make(adj_q4)
+    rep = verify_srg(pack_rows(A))
     want = pair_srg_values(A)
     assert {key: rep[key] for key in want} == want
     assert rep["pass"] == passes
@@ -130,13 +137,13 @@ def test_srg_degenerates_to_complete_graph_at_q2(tg_q2):
 @pytest.mark.parametrize("cname", ["census_q2", "census_q4"])
 def test_triangle_total_matches_matrix_trace(request, cname):
     rep = request.getfixturevalue(cname)
-    g = request.getfixturevalue({"census_q2": "tg_q2", "census_q4": "tg_q4"}[cname])
+    g = request.getfixturevalue({"census_q2": "adj_q2", "census_q4": "adj_q4"}[cname])
     af = g.astype(np.float64)
     assert int(np.trace(af @ af @ af)) == 6 * (rep.linear_triangles + rep.n3)
 
 
-def test_triangle_classification_matches_brute_force(geom_q4, census_q4):
-    A, tp = geom_q4.adjacency, tangency_points(geom_q4)
+def test_triangle_classification_matches_brute_force(geom_q4, adj_q4, census_q4):
+    A, tp = adj_q4, tangency_points(geom_q4)
     lin = nl = 0
     for a in range(geom_q4.n_ovoids):
         for b in np.nonzero(A[a])[0]:
@@ -175,7 +182,7 @@ def _count_k4_bitmask(adj):
 @pytest.mark.parametrize("cname,gname", [("census_q2", "tg_q2"), ("census_q4", "tg_q4")])
 def test_four_clique_totals_match_bitmask_brute_force(request, cname, gname):
     rep = request.getfixturevalue(cname)
-    g = request.getfixturevalue(gname)
+    g = _boolean(request, gname)
     q = rep.q
     n_linear_k4 = len(request.getfixturevalue(
         {"census_q2": "geom_q2", "census_q4": "geom_q4"}[cname]).pencil_base) \
@@ -233,7 +240,7 @@ def test_collected_triangles_and_four_cliques(geom_q4, census_q4):
         assert rec.kind == "nonlinear" and rec.maximal
 
 
-def test_classify_clique_linear_and_errors(geom_q4):
+def test_classify_clique_linear_and_errors(geom_q4, adj_q4):
     rec = classify_clique(geom_q4, geom_q4.pencil_members[0])
     assert rec.kind == "linear"
     assert rec.base == geom_q4.pencil_base[0]
@@ -242,7 +249,7 @@ def test_classify_clique_linear_and_errors(geom_q4):
         classify_clique(geom_q4, [0])
     non_adj = next((a, b) for a in range(geom_q4.n_ovoids)
                    for b in range(a + 1, geom_q4.n_ovoids)
-                   if not geom_q4.adjacency[a, b])
+                   if not adj_q4[a, b])
     with pytest.raises(ValueError):
         classify_clique(geom_q4, non_adj)
 
@@ -273,16 +280,17 @@ def _assert_same_census(rep, ref):
 @pytest.mark.parametrize("cname,gname,tname", [("census_q2", "geom_q2", "tg_q2"),
                                                ("census_q4", "geom_q4", "tg_q4")])
 def test_full_census_matches_boolean_oracle(request, cname, gname, tname):
-    ref = boolean_census(request.getfixturevalue(tname),
+    ref = boolean_census(_boolean(request, tname),
                          request.getfixturevalue(gname), collect=True)
     _assert_same_census(request.getfixturevalue(cname), ref)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_sampled_q8_census_matches_boolean_oracle(tg_q8, geom_q8, census_q8_sampled, seed):
+def test_sampled_q8_census_matches_boolean_oracle(tg_q8, adj_q8, geom_q8, census_q8_sampled,
+                                                  seed):
     kw = dict(mode="sampled", seed=seed, n_samples=4000, collect=True)
     rep = census_q8_sampled if seed == 1 else census(tg_q8, geom_q8, **kw)
-    _assert_same_census(rep, boolean_census(tg_q8, geom_q8, **kw))
+    _assert_same_census(rep, boolean_census(adj_q8, geom_q8, **kw))
 
 
 @pytest.mark.parametrize("tname,gname,edges", [("tg_q2", "geom_q2", 4),
@@ -293,16 +301,16 @@ def test_full_census_in_ragged_s_blocks_matches_boolean_oracle(monkeypatch, requ
     # batches of 512 = 170 * 3 + 2 edges at q = 4, the last of them 500 long
     A, geom = request.getfixturevalue(tname), request.getfixturevalue(gname)
     q = geom.model.ctx.q
-    ref = boolean_census(A, geom, collect=True)
+    ref = boolean_census(tangency_matrix(geom), geom, collect=True)
     monkeypatch.setattr(cliquecensus, "S_BLOCK", edges * q ** 4)
     _assert_same_census(census(A, geom, collect=True), ref)
 
 
 def test_sampled_q8_census_in_ragged_s_blocks_matches_boolean_oracle(monkeypatch, tg_q8,
-                                                                     geom_q8):
+                                                                     adj_q8, geom_q8):
     # 100 edges a step: batches of 128 = 100 + 28 edges, the last of them 88
     kw = dict(mode="sampled", seed=5, n_samples=600, collect=True)
-    ref = boolean_census(tg_q8, geom_q8, **kw)
+    ref = boolean_census(adj_q8, geom_q8, **kw)
     monkeypatch.setattr(cliquecensus, "S_BLOCK", 100 * 64 * 64)
     _assert_same_census(census(tg_q8, geom_q8, **kw), ref)
 
@@ -411,10 +419,10 @@ def _irregular(A, geom):
 @pytest.mark.parametrize("tname", ["tg_q2", "tg_q4", "tg_q8", "irregular_q4"])
 def test_edge_list_matches_nonzero_triu(request, tname):
     if tname == "irregular_q4":
-        A = _irregular(request.getfixturevalue("tg_q4"), request.getfixturevalue("geom_q4"))
+        A = _irregular(request.getfixturevalue("adj_q4"), request.getfixturevalue("geom_q4"))
     else:
-        A = request.getfixturevalue(tname)
-    got, want = edge_list(A), np.nonzero(np.triu(A, 1))
+        A = _boolean(request, tname)
+    got, want = edge_list(pack_rows(A)), np.nonzero(np.triu(A, 1))
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
@@ -427,11 +435,11 @@ def test_edge_keys_in_row_blocks_match_flatnonzero_triu(monkeypatch, request, tn
     # row long) and one at q = 8; and 300 rows a step at q = 8 (the last
     # step 216 rows long)
     if tname == "irregular_q4":
-        A = _irregular(request.getfixturevalue("tg_q4"), request.getfixturevalue("geom_q4"))
+        A = _irregular(request.getfixturevalue("adj_q4"), request.getfixturevalue("geom_q4"))
     else:
-        A = request.getfixturevalue(tname)
+        A = _boolean(request, tname)
     monkeypatch.setattr(cliquecensus, "KEY_BLOCK", block)
-    got, want = edge_keys(A), np.flatnonzero(np.triu(A, 1))
+    got, want = edge_keys(pack_rows(A)), np.flatnonzero(np.triu(A, 1))
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 
@@ -496,32 +504,32 @@ def test_splitmix_refuses_a_negative_count(n, count):
 
 
 def test_rosette_maximality(tg_q2, geom_q2, tg_q4, geom_q4, tg_q8, geom_q8):
-    assert rosette_maximality(pack_rows(tg_q2), geom_q2) == (0, 15)
-    assert rosette_maximality(pack_rows(tg_q4), geom_q4) == (510, 510)
-    assert rosette_maximality(pack_rows(tg_q8), geom_q8) == (16380, 16380)
+    assert rosette_maximality(tg_q2, geom_q2) == (0, 15)
+    assert rosette_maximality(tg_q4, geom_q4) == (510, 510)
+    assert rosette_maximality(tg_q8, geom_q8) == (16380, 16380)
 
 
-def test_rosette_maximality_matches_pencil_loop(monkeypatch, tg_q2, geom_q2, tg_q4, geom_q4):
+def test_rosette_maximality_matches_pencil_loop(monkeypatch, adj_q2, geom_q2, adj_q4, geom_q4):
     # and on a q = 4 graph where an ovoid tangent to two members of pencil 0
     # is made tangent to all q: pencil 0 is no longer maximal, others are
     members = geom_q4.pencil_members[0]
-    bent = tg_q4.copy()
+    bent = adj_q4.copy()
     v = int(np.flatnonzero(bent[:, members].sum(axis=1) == 2)[0])
     bent[v, members] = bent[members, v] = True
     n_max, n_pencils = loop_rosette_maximality(bent, geom_q4)
     assert 0 < n_max < n_pencils
     for block in (ovoid.PENCIL_BLOCK, 7):    # 7: ragged blocks
         monkeypatch.setattr(ovoid, "PENCIL_BLOCK", block)
-        for A, gx in ((tg_q2, geom_q2), (tg_q4, geom_q4), (bent, geom_q4)):
+        for A, gx in ((adj_q2, geom_q2), (adj_q4, geom_q4), (bent, geom_q4)):
             assert rosette_maximality(pack_rows(A), gx) == loop_rosette_maximality(A, gx)
 
 
-def test_census_raises_on_a_cleared_tangent_pair(tg_q4, geom_q4):
-    A = tg_q4.copy()
+def test_census_raises_on_a_cleared_tangent_pair(adj_q4, geom_q4):
+    A = adj_q4.copy()
     a, b = geom_q4.pencil_members[0, :2]
     A[[a, b], [b, a]] = False
     with pytest.raises(AssertionError, match="common neighbour count differs from lambda"):
-        census(A, geom_q4)
+        census(pack_rows(A), geom_q4)
 
 
 def _edge(A, geom, e):
@@ -545,19 +553,19 @@ def _census_of_seed_edge(A, geom, edge):
     boolean kernel."""
     assert _edge(A, geom, _seed_edge(A))[:2] == edge
     kw = dict(mode="sampled", seed=1288, n_samples=1)
-    rep = census(A, geom, **kw)
+    rep = census(pack_rows(A), geom, **kw)
     assert rep.to_dict() == boolean_census(A, geom, **kw).to_dict()
     assert not rep.ok
     return rep
 
 
-def test_census_reports_a_mixed_four_clique(tg_q4, geom_q4):
+def test_census_reports_a_mixed_four_clique(adj_q4, geom_q4):
     # join a pencil completion r of the first edge (a, b) to a non-linear
     # completion w of it: {a, b, r, w} becomes a clique that is neither.
     # The new edge makes seed 1288 draw edge 0.
-    a, b, R, W = _edge(tg_q4, geom_q4, 0)
+    a, b, R, W = _edge(adj_q4, geom_q4, 0)
     r, w = int(R[0]), int(W[0])
-    A = tg_q4.copy()
+    A = adj_q4.copy()
     A[[r, w], [w, r]] = True
     rep = _census_of_seed_edge(A, geom_q4, (a, b))
     assert rep.counterexample == {"kind": "mixed_4_clique", "vertices": [a, b, r, w]}
@@ -574,7 +582,7 @@ def _mixed_in_several_batches(A, geom):
     and edge 0's clique."""
     first = _edge(A, geom, 0)
     quad0 = [first[0], first[1], int(first[2][0]), int(first[3][0])]
-    for e in range(len(edge_list(A)[0]) - 1, 0, -1):
+    for e in range(int(np.triu(A, 1).sum()) - 1, 0, -1):
         a, b, R, W = _edge(A, geom, e)
         quad = [a, b, int(R[0]), int(W[0])]
         if not set(quad) & set(quad0):
@@ -583,7 +591,7 @@ def _mixed_in_several_batches(A, geom):
     A = A.copy()
     for r, w in joined:
         A[[r, w], [w, r]] = True
-    iu, ju = edge_list(A)
+    iu, ju = np.nonzero(np.triu(A, 1))
     ends = np.array(joined).ravel()
     edges, mixed = [], []
     for e in np.flatnonzero(~np.isin(iu, ends) & ~np.isin(ju, ends)).tolist():
@@ -597,8 +605,8 @@ def _mixed_in_several_batches(A, geom):
 
 
 @pytest.fixture(scope="module")
-def mixed_q4(tg_q4, geom_q4):
-    return _mixed_in_several_batches(tg_q4, geom_q4)
+def mixed_q4(adj_q4, geom_q4):
+    return _mixed_in_several_batches(adj_q4, geom_q4)
 
 
 def test_census_keeps_the_first_mixed_four_clique(monkeypatch, mixed_q4, geom_q4):
@@ -625,7 +633,7 @@ def test_census_keeps_the_first_mixed_four_clique(monkeypatch, mixed_q4, geom_q4
         # BATCH counts completions, q^2 = 16 an edge
         monkeypatch.setattr(cliquecensus, "BATCH", 16 * batch)
         monkeypatch.setattr(census_oracle, "BATCH", 16 * batch)
-        rep = census(A, geom_q4, **kw)
+        rep = census(pack_rows(A), geom_q4, **kw)
         assert rep.to_dict() == boolean_census(A, geom_q4, **kw).to_dict()
         reports.append(rep.to_dict())
     assert reports[0] == reports[1]
@@ -699,11 +707,11 @@ def _census_first_batch_last(monkeypatch, workers, first_edge, found, *args, **k
     later = threading.Event()
     kernel = cliquecensus._census_batch
 
-    def first_batch_last(A, Apk, member, q, n_odd, a, b, collect):
+    def first_batch_last(T, member, q, n_odd, a, b, collect):
         first = (a[0], b[0]) == tuple(first_edge)
         if first:
             assert later.wait(timeout=60)
-        part = kernel(A, Apk, member, q, n_odd, a, b, collect)
+        part = kernel(T, member, q, n_odd, a, b, collect)
         if found(part) and not first:
             later.set()
         return part
@@ -722,6 +730,7 @@ def test_first_mixed_clique_wins_whichever_thread_finds_one_first(monkeypatch, m
     # batches of 97 edges; the batch of edge 0 waits until a later batch has
     # found its own mixed clique, and edge 0's clique is still reported
     A, edges, _, quad0 = mixed_q4
+    A = pack_rows(A)
     monkeypatch.setattr(cliquecensus, "splitmix_below",
                         lambda seed, n, count: edges[:count])
     monkeypatch.setattr(cliquecensus, "BATCH", 16 * 97)
@@ -747,11 +756,11 @@ def _rejoined_completion(A, geom):
     return A, (a, b, W, i, j)
 
 
-def test_census_reports_a_triangle_extension(tg_q4, geom_q4):
+def test_census_reports_a_triangle_extension(adj_q4, geom_q4):
     # the adjacent-pair total stays the same, but {a, b, W[i]} now has q
     # four-cliques over it and {a, b, W[j]} has q + 2
     q = 4
-    A, (a, b, W, i, j) = _rejoined_completion(tg_q4, geom_q4)
+    A, (a, b, W, i, j) = _rejoined_completion(adj_q4, geom_q4)
     rep = _census_of_seed_edge(A, geom_q4, (a, b))
     first = min(i, j)
     assert rep.counterexample == {"kind": "triangle_extension",
@@ -761,13 +770,13 @@ def test_census_reports_a_triangle_extension(tg_q4, geom_q4):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_first_other_counterexample_wins_whichever_thread_finds_one_first(
-        monkeypatch, tg_q4, geom_q4, workers):
+        monkeypatch, adj_q4, geom_q4, workers):
     # every edge away from W[0], W[i] and W[j] that has all three as common
     # neighbours reports a triangle extension of its own.  One edge a
     # batch; the first batch waits until a later one has found its own.
-    A, (_, _, W, i, j) = _rejoined_completion(tg_q4, geom_q4)
+    A, (_, _, W, i, j) = _rejoined_completion(adj_q4, geom_q4)
     three = [W[0], W[i], W[j]]
-    iu, ju = edge_list(A)
+    iu, ju = np.nonzero(np.triu(A, 1))
     edges = np.flatnonzero((A[iu][:, three] & A[ju][:, three]).all(axis=1)
                            & ~np.isin(iu, three) & ~np.isin(ju, three))
     assert len(edges) > 2
@@ -775,12 +784,13 @@ def test_first_other_counterexample_wins_whichever_thread_finds_one_first(
                         lambda seed, n, count: edges[:count])
     monkeypatch.setattr(cliquecensus, "BATCH", 16)
     kw = dict(mode="sampled", seed=0, n_samples=len(edges))
-    ref = _census_per_worker_count(monkeypatch, A, geom_q4, **kw)[0]
+    T = pack_rows(A)
+    ref = _census_per_worker_count(monkeypatch, T, geom_q4, **kw)[0]
     first = [int(iu[edges[0]]), int(ju[edges[0]])]
     assert ref.counterexample["kind"] == "triangle_extension"
     assert ref.counterexample["triangle"][:2] == first
     rep = _census_first_batch_last(monkeypatch, workers, first,
-                                   lambda part: part.other is not None, A, geom_q4, **kw)
+                                   lambda part: part.other is not None, T, geom_q4, **kw)
     assert rep.to_dict() == ref.to_dict()
 
 
@@ -807,10 +817,10 @@ def _switched_completion_pairs(A, geom):
     return A, (a, b, W, T)
 
 
-def test_census_reports_a_four_clique_five_extension(tg_q4, geom_q4):
+def test_census_reports_a_four_clique_five_extension(adj_q4, geom_q4):
     # every completion keeps q + 1 tangent ones, but some 4-clique through
     # the edge gains a 5-extension (even degree allows none)
-    A, (a, b, W, T) = _switched_completion_pairs(tg_q4, geom_q4)
+    A, (a, b, W, T) = _switched_completion_pairs(adj_q4, geom_q4)
     rep = _census_of_seed_edge(A, geom_q4, (a, b))
     # the first adjacent pair w < z, in row-major order, with a common neighbour
     w, z = next((w, z) for w, z in np.argwhere(np.triu(T)).tolist()
@@ -825,18 +835,18 @@ def _assert_seed_edge_raises(A, geom, edge, message):
     boolean kernel does."""
     assert _edge(A, geom, _seed_edge(A))[:2] == edge
     kw = dict(mode="sampled", seed=1288, n_samples=1)
-    for kernel in (census, boolean_census):
+    for kernel, table in ((census, pack_rows(A)), (boolean_census, A)):
         with pytest.raises(AssertionError) as err:
-            kernel(A, geom, **kw)
+            kernel(table, geom, **kw)
         assert str(err.value) == message
 
 
-def test_census_raises_on_an_extra_pencil_completion(tg_q4, geom_q4):
+def test_census_raises_on_an_extra_pencil_completion(adj_q4, geom_q4):
     # a non-linear completion w of the sampled edge (a, b) moved from its
     # tangency points with a and b to their common point p, in the
     # membership matrix that the census reads and in the point sets that
     # the boolean kernel reads: q - 1 pencil completions
-    a, b, _, W = _edge(tg_q4, geom_q4, _seed_edge(tg_q4))
+    a, b, _, W = _edge(adj_q4, geom_q4, _seed_edge(adj_q4))
     w = int(W[0])
     tp = tangency_points(geom_q4)
     sect_index = geom_q4.model.section_index
@@ -847,7 +857,7 @@ def test_census_raises_on_an_extra_pencil_completion(tg_q4, geom_q4):
     row[np.isin(row, [tp[a, w], tp[b, w]])] = tp[a, b]
     geom.member_matrix[w] = False
     geom.member_matrix[w, sect_index[row]] = True
-    _assert_seed_edge_raises(tg_q4, geom, (a, b),
+    _assert_seed_edge_raises(adj_q4, geom, (a, b),
                              "pencil completion count differs from q-2")
 
 
@@ -870,8 +880,8 @@ def _missing_completion_pair(A, geom):
     return A, (a, b)
 
 
-def test_census_raises_on_a_missing_completion_pair(tg_q4, geom_q4):
-    A, edge = _missing_completion_pair(tg_q4, geom_q4)
+def test_census_raises_on_a_missing_completion_pair(adj_q4, geom_q4):
+    A, edge = _missing_completion_pair(adj_q4, geom_q4)
     _assert_seed_edge_raises(A, geom_q4, edge,
                              "adjacent-pair count among completions not uniform")
 
@@ -882,7 +892,7 @@ def _gather_case(request, case):
     of its seed).  The corrupted graphs are those of the counterexample
     tests; their census draws the seed edge, whose completions the
     corruption edits, seven times over."""
-    tg, geom = request.getfixturevalue("tg_q4"), request.getfixturevalue("geom_q4")
+    tg, geom = request.getfixturevalue("adj_q4"), request.getfixturevalue("geom_q4")
     if case == "q4_mixed":
         A, edges = request.getfixturevalue("mixed_q4")[:2]
         return A, geom, dict(mode="sampled", seed=0, n_samples=len(edges)), edges
@@ -893,7 +903,7 @@ def _gather_case(request, case):
         A = corrupt(tg, geom)[0]
         return A, geom, dict(mode="sampled", seed=0, n_samples=7), [_seed_edge(A)] * 7
     q = int(case[1:])
-    A, geom = request.getfixturevalue(f"tg_q{q}"), request.getfixturevalue(f"geom_q{q}")
+    A, geom = request.getfixturevalue(f"adj_q{q}"), request.getfixturevalue(f"geom_q{q}")
     if q == 8:
         return A, geom, dict(mode="sampled", seed=5, n_samples=600, collect=True), None
     return A, geom, dict(collect=True), None
@@ -913,23 +923,23 @@ def test_packed_gathers_match_the_flat_gathers(monkeypatch, request, case, edges
                             lambda seed, n, count: draws[:count])
     if edges:
         monkeypatch.setattr(cliquecensus, "S_BLOCK", edges * geom.model.ctx.q ** 4)
-    bits, rows = cliquecensus.adjacency_bits, cliquecensus.completion_rows
+    bits, rows = cliquecensus.row_bits, cliquecensus.completion_rows
     diffs = []
 
-    def diffed_bits(Apk, r, c):
-        got = bits(Apk, r, c)
-        diffs.append(("bits", got.shape == r.shape + c.shape[-1:]
+    def diffed_bits(T, r, c):
+        got = bits(T, r, c)
+        diffs.append(("bits", got.shape == np.broadcast_shapes(r.shape, c.shape)
                       and np.array_equal(got != 0, flat_bits(A, r, c))))
         return got
 
-    def diffed_rows(Apk, Wi):
-        got = rows(Apk, Wi)
+    def diffed_rows(T, Wi):
+        got = rows(T, Wi)
         diffs.append(("rows", np.array_equal(got, flat_completion_rows(A, Wi))))
         return got
-    monkeypatch.setattr(cliquecensus, "adjacency_bits", diffed_bits)
+    monkeypatch.setattr(cliquecensus, "row_bits", diffed_bits)
     monkeypatch.setattr(cliquecensus, "completion_rows", diffed_rows)
     try:
-        census(A, geom, **kw)
+        census(pack_rows(A), geom, **kw)
     except AssertionError:
         assert case == "q4_missing_pair"
     assert {name for name, _ in diffs} == {"bits", "rows"}
@@ -954,8 +964,8 @@ def _asymmetric(A):
 
 def _rank_case(request, tname):
     if tname.startswith("asymmetric"):
-        return _asymmetric(request.getfixturevalue("tg" + tname[len("asymmetric"):]))
-    return request.getfixturevalue(tname)
+        return _asymmetric(request.getfixturevalue("adj" + tname[len("asymmetric"):]))
+    return _boolean(request, tname)
 
 
 RANK_GRAPHS = ["tg_q2", "tg_q4", "tg_q8", "asymmetric_q4", "asymmetric_q8"]
@@ -965,7 +975,7 @@ RANK_GRAPHS = ["tg_q2", "tg_q4", "tg_q8", "asymmetric_q4", "asymmetric_q8"]
 @pytest.mark.parametrize("tname", RANK_GRAPHS)
 def test_sampled_edge_keys_match_the_listed_edges(request, tname, seed, n_samples):
     A = _rank_case(request, tname)
-    want = edge_keys(A)
+    want = edge_keys(pack_rows(A))
     E, keys = sampled_edge_keys(pack_rows(A), seed, n_samples)
     assert E == len(want)
     want = want[splitmix_below(seed, E, n_samples).astype(np.intp)]
@@ -979,7 +989,7 @@ def test_sampled_edge_keys_select_every_rank(monkeypatch, request, tname):
     # two ends at q = 8; the rows without an edge above the diagonal (the
     # last row, and rows 0 and V/2 of the asymmetric graphs) own no rank
     A = _rank_case(request, tname)
-    want = edge_keys(A)
+    want = edge_keys(pack_rows(A))
     E = len(want)
     draws = np.concatenate([[E - 1, 0], np.arange(E)[::-max(1, E // 5000)]])
     monkeypatch.setattr(cliquecensus, "splitmix_below", lambda seed, n, count: draws[:count])
@@ -994,12 +1004,12 @@ def test_sampled_edge_keys_select_every_rank(monkeypatch, request, tname):
 
 @pytest.mark.parametrize("first", ["lambda", "pairs"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_a_law_broken_in_a_worker_raises_the_first_failing_batch(monkeypatch, tg_q4,
+def test_a_law_broken_in_a_worker_raises_the_first_failing_batch(monkeypatch, adj_q4,
                                                                  geom_q4, workers, first):
     # one edge a batch: the first fails one law and the three after it the
     # other, and the error of the first batch is raised whoever ran it
-    A, pairs_edge = _missing_completion_pair(tg_q4, geom_q4)
-    iu, ju = edge_list(A)
+    A, pairs_edge = _missing_completion_pair(adj_q4, geom_q4)
+    iu, ju = np.nonzero(np.triu(A, 1))
     lam = formula_srg_params(4)[2]
     lam_edges = np.flatnonzero((A[iu] & A[ju]).sum(axis=1) != lam)
     edges = {"lambda": lam_edges[0], "pairs": _seed_edge(A)}
@@ -1020,7 +1030,7 @@ def test_a_law_broken_in_a_worker_raises_the_first_failing_batch(monkeypatch, tg
     monkeypatch.setattr(cliquecensus, "_census_batch", counted)
     monkeypatch.setattr(cliquecensus, "census_workers", lambda: 0)
     with pytest.raises(AssertionError) as err:
-        census(A, geom_q4, **kw)
+        census(pack_rows(A), geom_q4, **kw)
     assert str(err.value) == message and len(calls) == 1
 
     # each thread takes one batch and waits for the others, so every thread
@@ -1035,7 +1045,7 @@ def test_a_law_broken_in_a_worker_raises_the_first_failing_batch(monkeypatch, tg
     calls.clear()
     before = threading.active_count()
     with pytest.raises(AssertionError) as err:
-        census(A, geom_q4, **kw)
+        census(pack_rows(A), geom_q4, **kw)
     assert str(err.value) == message
     assert threading.active_count() == before
     # and no thread takes a batch after its failure
@@ -1056,14 +1066,14 @@ def test_maximal_cliques_on_small_graphs():
     assert found == [(0, 1, 2), (2, 3)]
 
 
-def test_independent_maximal_clique_spectra(tg_q2, tg_q4):
-    assert bk_spectrum(tg_q2) == {6: 1}
-    assert bk_spectrum(tg_q4) == {4: 20910}  # 20400 nonlinear + 510 pencils
+def test_independent_maximal_clique_spectra(adj_q2, adj_q4):
+    assert bk_spectrum(adj_q2) == {6: 1}
+    assert bk_spectrum(adj_q4) == {4: 20910}  # 20400 nonlinear + 510 pencils
 
 
-def test_neighborhood_spectrum_q8(tg_q8):
+def test_neighborhood_spectrum_q8(adj_q8):
     # through one ovoid: 65 pencils of size 8 and 1467648 * 6 / 2016 six-cliques
-    assert bk_neighborhood_spectrum(tg_q8, 0) == {6: 4368, 8: 65}
+    assert bk_neighborhood_spectrum(adj_q8, 0) == {6: 4368, 8: 65}
 
 
 def test_edges_csv_round_trip(tmp_path, tg_q2):
@@ -1074,6 +1084,6 @@ def test_edges_csv_round_trip(tmp_path, tg_q2):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["ovoid_a", "ovoid_b"]
-    assert len(rows) - 1 == tg_q2.sum() // 2
+    assert len(rows) - 1 == np.bitwise_count(tg_q2).sum() // 2
     for a, b in rows[1:]:
-        assert tg_q2[int(a), int(b)]
+        assert row_bits(tg_q2, int(a), int(b))

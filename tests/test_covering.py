@@ -18,6 +18,7 @@ from covering_oracle import (
 )
 from ovoid_oracle import tangency_points
 from quadric_oracle import TableModel, alpha_table
+from tangency_oracle import tangency_matrix
 from quadcover import covering
 from quadcover.covering import (
     canonical_covering,
@@ -287,7 +288,7 @@ def _edited_pair(corrupt, cov):
     """The ovoid pair i < j that corrupt edits: the first non-tangent pair,
     or the first tangent one, in row order from row n / 2 on, so that it
     lies past the first block of a blocked scan."""
-    adj = cov.geom.adjacency
+    adj = tangency_matrix(cov.geom)
     n = len(adj)
     pairs = adj if corrupt is _separated_tangent else ~adj
     i, j = np.argwhere(np.triu(pairs, 1)[n // 2:])[0]
@@ -674,7 +675,7 @@ def _is_linear(geom, a, b, c):
 def test_lift_of_an_edge_crosses_to_the_right_fiber(cov_q4):
     cov = cov_q4
     geom = cov.geom
-    a, b = map(int, np.argwhere(geom.adjacency)[0])
+    a, b = map(int, np.argwhere(tangency_matrix(geom))[0])
     for start in cov.point_fiber[a]:
         lifted = lift_path(cov, [a, b], start)
         assert lifted[0] == start
@@ -687,11 +688,12 @@ def test_nonlinear_triangle_lifts_to_a_six_cycle(cov_q2):
     # comes back to the other fiber point and only closes after two rounds
     cov = cov_q2
     geom = cov.geom
+    A = tangency_matrix(geom)
     tris = [(a, b, c)
             for a in range(geom.n_ovoids)
-            for b in range(a + 1, geom.n_ovoids) if geom.adjacency[a, b]
+            for b in range(a + 1, geom.n_ovoids) if A[a, b]
             for c in range(b + 1, geom.n_ovoids)
-            if geom.adjacency[a, c] and geom.adjacency[b, c]]
+            if A[a, c] and A[b, c]]
     assert tris and not any(_is_linear(geom, *t) for t in tris)
     a, b, c = tris[0]
     start = cov.point_fiber[a][0]
@@ -717,12 +719,13 @@ def test_linear_triangle_lifts_closed(cov_q4):
 def test_lift_path_rejects_bad_walks(cov_q4):
     cov = cov_q4
     geom = cov.geom
-    a, b = map(int, np.argwhere(geom.adjacency)[0])
+    A = tangency_matrix(geom)
+    a, b = map(int, np.argwhere(A)[0])
     other = next(x for x in range(geom.n_ovoids) if x != a)
     with pytest.raises(ValueError):
         lift_path(cov, [a, b], start=cov.point_fiber[other][0])
     c = next(x for x in range(geom.n_ovoids)
-             if x not in (a,) and not geom.adjacency[a, x])
+             if x not in (a,) and not A[a, x])
     with pytest.raises(ValueError):
         lift_path(cov, [a, c], start=cov.point_fiber[a][0])
 

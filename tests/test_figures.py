@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from figures_oracle import fundamental_cube
+from tangency_oracle import tangency_matrix
 from quadcover.figures import (
     CubeParams,
     count_quadrangles_exhaustive,
@@ -149,7 +150,7 @@ def test_lift_rejects_bad_cliques(cov_q4):
                     lift_clique_to_figure(cov_q4, clique)
                 assert str(err.value) == "linear clique: all tangencies share one point"
     a = 0
-    b = next(x for x in range(geom.n_ovoids) if x != a and not geom.adjacency[a, x])
+    b = next(x for x in range(geom.n_ovoids) if x != a and not tangency_matrix(geom)[a, x])
     with pytest.raises(ValueError, match="not tangent"):
         lift_clique_to_figure(cov_q4, [a, b])
     with pytest.raises(ValueError, match="repeated"):

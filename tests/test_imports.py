@@ -243,14 +243,15 @@ def test_only_quadric_reads_the_pair_tables(path):
 
 def _little_endian_packs(tree: ast.Module) -> list:
     """(enclosing top-level function or "<module>", source) of each
-    ``packbits`` call, under any module name, that packs little-endian."""
+    ``packbits`` or ``unpackbits`` call, under any module name, that packs
+    or unpacks little-endian."""
     out = []
     for top in tree.body:
         where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
         out += [(where, ast.unparse(node)) for node in ast.walk(top)
                 if isinstance(node, ast.Call)
                 and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
-                == "packbits"
+                in ("packbits", "unpackbits")
                 and any(k.arg == "bitorder" and isinstance(k.value, ast.Constant)
                         and k.value.value == "little" for k in node.keywords)]
     return out
@@ -258,23 +259,51 @@ def _little_endian_packs(tree: ast.Module) -> list:
 
 def test_little_endian_pack_check_sees_every_spelling():
     tree = ast.parse("def f(A):\n    return np.packbits(A, axis=1, bitorder='little')\n"
-                     "g = numpy.packbits(gx.adjacency, bitorder='little')\n"
+                     "g = numpy.packbits(gx.tangency, bitorder='little')\n"
                      "h = packbits(A[rows], axis=-1, bitorder='little')\n"
                      "b = np.packbits(A, axis=1)\nc = np.packbits(A, bitorder='big')\n"
-                     "d = np.unpackbits(A, bitorder='little')\n")
+                     "d = np.unpackbits(A, bitorder='little')\n"
+                     "e = unpackbits(A, axis=1, count=n, bitorder='little')\n"
+                     "u = np.unpackbits(A, axis=1)\n")
     assert _little_endian_packs(tree) == [
         ("f", "np.packbits(A, axis=1, bitorder='little')"),
-        ("<module>", "numpy.packbits(gx.adjacency, bitorder='little')"),
-        ("<module>", "packbits(A[rows], axis=-1, bitorder='little')")]
+        ("<module>", "numpy.packbits(gx.tangency, bitorder='little')"),
+        ("<module>", "packbits(A[rows], axis=-1, bitorder='little')"),
+        ("<module>", "np.unpackbits(A, bitorder='little')"),
+        ("<module>", "unpackbits(A, axis=1, count=n, bitorder='little')")]
 
 
 def test_package_packs_rows_only_through_pack_rows():
-    """The tangency rows that the census gathers from, and that the pencil
-    counts add, are packed by `ovoid.pack_rows`, as are the census's
-    completion rows and the covering's collinearity rows: one layout, which
-    the census's byte and word reads rely on.  No other little-endian
-    ``packbits`` call is made in the package."""
+    """The tangency table that the census gathers from, and that the pencil
+    counts add, is packed by `ovoid.pack_rows`, as are the census's
+    completion rows and the covering's collinearity rows, and all of them
+    are unpacked by `ovoid.unpack_rows`: one layout, which the byte and word
+    reads of `row_bits` and the census rely on.  No other little-endian
+    ``packbits`` or ``unpackbits`` call is made in the package."""
     packs = {path.name: _little_endian_packs(ast.parse(path.read_text()))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: p for name, p in packs.items() if p} == {
-        "ovoid.py": [("pack_rows", "np.packbits(S.reshape(-1), bitorder='little')")]}
+        "ovoid.py": [("pack_rows", "np.packbits(S.reshape(-1), bitorder='little')"),
+                     ("unpack_rows", "np.unpackbits(words.view(np.uint8), axis=-1, "
+                                     "count=n, bitorder='little')")]}
+
+
+def test_adjacency_attribute_check_sees_direct_and_aliased_reads():
+    tree = ast.parse("a = gx.adjacency[r, c]\n"
+                     "g = cov.geom.adjacency\nb = g[np.ix_(r, c)]\n"
+                     "e = getattr(gx, 'adjacency')\ngx.adjacency = t\n"
+                     "adjacency = 1\nf = gx.adjacency_bits\nh = row_bits(gx.tangency, a, b)\n")
+    assert sorted(_attribute_uses(tree, {"adjacency"})) == [
+        "cov.geom.adjacency", "getattr(gx, 'adjacency')", "gx.adjacency", "gx.adjacency"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}"
+                         if p.parent == TESTS else p.name)
+def test_no_module_reads_a_boolean_tangency_matrix(path):
+    """Tangency is held in one form, the packed table
+    `OvoidGeometry.tangency`: no module or test reads or assigns an
+    ``adjacency`` attribute, the V x V boolean matrix that the geometry no
+    longer holds.  Tests read the boolean matrix through
+    `tangency_oracle.tangency_matrix`."""
+    assert _attribute_uses(ast.parse(path.read_text()), {"adjacency"}) == []

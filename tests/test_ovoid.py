@@ -1,6 +1,5 @@
 """Elliptic ovoids, tangency, rosettes and the semipartial axioms."""
 
-import copy
 import csv
 import json
 import tracemalloc
@@ -18,6 +17,7 @@ from ovoid_oracle import (
     tangency_points,
     tangent_plane,
 )
+from tangency_oracle import tangency_matrix, with_tangency
 from quadcover import ovoid
 from quadcover.ovoid import (
     _build_rosettes,
@@ -63,20 +63,22 @@ def test_pairwise_intersection_sizes(request, name):
     off_diagonal = ~np.eye(geom.n_ovoids, dtype=bool)
     sizes = _intersection_sizes(geom)
     assert set(np.unique(sizes[off_diagonal]).tolist()) <= {1, q + 1}
-    assert np.array_equal(geom.adjacency, (sizes == 1) & off_diagonal)
+    A = tangency_matrix(geom)
+    assert np.array_equal(A, (sizes == 1) & off_diagonal)
     # each ovoid is tangent to q-1 others on each of its q^2+1 pencils
-    assert (geom.adjacency.sum(axis=1) == (q * q + 1) * (q - 1)).all()
+    assert (A.sum(axis=1) == (q * q + 1) * (q - 1)).all()
 
 
 def test_tangency_point_matrix(geom_q4):
     geom = geom_q4
     tp = tangency_points(geom)
     rng = np.random.default_rng(3)
-    pairs = np.argwhere(geom.adjacency)
+    A = tangency_matrix(geom)
+    pairs = np.argwhere(A)
     for a, b in pairs[rng.choice(len(pairs), size=50, replace=False)]:
         common = np.intersect1d(geom.ovoid_points[a], geom.ovoid_points[b])
         assert common.tolist() == [tp[a, b]]
-    non = np.argwhere(~geom.adjacency)
+    non = np.argwhere(~A)
     for a, b in non[rng.choice(len(non), size=50, replace=False)]:
         assert tp[a, b] == -1
 
@@ -84,7 +86,7 @@ def test_tangency_point_matrix(geom_q4):
 def test_intersection_kind_classifies_pairs(geom_q4):
     geom = geom_q4
     q = geom.model.ctx.q
-    a, b = map(int, np.argwhere(geom.adjacency)[0])
+    a, b = map(int, np.argwhere(tangency_matrix(geom))[0])
     kind, common = intersection_kind(geom, a, b)
     assert kind == "tangent" and common == (tangency_points(geom)[a, b],)
     c, d = map(int, np.argwhere(_intersection_sizes(geom) == q + 1)[0])
@@ -110,12 +112,13 @@ def test_rosette_structure(request, name):
     q = geom.model.ctx.q
     n_q0 = len(geom.model.section_points)
     tp = tangency_points(geom)
+    A = tangency_matrix(geom)
     assert geom.pencil_members.shape == (n_q0 * q * (q - 1) // 2, q)
     # pencils are grouped by base, q(q-1)/2 at each section point in turn
     assert np.array_equal(geom.pencil_base,
                           np.repeat(geom.model.section_points, q * (q - 1) // 2))
     for base, members in zip(geom.pencil_base, geom.pencil_members):
-        sub = geom.adjacency[np.ix_(members, members)]
+        sub = A[np.ix_(members, members)]
         assert sub[~np.eye(q, dtype=bool)].all()
         assert (tp[np.ix_(members, members)][sub] == base).all()
         union = np.zeros(n_q0, dtype=bool)
@@ -151,10 +154,10 @@ def test_rosette_recovery_from_a_tangent_pair(geom_q2, geom_q4):
 
 
 def test_grouping_rejects_a_broken_tangency_class(geom_q4):
-    geom = copy.copy(geom_q4)
-    a, b = geom.pencil_members[0, :2]
-    geom.adjacency = geom_q4.adjacency.copy()
-    geom.adjacency[[a, b], [b, a]] = False
+    A = tangency_matrix(geom_q4)
+    a, b = geom_q4.pencil_members[0, :2]
+    A[[a, b], [b, a]] = False
+    geom = with_tangency(geom_q4, A)
     with pytest.raises(AssertionError, match="not an equivalence"):
         _build_rosettes(geom)
 
@@ -164,16 +167,16 @@ def geom_q4_broken(request, geom_q4):
     """The q = 4 geometry with one tangency flipped: a tangent pair of the
     first or the last pencil made non-tangent, or a conic pair made tangent.
     Returns (flip, geometry)."""
-    geom = copy.copy(geom_q4)
+    geom = geom_q4
     flip = request.param
     if flip == "added":
         a = geom.pencil_members[0, 0]
         b = int(np.flatnonzero(_intersection_sizes(geom)[a] == geom.model.ctx.q + 1)[0])
     else:
         a, b = geom.pencil_members[0 if flip == "cleared_first" else -1, :2]
-    geom.adjacency = geom_q4.adjacency.copy()
-    geom.adjacency[[a, b], [b, a]] = flip == "added"
-    return flip, geom
+    A = tangency_matrix(geom_q4)
+    A[[a, b], [b, a]] = flip == "added"
+    return flip, with_tangency(geom_q4, A)
 
 
 # non-incident (ovoid, pencil) pairs: pencils times (ovoids - q)
@@ -197,15 +200,14 @@ def _flipped(geom, rng, k):
     tangency matrix flipped: for even k, one or two random pairs (the same
     pair twice restores it); for odd k, two members of a pencil drawn from
     the first k, so that some pencil fails first on a member."""
-    bad = copy.copy(geom)
-    bad.adjacency = geom.adjacency.copy()
+    A = tangency_matrix(geom)
     if k % 2:
         pairs = [geom.pencil_members[rng.integers(min(k, len(geom.pencil_members))), :2]]
     else:
         pairs = [rng.choice(geom.n_ovoids, 2, replace=False) for _ in range(1 + k % 4 // 2)]
     for a, b in pairs:
-        bad.adjacency[[a, b], [b, a]] ^= True
-    return bad
+        A[[a, b], [b, a]] ^= True
+    return with_tangency(geom, A)
 
 
 @pytest.mark.parametrize("block", [None, 1, 7, "above"])
@@ -249,7 +251,7 @@ def test_semipartial_names_a_violating_pair(geom_q4_broken):
     assert json.loads(json.dumps(rep)) == rep
     members = geom.pencil_members[rep["rosette"]].tolist()
     v = rep["ovoid"]
-    seen = int(geom.adjacency[v, members].sum())   # recount from the table
+    seen = int(tangency_matrix(geom)[v, members].sum())   # recount from the table
     if flip == "cleared_first":
         # pencil 0 comes first, and its two members lost a tangent
         assert rep["reason"] == "member degree" and rep["rosette"] == 0
@@ -281,16 +283,17 @@ def test_common_tangent_law_names_a_violating_case(geom_q4_broken):
     assert not rep["pass"]
     assert json.loads(json.dumps(rep)) == rep
     (a, b), x = rep["pair"], rep["point"]
+    A = tangency_matrix(geom)
     pa, pb = set(geom.ovoid_points[a].tolist()), set(geom.ovoid_points[b].tolist())
     assert x in pa
     if x in pb:
-        assert not geom.adjacency[a, b]
+        assert not A[a, b]
         want = 0
     else:
-        want = 1 if geom.adjacency[a, b] else 2
+        want = 1 if A[a, b] else 2
     # recount from the table: ovoids through x tangent to both
     got = sum(1 for c in range(geom.n_ovoids) if x in geom.ovoid_points[c]
-              and geom.adjacency[c, a] and geom.adjacency[c, b])
+              and A[c, a] and A[c, b])
     assert (rep["expected"], rep["got"]) == (want, got)
     assert got != want
 
@@ -299,13 +302,14 @@ def test_common_tangents_through_sampled(geom_q4):
     geom = geom_q4
     rng = np.random.default_rng(9)
     n = geom.n_ovoids
+    A = tangency_matrix(geom)
     checked = 0
     while checked < 60:
         a, b = map(int, rng.integers(0, n, size=2))
         if a == b:
             continue
         pa, pb = set(geom.ovoid_points[a].tolist()), set(geom.ovoid_points[b].tolist())
-        tangent = bool(geom.adjacency[a, b])
+        tangent = bool(A[a, b])
         x = sorted(pa - pb)[int(rng.integers(0, len(pa - pb)))]
         assert len(common_tangents_through(geom, a, b, x)) == (1 if tangent else 2)
         if not tangent:

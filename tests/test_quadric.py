@@ -1,5 +1,7 @@
 """Quadric model structure: counts, polarity, lines, nucleus, sections."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,48 @@ def test_alpha_perp_is_an_involution_on_solids(model_q2):
 def test_gq_axioms(model_q2, model_q4):
     assert verify_gq_axioms(model_q2) == {"pass": True, "lines_checked": 45}
     assert verify_gq_axioms(model_q4) == {"pass": True, "lines_checked": 1105}
+
+
+@pytest.mark.parametrize("n,k", [(6, 4), (4617, 65), (69649, 257), (100000, 3)])
+def test_incidence_transpose_matches_an_int64_argsort(n, k):
+    # ids below n in rows of k, each id held by some rows: up to |Q| at
+    # q = 16 (69,649 points on 257 lines each) and beyond 2^16
+    rng = np.random.default_rng(n)
+    table = rng.integers(0, n, (max(n, 2000) // k + 50, k)).astype(np.int32)
+    table[0, 0], table[-1, -1] = n - 1, 0
+    want = np.argsort(table.ravel().astype(np.int64), kind="stable") // k
+    got = quadric.incidence_transpose(table, n)
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, want)
+    if n > 1 << 16:
+        # the 16-bit keys that the set-up sorted before wrap above 2^16
+        old = np.argsort(table.ravel().astype(np.uint16), kind="stable") // k
+        assert not np.array_equal(old, want)
+
+
+def _narrow_keys(table, n):
+    """The transpose from 8-bit keys, which wrap above 255 ids."""
+    return (np.argsort(table.ravel().astype(np.uint8), kind="stable")
+            // table.shape[1]).astype(np.int32)
+
+
+_TRANSPOSE = quadric.incidence_transpose
+
+
+def _exchanged(table, n):
+    """The transpose with two points' first lines exchanged: every point
+    keeps q^2 + 1 lines and every line q + 1 points."""
+    flat = _TRANSPOSE(table, n)
+    k = len(flat) // n
+    p = np.flatnonzero(flat[::k] != flat[0])[0]     # a point off point 0's first line
+    flat[[0, p * k]] = flat[[p * k, 0]]
+    return flat
+
+
+@pytest.mark.parametrize("transpose", [_narrow_keys, _exchanged], ids=lambda f: f.__name__)
+def test_lines_through_law_rejects_a_corrupted_transpose(monkeypatch, model_q4, transpose):
+    # at q = 4 the 325 points overflow 8-bit keys as the 69,649 points of
+    # q = 16 overflowed the 16-bit keys the set-up sorted before
+    monkeypatch.setattr(quadric, "incidence_transpose", transpose)
+    with pytest.raises(AssertionError, match="lines_through is not the transpose of lines"):
+        quadric._build_lines(copy.copy(model_q4))

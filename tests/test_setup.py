@@ -21,6 +21,7 @@ from ovoid_oracle import tangency_points
 from quadric_oracle import TableModel, alpha_table
 from setup_oracle import (loop_build_elation, loop_build_geometry, loop_build_lines,
                           loop_build_rosettes, loop_point_index, loop_tangency_point)
+from tangency_oracle import tangency_matrix, with_tangency
 from quadcover import ovoid
 from quadcover.gf2n import FieldCtx, is_irreducible, trace
 from quadcover.ovoid import _batched_rref, _build_rosettes, build_geometry
@@ -62,7 +63,7 @@ def assert_same_model(model):
 def assert_same_geometry(geom):
     oracle = loop_build_geometry(geom.model)
     assert_same_fields(geom, oracle, (
-        "ovoid_orbit", "ovoid_points", "ovoid_span", "member_matrix", "adjacency",
+        "ovoid_orbit", "ovoid_points", "ovoid_span", "member_matrix", "tangency",
         "through", "pencil_base", "pencil_members", "incidence"))
     assert np.array_equal(tangency_points(geom), loop_tangency_point(oracle))
     q = geom.model.ctx.q
@@ -93,9 +94,9 @@ def test_setup_in_ragged_blocks_matches_the_loop_oracle(monkeypatch, n, rows):
 
 
 def test_build_geometry_peak_stays_below_28_mib(model_q8):
-    # the kept tables (4 MB adjacency, 1 MB membership) and one product
-    # block of at most PAIR_BLOCK float32 entries beside the float copy of
-    # the membership matrix
+    # the kept tables (0.5 MB packed tangency, 1 MB membership) and one
+    # product block of at most PAIR_BLOCK float32 entries, and its packed
+    # copy, beside the float copy of the membership matrix
     tracemalloc.start()
     try:
         build_geometry(model_q8)
@@ -162,19 +163,19 @@ def test_grouping_rejects_tangencies_that_keep_every_count(geom_q4, corruption):
     other b, while the a rows stay as they are; every smallest class member
     is then a1, and only symmetry fails.  Either way every ovoid keeps its
     (q - 1)(q^2 + 1) tangents."""
-    geom = copy.copy(geom_q4)
-    q = geom.model.ctx.q
-    first, second = map(tuple, geom.pencil_members[:2].tolist())   # both at point 0
-    geom.adjacency = geom_q4.adjacency.copy()
+    q = geom_q4.model.ctx.q
+    first, second = map(tuple, geom_q4.pencil_members[:2].tolist())   # both at point 0
+    A = tangency_matrix(geom_q4)
     if corruption == "swapped":
         for u, v, tangent in ((first[0], first[1], False), (second[0], second[1], False),
                               (first[0], second[0], True), (first[1], second[1], True)):
-            geom.adjacency[[u, v], [v, u]] = tangent
+            A[[u, v], [v, u]] = tangent
     else:
         rows = np.array(second)[:, None]
-        geom.adjacency[rows, np.array(second)] = False
-        geom.adjacency[rows, np.array(first[:q - 1])] = True
-    assert (geom.adjacency.sum(axis=1) == (q - 1) * (q * q + 1)).all()
+        A[rows, np.array(second)] = False
+        A[rows, np.array(first[:q - 1])] = True
+    assert (A.sum(axis=1) == (q - 1) * (q * q + 1)).all()
+    geom = with_tangency(geom_q4, A)
     for build in (_build_rosettes, loop_build_rosettes):
         with pytest.raises(AssertionError, match="not an equivalence"):
             build(geom)
@@ -187,16 +188,16 @@ def test_grouping_rejects_a_one_way_tangency_that_keeps_the_counts_at_every_poin
     points it shares with a1.  Every row of the tangency matrix among the
     ovoids through each point still holds q - 1 tangents, and only symmetry
     fails."""
-    geom = copy.copy(geom_q4)
-    q = geom.model.ctx.q
-    geom.adjacency = A = geom_q4.adjacency.copy()
-    a1, b1 = geom.pencil_members[:2, 0]
+    q = geom_q4.model.ctx.q
+    A = tangency_matrix(geom_q4)
+    a1, b1 = geom_q4.pencil_members[:2, 0]
     A[b1, a1] = True
-    for k in np.flatnonzero(geom.member_matrix[a1] & geom.member_matrix[b1]):
-        T = geom.through[k]
+    for k in np.flatnonzero(geom_q4.member_matrix[a1] & geom_q4.member_matrix[b1]):
+        T = geom_q4.through[k]
         A[b1, T[A[b1, T] & (T != a1)][0]] = False
-    for T in geom.through:
+    for T in geom_q4.through:
         assert (A[np.ix_(T, T)].sum(axis=1) == q - 1).all()
+    geom = with_tangency(geom_q4, A)
     for build in (_build_rosettes, loop_build_rosettes):
         with pytest.raises(AssertionError, match="not an equivalence"):
             build(geom)
@@ -214,8 +215,7 @@ def _retangent(geom, corruption):
     ovoid q - 1 at p.  "shifted": a and b, the first two consecutive ovoids
     through p in different pencils, and y a pencil mate of a; (a, y) cleared
     and (b, y) made tangent, so a has q - 2 tangents at p and b has q."""
-    geom = copy.copy(geom)
-    geom.adjacency = geom.adjacency.copy()
+    A = tangency_matrix(geom)
     P1, P2 = geom.pencil_members[:2].tolist()              # both at point p
     u, v = geom.pencil_members[-1, :2].tolist()
     if corruption == "cleared":
@@ -226,14 +226,13 @@ def _retangent(geom, corruption):
         edits = [(P2[0], w, False) for w in P2[1:]] + [(P1[0], w, True) for w in P2[1:]]
     else:
         through = geom.through[0].tolist()
-        a, b = next((a, b) for a, b in zip(through, through[1:])
-                    if not geom.adjacency[a, b])
-        y = next(y for y in through if geom.adjacency[a, y] and y != b)
+        a, b = next((a, b) for a, b in zip(through, through[1:]) if not A[a, b])
+        y = next(y for y in through if A[a, y] and y != b)
         edits = [(a, y, False), (b, y, True)]
     for x, y, tangent in edits:
-        assert geom.adjacency[x, y] != tangent
-        geom.adjacency[[x, y], [y, x]] = tangent
-    return geom
+        assert A[x, y] != tangent
+        A[[x, y], [y, x]] = tangent
+    return with_tangency(geom, A)
 
 
 @pytest.mark.parametrize("corruption", ["cleared", "moved", "doubled", "shifted"])
@@ -258,12 +257,13 @@ def _regroup(geom, corruption):
     geom = copy.copy(geom)
     first, second = map(tuple, geom.pencil_members[:2].tolist())   # both at point 0
     if corruption == "regrouped":
-        geom.adjacency = geom.adjacency.copy()
+        A = tangency_matrix(geom)
         for u in first[:2] + second[:2]:
             old = first[2:] if u in first else second[2:]
             new = second[2:] if u in first else first[2:]
             for v, tangent in [(v, False) for v in old] + [(v, True) for v in new]:
-                geom.adjacency[[u, v], [v, u]] = tangent
+                A[[u, v], [v, u]] = tangent
+        geom = with_tangency(geom, A)
     elif corruption == "mate_point":
         a, b = first[:2]
         geom.member_matrix = geom.member_matrix.copy()
