@@ -287,7 +287,7 @@ def _lift(run: Run):
 
 def cmd_lift(run: Run, args) -> dict:
     from .figures import figure_to_clique
-    from .ovoid import row_bits
+    from .quadric import row_bits
 
     gx = run.gx
     for a, b in combinations(run.cfg.clique, 2):  # ids that are no clique: bad input

@@ -37,7 +37,7 @@ completion exactly when it passes through the common point of a and b,
 which the membership matrix gives; all three are then tangent there.  The
 adjacency between an edge's pencil and non-linear completions, and among
 its non-linear completions (S_BLOCK pairs at a time), are read as bits of
-T through `ovoid.row_bits` (T takes 0.5 MB at q = 8, which fits in L2);
+T through `quadric.row_bits` (T takes 0.5 MB at q = 8, which fits in L2);
 the pencil test reads the flat membership matrix at row * width + col.
 For each edge the adjacency among its q^2 non-linear completions is
 packed into one uint64 per completion (q^2 <= 64 for every buildable
@@ -64,7 +64,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ovoid import OvoidGeometry, pack_rows, pencil_counts, row_bits, unpack_rows
+from .ovoid import OvoidGeometry, pencil_counts
+from .quadric import pack_rows, row_bits, unpack_rows
 
 MASK64 = (1 << 64) - 1
 BATCH = 1 << 13                   # non-linear completions (edges x q^2) per census batch
@@ -349,12 +350,12 @@ class CensusReport:
 
 def rosette_maximality(T: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]:
     """(number of pencils that are maximal cliques, total pencils), for the
-    tangency matrix whose rows `pack_rows` packed into T.  A member of a
-    pencil is tangent to at most the other q-1 members, so a pencil is
-    maximal exactly when no ovoid is tangent to all q of them: when the top
-    bit plane of its counts is clear."""
-    n_max = sum(len(members) - int(planes[-1].any(axis=1).sum())
-                for members, planes in pencil_counts(gx, T))
+    tangency matrix whose rows `pack_rows` packed into T.  A pencil is
+    maximal exactly when no other ovoid is tangent to all q of its members:
+    when the top bit plane of its counts is clear off the members, whose
+    own counts reach q only through a loop."""
+    n_max = sum(len(members) - int((planes[-1] & ~on).any(axis=1).sum())
+                for members, on, planes in pencil_counts(gx, T))
     return n_max, len(gx.pencil_base)
 
 

@@ -20,8 +20,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .ovoid import OvoidGeometry, pack_rows, row_bits, unpack_rows
-from .quadric import QuadricModel, incidence_transpose
+from .ovoid import OvoidGeometry
+from .quadric import QuadricModel, incidence_transpose, pack_rows, row_bits, unpack_rows
 
 _CHUNK = 1 << 16                # uint64 words gathered per fiber_distances step
 ORACLE_BLOCK = 1 << 20          # collinearity entries per verify_adjacency_oracle step

@@ -25,9 +25,9 @@ import numpy as np
 
 from .gf2n import FieldCtx, conic_solution_set, solve_artin_schreier
 from .projgeom import Vec, enumerate_points, normalize_tuple, rref, vec_add, vec_scale
-from .quadric import QuadricModel, second_intersection, second_intersections
+from .quadric import (QuadricModel, pack_rows, second_intersection, second_intersections,
+                      unpack_rows)
 from .covering import CoveringMap
-from .ovoid import unpack_rows
 
 KIND_BY_SIZE = {3: "hexagon", 4: "cube", 5: "decade", 6: "dodecade"}
 SIZE_BY_KIND = {v: k for k, v in KIND_BY_SIZE.items()}
@@ -659,7 +659,7 @@ def extend_cube_bruteforce(model: QuadricModel, fig: CentricFigure) -> dict:
     # a cube's rows hold one point of each of its 4 pairs, so a point's
     # collinearity with row0 + row1 packs into one byte; a fifth pair's point
     # sees all of one row and none of the other: 0xF0 or 0x0F
-    code = np.packbits(model.collinear(np.arange(model.n_points), row0 + row1), axis=1)[:, 0]
+    code = pack_rows(model.collinear(np.arange(model.n_points), row0 + row1))[:, 0]
     decades = _completions_bruteforce(model, fig, (code == 0xF0) | (code == 0x0F))
     dodecade = None
     if decades:

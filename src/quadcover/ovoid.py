@@ -9,11 +9,11 @@ rosettes) are the lines of a semipartial geometry with parameters
 
 The pairwise intersection sizes are integer matrix products over the
 membership matrix, one block of ovoid rows at a time, each block's
-tangency (size 1) packed by `pack_rows` into the one tangency table, read
-through `row_bits` and `unpack_rows`.  No block holds more than PAIR_BLOCK
-ovoid pairs, so no V x V array is held.  Two tangent ovoids meet only at
-their tangency point, so the pencils at a point are the tangency classes
-among the ovoids through it, and no table of tangency points is needed.
+tangency (size 1) packed by `quadric.pack_rows` into the one tangency
+table.  No block holds more than PAIR_BLOCK ovoid pairs, so no V x V
+array is held.  Two tangent ovoids meet only at their tangency point, so
+the pencils at a point are the tangency classes among the ovoids through
+it, and no table of tangency points is needed.
 The structural laws are checked exhaustively.  For every pencil and ovoid,
 the number of the pencil's members tangent to the ovoid is added from the
 packed rows into bit planes, a block of pencils at a time (semipartial and
@@ -24,12 +24,12 @@ every ovoid pair with one member in T (common-tangent law).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from .gf2n import FieldCtx
-from .quadric import QuadricModel, incidence_transpose
+from .quadric import QuadricModel, incidence_transpose, pack_rows, unpack_rows
 
 PAIR_BLOCK = 1 << 20              # ovoid pairs per block of a set-up product
 PENCIL_BLOCK = 1 << 9             # pencils per block of pencil counts
@@ -193,7 +193,7 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
                                  "with classes of size q")
         T.take(order, out=out)
     pencils = pencils.reshape(-1, q)
-    on_ovoid = np.packbits(geom.member_matrix, axis=1)
+    on_ovoid = pack_rows(geom.member_matrix)
     union = on_ovoid[pencils[:, 0]]
     for column in pencils[:, 1:].T:
         union |= on_ovoid[column]
@@ -202,7 +202,7 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     del union
 
     sect = model.section_points
-    perp = np.packbits(model.collinear(sect, sect), axis=1)
+    perp = pack_rows(model.collinear(sect, sect))
     step = max(1, (1 << 15) // per_point)
     for lo in range(0, n_q0, step):
         meets = on_ovoid[geom.through[lo:lo + step]] & perp[lo:lo + step, None]
@@ -223,51 +223,28 @@ def _verify_incidence(geom: OvoidGeometry) -> None:
 # -- semipartial geometry and common-tangent laws ------------------------------
 
 
-def pack_rows(S: np.ndarray) -> np.ndarray:
-    """The rows of an array as uint64 words along the last axis, bit set
-    where the entry is nonzero, zero padded to a whole word: bit j % 64 of
-    word [..., i, j // 64] is S[..., i, j] != 0.  This is the one bit-packed
-    layout of rows in the package, the tangency table's included.  Rows
-    are padded to whole bytes and packed as one run, which numpy does about
-    50 times faster than packing rows of 16 one at a time."""
-    n = S.shape[-1]
-    if n % 8:
-        S = np.concatenate([S, np.zeros(S.shape[:-1] + (-n % 8,), dtype=S.dtype)], axis=-1)
-    packed = np.packbits(S.reshape(-1), bitorder="little").reshape(
-        S.shape[:-1] + (S.shape[-1] // 8,))
-    words = np.zeros(packed.shape[:-1] + (-(-S.shape[-1] // 64) * 8,), dtype=np.uint8)
-    words[..., :packed.shape[-1]] = packed
-    return words.view("<u8")
-
-
-def unpack_rows(words: np.ndarray, n: Optional[int] = None) -> np.ndarray:
-    """The first n bits (all when n is None) of rows packed by `pack_rows`, as booleans."""
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
-
-
-def row_bits(words: np.ndarray, rows, cols) -> np.ndarray:
-    """Bit cols of packed row rows (broadcast together), as uint8, nonzero
-    where the bit is set: byte cols >> 3 of the row, masked with bit cols & 7."""
-    b = words.view(np.uint8)
-    return (b.ravel()[rows * b.shape[1] + (cols >> 3)]
-            & np.left_shift(1, cols & 7).astype(np.uint8))
-
-
-def pencil_counts(geom: OvoidGeometry,
-                  packed: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+def pencil_counts(geom: OvoidGeometry, packed: np.ndarray
+                  ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Blocks of PENCIL_BLOCK pencils, in pencil order: the members of each
-    pencil (one row of q sorted ovoid ids), and the bit planes of C, where
-    C[j, v] is the number of members of pencil j tangent to ovoid v under
-    the tangency matrix whose rows `pack_rows` packed into ``packed``.
-    Plane i holds bit i of every count in the bytes of those rows (bit v & 7
-    of byte v >> 3); the members' packed rows are added into the planes by
-    a ripple-carry adder.  A count is at most q = 2^n, so there are n + 1
-    planes, and the top one is set exactly where the count is q."""
+    pencil (one row of q sorted ovoid ids), the bits ``on`` of the members
+    in each row, and the bit planes of C, where C[j, v] is the number of
+    members of pencil j tangent to ovoid v under the tangency matrix whose
+    rows `pack_rows` packed into ``packed``.  Plane i holds bit i of every
+    count; ``on`` and the planes are bytes of rows in that layout, and the
+    members' packed rows are added into the planes by a ripple-carry adder.
+    A count is at most q = 2^n, so there are n + 1 planes, and the top one
+    is set exactly where the count is q."""
     q = geom.model.ctx.q
     packed = packed.view(np.uint8)
     for lo in range(0, len(geom.pencil_members), PENCIL_BLOCK):
         members = geom.pencil_members[lo:lo + PENCIL_BLOCK]
-        planes = np.zeros((q.bit_length(), len(members), packed.shape[1]), dtype=np.uint8)
+        rows = np.arange(len(members))
+        byte, bit = members >> 3, np.left_shift(1, members & 7).astype(np.uint8)
+        on = np.zeros((len(members), packed.shape[1]), dtype=np.uint8)
+        # one member column at a time: its (row, byte) pairs are distinct
+        for i in range(q):
+            on[rows, byte[:, i]] |= bit[:, i]
+        planes = np.zeros((q.bit_length(),) + on.shape, dtype=np.uint8)
         carry, spill = np.empty_like(planes[0]), np.empty_like(planes[0])
         for k, column in enumerate(members.T, start=1):
             packed.take(column, axis=0, out=carry)
@@ -276,7 +253,7 @@ def pencil_counts(geom: OvoidGeometry,
                 np.bitwise_and(plane, carry, out=spill)
                 plane ^= carry
                 carry, spill = spill, carry
-        yield members, planes
+        yield members, on, planes
 
 
 def verify_semipartial(geom: OvoidGeometry) -> dict:
@@ -294,13 +271,7 @@ def verify_semipartial(geom: OvoidGeometry) -> dict:
     if geom.incidence.shape != (geom.n_ovoids, q * q + 1):
         return {"pass": False, "reason": "point degree"}
     checked = lo = 0
-    for members, planes in pencil_counts(geom, geom.tangency):
-        rows = np.arange(len(members))
-        byte, bit = members >> 3, np.left_shift(1, members & 7).astype(np.uint8)
-        on = np.zeros_like(planes[0])
-        # one member column at a time: its (row, byte) pairs are distinct
-        for i in range(q):
-            on[rows, byte[:, i]] |= bit[:, i]
+    for members, on, planes in pencil_counts(geom, geom.tangency):
         bad = np.zeros_like(on)
         for i, plane in enumerate(planes):
             miss = plane ^ on if (q - 1) >> i & 1 else plane

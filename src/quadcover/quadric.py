@@ -9,6 +9,8 @@ array held.  One kernel evaluates it: take the tables' columns, then gather
 their rows by each point's key.  `QuadricModel.alpha_blocks` takes the
 columns once and yields the rows in blocks, for checks that read many row
 blocks against the same columns; `QuadricModel.alpha` is its one-block case.
+Relations held as bit rows (perp, membership, tangency) have one layout,
+that of `pack_rows`, read through `row_bits` and `unpack_rows`.
 
 Coordinates: f(x) = x1*x2 + x3*x4 + x5^2 + x5*x6 + lam*x6^2 with trace(lam) = 1,
 polarized to alpha(u, v) = u1*v2 + u2*v1 + u3*v4 + u4*v3 + u5*v6 + u6*v5.
@@ -233,20 +235,16 @@ def _build_lines(model: QuadricModel) -> None:
     ln = np.empty((len(x), q + 1), dtype=np.int32)
     ln[:, 0] = x
     ln[:, 1:] = model.index_by_code[_point_codes(ctx.n, c)[k][:, None] ^ multiples[:, x].T]
-    # packed perp rows: bit 7 - (y & 7) of byte y >> 3 in row x is set
-    # exactly when alpha(x, y) == 0, zero padded to whole uint64 words, on
-    # which the popcounts run
+    # the perp rows, packed: bit y of row x is set exactly when alpha(x, y) == 0
     pts = np.arange(nq)
-    P = np.zeros((nq, -(-nq // 64) * 8), dtype=np.uint8)
+    words = np.empty((nq, -(-nq // 64)), dtype="<u8")
     blocks = model.alpha_blocks(pts, pts, 1024)
     for lo in range(0, nq, 1024):
-        P[lo:lo + 1024, :-(-nq // 8)] = np.packbits(next(blocks) == 0, axis=1)
-    words = P.view(np.uint64)
+        words[lo:lo + 1024] = pack_rows(next(blocks) == 0)
     i, j = np.triu_indices(q + 1, 1)
     for lo in range(0, len(x), 4096):
         chunk = ln[lo:lo + 4096]
-        a, b = chunk[:, i], chunk[:, j]
-        if (chunk < 0).any() or not (P[a, b >> 3] << (b & 7) & 0x80).all():
+        if (chunk < 0).any() or not row_bits(words, chunk[:, i], chunk[:, j]).all():
             raise AssertionError("a line is not totally singular")
         common = np.bitwise_count(words[x[lo:lo + 4096]] & words[k[lo:lo + 4096]]).sum(axis=1)
         if (common != q + 1).any():
@@ -272,6 +270,36 @@ def incidence_transpose(table: np.ndarray, n: int) -> np.ndarray:
     ascending: a stable sort of keys sized from n, as one flat int32 array."""
     keys = table.ravel().astype(np.min_scalar_type(n))
     return (np.argsort(keys, kind="stable") // table.shape[1]).astype(np.int32)
+
+
+def pack_rows(S: np.ndarray) -> np.ndarray:
+    """The rows of an array as uint64 words along the last axis, bit set
+    where the entry is nonzero, zero padded to a whole word: bit j % 64 of
+    word [..., i, j // 64] is S[..., i, j] != 0.  The package's one layout
+    of bit rows, the perp rows and the tangency table among them.  Rows are
+    padded to whole bytes and packed as one run, which numpy does about 50
+    times faster than packing rows of 16 one at a time."""
+    n = S.shape[-1]
+    if n % 8:
+        S = np.concatenate([S, np.zeros(S.shape[:-1] + (-n % 8,), dtype=S.dtype)], axis=-1)
+    packed = np.packbits(S.reshape(-1), bitorder="little").reshape(
+        S.shape[:-1] + (S.shape[-1] // 8,))
+    words = np.zeros(packed.shape[:-1] + (-(-S.shape[-1] // 64) * 8,), dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view("<u8")
+
+
+def unpack_rows(words: np.ndarray, n: Optional[int] = None) -> np.ndarray:
+    """The first n bits (all when n is None) of rows packed by `pack_rows`, as booleans."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+
+
+def row_bits(words: np.ndarray, rows, cols) -> np.ndarray:
+    """Bit cols of packed row rows (broadcast together), as uint8, nonzero
+    where the bit is set: byte cols >> 3 of the row, masked with bit cols & 7."""
+    b = words.view(np.uint8)
+    return (b.ravel()[rows * b.shape[1] + (cols >> 3)]
+            & np.left_shift(1, cols & 7).astype(np.uint8))
 
 
 def _find_nucleus(model: QuadricModel) -> None:

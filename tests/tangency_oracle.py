@@ -27,7 +27,8 @@ import numpy as np
 
 from quadcover import cliquecensus, covering
 from quadcover.covering import CoveringMap
-from quadcover.ovoid import OvoidGeometry, pack_rows
+from quadcover.ovoid import OvoidGeometry
+from quadcover.quadric import pack_rows
 
 
 def bit_unpack(words: np.ndarray, n: int) -> np.ndarray:

@@ -35,14 +35,13 @@ from quadcover.cliquecensus import (
     formula_n6,
     formula_srg_params,
     lowest_set_bits,
-    pack_rows,
-    row_bits,
     rosette_maximality,
     sampled_edge_keys,
     splitmix_below,
     upper_pairs,
     verify_srg,
 )
+from quadcover.quadric import pack_rows, row_bits, unpack_rows
 
 
 def test_formula_values():
@@ -466,7 +465,10 @@ def test_upper_pairs_against_nonzero_triu(n):
     assert not np.isin(np.flatnonzero(empty), w).any()
 
 
-@pytest.mark.parametrize("width", [1, 16, 63, 64, 65, 128, 240, 4032])
+# from 8 on, every width the package packs: a cube's 8 points, then |Q0|, V
+# and |Q| at q = 2, 4 and 8
+@pytest.mark.parametrize("width", [1, 16, 63, 64, 65, 128, 240, 4032, 8, 15, 85, 585,
+                                   6, 120, 2016, 45, 325, 4617])
 def test_pack_rows_across_words(width):
     rng = np.random.default_rng(width)
     S = rng.random((2, 3, width)) < 0.5
@@ -480,6 +482,11 @@ def test_pack_rows_across_words(width):
     # any nonzero byte sets its bit, as in the masked bytes the census packs
     masked = S * rng.integers(1, 256, S.shape).astype(np.uint8)
     np.testing.assert_array_equal(pack_rows(masked), words)
+    # unpack_rows and row_bits read the same bits back
+    np.testing.assert_array_equal(unpack_rows(words, width), S)
+    rows = words.reshape(6, -1)
+    got = row_bits(rows, np.arange(6)[:, None], np.arange(width))
+    np.testing.assert_array_equal(got != 0, S.reshape(6, width))
 
 
 def test_census_input_validation(tg_q2, geom_q2):
@@ -522,6 +529,15 @@ def test_rosette_maximality_matches_pencil_loop(monkeypatch, adj_q2, geom_q2, ad
         monkeypatch.setattr(ovoid, "PENCIL_BLOCK", block)
         for A, gx in ((adj_q2, geom_q2), (adj_q4, geom_q4), (bent, geom_q4)):
             assert rosette_maximality(pack_rows(A), gx) == loop_rosette_maximality(A, gx)
+
+
+def test_rosette_maximality_does_not_count_a_members_loop(adj_q4, geom_q4):
+    # a loop at ovoid 5 lifts its own count on its q^2+1 pencils to q; no
+    # other ovoid is tangent to all q members, so every pencil stays maximal
+    A = adj_q4.copy()
+    A[5, 5] = True
+    assert rosette_maximality(pack_rows(A), geom_q4) == (510, 510)
+    assert loop_rosette_maximality(A, geom_q4) == (510, 510)
 
 
 def test_census_raises_on_a_cleared_tangent_pair(adj_q4, geom_q4):

@@ -241,51 +241,56 @@ def test_only_quadric_reads_the_pair_tables(path):
     assert _attribute_uses(ast.parse(path.read_text()), _PAIR_TABLES) == []
 
 
-def _little_endian_packs(tree: ast.Module) -> list:
+def _packs(tree: ast.Module) -> list:
     """(enclosing top-level function or "<module>", source) of each
-    ``packbits`` or ``unpackbits`` call, under any module name, that packs
-    or unpacks little-endian."""
+    ``packbits`` or ``unpackbits`` call, under any module name and in any
+    bit order."""
     out = []
     for top in tree.body:
         where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
         out += [(where, ast.unparse(node)) for node in ast.walk(top)
                 if isinstance(node, ast.Call)
                 and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
-                in ("packbits", "unpackbits")
-                and any(k.arg == "bitorder" and isinstance(k.value, ast.Constant)
-                        and k.value.value == "little" for k in node.keywords)]
+                in ("packbits", "unpackbits")]
     return out
 
 
-def test_little_endian_pack_check_sees_every_spelling():
+def test_pack_check_sees_every_spelling():
     tree = ast.parse("def f(A):\n    return np.packbits(A, axis=1, bitorder='little')\n"
                      "g = numpy.packbits(gx.tangency, bitorder='little')\n"
                      "h = packbits(A[rows], axis=-1, bitorder='little')\n"
                      "b = np.packbits(A, axis=1)\nc = np.packbits(A, bitorder='big')\n"
                      "d = np.unpackbits(A, bitorder='little')\n"
                      "e = unpackbits(A, axis=1, count=n, bitorder='little')\n"
-                     "u = np.unpackbits(A, axis=1)\n")
-    assert _little_endian_packs(tree) == [
+                     "u = np.unpackbits(A, axis=1)\nv = unpackbits(A, bitorder='big')\n"
+                     "w = np.pack_bits(A)\nx = packbits\n")
+    assert _packs(tree) == [
         ("f", "np.packbits(A, axis=1, bitorder='little')"),
         ("<module>", "numpy.packbits(gx.tangency, bitorder='little')"),
         ("<module>", "packbits(A[rows], axis=-1, bitorder='little')"),
+        ("<module>", "np.packbits(A, axis=1)"),
+        ("<module>", "np.packbits(A, bitorder='big')"),
         ("<module>", "np.unpackbits(A, bitorder='little')"),
-        ("<module>", "unpackbits(A, axis=1, count=n, bitorder='little')")]
+        ("<module>", "unpackbits(A, axis=1, count=n, bitorder='little')"),
+        ("<module>", "np.unpackbits(A, axis=1)"),
+        ("<module>", "unpackbits(A, bitorder='big')")]
 
 
 def test_package_packs_rows_only_through_pack_rows():
-    """The tangency table that the census gathers from, and that the pencil
-    counts add, is packed by `ovoid.pack_rows`, as are the census's
-    completion rows and the covering's collinearity rows, and all of them
-    are unpacked by `ovoid.unpack_rows`: one layout, which the byte and word
-    reads of `row_bits` and the census rely on.  No other little-endian
-    ``packbits`` or ``unpackbits`` call is made in the package."""
-    packs = {path.name: _little_endian_packs(ast.parse(path.read_text()))
+    """Every relation the package holds as bit rows is packed by
+    `quadric.pack_rows` and unpacked by `quadric.unpack_rows`: the perp rows
+    of `_build_lines`, the rosette laws' membership and perp rows, the cube
+    code of `extend_cube_bruteforce`, the tangency table that the census
+    gathers from and the pencil counts add, the census's completion rows
+    and the covering's collinearity rows.  One layout, which the byte and
+    word reads of `row_bits` and the census rely on: no other ``packbits``
+    or ``unpackbits`` call, in any bit order, is made in the package."""
+    packs = {path.name: _packs(ast.parse(path.read_text()))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: p for name, p in packs.items() if p} == {
-        "ovoid.py": [("pack_rows", "np.packbits(S.reshape(-1), bitorder='little')"),
-                     ("unpack_rows", "np.unpackbits(words.view(np.uint8), axis=-1, "
-                                     "count=n, bitorder='little')")]}
+        "quadric.py": [("pack_rows", "np.packbits(S.reshape(-1), bitorder='little')"),
+                       ("unpack_rows", "np.unpackbits(words.view(np.uint8), axis=-1, "
+                                       "count=n, bitorder='little')")]}
 
 
 def test_adjacency_attribute_check_sees_direct_and_aliased_reads():

@@ -28,8 +28,9 @@ from tangency_oracle import (bit_unpack, boolean_adjacency_oracle,
 from quadcover.cliquecensus import (build_tangency_graph, census, edge_keys, edge_list,
                                     export_edges_csv, rosette_maximality, verify_srg)
 from quadcover.covering import verify_adjacency_oracle
-from quadcover.ovoid import (_build_rosettes, pack_rows, row_bits, unpack_rows,
-                             verify_common_tangent_counts, verify_semipartial)
+from quadcover.ovoid import (_build_rosettes, verify_common_tangent_counts,
+                             verify_semipartial)
+from quadcover.quadric import pack_rows, row_bits, unpack_rows
 
 
 def _one_way(A, geom):
@@ -154,13 +155,9 @@ def test_sampled_census_matches_the_boolean_census(case):
 
 
 def test_pencil_counts_match_the_boolean_loops(case):
-    name, geom, A, T, _ = case
+    _, geom, A, T, _ = case
     assert verify_semipartial(geom) == point_semipartial(geom)
-    # the loop oracle skips a pencil's own members, where the bit planes
-    # count a member's loop; the census raises on a loop before it reads
-    # maximality
-    if not name.endswith("loop"):
-        assert rosette_maximality(T, geom) == loop_rosette_maximality(A, geom)
+    assert rosette_maximality(T, geom) == loop_rosette_maximality(A, geom)
 
 
 def test_build_rosettes_matches_the_boolean_takes(case):
