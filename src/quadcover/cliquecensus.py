@@ -65,7 +65,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .ovoid import OvoidGeometry, pencil_counts
-from .quadric import pack_rows, row_bits, unpack_rows
+from .quadric import lowest_set_bits, pack_rows, row_bits, unpack_rows
 
 MASK64 = (1 << 64) - 1
 BATCH = 1 << 13                   # non-linear completions (edges x q^2) per census batch
@@ -264,21 +264,6 @@ def completion_rows(T: np.ndarray, Wi: np.ndarray) -> np.ndarray:
         W = Wi[k:k + step]
         P[k:k + step] = pack_rows(row_bits(T, W[:, :, None], W[:, None, :]))[..., 0]
     return P
-
-
-def lowest_set_bits(x: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k lowest set bits of each uint64 word, ascending,
-    along a new last axis.  A word with fewer than k set bits is padded with
-    the sentinel 64: the lowest set bit of an exhausted word is 0, and 0 - 1
-    has 64 set bits."""
-    x = x.copy()
-    out = np.empty(x.shape + (k,), dtype=np.uint8)
-    one = np.uint64(1)
-    for r in range(k):
-        low = x & (~x + one)
-        out[..., r] = np.bitwise_count(low - one)
-        x ^= low
-    return out
 
 
 def upper_pairs(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

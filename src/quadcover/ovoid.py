@@ -13,7 +13,11 @@ tangency (size 1) packed by `quadric.pack_rows` into the one tangency
 table.  No block holds more than PAIR_BLOCK ovoid pairs, so no V x V
 array is held.  Two tangent ovoids meet only at their tangency point, so
 the pencils at a point are the tangency classes among the ovoids through
-it, and no table of tangency points is needed.
+it, and no table of tangency points is needed.  They are found a block of
+section points at a time, with no loop over the points: sorted by their
+lowest set bit, the tangency rows of the ovoids through a point, masked to
+those ovoids and with their own bits set, must come in runs of q equal rows
+of q bits, the classes (`_build_rosettes` gives the proof).
 The structural laws are checked exhaustively.  For every pencil and ovoid,
 the number of the pencil's members tangent to the ovoid is added from the
 packed rows into bit planes, a block of pencils at a time (semipartial and
@@ -29,9 +33,11 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from .gf2n import FieldCtx
-from .quadric import QuadricModel, incidence_transpose, pack_rows, unpack_rows
+from .quadric import (QuadricModel, incidence_transpose, lowest_set_bits, pack_rows,
+                      unpack_rows)
 
 PAIR_BLOCK = 1 << 20              # ovoid pairs per block of a set-up product
+POINT_BLOCK = 1 << 16             # tangency words per block of rosette points
 PENCIL_BLOCK = 1 << 9             # pencils per block of pencil counts
 
 
@@ -161,18 +167,30 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     """Group the ovoids through each point into pencils of pairwise tangent ones.
 
     Two tangent ovoids through p meet only at p, so the pencils at p are the
-    classes of tangency among the ovoids through p.  Let S be their tangency
-    matrix with the diagonal set, and least(a) the first ovoid in a's row of
-    S: the smallest of a's class, as the ovoids through p ascend.  Sorted
-    stably by least, the ovoids through p come class by class in the order
-    of their smallest members, so tangency at p is an equivalence with
-    classes of size q exactly when S, rows and columns in that order, is
-    block diagonal with q x q blocks of ones.  The ovoids through p, in that
-    order, are then the pencils based there, q at a time, sorted by (base,
-    smallest member).  The members of each pencil meet pairwise only at p,
-    which holds exactly when their union has q^3+1 points; the tangency
-    matrix is checked against the ovoids' points this way.  No ovoid through
-    p meets p^perp beyond p, so a pencil's members meet p^perp only at p.
+    classes of tangency among T, the ovoids listed through p, ascending.  For
+    a in T let R[a] be a's packed tangency row masked to T, with a's own bit
+    set (a's row of S, the tangency matrix of T with the diagonal set), and
+    least(a) its lowest set bit: the smallest of a's class, if tangency at p
+    is an equivalence, as S.argmax(axis=1) reads it.  Tangency at p is
+    an equivalence with classes of size q exactly when, with T sorted stably
+    by least, the q rows of each consecutive group of q are equal and have q
+    bits.  For then each group's shared row X holds all q of the group's
+    members, as each row holds its own bit, so X is the group, and S, rows
+    and columns in that order, is block diagonal with q x q blocks of ones;
+    the converse is plain.  T in that order is the pencils based at p, q at a
+    time, sorted by (base, smallest member).
+
+    The members of each pencil meet pairwise only at p, which holds exactly
+    when their union has q^3+1 points; the tangency table is checked against
+    the ovoids' points this way.  No ovoid through p meets p^perp beyond p, so
+    a pencil's members meet p^perp only at p.
+
+    One loop runs over blocks of section points, at most POINT_BLOCK words of
+    rows R a block (one point at q = 16, 7.8 MB), and checks all three laws
+    on rows packed by `pack_rows`: R, and the membership rows of the ovoids
+    through the points.  A grouping failure raises at once; the union and
+    perp laws raise after every point is grouped, in that order, so that a
+    table whose grouping fails at a later point reports that failure.
     """
     model = geom.model
     q = model.ctx.q
@@ -180,36 +198,48 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     m = q * (q - 1) // 2
     if per_point != q * m:
         raise AssertionError("some point is not the base of q(q-1)/2 pencils")
-    diagonal = np.eye(per_point, dtype=bool)
-    classes = np.kron(np.eye(m, dtype=bool), np.ones((q, q), dtype=bool))
+    sect = model.section_points
+    on_ovoid = pack_rows(geom.member_matrix)
+    perp = pack_rows(model.collinear(sect, sect))
+    n_words = geom.tangency.shape[1]
     pencils = np.empty_like(geom.through)
-    # take, not fancy indexing: these are many small gathers
-    for T, out in zip(geom.through, pencils):
-        S = unpack_rows(geom.tangency.take(T, axis=0), geom.n_ovoids).take(T, axis=1)
-        S |= diagonal
-        order = S.argmax(axis=1).argsort(kind="stable")
-        if (S.take(order, axis=0).take(order, axis=1) != classes).any():
+    united = clear = True
+    step = max(1, POINT_BLOCK // (per_point * n_words))
+    for lo in range(0, n_q0, step):
+        T = geom.through[lo:lo + step]
+        b = len(T)
+        # masked by the ovoids listed through the points: the membership
+        # matrix is read only by the union and perp laws
+        listed = np.zeros((b, geom.n_ovoids), dtype=bool)
+        listed[np.arange(b)[:, None], T] = True
+        R = geom.tangency.take(T, axis=0)
+        R &= pack_rows(listed)[:, None]
+        own = T.ravel()
+        R.reshape(-1, n_words)[np.arange(len(own)), own >> 6] |= np.left_shift(
+            np.uint64(1), (own & 63).astype(np.uint64))
+        word = (R != 0).argmax(axis=2)
+        low = np.take_along_axis(R, word[..., None], axis=2)[..., 0]
+        least = word * 64 + lowest_set_bits(low, 1)[..., 0]
+        # one flat take per block: row i of point j is row j * per_point + i
+        order = least.argsort(axis=1, kind="stable")
+        order += np.arange(0, b * per_point, per_point)[:, None]
+        R = R.reshape(-1, n_words).take(order, axis=0).reshape(b, m, q, n_words)
+        if ((np.bitwise_count(R[:, :, 0]).sum(axis=2) != q).any()
+                or (R != R[:, :, :1]).any()):
             raise AssertionError("tangency at a point is not an equivalence "
                                  "with classes of size q")
-        T.take(order, out=out)
-    pencils = pencils.reshape(-1, q)
-    on_ovoid = pack_rows(geom.member_matrix)
-    union = on_ovoid[pencils[:, 0]]
-    for column in pencils[:, 1:].T:
-        union |= on_ovoid[column]
-    if (np.bitwise_count(union).sum(axis=1) != q ** 3 + 1).any():
+        block = T.take(order, out=pencils[lo:lo + step])
+        points = on_ovoid.take(block, axis=0)
+        union = np.bitwise_or.reduce(points.reshape(b, m, q, -1), axis=2)
+        united &= bool((np.bitwise_count(union).sum(axis=2) == q ** 3 + 1).all())
+        points &= perp[lo:lo + step, None]
+        clear &= bool((np.bitwise_count(points).sum(axis=2) == 1).all())
+    if not united:
         raise AssertionError("ovoids sharing a point are tangent elsewhere")
-    del union
-
-    sect = model.section_points
-    perp = pack_rows(model.collinear(sect, sect))
-    step = max(1, (1 << 15) // per_point)
-    for lo in range(0, n_q0, step):
-        meets = on_ovoid[geom.through[lo:lo + step]] & perp[lo:lo + step, None]
-        if (np.bitwise_count(meets).sum(axis=2) != 1).any():
-            raise AssertionError("an ovoid through a point meets its perp beyond the point")
+    if not clear:
+        raise AssertionError("an ovoid through a point meets its perp beyond the point")
     geom.pencil_base = np.repeat(sect, m)
-    geom.pencil_members = pencils
+    geom.pencil_members = pencils.reshape(-1, q)
 
 
 def _verify_incidence(geom: OvoidGeometry) -> None:

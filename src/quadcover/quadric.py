@@ -302,6 +302,21 @@ def row_bits(words: np.ndarray, rows, cols) -> np.ndarray:
             & np.left_shift(1, cols & 7).astype(np.uint8))
 
 
+def lowest_set_bits(x: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k lowest set bits of each uint64 word, ascending,
+    along a new last axis.  A word with fewer than k set bits is padded with
+    the sentinel 64: the lowest set bit of an exhausted word is 0, and 0 - 1
+    has 64 set bits."""
+    x = x.copy()
+    out = np.empty(x.shape + (k,), dtype=np.uint8)
+    one = np.uint64(1)
+    for r in range(k):
+        low = x & (~x + one)
+        out[..., r] = np.bitwise_count(low - one)
+        x ^= low
+    return out
+
+
 def _find_nucleus(model: QuadricModel) -> None:
     """Radical of the bilinear form restricted to {x6 = 0}, as a projective point."""
     ctx = model.ctx

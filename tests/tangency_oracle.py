@@ -14,7 +14,8 @@ tests in `test_tangency.py`:
   degree checks;
 - `boolean_srg`: `verify_srg`'s float32 block products;
 - `boolean_edge_keys`: `edge_keys`' scan of the upper triangle;
-- `boolean_pencils`: `_build_rosettes`' per-point take of rows and columns;
+- `boolean_pencils`: the per-point kernel that `_build_rosettes` ran
+  before its block kernel, a take of rows and columns at each point;
 - `boolean_common_tangent_counts`: `verify_common_tangent_counts`;
 - `boolean_adjacency_oracle`: `verify_adjacency_oracle`'s block compare.
 The pencil counts of `verify_semipartial` and `rosette_maximality` are
@@ -113,8 +114,12 @@ def boolean_edge_keys(A: np.ndarray) -> np.ndarray:
 
 
 def boolean_pencils(geom: OvoidGeometry) -> np.ndarray:
-    """The pencils of `_build_rosettes`, grouped from the boolean matrix by
-    a take of rows and then of columns at each point, or its raise."""
+    """The pencils of `_build_rosettes`, or its raise, by the per-point
+    kernel that the block kernel replaced, read from the boolean matrix: at
+    each point, a take of the rows and then of the columns of the ovoids
+    through it, the diagonal set, stably sorted by each row's first set
+    column and compared with q x q blocks of ones.  Then the union law over
+    every pencil and the perp law at every point, on boolean rows."""
     A = tangency_matrix(geom)
     q = geom.model.ctx.q
     per_point = geom.through.shape[1]
@@ -130,7 +135,19 @@ def boolean_pencils(geom: OvoidGeometry) -> np.ndarray:
             raise AssertionError("tangency at a point is not an equivalence "
                                  "with classes of size q")
         T.take(order, out=out)
-    return pencils.reshape(-1, q)
+    pencils = pencils.reshape(-1, q)
+    member = geom.member_matrix
+    union = member[pencils[:, 0]]
+    for column in pencils[:, 1:].T:
+        union |= member[column]
+    if (union.sum(axis=1) != q ** 3 + 1).any():
+        raise AssertionError("ovoids sharing a point are tangent elsewhere")
+    sect = geom.model.section_points
+    perp = geom.model.collinear(sect, sect)
+    for T, row in zip(geom.through, perp):
+        if ((member[T] & row).sum(axis=1) != 1).any():
+            raise AssertionError("an ovoid through a point meets its perp beyond the point")
+    return pencils
 
 
 def boolean_common_tangent_counts(geom: OvoidGeometry) -> dict:

@@ -34,14 +34,13 @@ from quadcover.cliquecensus import (
     formula_n5,
     formula_n6,
     formula_srg_params,
-    lowest_set_bits,
     rosette_maximality,
     sampled_edge_keys,
     splitmix_below,
     upper_pairs,
     verify_srg,
 )
-from quadcover.quadric import pack_rows, row_bits, unpack_rows
+from quadcover.quadric import lowest_set_bits, pack_rows, row_bits, unpack_rows
 
 
 def test_formula_values():

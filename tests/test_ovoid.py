@@ -17,7 +17,8 @@ from ovoid_oracle import (
     tangency_points,
     tangent_plane,
 )
-from tangency_oracle import tangency_matrix, with_tangency
+from setup_oracle import loop_build_rosettes
+from tangency_oracle import boolean_pencils, tangency_matrix, with_tangency
 from quadcover import ovoid
 from quadcover.ovoid import (
     _build_rosettes,
@@ -158,8 +159,9 @@ def test_grouping_rejects_a_broken_tangency_class(geom_q4):
     a, b = geom_q4.pencil_members[0, :2]
     A[[a, b], [b, a]] = False
     geom = with_tangency(geom_q4, A)
-    with pytest.raises(AssertionError, match="not an equivalence"):
-        _build_rosettes(geom)
+    for build in (_build_rosettes, boolean_pencils, loop_build_rosettes):
+        with pytest.raises(AssertionError, match="not an equivalence"):
+            build(geom)
 
 
 @pytest.fixture(scope="module", params=["cleared_first", "cleared_last", "added"])

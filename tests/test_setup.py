@@ -8,7 +8,10 @@ pair of points, against `quadric_oracle.loop_gram_matrix`, and the table of
 tangency points that the tests read off the ovoids' point sets, against the
 former position-weighted product.  Corrupted copies of the tables, and of
 the form through `quadric_oracle.TableModel`, show that the line and
-grouping laws still fire.
+grouping laws still fire; each grouping corruption raises the same message
+from `_build_rosettes`, from the per-point kernel it replaced
+(`tangency_oracle.boolean_pencils`) and from the loop, some also with the
+section points grouped one or a few a block.
 """
 
 import copy
@@ -21,7 +24,7 @@ from ovoid_oracle import tangency_points
 from quadric_oracle import TableModel, alpha_table
 from setup_oracle import (loop_build_elation, loop_build_geometry, loop_build_lines,
                           loop_build_rosettes, loop_point_index, loop_tangency_point)
-from tangency_oracle import tangency_matrix, with_tangency
+from tangency_oracle import boolean_pencils, tangency_matrix, with_tangency
 from quadcover import ovoid
 from quadcover.gf2n import FieldCtx, is_irreducible, trace
 from quadcover.ovoid import _batched_rref, _build_rosettes, build_geometry
@@ -93,6 +96,16 @@ def test_setup_in_ragged_blocks_matches_the_loop_oracle(monkeypatch, n, rows):
     assert_same_geometry(build_geometry(build_model(FieldCtx(n))))
 
 
+@pytest.mark.parametrize("n,points", [(1, 4), (2, 7)])
+def test_rosettes_in_ragged_point_blocks_match_the_loop_oracle(monkeypatch, n, points):
+    # blocks of a few section points, the last one short: 15 = 3 * 4 + 3
+    # points at q = 2 and 85 = 12 * 7 + 1 at q = 4
+    q = 2 ** n
+    per_point, n_ovoids = q * q * (q - 1) // 2, q * q * (q * q - 1) // 2
+    monkeypatch.setattr(ovoid, "POINT_BLOCK", points * per_point * -(-n_ovoids // 64))
+    assert_same_geometry(build_geometry(build_model(FieldCtx(n))))
+
+
 def test_build_geometry_peak_stays_below_28_mib(model_q8):
     # the kept tables (0.5 MB packed tangency, 1 MB membership) and one
     # product block of at most PAIR_BLOCK float32 entries, and its packed
@@ -155,6 +168,10 @@ def test_elation_rejects_a_nucleus_on_the_quadric(model_q4):
             build(copy.copy(model))
 
 
+# the block kernel, the per-point kernel it replaced and the S.S = q.S loop
+REBUILDS = (_build_rosettes, boolean_pencils, loop_build_rosettes)
+
+
 @pytest.mark.parametrize("corruption", ["swapped", "one_way"])
 def test_grouping_rejects_tangencies_that_keep_every_count(geom_q4, corruption):
     """Two pencils {a1..a4}, {b1..b4} at the first section point p, with
@@ -176,7 +193,7 @@ def test_grouping_rejects_tangencies_that_keep_every_count(geom_q4, corruption):
         A[rows, np.array(first[:q - 1])] = True
     assert (A.sum(axis=1) == (q - 1) * (q * q + 1)).all()
     geom = with_tangency(geom_q4, A)
-    for build in (_build_rosettes, loop_build_rosettes):
+    for build in REBUILDS:
         with pytest.raises(AssertionError, match="not an equivalence"):
             build(geom)
 
@@ -198,23 +215,35 @@ def test_grouping_rejects_a_one_way_tangency_that_keeps_the_counts_at_every_poin
     for T in geom_q4.through:
         assert (A[np.ix_(T, T)].sum(axis=1) == q - 1).all()
     geom = with_tangency(geom_q4, A)
-    for build in (_build_rosettes, loop_build_rosettes):
+    for build in REBUILDS:
         with pytest.raises(AssertionError, match="not an equivalence"):
             build(geom)
 
 
-def _retangent(geom, corruption):
-    """The q = 4 geometry with pairs through the first section point p made
-    tangent or non-tangent, keeping the relation symmetric.  P1 and P2 are
-    the first two pencils at p, (u, v) the first pair of the last pencil.
-    "cleared": (u, v) made non-tangent, so u and v have q - 2 tangents at
-    their point.  "moved": (u, v) cleared and P1[0] made tangent to P2[0]:
-    the number of tangent pairs is kept, but P1[0] and P2[0] have q tangents
-    at p.  "doubled": P2[0] made tangent to none of P2 and P1[0] to all of
-    it, so P1[0] has 2(q - 1) tangents at p, P2[0] none and every other
-    ovoid q - 1 at p.  "shifted": a and b, the first two consecutive ovoids
-    through p in different pencils, and y a pencil mate of a; (a, y) cleared
-    and (b, y) made tangent, so a has q - 2 tangents at p and b has q."""
+def test_grouping_rejects_tangency_of_every_pair(geom_q4):
+    """Every ovoid pair made tangent: at each point the rows of the ovoids
+    through it are all equal, and only their size, q^2(q-1)/2 bits and not
+    q, breaks the law."""
+    geom = with_tangency(geom_q4, ~np.eye(geom_q4.n_ovoids, dtype=bool))
+    for build in REBUILDS:
+        with pytest.raises(AssertionError, match="not an equivalence"):
+            build(geom)
+
+
+def _retangent(geom, corruption, point=0):
+    """The q = 4 geometry with pairs through section point p (the first
+    unless point, a dense section index, says otherwise) made tangent or
+    non-tangent, keeping the relation symmetric.  P1 and P2 are the first two
+    pencils at the first point, (u, v) the first pair of the last pencil,
+    whose base is the last point.  "cleared": (u, v) made non-tangent, so u
+    and v have q - 2 tangents at their point.  "moved": (u, v) cleared and
+    P1[0] made tangent to P2[0]: the number of tangent pairs is kept, but
+    P1[0] and P2[0] have q tangents at the first point.  "doubled": P2[0]
+    made tangent to none of P2 and P1[0] to all of it, so P1[0] has 2(q - 1)
+    tangents at the first point, P2[0] none and every other ovoid q - 1
+    there.  "shifted": a and b, the first two consecutive ovoids through p in
+    different pencils, and y a pencil mate of a; (a, y) cleared and (b, y)
+    made tangent, so a has q - 2 tangents at p and b has q."""
     A = tangency_matrix(geom)
     P1, P2 = geom.pencil_members[:2].tolist()              # both at point p
     u, v = geom.pencil_members[-1, :2].tolist()
@@ -225,7 +254,7 @@ def _retangent(geom, corruption):
     elif corruption == "doubled":
         edits = [(P2[0], w, False) for w in P2[1:]] + [(P1[0], w, True) for w in P2[1:]]
     else:
-        through = geom.through[0].tolist()
+        through = geom.through[point].tolist()
         a, b = next((a, b) for a, b in zip(through, through[1:]) if not A[a, b])
         y = next(y for y in through if A[a, y] and y != b)
         edits = [(a, y, False), (b, y, True)]
@@ -238,7 +267,25 @@ def _retangent(geom, corruption):
 @pytest.mark.parametrize("corruption", ["cleared", "moved", "doubled", "shifted"])
 def test_grouping_rejects_a_wrong_number_of_tangents_at_a_point(geom_q4, corruption):
     geom = _retangent(geom_q4, corruption)
-    for build in (_build_rosettes, loop_build_rosettes):
+    for build in REBUILDS:
+        with pytest.raises(AssertionError, match="not an equivalence"):
+            build(geom)
+
+
+@pytest.mark.parametrize("points", [None, 7])
+@pytest.mark.parametrize("corruption", ["cleared", "shifted"])
+def test_grouping_rejects_a_corruption_at_the_last_point(monkeypatch, geom_q4, corruption,
+                                                        points):
+    """Tangency broken at the last section point.  "cleared" touches only the
+    pair (u, v), tangent there and nowhere else; "shifted" is made there, but
+    the pair it makes tangent meets in a conic, so it breaks the grouping at
+    the conic's other points too.  The q = 4 points are grouped in one block,
+    or 7 a block, so that the last point is alone in a short last block."""
+    geom = _retangent(geom_q4, corruption, point=-1)
+    if points:
+        per_point, n_words = geom.through.shape[1], geom.tangency.shape[1]
+        monkeypatch.setattr(ovoid, "POINT_BLOCK", points * per_point * n_words)
+    for build in REBUILDS:
         with pytest.raises(AssertionError, match="not an equivalence"):
             build(geom)
 
@@ -277,13 +324,31 @@ def _regroup(geom, corruption):
     return geom
 
 
-@pytest.mark.parametrize("corruption,law", [
+REGROUPED = [
     ("regrouped", "not an equivalence"),
     ("mate_point", "ovoids sharing a point are tangent elsewhere"),
-    ("perp_in_ovoid", "an ovoid through a point meets its perp beyond the point")])
+    ("perp_in_ovoid", "an ovoid through a point meets its perp beyond the point")]
+
+
+@pytest.mark.parametrize("corruption,law", REGROUPED)
 def test_grouping_rejects_tables_that_disagree_with_the_points(geom_q4, corruption, law):
     geom = _regroup(geom_q4, corruption)
-    for build in (_build_rosettes, loop_build_rosettes):
+    for build in REBUILDS:
+        with pytest.raises(AssertionError, match=law):
+            build(geom)
+
+
+@pytest.mark.parametrize("corruption,law", REGROUPED)
+def test_grouping_laws_keep_their_order_in_one_point_blocks(monkeypatch, geom_q4,
+                                                          corruption, law):
+    """The same tables, grouped one section point a block.  "regrouped"
+    breaks the union law in the first block and grouping only at a later
+    point, and the grouping failure is the one raised, as the per-point
+    kernel raises it after grouping every point."""
+    geom = _regroup(geom_q4, corruption)
+    per_point, n_words = geom.through.shape[1], geom.tangency.shape[1]
+    monkeypatch.setattr(ovoid, "POINT_BLOCK", per_point * n_words)
+    for build in REBUILDS:
         with pytest.raises(AssertionError, match=law):
             build(geom)
 
