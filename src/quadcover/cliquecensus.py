@@ -65,11 +65,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .ovoid import OvoidGeometry, pencil_counts
-from .quadric import lowest_set_bits, pack_rows, row_bits, unpack_rows
+from .quadric import lowest_set_bits, pack_rows, row_bits, transpose_rows, unpack_rows
 
 MASK64 = (1 << 64) - 1
 BATCH = 1 << 13                   # non-linear completions (edges x q^2) per census batch
-KEY_BLOCK = 1 << 20               # tangency entries per step of the edge-key scan
+KEY_BLOCK = 1 << 20               # tangency entries per step of the edge keys or symmetry check
 SRG_BLOCK = 1 << 19               # common-neighbour counts per verify_srg step
 S_BLOCK = 1 << 16                 # completion pairs gathered per census S step
 MAX_WORKERS = 1                   # census worker threads beside the main thread, at most
@@ -111,15 +111,23 @@ def formula_n6(q: int) -> int:
 
 def build_tangency_graph(gx: OvoidGeometry) -> np.ndarray:
     """The geometry's packed tangency table (vertex i is ovoid i), checked
-    to be a simple regular graph of the expected degree."""
-    A = unpack_rows(gx.tangency, gx.n_ovoids)
-    if not np.array_equal(A, A.T) or A.diagonal().any():
+    to be a simple regular graph of the expected degree: no bit on the
+    diagonal, and each band of 64 rows equal to that band of the transpose,
+    KEY_BLOCK entries or one band at a time."""
+    T = gx.tangency
+    ovoids = np.arange(len(T))
+    simple = not row_bits(T, ovoids, ovoids).any()
+    step = max(1, KEY_BLOCK // (64 * len(T)))
+    for w in range(0, T.shape[1], step):
+        band = T[64 * w:64 * (w + step)]
+        simple &= np.array_equal(transpose_rows(T[:, w:w + step], len(band)), band)
+    if not simple:
         raise AssertionError("tangency matrix is not a simple graph")
     q = gx.model.ctx.q
     k = (q - 1) * (q * q + 1)
-    if not (np.bitwise_count(gx.tangency).sum(axis=1) == k).all():
+    if not (np.bitwise_count(T).sum(axis=1) == k).all():
         raise AssertionError(f"graph is not {k}-regular")
-    return gx.tangency
+    return T
 
 
 def verify_srg(T: np.ndarray) -> dict:

@@ -8,16 +8,20 @@ rosettes) are the lines of a semipartial geometry with parameters
 (q-1, q^2, 2, 2q(q-1)).
 
 The pairwise intersection sizes are integer matrix products over the
-membership matrix, one block of ovoid rows at a time, each block's
-tangency (size 1) packed by `quadric.pack_rows` into the one tangency
-table.  No block holds more than PAIR_BLOCK ovoid pairs, so no V x V
-array is held.  Two tangent ovoids meet only at their tangency point, so
-the pencils at a point are the tangency classes among the ovoids through
-it, and no table of tangency points is needed.  They are found a block of
-section points at a time, with no loop over the points: sorted by their
-lowest set bit, the tangency rows of the ovoids through a point, masked to
-those ovoids and with their own bits set, must come in runs of q equal rows
-of q bits, the classes (`_build_rosettes` gives the proof).
+membership matrix, one block of ovoid rows at a time against the columns
+from the block on: the upper triangle, each pair once.  Each block's
+tangency (size 1) is packed by `quadric.pack_rows` into the one tangency
+table; the product is symmetric, so the lower triangle is then filled from
+the table's transpose, `quadric.transpose_rows`, in bands of 64 rows.  No
+block holds more than PAIR_BLOCK ovoid pairs, so no V x V array and no
+second tangency table is held.  Two tangent ovoids meet only at their
+tangency point, so the pencils at a point are the tangency classes among
+the ovoids through it, and no table of tangency points is needed.  They
+are found a block of section points at a time, with no loop over the
+points: sorted by their lowest set bit, the tangency rows of the ovoids
+through a point, masked to those ovoids and with their own bits set, must
+come in runs of q equal rows of q bits, the classes (`_build_rosettes`
+gives the proof).
 The structural laws are checked exhaustively.  For every pencil and ovoid,
 the number of the pencil's members tangent to the ovoid is added from the
 packed rows into bit planes, a block of pencils at a time (semipartial and
@@ -34,9 +38,9 @@ import numpy as np
 
 from .gf2n import FieldCtx
 from .quadric import (QuadricModel, incidence_transpose, lowest_set_bits, pack_rows,
-                      unpack_rows)
+                      transpose_rows, unpack_rows)
 
-PAIR_BLOCK = 1 << 20              # ovoid pairs per block of a set-up product
+PAIR_BLOCK = 1 << 19              # ovoid pairs per block of a set-up product or transpose
 POINT_BLOCK = 1 << 16             # tangency words per block of rosette points
 PENCIL_BLOCK = 1 << 9             # pencils per block of pencil counts
 
@@ -114,20 +118,32 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     geom.ovoid_points = sect[cols]
     geom.ovoid_span = basis[:, :4].astype(np.int16)
 
-    # tangency is packed one block of ovoid rows at a time.  float32
+    # the upper triangle of the product, packed one block of ovoid rows at
+    # a time: each block against the columns from the word holding its
+    # first diagonal entry on, so that its packed rows start at a whole
+    # word (some pairs near the diagonal are computed twice).  float32
     # products are exact here: every entry is an integer below 2^24.
     mf = member.astype(np.float32)
-    geom.tangency = np.empty((n_ov, -(-n_ov // 64)), dtype="<u8")
+    T = geom.tangency = np.zeros((n_ov, -(-n_ov // 64)), dtype="<u8")
     step = max(1, PAIR_BLOCK // n_ov)
     for lo in range(0, n_ov, step):
-        inter = mf[lo:lo + step] @ mf.T
+        word = lo // 64
+        inter = mf[lo:lo + step] @ mf[64 * word:].T
         # the diagonal is no pair: count it as a conic, lawful and not tangent
-        np.fill_diagonal(inter[:, lo:], q + 1)
+        np.fill_diagonal(inter[:, lo % 64:], q + 1)
         if not ((inter == 1) | (inter == q + 1)).all():
             raise AssertionError("some ovoid pair meets in neither a point nor a conic")
-        geom.tangency[lo:lo + step] = pack_rows(inter == 1)
+        T[lo:lo + step, word:] = pack_rows(inter == 1)
         del inter
     del mf
+    # the product is symmetric, so the transpose of the upper triangle
+    # fills in the lower one, PAIR_BLOCK pairs or one band of 64 rows a
+    # step.  A band transposed after the rows above it were filled in reads
+    # their new bits too; they are bits of the product, so nothing changes.
+    step = max(1, PAIR_BLOCK // (64 * n_ov))
+    for word in range(0, T.shape[1], step):
+        band = T[64 * word:64 * (word + step)]
+        band |= transpose_rows(T[:, word:word + step], len(band))
 
     per_point = q * q * (q - 1) // 2
     if (member.sum(axis=0) != per_point).any():

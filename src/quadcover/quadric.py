@@ -10,7 +10,8 @@ their rows by each point's key.  `QuadricModel.alpha_blocks` takes the
 columns once and yields the rows in blocks, for checks that read many row
 blocks against the same columns; `QuadricModel.alpha` is its one-block case.
 Relations held as bit rows (perp, membership, tangency) have one layout,
-that of `pack_rows`, read through `row_bits` and `unpack_rows`.
+that of `pack_rows`, read through `row_bits` and `unpack_rows`, and
+transposed by `transpose_rows`.
 
 Coordinates: f(x) = x1*x2 + x3*x4 + x5^2 + x5*x6 + lam*x6^2 with trace(lam) = 1,
 polarized to alpha(u, v) = u1*v2 + u2*v1 + u3*v4 + u4*v3 + u5*v6 + u6*v5.
@@ -29,6 +30,10 @@ from .gf2n import FieldCtx, trace
 from .projgeom import Vec, enumerate_points, normalize_tuple, null_space
 
 MAX_BUILD_DEGREE = 3  # model enumeration is desk-scale only through q = 8
+PERP_BLOCK = 1 << 19  # bytes of perp rows a block of _build_lines: alpha entries or packed words
+# the stages of `transpose_rows`: j, and the mask of the bits whose column has bit j clear
+_BUTTERFLY = [(j, np.uint64(sum(1 << t for t in range(64) if not t & j)))
+              for j in (32, 16, 8, 4, 2, 1)]
 
 
 class QuadricModel:
@@ -212,6 +217,11 @@ def _build_lines(model: QuadricModel) -> None:
     perpendicular to the others, the common perp of x and k is the line,
     each point's perp is the union of its q^2+1 lines, and the sorted
     (line, point) keys of `lines_through` are those of `lines`.
+
+    Every block is sized from PERP_BLOCK, to a few MiB at any q: alpha
+    blocks of PERP_BLOCK entries (113 rows of all |Q| points at q = 8, 7
+    at q = 16), and line checks on as many lines as have PERP_BLOCK bytes
+    of packed perp rows at their smallest points (897 at q = 8, 60 at q = 16).
     """
     ctx = model.ctx
     q = ctx.q
@@ -222,9 +232,12 @@ def _build_lines(model: QuadricModel) -> None:
     for p in range(5, 0, -1):           # points with a larger pivot sort first
         X = np.flatnonzero(piv == p)
         K = np.flatnonzero((piv < p) & (c[:, p] == 0))
-        i, j = np.nonzero(model.collinear(X, K))
-        xs.append(X[i])
-        ks.append(K[j])
+        step = max(1, PERP_BLOCK // len(K))
+        blocks = model.alpha_blocks(X, K, step)
+        for lo in range(0, len(X), step):
+            i, j = np.nonzero(next(blocks) == 0)
+            xs.append(X[lo + i])
+            ks.append(K[j])
     x, k = np.concatenate(xs), np.concatenate(ks)
     expected = nq * (q * q + 1) // (q + 1)
     if len(x) != expected:
@@ -238,15 +251,17 @@ def _build_lines(model: QuadricModel) -> None:
     # the perp rows, packed: bit y of row x is set exactly when alpha(x, y) == 0
     pts = np.arange(nq)
     words = np.empty((nq, -(-nq // 64)), dtype="<u8")
-    blocks = model.alpha_blocks(pts, pts, 1024)
-    for lo in range(0, nq, 1024):
-        words[lo:lo + 1024] = pack_rows(next(blocks) == 0)
+    step = max(1, PERP_BLOCK // nq)
+    blocks = model.alpha_blocks(pts, pts, step)
+    for lo in range(0, nq, step):
+        words[lo:lo + step] = pack_rows(next(blocks) == 0)
     i, j = np.triu_indices(q + 1, 1)
-    for lo in range(0, len(x), 4096):
-        chunk = ln[lo:lo + 4096]
+    step = max(1, PERP_BLOCK // words[0].nbytes)
+    for lo in range(0, len(x), step):
+        chunk = ln[lo:lo + step]
         if (chunk < 0).any() or not row_bits(words, chunk[:, i], chunk[:, j]).all():
             raise AssertionError("a line is not totally singular")
-        common = np.bitwise_count(words[x[lo:lo + 4096]] & words[k[lo:lo + 4096]]).sum(axis=1)
+        common = np.bitwise_count(words[x[lo:lo + step]] & words[k[lo:lo + step]]).sum(axis=1)
         if (common != q + 1).any():
             raise AssertionError("common perp of collinear points is not a line")
     # distinct lines through a point meet only there: q^2+1 of them cover
@@ -292,6 +307,28 @@ def pack_rows(S: np.ndarray) -> np.ndarray:
 def unpack_rows(words: np.ndarray, n: Optional[int] = None) -> np.ndarray:
     """The first n bits (all when n is None) of rows packed by `pack_rows`, as booleans."""
     return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+
+
+def transpose_rows(words: np.ndarray, n: Optional[int] = None) -> np.ndarray:
+    """The first n rows (len(words) when n is None) of the transpose of the
+    bit matrix whose rows `pack_rows` packed into words, in the same layout,
+    its padding bits zero.  Each 64 x 64 block of bits is transposed in its
+    64 words by a butterfly: at stage j = 32, 16, ..., 1, in every 2j x 2j
+    sub-block the top right and bottom left j x j quarters swap, by a mask
+    and a shift of whole words."""
+    r, w = words.shape
+    # blocks[c, b, i] is word c of row 64 b + i: one 64 x 64 block a row of 64 words
+    blocks = np.zeros((w, -(-r // 64), 64), dtype="<u8")
+    blocks.reshape(w, -1)[:, :r] = words.T
+    for j, low in _BUTTERFLY:
+        halves = blocks.reshape(w, -1, 2, j)
+        top, bottom = halves[:, :, 0], halves[:, :, 1]
+        swap = ((top >> j) ^ bottom) & low
+        bottom ^= swap
+        top ^= swap << j
+    # now bit i of blocks[c, b, t] is bit t of word c of row 64 b + i: it is
+    # bit i of word b of the transpose's row 64 c + t
+    return blocks.transpose(0, 2, 1).reshape(64 * w, -1)[:r if n is None else n]
 
 
 def row_bits(words: np.ndarray, rows, cols) -> np.ndarray:

@@ -6,8 +6,10 @@ dtype and shape, at q = 2 and q = 4 for every modulus and trace-one form
 parameter, and at q = 8 for the default field.  So are `alpha` on every
 pair of points, against `quadric_oracle.loop_gram_matrix`, and the table of
 tangency points that the tests read off the ovoids' point sets, against the
-former position-weighted product.  Corrupted copies of the tables, and of
-the form through `quadric_oracle.TableModel`, show that the line and
+former position-weighted product.  The set-up's blocks are also patched
+to a few rows, with a short last block, and must give the same arrays.
+Corrupted copies of the tables, and of the form through
+`quadric_oracle.TableModel`, show that the line, point-or-conic and
 grouping laws still fire; each grouping corruption raises the same message
 from `_build_rosettes`, from the per-point kernel it replaced
 (`tangency_oracle.boolean_pencils`) and from the loop, some also with the
@@ -25,7 +27,7 @@ from quadric_oracle import TableModel, alpha_table
 from setup_oracle import (loop_build_elation, loop_build_geometry, loop_build_lines,
                           loop_build_rosettes, loop_point_index, loop_tangency_point)
 from tangency_oracle import boolean_pencils, tangency_matrix, with_tangency
-from quadcover import ovoid
+from quadcover import ovoid, quadric
 from quadcover.gf2n import FieldCtx, is_irreducible, trace
 from quadcover.ovoid import _batched_rref, _build_rosettes, build_geometry
 from quadcover.projgeom import rref
@@ -104,6 +106,72 @@ def test_rosettes_in_ragged_point_blocks_match_the_loop_oracle(monkeypatch, n, p
     per_point, n_ovoids = q * q * (q - 1) // 2, q * q * (q * q - 1) // 2
     monkeypatch.setattr(ovoid, "POINT_BLOCK", points * per_point * -(-n_ovoids // 64))
     assert_same_geometry(build_geometry(build_model(FieldCtx(n))))
+
+
+@pytest.mark.parametrize("block", [1, 3 * 325])
+def test_model_in_ragged_perp_blocks_matches_the_unpatched_build(monkeypatch, model_q4, block):
+    # PERP_BLOCK of 1 byte: one perp row, one pivot row and one line a
+    # block.  Of 3 * 325 bytes: 3 perp rows (325 = 108 * 3 + 1), 14 and 18
+    # pivot rows (16 = 14 + 2, 52 = 2 * 18 + 16) and 20 lines of 48 bytes
+    # (1105 = 55 * 20 + 5) a block
+    monkeypatch.setattr(quadric, "PERP_BLOCK", block)
+    model = build_model(model_q4.ctx)
+    assert_same_fields(model, model_q4, [k for k, v in vars(model).items()
+                                         if isinstance(v, np.ndarray)])
+
+
+@pytest.mark.parametrize("rows", [100, 192])
+def test_tangency_in_ragged_blocks_and_bands_matches_the_unpatched_build(
+        monkeypatch, geom_q8, rows):
+    # the product a few rows a block, the last one short (2016 = 20 * 100 +
+    # 16 and 10 * 192 + 96), and the transpose one band (100 rows) or three
+    # (192 rows) a step, the last step short (32 words = 10 * 3 + 2)
+    V = geom_q8.n_ovoids
+    monkeypatch.setattr(ovoid, "PAIR_BLOCK", rows * V)
+    geom = build_geometry(geom_q8.model)
+    assert_same_fields(geom, geom_q8, [k for k, v in vars(geom).items()
+                                       if isinstance(v, np.ndarray)])
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_product_rejects_a_pair_meeting_in_two_points(monkeypatch, geom_q4, rows):
+    """The last ovoid i given a point of j, the first ovoid tangent to it,
+    in place of one of its own points off j: the pair j < i meets in two
+    points (and other pairs of i break the law too).  With 7 rows a block,
+    i = 119 is alone in the last block, whose columns start at 64, so the
+    pair (j, i) is read only in j's block."""
+    if rows:
+        monkeypatch.setattr(ovoid, "PAIR_BLOCK", rows * geom_q4.n_ovoids)
+    q = geom_q4.model.ctx.q
+    i = geom_q4.n_ovoids - 1
+    j = int(np.flatnonzero(tangency_matrix(geom_q4)[i])[0])
+    assert j < 64
+    gain = np.setdiff1d(geom_q4.ovoid_points[j], geom_q4.ovoid_points[i])[-1]
+    lose = np.setdiff1d(geom_q4.ovoid_points[i], geom_q4.ovoid_points[j])[-1]
+    points = np.union1d(np.setdiff1d(geom_q4.ovoid_points[i], [lose]), [gain])
+    # the span law reads the first q + 2 points, which keep their solid
+    assert max(gain, lose) > points[q + 1]
+    table = alpha_table(geom_q4.model).copy()
+    x = geom_q4.ovoid_orbit[i, 0]
+    table[[x, gain], [gain, x]] = 0
+    table[[x, lose], [lose, x]] = 1
+    model = TableModel(geom_q4.model, table)
+    for build in (build_geometry, loop_build_geometry):
+        with pytest.raises(AssertionError, match="neither a point nor a conic"):
+            build(model)
+
+
+def test_build_model_peak_stays_below_16_mib():
+    # the packed perp rows (2.7 MB), the line tables and the point index
+    # (1 MB) beside the sort keys of the lines_through law; the perp rows
+    # are read in blocks of PERP_BLOCK bytes
+    tracemalloc.start()
+    try:
+        build_model(FieldCtx(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_build_geometry_peak_stays_below_28_mib(model_q8):

@@ -8,7 +8,9 @@ grouping corruption of `test_ovoid.py`), a conic pair made tangent, and two
 tangent pairs of the first two pencils swapped for two conic pairs, which
 keeps every degree (as in `test_setup.py`).  A corrupted table is a boolean
 copy, edited and installed packed.  The census corruptions are diffed in
-`test_cliquecensus.py`.
+`test_cliquecensus.py`.  The symmetry check of `build_tangency_graph` also
+meets asymmetric bits in its first and last bands, and `transpose_rows` is
+diffed against the transpose of the unpacked table.
 """
 
 import copy
@@ -25,12 +27,13 @@ from tangency_oracle import (bit_unpack, boolean_adjacency_oracle,
                              boolean_common_tangent_counts, boolean_edge_keys,
                              boolean_pencils, boolean_srg, boolean_tangency_graph,
                              tangency_matrix, with_tangency)
+from quadcover import cliquecensus
 from quadcover.cliquecensus import (build_tangency_graph, census, edge_keys, edge_list,
                                     export_edges_csv, rosette_maximality, verify_srg)
 from quadcover.covering import verify_adjacency_oracle
 from quadcover.ovoid import (_build_rosettes, verify_common_tangent_counts,
                              verify_semipartial)
-from quadcover.quadric import pack_rows, row_bits, unpack_rows
+from quadcover.quadric import pack_rows, row_bits, transpose_rows, unpack_rows
 
 
 def _one_way(A, geom):
@@ -194,6 +197,48 @@ def test_oracle_unpack_is_unpack_rows():
         assert not unpack_rows(T)[:, n:].any()
 
 
+@pytest.mark.parametrize("n", [1, 6, 63, 64, 65, 120, 130, 2016])
+def test_transpose_rows_is_the_unpacked_transpose(n):
+    # random and symmetric square tables, across word and band boundaries;
+    # the transpose's padding bits are zero
+    rng = np.random.default_rng(n)
+    A = rng.random((n, n)) < 0.5
+    for M in (A, A | A.T):
+        w = pack_rows(M)
+        got = transpose_rows(w)
+        np.testing.assert_array_equal(got, pack_rows(unpack_rows(w, n).T))
+        assert got.shape == w.shape and not unpack_rows(got)[:, n:].any()
+
+
+def _first_word(A):
+    A[0, 1] = not A[0, 1]
+
+
+def _last_band(A):
+    A[-1, -32] = not A[-1, -32]
+
+
+def _last_loop(A):
+    A[-1, -1] = True
+
+
+@pytest.mark.parametrize("bands", [None, 1])
+@pytest.mark.parametrize("corruption", [_first_word, _last_band, _last_loop],
+                         ids=lambda f: f.__name__[1:])
+def test_build_tangency_graph_rejects_what_the_boolean_checks_reject(
+        monkeypatch, geom_q8, adj_q8, corruption, bands):
+    """One asymmetric bit in the first word; one asymmetric bit between rows
+    1,984 and 2,015 (the last, half-filled band); and a loop at the last
+    ovoid.  The bands are compared KEY_BLOCK entries or one band at a time."""
+    if bands:
+        monkeypatch.setattr(cliquecensus, "KEY_BLOCK", 64 * len(adj_q8) * bands)
+    A = adj_q8.copy()
+    corruption(A)
+    geom = with_tangency(geom_q8, A)
+    got, want = _outcome(build_tangency_graph, geom), _outcome(boolean_tangency_graph, geom)
+    assert got == want == ("raised", "tangency matrix is not a simple graph")
+
+
 @pytest.mark.parametrize("name", ["model", "geom"])
 @pytest.mark.parametrize("q", [4, 8])
 def test_no_v_by_v_array_is_held(request, name, q):
@@ -216,3 +261,14 @@ def test_build_tangency_graph_peak_stays_below_10_mib(geom_q8):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
+
+
+def test_build_tangency_graph_peak_stays_below_3_mib(geom_q8):
+    # the diagonal bits and one transposed band step of the 0.5 MB table
+    tracemalloc.start()
+    try:
+        build_tangency_graph(geom_q8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
