@@ -206,7 +206,7 @@ def cmd_verify_srg(run: Run, args) -> dict:
     return {"srg": rep, "checks": [
         _check("srg_params", [v, k, lam, mu],
                [rep["v"], rep["k"], rep["lambda"], rep["mu"]], "formula"),
-        _bool_check("strong_regularity", rep["pass"], "enumeration"),
+        _bool_check("strong_regularity", rep["pass"], "enumeration", rep["pairs_checked"]),
         _bool_check("feasibility_identity", rep["feasibility_ok"], "oracle"),
     ]}
 
@@ -257,9 +257,11 @@ def cmd_census(run: Run, args) -> dict:
         g = build_tangency_graph(gx)
         rep = census(g, gx, mode=cfg.mode, seed=cfg.seed,
                      n_samples=cfg.samples or 20000)
+    with run.timed("srg"):
         srg = verify_srg(g)
     checks = [_bool_check("census_identities", rep.ok, "enumeration"),
-              _bool_check("strong_regularity", srg["pass"], "enumeration")]
+              _bool_check("strong_regularity", srg["pass"], "enumeration",
+                          srg["pairs_checked"])]
     if cfg.mode == "full":
         checks += [_check(f"nonlinear_{k}_cliques", rep.formulas[f"n{k}"],
                           getattr(rep, f"n{k}"), "formula") for k in (3, 4, 5, 6)]

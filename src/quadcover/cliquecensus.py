@@ -9,6 +9,10 @@ non-linear triangle grows to exactly q+1 four-cliques, each non-linear
 four-clique to exactly two five-cliques and one six-clique when the field
 degree is odd, and to none when it is even) are verified on that split.
 
+Strong regularity is checked on every pair by `verify_srg`, from float32
+products of unpacked row blocks of T against a right operand that packs
+several common-neighbour counts in each lane (two at q = 8).
+
 Edges are kept as flat keys a * V + b of T, the packed tangency table of
 the geometry.  The full census lists them in one scan of T's unpacked
 upper triangle, KEY_BLOCK entries at a time.  A sampled census draws edge
@@ -133,28 +137,56 @@ def build_tangency_graph(gx: OvoidGeometry) -> np.ndarray:
 def verify_srg(T: np.ndarray) -> dict:
     """Exhaustive strong-regularity check: common-neighbour counts on every
     adjacent and non-adjacent pair, plus the feasibility identity.  T is a
-    symmetric boolean adjacency matrix, its rows packed by `pack_rows`."""
+    symmetric boolean adjacency matrix A, its rows packed by `pack_rows`.
+
+    C = A A^T is read one block of rows at a time, rows lo..hi against the
+    columns from lo on, so the blocks cover the upper triangle and no V x V
+    product is held.  Every count C[i, j] is at most the degree of i, so it
+    fits in b bits, b the bit length of the largest degree, and a float32
+    lane carries L = 24 // b of them: row j of the right operand R is
+    sum_c 2^(b c) A[L j + c], so (A R^T)[i, j] = sum_c 2^(b c) C[i, L j + c].
+    Each partial sum is an integer below 2^(b L) <= 2^24, where float32 is
+    exact, and shifts and masks split the lanes.  R takes V^2 4 / L bytes
+    (8 MB at q = 8, where L = 2) and the product a 1 / L share of the flops
+    of the unpacked one.  Which counts occur on non-adjacent (row 0) and
+    adjacent (row 1) pairs is read through one flat key per pair,
+    count + (n + 1) * row, built in place from the block's rows and the
+    lanes of its product.  Row 2 takes the diagonal, which is no pair
+    unless A has a loop there.  The report counts the n (n - 1) / 2 pairs
+    i < j as ``pairs_checked``."""
     n = len(T)
-    A = unpack_rows(T, n)
-    deg = A.sum(axis=1)
+    deg = np.bitwise_count(T).sum(axis=1)
     k = int(deg[0])
-    # The counts of pairs i <= j, one block of rows at a time: rows lo..hi
-    # against columns lo.. as one float32 product (exact below 2^24).  The
-    # blocks cover the upper triangle, half the flops of A @ A, and no V x V
-    # product is ever held.  Which counts occur on non-adjacent (row 0) and
-    # adjacent (row 1) pairs is read through one flat key per pair,
-    # count + (n + 1) * row, built in place.  Row 2 takes the diagonal,
-    # which is no pair unless A has a loop there.
-    af = A.astype(np.float32)
+    b = max(1, int(deg.max()).bit_length())
+    L = 24 // b                       # counts per float32 lane
+    # R = sum_c 2^(b c) A[c::L], summed from the top lane down
+    R = np.zeros((-(-n // L), n), dtype=np.float32)
+    for c in reversed(range(L)):
+        R *= 1 << b
+        bits = unpack_rows(T[c::L], n)
+        np.add(R[:len(bits)], bits, out=R[:len(bits)])
+    mask = np.uint32((1 << b) - 1)
     seen = np.zeros((3, n + 1), dtype=bool)
     step = max(1, SRG_BLOCK // n)
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        key = A[lo:hi, lo:].astype(np.min_scalar_type(3 * n + 2))
+        rows = unpack_rows(T[lo:hi], n)
+        j0 = lo // L                  # the lane column that holds column lo
+        P = (rows.astype(np.float32) @ R[j0:].T).astype(np.uint32)
+        key = rows[:, lo:].astype(np.min_scalar_type(3 * n + 2))
         key *= n + 1
-        np.add(key, af[lo:hi] @ af[lo:].T, out=key, casting="unsafe")
+        for c in range(L):
+            # lane c holds the columns L j + c: key's columns s, s + L, ...
+            s = (c - lo) % L
+            cols = key[:, s::L]
+            count = P[:, (lo + s) // L - j0:][:, :cols.shape[1]]
+            if c:
+                count = count >> np.uint32(b * c)
+            if c < L - 1:             # the top lane has no bits above it
+                count = count & mask
+            np.add(cols, count, out=cols, casting="unsafe")
         diag = key.ravel()[::n - lo + 1]
-        np.add(diag, 2 * (n + 1), out=diag, where=~A.diagonal()[lo:hi])
+        np.add(diag, 2 * (n + 1), out=diag, where=~rows.ravel()[lo::n + 1])
         seen.ravel()[key.ravel()] = True
     lam_vals = np.flatnonzero(seen[1]).tolist()
     mu_vals = np.flatnonzero(seen[0]).tolist()
@@ -173,6 +205,7 @@ def verify_srg(T: np.ndarray) -> dict:
         "mu_vacuous": mu_vacuous, "feasibility_ok": feasible,
         "lambda_values": lam_vals,
         "mu_values": mu_vals,
+        "pairs_checked": n * (n - 1) // 2,
     }
 
 

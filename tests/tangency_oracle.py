@@ -12,7 +12,10 @@ with the same checks, reports and messages, kept as oracles for the diff
 tests in `test_tangency.py`:
 - `boolean_tangency_graph`: `build_tangency_graph`'s symmetry, loop and
   degree checks;
-- `boolean_srg`: `verify_srg`'s float32 block products;
+- `boolean_srg`: the kernel `verify_srg` replaced when it came to carry
+  several counts in each float32 lane: block products of the unpacked
+  matrix, one count an entry, with the same report (`pairs_checked`
+  included);
 - `boolean_edge_keys`: `edge_keys`' scan of the upper triangle;
 - `boolean_pencils`: the per-point kernel that `_build_rosettes` ran
   before its block kernel, a take of rows and columns at each point;
@@ -101,6 +104,7 @@ def boolean_srg(A: np.ndarray) -> dict:
         "mu_vacuous": mu_vacuous, "feasibility_ok": feasible,
         "lambda_values": lam_vals,
         "mu_values": mu_vals,
+        "pairs_checked": n * (n - 1) // 2,
     }
 
 

@@ -57,6 +57,8 @@ def test_verify_srg(tmp_path):
     assert by_name["srg_params"]["pass"]
     assert by_name["strong_regularity"]["pass"]
     assert by_name["feasibility_identity"]["pass"]
+    # every unordered pair of the 120 ovoids at q = 4
+    assert by_name["strong_regularity"]["cases"] == data["srg"]["pairs_checked"] == 7140
 
 
 def test_verify_srg_complete_graph_q2(tmp_path):
@@ -66,6 +68,7 @@ def test_verify_srg_complete_graph_q2(tmp_path):
     by_name = {c["name"]: c for c in data["checks"]}
     assert by_name["srg_params"]["expected"] == [6, 5, 4, None]
     assert data["srg"]["mu_vacuous"] is True
+    assert by_name["strong_regularity"]["cases"] == 15
 
 
 def test_verify_covering(tmp_path):
@@ -107,7 +110,10 @@ def test_census_full_q4(tmp_path):
     assert by_name["nonlinear_3_cliques"]["expected"] == 16320
     assert by_name["nonlinear_5_cliques"]["expected"] == 0  # even field degree
     assert by_name["strong_regularity"]["pass"]
+    assert by_name["strong_regularity"]["cases"] == 7140
     assert (data["srg"]["v"], data["srg"]["k"]) == (120, 51)
+    # verify_srg is timed apart from the census
+    assert {"census", "srg"} <= data["timings"].keys()
     assert all(c["pass"] for c in data["checks"])
     assert len(list(csv.reader(path.open()))) - 1 == 3060
 

@@ -3,7 +3,6 @@
 import copy
 import sys
 import threading
-import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -21,8 +20,9 @@ from census_oracle import (
     maximal_cliques,
     pair_srg_values,
 )
+from memory_peak import traced_peak
 from ovoid_oracle import loop_rosette_maximality, tangency_points
-from tangency_oracle import tangency_matrix
+from tangency_oracle import boolean_srg, tangency_matrix
 from quadcover import cliquecensus, ovoid
 from quadcover.cliquecensus import (
     census,
@@ -69,6 +69,7 @@ def test_strong_regularity_exhaustive(request, name, q):
     assert (rep["v"], rep["k"], rep["lambda"], rep["mu"]) == (v, k, lam, mu)
     assert rep["feasibility_ok"]
     assert not rep["mu_vacuous"]
+    assert rep["pairs_checked"] == v * (v - 1) // 2
 
 
 def _boolean(request, tname):
@@ -101,27 +102,66 @@ def _random_symmetric(n, seed):
     return A | A.T          # loops where the draw hit the diagonal
 
 
+def _one_way(A):
+    """A with one entry (b, a) of an edge a < b cleared, a and b in one
+    group of four columns: one lane column of verify_srg at q = 4, where a
+    one-row block of row b starts its first lane column at a or before."""
+    A = A.copy()
+    a, b = next((a, b) for a, b in np.argwhere(np.triu(A, 1)) if a // 4 == b // 4)
+    A[b, a] = False
+    return A
+
+
+def _random(n, p, seed, loops, bits):
+    """A random symmetric graph on n vertices whose largest degree has bit
+    length ``bits``: verify_srg packs 24 // bits counts in a float32 lane."""
+    A = np.random.default_rng(seed).random((n, n)) < p
+    A = np.triu(A, 0 if loops else 1)
+    A |= A.T
+    assert int(A.sum(axis=1).max()).bit_length() == bits
+    return A
+
+
 SRG_CASES = [
     # name, the graph made from the q = 4 tangency graph, whether it passes
     ("tg_q4", lambda A: A, True),
     ("tg_q4_edge_removed", _edge_removed, False),
     ("tg_q4_loop_added", _loop_added, False),
+    ("tg_q4_one_way", _one_way, False),
     ("cycle_5", lambda A: _cycle(5), True),     # strongly regular (5, 2, 0, 1)
     ("cycle_6", lambda A: _cycle(6), False),    # mu in {0, 1}
     ("random_60_with_loops", lambda A: _random_symmetric(60, 3), False),
+    # odd V: the last lane column holds one count of four, one of two
+    ("random_61", lambda A: _random(61, 0.3, 4, False, 5), False),
+    ("random_301_with_loops", lambda A: _random(301, 0.9, 5, True, 9), False),
+    # 12-bit fields, two lanes: the lane sums reach 16,387,999, just below 2^24
+    ("random_4001_with_loops", lambda A: _random(4001, 0.998, 6, True, 12), False),
+    # a degree of at least 4096: one count a lane
+    ("random_4201", lambda A: _random(4201, 0.99, 7, False, 13), False),
 ]
+# The two large graphs run at the shipped budget only, which cuts them into
+# ragged blocks of 131 and 124 rows, and skip the pair-by-pair loop.
+LARGE_SRG_CASES = ("random_4001_with_loops", "random_4201")
+SRG_RUNS = [pytest.param(name, make, passes, block, id=f"{name}-{block}")
+            for name, make, passes in SRG_CASES
+            for block in (cliquecensus.SRG_BLOCK, 900, 1)
+            if name not in LARGE_SRG_CASES or block == cliquecensus.SRG_BLOCK]
 
 
-@pytest.mark.parametrize("block", [cliquecensus.SRG_BLOCK, 900])
-@pytest.mark.parametrize("make,passes", [c[1:] for c in SRG_CASES],
-                         ids=[c[0] for c in SRG_CASES])
-def test_srg_verdict_matches_the_pair_oracle(monkeypatch, adj_q4, make, passes, block):
-    # block 900 splits the 120 rows at q = 4 into blocks of 7, the last ragged
+@pytest.mark.parametrize("name,make,passes,block", SRG_RUNS)
+def test_srg_verdict_matches_the_pair_oracle(monkeypatch, adj_q4, name, make, passes, block):
+    # block 900 splits the 120 rows at q = 4 into blocks of 7, the last
+    # ragged, and block 1 takes one row a block: at q = 4 (four counts a
+    # lane) both start blocks inside a lane column
     monkeypatch.setattr(cliquecensus, "SRG_BLOCK", block)
     A = make(adj_q4)
     rep = verify_srg(pack_rows(A))
-    want = pair_srg_values(A)
-    assert {key: rep[key] for key in want} == want
+    assert rep == boolean_srg(A)
+    # the pair oracle reads A @ A, which is the A A^T of verify_srg only
+    # for a symmetric A
+    if name not in LARGE_SRG_CASES and np.array_equal(A, A.T):
+        want = pair_srg_values(A)
+        assert {key: rep[key] for key in want} == want
     assert rep["pass"] == passes
 
 
@@ -130,6 +170,15 @@ def test_srg_degenerates_to_complete_graph_at_q2(tg_q2):
     assert rep["pass"]
     assert rep["mu_vacuous"]
     assert (rep["v"], rep["k"], rep["lambda"]) == (6, 5, 4)
+
+
+def test_verify_srg_peak_stays_below_18_mib(tg_q8):
+    # the lane-packed right operand (V^2 4 / L bytes, 8 MB at q = 8 with two
+    # counts a lane) and one block of SRG_BLOCK counts: its unpacked rows,
+    # their float copy, the lanes of its product and the keys
+    rep, peak = traced_peak(lambda: verify_srg(tg_q8))
+    assert rep["pass"]
+    assert peak < 18 * 2 ** 20
 
 
 @pytest.mark.parametrize("cname", ["census_q2", "census_q4"])
@@ -317,12 +366,7 @@ def test_sampled_census_peak_stays_below_24_mib(tg_q8, geom_q8):
     # the 3.7 MB of edge keys (twice while their row blocks are joined) and
     # one batch for each running thread, the main thread and at most
     # MAX_WORKERS workers; the S gather index is at most S_BLOCK int64 entries
-    tracemalloc.start()
-    try:
-        census(tg_q8, geom_q8, mode="sampled", seed=1, n_samples=4000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: census(tg_q8, geom_q8, mode="sampled", seed=1, n_samples=4000))
     assert peak < 24 * 2 ** 20
 
 
@@ -347,12 +391,7 @@ def test_sampled_census_peak_on_many_cpus_stays_below_24_mib(monkeypatch, tg_q8,
     thread_start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda t: (started.append(t), thread_start(t))[1])
-    tracemalloc.start()
-    try:
-        census(tg_q8, geom_q8, mode="sampled", seed=1, n_samples=4000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: census(tg_q8, geom_q8, mode="sampled", seed=1, n_samples=4000))
     assert len(started) == cliquecensus.MAX_WORKERS
     assert peak < 24 * 2 ** 20
 

@@ -2,7 +2,6 @@
 
 import copy
 import json
-import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -16,6 +15,7 @@ from covering_oracle import (
     quotient_graph_diameter,
     rook_grid_complement_check,
 )
+from memory_peak import traced_peak
 from ovoid_oracle import tangency_points
 from quadric_oracle import TableModel, alpha_table
 from tangency_oracle import tangency_matrix
@@ -360,12 +360,7 @@ def test_adjacency_oracle_in_ragged_blocks(monkeypatch, request, name, rows, cor
 
 def test_adjacency_oracle_peak_stays_below_8_mib(cov_q8):
     # one block of fiber rows: at most ORACLE_BLOCK collinearity entries
-    tracemalloc.start()
-    try:
-        verify_adjacency_oracle(cov_q8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: verify_adjacency_oracle(cov_q8))
     assert peak < 8 * 2 ** 20
 
 
@@ -797,10 +792,5 @@ def test_fiber_distances_rejects_lines_that_miss_the_collinearity(cov_q4, corrup
 def test_fiber_distances_peak_stays_below_32_mib(cov_q8):
     # the line rows LN (16.5 MB at q = 8) are the only large array; P, B2
     # and every gather are built in place or in chunks
-    tracemalloc.start()
-    try:
-        fiber_distances(cov_q8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: fiber_distances(cov_q8))
     assert peak < 32 * 2 ** 20

@@ -2,11 +2,11 @@
 
 import csv
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from memory_peak import traced_peak
 from ovoid_oracle import (
     common_tangents_through,
     intersection_kind,
@@ -235,12 +235,7 @@ def test_semipartial_matches_per_point_sums(monkeypatch, request, name, block):
 def test_semipartial_peak_stays_below_3_mib(geom_q8):
     # one block of PENCIL_BLOCK pencils: its bit planes, carry rows and
     # member mask, beside the packed tangency rows (0.5 MiB at q = 8)
-    tracemalloc.start()
-    try:
-        rep = verify_semipartial(geom_q8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(lambda: verify_semipartial(geom_q8))
     assert rep["pass"]
     assert peak < 3 * 2 ** 20
 

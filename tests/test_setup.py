@@ -17,11 +17,11 @@ section points grouped one or a few a block.
 """
 
 import copy
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from memory_peak import traced_peak
 from ovoid_oracle import tangency_points
 from quadric_oracle import TableModel, alpha_table
 from setup_oracle import (loop_build_elation, loop_build_geometry, loop_build_lines,
@@ -165,12 +165,7 @@ def test_build_model_peak_stays_below_16_mib():
     # the packed perp rows (2.7 MB), the line tables and the point index
     # (1 MB) beside the sort keys of the lines_through law; the perp rows
     # are read in blocks of PERP_BLOCK bytes
-    tracemalloc.start()
-    try:
-        build_model(FieldCtx(3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: build_model(FieldCtx(3)))
     assert peak < 16 * 2 ** 20
 
 
@@ -178,12 +173,7 @@ def test_build_geometry_peak_stays_below_28_mib(model_q8):
     # the kept tables (0.5 MB packed tangency, 1 MB membership) and one
     # product block of at most PAIR_BLOCK float32 entries, and its packed
     # copy, beside the float copy of the membership matrix
-    tracemalloc.start()
-    try:
-        build_geometry(model_q8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: build_geometry(model_q8))
     assert peak < 28 * 2 ** 20
 
 

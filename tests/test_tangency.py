@@ -15,13 +15,13 @@ diffed against the transpose of the unpacked table.
 
 import copy
 import csv
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from census_oracle import boolean_census
+from memory_peak import traced_peak
 from ovoid_oracle import loop_rosette_maximality, point_semipartial
 from tangency_oracle import (bit_unpack, boolean_adjacency_oracle,
                              boolean_common_tangent_counts, boolean_edge_keys,
@@ -254,21 +254,11 @@ def test_no_v_by_v_array_is_held(request, name, q):
 
 def test_build_tangency_graph_peak_stays_below_10_mib(geom_q8):
     # the unpacked matrix and its transposed compare, 4 MB each
-    tracemalloc.start()
-    try:
-        build_tangency_graph(geom_q8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: build_tangency_graph(geom_q8))
     assert peak < 10 * 2 ** 20
 
 
 def test_build_tangency_graph_peak_stays_below_3_mib(geom_q8):
     # the diagonal bits and one transposed band step of the 0.5 MB table
-    tracemalloc.start()
-    try:
-        build_tangency_graph(geom_q8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: build_tangency_graph(geom_q8))
     assert peak < 3 * 2 ** 20
