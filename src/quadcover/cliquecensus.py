@@ -151,9 +151,9 @@ def verify_srg(T: np.ndarray) -> dict:
     of the unpacked one.  Which counts occur on non-adjacent (row 0) and
     adjacent (row 1) pairs is read through one flat key per pair,
     count + (n + 1) * row, built in place from the block's rows and the
-    lanes of its product.  Row 2 takes the diagonal, which is no pair
-    unless A has a loop there.  The report counts the n (n - 1) / 2 pairs
-    i < j as ``pairs_checked``."""
+    lanes of its product.  Row 2 takes the diagonal, no pair unless A has a
+    loop there, and what lies below it in each block's square: each pair
+    i < j is keyed once, from row i, and counted in ``pairs_checked``."""
     n = len(T)
     deg = np.bitwise_count(T).sum(axis=1)
     k = int(deg[0])
@@ -185,6 +185,7 @@ def verify_srg(T: np.ndarray) -> dict:
             if c < L - 1:             # the top lane has no bits above it
                 count = count & mask
             np.add(cols, count, out=cols, casting="unsafe")
+        key[:, :hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = 2 * (n + 1)
         diag = key.ravel()[::n - lo + 1]
         np.add(diag, 2 * (n + 1), out=diag, where=~rows.ravel()[lo::n + 1])
         seen.ravel()[key.ravel()] = True
@@ -380,8 +381,8 @@ def rosette_maximality(T: np.ndarray, gx: OvoidGeometry) -> Tuple[int, int]:
     maximal exactly when no other ovoid is tangent to all q of its members:
     when the top bit plane of its counts is clear off the members, whose
     own counts reach q only through a loop."""
-    n_max = sum(len(members) - int((planes[-1] & ~on).any(axis=1).sum())
-                for members, on, planes in pencil_counts(gx, T))
+    n_max = sum(len(on) - int((planes[-1] & ~on).any(axis=1).sum())
+                for _, on, planes in pencil_counts(gx, T))
     return n_max, len(gx.pencil_base)
 
 

@@ -16,18 +16,12 @@ the table's transpose, `quadric.transpose_rows`, in bands of 64 rows.  No
 block holds more than PAIR_BLOCK ovoid pairs, so no V x V array and no
 second tangency table is held.  Two tangent ovoids meet only at their
 tangency point, so the pencils at a point are the tangency classes among
-the ovoids through it, and no table of tangency points is needed.  They
-are found a block of section points at a time, with no loop over the
-points: sorted by their lowest set bit, the tangency rows of the ovoids
-through a point, masked to those ovoids and with their own bits set, must
-come in runs of q equal rows of q bits, the classes (`_build_rosettes`
-gives the proof).
-The structural laws are checked exhaustively.  For every pencil and ovoid,
-the number of the pencil's members tangent to the ovoid is added from the
-packed rows into bit planes, a block of pencils at a time (semipartial and
-maximality laws).  One section point at a time, with T the ovoids through
-the point, A[T][:, T].T @ A[T] counts the common tangents through it of
-every ovoid pair with one member in T (common-tangent law).
+the ovoids through it, and no table of tangency points is needed; they are
+found a block of section points at a time (`_build_rosettes`).
+The semipartial, maximality and common-tangent laws are checked
+exhaustively on one table: for every pencil and ovoid, the number of the
+pencil's members tangent to the ovoid, added from the packed rows into bit
+planes a block of pencils at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ import numpy as np
 
 from .gf2n import FieldCtx
 from .quadric import (QuadricModel, incidence_transpose, lowest_set_bits, pack_rows,
-                      transpose_rows, unpack_rows)
+                      row_bits, transpose_rows, unpack_rows)
 
 PAIR_BLOCK = 1 << 19              # ovoid pairs per block of a set-up product or transpose
 POINT_BLOCK = 1 << 16             # tangency words per block of rosette points
@@ -151,7 +145,9 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     geom.through = np.nonzero(member.T)[1].astype(np.int32).reshape(n_q0, per_point)
 
     _build_rosettes(geom)
-    _verify_incidence(geom)
+    if (np.bincount(geom.pencil_members.ravel(), minlength=n_ov) != q * q + 1).any():
+        raise AssertionError("some ovoid is not on q^2+1 pencils")
+    geom.incidence = incidence_transpose(geom.pencil_members, n_ov).reshape(n_ov, q * q + 1)
     return geom
 
 
@@ -258,38 +254,27 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     geom.pencil_members = pencils.reshape(-1, q)
 
 
-def _verify_incidence(geom: OvoidGeometry) -> None:
-    q = geom.model.ctx.q
-    V = geom.n_ovoids
-    if (np.bincount(geom.pencil_members.ravel(), minlength=V) != q * q + 1).any():
-        raise AssertionError("some ovoid is not on q^2+1 pencils")
-    geom.incidence = incidence_transpose(geom.pencil_members, V).reshape(V, q * q + 1)
-
-
 # -- semipartial geometry and common-tangent laws ------------------------------
 
 
 def pencil_counts(geom: OvoidGeometry, packed: np.ndarray
-                  ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Blocks of PENCIL_BLOCK pencils, in pencil order: the members of each
-    pencil (one row of q sorted ovoid ids), the bits ``on`` of the members
-    in each row, and the bit planes of C, where C[j, v] is the number of
-    members of pencil j tangent to ovoid v under the tangency matrix whose
-    rows `pack_rows` packed into ``packed``.  Plane i holds bit i of every
-    count; ``on`` and the planes are bytes of rows in that layout, and the
-    members' packed rows are added into the planes by a ripple-carry adder.
-    A count is at most q = 2^n, so there are n + 1 planes, and the top one
-    is set exactly where the count is q."""
+                  ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """Blocks of PENCIL_BLOCK pencils, in pencil order: the id lo of the
+    block's first pencil, the bits ``on`` of each pencil's members, and the
+    bit planes of C, where C[j, v] is the number of members of pencil lo + j
+    tangent to ovoid v under the tangency matrix whose rows `pack_rows`
+    packed into ``packed``.  Plane i holds bit i of every count; ``on`` and
+    the planes are bytes of rows in that layout, and the members' packed
+    rows are added into the planes by a ripple-carry adder.  A count is at
+    most q = 2^n, so there are n + 1 planes, and the top one is set exactly
+    where the count is q."""
     q = geom.model.ctx.q
     packed = packed.view(np.uint8)
     for lo in range(0, len(geom.pencil_members), PENCIL_BLOCK):
         members = geom.pencil_members[lo:lo + PENCIL_BLOCK]
-        rows = np.arange(len(members))
-        byte, bit = members >> 3, np.left_shift(1, members & 7).astype(np.uint8)
         on = np.zeros((len(members), packed.shape[1]), dtype=np.uint8)
-        # one member column at a time: its (row, byte) pairs are distinct
-        for i in range(q):
-            on[rows, byte[:, i]] |= bit[:, i]
+        np.bitwise_or.at(on, (np.arange(len(members))[:, None], members >> 3),
+                         np.left_shift(1, members & 7).astype(np.uint8))
         planes = np.zeros((q.bit_length(),) + on.shape, dtype=np.uint8)
         carry, spill = np.empty_like(planes[0]), np.empty_like(planes[0])
         for k, column in enumerate(members.T, start=1):
@@ -299,7 +284,7 @@ def pencil_counts(geom: OvoidGeometry, packed: np.ndarray
                 np.bitwise_and(plane, carry, out=spill)
                 plane ^= carry
                 carry, spill = spill, carry
-        yield members, on, planes
+        yield lo, on, planes
 
 
 def verify_semipartial(geom: OvoidGeometry) -> dict:
@@ -308,29 +293,25 @@ def verify_semipartial(geom: OvoidGeometry) -> dict:
     tangent to the ovoid.  Each member must be tangent to the other q-1
     members; a member that is not fails with reason "member degree".
 
-    On the bit planes of `pencil_counts` the law reads plane by plane:
-    plane i is bit i of q - 1 on the members and 0 off them, save plane 1
-    off them, where a count of 2 sets it."""
+    On the bit planes of `pencil_counts`, flipped on the members below the
+    top plane (the bits of q - 1), a set bit is a failure, save in plane 1
+    off the members, where a count of 2 sets it."""
     q = geom.model.ctx.q
     if geom.pencil_members.shape != (len(geom.pencil_base), q):
         return {"pass": False, "reason": "line size"}
     if geom.incidence.shape != (geom.n_ovoids, q * q + 1):
         return {"pass": False, "reason": "point degree"}
-    checked = lo = 0
-    for members, on, planes in pencil_counts(geom, geom.tangency):
-        bad = np.zeros_like(on)
-        for i, plane in enumerate(planes):
-            miss = plane ^ on if (q - 1) >> i & 1 else plane
-            bad |= miss & on if i == 1 else miss
+    for lo, on, planes in pencil_counts(geom, geom.tangency):
+        planes[:-1] ^= on
+        planes[1] &= on
+        bad = np.bitwise_or.reduce(planes)
         hit = np.flatnonzero(bad.any(axis=1))
         if len(hit):
             j = int(hit[0])
             v = int(unpack_rows(bad[j]).argmax())
-            reason = "member degree" if v in members[j] else "alpha condition"
+            reason = "member degree" if v in geom.pencil_members[lo + j] else "alpha condition"
             return {"pass": False, "reason": reason, "rosette": lo + j, "ovoid": v}
-        checked += len(members) * (geom.n_ovoids - q)
-        lo += len(members)
-    return {"pass": True, "pairs_checked": checked}
+    return {"pass": True, "pairs_checked": len(geom.pencil_base) * (geom.n_ovoids - q)}
 
 
 def verify_common_tangent_counts(geom: OvoidGeometry) -> dict:
@@ -339,26 +320,39 @@ def verify_common_tangent_counts(geom: OvoidGeometry) -> dict:
     tangent and x is not on b, two when they meet in a conic and x is not on
     b, and none when they meet in a conic through x.
 
-    At each point x, with T the ovoids through x, N = A[T][:, T].T @ A[T]
-    counts for every a in T and every ovoid b the ovoids through x tangent
-    to both (neither a nor b, as no ovoid is tangent to itself)."""
-    sect = geom.model.section_points
-    checked = 0
-    for k, T in enumerate(geom.through):
-        AT = unpack_rows(geom.tangency[T], geom.n_ovoids)
-        Af = AT.astype(np.float32)
-        N = Af[:, T].T @ Af
-        want = np.subtract(2, AT, dtype=np.int8)       # 1 where tangent, else 2
-        # b through x: only conic pairs have a law, and it is 0
-        want[:, T] = np.where(AT[:, T] | np.eye(len(T), dtype=bool), -1, 0)
-        law = want >= 0
-        bad = law & (N != want)
-        if bad.any():
-            i, b = np.argwhere(bad)[0]
-            return {"pass": False, "pair": [int(T[i]), int(b)], "point": int(sect[k]),
-                    "expected": int(want[i, b]), "got": int(N[i, b])}
-        checked += int(law.sum())
-    return {"pass": True, "cases_checked": checked}
+    Let a be in the pencil p at x, b not in p, and C[p, b] the number of
+    p's members tangent to b (`pencil_counts`).  Where the table has no loop
+    and the ovoids through x are grouped into the pencils at x, as
+    `_build_rosettes` requires, a's tangents through x are p's other
+    members, and N = C[p, b] - A[a, b] of them are tangent to b.  So the law
+    reads C[p, b] = 2 where b misses x, for the q members of p at once, and
+    the grouping C[p, b] = q - 1 on p and 0 off p through x.  The first
+    pencil with a wrong count fails: through x as "pencil grouping", where N
+    need not be C - A; else at its smallest member and lowest wrong b, N
+    recounted, as the per-point product A[T].T @ A[T] (T the ovoids through
+    x) fails first on a symmetric table."""
+    q = geom.model.ctx.q
+    m = q * (q - 1) // 2
+    # bit b of row k: ovoid b misses section point k, its padding clear
+    missing = pack_rows(~geom.member_matrix.T).view(np.uint8)
+    for lo, on, planes in pencil_counts(geom, geom.tangency):
+        off = missing.take(np.arange(lo, lo + len(on)) // m, axis=0)
+        planes[:-1] ^= on
+        planes[1] ^= off
+        bad = np.bitwise_or.reduce(planes)
+        hit = np.flatnonzero(bad.any(axis=1))
+        if len(hit):
+            j = int(hit[0])
+            grouping = bad[j] & ~off[j]
+            if grouping.any():
+                return {"pass": False, "reason": "pencil grouping", "rosette": lo + j,
+                        "ovoid": int(unpack_rows(grouping).argmax())}
+            a, b = int(geom.pencil_members[lo + j, 0]), int(unpack_rows(bad[j]).argmax())
+            both = row_bits(geom.tangency, geom.through[(lo + j) // m], np.array([[a], [b]]))
+            return {"pass": False, "pair": [a, b], "point": int(geom.pencil_base[lo + j]),
+                    "expected": 2 - bool(row_bits(geom.tangency, a, b)),
+                    "got": int(both.all(axis=0).sum())}
+    return {"pass": True, "cases_checked": q * len(geom.pencil_base) * (geom.n_ovoids - q)}
 
 
 def export_incidence_csv(geom: OvoidGeometry, path: str) -> None:

@@ -268,6 +268,7 @@ def _build_lines(model: QuadricModel) -> None:
     # q(q^2+1) perps, and a point with more perps has a perp pair on no line
     on = np.bincount(ln.ravel(), minlength=nq)
     perps = np.bitwise_count(words).sum(axis=1) - 1
+    del words
     if ((on != q * q + 1) | (perps != q * on)).any():
         raise AssertionError("some point is not on q^2+1 lines that cover its perp")
 

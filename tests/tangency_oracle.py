@@ -19,7 +19,10 @@ tests in `test_tangency.py`:
 - `boolean_edge_keys`: `edge_keys`' scan of the upper triangle;
 - `boolean_pencils`: the per-point kernel that `_build_rosettes` ran
   before its block kernel, a take of rows and columns at each point;
-- `boolean_common_tangent_counts`: `verify_common_tangent_counts`;
+- `boolean_common_tangent_counts`: the per-point product kernel that
+  `verify_common_tangent_counts` ran before it came to read the pencil
+  counts, at each point a product of the tangency rows of the ovoids
+  through it; `check_common_tangents` diffs the two;
 - `boolean_adjacency_oracle`: `verify_adjacency_oracle`'s block compare.
 The pencil counts of `verify_semipartial` and `rosette_maximality` are
 diffed against `ovoid_oracle`'s loops, which read this matrix too.
@@ -31,7 +34,7 @@ import numpy as np
 
 from quadcover import cliquecensus, covering
 from quadcover.covering import CoveringMap
-from quadcover.ovoid import OvoidGeometry
+from quadcover.ovoid import OvoidGeometry, verify_common_tangent_counts
 from quadcover.quadric import pack_rows
 
 
@@ -84,6 +87,7 @@ def boolean_srg(A: np.ndarray) -> dict:
         key = A[lo:hi, lo:].astype(np.min_scalar_type(3 * n + 2))
         key *= n + 1
         np.add(key, af[lo:hi] @ af[lo:].T, out=key, casting="unsafe")
+        key[:, :hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = 2 * (n + 1)
         diag = key.ravel()[::n - lo + 1]
         np.add(diag, 2 * (n + 1), out=diag, where=~A.diagonal()[lo:hi])
         seen.ravel()[key.ravel()] = True
@@ -155,7 +159,9 @@ def boolean_pencils(geom: OvoidGeometry) -> np.ndarray:
 
 
 def boolean_common_tangent_counts(geom: OvoidGeometry) -> dict:
-    """`verify_common_tangent_counts` on the boolean matrix."""
+    """The common-tangent law on the boolean matrix, one section point x at
+    a time: with T the ovoids through x, A[T][:, T].T @ A[T] counts the
+    common tangents through x of every ovoid pair with one member in T."""
     A = tangency_matrix(geom)
     sect = geom.model.section_points
     checked = 0
@@ -173,6 +179,27 @@ def boolean_common_tangent_counts(geom: OvoidGeometry) -> dict:
                     "expected": int(want[i, b]), "got": int(N[i, b])}
         checked += int(law.sum())
     return {"pass": True, "cases_checked": checked}
+
+
+def check_common_tangents(geom: OvoidGeometry) -> dict:
+    """`verify_common_tangent_counts` of geom, asserted to agree with
+    `boolean_common_tangent_counts`.  A report that names a (pair, point)
+    case must be the kernel's, whole.  A "pencil grouping" report must come
+    with a failing kernel, and its pencil and ovoid must break the grouping,
+    recounted from the boolean matrix: the ovoid passes through the
+    pencil's base, and the number of the pencil's members tangent to it is
+    not q - 1 for a member and not 0 for any other ovoid."""
+    got, want = verify_common_tangent_counts(geom), boolean_common_tangent_counts(geom)
+    if got.get("reason") != "pencil grouping":
+        assert got == want
+        return got
+    assert not want["pass"]
+    j, v = got["rosette"], got["ovoid"]
+    members = geom.pencil_members[j]
+    assert geom.pencil_base[j] in geom.ovoid_points[v]
+    lawful = geom.model.ctx.q - 1 if v in members else 0
+    assert tangency_matrix(geom)[members, v].sum() != lawful
+    return got
 
 
 def boolean_adjacency_oracle(cov: CoveringMap) -> dict:

@@ -99,6 +99,16 @@ def test_verify_semipartial_with_incidence_export(tmp_path):
     assert len(rows) - 1 == 15
 
 
+def test_verify_semipartial_q8(tmp_path):
+    # every law exhaustively at q = 8: 16,380 pencils against the 2,016 - 8
+    # ovoids off each, and q (pair, point) cases for each such pair
+    rc, data = _run(tmp_path, ["verify", "semipartial", "--n", "3"])
+    assert rc == 0 and data["pass"] is True
+    assert all(c["pass"] for c in data["checks"])
+    cases = {c["name"]: c["cases"] for c in data["checks"]}
+    assert cases == {"semipartial_axioms": 32_891_040, "common_tangent_counts": 263_128_320}
+
+
 def test_census_full_q4(tmp_path):
     path = tmp_path / "edges.csv"
     rc, data = _run(tmp_path, ["census", "--n", "2", "--export-edges", str(path)])

@@ -165,6 +165,18 @@ def test_srg_verdict_matches_the_pair_oracle(monkeypatch, adj_q4, name, make, pa
     assert rep["pass"] == passes
 
 
+def test_srg_report_does_not_depend_on_the_block_on_a_one_way_table(monkeypatch, adj_q4):
+    # each pair is keyed once, from the upper triangle, so the entry left
+    # below the diagonal of a block's square is never read as a pair
+    A = _one_way(adj_q4)
+    reports = []
+    for block in (cliquecensus.SRG_BLOCK, 900, 1):
+        monkeypatch.setattr(cliquecensus, "SRG_BLOCK", block)
+        reports.append(verify_srg(pack_rows(A)))
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["mu_values"] == [23, 24]
+
+
 def test_srg_degenerates_to_complete_graph_at_q2(tg_q2):
     rep = verify_srg(tg_q2)
     assert rep["pass"]

@@ -18,14 +18,18 @@ from ovoid_oracle import (
     tangent_plane,
 )
 from setup_oracle import loop_build_rosettes
-from tangency_oracle import boolean_pencils, tangency_matrix, with_tangency
+from tangency_oracle import (boolean_common_tangent_counts, boolean_pencils,
+                             check_common_tangents, tangency_matrix, with_tangency)
 from quadcover import ovoid
+from quadcover.gf2n import FieldCtx, is_irreducible, trace
 from quadcover.ovoid import (
     _build_rosettes,
+    build_geometry,
     export_incidence_csv,
     verify_common_tangent_counts,
     verify_semipartial,
 )
+from quadcover.quadric import build_model
 
 
 def _intersection_sizes(geom):
@@ -232,6 +236,39 @@ def test_semipartial_matches_per_point_sums(monkeypatch, request, name, block):
     assert {None, "member degree", "alpha condition"} <= reasons
 
 
+@pytest.mark.parametrize("block", [None, 1, 7, "above"])
+@pytest.mark.parametrize("name", ["geom_q2", "geom_q4"])
+def test_common_tangents_match_the_per_point_kernel(monkeypatch, request, name, block):
+    # the pencil-count reader against the per-point products it replaced,
+    # on the clean geometry and the corruptions above, in the same blocks
+    geom = request.getfixturevalue(name)
+    if block is not None:
+        n_pencils = len(geom.pencil_members)
+        monkeypatch.setattr(ovoid, "PENCIL_BLOCK", n_pencils + 1 if block == "above" else block)
+    rng = np.random.default_rng(24)
+    kinds = set()
+    for g in [geom] + [_flipped(geom, rng, k) for k in range(100)]:
+        rep = check_common_tangents(g)
+        kinds.add(rep.get("reason", "pass" if rep["pass"] else "case"))
+    assert kinds == {"pass", "case", "pencil grouping"}
+
+
+FIELDS = [(n, m, lam) for n in (1, 2)
+          for m in range(1 << n, 2 << n) if is_irreducible(m)
+          for lam in range(1 << n) if trace(FieldCtx(n, m), lam) == 1] + [(3, 0b1101, None)]
+
+
+@pytest.mark.parametrize("n,modulus,lam", FIELDS)
+def test_common_tangents_match_the_per_point_kernel_in_every_field(n, modulus, lam):
+    # every modulus and trace-one form parameter at q <= 4, and the q = 8
+    # field that is not the default
+    geom = build_geometry(build_model(FieldCtx(n, modulus), lam=lam))
+    q = geom.model.ctx.q
+    cases = q * len(geom.pencil_members) * (geom.n_ovoids - q)
+    rep = verify_common_tangent_counts(geom)
+    assert rep == boolean_common_tangent_counts(geom) == {"pass": True, "cases_checked": cases}
+
+
 def test_semipartial_peak_stays_below_3_mib(geom_q8):
     # one block of PENCIL_BLOCK pencils: its bit planes, carry rows and
     # member mask, beside the packed tangency rows (0.5 MiB at q = 8)
@@ -275,10 +312,16 @@ def test_common_tangent_laws_match_scalar_loop(request, name):
 
 
 def test_common_tangent_law_names_a_violating_case(geom_q4_broken):
-    _, geom = geom_q4_broken
-    rep = verify_common_tangent_counts(geom)
+    flip, geom = geom_q4_broken
+    rep = check_common_tangents(geom)
     assert not rep["pass"]
     assert json.loads(json.dumps(rep)) == rep
+    if flip == "cleared_first":
+        # pencil 0 comes first, and its two members lost a tangent: the
+        # ovoids through its base are no longer grouped into the pencils
+        assert rep["reason"] == "pencil grouping" and rep["rosette"] == 0
+        assert rep["ovoid"] in geom.pencil_members[0]
+        return
     (a, b), x = rep["pair"], rep["point"]
     A = tangency_matrix(geom)
     pa, pb = set(geom.ovoid_points[a].tolist()), set(geom.ovoid_points[b].tolist())
