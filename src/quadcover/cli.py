@@ -221,10 +221,11 @@ def cmd_verify_covering(run: Run, args) -> dict:
     checks = [_bool_check(key, rep[key], "enumeration")
               for key in ("fibers_ok", "line_bijections_ok",
                           "pencil_bijections_ok", "quotient_iso_ok")]
-    checks += [_bool_check(key, dist[key], "enumeration")
-               for key in ("fibers_at_distance_3", "diameter_is_3")]
-    checks.append(_bool_check("far_pairs_are_fibers", dist["far_pairs_are_fibers"],
-                              "enumeration", dist["far_pairs"]))
+    # the fibers tested, and the far pairs walked and compared with them
+    checks += [_bool_check("fibers_at_distance_3", dist["fibers_at_distance_3"],
+                           "enumeration", len(cov.point_fiber))]
+    checks += [_bool_check(key, dist[key], "enumeration", dist["far_pairs"])
+               for key in ("diameter_is_3", "far_pairs_are_fibers")]
     payload = {"covering": rep, "checks": checks}
     if "counterexample" in rep:
         payload["counterexample"] = rep["counterexample"]

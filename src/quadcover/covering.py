@@ -8,9 +8,10 @@ punctured line to the pencil based at its infinity point is a 2-to-1 covering
 of the ovoid geometry; the fiber over an ovoid is exactly one elation orbit,
 and the quotient by orbits reproduces the ovoid geometry on the nose.
 
-Distances upstairs are read off the same lines: the lines through a point
-partition its neighbours, so a point's 2-step row is the OR over its lines
-of each line's neighbour row.
+Distances upstairs are read off the same lines: the neighbour rows of the
+points on a few lines through x lie within two steps of x, so their OR
+leaves clear every point far from x, and only those candidates are tested,
+each exactly, by one AND of two neighbour rows (see `fiber_distances`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .ovoid import OvoidGeometry
 from .quadric import QuadricModel, incidence_transpose, pack_rows, row_bits, unpack_rows
 
 _CHUNK = 1 << 16                # uint64 words gathered per fiber_distances step
+NEAR_LINES = 3                  # lines through a point read into its fiber_distances near row
 ORACLE_BLOCK = 1 << 20          # collinearity entries per verify_adjacency_oracle step
 
 
@@ -243,49 +245,84 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
     return {"pass": True, "pairs_checked": n * (n - 1) // 2}
 
 
-def _three_walks(P: np.ndarray, B2: np.ndarray, x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether some neighbour of x[i] is within two steps of y[i], for every
-    i: a 3-walk joining them, when x[i] and y[i] share no neighbour.
-    Gathers at most _CHUNK words a step."""
-    step = max(1, _CHUNK // P.shape[1])
-    return all((P[x[k:k + step]] & B2[y[k:k + step]]).any(axis=1).all()
-               for k in range(0, len(x), step))
+def _line_rows(P: np.ndarray, lines: np.ndarray, through: np.ndarray,
+               out: np.ndarray) -> None:
+    """out[i] |= the OR of P over the points of the lines through[i].  The
+    last line of `lines` is the empty line, whose points are all the last
+    row of P, which is zero.  Each step gathers at most _CHUNK words, or
+    one row's points."""
+    per_row = through.shape[1] * lines.shape[1]
+    step = max(1, _CHUNK // max(1, per_row * P.shape[1]))
+    for lo in range(0, len(through), step):
+        rows = through[lo:lo + step]
+        pts = lines.take(rows, axis=0).reshape(len(rows), per_row)
+        out[lo:lo + step] |= np.bitwise_or.reduce(P.take(pts, axis=0), axis=1)
 
 
-def _or_rows(rows: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = the OR of rows[index[i, j]] over j.  Each step takes at most
-    _CHUNK words into out and one preallocated buffer."""
-    buf = np.empty((max(1, _CHUNK // rows.shape[1]), rows.shape[1]), dtype=rows.dtype)
-    for lo in range(0, len(index), len(buf)):
-        hi = min(len(index), lo + len(buf))
-        np.take(rows, index[lo:hi, 0], axis=0, out=out[lo:hi])
-        for j in range(1, index.shape[1]):
-            out[lo:hi] |= np.take(rows, index[lo:hi, j], axis=0, out=buf[:hi - lo])
+def _candidates(near: np.ndarray, n: int, step: int):
+    """The pairs (x, y), x != y < n, whose bit y of near[x] is clear, as
+    (x, y) batches of at most `step` pairs, or of one word's bits when a
+    word holds more.  near is read `step` rows at a time, and the words of a
+    block that hold a candidate are cut into runs: a run is the words whose
+    last candidate falls in one window of step - 63 candidates, so it holds
+    at most 63 more, from its first word."""
+    last = ~np.uint64(0) >> np.uint64(-n % 64)
+    window = max(1, step - 63)
+    for lo in range(0, n, step):
+        free = ~near[lo:lo + step]
+        free[:, -1] &= last
+        pts = np.arange(lo, lo + len(free))
+        free[pts - lo, pts >> 6] &= ~(np.uint64(1) << (pts & 63).astype(np.uint64))
+        r, c = np.nonzero(free)
+        ends = np.cumsum(np.bitwise_count(free[r, c]), dtype=np.intp) - 1
+        cuts = np.flatnonzero(np.diff(ends // window)) + 1
+        for rr, cc in zip(np.split(r, cuts), np.split(c, cuts)):
+            e, b = np.nonzero(unpack_rows(free[rr, cc][:, None]))
+            yield lo + rr[e], 64 * cc[e] + b
 
 
 def fiber_distances(cov: CoveringMap) -> dict:
     """Distance upstairs between the two points of every fiber, plus diameters.
 
-    Works on bit-packed rows of the affine collinearity graph, read through
-    the punctured lines.  P[x] holds the neighbours of x.  LN[l], the OR of
-    P over the q points of line l, holds the points within one step of l;
-    B2[x], the OR of LN over the q^2 + 1 lines through x, holds the points
-    within two steps of x.  Each point is on q^2 + 1 lines of q points, so
-    that is 2(q^2 + 1) row ORs a point, where the OR over its neighbours'
-    rows takes (q^2 + 1)(q - 1).  B2 is exact when the lines through each
-    point partition its neighbours.  That is checked on every block of rows
-    of P before any row is used, and a violation raises AssertionError.
+    Works on bit-packed rows of the affine collinearity graph: P[x] holds
+    the neighbours of x.  P is built one block of rows at a time, and each
+    block is checked against the punctured lines before any row is used:
+    every line is a clique, every collinear pair is on a line, and the
+    lines through a point meet only there, so they partition its
+    neighbours.  A violation raises AssertionError.
 
-    The two fiber points must be more than two steps apart (bit x2 of
-    B2[x1] is clear) and joined by a 3-step walk (P[x1] & B2[x2] is
-    nonzero; collinearity is symmetric).  The whole graph must have diameter
-    exactly 3: some pair is more than two steps apart, and every such far
-    pair is joined by a 3-step walk.  And the far pairs must be exactly the
-    fibers, in both orders: two non-collinear points x, y of Q have q^2 + 1
-    common neighbours, and they all lie at infinity exactly when
-    x^perp and y^perp cut the same ovoid from {x6 = 0}, that is, when x
-    and y form one elation orbit.  ``far_pairs`` counts the ordered far
-    pairs: two a fiber, q^4 - q^2 in all, when the law holds."""
+    Two points are far when they are more than two steps apart.  Each pair
+    is tested exactly, by its own rows: x != y are far when bit y of P[x] is
+    clear and P[x] & P[y] is zero.  A far pair is joined by a 3-step walk
+    when P[x] meets the two-step row of y, the OR of P over every point of
+    every line through y: the lines partition y's neighbours, so that is
+    exactly the points within two steps of y (y itself when it has a
+    neighbour).  Only a few pairs need either row:
+
+    - near[x] is P[x] ORed with the P rows of the points on the first
+      NEAR_LINES lines through x.  Each such point is x or a neighbour of x,
+      since lines are cliques, so near[x] lies inside the two-step row of
+      x, and every far pair (x, y) is a bit y left clear in near[x]: the
+      candidates, tested one pair at a time.  Bit y of P[x] is clear for
+      each, as near[x] holds P[x], so only P[x] & P[y] is read.  Results
+      do not depend on NEAR_LINES; at 3 there are 7 candidates a point at
+      q = 8.
+    - near[y] lies inside the two-step row of y too, so P[x] & near[y]
+      nonzero certifies a 3-walk.  Only the far pairs it does not certify
+      have y's full two-step row built.
+
+    The two fiber points must be far and joined by a 3-step walk: every
+    fiber, in both orders, is one of the far pairs walked, and a fiber
+    holding a point off the affine part is none.  The whole graph must
+    have diameter exactly 3: some pair is far, and every far pair is joined
+    by a 3-step walk.  And the far pairs must be exactly the fibers, in
+    both orders: two non-collinear points x, y of Q have q^2 + 1 common
+    neighbours, and they all lie at infinity exactly when x^perp and y^perp
+    cut the same ovoid from {x6 = 0}, that is, when x and y form one elation
+    orbit.  ``far_pairs`` counts the ordered far pairs: two a fiber,
+    q^4 - q^2 in all, when the law holds.  Every step gathers at most
+    _CHUNK words (one row, or one word's candidates, at the least), whatever
+    the number of candidates."""
     model = cov.model
     aff = model.affine_points
     n = len(aff)
@@ -302,9 +339,10 @@ def fiber_distances(cov: CoveringMap) -> dict:
 
     # P, one block of rows at a time, each checked against the line-mates of
     # its points: every line is a clique, every collinear pair is on a line,
-    # and the lines through a point meet only there
+    # and the lines through a point meet only there.  Row n stays zero: it
+    # is the row of the empty line's points.
     w = -(-n // 64)
-    P = np.empty((n, w), dtype=np.uint64)
+    P = np.zeros((n + 1, w), dtype=np.uint64)
     step = max(1, 8 * _CHUNK // n)
     blocks = model.alpha_blocks(aff, aff, step)
     for lo in range(0, n, step):
@@ -323,46 +361,48 @@ def fiber_distances(cov: CoveringMap) -> dict:
                                  "affine collinearity exactly")
         P[lo:hi] = pack_rows(block)
     del blocks                          # with the column table it holds
-    if (np.bitwise_count(P).sum(axis=1, dtype=np.intp) != count * (k - 1)).any():
+    if (np.bitwise_count(P[:n]).sum(axis=1, dtype=np.intp) != count * (k - 1)).any():
         raise AssertionError("two lines through a point meet again")
 
-    # the lines through each point as rows, padded with the empty line n_lines
+    # the lines through each point as rows, padded with the empty line
+    # n_lines, whose points are all the zero row n of P
     width = max(1, int(count.max(initial=0)))
     through = np.full((n, width), n_lines, dtype=np.int32)
     through.ravel()[np.arange(len(line_of))
                     + np.repeat(np.arange(n) * width - start[:-1], count)] = line_of
     del line_of
-    LN = np.zeros((n_lines + 1, w), dtype=np.uint64)
-    _or_rows(P, lines, LN[:-1])
-    B2 = np.empty_like(P)
-    _or_rows(LN, through, B2)
-    del LN
+    lines = np.vstack([lines, np.full((1, k), n, dtype=lines.dtype)])
+    near = P[:n].copy()
+    _line_rows(P, lines, through[:, :NEAR_LINES], near)
 
-    x1, x2 = np.searchsorted(aff, cov.point_fiber).T
-    fibers_at_3 = not row_bits(B2, x1, x2).any() and _three_walks(P, B2, x1, x2)
-
-    # far pairs: the bits clear in B2, over the n real columns and off the
-    # diagonal (B2 holds a point itself only when it has a neighbour)
-    far = ~B2
-    far[:, -1] &= ~np.uint64(0) >> np.uint64(-n % 64)
-    pts = np.arange(n)
-    far[pts, pts >> 6] &= ~(np.uint64(1) << (pts & 63).astype(np.uint64))
-    far_pairs = int(np.bitwise_count(far).sum(dtype=np.intp))
-    # the fibers in both orders, as sorted keys x * n + y
-    fibers = np.unique(np.concatenate([x1 * n + x2, x2 * n + x1]))
-    rows, cols = np.nonzero(far)                # words holding a far pair
-    diam3, far_are_fibers = len(rows) > 0, far_pairs == len(fibers)
-    step = max(1, _CHUNK // (64 * w))
-    for lo in range(0, len(rows), step):
-        if not (diam3 or far_are_fibers):
-            break
-        r, c = rows[lo:lo + step], cols[lo:lo + step]
-        e, b = np.nonzero(unpack_rows(far[r, c][:, None]))
-        x, y = r[e], 64 * c[e] + b
-        diam3 = diam3 and _three_walks(P, B2, x, y)
+    # the fibers in both orders, as sorted keys x * n + y; a fiber off the
+    # affine part is the key -1, which no far pair has
+    x1, x2 = dense[cov.point_fiber].astype(np.intp).T
+    fibers = np.unique(np.where((x1 >= 0) & (x2 >= 0),
+                                np.concatenate([[x1 * n + x2], [x2 * n + x1]]), -1))
+    far_pairs, fibers_walked, diam3, far_are_fibers = 0, 0, True, True
+    for x, y in _candidates(near, n, max(1, _CHUNK // w)):
+        Px = P[x]
+        far = ~(Px & P[y]).any(axis=1)
+        x, y, Px = x[far], y[far], Px[far]
+        walked = (Px & near[y]).any(axis=1)
+        rest = np.flatnonzero(~walked)
+        if len(rest):
+            # the full two-step rows of the far pairs near does not certify
+            ys, at = np.unique(y[rest], return_inverse=True)
+            two = np.zeros((len(ys), w), dtype=P.dtype)
+            _line_rows(P, lines, through[ys], two)
+            walked[rest] = (Px[rest] & two[at]).any(axis=1)
         key = x * n + y
-        far_are_fibers = far_are_fibers and bool(
-            (fibers.take(np.searchsorted(fibers, key), mode="clip") == key).all())
+        fiber = fibers.take(np.searchsorted(fibers, key), mode="clip") == key
+        far_pairs += len(key)
+        fibers_walked += int(np.count_nonzero(fiber & walked))
+        diam3 = diam3 and bool(walked.all())
+        far_are_fibers = far_are_fibers and bool(fiber.all())
+    # every fiber, in both orders, is a far pair joined by a 3-walk
+    fibers_at_3 = fibers_walked == len(fibers)
+    diam3 = diam3 and far_pairs > 0
+    far_are_fibers = far_are_fibers and far_pairs == len(fibers)
     return {"pass": fibers_at_3 and diam3 and far_are_fibers,
             "fibers_at_distance_3": fibers_at_3,
             "diameter_is_3": diam3,

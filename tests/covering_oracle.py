@@ -10,6 +10,11 @@ same `CoveringMap` arrays and reports the same counterexamples.
 `product_fiber_distances` is the `fiber_distances` that the packed 2-walk
 rows replaced: it takes the fiber and diameter laws from two dense float32
 products, A @ A and A @ (A @ A), of the affine collinearity matrix.
+`line_row_fiber_distances` is the packed kernel that the near rows and the
+pairwise test replaced: the two-step row of every point, built as the OR of
+line rows, each the OR of its points' neighbour rows.  Both map a fiber
+through the dense affine ids, so that a fiber holding a point off the
+affine part fails, as it does in `fiber_distances`.
 
 `lift_path`, `quotient_graph_diameter` and `rook_grid_complement_check` are
 covering facts that no command reports: unique path lifting, the diameter of
@@ -24,7 +29,10 @@ from quadric_oracle import alpha_table
 from tangency_oracle import tangency_matrix
 from quadcover.covering import CoveringMap
 from quadcover.ovoid import OvoidGeometry
-from quadcover.quadric import QuadricModel
+from quadcover.quadric import (QuadricModel, incidence_transpose, pack_rows,
+                               row_bits, unpack_rows)
+
+_CHUNK = 1 << 16                # uint64 words gathered per line-row kernel step
 
 
 def loop_verify_covering(cov: CoveringMap) -> dict:
@@ -129,20 +137,30 @@ def _affine_collinearity(model: QuadricModel) -> np.ndarray:
     return A
 
 
+def _dense_fibers(cov: CoveringMap) -> tuple:
+    """The two dense affine ids of every fiber, and which fibers hold only
+    affine points (a point off the affine part has id -1)."""
+    aff = cov.model.affine_points
+    dense = np.full(cov.model.n_points, -1, dtype=np.intp)
+    dense[aff] = np.arange(len(aff))
+    x1, x2 = dense[cov.point_fiber].T
+    return x1, x2, (x1 >= 0) & (x2 >= 0)
+
+
 def product_fiber_distances(cov: CoveringMap) -> dict:
     """Distance upstairs between the two points of every fiber, plus diameters.
 
     Uses boolean/float32 powers of the collinearity matrix; the two fiber
-    points must be non-adjacent, share no neighbour, and be joined by a
-    3-step walk, the whole graph must have diameter exactly 3, and the
+    points must be affine, non-adjacent, share no neighbour, and be joined
+    by a 3-step walk, the whole graph must have diameter exactly 3, and the
     pairs more than two steps apart must be exactly the fibers."""
     A = _affine_collinearity(cov.model)
     af = A.astype(np.float32)
     A2 = af @ af
     A3 = af @ A2
-    x1, x2 = np.searchsorted(cov.model.affine_points, cov.point_fiber).T
-    fibers_at_3 = bool((~A[x1, x2]).all() and (A2[x1, x2] == 0).all()
-                       and (A3[x1, x2] > 0).all())
+    x1, x2, on = _dense_fibers(cov)
+    fibers_at_3 = bool(on.all()) and bool(
+        (~A[x1, x2]).all() and (A2[x1, x2] == 0).all() and (A3[x1, x2] > 0).all())
 
     n = len(A)
     reach2 = A | (A2 > 0)
@@ -151,12 +169,101 @@ def product_fiber_distances(cov: CoveringMap) -> dict:
     diam3 = bool(reach.all()) and not bool(reach2.all())   # not already within 2
     # the far pairs, more than two steps apart, are the fibers in both orders
     fibers = np.zeros_like(A)
-    fibers[x1, x2] = fibers[x2, x1] = True
-    far_are_fibers = bool(np.array_equal(~reach2, fibers))
+    fibers[x1[on], x2[on]] = fibers[x2[on], x1[on]] = True
+    far_are_fibers = bool(on.all()) and bool(np.array_equal(~reach2, fibers))
     return {"pass": fibers_at_3 and diam3 and far_are_fibers,
             "fibers_at_distance_3": fibers_at_3,
             "diameter_is_3": diam3,
             "far_pairs": int((~reach2).sum()),
+            "far_pairs_are_fibers": far_are_fibers,
+            "n_points": n}
+
+
+def _three_walks(P: np.ndarray, B2: np.ndarray, x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether some neighbour of x[i] is within two steps of y[i], for every
+    i: a 3-walk joining them, when x[i] and y[i] share no neighbour.
+    Gathers at most _CHUNK words a step."""
+    step = max(1, _CHUNK // P.shape[1])
+    return all((P[x[k:k + step]] & B2[y[k:k + step]]).any(axis=1).all()
+               for k in range(0, len(x), step))
+
+
+def _or_rows(rows: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = the OR of rows[index[i, j]] over j.  Each step takes at most
+    _CHUNK words into out and one preallocated buffer."""
+    buf = np.empty((max(1, _CHUNK // rows.shape[1]), rows.shape[1]), dtype=rows.dtype)
+    for lo in range(0, len(index), len(buf)):
+        hi = min(len(index), lo + len(buf))
+        np.take(rows, index[lo:hi, 0], axis=0, out=out[lo:hi])
+        for j in range(1, index.shape[1]):
+            out[lo:hi] |= np.take(rows, index[lo:hi, j], axis=0, out=buf[:hi - lo])
+
+
+def line_row_fiber_distances(cov: CoveringMap) -> dict:
+    """`fiber_distances` from the two-step row of every point.
+
+    P[x] holds the neighbours of x, read from one collinearity block.
+    LN[l], the OR of P over the q points of line l, holds the points within
+    one step of l; B2[x], the OR of LN over the lines through x, holds the
+    points within two steps of x, when the lines through each point
+    partition its neighbours (`fiber_distances` checks that, and this
+    kernel assumes it).  The far pairs are the bits clear in B2, off the
+    diagonal, and a far pair (x, y) is joined by a 3-walk when P[x] & B2[y]
+    is nonzero."""
+    model = cov.model
+    aff = model.affine_points
+    n = len(aff)
+    A = _affine_collinearity(model)
+    w = -(-n // 64)
+    P = pack_rows(A)
+    dense = np.full(model.n_points, -1, dtype=np.int32)
+    dense[aff] = np.arange(n)
+    lines = dense[cov.lines]
+    n_lines = len(lines)
+    count = np.bincount(lines.ravel(), minlength=n)
+    start = np.concatenate(([0], np.cumsum(count)))
+    line_of = incidence_transpose(lines, n)
+    # the lines through each point as rows, padded with the empty line n_lines
+    width = max(1, int(count.max(initial=0)))
+    through = np.full((n, width), n_lines, dtype=np.int32)
+    through.ravel()[np.arange(len(line_of))
+                    + np.repeat(np.arange(n) * width - start[:-1], count)] = line_of
+    LN = np.zeros((n_lines + 1, w), dtype=np.uint64)
+    _or_rows(P, lines, LN[:-1])
+    B2 = np.empty_like(P)
+    _or_rows(LN, through, B2)
+
+    x1, x2, on = _dense_fibers(cov)
+    fibers_at_3 = bool(on.all()) and (not row_bits(B2, x1, x2).any()
+                                      and _three_walks(P, B2, x1, x2))
+
+    # far pairs: the bits clear in B2, over the n real columns and off the
+    # diagonal (B2 holds a point itself only when it has a neighbour)
+    far = ~B2
+    far[:, -1] &= ~np.uint64(0) >> np.uint64(-n % 64)
+    pts = np.arange(n)
+    far[pts, pts >> 6] &= ~(np.uint64(1) << (pts & 63).astype(np.uint64))
+    far_pairs = int(np.bitwise_count(far).sum(dtype=np.intp))
+    # the fibers in both orders, as sorted keys x * n + y; a fiber off the
+    # affine part is the key -1, which no far pair has
+    fibers = np.unique(np.where(on, np.concatenate([[x1 * n + x2], [x2 * n + x1]]), -1))
+    rows, cols = np.nonzero(far)                # words holding a far pair
+    diam3, far_are_fibers = len(rows) > 0, far_pairs == len(fibers)
+    step = max(1, _CHUNK // (64 * w))
+    for lo in range(0, len(rows), step):
+        if not (diam3 or far_are_fibers):
+            break
+        r, c = rows[lo:lo + step], cols[lo:lo + step]
+        e, b = np.nonzero(unpack_rows(far[r, c][:, None]))
+        x, y = r[e], 64 * c[e] + b
+        diam3 = diam3 and _three_walks(P, B2, x, y)
+        key = x * n + y
+        far_are_fibers = far_are_fibers and bool(
+            (fibers.take(np.searchsorted(fibers, key), mode="clip") == key).all())
+    return {"pass": fibers_at_3 and diam3 and far_are_fibers,
+            "fibers_at_distance_3": fibers_at_3,
+            "diameter_is_3": diam3,
+            "far_pairs": far_pairs,
             "far_pairs_are_fibers": far_are_fibers,
             "n_points": n}
 

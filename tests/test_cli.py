@@ -79,8 +79,10 @@ def test_verify_covering(tmp_path):
             "quotient_iso_ok", "fibers_at_distance_3", "diameter_is_3",
             "far_pairs_are_fibers"} == names
     assert all(c["pass"] for c in data["checks"])
-    # the ordered far pairs at q = 2: two for each of the 6 fibers
-    assert data["checks"][-1]["cases"] == 12
+    # the 6 fibers at q = 2, and the ordered far pairs, two for each fiber
+    cases = {c["name"]: c["cases"] for c in data["checks"] if "cases" in c}
+    assert cases == {"fibers_at_distance_3": 6, "diameter_is_3": 12,
+                     "far_pairs_are_fibers": 12}
 
 
 def test_verify_semipartial_with_incidence_export(tmp_path):

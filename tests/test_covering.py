@@ -10,6 +10,7 @@ import pytest
 
 from covering_oracle import (
     lift_path,
+    line_row_fiber_distances,
     loop_verify_covering,
     product_fiber_distances,
     quotient_graph_diameter,
@@ -424,8 +425,14 @@ def _rolled_partners(cov):
     return replace(cov, point_fiber=fib)
 
 
-@pytest.mark.parametrize("corrupt", [None, _rolled_partners, _point_fiber],
-                         ids=["lawful", "rolled_partners", "self_partnered"])
+def _fiber_dropped(cov):
+    # the last ovoid's fiber left out: its points are still a far pair,
+    # and every remaining fiber keeps its distance
+    return replace(cov, point_fiber=cov.point_fiber[:-1])
+
+
+@pytest.mark.parametrize("corrupt", [None, _rolled_partners, _point_fiber, _fiber_dropped],
+                         ids=["lawful", "rolled_partners", "self_partnered", "fiber_dropped"])
 @pytest.mark.parametrize("name", ["cov_q2", "cov_q4", "cov_q8"])
 def test_fiber_distances_match_the_product_oracle(request, name, corrupt):
     cov = request.getfixturevalue(name)
@@ -433,14 +440,9 @@ def test_fiber_distances_match_the_product_oracle(request, name, corrupt):
         cov = corrupt(cov)
     rep = fiber_distances(cov)
     assert rep == product_fiber_distances(cov)
-    assert rep["fibers_at_distance_3"] == (corrupt is None)
+    assert rep == line_row_fiber_distances(cov)
+    assert rep["fibers_at_distance_3"] == (corrupt in (None, _fiber_dropped))
     assert rep["diameter_is_3"]
-
-
-def _fiber_dropped(cov):
-    # the last ovoid's fiber left out: its points are still a far pair,
-    # and every remaining fiber keeps its distance
-    return replace(cov, point_fiber=cov.point_fiber[:-1])
 
 
 @pytest.mark.parametrize("corrupt", [_fiber_dropped, _rolled_partners],
@@ -454,6 +456,44 @@ def test_far_pairs_off_the_fibers_fail_the_law(request, name, corrupt):
     assert not rep["far_pairs_are_fibers"] and not rep["pass"]
     assert rep["fibers_at_distance_3"] == (corrupt is _fiber_dropped)
     assert rep["diameter_is_3"]
+    assert rep == line_row_fiber_distances(bad)
+    if name != "cov_q8":
+        assert rep == product_fiber_distances(bad)
+
+
+def _partner_off_affine(cov):
+    # the first larger fiber point that follows a section point is replaced
+    # by that section point, which a search over the sorted affine points
+    # would read as the point it replaced
+    fib = cov.point_fiber.copy()
+    i = int(np.flatnonzero(cov.model.in_section[fib[:, 1] - 1])[0])
+    fib[i, 1] -= 1
+    return replace(cov, point_fiber=fib)
+
+
+def _extra_fiber_off_affine(cov):
+    # every lawful fiber kept, and one more pairing ovoid 0's smaller point
+    # with a section point: the far pairs are still fibers, but this fiber
+    # is no far pair
+    extra = [cov.point_fiber[0, 0], cov.model.section_points[0]]
+    return replace(cov, point_fiber=np.vstack([cov.point_fiber, extra]))
+
+
+@pytest.mark.parametrize("corrupt", [_partner_off_affine, _fiber_at_infinity,
+                                     _extra_fiber_off_affine],
+                         ids=["partner_off_affine", "fiber_at_infinity", "extra_fiber"])
+@pytest.mark.parametrize("name", ["cov_q2", "cov_q4", "cov_q8"])
+def test_a_fiber_off_the_affine_part_fails_the_fiber_law(request, name, corrupt):
+    # the graph is unchanged, so its far pairs are still the lawful fibers,
+    # and one fiber is not among them
+    cov = request.getfixturevalue(name)
+    bad = corrupt(cov)
+    rep = fiber_distances(bad)
+    assert not rep["fibers_at_distance_3"] and not rep["pass"]
+    assert not rep["far_pairs_are_fibers"]
+    assert rep["diameter_is_3"]
+    assert rep["far_pairs"] == len(cov.model.affine_points)
+    assert rep == line_row_fiber_distances(bad)
     if name != "cov_q8":
         assert rep == product_fiber_distances(bad)
 
@@ -641,6 +681,7 @@ def test_fiber_distances_on_small_graphs(adj, partners, expected):
     cov = _graph_covering(adj, partners)
     rep = fiber_distances(cov)
     assert rep == product_fiber_distances(cov)
+    assert rep == line_row_fiber_distances(cov)
     assert rep["n_points"] == len(adj)
     if expected is not None:
         assert (rep["fibers_at_distance_3"], rep["diameter_is_3"]) == expected
@@ -725,19 +766,33 @@ def test_lift_path_rejects_bad_walks(cov_q4):
         lift_path(cov, [a, c], start=cov.point_fiber[a][0])
 
 
-@pytest.mark.parametrize("chunk", [1, 200, 350])
-def test_fiber_distances_in_small_chunks(monkeypatch, cov_q4, chunk):
+# (_CHUNK, NEAR_LINES), None keeping the module's count
+CHUNK_CASES = [(chunk, lines) for lines in (None, 0, 1) for chunk in (1, 200, 350)]
+
+
+@pytest.mark.parametrize("chunk,lines", CHUNK_CASES,
+                         ids=[str(c) if k is None else f"{c}-lines{k}" for c, k in CHUNK_CASES])
+def test_fiber_distances_in_small_chunks(monkeypatch, cov_q4, chunk, lines):
     # every chunked loop takes many steps.  At q = 4 (240 points of 4 words,
-    # 1,020 lines) chunk 200 gives OR steps of 50 rows over the lines and
-    # the points, and chunk 350 blocks of 11 rows and OR steps of 87 rows:
-    # all ragged
+    # 1,020 lines of 4 points, 17 through each point) chunk 200 gives blocks
+    # of 6 rows of P, candidate batches of 50 (one word a run) and near rows
+    # 4 at a time, and chunk 350 blocks of 11 rows, batches of 87 and near
+    # rows 7 at a time: all ragged; a full two-step row takes a step of its
+    # own.  With 0 lines near is P, so every far pair's walk is found
+    # (cycle_6, the layers at distance 3) or not (the layers at distance 4)
+    # in its full two-step row; with 1 line there are many candidates at q = 4
     monkeypatch.setattr(covering, "_CHUNK", chunk)
+    if lines is not None:
+        monkeypatch.setattr(covering, "NEAR_LINES", lines)
     for cov in (cov_q4, _rolled_partners(cov_q4),
                 _graph_covering(_layers([40, 30, 20, 40], 2), [(0, 129), (39, 90)]),
                 # forty partners at distance 3, then one at distance 4
                 _graph_covering(_layers([50, 40, 30, 40, 40], 5),
-                                [(i, 120 + i) for i in range(40)] + [(0, 199)])):
-        assert fiber_distances(cov) == product_fiber_distances(cov)
+                                [(i, 120 + i) for i in range(40)] + [(0, 199)]),
+                _graph_covering(_cycle(6), [(0, 3), (1, 4), (2, 5)])):
+        rep = fiber_distances(cov)
+        assert rep == product_fiber_distances(cov)
+        assert rep == line_row_fiber_distances(cov)
 
 
 def _line_dropped(cov):
@@ -789,8 +844,10 @@ def test_fiber_distances_rejects_lines_that_miss_the_collinearity(cov_q4, corrup
         fiber_distances(corrupt(cov_q4))
 
 
-def test_fiber_distances_peak_stays_below_32_mib(cov_q8):
-    # the line rows LN (16.5 MB at q = 8) are the only large array; P, B2
-    # and every gather are built in place or in chunks
+def test_fiber_distances_peak_stays_below_16_mib(cov_q8):
+    # the largest arrays are P and the near rows (2 MB each at q = 8) and
+    # the line tables (1 MB each); every block and gather is bounded by
+    # _CHUNK words.  The line rows LN (16.5 MB) of the kernel they replaced
+    # put the peak at 22.7 MiB
     _, peak = traced_peak(lambda: fiber_distances(cov_q8))
-    assert peak < 32 * 2 ** 20
+    assert peak < 16 * 2 ** 20
