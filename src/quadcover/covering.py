@@ -24,9 +24,8 @@ import numpy as np
 from .ovoid import OvoidGeometry
 from .quadric import QuadricModel, incidence_transpose, pack_rows, row_bits, unpack_rows
 
-_CHUNK = 1 << 16                # uint64 words gathered per fiber_distances step
+_CHUNK = 1 << 16                # uint64 words a block of fiber_distances and the adjacency oracle
 NEAR_LINES = 3                  # lines through a point read into its fiber_distances near row
-ORACLE_BLOCK = 1 << 20          # collinearity entries per verify_adjacency_oracle step
 
 
 @dataclass(eq=False)
@@ -75,7 +74,7 @@ def canonical_covering(model: QuadricModel, gx: OvoidGeometry) -> CoveringMap:
     # both orbit points must have the same perpendicular section: rows 2i
     # and 2i + 1 of one read hold orbit i's two points
     sect = model.section_points
-    perp = model.collinear(orbits.ravel(), sect)
+    perp = next(model.perp_blocks(orbits.ravel(), sect, orbits.size))
     if not np.array_equal(perp[0::2], perp[1::2]):
         raise AssertionError("elation orbit points have different perp sections")
     point_image = np.full(model.n_points, -1, dtype=np.int32)
@@ -211,13 +210,13 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
     """Tangency downstairs equals cross-fiber collinearity upstairs.
 
     Checks, for every ovoid pair, that |A∩B| = 1 exactly when some point of
-    A's fiber is collinear with some point of B's fiber.  The collinearity
-    is read one block of ovoid rows at a time, at most ORACLE_BLOCK entries,
-    from one `alpha_blocks` call: a block's fibre rows are its ovoids' first
-    points and then their second points, and the columns are every ovoid's
-    first point and then every second point.  The OR of the block's two row
-    halves and then of its two column halves is the cross-fibre
-    collinearity, compared with the same rows of the tangency, unpacked.
+    A's fiber is collinear with some point of B's fiber.  It is read as
+    packed rows, in blocks of at most _CHUNK words (or one ovoid), from two
+    `perp_blocks` calls: a block's rows are its ovoids' first points, then
+    their second points, and the columns every ovoid's first point in one
+    call, every second point in the other.  The OR of the two blocks and of
+    their row halves is the cross-fibre collinearity, compared word for
+    word with the same rows of `geom.tangency`, the diagonal aside.
 
     A failing report names the first disagreeing pair in row order, a < b
     when both matrices are symmetric, and whether it is tangent and its
@@ -226,23 +225,27 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
     geom = cov.geom
     n = geom.n_ovoids
     fib = cov.point_fiber
-    step = max(1, ORACLE_BLOCK // (4 * n))
+    step = max(1, _CHUNK // (2 * geom.tangency.shape[1]))
     rows = np.concatenate([fib[lo:lo + step].T.ravel() for lo in range(0, n, step)])
-    blocks = cov.model.alpha_blocks(rows, fib.T.ravel(), 2 * step)
+    firsts, seconds = (cov.model.perp_blocks(rows, fib[:, j], 2 * step) for j in (0, 1))
     for lo in range(0, n, step):
-        Z = next(blocks) == 0
-        b = len(Z) // 2
-        Z[:b] |= Z[b:]
-        cross = Z[:b, :n]
-        cross |= Z[:b, n:]
-        agree = cross == unpack_rows(geom.tangency[lo:lo + step], n)
-        np.fill_diagonal(agree[:, lo:], True)
-        if not agree.all():
-            i, b = (int(t) for t in np.argwhere(~agree)[0])
+        Z = next(firsts) | next(seconds)
+        cross = Z[:len(Z) // 2] | Z[len(Z) // 2:]
+        diff = cross ^ geom.tangency[lo:lo + step]
+        _clear_diagonal(diff, lo)
+        diff[:, -1:] &= ~np.uint64(0) >> np.uint64(-n % 64)      # not the padding
+        if diff.any():
+            i, b = (int(t) for t in np.argwhere(unpack_rows(diff))[0])
             return {"pass": False, "pair": [lo + i, b],
                     "tangent": bool(row_bits(geom.tangency, lo + i, b)),
-                    "cross_collinear": bool(cross[i, b])}
+                    "cross_collinear": bool(row_bits(cross, i, b))}
     return {"pass": True, "pairs_checked": n * (n - 1) // 2}
+
+
+def _clear_diagonal(rows: np.ndarray, lo: int) -> None:
+    """Clear bit lo + i of packed row i, in every row i."""
+    pts = np.arange(lo, lo + len(rows))
+    rows[pts - lo, pts >> 6] &= ~(np.uint64(1) << (pts & 63).astype(np.uint64))
 
 
 def _line_rows(P: np.ndarray, lines: np.ndarray, through: np.ndarray,
@@ -259,26 +262,28 @@ def _line_rows(P: np.ndarray, lines: np.ndarray, through: np.ndarray,
         out[lo:lo + step] |= np.bitwise_or.reduce(P.take(pts, axis=0), axis=1)
 
 
-def _candidates(near: np.ndarray, n: int, step: int):
-    """The pairs (x, y), x != y < n, whose bit y of near[x] is clear, as
-    (x, y) batches of at most `step` pairs, or of one word's bits when a
-    word holds more.  near is read `step` rows at a time, and the words of a
-    block that hold a candidate are cut into runs: a run is the words whose
-    last candidate falls in one window of step - 63 candidates, so it holds
-    at most 63 more, from its first word."""
-    last = ~np.uint64(0) >> np.uint64(-n % 64)
+def _candidates(P: np.ndarray, lines: np.ndarray, through: np.ndarray, step: int):
+    """The pairs (x, y), x != y, whose bit y of near[x] is clear, with
+    near[x], in batches of at most `step` pairs, or of one word's bits when
+    a word holds more.  near is built `step` rows at a time, and the words
+    of a block that hold a candidate are cut into runs: a run is the words
+    whose last candidate falls in one window of step - 63 candidates, so it
+    holds at most 63 more, from its first word."""
+    n = len(P) - 1
+    pad = ~np.uint64(0) >> np.uint64(-n % 64)
     window = max(1, step - 63)
     for lo in range(0, n, step):
-        free = ~near[lo:lo + step]
-        free[:, -1] &= last
-        pts = np.arange(lo, lo + len(free))
-        free[pts - lo, pts >> 6] &= ~(np.uint64(1) << (pts & 63).astype(np.uint64))
+        near = P[lo:min(n, lo + step)].copy()
+        _line_rows(P, lines, through[lo:lo + step, :NEAR_LINES], near)
+        free = ~near
+        free[:, -1] &= pad
+        _clear_diagonal(free, lo)
         r, c = np.nonzero(free)
         ends = np.cumsum(np.bitwise_count(free[r, c]), dtype=np.intp) - 1
         cuts = np.flatnonzero(np.diff(ends // window)) + 1
         for rr, cc in zip(np.split(r, cuts), np.split(c, cuts)):
             e, b = np.nonzero(unpack_rows(free[rr, cc][:, None]))
-            yield lo + rr[e], 64 * cc[e] + b
+            yield lo + rr[e], 64 * cc[e] + b, near[rr[e]]
 
 
 def fiber_distances(cov: CoveringMap) -> dict:
@@ -294,10 +299,10 @@ def fiber_distances(cov: CoveringMap) -> dict:
     Two points are far when they are more than two steps apart.  Each pair
     is tested exactly, by its own rows: x != y are far when bit y of P[x] is
     clear and P[x] & P[y] is zero.  A far pair is joined by a 3-step walk
-    when P[x] meets the two-step row of y, the OR of P over every point of
-    every line through y: the lines partition y's neighbours, so that is
-    exactly the points within two steps of y (y itself when it has a
-    neighbour).  Only a few pairs need either row:
+    when the two-step row of x meets P[y]: the two-step row is the OR of P
+    over every point of every line through x, and the lines partition x's
+    neighbours, so that is exactly the points within two steps of x (x
+    itself when it has a neighbour).  Only a few pairs need either row:
 
     - near[x] is P[x] ORed with the P rows of the points on the first
       NEAR_LINES lines through x.  Each such point is x or a neighbour of x,
@@ -306,10 +311,11 @@ def fiber_distances(cov: CoveringMap) -> dict:
       candidates, tested one pair at a time.  Bit y of P[x] is clear for
       each, as near[x] holds P[x], so only P[x] & P[y] is read.  Results
       do not depend on NEAR_LINES; at 3 there are 7 candidates a point at
-      q = 8.
-    - near[y] lies inside the two-step row of y too, so P[x] & near[y]
-      nonzero certifies a 3-walk.  Only the far pairs it does not certify
-      have y's full two-step row built.
+      q = 8.  Only one block of near rows is held at a time.
+    - For a far pair, near[x] & P[y] nonzero certifies a 3-walk: such a
+      bit z is within two steps of x and a neighbour of y, and neither x
+      nor a neighbour of x, as y is far from x.  Only the far pairs it
+      does not certify have x's full two-step row built.
 
     The two fiber points must be far and joined by a 3-step walk: every
     fiber, in both orders, is one of the far pairs walked, and a fiber
@@ -337,30 +343,30 @@ def fiber_distances(cov: CoveringMap) -> dict:
     start = np.concatenate(([0], np.cumsum(count)))
     line_of = incidence_transpose(lines, n)
 
-    # P, one block of rows at a time, each checked against the line-mates of
-    # its points: every line is a clique, every collinear pair is on a line,
-    # and the lines through a point meet only there.  Row n stays zero: it
-    # is the row of the empty line's points.
+    # P, one block of rows at a time, each checked against the packed
+    # line-mates of its points: every line is a clique, every collinear pair
+    # is on a line, and the lines through a point meet only there.  Row n
+    # stays zero: it is the row of the empty line's points.
     w = -(-n // 64)
     P = np.zeros((n + 1, w), dtype=np.uint64)
     step = max(1, 8 * _CHUNK // n)
-    blocks = model.alpha_blocks(aff, aff, step)
+    mates = np.empty((step, n), dtype=bool)
+    blocks = model.perp_blocks(aff, aff, step)
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        block = next(blocks) == 0
-        mates = np.zeros_like(block)
+        P[lo:hi] = next(blocks)
+        _clear_diagonal(P[lo:hi], lo)
         # the flat positions of each point's line-mates in its row
         at = lines.take(line_of[start[lo]:start[hi]], axis=0)
         at += np.repeat(np.arange(0, (hi - lo) * n, n, dtype=np.int32),
                         count[lo:hi])[:, None]
+        mates[:] = False
         mates.ravel()[at] = True
-        diag = np.arange(hi - lo) * (n + 1) + lo
-        block.ravel()[diag] = mates.ravel()[diag] = False
-        if not np.array_equal(block, mates):
+        mates.ravel()[np.arange(hi - lo) * (n + 1) + lo] = False
+        if not np.array_equal(P[lo:hi], pack_rows(mates[:hi - lo])):
             raise AssertionError("the punctured lines do not cover the "
                                  "affine collinearity exactly")
-        P[lo:hi] = pack_rows(block)
-    del blocks                          # with the column table it holds
+    del blocks, mates, at               # with the column planes the kernel holds
     if (np.bitwise_count(P[:n]).sum(axis=1, dtype=np.intp) != count * (k - 1)).any():
         raise AssertionError("two lines through a point meet again")
 
@@ -368,12 +374,9 @@ def fiber_distances(cov: CoveringMap) -> dict:
     # n_lines, whose points are all the zero row n of P
     width = max(1, int(count.max(initial=0)))
     through = np.full((n, width), n_lines, dtype=np.int32)
-    through.ravel()[np.arange(len(line_of))
-                    + np.repeat(np.arange(n) * width - start[:-1], count)] = line_of
+    through[np.arange(width) < count[:, None]] = line_of     # row-major, as line_of
     del line_of
     lines = np.vstack([lines, np.full((1, k), n, dtype=lines.dtype)])
-    near = P[:n].copy()
-    _line_rows(P, lines, through[:, :NEAR_LINES], near)
 
     # the fibers in both orders, as sorted keys x * n + y; a fiber off the
     # affine part is the key -1, which no far pair has
@@ -381,18 +384,18 @@ def fiber_distances(cov: CoveringMap) -> dict:
     fibers = np.unique(np.where((x1 >= 0) & (x2 >= 0),
                                 np.concatenate([[x1 * n + x2], [x2 * n + x1]]), -1))
     far_pairs, fibers_walked, diam3, far_are_fibers = 0, 0, True, True
-    for x, y in _candidates(near, n, max(1, _CHUNK // w)):
-        Px = P[x]
-        far = ~(Px & P[y]).any(axis=1)
-        x, y, Px = x[far], y[far], Px[far]
-        walked = (Px & near[y]).any(axis=1)
+    for x, y, near in _candidates(P, lines, through, max(1, _CHUNK // w)):
+        Py = P[y]
+        far = ~(P[x] & Py).any(axis=1)
+        x, y, near, Py = x[far], y[far], near[far], Py[far]
+        walked = (near & Py).any(axis=1)
         rest = np.flatnonzero(~walked)
         if len(rest):
             # the full two-step rows of the far pairs near does not certify
-            ys, at = np.unique(y[rest], return_inverse=True)
-            two = np.zeros((len(ys), w), dtype=P.dtype)
-            _line_rows(P, lines, through[ys], two)
-            walked[rest] = (Px[rest] & two[at]).any(axis=1)
+            xs, at = np.unique(x[rest], return_inverse=True)
+            two = np.zeros((len(xs), w), dtype=P.dtype)
+            _line_rows(P, lines, through[xs], two)
+            walked[rest] = (two[at] & Py[rest]).any(axis=1)
         key = x * n + y
         fiber = fibers.take(np.searchsorted(fibers, key), mode="clip") == key
         far_pairs += len(key)

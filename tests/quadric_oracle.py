@@ -20,7 +20,7 @@ import numpy as np
 from projgeom_oracle import Subspace
 from quadcover.gf2n import FieldCtx
 from quadcover.projgeom import Vec, enumerate_points, null_space
-from quadcover.quadric import QuadricModel
+from quadcover.quadric import QuadricModel, pack_rows
 
 
 def loop_gram_matrix(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
@@ -41,9 +41,10 @@ def loop_gram_matrix(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
 
 
 class TableModel(QuadricModel):
-    """A copy of a model whose `alpha` and `alpha_blocks` read the explicit
-    |Q| x |Q| table it is given, so that a test can corrupt single entries
-    of the form."""
+    """A copy of a model whose `alpha`, `alpha_blocks` and `perp_blocks`
+    read the explicit |Q| x |Q| table it is given, so that a test can
+    corrupt single entries of the form.  It overrides every model method
+    that reads the pair tables (`test_imports.py` checks)."""
 
     def __init__(self, model: QuadricModel, table: np.ndarray):
         vars(self).update(vars(model))
@@ -55,6 +56,10 @@ class TableModel(QuadricModel):
     def alpha_blocks(self, rows, cols, step: int) -> Iterator[np.ndarray]:
         for lo in range(0, len(rows), step):
             yield self.alpha(rows[lo:lo + step], cols)
+
+    def perp_blocks(self, rows, cols, step: int) -> Iterator[np.ndarray]:
+        for lo in range(0, len(rows), step):
+            yield pack_rows(self.alpha(rows[lo:lo + step], cols) == 0)
 
 
 _TABLES: "weakref.WeakKeyDictionary[QuadricModel, np.ndarray]" = weakref.WeakKeyDictionary()

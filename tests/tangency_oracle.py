@@ -32,7 +32,7 @@ import copy
 
 import numpy as np
 
-from quadcover import cliquecensus, covering
+from quadcover import cliquecensus
 from quadcover.covering import CoveringMap
 from quadcover.ovoid import OvoidGeometry, verify_common_tangent_counts
 from quadcover.quadric import pack_rows
@@ -207,7 +207,7 @@ def boolean_adjacency_oracle(cov: CoveringMap) -> dict:
     A = tangency_matrix(cov.geom)
     n = len(A)
     fib = cov.point_fiber
-    step = max(1, covering.ORACLE_BLOCK // (4 * n))
+    step = max(1, (1 << 20) // (4 * n))     # at most 2^20 collinearity entries a block
     rows = np.concatenate([fib[lo:lo + step].T.ravel() for lo in range(0, n, step)])
     blocks = cov.model.alpha_blocks(rows, fib.T.ravel(), 2 * step)
     for lo in range(0, n, step):

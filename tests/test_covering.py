@@ -305,15 +305,27 @@ def _oracle_failure(corrupt, cov):
             "cross_collinear": not tangent}
 
 
-def _collinear_non_tangent(cov):
-    # one cross-fibre pair of two non-tangent ovoids made collinear
+def _made_collinear(cov, a, b):
+    # point a of the earlier and point b of the later fibre of two
+    # non-tangent ovoids made collinear
     i, j = _edited_pair(_collinear_non_tangent, cov)
-    x, y = cov.point_fiber[i, 0], cov.point_fiber[j, 1]
+    x, y = cov.point_fiber[i, a], cov.point_fiber[j, b]
     assert alpha_table(cov.model)[x, y] != 0
 
     def edit(table):
         table[x, y] = table[y, x] = 0
     return _with_table(cov, edit)
+
+
+def _collinear_non_tangent(cov):
+    # one cross-fibre pair of two non-tangent ovoids made collinear
+    return _made_collinear(cov, 0, 1)
+
+
+def _collinear_second_to_first(cov):
+    # the same from the earlier ovoid's second point, so that only the
+    # second half of its fibre rows sees it
+    return _made_collinear(cov, 1, 0)
 
 
 def _separated_tangent(cov):
@@ -328,7 +340,8 @@ def _separated_tangent(cov):
     return _with_table(cov, edit)
 
 
-@pytest.mark.parametrize("corrupt", [_collinear_non_tangent, _separated_tangent],
+@pytest.mark.parametrize("corrupt", [_collinear_non_tangent, _collinear_second_to_first,
+                                     _separated_tangent],
                          ids=lambda f: f.__name__.strip("_"))
 def test_adjacency_oracle_reports_a_corrupted_gram(cov_q4, corrupt):
     bad = corrupt(cov_q4)
@@ -346,21 +359,22 @@ def test_adjacency_oracle_reports_a_corrupted_gram(cov_q4, corrupt):
          "q4_collinear_non_tangent_by_row", "q4_separated_tangent_by_row"])
 def test_adjacency_oracle_in_ragged_blocks(monkeypatch, request, name, rows, corrupt):
     # blocks of a few ovoid rows, the last one short: 6 = 4 + 2 ovoids at
-    # q = 2 and 120 = 17 * 7 + 1 at q = 4; or one row a block.  The edited
-    # pair's row, 60 or more, lies in block 8 or later
+    # q = 2 and 120 = 17 * 7 + 1 at q = 4; or one row a block.  A block of
+    # b ovoids takes 2b packed fibre rows of the tangency's width.  The
+    # edited pair's row, 60 or more, lies in block 8 or later
     cov = request.getfixturevalue(name)
     n = cov.geom.n_ovoids
     want = {"pass": True, "pairs_checked": n * (n - 1) // 2}
     if corrupt is not None:
         want = _oracle_failure(corrupt, cov)
         cov = corrupt(cov)
-    monkeypatch.setattr(covering, "ORACLE_BLOCK", rows * 4 * n)
+    monkeypatch.setattr(covering, "_CHUNK", rows * 2 * cov.geom.tangency.shape[1])
     rep = verify_adjacency_oracle(cov)
     assert rep == want
 
 
 def test_adjacency_oracle_peak_stays_below_8_mib(cov_q8):
-    # one block of fiber rows: at most ORACLE_BLOCK collinearity entries
+    # one block of fiber rows: at most _CHUNK words of packed rows a call
     _, peak = traced_peak(lambda: verify_adjacency_oracle(cov_q8))
     assert peak < 8 * 2 ** 20
 
@@ -844,10 +858,11 @@ def test_fiber_distances_rejects_lines_that_miss_the_collinearity(cov_q4, corrup
         fiber_distances(corrupt(cov_q4))
 
 
-def test_fiber_distances_peak_stays_below_16_mib(cov_q8):
-    # the largest arrays are P and the near rows (2 MB each at q = 8) and
-    # the line tables (1 MB each); every block and gather is bounded by
-    # _CHUNK words.  The line rows LN (16.5 MB) of the kernel they replaced
-    # put the peak at 22.7 MiB
+def test_fiber_distances_peak_stays_below_9_mib(cov_q8):
+    # the largest array is P (2 MB at q = 8), then the line tables (1 MB
+    # each); the near rows are built a block at a time, and every block and
+    # gather is bounded by _CHUNK words: the traced peak is 7.7 MiB.  Near
+    # rows held for every point put it at 9.1 MiB, and the line rows LN
+    # (16.5 MB) of the kernel before them at 22.7 MiB
     _, peak = traced_peak(lambda: fiber_distances(cov_q8))
-    assert peak < 16 * 2 ** 20
+    assert peak < 9 * 2 ** 20

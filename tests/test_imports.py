@@ -241,6 +241,24 @@ def test_only_quadric_reads_the_pair_tables(path):
     assert _attribute_uses(ast.parse(path.read_text()), _PAIR_TABLES) == []
 
 
+def _class_methods(path: Path, name: str) -> dict:
+    """The methods defined in the body of class `name` of a file, by name."""
+    cls = next(node for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    return {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+
+
+def test_table_model_overrides_every_pair_table_reader():
+    """`quadric_oracle.TableModel` evaluates the form from its own table.
+    A `QuadricModel` method that reads the pair tables and that the double
+    does not override would read the real form, so a corruption test
+    through it would pass silently."""
+    readers = {name for name, f in _class_methods(SRC / "quadric.py", "QuadricModel").items()
+               if _attribute_uses(f, _PAIR_TABLES)}
+    assert {"alpha", "alpha_blocks", "perp_blocks"} <= readers
+    assert readers <= set(_class_methods(TESTS / "quadric_oracle.py", "TableModel"))
+
+
 def _packs(tree: ast.Module) -> list:
     """(enclosing top-level function or "<module>", source) of each
     ``packbits`` or ``unpackbits`` call, under any module name and in any

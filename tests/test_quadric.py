@@ -8,7 +8,7 @@ import pytest
 from figures_oracle import alpha_perp
 from projgeom_oracle import span
 from quadcover import covering, ovoid, projgeom, quadric
-from quadcover.gf2n import FieldCtx, trace
+from quadcover.gf2n import FieldCtx, is_irreducible, trace
 from quadcover.ovoid import build_geometry
 from quadcover.projgeom import enumerate_points, line_points, vec_scale
 from quadcover.quadric import build_model
@@ -258,3 +258,76 @@ def test_lines_through_law_rejects_a_corrupted_transpose(monkeypatch, model_q4, 
     monkeypatch.setattr(quadric, "incidence_transpose", transpose)
     with pytest.raises(AssertionError, match="lines_through is not the transpose of lines"):
         quadric._build_lines(copy.copy(model_q4))
+
+
+def _perp_shapes(model, rng):
+    """Row and column index arrays for `perp_blocks`: the package's large
+    blocks, column counts on both sides of a word (63, 64, 65, 129), a
+    single column, no rows, no columns, and unsorted, repeated points."""
+    pts = np.arange(model.n_points)
+    aff, sect = model.affine_points, model.section_points
+    yield pts[:1024], pts
+    yield aff[:600], aff
+    yield aff, sect
+    yield sect, sect
+    for m in (1, 63, 64, 65, 129):
+        yield rng.permutation(pts)[:300], rng.integers(0, len(pts), m)
+    yield pts[:0], pts
+    yield pts[:5], pts[:0]
+
+
+def _assert_perp_blocks_match(model, rows, cols):
+    # at steps 1, 7, len - 1, len and len + 5: the rows of
+    # pack_rows(collinear), step rows a block, the padding bits clear
+    want = quadric.pack_rows(model.collinear(rows, cols))
+    n = len(rows)
+    for step in sorted({1, 7, max(1, n - 1), max(1, n), n + 5}):
+        got = list(model.perp_blocks(rows, cols, step))
+        assert [len(b) for b in got] == [min(step, n - lo) for lo in range(0, n, step)]
+        assert all(b.dtype == np.uint64 and b.shape[1] == want.shape[1] for b in got)
+        got = np.concatenate(got) if got else want[:0]
+        assert np.array_equal(got, want)
+        assert not quadric.unpack_rows(got)[:, len(cols):].any()
+
+
+@pytest.mark.parametrize("name", ["model_q2", "model_q4", "model_q8"])
+def test_perp_blocks_match_packed_collinearity(request, name):
+    model = request.getfixturevalue(name)
+    for rows, cols in _perp_shapes(model, np.random.default_rng(23)):
+        _assert_perp_blocks_match(model, rows, cols)
+
+
+@pytest.mark.parametrize("n,modulus,lam", [
+    (n, m, lam) for n in (1, 2) for m in range(1 << n, 2 << n) if is_irreducible(m)
+    for lam in range(1 << n) if trace(FieldCtx(n, m), lam) == 1])
+def test_perp_blocks_match_packed_collinearity_in_every_small_field(n, modulus, lam):
+    model = build_model(FieldCtx(n, modulus), lam=lam)
+    for rows, cols in _perp_shapes(model, np.random.default_rng(29)):
+        _assert_perp_blocks_match(model, rows, cols)
+
+
+@pytest.mark.parametrize("n,rows", [(1, 4), (2, 3)])
+def test_set_up_perp_rows_are_the_packed_collinearity(monkeypatch, request, n, rows):
+    # PERP_BLOCK patched to a few perp rows a block, the last one short
+    # (15 = 3 * 4 + 3 points at q = 2, 325 = 108 * 3 + 1 at q = 4): each
+    # block the set-up reads is diffed as it is yielded, and the model is
+    # the unpatched one
+    real = quadric.QuadricModel.perp_blocks
+    seen = []
+
+    def checked(self, rows, cols, step):
+        for lo, block in zip(range(0, len(rows), step), real(self, rows, cols, step)):
+            want = quadric.pack_rows(self.collinear(rows[lo:lo + step], cols))
+            assert np.array_equal(block, want)
+            seen.append(len(block))
+            yield block
+
+    ref = request.getfixturevalue(f"model_q{2 ** n}")
+    monkeypatch.setattr(quadric.QuadricModel, "perp_blocks", checked)
+    monkeypatch.setattr(quadric, "PERP_BLOCK", rows * ref.n_points)
+    model = build_model(ref.ctx)
+    nq = ref.n_points
+    assert seen == [rows] * (nq // rows) + [nq % rows] * (nq % rows > 0)
+    for key, value in vars(model).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, getattr(ref, key)), key
