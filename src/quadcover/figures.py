@@ -182,13 +182,14 @@ def _check_pairs(model: QuadricModel, pairs: Sequence[Tuple[int, int]], center: 
     fc = model.f_scalar(center)
     if k == 0 and fc == 0:
         raise ValueError("center lies on the quadric")
-    ctx, mul = model.ctx, model.ctx.mul
+    ctx = model.ctx
+    M, fc_row = ctx.mul_rows, ctx.mul_rows[fc]
     for a, b in pairs[k:]:
         x = model.point(a)
         s = model.alpha_scalar(center, x)
-        t = mul(fc, ctx.inv(s)) if s else 0
+        t = M[fc_row[ctx.inv_row[s]]]                   # t's row; 0 when s is 0
         if not s or normalize_tuple(
-                ctx, [ci ^ mul(t, xi) for ci, xi in zip(center, x)]) != model.point(b):
+                ctx, [ci ^ t[xi] for ci, xi in zip(center, x)]) != model.point(b):
             raise ValueError(f"pair ({a},{b}) not concurrent with the center")
 
     coll = model.collinear(pts, pts).tolist()
@@ -275,24 +276,23 @@ def cube_center(model: QuadricModel, par: CubeParams) -> Vec:
 def _cube_vertex_pairs(model: QuadricModel, par: CubeParams) -> List[Tuple[int, int]]:
     """Opposite pairs of the cube on the standard quadrangle with parameters
     ``par``, as rational functions of (u, v, r, s)."""
-    ctx = model.ctx
+    M = model.ctx.mul_rows
     u, v, r, s = par.u, par.v, par.r, par.s
     if u == 0 or v == 0:
         raise ValueError("cube parameters need u, v nonzero")
-    lhs = ctx.mul(r, r) ^ ctx.mul(r, s) ^ ctx.mul(model.lam, ctx.mul(s, s))
-    if lhs != 1:
+    if M[r][r ^ s] ^ M[model.lam][M[s][s]] != 1:
         raise ValueError("cube parameters must satisfy the center conic")
-    ui, vi = ctx.inv(u), ctx.inv(v)
-    mu = ctx.mul
+    ui, vi = model.ctx.inv_row[u], model.ctx.inv_row[v]
+    U, V, Ui, Vi = M[u], M[v], M[ui], M[vi]
 
     a1 = (1, 0, 0, 0, 0, 0)
     b1 = (0, 0, 1, 0, 0, 0)
     c1 = (0, 1, 0, 0, 0, 0)
     d1 = (0, 0, 0, 1, 0, 0)
-    a2 = (0, mu(ui, ui), mu(v, ui), mu(ui, vi), mu(r, ui), mu(s, ui))
-    b2 = (mu(u, vi), mu(ui, vi), 0, mu(vi, vi), mu(r, vi), mu(s, vi))
-    c2 = (mu(u, u), 0, mu(u, v), mu(u, vi), mu(u, r), mu(u, s))
-    d2 = (mu(u, v), mu(v, ui), mu(v, v), 0, mu(v, r), mu(v, s))
+    a2 = (0, Ui[ui], Ui[v], Ui[vi], Ui[r], Ui[s])
+    b2 = (U[vi], Vi[ui], 0, Vi[vi], Vi[r], Vi[s])
+    c2 = (U[u], 0, U[v], U[vi], U[r], U[s])
+    d2 = (U[v], V[ui], V[v], 0, V[r], V[s])
 
     pairs = []
     for x, y in ((a1, a2), (b1, b2), (c1, c2), (d1, d2)):
@@ -386,15 +386,15 @@ class FrameMap:
 
 
 def _combination(ctx: FieldCtx, coeffs: Sequence[int], vecs: Sequence[Vec]) -> List[int]:
-    """sum_i coeffs[i] * vecs[i], skipping zero products."""
-    mul = ctx.mul
-    out = [0] * 6
-    for c, v in zip(coeffs, vecs):
+    """sum_i coeffs[i] * vecs[i], skipping zero coefficients."""
+    M = ctx.mul_rows
+    o1 = o2 = o3 = o4 = o5 = o6 = 0
+    for c, (a1, a2, a3, a4, a5, a6) in zip(coeffs, vecs):
         if c:
-            for k, a in enumerate(v):
-                if a:
-                    out[k] ^= mul(c, a)
-    return out
+            r = M[c]
+            o1, o2, o3, o4, o5, o6 = (o1 ^ r[a1], o2 ^ r[a2], o3 ^ r[a3],
+                                      o4 ^ r[a4], o5 ^ r[a5], o6 ^ r[a6])
+    return [o1, o2, o3, o4, o5, o6]
 
 
 def build_adapted_frame(model: QuadricModel, a1: int, c1: int, b1: int,
@@ -409,7 +409,7 @@ def build_adapted_frame(model: QuadricModel, a1: int, c1: int, b1: int,
     a1, c1 and b1.
     """
     ctx = model.ctx
-    mul = ctx.mul
+    M = ctx.mul_rows
     ga, gc, gb = model.alpha(np.arange(model.n_points), [a1, c1, b1]).T
     if ga[c1] == 0:
         raise ValueError("frame points a1, c1 must be non-collinear")
@@ -423,8 +423,8 @@ def build_adapted_frame(model: QuadricModel, a1: int, c1: int, b1: int,
     if gb[d1] == 0 or ga[d1] or gc[d1]:
         raise ValueError("fourth frame point has wrong incidences")
     v1, v3 = model.point(a1), model.point(b1)
-    v2 = vec_scale(ctx, ctx.inv(int(ga[c1])), model.point(c1))
-    v4 = vec_scale(ctx, ctx.inv(int(gb[d1])), model.point(d1))
+    v2 = vec_scale(ctx, ctx.inv_row[ga[c1]], model.point(c1))
+    v4 = vec_scale(ctx, ctx.inv_row[gb[d1]], model.point(d1))
 
     # The perp of v1..v4 is a plane on which f is anisotropic.  Projecting
     # e_j off the two hyperbolic pairs, e_j + alpha(e_j, v2) v1 + ..., spans
@@ -441,19 +441,19 @@ def build_adapted_frame(model: QuadricModel, a1: int, c1: int, b1: int,
     # On a*w0 + b*w1: f = a^2 f(w0) + ab alpha(w0, w1) + b^2 f(w1), and
     # alpha(v5, .) = a alpha(v5, w0) + b alpha(v5, w1).  Both searches scan
     # (a, b) in lexicographic order: v5 and v6 are the first vectors that fit.
-    f0, f1 = model.f_scalar(w[0]), model.f_scalar(w[1])
-    a01 = model.alpha_scalar(w[0], w[1])
+    f0, f1 = M[model.f_scalar(w[0])], M[model.f_scalar(w[1])]
+    a01 = M[model.alpha_scalar(w[0], w[1])]
     plane = [(a, b) for a in range(ctx.q) for b in range(ctx.q) if a or b]
 
     def f_at(a, b):
-        return mul(mul(a, a), f0) ^ mul(mul(a, b), a01) ^ mul(mul(b, b), f1)
+        return f0[M[a][a]] ^ a01[M[a][b]] ^ f1[M[b][b]]
 
     ab5 = next((ab for ab in plane if f_at(*ab) == 1), None)
     if ab5 is None:
         raise AssertionError("no unit vector in the perp plane")
     v5 = tuple(_combination(ctx, ab5, w))
-    s0, s1 = model.alpha_scalar(v5, w[0]), model.alpha_scalar(v5, w[1])
-    ab6 = next((ab for ab in plane if mul(ab[0], s0) ^ mul(ab[1], s1) == 1
+    s0, s1 = M[model.alpha_scalar(v5, w[0])], M[model.alpha_scalar(v5, w[1])]
+    ab6 = next((ab for ab in plane if s0[ab[0]] ^ s1[ab[1]] == 1
                 and f_at(*ab) == model.lam), None)
     if ab6 is None:
         raise AssertionError("frame completion failed")
@@ -470,8 +470,7 @@ def _frame_and_center(model: QuadricModel, fig: CentricFigure,
     fp = model.f_scalar(p)  # the form has the standard expression in-frame
     if fp == 0:
         raise AssertionError("center moved onto the quadric")
-    sc = ctx.inv(ctx.sqrt(fp))
-    return fm, tuple(ctx.mul(sc, x) for x in p)
+    return fm, vec_scale(ctx, ctx.inv_row[ctx.sqrt(fp)], p)
 
 
 def _completions_bruteforce(model: QuadricModel, fig: CentricFigure,
@@ -528,15 +527,15 @@ def extend_hexagon_to_cubes(model: QuadricModel, fig: CentricFigure) -> List[Cen
     if p1 == 0 or p2 == 0 or p4 == 0:
         raise AssertionError("hexagon center misses a frame incidence")
 
-    p4i = ctx.inv(p4)
-    mu = 1 ^ ctx.mul(ctx.mul(p1, p2), ctx.mul(p4i, p4i))
-    shift5 = ctx.mul(p5, p4i)
-    shift6 = ctx.mul(p6, p4i)
+    M = ctx.mul_rows
+    p4i = ctx.inv_row[p4]
+    mu = 1 ^ M[M[p1][p2]][M[p4i][p4i]]
+    shift5, shift6 = M[p4i][p5], M[p4i][p6]
     center = fm.from_frame(p)
     out: List[CentricFigure] = []
     for x, y in sorted(conic_solution_set(ctx, model.lam, mu)):
         d5, d6 = x ^ shift5, y ^ shift6
-        d3 = ctx.mul(d5, d5) ^ ctx.mul(d5, d6) ^ ctx.mul(model.lam, ctx.mul(d6, d6))
+        d3 = M[d5][d5 ^ d6] ^ M[model.lam][M[d6][d6]]
         # the pair is dd1 = (0, 0, d3, 1, d5, d6) and p4*dd1 + p in the frame
         x1 = fm.from_frame((0, 0, d3, 1, d5, d6))
         i1 = model.index_of(x1)
@@ -591,7 +590,7 @@ def cube_params(model: QuadricModel, fig: CentricFigure) -> Tuple[CubeParams, Fr
     fm, p = _frame_and_center(model, fig, cube_labels(model, fig))
     if p[0] == 0 or p[2] == 0:
         raise AssertionError("cube center has a zero frame parameter")
-    if p[1] != ctx.inv(p[0]) or p[3] != ctx.inv(p[2]):
+    if p[1] != ctx.inv_row[p[0]] or p[3] != ctx.inv_row[p[2]]:
         raise AssertionError("cube center is not in parametric form")
     par = CubeParams(u=p[0], v=p[2], r=p[4], s=p[5])
     want = [i for pr in _cube_vertex_pairs(model, par) for i in pr]
@@ -611,33 +610,30 @@ def extend_cube(model: QuadricModel, fig: CentricFigure) -> dict:
     ``decades`` (list) and ``dodecade`` (figure or None).
     """
     ctx = model.ctx
+    M = ctx.mul_rows
     par, fm = cube_params(model, fig)
     u, v, r, s = par.u, par.v, par.r, par.s
-    mu = ctx.mul
-    A = mu(s, s) ^ 1
-    C = mu(r, r) ^ model.lam
+    rr, ss = M[r][r], M[s][s]
+    A, C = ss ^ 1, rr ^ model.lam
 
     sols: List[Tuple[int, int]] = []
     if A == 0:
         sols = [(1, 0), (C, 1)]
     else:
-        roots = solve_artin_schreier(ctx, mu(A, C))
-        sols = [(mu(ctx.inv(A), t), 1) for t in sorted(roots)]
+        roots = solve_artin_schreier(ctx, M[A][C])
+        sols = [(M[ctx.inv_row[A]][t], 1) for t in sorted(roots)]
     if ctx.n % 2 == 0 and sols:
         raise AssertionError("even-degree field admitted a fifth pair")
     if ctx.n % 2 == 1 and len(sols) != 2:
         raise AssertionError("odd-degree field did not yield two fifth pairs")
 
-    ui, vi = ctx.inv(u), ctx.inv(v)
-    rs1 = mu(r, s) ^ 1
+    ui, vi = ctx.inv_row[u], ctx.inv_row[v]
+    rs1 = M[r][s] ^ 1
     pairs_new: List[Tuple[int, int]] = []
     for e5, e6 in sols:
-        p1v = (mu(mu(u, s), e5) ^ mu(mu(u, r), e6),
-               mu(mu(ui, s), e5) ^ mu(mu(ui, r), e6), 0, 0, e5, e6)
-        p2v = (0, 0, mu(mu(v, s), e5) ^ mu(mu(v, r), e6),
-               mu(mu(vi, s), e5) ^ mu(mu(vi, r), e6),
-               mu(rs1, e5) ^ mu(mu(r, r), e6),
-               mu(mu(s, s), e5) ^ mu(rs1, e6))
+        w = M[s][e5] ^ M[r][e6]         # s e5 + r e6, scaled by u, 1/u, v and 1/v below
+        p1v = (M[u][w], M[ui][w], 0, 0, e5, e6)
+        p2v = (0, 0, M[v][w], M[vi][w], M[rs1][e5] ^ M[rr][e6], M[ss][e5] ^ M[rs1][e6])
         i1 = model.index_of(fm.from_frame(p1v))
         i2 = model.index_of(fm.from_frame(p2v))
         if i1 is None or i2 is None:

@@ -5,8 +5,11 @@ The context object owns the modulus and one arithmetic: the dense product
 table ``FieldCtx.mul_table``, built once by a vectorised carry-less product,
 and the tables derived from it (``FieldCtx.inv_table`` with 0 mapped to 0,
 square roots, traces and Artin-Schreier roots).  Array passes elsewhere in
-the package index the numpy tables; the scalar operations take and return
-plain ints below 2^n and read Python-list copies of the same tables.
+the package index the numpy tables.  Scalar code reads Python-list copies of
+the same tables: ``mul_rows[a][b]`` is a*b and ``inv_row[a]`` is 1/a (0 at
+0), so a routine that multiplies many elements by one c takes the row
+``mul_rows[c]`` once and indexes it.  The methods (``mul``, ``inv``, ...)
+take and return plain ints below 2^n and read the same lists.
 """
 
 from __future__ import annotations
@@ -102,9 +105,9 @@ class FieldCtx:
         # the smaller root of t^2 + t = c
         as_root = np.full(q, -1, dtype=np.int64)
         as_root[(squares ^ elems)[::2]] = elems[::2]
-        # the scalar methods read Python-list copies of the same tables
-        self._mul = self.mul_table.tolist()
-        self._inv = self.inv_table.tolist()
+        # scalar code reads Python-list copies of the same tables
+        self.mul_rows = self.mul_table.tolist()
+        self.inv_row = self.inv_table.tolist()
         # square roots invert squaring, a bijection in characteristic 2
         self._sqrt = np.argsort(squares).tolist()
         self._trace = tr.tolist()
@@ -113,7 +116,7 @@ class FieldCtx:
     # -- scalar operations ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self.mul_rows[a][b]
 
     def square(self, a: int) -> int:
         return self.mul(a, a)
@@ -121,7 +124,7 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self._inv[a]
+        return self.inv_row[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -188,9 +191,10 @@ def conic_solution_set(ctx: FieldCtx, lam: int, mu: int) -> Set[Tuple[int, int]]
     sols: Set[Tuple[int, int]] = set()
     rhs = mu ^ 1  # move mu across: x^2 + xy + lam y^2 = 1 + mu
     sols.add((ctx.sqrt(rhs), 0))
+    M, inv = ctx.mul_rows, ctx.inv_row
     for y in ctx.nonzero():
         # with x = t*y the equation becomes t^2 + t + lam + (1+mu)/y^2 = 0
-        c = lam ^ ctx.div(rhs, ctx.square(y))
+        c = lam ^ M[rhs][inv[M[y][y]]]
         for t in solve_artin_schreier(ctx, c):
-            sols.add((ctx.mul(t, y), y))
+            sols.add((M[y][t], y))
     return sols

@@ -25,8 +25,8 @@ def vec_add(u: Sequence[int], v: Sequence[int]) -> Vec:
 
 
 def vec_scale(ctx: FieldCtx, c: int, v: Sequence[int]) -> Vec:
-    mul = ctx.mul
-    return tuple([mul(c, a) for a in v])
+    row = ctx.mul_rows[c]
+    return tuple([row[a] for a in v])
 
 
 def normalize_tuple(ctx: FieldCtx, raw: Sequence[int]) -> Vec:
@@ -35,8 +35,8 @@ def normalize_tuple(ctx: FieldCtx, raw: Sequence[int]) -> Vec:
         if a:
             if a == 1:
                 return tuple(raw)
-            inv, mul = ctx.inv(a), ctx.mul
-            return tuple([mul(inv, b) for b in raw])
+            row = ctx.mul_rows[ctx.inv_row[a]]
+            return tuple([row[b] for b in raw])
     raise ValueError("cannot normalize the zero vector")
 
 

@@ -83,24 +83,22 @@ class QuadricModel:
     # -- scalar form evaluation ----------------------------------------------
 
     def f_scalar(self, v: Sequence[int]) -> int:
-        m = self.ctx.mul
+        M = self.ctx.mul_rows
         x1, x2, x3, x4, x5, x6 = v
-        return m(x1, x2) ^ m(x3, x4) ^ m(x5, x5) ^ m(x5, x6) ^ m(self.lam, m(x6, x6))
+        return M[x1][x2] ^ M[x3][x4] ^ M[x5][x5 ^ x6] ^ M[self.lam][M[x6][x6]]
 
     def alpha_scalar(self, u: Sequence[int], v: Sequence[int]) -> int:
-        m = self.ctx.mul
-        return (
-            m(u[0], v[1]) ^ m(u[1], v[0])
-            ^ m(u[2], v[3]) ^ m(u[3], v[2])
-            ^ m(u[4], v[5]) ^ m(u[5], v[4])
-        )
+        M = self.ctx.mul_rows
+        u1, u2, u3, u4, u5, u6 = u
+        v1, v2, v3, v4, v5, v6 = v
+        return M[u1][v2] ^ M[u2][v1] ^ M[u3][v4] ^ M[u4][v3] ^ M[u5][v6] ^ M[u6][v5]
 
     def index_of(self, v: Sequence[int]) -> Optional[int]:
         """Dense index of a quadric point given by any representative, else None."""
-        code = 0
+        code, n = 0, self.ctx.n
         for a in normalize_tuple(self.ctx, v):
-            code = (code << self.ctx.n) | a
-        i = int(self.index_by_code[code])
+            code = (code << n) | a
+        i = self.index_by_code.item(code)
         return None if i < 0 else i
 
     def point(self, i: int) -> Vec:
@@ -403,9 +401,9 @@ def second_intersection(model: QuadricModel, x: Sequence[int],
     a = model.alpha_scalar(c, x)
     if a == 0:
         return None
-    mul = model.ctx.mul
-    t = mul(model.f_scalar(c), model.ctx.inv(a))
-    return normalize_tuple(model.ctx, [ci ^ mul(t, xi) for ci, xi in zip(c, x)])
+    ctx = model.ctx
+    t = ctx.mul_rows[ctx.mul_rows[model.f_scalar(c)][ctx.inv_row[a]]]  # t's row
+    return normalize_tuple(ctx, [ci ^ t[xi] for ci, xi in zip(c, x)])
 
 
 def second_intersections(model: QuadricModel, idx: np.ndarray,

@@ -109,9 +109,8 @@ def scale_figure_representatives(model: QuadricModel, fig: CentricFigure) -> Lis
         va, vb = model.point(a), model.point(b)
         if g == 0:
             raise ValueError("pair points are collinear")
-        gi = ctx.inv(g)
-        s = ctx.mul(gi, model.alpha_scalar(vb, c))
-        t = ctx.mul(gi, model.alpha_scalar(va, c))
+        gi = ctx.mul_rows[ctx.inv_row[g]]
+        s, t = gi[model.alpha_scalar(vb, c)], gi[model.alpha_scalar(va, c)]
         ra, rb = vec_scale(ctx, s, va), vec_scale(ctx, t, vb)
         if vec_add(ra, rb) != c:
             raise ValueError("center is not on the pair line")
@@ -143,7 +142,7 @@ def f2_closure(model: QuadricModel, vectors: Sequence[Vec]) -> F2Span:
     forms: Dict[Vec, int] = {(0,) * 6: 0}
     failure = None
     for v in vectors:
-        v = tuple(int(x) for x in v)
+        v = tuple([int(x) for x in v])
         if not any(v):
             failure = {"reason": "zero vector in input", "vector": v}
             break
@@ -158,7 +157,7 @@ def f2_closure(model: QuadricModel, vectors: Sequence[Vec]) -> F2Span:
             au = model.alpha_scalar(u, v)
             alphas += [x ^ au for x in alphas]
         fv = model.f_scalar(v)
-        forms.update({tuple(a ^ b for a, b in zip(s, v)): f ^ fv ^ x
+        forms.update({tuple([a ^ b for a, b in zip(s, v)]): f ^ fv ^ x
                       for (s, f), x in zip(list(forms.items()), alphas)})
         basis.append(v)
     del forms[(0,) * 6]

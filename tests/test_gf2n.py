@@ -46,14 +46,17 @@ def test_every_irreducible_modulus_is_listed():
 
 @pytest.mark.parametrize("n,m", MODULI, ids=[f"{n}-{m:#b}" for n, m in MODULI])
 def test_tables_match_the_scalar_definitions(n, m):
-    """Every table entry and scalar operation against shift-and-add products."""
+    """Every table entry, both as numpy tables and as the Python-list rows,
+    and every scalar operation against shift-and-add products."""
     ctx = FieldCtx(n, m)
     elems = range(ctx.q)
     mul = [[poly_mulmod(a, b, m) for b in elems] for a in elems]
     assert ctx.mul_table.tolist() == mul
+    assert ctx.mul_rows == mul
     assert [[ctx.mul(a, b) for b in elems] for a in elems] == mul
     inv = [0] + [mul[a].index(1) for a in ctx.nonzero()]
     assert ctx.inv_table.tolist() == inv
+    assert ctx.inv_row == inv
     assert [ctx.inv(a) for a in ctx.nonzero()] == inv[1:]
     with pytest.raises(ZeroDivisionError):
         ctx.inv(0)

@@ -330,3 +330,52 @@ def test_no_module_reads_a_boolean_tangency_matrix(path):
     longer holds.  Tests read the boolean matrix through
     `tangency_oracle.tangency_matrix`."""
     assert _attribute_uses(ast.parse(path.read_text()), {"adjacency"}) == []
+
+
+# the scalar routines of the figure and closure path, which read rows of
+# `FieldCtx.mul_rows` and `inv_row` once and index them
+_ROW_ROUTINES = {
+    "gf2n.py": ["conic_solution_set"],
+    "projgeom.py": ["vec_scale", "normalize_tuple"],
+    "quadric.py": ["QuadricModel.f_scalar", "QuadricModel.alpha_scalar", "second_intersection"],
+    "figures.py": ["_check_pairs", "_cube_vertex_pairs", "_combination", "build_adapted_frame",
+                   "_frame_and_center", "extend_hexagon_to_cubes", "cube_params", "extend_cube"],
+    "subf2.py": ["scale_figure_representatives", "f2_closure"],
+}
+# the `FieldCtx` methods that multiply or invert: `square` and `div` call `mul`
+_SCALAR_METHODS = {"mul", "inv", "square", "div"}
+
+
+def _definition(tree: ast.Module, dotted: str) -> ast.AST:
+    """The function or method ``name`` or ``Class.name`` at the top of a module."""
+    body = tree.body
+    for part in dotted.split("."):
+        node = next(n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name == part)
+        body = node.body
+    return node
+
+
+def test_scalar_method_check_sees_direct_and_aliased_calls():
+    tree = ast.parse("class K:\n    def f(self, a, b):\n        m = self.ctx.mul\n"
+                     "        return m(a, b) ^ ctx.inv(a) ^ getattr(ctx, 'mul')(a, b)\n"
+                     "def g(ctx, a):\n    return ctx.square(a) ^ model.ctx.div(a, a)\n"
+                     "def h(ctx, a):\n    M = ctx.mul_rows\n"
+                     "    return M[a][ctx.inv_row[a]] ^ ctx.mul_table[a, a] ^ ctx.sqrt(a)\n")
+    assert sorted(_attribute_uses(_definition(tree, "K.f"), _SCALAR_METHODS)) == [
+        "ctx.inv", "getattr(ctx, 'mul')", "self.ctx.mul"]
+    assert sorted(_attribute_uses(_definition(tree, "g"), _SCALAR_METHODS)) == [
+        "ctx.square", "model.ctx.div"]
+    assert _attribute_uses(_definition(tree, "h"), _SCALAR_METHODS) == []
+
+
+@pytest.mark.parametrize("path,name", [(p, n) for p, names in _ROW_ROUTINES.items()
+                                       for n in names], ids=lambda x: str(x))
+def test_figure_path_makes_no_scalar_method_call(path, name):
+    """The figure and closure path reads a table row once and indexes it,
+    as a `FieldCtx.mul` or `inv` method call costs one dispatch a product
+    and a figures-q4 round makes about 2,000 products there.  The methods
+    stay the scalar API of the test oracles, and `projgeom.rref` and
+    `null_space`, which run once a frame, keep them."""
+    node = _definition(ast.parse((SRC / path).read_text()), name)
+    assert _attribute_uses(node, _SCALAR_METHODS) == []
