@@ -32,7 +32,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
@@ -456,7 +456,9 @@ def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, help="sample count for sampled checks")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once a process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="quadcover",
         description="elliptic quadric double covers: build and verify")

@@ -11,7 +11,8 @@ degree is odd, and to none when it is even) are verified on that split.
 
 Strong regularity is checked on every pair by `verify_srg`, from float32
 products of unpacked row blocks of T against a right operand that packs
-several common-neighbour counts in each lane (two at q = 8).
+several common-neighbour counts in each lane (two at q = 8); each lane is
+compared with a reference, and only the lanes that differ are decoded.
 
 Edges are kept as flat keys a * V + b of T, the packed tangency table of
 the geometry.  The full census lists them in one scan of T's unpacked
@@ -134,61 +135,107 @@ def build_tangency_graph(gx: OvoidGeometry) -> np.ndarray:
     return T
 
 
+def _first_pair_count(T: np.ndarray, adjacent: bool) -> Optional[int]:
+    """The common-neighbour count, a popcount of two packed rows, of the
+    first pair i < j in row-major order whose bit in row i of T is
+    ``adjacent``, or None when there is no such pair."""
+    n, w = T.shape
+    i = np.arange(n)
+    # the bits of the columns i < j < n of row i
+    upper = np.where(np.arange(w) > (i >> 6)[:, None], np.uint64(MASK64), np.uint64(0))
+    upper[i, i >> 6] = _ABOVE[i & 63]
+    upper[:, -1] &= np.uint64(MASK64 >> (-n % 64))
+    upper &= T if adjacent else ~T
+    hit = np.flatnonzero(upper.any(axis=1))
+    if not len(hit):
+        return None
+    r = hit[0]
+    c = np.flatnonzero(upper[r])[0]
+    j = 64 * c + int(lowest_set_bits(upper[r, c], 1)[0])
+    return int(np.bitwise_count(T[r] & T[j]).sum())
+
+
 def verify_srg(T: np.ndarray) -> dict:
     """Exhaustive strong-regularity check: common-neighbour counts on every
     adjacent and non-adjacent pair, plus the feasibility identity.  T is a
     symmetric boolean adjacency matrix A, its rows packed by `pack_rows`.
 
-    C = A A^T is read one block of rows at a time, rows lo..hi against the
-    columns from lo on, so the blocks cover the upper triangle and no V x V
-    product is held.  Every count C[i, j] is at most the degree of i, so it
-    fits in b bits, b the bit length of the largest degree, and a float32
-    lane carries L = 24 // b of them: row j of the right operand R is
-    sum_c 2^(b c) A[L j + c], so (A R^T)[i, j] = sum_c 2^(b c) C[i, L j + c].
-    Each partial sum is an integer below 2^(b L) <= 2^24, where float32 is
-    exact, and shifts and masks split the lanes.  R takes V^2 4 / L bytes
-    (8 MB at q = 8, where L = 2) and the product a 1 / L share of the flops
-    of the unpacked one.  Which counts occur on non-adjacent (row 0) and
-    adjacent (row 1) pairs is read through one flat key per pair,
-    count + (n + 1) * row, built in place from the block's rows and the
-    lanes of its product.  Row 2 takes the diagonal, no pair unless A has a
-    loop there, and what lies below it in each block's square: each pair
-    i < j is keyed once, from row i, and counted in ``pairs_checked``."""
+    The reference counts lambda_0 and mu_0 are those of the first adjacent
+    and the first non-adjacent pair i < j in row-major order, with
+    d = lambda_0 - mu_0; with no non-adjacent pair mu_0 is 0, and with no
+    adjacent pair lambda_0 is mu_0, and neither is then counted.  C = A A^T
+    is read one block of rows at a time, rows lo..hi against the columns
+    from lo on, so the blocks cover the upper triangle and no V x V product
+    is held.  The right operand packs L counts in each float32 lane: row j of R is
+    sum_c 2^(b c) (A - d I)[L j + c], so (A R^T)[i, j] holds, in digit c,
+    C[i, L j + c] - d A[i, L j + c], with A read from row i.  On a pair
+    whose count is its class's reference that digit is mu_0, so a graph
+    that passes leaves every lane at mu_0 in each digit that holds a column;
+    the diagonal's known digit, deg(i) - d A[i, i], is taken out of its
+    lane first.  A digit's offset from mu_0 is a count minus a reference,
+    at most the largest degree in size, so b = bit_length(max deg + |d|) + 1
+    keeps every offset below 2^(b - 1): a lane equals its reference only
+    when every digit does, and balanced digits decode the others.  Each
+    partial sum is an integer of size below 2^(b L) <= 2^24, L = 24 // b,
+    where float32 is exact.  R takes V^2 4 / L bytes (8 MB at q = 8, where
+    L = 2) and the product a 1 / L share of the flops of the unpacked one.
+
+    Only lanes that differ from the reference are decoded, each digit to
+    mu_0 + offset + d A[i, j].  A pair i < j is counted in
+    ``lambda_values`` or ``mu_values`` by A[i, j], once, from row i; the
+    digits below the diagonal of a block's square and past column V - 1
+    are not pairs.  A loop at i counts deg(i) as an adjacent count.
+    ``pairs_checked`` is the number of pairs i < j."""
     n = len(T)
     deg = np.bitwise_count(T).sum(axis=1)
     k = int(deg[0])
-    b = max(1, int(deg.max()).bit_length())
+    lam0, mu0 = _first_pair_count(T, True), _first_pair_count(T, False)
+    mu_ref = 0 if mu0 is None else mu0
+    d = (mu_ref if lam0 is None else lam0) - mu_ref
+    b = int(deg.max() + abs(d)).bit_length() + 1
     L = 24 // b                       # counts per float32 lane
-    # R = sum_c 2^(b c) A[c::L], summed from the top lane down
+    cols = np.arange(n)
+    scale = np.left_shift(1, b * (cols % L))  # the weight of column j's digit
+    # R = sum_c 2^(b c) A[c::L], summed from the top lane down, less d I
     R = np.zeros((-(-n // L), n), dtype=np.float32)
     for c in reversed(range(L)):
         R *= 1 << b
         bits = unpack_rows(T[c::L], n)
         np.add(R[:len(bits)], bits, out=R[:len(bits)])
-    mask = np.uint32((1 << b) - 1)
-    seen = np.zeros((3, n + 1), dtype=bool)
+    R[cols // L, cols] -= d * scale
+    # each lane of a pair that passes: mu_0 in every digit that holds a column
+    ref = mu_ref * ((np.arange(L * len(R)) < n).reshape(-1, L) @ (1 << b * np.arange(L)))
+    ref_f = ref.astype(np.float32)
+    loops = row_bits(T, cols, cols) != 0
+    diag = ((deg - d * loops - mu_ref) * scale).astype(np.float32)
+    seen = np.zeros((2, n + 1), dtype=bool)
+    seen[1, deg[loops]] = True
+    if lam0 is not None:
+        seen[1, lam0] = True
+    if mu0 is not None:
+        seen[0, mu0] = True
+    half = 1 << (b - 1)
     step = max(1, SRG_BLOCK // n)
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         rows = unpack_rows(T[lo:hi], n)
         j0 = lo // L                  # the lane column that holds column lo
-        P = (rows.astype(np.float32) @ R[j0:].T).astype(np.uint32)
-        key = rows[:, lo:].astype(np.min_scalar_type(3 * n + 2))
-        key *= n + 1
+        P = rows.astype(np.float32) @ R[j0:].T
+        P[cols[:hi - lo], cols[lo:hi] // L - j0] -= diag[lo:hi]
+        r, j = np.nonzero(P != ref_f[j0:])
+        if not len(r):
+            continue
+        # the balanced digits of each differing lane, lowest first
+        e = P[r, j].astype(np.int64) - ref[j0 + j]
+        off = np.empty((len(e), L), dtype=np.int64)
         for c in range(L):
-            # lane c holds the columns L j + c: key's columns s, s + L, ...
-            s = (c - lo) % L
-            cols = key[:, s::L]
-            count = P[:, (lo + s) // L - j0:][:, :cols.shape[1]]
-            if c:
-                count = count >> np.uint32(b * c)
-            if c < L - 1:             # the top lane has no bits above it
-                count = count & mask
-            np.add(cols, count, out=cols, casting="unsafe")
-        key[:, :hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = 2 * (n + 1)
-        diag = key.ravel()[::n - lo + 1]
-        np.add(diag, 2 * (n + 1), out=diag, where=~rows.ravel()[lo::n + 1])
-        seen.ravel()[key.ravel()] = True
+            off[:, c] = ((e + half) & (2 * half - 1)) - half
+            e = (e - off[:, c]) >> b
+        col = L * (j0 + j)[:, None] + np.arange(L)
+        pair = (col > (lo + r)[:, None]) & (col < n)
+        r, col = np.broadcast_to(r[:, None], col.shape)[pair], col[pair]
+        adj = rows[r, col]
+        seen[adj.view(np.uint8), mu_ref + off[pair] + d * adj] = True
     lam_vals = np.flatnonzero(seen[1]).tolist()
     mu_vals = np.flatnonzero(seen[0]).tolist()
     regular = bool((deg == k).all())

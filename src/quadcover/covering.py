@@ -64,8 +64,10 @@ def canonical_covering(model: QuadricModel, gx: OvoidGeometry) -> CoveringMap:
         raise AssertionError("line meets the hyperplane section in "
                              f"{bad} points, expected 1 or q+1")
     punctured = n_inf == 1
-    infinity = ln[punctured][on[punctured]]
-    lines = ln[punctured][~on[punctured]].reshape(-1, q)
+    ln, on = ln[punctured], on[punctured]
+    infinity = ln[on]
+    lines = ln[~on].reshape(-1, q)
+    del ln, on
     per_point = np.bincount(lines.ravel(), minlength=model.n_points)
     if (per_point[model.affine_points] != q * q + 1).any():
         raise AssertionError("some affine point is not on q^2+1 punctured lines")
@@ -250,16 +252,15 @@ def _clear_diagonal(rows: np.ndarray, lo: int) -> None:
 
 def _line_rows(P: np.ndarray, lines: np.ndarray, through: np.ndarray,
                out: np.ndarray) -> None:
-    """out[i] |= the OR of P over the points of the lines through[i].  The
-    last line of `lines` is the empty line, whose points are all the last
-    row of P, which is zero.  Each step gathers at most _CHUNK words, or
-    one row's points."""
-    per_row = through.shape[1] * lines.shape[1]
-    step = max(1, _CHUNK // max(1, per_row * P.shape[1]))
-    for lo in range(0, len(through), step):
-        rows = through[lo:lo + step]
-        pts = lines.take(rows, axis=0).reshape(len(rows), per_row)
-        out[lo:lo + step] |= np.bitwise_or.reduce(P.take(pts, axis=0), axis=1)
+    """out[i] |= the OR of P over the points of the lines through[i], one
+    point of every row at a time, each taken into a buffer the size of out.
+    The last line of `lines` is the empty line, whose points are all the
+    last row of P, which is zero.  (numpy buffers the `out` of a take under
+    mode="raise"; every point is a row of P, so "clip" moves none.)"""
+    pts = lines.take(through, axis=0).reshape(len(through), -1)
+    buf = np.empty_like(out)
+    for column in pts.T:
+        out |= P.take(column, axis=0, out=buf, mode="clip")
 
 
 def _candidates(P: np.ndarray, lines: np.ndarray, through: np.ndarray, step: int):

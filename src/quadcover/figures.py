@@ -168,13 +168,15 @@ def _check_pairs(model: QuadricModel, pairs: Sequence[Tuple[int, int]], center: 
     points with a new one.  So the first failure raises ValueError with the
     reason the full check gives.
 
-    Collinearity of the figure's points is read once, as one block of
-    ``model.collinear``.  The center c is off Q, so the line through a
-    pair's first point x and c meets Q in at most one other point: the pair
-    is concurrent with the center exactly when that point is the second one.
-    On c + t*x the quadric condition reads f(c) + t*alpha(c, x) = 0, so the
-    point is [c + (f(c) / alpha(c, x)) x], and there is none when alpha(c, x)
-    is 0; f(c) is evaluated once.
+    Collinearity is read once, as one block of ``model.collinear``: the
+    rows of the new points (of every point when k = 0) against all the
+    points.  alpha is symmetric, so the block is read transposed, a pair of
+    points with a new one at the new point's row.  The center c is off Q,
+    so the line through a pair's first point x and c meets Q in at most one
+    other point: the pair is concurrent with the center exactly when that
+    point is the second one.  On c + t*x the quadric condition reads
+    f(c) + t*alpha(c, x) = 0, so the point is [c + (f(c) / alpha(c, x)) x],
+    and there is none when alpha(c, x) is 0; f(c) is evaluated once.
     """
     pts = [i for p in pairs for i in p]
     if len(set(pts)) != len(pts):
@@ -192,13 +194,14 @@ def _check_pairs(model: QuadricModel, pairs: Sequence[Tuple[int, int]], center: 
                 ctx, [ci ^ t[xi] for ci, xi in zip(center, x)]) != model.point(b):
             raise ValueError(f"pair ({a},{b}) not concurrent with the center")
 
-    coll = model.collinear(pts, pts).tolist()
+    new = 2 * k
+    coll = model.collinear(pts[new:], pts).tolist()
     ra, rb = pairs[0]
     if k == 0:
         row[ra], row[rb] = 0, 1
     for i in range(2 * max(k, 1), len(pts)):
         x = pts[i]
-        hits = coll[i][0], coll[i][1]
+        hits = coll[i - new][0], coll[i - new][1]
         if hits == (True, False):
             row[x] = 1
         elif hits == (False, True):
@@ -209,9 +212,9 @@ def _check_pairs(model: QuadricModel, pairs: Sequence[Tuple[int, int]], center: 
             raise ValueError(f"pair ({pts[i - 1]},{x}) landed in one row")
     # pts[i] and pts[j] are partners exactly when i // 2 == j // 2
     for i, u in enumerate(pts):
-        for j in range(max(i + 1, 2 * k), len(pts)):
+        for j in range(max(i + 1, new), len(pts)):
             v = pts[j]
-            if coll[i][j] != (i // 2 != j // 2 and row[u] != row[v]):
+            if coll[j - new][i] != (i // 2 != j // 2 and row[u] != row[v]):
                 raise ValueError(f"adjacency mismatch at ({u},{v})")
     return (tuple(sorted(x for x in pts if row[x] == 0)),
             tuple(sorted(x for x in pts if row[x] == 1)))

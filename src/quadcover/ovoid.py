@@ -264,21 +264,22 @@ def pencil_counts(geom: OvoidGeometry, packed: np.ndarray
     bit planes of C, where C[j, v] is the number of members of pencil lo + j
     tangent to ovoid v under the tangency matrix whose rows `pack_rows`
     packed into ``packed``.  Plane i holds bit i of every count; ``on`` and
-    the planes are bytes of rows in that layout, and the members' packed
-    rows are added into the planes by a ripple-carry adder.  A count is at
-    most q = 2^n, so there are n + 1 planes, and the top one is set exactly
-    where the count is q."""
+    the planes are rows of uint64 words in that layout, and the members'
+    packed rows are added into the planes by a ripple-carry adder.  A count
+    is at most q = 2^n, so there are n + 1 planes, and the top one is set
+    exactly where the count is q."""
     q = geom.model.ctx.q
-    packed = packed.view(np.uint8)
     for lo in range(0, len(geom.pencil_members), PENCIL_BLOCK):
         members = geom.pencil_members[lo:lo + PENCIL_BLOCK]
-        on = np.zeros((len(members), packed.shape[1]), dtype=np.uint8)
-        np.bitwise_or.at(on, (np.arange(len(members))[:, None], members >> 3),
-                         np.left_shift(1, members & 7).astype(np.uint8))
-        planes = np.zeros((q.bit_length(),) + on.shape, dtype=np.uint8)
+        on = np.zeros((len(members), packed.shape[1]), dtype=np.uint64)
+        np.bitwise_or.at(on, (np.arange(len(members))[:, None], members >> 6),
+                         np.left_shift(np.uint64(1), (members & 63).astype(np.uint64)))
+        planes = np.zeros((q.bit_length(),) + on.shape, dtype=np.uint64)
         carry, spill = np.empty_like(planes[0]), np.empty_like(planes[0])
         for k, column in enumerate(members.T, start=1):
-            packed.take(column, axis=0, out=carry)
+            # numpy buffers `out` under mode="raise"; every member is a row
+            # of packed, so "clip" moves none
+            packed.take(column, axis=0, out=carry, mode="clip")
             # k rows in, so a carry reaches no plane beyond bit_length(k)
             for plane in planes[:k.bit_length()]:
                 np.bitwise_and(plane, carry, out=spill)
@@ -334,7 +335,7 @@ def verify_common_tangent_counts(geom: OvoidGeometry) -> dict:
     q = geom.model.ctx.q
     m = q * (q - 1) // 2
     # bit b of row k: ovoid b misses section point k, its padding clear
-    missing = pack_rows(~geom.member_matrix.T).view(np.uint8)
+    missing = pack_rows(~geom.member_matrix.T)
     for lo, on, planes in pencil_counts(geom, geom.tangency):
         off = missing.take(np.arange(lo, lo + len(on)) // m, axis=0)
         planes[:-1] ^= on

@@ -7,20 +7,24 @@ Kept only as oracles for the diff tests in `test_ovoid.py` and
 bit planes replaced, a Python loop over the pencils for the semipartial
 and maximality laws, and a scalar loop over ovoid pairs and points for the
 common-tangent law.  They share no code with the bit planes or the
-per-point products.  The queries classify the meet of two ovoids, recover a
+per-point products.  `byte_pencil_counts` is the bit-plane kernel as it
+was on bytes, before it came to work on uint64 words; the planes are
+diffed against it.  The queries classify the meet of two ovoids, recover a
 pencil from one tangent pair by its definition, and intersect the member
 spans of a pencil into its tangent plane.  `tangency_points` rebuilds, from
 the ovoids' point sets alone, the table of tangency points that the set-up
 no longer keeps.
 """
 
-from typing import List, Optional, Sequence, Tuple
+from itertools import zip_longest
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from projgeom_oracle import Subspace, subspace_contains, subspace_intersection, subspace_points
 from quadric_oracle import alpha_table
 from tangency_oracle import tangency_matrix
+from quadcover import ovoid
 from quadcover.ovoid import OvoidGeometry
 
 
@@ -40,6 +44,51 @@ def tangency_points(geom: OvoidGeometry) -> np.ndarray:
         size[np.ix_(on, on)] += 1
         last[np.ix_(on, on)] = x
     return np.where(size == 1, last, -1).astype(np.int16)
+
+
+def byte_pencil_counts(geom: OvoidGeometry, packed: np.ndarray
+                       ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """`quadcover.ovoid.pencil_counts` on bytes, the kernel that its uint64
+    words replaced.  Blocks of PENCIL_BLOCK pencils, in pencil order: the id
+    lo of the block's first pencil, the bits ``on`` of each pencil's
+    members, and the bit planes of C, where C[j, v] is the number of
+    members of pencil lo + j tangent to ovoid v under the tangency matrix
+    whose rows `pack_rows` packed into ``packed``.  Plane i holds bit i of
+    every count; ``on`` and the planes are bytes of rows in that layout,
+    and the members' packed rows are added into the planes by a
+    ripple-carry adder.  A count is at most q = 2^n, so there are n + 1
+    planes, and the top one is set exactly where the count is q."""
+    q = geom.model.ctx.q
+    packed = packed.view(np.uint8)
+    for lo in range(0, len(geom.pencil_members), ovoid.PENCIL_BLOCK):
+        members = geom.pencil_members[lo:lo + ovoid.PENCIL_BLOCK]
+        on = np.zeros((len(members), packed.shape[1]), dtype=np.uint8)
+        np.bitwise_or.at(on, (np.arange(len(members))[:, None], members >> 3),
+                         np.left_shift(1, members & 7).astype(np.uint8))
+        planes = np.zeros((q.bit_length(),) + on.shape, dtype=np.uint8)
+        carry, spill = np.empty_like(planes[0]), np.empty_like(planes[0])
+        for k, column in enumerate(members.T, start=1):
+            packed.take(column, axis=0, out=carry)
+            # k rows in, so a carry reaches no plane beyond bit_length(k)
+            for plane in planes[:k.bit_length()]:
+                np.bitwise_and(plane, carry, out=spill)
+                plane ^= carry
+                carry, spill = spill, carry
+        yield lo, on, planes
+
+
+def check_word_planes(geom: OvoidGeometry, packed: np.ndarray) -> int:
+    """Assert that `quadcover.ovoid.pencil_counts` yields the blocks of
+    `byte_pencil_counts`, its member bits and bit planes read as bytes; the
+    number of blocks."""
+    blocks = list(zip_longest(ovoid.pencil_counts(geom, packed),
+                              byte_pencil_counts(geom, packed)))
+    for (lo, on, planes), (want_lo, want_on, want_planes) in blocks:
+        assert lo == want_lo
+        assert on.dtype == planes.dtype == np.uint64
+        np.testing.assert_array_equal(on.view(np.uint8), want_on)
+        np.testing.assert_array_equal(planes.view(np.uint8), want_planes)
+    return len(blocks)
 
 
 def point_pencil_counts(geom: OvoidGeometry, A: np.ndarray):

@@ -16,6 +16,9 @@ tests in `test_tangency.py`:
   several counts in each float32 lane: block products of the unpacked
   matrix, one count an entry, with the same report (`pairs_checked`
   included);
+- `keyed_srg`: the lane-packed kernel `verify_srg` replaced when it came
+  to compare each lane with a reference count: every count split out of
+  its lane and keyed;
 - `boolean_edge_keys`: `edge_keys`' scan of the upper triangle;
 - `boolean_pencils`: the per-point kernel that `_build_rosettes` ran
   before its block kernel, a take of rows and columns at each point;
@@ -35,7 +38,7 @@ import numpy as np
 from quadcover import cliquecensus
 from quadcover.covering import CoveringMap
 from quadcover.ovoid import OvoidGeometry, verify_common_tangent_counts
-from quadcover.quadric import pack_rows
+from quadcover.quadric import pack_rows, unpack_rows
 
 
 def bit_unpack(words: np.ndarray, n: int) -> np.ndarray:
@@ -78,7 +81,6 @@ def boolean_srg(A: np.ndarray) -> dict:
     """`verify_srg` on a boolean adjacency matrix A."""
     n = len(A)
     deg = A.sum(axis=1)
-    k = int(deg[0])
     af = A.astype(np.float32)
     seen = np.zeros((3, n + 1), dtype=bool)
     step = max(1, cliquecensus.SRG_BLOCK // n)
@@ -91,6 +93,57 @@ def boolean_srg(A: np.ndarray) -> dict:
         diag = key.ravel()[::n - lo + 1]
         np.add(diag, 2 * (n + 1), out=diag, where=~A.diagonal()[lo:hi])
         seen.ravel()[key.ravel()] = True
+    return _srg_report(deg, seen)
+
+
+def keyed_srg(T: np.ndarray) -> dict:
+    """`verify_srg` by the kernel it replaced when it came to compare each
+    lane with a reference: every count of a block's product is split out of
+    its lane and keyed, count + (n + 1) * row, row 1 for an adjacent pair,
+    0 for a non-adjacent one, and 2 for the diagonal (save at a loop) and
+    what lies below it in the block's square.  Counts are unsigned, b bits
+    each, b the bit length of the largest degree, L = 24 // b a lane."""
+    n = len(T)
+    deg = np.bitwise_count(T).sum(axis=1)
+    b = max(1, int(deg.max()).bit_length())
+    L = 24 // b
+    R = np.zeros((-(-n // L), n), dtype=np.float32)
+    for c in reversed(range(L)):
+        R *= 1 << b
+        bits = unpack_rows(T[c::L], n)
+        np.add(R[:len(bits)], bits, out=R[:len(bits)])
+    mask = np.uint32((1 << b) - 1)
+    seen = np.zeros((3, n + 1), dtype=bool)
+    step = max(1, cliquecensus.SRG_BLOCK // n)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        rows = unpack_rows(T[lo:hi], n)
+        j0 = lo // L                  # the lane column that holds column lo
+        P = (rows.astype(np.float32) @ R[j0:].T).astype(np.uint32)
+        key = rows[:, lo:].astype(np.min_scalar_type(3 * n + 2))
+        key *= n + 1
+        for c in range(L):
+            # lane c holds the columns L j + c: key's columns s, s + L, ...
+            s = (c - lo) % L
+            cols = key[:, s::L]
+            count = P[:, (lo + s) // L - j0:][:, :cols.shape[1]]
+            if c:
+                count = count >> np.uint32(b * c)
+            if c < L - 1:             # the top lane has no bits above it
+                count = count & mask
+            np.add(cols, count, out=cols, casting="unsafe")
+        key[:, :hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = 2 * (n + 1)
+        diag = key.ravel()[::n - lo + 1]
+        np.add(diag, 2 * (n + 1), out=diag, where=~rows.ravel()[lo::n + 1])
+        seen.ravel()[key.ravel()] = True
+    return _srg_report(deg, seen)
+
+
+def _srg_report(deg: np.ndarray, seen: np.ndarray) -> dict:
+    """`verify_srg`'s report from the degrees and the counts seen on
+    non-adjacent (row 0) and adjacent (row 1) pairs."""
+    n = len(deg)
+    k = int(deg[0])
     lam_vals = np.flatnonzero(seen[1]).tolist()
     mu_vals = np.flatnonzero(seen[0]).tolist()
     regular = bool((deg == k).all())

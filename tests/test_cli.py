@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from quadcover import cli
 from quadcover.cli import main
 
 
@@ -289,3 +290,36 @@ def test_sampling_flags_only_where_read():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "semipartial", "--n", "1", "--samples", "5"])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys):
+    # main builds its parser once a process; a run of commands through it
+    # reports, exits and errs as the same run through a fresh parser a call
+    runs = [["counts", "--n-max", "2"], ["build", "--n", "1"],
+            ["verify", "srg", "--n", "1"],
+            ["census", "--n", "1", "--mode", "sampled", "--samples", "5", "--seed", "3"],
+            ["lift", "--n", "1", "--clique", "0,1,99"],                  # exits 2
+            ["verify", "semipartial", "--n", "1", "--samples", "5"],     # argparse error
+            ["--help"], ["figures", "verify", "--n", "1", "--samples", "3"]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        if out.startswith("{"):
+            out = json.loads(out)
+            del out["timings"]
+        return code, out, err
+
+    cli.build_parser.cache_clear()
+    shared = [outcome(argv) for argv in runs]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, ("exit", 2), ("exit", 0), 0]
+    assert cli.build_parser() is cli.build_parser()

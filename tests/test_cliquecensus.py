@@ -22,7 +22,7 @@ from census_oracle import (
 )
 from memory_peak import traced_peak
 from ovoid_oracle import loop_rosette_maximality, tangency_points
-from tangency_oracle import boolean_srg, tangency_matrix
+from tangency_oracle import boolean_srg, keyed_srg, tangency_matrix
 from quadcover import cliquecensus, ovoid
 from quadcover.cliquecensus import (
     census,
@@ -91,9 +91,9 @@ def _edge_removed(A):
     return A
 
 
-def _loop_added(A):
+def _loop_added(A, i=3):
     A = A.copy()
-    A[3, 3] = True
+    A[i, i] = True
     return A
 
 
@@ -114,12 +114,84 @@ def _one_way(A):
 
 def _random(n, p, seed, loops, bits):
     """A random symmetric graph on n vertices whose largest degree has bit
-    length ``bits``: verify_srg packs 24 // bits counts in a float32 lane."""
+    length ``bits``: the keyed kernel packed 24 // bits counts in a float32
+    lane."""
     A = np.random.default_rng(seed).random((n, n)) < p
     A = np.triu(A, 0 if loops else 1)
     A |= A.T
     assert int(A.sum(axis=1).max()).bit_length() == bits
     return A
+
+
+def _lanes(A):
+    """The reference counts, d and lane width L of verify_srg on A: the
+    counts of the first adjacent and non-adjacent pairs i < j (mu_0 = 0
+    when there is none), and 24 // b, b = bit_length(max deg + |d|) + 1."""
+    C = A.astype(np.int64) @ A.T.astype(np.int64)
+    upper = np.triu(np.ones(A.shape, dtype=bool), 1)
+    firsts = [np.argwhere(upper & (A == adj)) for adj in (True, False)]
+    lam0, mu0 = (int(C[tuple(f[0])]) if len(f) else None for f in firsts)
+    mu_ref = mu0 or 0
+    d = (mu_ref if lam0 is None else lam0) - mu_ref
+    L = 24 // (int(A.sum(axis=1).max() + abs(d)).bit_length() + 1)
+    return C, lam0, mu_ref, d, L
+
+
+def _cancelling_pair(A):
+    """A one-way copy of A with two wrong counts in one lane of row i = 60:
+    bit x of row 60 cleared and bit y set, so C[60, j] falls by one where
+    only x is a neighbour of j and rises by one where only y is.  Columns
+    c and c + 1 of one lane, past 60 and neither x nor y, take -1 and +1
+    against the references.  Their lane then differs from its reference by
+    2^b - 1, which an unsigned split reads as one count 2^b - 1 off: the
+    borrow of the low count cancels the error of the high one.  The
+    references (pairs of row 0) do not change."""
+    _, _, _, _, L = _lanes(A)
+    i = 60
+    for x in np.flatnonzero(A[i]):
+        for y in np.flatnonzero(~A[i]):
+            if y == i:
+                continue
+            down, up = A[x] & ~A[y], A[y] & ~A[x]
+            for col in range(L * (i // L + 1), len(A) - 1):
+                if (col % L < L - 1 and down[col] and up[col + 1]
+                        and not {x, y} & {col, col + 1}):
+                    B = A.copy()
+                    B[i, x], B[i, y] = False, True
+                    C, lam0, mu_ref, d, _ = _lanes(B)
+                    assert (C[i, col], C[i, col + 1]) == (
+                        mu_ref + d * A[i, col] - 1, mu_ref + d * A[i, col + 1] + 1)
+                    assert (lam0, mu_ref) == _lanes(A)[1:3]
+                    return B
+    raise AssertionError("no lane with two cancelling counts")
+
+
+def _row0(adjacent):
+    """The q = 4 graph with vertex 0 joined to every other vertex, or to
+    none: the first adjacent or non-adjacent pair then lies in row 1."""
+    def make(A):
+        A = A.copy()
+        A[0, 1:] = A[1:, 0] = adjacent
+        return A
+    return make
+
+
+def _edge_beside_clique(n):
+    """An edge 0 - 1 beside a clique on 2..n-1: the first adjacent and
+    non-adjacent pairs, (0, 1) and (0, 2), have no common neighbour, so
+    the clique's counts, n - 4, sit as far above their reference as the
+    largest degree, n - 3, allows."""
+    A = np.zeros((n, n), dtype=bool)
+    A[2:, 2:] = True
+    A[0, 1] = A[1, 0] = True
+    return A & ~np.eye(n, dtype=bool)
+
+
+def _rook_3x3(A):
+    """K3 x K3, strongly regular (9, 4, 1, 2): lanes of six counts, the
+    last one holding three."""
+    i = np.arange(9)
+    return ((i[:, None] // 3 == i // 3) | (i[:, None] % 3 == i % 3)) & ~np.eye(9, dtype=bool)
 
 
 SRG_CASES = [
@@ -128,13 +200,22 @@ SRG_CASES = [
     ("tg_q4_edge_removed", _edge_removed, False),
     ("tg_q4_loop_added", _loop_added, False),
     ("tg_q4_one_way", _one_way, False),
+    ("tg_q4_cancelling_pair", _cancelling_pair, False),
+    ("tg_q4_row0_isolated", _row0(False), False),
+    ("tg_q4_row0_universal", _row0(True), False),
+    # a loop at vertex 119, alone in the last block of seven rows at 900
+    ("tg_q4_last_loop", lambda A: _loop_added(A, 119), False),
+    ("complete_6", lambda A: ~np.eye(6, dtype=bool), True),    # the q = 2 graph, mu vacuous
+    ("edge_beside_clique_40", lambda A: _edge_beside_clique(40), False),
+    ("rook_3x3", _rook_3x3, True),
     ("cycle_5", lambda A: _cycle(5), True),     # strongly regular (5, 2, 0, 1)
     ("cycle_6", lambda A: _cycle(6), False),    # mu in {0, 1}
     ("random_60_with_loops", lambda A: _random_symmetric(60, 3), False),
-    # odd V: the last lane column holds one count of four, one of two
     ("random_61", lambda A: _random(61, 0.3, 4, False, 5), False),
+    # odd V, two counts a lane: the last lane column holds one
     ("random_301_with_loops", lambda A: _random(301, 0.9, 5, True, 9), False),
-    # 12-bit fields, two lanes: the lane sums reach 16,387,999, just below 2^24
+    # 12-bit degrees: one count a lane in verify_srg, two in the keyed kernel,
+    # whose lane sums reach 16,387,999, just below 2^24
     ("random_4001_with_loops", lambda A: _random(4001, 0.998, 6, True, 12), False),
     # a degree of at least 4096: one count a lane
     ("random_4201", lambda A: _random(4201, 0.99, 7, False, 13), False),
@@ -156,7 +237,7 @@ def test_srg_verdict_matches_the_pair_oracle(monkeypatch, adj_q4, name, make, pa
     monkeypatch.setattr(cliquecensus, "SRG_BLOCK", block)
     A = make(adj_q4)
     rep = verify_srg(pack_rows(A))
-    assert rep == boolean_srg(A)
+    assert rep == keyed_srg(pack_rows(A)) == boolean_srg(A)
     # the pair oracle reads A @ A, which is the A A^T of verify_srg only
     # for a symmetric A
     if name not in LARGE_SRG_CASES and np.array_equal(A, A.T):

@@ -379,3 +379,55 @@ def test_figure_path_makes_no_scalar_method_call(path, name):
     `null_space`, which run once a frame, keep them."""
     node = _definition(ast.parse((SRC / path).read_text()), name)
     assert _attribute_uses(node, _SCALAR_METHODS) == []
+
+
+
+# kernels the package replaced, kept in the oracles to diff the new ones
+# against: (oracle file, function)
+_MOVED_KERNELS = [("tangency_oracle.py", "keyed_srg"), ("ovoid_oracle.py", "byte_pencil_counts")]
+
+
+class _Bare(ast.NodeTransformer):
+    """Reads ``cliquecensus.SRG_BLOCK`` and ``ovoid.PENCIL_BLOCK``, the
+    oracles' spelling of the package's block sizes, as the bare names a
+    package module uses."""
+
+    def visit_Attribute(self, node):
+        self.generic_visit(node)
+        if isinstance(node.value, ast.Name) and node.value.id in ("cliquecensus", "ovoid"):
+            return ast.copy_location(ast.Name(node.attr, node.ctx), node)
+        return node
+
+
+def _loops(tree: ast.AST) -> set:
+    """The source of every ``for`` loop in tree, module-qualified names bare."""
+    return {ast.unparse(_Bare().visit(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.For)}
+
+
+def _moved_block_loops() -> dict:
+    """The block loop, the last top-level ``for``, of each moved kernel, by name."""
+    out = {}
+    for file, name in _MOVED_KERNELS:
+        f = _definition(ast.parse((TESTS / file).read_text()), name)
+        loop = [node for node in f.body if isinstance(node, ast.For)][-1]
+        out[name] = ast.unparse(_Bare().visit(loop))
+    return out
+
+
+def test_moved_kernel_check_sees_a_kernel_put_back():
+    # each oracle kernel, copied into a package module with the package's
+    # spelling of its block size, is seen
+    for file, name in _MOVED_KERNELS:
+        f = _definition(ast.parse((TESTS / file).read_text()), name)
+        back = ast.parse(ast.unparse(_Bare().visit(f)))
+        assert _moved_block_loops()[name] in _loops(back)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_keeps_no_kernel_it_replaced(path):
+    """`verify_srg` no longer splits every count out of its lane and keys
+    it (`tangency_oracle.keyed_srg`), and `pencil_counts` no longer adds
+    byte rows (`ovoid_oracle.byte_pencil_counts`): neither block loop is
+    left in the package beside its replacement."""
+    assert not _loops(ast.parse(path.read_text())) & set(_moved_block_loops().values())

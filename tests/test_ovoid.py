@@ -8,6 +8,7 @@ import pytest
 
 from memory_peak import traced_peak
 from ovoid_oracle import (
+    check_word_planes,
     common_tangents_through,
     intersection_kind,
     loop_common_tangent_counts,
@@ -267,6 +268,23 @@ def test_common_tangents_match_the_per_point_kernel_in_every_field(n, modulus, l
     cases = q * len(geom.pencil_members) * (geom.n_ovoids - q)
     rep = verify_common_tangent_counts(geom)
     assert rep == boolean_common_tangent_counts(geom) == {"pass": True, "cases_checked": cases}
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("name", ["geom_q2", "geom_q4", "geom_q8"])
+def test_pencil_count_words_match_the_byte_planes(monkeypatch, request, name, block):
+    # the uint64 planes against the byte planes they replaced, bit for bit,
+    # in blocks of PENCIL_BLOCK pencils and of a few, the last one short
+    geom = request.getfixturevalue(name)
+    if block is not None:
+        monkeypatch.setattr(ovoid, "PENCIL_BLOCK", block)
+    n = check_word_planes(geom, geom.tangency)
+    assert n == -(-len(geom.pencil_members) // ovoid.PENCIL_BLOCK)
+
+
+def test_pencil_count_words_match_the_byte_planes_on_a_flip(geom_q4_broken):
+    _, geom = geom_q4_broken
+    check_word_planes(geom, geom.tangency)
 
 
 def test_semipartial_peak_stays_below_3_mib(geom_q8):

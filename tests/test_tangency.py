@@ -11,7 +11,10 @@ diffed whole is the common-tangent reader's "pencil grouping": the pencil
 counts it reads stand for the per-point products only while the pencils at
 each point are its tangency classes, so where a corruption breaks them the
 kernel's verdict and a recount of the named pencil and ovoid are checked
-instead (`check_common_tangents`).  A corrupted table is a boolean
+instead (`check_common_tangents`).  `verify_srg` is also diffed against
+the keyed lane kernel it replaced (`keyed_srg`), and the pencil counts'
+word planes bit for bit against the byte planes they replaced
+(`ovoid_oracle.check_word_planes`).  A corrupted table is a boolean
 copy, edited and installed packed.  The census corruptions are diffed in
 `test_cliquecensus.py`.  The symmetry check of `build_tangency_graph` also
 meets asymmetric bits in its first and last bands, and `transpose_rows` is
@@ -27,10 +30,11 @@ import pytest
 
 from census_oracle import boolean_census
 from memory_peak import traced_peak
-from ovoid_oracle import loop_rosette_maximality, point_semipartial
+from ovoid_oracle import check_word_planes, loop_rosette_maximality, point_semipartial
 from tangency_oracle import (bit_unpack, boolean_adjacency_oracle, boolean_edge_keys,
                              boolean_pencils, boolean_srg, boolean_tangency_graph,
-                             check_common_tangents, tangency_matrix, with_tangency)
+                             check_common_tangents, keyed_srg, tangency_matrix,
+                             with_tangency)
 from quadcover import cliquecensus
 from quadcover.cliquecensus import (build_tangency_graph, census, edge_keys, edge_list,
                                     export_edges_csv, rosette_maximality, verify_srg)
@@ -127,7 +131,7 @@ def test_build_tangency_graph_matches_the_boolean_checks(case):
 
 def test_verify_srg_matches_the_boolean_products(case):
     _, _, A, T, _ = case
-    assert verify_srg(T) == boolean_srg(A)
+    assert verify_srg(T) == keyed_srg(T) == boolean_srg(A)
 
 
 def test_edge_keys_and_csv_match_the_boolean_scan(tmp_path, case):
@@ -162,6 +166,7 @@ def test_sampled_census_matches_the_boolean_census(case):
 
 def test_pencil_counts_match_the_boolean_loops(case):
     _, geom, A, T, _ = case
+    check_word_planes(geom, T)
     assert verify_semipartial(geom) == point_semipartial(geom)
     assert rosette_maximality(T, geom) == loop_rosette_maximality(A, geom)
 
