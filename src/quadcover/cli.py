@@ -212,12 +212,13 @@ def cmd_verify_srg(run: Run, args) -> dict:
 
 
 def cmd_verify_covering(run: Run, args) -> dict:
-    from .covering import fiber_distances, verify_covering
+    from .covering import fiber_distances, verify_adjacency_oracle, verify_covering
 
     cov = run.cov
     with run.timed("verify"):
         rep = verify_covering(cov)
         dist = fiber_distances(cov)
+        adj = verify_adjacency_oracle(cov)
     checks = [_bool_check(key, rep[key], "enumeration")
               for key in ("fibers_ok", "line_bijections_ok",
                           "pencil_bijections_ok", "quotient_iso_ok")]
@@ -226,9 +227,15 @@ def cmd_verify_covering(run: Run, args) -> dict:
                            "enumeration", len(cov.point_fiber))]
     checks += [_bool_check(key, dist[key], "enumeration", dist["far_pairs"])
                for key in ("diameter_is_3", "far_pairs_are_fibers")]
+    # tangency downstairs is cross-fibre collinearity upstairs, on every pair
+    checks += [_bool_check("tangency_is_cross_fibre_collinearity", adj["pass"],
+                           "enumeration", adj.get("pairs_checked"))]
     payload = {"covering": rep, "checks": checks}
     if "counterexample" in rep:
         payload["counterexample"] = rep["counterexample"]
+    elif not adj["pass"]:
+        payload["counterexample"] = {"kind": "cross_fibre_collinearity",
+                                     **{k: v for k, v in adj.items() if k != "pass"}}
     return payload
 
 
@@ -260,7 +267,9 @@ def cmd_census(run: Run, args) -> dict:
                      n_samples=cfg.samples or 20000)
     with run.timed("srg"):
         srg = verify_srg(g)
-    checks = [_bool_check("census_identities", rep.ok, "enumeration"),
+    # a sampled census checks only the per-edge laws, on the edges it drew
+    checks = [_bool_check("census_identities", rep.ok, "enumeration") if cfg.mode == "full"
+              else _bool_check("census_per_edge_laws", rep.ok, "sampled", rep.edges_checked),
               _bool_check("strong_regularity", srg["pass"], "enumeration",
                           srg["pairs_checked"])]
     if cfg.mode == "full":
@@ -289,8 +298,8 @@ def _lift(run: Run):
 
 
 def cmd_lift(run: Run, args) -> dict:
+    from .bitrows import row_bits
     from .figures import figure_to_clique
-    from .quadric import row_bits
 
     gx = run.gx
     for a, b in combinations(run.cfg.clique, 2):  # ids that are no clique: bad input

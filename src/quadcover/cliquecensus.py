@@ -42,7 +42,7 @@ completion exactly when it passes through the common point of a and b,
 which the membership matrix gives; all three are then tangent there.  The
 adjacency between an edge's pencil and non-linear completions, and among
 its non-linear completions (S_BLOCK pairs at a time), are read as bits of
-T through `quadric.row_bits` (T takes 0.5 MB at q = 8, which fits in L2);
+T through `bitrows.row_bits` (T takes 0.5 MB at q = 8, which fits in L2);
 the pencil test reads the flat membership matrix at row * width + col.
 For each edge the adjacency among its q^2 non-linear completions is
 packed into one uint64 per completion (q^2 <= 64 for every buildable
@@ -69,8 +69,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .bitrows import (above_diagonal, first_set_bits, lowest_set_bits, pack_rows, row_bits,
+                      transposed_bands, unpack_rows, upper_pairs)
 from .ovoid import OvoidGeometry, pencil_counts
-from .quadric import lowest_set_bits, pack_rows, row_bits, transpose_rows, unpack_rows
 
 MASK64 = (1 << 64) - 1
 BATCH = 1 << 13                   # non-linear completions (edges x q^2) per census batch
@@ -78,8 +79,6 @@ KEY_BLOCK = 1 << 20               # tangency entries per step of the edge keys o
 SRG_BLOCK = 1 << 19               # common-neighbour counts per verify_srg step
 S_BLOCK = 1 << 16                 # completion pairs gathered per census S step
 MAX_WORKERS = 1                   # census worker threads beside the main thread, at most
-# _ABOVE[w] keeps the bits above bit w of a word
-_ABOVE = np.array([MASK64 ^ ((2 << w) - 1) for w in range(64)], dtype=np.uint64)
 
 
 # -- closed-form counts --------------------------------------------------------
@@ -122,10 +121,7 @@ def build_tangency_graph(gx: OvoidGeometry) -> np.ndarray:
     T = gx.tangency
     ovoids = np.arange(len(T))
     simple = not row_bits(T, ovoids, ovoids).any()
-    step = max(1, KEY_BLOCK // (64 * len(T)))
-    for w in range(0, T.shape[1], step):
-        band = T[64 * w:64 * (w + step)]
-        simple &= np.array_equal(transpose_rows(T[:, w:w + step], len(band)), band)
+    simple &= all(np.array_equal(t, T[rows]) for rows, t in transposed_bands(T, KEY_BLOCK))
     if not simple:
         raise AssertionError("tangency matrix is not a simple graph")
     q = gx.model.ctx.q
@@ -139,19 +135,12 @@ def _first_pair_count(T: np.ndarray, adjacent: bool) -> Optional[int]:
     """The common-neighbour count, a popcount of two packed rows, of the
     first pair i < j in row-major order whose bit in row i of T is
     ``adjacent``, or None when there is no such pair."""
-    n, w = T.shape
-    i = np.arange(n)
-    # the bits of the columns i < j < n of row i
-    upper = np.where(np.arange(w) > (i >> 6)[:, None], np.uint64(MASK64), np.uint64(0))
-    upper[i, i >> 6] = _ABOVE[i & 63]
-    upper[:, -1] &= np.uint64(MASK64 >> (-n % 64))
-    upper &= T if adjacent else ~T
+    upper = above_diagonal(len(T)) & (T if adjacent else ~T)
     hit = np.flatnonzero(upper.any(axis=1))
     if not len(hit):
         return None
     r = hit[0]
-    c = np.flatnonzero(upper[r])[0]
-    j = 64 * c + int(lowest_set_bits(upper[r, c], 1)[0])
+    j = first_set_bits(upper[r])
     return int(np.bitwise_count(T[r] & T[j]).sum())
 
 
@@ -197,8 +186,10 @@ def verify_srg(T: np.ndarray) -> dict:
     cols = np.arange(n)
     scale = np.left_shift(1, b * (cols % L))  # the weight of column j's digit
     # R = sum_c 2^(b c) A[c::L], summed from the top lane down, less d I
+    top = unpack_rows(T[L - 1::L], n)
     R = np.zeros((-(-n // L), n), dtype=np.float32)
-    for c in reversed(range(L)):
+    R[:len(top)] = top
+    for c in reversed(range(L - 1)):
         R *= 1 << b
         bits = unpack_rows(T[c::L], n)
         np.add(R[:len(bits)], bits, out=R[:len(bits)])
@@ -270,11 +261,6 @@ def edge_keys(T: np.ndarray) -> np.ndarray:
                            + lo * V for lo in range(0, V, step)])
 
 
-def edge_list(T: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The edges i < j of A (packed in T) in row-major order, as ``nonzero(triu(A, 1))``."""
-    return np.divmod(edge_keys(T), len(T))
-
-
 _GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -312,29 +298,24 @@ def sampled_edge_keys(T: np.ndarray, seed: int, n_samples: int) -> Tuple[int, np
     packed into T, and ``edge_keys(T)[splitmix_below(seed, E, n_samples)]``,
     found by rank without listing the edges.
 
-    The upper triangle is read as stored.  Row i's edges are its set bits
-    above bit i; with cum the running popcount of a row's words, those are
-    its last cum[i, -1] - low[i] bits, low[i] its bits up to the diagonal.
-    The draw s lies in the row r whose running edge count first exceeds it,
-    and is bit number s - (edges before row r) + low[r] of row r, counted
-    from bit 0: the comparison with r's running word counts gives its word,
-    and the running count of that word's bits its position."""
+    Row i's edges are the set bits of U[i], its row of the upper triangle
+    as stored.  The draw s lies in the row r whose running edge count first
+    exceeds it, and is bit number s - (edges before row r) of U[r], counted
+    from bit 0: the running popcount of U[r]'s words gives its word, and
+    the running count of that word's bits its position."""
     V = len(T)
-    rows = np.arange(V)
-    counts = np.bitwise_count(T)
+    U = T & above_diagonal(V)
+    counts = np.bitwise_count(U)
     cum = np.cumsum(counts, axis=1, dtype=np.min_scalar_type(64 * T.shape[1]))
-    diag = T[rows, rows >> 6]
-    low = cum[rows, rows >> 6] - np.bitwise_count(diag & _ABOVE[rows & 63])
-    upper = cum[:, -1] - low
-    ends = np.cumsum(upper, dtype=np.intp)
+    ends = np.cumsum(cum[:, -1], dtype=np.intp)
     E = int(ends[-1])
     s = splitmix_below(seed, E, n_samples).astype(np.intp)
     r = np.searchsorted(ends, s, side="right")
-    t = s - (ends[r] - upper[r]) + low[r]
+    t = s - (ends[r] - cum[r, -1])
     c = cum[r]
     w = (c <= t[:, None]).sum(axis=1)
     t -= c[np.arange(len(r)), w] - counts[r, w]
-    bits = unpack_rows(T[r, w][:, None])
+    bits = unpack_rows(U[r, w][:, None])
     j = (np.cumsum(bits, axis=1, dtype=np.uint8) <= t[:, None]).sum(axis=1)
     return E, r * V + 64 * w + j
 
@@ -353,24 +334,6 @@ def completion_rows(T: np.ndarray, Wi: np.ndarray) -> np.ndarray:
         W = Wi[k:k + step]
         P[k:k + step] = pack_rows(row_bits(T, W[:, :, None], W[:, None, :]))[..., 0]
     return P
-
-
-def upper_pairs(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The adjacent pairs w < z of each group of packed rows, in row-major
-    order, as ``nonzero(triu(S, 1))`` lists them.
-
-    P[e, w] is row w of group e's adjacency S, as `pack_rows` packs it into
-    one word (at most 64 rows a group).  Each row keeps only its bits above
-    w, and the positions of those bits are read lowest first.  Returns the
-    flat indices into ``P.ravel()`` of rows w and z, pair by pair.
-    """
-    B, n = P.shape
-    U = P & _ABOVE[:n]
-    up = np.bitwise_count(U)
-    Z = lowest_set_bits(U, int(up.max(initial=0)))
-    w = np.repeat(np.arange(B * n), up.ravel())
-    z = np.repeat(np.arange(0, B * n, n), up.sum(axis=1, dtype=np.intp)) + Z[Z < 64]
-    return w, z
 
 
 def _values(x: np.ndarray) -> List[int]:
@@ -703,7 +666,7 @@ def export_edges_csv(T: np.ndarray, path: str) -> None:
     """Write the edge list of T as CSV rows: ovoid id, ovoid id."""
     import csv
 
-    iu, ju = edge_list(T)
+    iu, ju = np.divmod(edge_keys(T), len(T))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["ovoid_a", "ovoid_b"])

@@ -21,8 +21,9 @@ from typing import Tuple
 
 import numpy as np
 
+from .bitrows import clear_diagonal, n_words, pack_rows, pad_mask, row_bits, unpack_rows
 from .ovoid import OvoidGeometry
-from .quadric import QuadricModel, incidence_transpose, pack_rows, row_bits, unpack_rows
+from .quadric import QuadricModel, incidence_transpose
 
 _CHUNK = 1 << 16                # uint64 words a block of fiber_distances and the adjacency oracle
 NEAR_LINES = 3                  # lines through a point read into its fiber_distances near row
@@ -234,20 +235,14 @@ def verify_adjacency_oracle(cov: CoveringMap) -> dict:
         Z = next(firsts) | next(seconds)
         cross = Z[:len(Z) // 2] | Z[len(Z) // 2:]
         diff = cross ^ geom.tangency[lo:lo + step]
-        _clear_diagonal(diff, lo)
-        diff[:, -1:] &= ~np.uint64(0) >> np.uint64(-n % 64)      # not the padding
+        clear_diagonal(diff, lo)
+        diff[:, -1:] &= pad_mask(n)         # not the padding
         if diff.any():
             i, b = (int(t) for t in np.argwhere(unpack_rows(diff))[0])
             return {"pass": False, "pair": [lo + i, b],
                     "tangent": bool(row_bits(geom.tangency, lo + i, b)),
                     "cross_collinear": bool(row_bits(cross, i, b))}
     return {"pass": True, "pairs_checked": n * (n - 1) // 2}
-
-
-def _clear_diagonal(rows: np.ndarray, lo: int) -> None:
-    """Clear bit lo + i of packed row i, in every row i."""
-    pts = np.arange(lo, lo + len(rows))
-    rows[pts - lo, pts >> 6] &= ~(np.uint64(1) << (pts & 63).astype(np.uint64))
 
 
 def _line_rows(P: np.ndarray, lines: np.ndarray, through: np.ndarray,
@@ -271,14 +266,13 @@ def _candidates(P: np.ndarray, lines: np.ndarray, through: np.ndarray, step: int
     whose last candidate falls in one window of step - 63 candidates, so it
     holds at most 63 more, from its first word."""
     n = len(P) - 1
-    pad = ~np.uint64(0) >> np.uint64(-n % 64)
     window = max(1, step - 63)
     for lo in range(0, n, step):
         near = P[lo:min(n, lo + step)].copy()
         _line_rows(P, lines, through[lo:lo + step, :NEAR_LINES], near)
         free = ~near
-        free[:, -1] &= pad
-        _clear_diagonal(free, lo)
+        free[:, -1] &= pad_mask(n)
+        clear_diagonal(free, lo)
         r, c = np.nonzero(free)
         ends = np.cumsum(np.bitwise_count(free[r, c]), dtype=np.intp) - 1
         cuts = np.flatnonzero(np.diff(ends // window)) + 1
@@ -348,7 +342,7 @@ def fiber_distances(cov: CoveringMap) -> dict:
     # line-mates of its points: every line is a clique, every collinear pair
     # is on a line, and the lines through a point meet only there.  Row n
     # stays zero: it is the row of the empty line's points.
-    w = -(-n // 64)
+    w = n_words(n)
     P = np.zeros((n + 1, w), dtype=np.uint64)
     step = max(1, 8 * _CHUNK // n)
     mates = np.empty((step, n), dtype=bool)
@@ -356,7 +350,7 @@ def fiber_distances(cov: CoveringMap) -> dict:
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         P[lo:hi] = next(blocks)
-        _clear_diagonal(P[lo:hi], lo)
+        clear_diagonal(P[lo:hi], lo)
         # the flat positions of each point's line-mates in its row
         at = lines.take(line_of[start[lo]:start[hi]], axis=0)
         at += np.repeat(np.arange(0, (hi - lo) * n, n, dtype=np.int32),

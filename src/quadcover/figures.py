@@ -23,10 +23,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .bitrows import pack_rows, unpack_rows
 from .gf2n import FieldCtx, conic_solution_set, solve_artin_schreier
 from .projgeom import Vec, enumerate_points, normalize_tuple, rref, vec_add, vec_scale
-from .quadric import (QuadricModel, pack_rows, second_intersection, second_intersections,
-                      unpack_rows)
+from .quadric import QuadricModel, second_intersection, second_intersections
 from .covering import CoveringMap
 
 KIND_BY_SIZE = {3: "hexagon", 4: "cube", 5: "decade", 6: "dodecade"}

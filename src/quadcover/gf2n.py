@@ -126,9 +126,6 @@ class FieldCtx:
             raise ZeroDivisionError("0 has no inverse")
         return self.inv_row[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def sqrt(self, a: int) -> int:
         """The unique square root: squaring is a bijection in characteristic 2."""
         return self._sqrt[a]

@@ -8,12 +8,12 @@ rosettes) are the lines of a semipartial geometry with parameters
 (q-1, q^2, 2, 2q(q-1)).
 
 The pairwise intersection sizes are integer matrix products over the
-membership matrix, one block of ovoid rows at a time against the columns
-from the block on: the upper triangle, each pair once.  Each block's
-tangency (size 1) is packed by `quadric.pack_rows` into the one tangency
-table; the product is symmetric, so the lower triangle is then filled from
-the table's transpose, `quadric.transpose_rows`, in bands of 64 rows.  No
-block holds more than PAIR_BLOCK ovoid pairs, so no V x V array and no
+membership matrix, one band of ovoid rows at a time against the columns
+from the band's first row on: the upper triangle and each band's square.
+Each band's tangency (size 1) is packed into the one tangency table, and
+the pairs left of its square are the transpose of the rows above it
+(`bitrows.transposed_bands`), as the product is symmetric.  A band holds
+at most PAIR_BLOCK ovoid pairs (or 64 rows), so no V x V array and no
 second tangency table is held.  Two tangent ovoids meet only at their
 tangency point, so the pencils at a point are the tangency classes among
 the ovoids through it, and no table of tangency points is needed; they are
@@ -30,11 +30,12 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
+from .bitrows import (first_set_bits, n_words, pack_rows, row_bits, set_bits,
+                      transposed_bands, unpack_rows)
 from .gf2n import FieldCtx
-from .quadric import (QuadricModel, incidence_transpose, lowest_set_bits, pack_rows,
-                      row_bits, transpose_rows, unpack_rows)
+from .quadric import QuadricModel, incidence_transpose
 
-PAIR_BLOCK = 1 << 19              # ovoid pairs per block of a set-up product or transpose
+PAIR_BLOCK = 1 << 19              # ovoid pairs per band of the set-up product
 POINT_BLOCK = 1 << 16             # tangency words per block of rosette points
 PENCIL_BLOCK = 1 << 9             # pencils per block of pencil counts
 
@@ -112,32 +113,22 @@ def build_geometry(model: QuadricModel) -> OvoidGeometry:
     geom.ovoid_points = sect[cols]
     geom.ovoid_span = basis[:, :4].astype(np.int16)
 
-    # the upper triangle of the product, packed one block of ovoid rows at
-    # a time: each block against the columns from the word holding its
-    # first diagonal entry on, so that its packed rows start at a whole
-    # word (some pairs near the diagonal are computed twice).  float32
-    # products are exact here: every entry is an integer below 2^24.
+    # a band starts at a whole word, so its product packs into the table's
+    # last words.  float32 products are exact here: every entry is an
+    # integer below 2^24.
     mf = member.astype(np.float32)
-    T = geom.tangency = np.zeros((n_ov, -(-n_ov // 64)), dtype="<u8")
-    step = max(1, PAIR_BLOCK // n_ov)
-    for lo in range(0, n_ov, step):
-        word = lo // 64
-        inter = mf[lo:lo + step] @ mf[64 * word:].T
+    T = geom.tangency = np.zeros((n_ov, n_words(n_ov)), dtype="<u8")
+    for rows, left in transposed_bands(T, PAIR_BLOCK):
+        inter = mf[rows] @ mf[rows.start:].T
         # the diagonal is no pair: count it as a conic, lawful and not tangent
-        np.fill_diagonal(inter[:, lo % 64:], q + 1)
+        np.fill_diagonal(inter, q + 1)
         if not ((inter == 1) | (inter == q + 1)).all():
             raise AssertionError("some ovoid pair meets in neither a point nor a conic")
-        T[lo:lo + step, word:] = pack_rows(inter == 1)
+        upper = pack_rows(inter == 1)
         del inter
+        T[rows] = left
+        T[rows, -upper.shape[1]:] |= upper
     del mf
-    # the product is symmetric, so the transpose of the upper triangle
-    # fills in the lower one, PAIR_BLOCK pairs or one band of 64 rows a
-    # step.  A band transposed after the rows above it were filled in reads
-    # their new bits too; they are bits of the product, so nothing changes.
-    step = max(1, PAIR_BLOCK // (64 * n_ov))
-    for word in range(0, T.shape[1], step):
-        band = T[64 * word:64 * (word + step)]
-        band |= transpose_rows(T[:, word:word + step], len(band))
 
     per_point = q * q * (q - 1) // 2
     if (member.sum(axis=0) != per_point).any():
@@ -213,29 +204,25 @@ def _build_rosettes(geom: OvoidGeometry) -> None:
     sect = model.section_points
     on_ovoid = pack_rows(geom.member_matrix)
     perp = pack_rows(model.collinear(sect, sect))
-    n_words = geom.tangency.shape[1]
+    w = geom.tangency.shape[1]
     pencils = np.empty_like(geom.through)
     united = clear = True
-    step = max(1, POINT_BLOCK // (per_point * n_words))
+    step = max(1, POINT_BLOCK // (per_point * w))
     for lo in range(0, n_q0, step):
         T = geom.through[lo:lo + step]
         b = len(T)
         # masked by the ovoids listed through the points: the membership
         # matrix is read only by the union and perp laws
-        listed = np.zeros((b, geom.n_ovoids), dtype=bool)
-        listed[np.arange(b)[:, None], T] = True
+        listed = np.zeros((b, w), dtype=np.uint64)
+        set_bits(listed, T)
         R = geom.tangency.take(T, axis=0)
-        R &= pack_rows(listed)[:, None]
-        own = T.ravel()
-        R.reshape(-1, n_words)[np.arange(len(own)), own >> 6] |= np.left_shift(
-            np.uint64(1), (own & 63).astype(np.uint64))
-        word = (R != 0).argmax(axis=2)
-        low = np.take_along_axis(R, word[..., None], axis=2)[..., 0]
-        least = word * 64 + lowest_set_bits(low, 1)[..., 0]
+        R &= listed[:, None]
+        set_bits(R.reshape(-1, w), T.reshape(-1, 1))
+        least = first_set_bits(R)
         # one flat take per block: row i of point j is row j * per_point + i
         order = least.argsort(axis=1, kind="stable")
         order += np.arange(0, b * per_point, per_point)[:, None]
-        R = R.reshape(-1, n_words).take(order, axis=0).reshape(b, m, q, n_words)
+        R = R.reshape(-1, w).take(order, axis=0).reshape(b, m, q, w)
         if ((np.bitwise_count(R[:, :, 0]).sum(axis=2) != q).any()
                 or (R != R[:, :, :1]).any()):
             raise AssertionError("tangency at a point is not an equivalence "
@@ -272,8 +259,7 @@ def pencil_counts(geom: OvoidGeometry, packed: np.ndarray
     for lo in range(0, len(geom.pencil_members), PENCIL_BLOCK):
         members = geom.pencil_members[lo:lo + PENCIL_BLOCK]
         on = np.zeros((len(members), packed.shape[1]), dtype=np.uint64)
-        np.bitwise_or.at(on, (np.arange(len(members))[:, None], members >> 6),
-                         np.left_shift(np.uint64(1), (members & 63).astype(np.uint64)))
+        set_bits(on, members)
         planes = np.zeros((q.bit_length(),) + on.shape, dtype=np.uint64)
         carry, spill = np.empty_like(planes[0]), np.empty_like(planes[0])
         for k, column in enumerate(members.T, start=1):

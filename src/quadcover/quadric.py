@@ -9,10 +9,7 @@ array held.  One kernel evaluates it: take the tables' columns, then gather
 their rows by each point's key.  The form has two readings, each taking the
 columns once and yielding rows in blocks: `QuadricModel.alpha_blocks`, the
 uint8 values (`alpha` is its one-block case), and `perp_blocks`, the bits
-[alpha == 0] as packed rows, from the tables' packed bit planes.  Relations
-held as bit rows (perp, membership, tangency) have one layout, that of
-`pack_rows`, read through `row_bits` and `unpack_rows`, and transposed by
-`transpose_rows`.
+[alpha == 0] as packed rows, from the tables' packed bit planes.
 
 Coordinates: f(x) = x1*x2 + x3*x4 + x5^2 + x5*x6 + lam*x6^2 with trace(lam) = 1,
 polarized to alpha(u, v) = u1*v2 + u2*v1 + u3*v4 + u4*v3 + u5*v6 + u6*v5.
@@ -27,14 +24,12 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .bitrows import n_words, pack_rows, pad_mask, row_bits
 from .gf2n import FieldCtx, trace
 from .projgeom import Vec, enumerate_points, normalize_tuple, null_space
 
 MAX_BUILD_DEGREE = 3  # model enumeration is desk-scale only through q = 8
 PERP_BLOCK = 1 << 19  # bytes of perp rows a block of _build_lines: alpha entries or packed words
-# the stages of `transpose_rows`: j, and the mask of the bits whose column has bit j clear
-_BUTTERFLY = [(j, np.uint64(sum(1 << t for t in range(64) if not t & j)))
-              for j in (32, 16, 8, 4, 2, 1)]
 
 
 class QuadricModel:
@@ -135,14 +130,13 @@ class QuadricModel:
         table = self.pair_tables.take(cols, axis=1)
         planes = [pack_rows(table & (1 << b)) for b in range(self.ctx.n)]
         del table                       # the blocks read only the planes
-        pad = ~np.uint64(0) >> np.uint64(-len(cols) % 64)  # the last word's column bits
         for lo in range(0, len(rows), step):
             keys = self.pair_keys.take(rows[lo:lo + step], axis=1)
             out = _xor_keys(planes[0], keys)
             for plane in planes[1:]:
                 out |= _xor_keys(plane, keys)
             np.invert(out, out=out)
-            out[:, -1:] &= pad
+            out[:, -1:] &= pad_mask(len(cols))
             yield out
 
     def collinear(self, rows, cols) -> np.ndarray:
@@ -270,7 +264,7 @@ def _build_lines(model: QuadricModel) -> None:
     ln[:, 1:] = model.index_by_code[_point_codes(ctx.n, c)[k][:, None] ^ multiples[:, x].T]
     # the perp rows, packed: bit y of row x is set exactly when alpha(x, y) == 0
     pts = np.arange(nq)
-    words = np.empty((nq, -(-nq // 64)), dtype="<u8")
+    words = np.empty((nq, n_words(nq)), dtype="<u8")
     step = max(1, PERP_BLOCK // nq)
     blocks = model.perp_blocks(pts, pts, step)
     for lo in range(0, nq, step):
@@ -306,73 +300,6 @@ def incidence_transpose(table: np.ndarray, n: int) -> np.ndarray:
     ascending: a stable sort of keys sized from n, as one flat int32 array."""
     keys = table.ravel().astype(np.min_scalar_type(n))
     return (np.argsort(keys, kind="stable") // table.shape[1]).astype(np.int32)
-
-
-def pack_rows(S: np.ndarray) -> np.ndarray:
-    """The rows of an array as uint64 words along the last axis, bit set
-    where the entry is nonzero, zero padded to a whole word: bit j % 64 of
-    word [..., i, j // 64] is S[..., i, j] != 0.  The package's one layout
-    of bit rows, the perp rows and the tangency table among them.  Rows are
-    padded to whole bytes and packed as one run, which numpy does about 50
-    times faster than packing rows of 16 one at a time."""
-    n = S.shape[-1]
-    if n % 8:
-        S = np.concatenate([S, np.zeros(S.shape[:-1] + (-n % 8,), dtype=S.dtype)], axis=-1)
-    packed = np.packbits(S.reshape(-1), bitorder="little").reshape(
-        S.shape[:-1] + (S.shape[-1] // 8,))
-    words = np.zeros(packed.shape[:-1] + (-(-S.shape[-1] // 64) * 8,), dtype=np.uint8)
-    words[..., :packed.shape[-1]] = packed
-    return words.view("<u8")
-
-
-def unpack_rows(words: np.ndarray, n: Optional[int] = None) -> np.ndarray:
-    """The first n bits (all when n is None) of rows packed by `pack_rows`, as booleans."""
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
-
-
-def transpose_rows(words: np.ndarray, n: Optional[int] = None) -> np.ndarray:
-    """The first n rows (len(words) when n is None) of the transpose of the
-    bit matrix whose rows `pack_rows` packed into words, in the same layout,
-    its padding bits zero.  Each 64 x 64 block of bits is transposed in its
-    64 words by a butterfly: at stage j = 32, 16, ..., 1, in every 2j x 2j
-    sub-block the top right and bottom left j x j quarters swap, by a mask
-    and a shift of whole words."""
-    r, w = words.shape
-    # blocks[c, b, i] is word c of row 64 b + i: one 64 x 64 block a row of 64 words
-    blocks = np.zeros((w, -(-r // 64), 64), dtype="<u8")
-    blocks.reshape(w, -1)[:, :r] = words.T
-    for j, low in _BUTTERFLY:
-        halves = blocks.reshape(w, -1, 2, j)
-        top, bottom = halves[:, :, 0], halves[:, :, 1]
-        swap = ((top >> j) ^ bottom) & low
-        bottom ^= swap
-        top ^= swap << j
-    # now bit i of blocks[c, b, t] is bit t of word c of row 64 b + i: it is
-    # bit i of word b of the transpose's row 64 c + t
-    return blocks.transpose(0, 2, 1).reshape(64 * w, -1)[:r if n is None else n]
-
-
-def row_bits(words: np.ndarray, rows, cols) -> np.ndarray:
-    """Bit cols of packed row rows (broadcast together), as uint8, nonzero
-    where the bit is set: byte cols >> 3 of the row, masked with bit cols & 7."""
-    b = words.view(np.uint8)
-    return (b.ravel()[rows * b.shape[1] + (cols >> 3)]
-            & np.left_shift(1, cols & 7).astype(np.uint8))
-
-
-def lowest_set_bits(x: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k lowest set bits of each uint64 word, ascending,
-    along a new last axis.  A word with fewer than k set bits is padded with
-    the sentinel 64: the lowest set bit of an exhausted word is 0, and 0 - 1
-    has 64 set bits."""
-    x = x.copy()
-    out = np.empty(x.shape + (k,), dtype=np.uint8)
-    one = np.uint64(1)
-    for r in range(k):
-        low = x & (~x + one)
-        out[..., r] = np.bitwise_count(low - one)
-        x ^= low
-    return out
 
 
 def _find_nucleus(model: QuadricModel) -> None:

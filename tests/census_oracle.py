@@ -12,7 +12,7 @@ Checks, counterexamples and the report are those of the shipped kernel.
 
 `flat_bits` and `flat_completion_rows` are the gathers that the census
 made from the flat boolean adjacency, at row * V + col, before it read the
-bit-packed rows through `quadric.row_bits` and `completion_rows`.
+bit-packed rows through `bitrows.row_bits` and `completion_rows`.
 
 `pair_srg_values` reads the common-neighbour counts of `verify_srg` pair
 by pair from a float64 product ``A @ A``.
@@ -33,6 +33,7 @@ import numpy as np
 
 from ovoid_oracle import tangency_points
 from quadcover import cliquecensus
+from quadcover.bitrows import pack_rows
 from quadcover.cliquecensus import (
     BATCH,
     MASK64,
@@ -44,7 +45,6 @@ from quadcover.cliquecensus import (
     rosette_maximality,
 )
 from quadcover.ovoid import OvoidGeometry
-from quadcover.quadric import pack_rows
 from tangency_oracle import tangency_matrix
 
 

@@ -27,10 +27,10 @@ import numpy as np
 
 from quadric_oracle import alpha_table
 from tangency_oracle import tangency_matrix
+from quadcover.bitrows import pack_rows, row_bits, unpack_rows
 from quadcover.covering import CoveringMap
 from quadcover.ovoid import OvoidGeometry
-from quadcover.quadric import (QuadricModel, incidence_transpose, pack_rows,
-                               row_bits, unpack_rows)
+from quadcover.quadric import QuadricModel, incidence_transpose
 
 _CHUNK = 1 << 16                # uint64 words gathered per line-row kernel step
 

@@ -20,7 +20,8 @@ import numpy as np
 from projgeom_oracle import Subspace
 from quadcover.gf2n import FieldCtx
 from quadcover.projgeom import Vec, enumerate_points, null_space
-from quadcover.quadric import QuadricModel, pack_rows
+from quadcover.bitrows import pack_rows
+from quadcover.quadric import QuadricModel
 
 
 def loop_gram_matrix(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ from projgeom_oracle import span
 from quadric_oracle import alpha_table
 from quadcover.ovoid import OvoidGeometry
 from tangency_oracle import tangency_matrix
-from quadcover.quadric import QuadricModel, pack_rows, second_intersection
+from quadcover.bitrows import pack_rows
+from quadcover.quadric import QuadricModel, second_intersection
 
 
 def loop_point_index(model: QuadricModel) -> None:

@@ -38,7 +38,7 @@ import numpy as np
 from quadcover import cliquecensus
 from quadcover.covering import CoveringMap
 from quadcover.ovoid import OvoidGeometry, verify_common_tangent_counts
-from quadcover.quadric import pack_rows, unpack_rows
+from quadcover.bitrows import pack_rows, unpack_rows
 
 
 def bit_unpack(words: np.ndarray, n: int) -> np.ndarray:

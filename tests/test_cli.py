@@ -78,12 +78,13 @@ def test_verify_covering(tmp_path):
     names = {c["name"] for c in data["checks"]}
     assert {"fibers_ok", "line_bijections_ok", "pencil_bijections_ok",
             "quotient_iso_ok", "fibers_at_distance_3", "diameter_is_3",
-            "far_pairs_are_fibers"} == names
+            "far_pairs_are_fibers", "tangency_is_cross_fibre_collinearity"} == names
     assert all(c["pass"] for c in data["checks"])
-    # the 6 fibers at q = 2, and the ordered far pairs, two for each fiber
+    # the 6 fibers at q = 2, the ordered far pairs, two for each fiber, and
+    # the 15 pairs of ovoids
     cases = {c["name"]: c["cases"] for c in data["checks"] if "cases" in c}
     assert cases == {"fibers_at_distance_3": 6, "diameter_is_3": 12,
-                     "far_pairs_are_fibers": 12}
+                     "far_pairs_are_fibers": 12, "tangency_is_cross_fibre_collinearity": 15}
 
 
 def test_verify_semipartial_with_incidence_export(tmp_path):
@@ -142,6 +143,20 @@ def test_census_sampled_is_deterministic_modulo_timings(tmp_path):
     assert d1 == d2
     assert d1["census"]["edges_checked"] == 300
     assert d1["census"]["n3"] is None
+
+
+def test_sampled_census_reports_only_the_laws_it_checked(tmp_path):
+    # no identity is enumerated on a sample: the row is the per-edge laws,
+    # over the edges drawn
+    rc, data = _run(tmp_path, ["census", "--n", "2", "--mode", "sampled",
+                               "--samples", "50", "--seed", "1"])
+    assert rc == 0 and data["census"]["identities"] == {}
+    by_name = {c["name"]: c for c in data["checks"]}
+    assert set(by_name) == {"census_per_edge_laws", "strong_regularity"}
+    assert by_name["census_per_edge_laws"] == {
+        "name": "census_per_edge_laws", "expected": True, "actual": True,
+        "source": "sampled", "pass": True, "cases": 50}
+    assert data["census"]["edges_checked"] == 50
 
 
 def test_lift_triangle(tmp_path, census_q4):

@@ -27,7 +27,6 @@ from quadcover import cliquecensus, ovoid
 from quadcover.cliquecensus import (
     census,
     edge_keys,
-    edge_list,
     export_edges_csv,
     formula_n3,
     formula_n4,
@@ -37,10 +36,9 @@ from quadcover.cliquecensus import (
     rosette_maximality,
     sampled_edge_keys,
     splitmix_below,
-    upper_pairs,
     verify_srg,
 )
-from quadcover.quadric import lowest_set_bits, pack_rows, row_bits, unpack_rows
+from quadcover.bitrows import lowest_set_bits, pack_rows, row_bits, unpack_rows, upper_pairs
 
 
 def test_formula_values():
@@ -496,7 +494,7 @@ def test_lowest_set_bits_against_nonzero():
     bits[40] = True                                        # all ones
     bits[41] = False                                       # exhausted from the start
     bits[42] = np.arange(64) == 63                         # only the top bit
-    for w in (4, 16, 64):                                  # row widths at q = 2, 4, 8
+    for w in (1, 4, 16, 63, 64):                           # q = 2, 4, 8 and word edges
         words = pack_rows(bits[:, :w])
         assert words.dtype == np.uint64 and words.shape == (300, 1)
         words = words[:, 0]
@@ -552,7 +550,9 @@ def test_edge_list_matches_nonzero_triu(request, tname):
         A = _irregular(request.getfixturevalue("adj_q4"), request.getfixturevalue("geom_q4"))
     else:
         A = _boolean(request, tname)
-    got, want = edge_list(pack_rows(A)), np.nonzero(np.triu(A, 1))
+    # the edge list of `export_edges_csv`
+    T = pack_rows(A)
+    got, want = np.divmod(edge_keys(T), len(T)), np.nonzero(np.triu(A, 1))
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
@@ -574,7 +574,7 @@ def test_edge_keys_in_row_blocks_match_flatnonzero_triu(monkeypatch, request, tn
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("n", [16, 64])             # completions at q = 4 and q = 8
+@pytest.mark.parametrize("n", [1, 16, 63, 64])      # q = 4 and 8, and word edges
 def test_upper_pairs_against_nonzero_triu(n):
     rng = np.random.default_rng(n)
     S = np.triu(rng.random((40, n, n)) < rng.random((40, 1, 1)), 1)  # densities 0..1
@@ -598,7 +598,7 @@ def test_upper_pairs_against_nonzero_triu(n):
 
 # from 8 on, every width the package packs: a cube's 8 points, then |Q0|, V
 # and |Q| at q = 2, 4 and 8
-@pytest.mark.parametrize("width", [1, 16, 63, 64, 65, 128, 240, 4032, 8, 15, 85, 585,
+@pytest.mark.parametrize("width", [1, 16, 63, 64, 65, 128, 129, 240, 4032, 8, 15, 85, 585,
                                    6, 120, 2016, 45, 325, 4617])
 def test_pack_rows_across_words(width):
     rng = np.random.default_rng(width)

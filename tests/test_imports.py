@@ -296,7 +296,7 @@ def test_pack_check_sees_every_spelling():
 
 def test_package_packs_rows_only_through_pack_rows():
     """Every relation the package holds as bit rows is packed by
-    `quadric.pack_rows` and unpacked by `quadric.unpack_rows`: the perp rows
+    `bitrows.pack_rows` and unpacked by `bitrows.unpack_rows`: the perp rows
     of `_build_lines`, the rosette laws' membership and perp rows, the cube
     code of `extend_cube_bruteforce`, the tangency table that the census
     gathers from and the pencil counts add, the census's completion rows
@@ -306,9 +306,55 @@ def test_package_packs_rows_only_through_pack_rows():
     packs = {path.name: _packs(ast.parse(path.read_text()))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: p for name, p in packs.items() if p} == {
-        "quadric.py": [("pack_rows", "np.packbits(S.reshape(-1), bitorder='little')"),
+        "bitrows.py": [("pack_rows", "np.packbits(S.reshape(-1), bitorder='little')"),
                        ("unpack_rows", "np.unpackbits(words.view(np.uint8), axis=-1, "
                                        "count=n, bitorder='little')")]}
+
+
+# the word arithmetic of the bit-row layout: (operator, right operand)
+_WORD_OPS = {(ast.RShift, 6), (ast.BitAnd, 63), (ast.Mod, 64), (ast.FloorDiv, 64)}
+
+
+def _word_ops(tree: ast.Module) -> list:
+    """(enclosing top-level function or "<module>", source) of each
+    ``>> 6``, ``& 63``, ``% 64`` or ``// 64``, as a binary or augmented
+    operation, its operand a literal or a numpy scalar of one."""
+    out = []
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp):
+                right = node.right
+            elif isinstance(node, ast.AugAssign):
+                right = node.value
+            else:
+                continue
+            if isinstance(right, ast.Call) and len(right.args) == 1:
+                right = right.args[0]
+            if (isinstance(right, ast.Constant)
+                    and (type(node.op), right.value) in _WORD_OPS):
+                out.append((where, ast.unparse(node)))
+    return out
+
+
+def test_word_op_check_sees_every_spelling():
+    tree = ast.parse("def f(i):\n    return T[i, i >> 6] & (1 << (i & 63))\n"
+                     "w = -(-n // 64)\npad = x >> np.uint64(-n % 64)\n"
+                     "k >>= 6\nk &= np.uint64(63)\nb = i >> 3\nc = i & 7\n"
+                     "d = i % 8\ne = n // 8\ng = 64 * w\nh = i >> j\n")
+    assert _word_ops(tree) == [
+        ("f", "i & 63"), ("f", "i >> 6"), ("<module>", "-n // 64"),
+        ("<module>", "-n % 64"), ("<module>", "k >>= 6"),
+        ("<module>", "k &= np.uint64(63)")]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "bitrows.py"],
+                         ids=lambda p: p.name)
+def test_only_bitrows_does_word_arithmetic(path):
+    """The word layout of bit rows, bit j % 64 of word j // 64, is known to
+    `bitrows.py` alone: every other module counts words, masks padding and
+    diagonals, sets bits by id and finds set bits through its helpers."""
+    assert _word_ops(ast.parse(path.read_text())) == []
 
 
 def test_adjacency_attribute_check_sees_direct_and_aliased_reads():
@@ -342,7 +388,8 @@ _ROW_ROUTINES = {
                    "_frame_and_center", "extend_hexagon_to_cubes", "cube_params", "extend_cube"],
     "subf2.py": ["scale_figure_representatives", "f2_closure"],
 }
-# the `FieldCtx` methods that multiply or invert: `square` and `div` call `mul`
+# the `FieldCtx` methods that multiply or invert (`square` calls `mul`), and
+# `div`, the name a quotient method would take
 _SCALAR_METHODS = {"mul", "inv", "square", "div"}
 
 

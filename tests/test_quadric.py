@@ -7,7 +7,7 @@ import pytest
 
 from figures_oracle import alpha_perp
 from projgeom_oracle import span
-from quadcover import covering, ovoid, projgeom, quadric
+from quadcover import bitrows, covering, ovoid, projgeom, quadric
 from quadcover.gf2n import FieldCtx, is_irreducible, trace
 from quadcover.ovoid import build_geometry
 from quadcover.projgeom import enumerate_points, line_points, vec_scale
@@ -279,7 +279,7 @@ def _perp_shapes(model, rng):
 def _assert_perp_blocks_match(model, rows, cols):
     # at steps 1, 7, len - 1, len and len + 5: the rows of
     # pack_rows(collinear), step rows a block, the padding bits clear
-    want = quadric.pack_rows(model.collinear(rows, cols))
+    want = bitrows.pack_rows(model.collinear(rows, cols))
     n = len(rows)
     for step in sorted({1, 7, max(1, n - 1), max(1, n), n + 5}):
         got = list(model.perp_blocks(rows, cols, step))
@@ -287,7 +287,7 @@ def _assert_perp_blocks_match(model, rows, cols):
         assert all(b.dtype == np.uint64 and b.shape[1] == want.shape[1] for b in got)
         got = np.concatenate(got) if got else want[:0]
         assert np.array_equal(got, want)
-        assert not quadric.unpack_rows(got)[:, len(cols):].any()
+        assert not bitrows.unpack_rows(got)[:, len(cols):].any()
 
 
 @pytest.mark.parametrize("name", ["model_q2", "model_q4", "model_q8"])
@@ -317,7 +317,7 @@ def test_set_up_perp_rows_are_the_packed_collinearity(monkeypatch, request, n, r
 
     def checked(self, rows, cols, step):
         for lo, block in zip(range(0, len(rows), step), real(self, rows, cols, step)):
-            want = quadric.pack_rows(self.collinear(rows[lo:lo + step], cols))
+            want = bitrows.pack_rows(self.collinear(rows[lo:lo + step], cols))
             assert np.array_equal(block, want)
             seen.append(len(block))
             yield block

@@ -91,8 +91,9 @@ def test_q8_setup_matches_the_loop_oracle(model_q8, geom_q8):
 
 @pytest.mark.parametrize("n,rows", [(1, 4), (2, 7)])
 def test_setup_in_ragged_blocks_matches_the_loop_oracle(monkeypatch, n, rows):
-    # blocks of a few ovoid rows, the last one short: 6 = 4 + 2 ovoids at
-    # q = 2 and 120 = 17 * 7 + 1 at q = 4
+    # PAIR_BLOCK of a few ovoid rows: bands of one word, the fewest rows a
+    # band holds, the last one short: one band of 6 ovoids at q = 2, and
+    # 120 = 64 + 56 at q = 4
     q = 2 ** n
     monkeypatch.setattr(ovoid, "PAIR_BLOCK", rows * q * q * (q * q - 1) // 2)
     assert_same_geometry(build_geometry(build_model(FieldCtx(n))))
@@ -123,9 +124,8 @@ def test_model_in_ragged_perp_blocks_matches_the_unpatched_build(monkeypatch, mo
 @pytest.mark.parametrize("rows", [100, 192])
 def test_tangency_in_ragged_blocks_and_bands_matches_the_unpatched_build(
         monkeypatch, geom_q8, rows):
-    # the product a few rows a block, the last one short (2016 = 20 * 100 +
-    # 16 and 10 * 192 + 96), and the transpose one band (100 rows) or three
-    # (192 rows) a step, the last step short (32 words = 10 * 3 + 2)
+    # bands of one word (100 rows of pairs: 2016 = 31 * 64 + 32) or of three
+    # (192 rows: 2016 = 10 * 192 + 96), the last one short
     V = geom_q8.n_ovoids
     monkeypatch.setattr(ovoid, "PAIR_BLOCK", rows * V)
     geom = build_geometry(geom_q8.model)
@@ -137,9 +137,9 @@ def test_tangency_in_ragged_blocks_and_bands_matches_the_unpatched_build(
 def test_product_rejects_a_pair_meeting_in_two_points(monkeypatch, geom_q4, rows):
     """The last ovoid i given a point of j, the first ovoid tangent to it,
     in place of one of its own points off j: the pair j < i meets in two
-    points (and other pairs of i break the law too).  With 7 rows a block,
-    i = 119 is alone in the last block, whose columns start at 64, so the
-    pair (j, i) is read only in j's block."""
+    points (and other pairs of i break the law too).  With PAIR_BLOCK of 7
+    rows, a band is one word: i = 119 is in the last band, whose columns
+    start at 64, so the pair (j, i) is read only in j's band."""
     if rows:
         monkeypatch.setattr(ovoid, "PAIR_BLOCK", rows * geom_q4.n_ovoids)
     q = geom_q4.model.ctx.q
@@ -172,7 +172,7 @@ def test_build_model_peak_stays_below_13_mib():
 
 def test_build_geometry_peak_stays_below_28_mib(model_q8):
     # the kept tables (0.5 MB packed tangency, 1 MB membership) and one
-    # product block of at most PAIR_BLOCK float32 entries, and its packed
+    # product band of at most PAIR_BLOCK float32 entries, and its packed
     # copy, beside the float copy of the membership matrix
     _, peak = traced_peak(lambda: build_geometry(model_q8))
     assert peak < 28 * 2 ** 20

@@ -23,6 +23,7 @@ diffed against the transpose of the unpacked table.
 
 import copy
 import csv
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -35,12 +36,12 @@ from tangency_oracle import (bit_unpack, boolean_adjacency_oracle, boolean_edge_
                              boolean_pencils, boolean_srg, boolean_tangency_graph,
                              check_common_tangents, keyed_srg, tangency_matrix,
                              with_tangency)
-from quadcover import cliquecensus
-from quadcover.cliquecensus import (build_tangency_graph, census, edge_keys, edge_list,
-                                    export_edges_csv, rosette_maximality, verify_srg)
+from quadcover import cli, cliquecensus
+from quadcover.bitrows import pack_rows, row_bits, transpose_rows, unpack_rows
+from quadcover.cliquecensus import (build_tangency_graph, census, edge_keys, export_edges_csv,
+                                    rosette_maximality, verify_srg)
 from quadcover.covering import verify_adjacency_oracle
 from quadcover.ovoid import _build_rosettes, verify_semipartial
-from quadcover.quadric import pack_rows, row_bits, transpose_rows, unpack_rows
 
 
 def _one_way(A, geom):
@@ -140,7 +141,7 @@ def test_edge_keys_and_csv_match_the_boolean_scan(tmp_path, case):
     got = edge_keys(T)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
-    for g, w in zip(edge_list(T), np.nonzero(np.triu(A, 1))):
+    for g, w in zip(np.divmod(edge_keys(T), len(T)), np.nonzero(np.triu(A, 1))):
         np.testing.assert_array_equal(g, w)
     if name.startswith("q8"):
         return                  # 458,640 rows of CSV: 2 s a case
@@ -195,6 +196,26 @@ def test_common_tangent_counts_match_the_boolean_products(case):
 def test_adjacency_oracle_matches_the_boolean_rows(case):
     cov = case[4]
     assert verify_adjacency_oracle(cov) == boolean_adjacency_oracle(cov)
+
+
+def test_verify_covering_command_reports_the_adjacency_law(monkeypatch, tmp_path, case):
+    # the command's row is the oracle's verdict on the table, over every
+    # pair, and its counterexample the oracle's first failing pair
+    cov = case[4]
+    want = boolean_adjacency_oracle(cov)
+    monkeypatch.setattr(cli.Run, "cov", property(lambda run: cov))
+    out = tmp_path / "out.json"
+    rc = cli.main(["verify", "covering", "--n", str(cov.model.ctx.n), "--out", str(out)])
+    data = json.loads(out.read_text())
+    row = next(c for c in data["checks"] if c["name"] == "tangency_is_cross_fibre_collinearity")
+    assert (row["pass"], row.get("cases"), rc) == (
+        want["pass"], want.get("pairs_checked"), 0 if want["pass"] else 1)
+    if not want["pass"]:
+        assert data["counterexample"] == {"kind": "cross_fibre_collinearity", "pair": want["pair"],
+                                          "tangent": want["tangent"],
+                                          "cross_collinear": want["cross_collinear"]}
+    # the loop is on the diagonal, which is no pair
+    assert want["pass"] == case[0].endswith(("clean", "loop"))
 
 
 def test_oracle_unpack_is_unpack_rows():
